@@ -29,7 +29,7 @@ use secloc_obs::health::{
 };
 use secloc_obs::{EventSink, HealthMonitor, JsonlSink, Obs};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -189,21 +189,10 @@ fn serve(opts: &Options) -> Result<ExitCode, String> {
         })
     };
 
-    let ingest_reader = |alerter: &mut Alerter, reader: &mut dyn BufRead| -> std::io::Result<()> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Ok(());
-            }
-            alerter.ingest_line(line.trim_end_matches(['\r', '\n']));
-        }
-    };
-
     let io_result = match &opts.transport {
         Transport::Stdin => {
             let stdin = std::io::stdin();
-            ingest_reader(&mut alerter, &mut stdin.lock())
+            alerter.ingest_reader(stdin.lock())
         }
         Transport::Unix(path) => {
             let _ = std::fs::remove_file(path);
@@ -217,7 +206,7 @@ fn serve(opts: &Options) -> Result<ExitCode, String> {
             for stream in listener.incoming() {
                 match stream {
                     Ok(stream) => {
-                        result = ingest_reader(&mut alerter, &mut BufReader::new(stream));
+                        result = alerter.ingest_reader(BufReader::new(stream));
                     }
                     Err(e) => result = Err(e),
                 }
@@ -239,7 +228,7 @@ fn serve(opts: &Options) -> Result<ExitCode, String> {
             for stream in listener.incoming() {
                 match stream {
                     Ok(stream) => {
-                        result = ingest_reader(&mut alerter, &mut BufReader::new(stream));
+                        result = alerter.ingest_reader(BufReader::new(stream));
                     }
                     Err(e) => result = Err(e),
                 }

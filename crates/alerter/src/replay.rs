@@ -74,9 +74,7 @@ pub fn replay_stream<R: BufRead>(
     };
     let mut alerter = Alerter::new(cfg, obs);
     let start = Instant::now();
-    for line in reader.lines() {
-        alerter.ingest_line(&line?);
-    }
+    alerter.ingest_reader(reader)?;
     alerter.finish();
     Ok((alerter, start.elapsed()))
 }

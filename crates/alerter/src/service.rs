@@ -12,14 +12,23 @@
 //! The table is dense: deployment keys map to slots in a `Vec`, retired
 //! slots go on a free list and are reused by mid-stream deployment churn,
 //! so thousands of concurrent deployments cost a hash lookup plus an
-//! index — no per-event allocation beyond the machines' own counters.
+//! index. Keys are looked up by the `&str` borrowed from the input line
+//! and copied only when a slot is inserted, and event fields are built
+//! only when a sink is attached: an accusation into a live deployment
+//! allocates nothing beyond the action list `RevocationMachine::apply`
+//! returns and the machine's own counter growth.
 
 use crate::wire::{parse_line, WireEvent};
 use secloc_core::{
     AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine,
 };
 use secloc_obs::{Obs, SpanContext, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::io::BufRead;
+
+/// The key of accusations that name no deployment.
+const DEFAULT_KEY: &str = "default";
 
 /// FNV-1a, the workspace's standard content hash; deployment keys become
 /// trace ids with it, except keys that already *are* 16-hex trace ids
@@ -184,6 +193,32 @@ impl Alerter {
             .map(|s| &s.machine)
     }
 
+    /// Ingests every line of `reader` until end of input, reusing one
+    /// buffer. Lines are split at `\n` with a trailing `\r` stripped, as
+    /// [`BufRead::lines`] does, but each is decoded as UTF-8 on its own: a
+    /// line that is not valid UTF-8 is a malformed line (counted, reported,
+    /// survived), not the end of the stream. Only I/O errors are returned.
+    pub fn ingest_reader<R: BufRead>(&mut self, mut reader: R) -> std::io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if reader.read_until(b'\n', &mut buf)? == 0 {
+                return Ok(());
+            }
+            let mut line = &buf[..];
+            if let Some(rest) = line.strip_suffix(b"\n") {
+                line = rest.strip_suffix(b"\r").unwrap_or(rest);
+            }
+            match std::str::from_utf8(line) {
+                Ok(line) => self.ingest_line(line),
+                Err(e) => {
+                    self.stats.lines += 1;
+                    self.malformed(format!("invalid UTF-8: {e}"));
+                }
+            }
+        }
+    }
+
     /// Ingests one raw input line. Blank lines are skipped; malformed
     /// lines are counted, reported as `alerter.malformed`, and survived.
     pub fn ingest_line(&mut self, line: &str) {
@@ -193,21 +228,23 @@ impl Alerter {
         self.stats.lines += 1;
         match parse_line(line) {
             Ok(event) => self.ingest(event),
-            Err(reason) => {
-                self.stats.malformed += 1;
-                self.obs.emit(
-                    "alerter.malformed",
-                    &[
-                        ("error", Value::Str(reason)),
-                        ("line", Value::U64(self.stats.lines)),
-                    ],
-                );
-            }
+            Err(reason) => self.malformed(reason),
         }
     }
 
+    fn malformed(&mut self, reason: String) {
+        self.stats.malformed += 1;
+        self.obs.emit(
+            "alerter.malformed",
+            &[
+                ("error", Value::Str(reason)),
+                ("line", Value::U64(self.stats.lines)),
+            ],
+        );
+    }
+
     /// Ingests one decoded event.
-    pub fn ingest(&mut self, event: WireEvent) {
+    pub fn ingest(&mut self, event: WireEvent<'_>) {
         match event {
             WireEvent::DeployStart {
                 deployment,
@@ -271,6 +308,9 @@ impl Alerter {
     /// The scoped facade for a deployment: trace root = the key's id,
     /// standard `cell` (+ `seed`) fields — the sweep engine's convention.
     fn scope(&self, key: &str, seed: Option<u64>) -> Obs {
+        if !self.obs.sink_attached() {
+            return self.obs.clone();
+        }
         let mut fields = vec![("cell", Value::Str(key.to_string()))];
         if let Some(seed) = seed {
             fields.push(("seed", Value::U64(seed)));
@@ -279,12 +319,18 @@ impl Alerter {
             .scoped(SpanContext::root(trace_id_of(key)), &fields)
     }
 
-    fn deploy(&mut self, key: String, tau: Option<u32>, tau_prime: Option<u32>, seed: Option<u64>) {
+    fn deploy(
+        &mut self,
+        key: Cow<'_, str>,
+        tau: Option<u32>,
+        tau_prime: Option<u32>,
+        seed: Option<u64>,
+    ) {
         let policy = RevocationConfig {
             tau: tau.unwrap_or(self.cfg.default_policy.tau),
             tau_prime: tau_prime.unwrap_or(self.cfg.default_policy.tau_prime),
         };
-        if let Some(&i) = self.index.get(&key) {
+        if let Some(&i) = self.index.get(&*key) {
             // Duplicate start. Adopting the announced policy is safe only
             // while the machine is still empty; after decisions the
             // counters already embody the old thresholds.
@@ -306,7 +352,7 @@ impl Alerter {
                 ("tau_prime", Value::U64(policy.tau_prime as u64)),
             ],
         );
-        self.insert_slot(key, obs, policy);
+        self.insert_slot(key.into_owned(), obs, policy);
     }
 
     fn insert_slot(&mut self, key: String, obs: Obs, policy: RevocationConfig) -> usize {
@@ -356,15 +402,15 @@ impl Alerter {
 
     fn accuse(
         &mut self,
-        deployment: Option<String>,
+        deployment: Option<Cow<'_, str>>,
         reporter: u32,
         target: u32,
-        source: Option<String>,
-        recorded_outcome: Option<String>,
+        source: Option<Cow<'_, str>>,
+        recorded_outcome: Option<Cow<'_, str>>,
     ) {
-        let key = deployment.unwrap_or_else(|| "default".to_string());
+        let key = deployment.as_deref().unwrap_or(DEFAULT_KEY);
         let verify = self.cfg.verify_recorded;
-        let i = self.slot_of(&key);
+        let i = self.slot_of(key);
         let slot = self.slots[i].as_mut().expect("live slot");
         let actions = slot.machine.apply(ProtocolEvent::Accusation {
             reporter: secloc_crypto::NodeId(reporter),
@@ -377,15 +423,17 @@ impl Alerter {
             match *action {
                 ProtocolAction::Decided { outcome, .. } => {
                     computed = Some(outcome);
-                    let mut fields = vec![
-                        ("reporter", Value::U64(reporter as u64)),
-                        ("target", Value::U64(target as u64)),
-                        ("outcome", Value::Str(outcome.wire_label().to_string())),
-                    ];
-                    if let Some(source) = &source {
-                        fields.push(("source", Value::Str(source.clone())));
+                    if slot.obs.sink_attached() {
+                        let mut fields = vec![
+                            ("reporter", Value::U64(reporter as u64)),
+                            ("target", Value::U64(target as u64)),
+                            ("outcome", Value::Str(outcome.wire_label().to_string())),
+                        ];
+                        if let Some(source) = &source {
+                            fields.push(("source", Value::Str(source.to_string())));
+                        }
+                        slot.obs.emit("alerter.decision", &fields);
                     }
-                    slot.obs.emit("alerter.decision", &fields);
                 }
                 ProtocolAction::Revoke {
                     target,
@@ -416,8 +464,8 @@ impl Alerter {
                     self.obs.emit(
                         "alerter.mismatch",
                         &[
-                            ("cell", Value::Str(key)),
-                            ("recorded", Value::Str(recorded)),
+                            ("cell", Value::Str(key.to_string())),
+                            ("recorded", Value::Str(recorded.into_owned())),
                             ("computed", Value::Str(computed.wire_label().to_string())),
                         ],
                     );
@@ -426,13 +474,13 @@ impl Alerter {
         }
     }
 
-    fn check_recorded_revocation(&mut self, deployment: Option<String>, target: u32) {
+    fn check_recorded_revocation(&mut self, deployment: Option<Cow<'_, str>>, target: u32) {
         if !self.cfg.verify_recorded {
             self.stats.ignored += 1;
             return;
         }
-        let key = deployment.unwrap_or_else(|| "default".to_string());
-        let revoked = self.is_revoked(&key, target);
+        let key = deployment.as_deref().unwrap_or(DEFAULT_KEY);
+        let revoked = self.is_revoked(key, target);
         if !revoked {
             self.stats.parity_mismatches += 1;
             self.mismatches.push(format!(
@@ -442,7 +490,7 @@ impl Alerter {
             self.obs.emit(
                 "alerter.mismatch",
                 &[
-                    ("cell", Value::Str(key)),
+                    ("cell", Value::Str(key.to_string())),
                     ("recorded", Value::Str("revocation".to_string())),
                     ("computed", Value::Str("not_revoked".to_string())),
                 ],
@@ -450,12 +498,12 @@ impl Alerter {
         }
     }
 
-    fn retire(&mut self, deployment: Option<String>, cache: Option<String>) {
+    fn retire(&mut self, deployment: Option<Cow<'_, str>>, cache: Option<Cow<'_, str>>) {
         let Some(key) = deployment else {
             self.stats.ignored += 1;
             return;
         };
-        let Some(i) = self.index.remove(&key) else {
+        let Some(i) = self.index.remove(&*key) else {
             // End of a deployment we never saw an event for (e.g. a cache
             // hit in a recorded sweep: cell.start/cell.complete with no
             // decisions in between still creates a machine via
@@ -477,7 +525,7 @@ impl Alerter {
             key: slot.key,
             decisions: slot.decisions,
             revocations: slot.revocations,
-            cache,
+            cache: cache.map(Cow::into_owned),
         });
     }
 }

@@ -16,16 +16,22 @@
 //! (the recorded stream interleaves phases, metrics, and health events
 //! the alerter has no use for); anything that doesn't parse is a
 //! malformed line, which the service counts and survives.
+//!
+//! Decoding copies nothing: a [`WireEvent`] borrows its strings from the
+//! line (a string is copied only when it contains escapes), and the
+//! line's other members are validated without being built.
 
-use secloc_obs::json::JsonValue;
+use secloc_obs::json::{visit_object, JsonRef};
+use std::borrow::Cow;
 
-/// One decoded input line, normalized across the two dialects.
+/// One decoded input line, normalized across the two dialects. Strings
+/// borrow from the line they were decoded from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireEvent {
+pub enum WireEvent<'a> {
     /// A deployment came online (`cell.start` / `deploy.start`).
     DeployStart {
         /// The demultiplexing key (`cell` or `deployment` field).
-        deployment: String,
+        deployment: Cow<'a, str>,
         /// Per-reporter cap τ, when announced.
         tau: Option<u32>,
         /// Revocation threshold τ′, when announced.
@@ -37,99 +43,142 @@ pub enum WireEvent {
     Accusation {
         /// The demultiplexing key; absent on single-deployment live
         /// streams (the service then uses its default key).
-        deployment: Option<String>,
+        deployment: Option<Cow<'a, str>>,
         /// The accusing node.
         reporter: u32,
         /// The accused node.
         target: u32,
         /// `detection` / `collusion`, when the producer tagged it.
-        source: Option<String>,
+        source: Option<Cow<'a, str>>,
         /// The batch path's recorded verdict (`bs.alert` streams only);
         /// replay cross-checks it against the machine's decision.
-        recorded_outcome: Option<String>,
+        recorded_outcome: Option<Cow<'a, str>>,
     },
     /// A revocation the batch path recorded (`revocation`); replay asserts
     /// the machine agrees.
     RecordedRevocation {
         /// The demultiplexing key, when present.
-        deployment: Option<String>,
+        deployment: Option<Cow<'a, str>>,
         /// The node the batch path revoked.
         target: u32,
     },
     /// A deployment went away (`cell.complete` / `deploy.end`).
     DeployEnd {
         /// The demultiplexing key, when present.
-        deployment: Option<String>,
+        deployment: Option<Cow<'a, str>>,
         /// The sweep's cache classification (`miss` / `memo` / `hit` /
         /// `resumed`); only `miss` cells carry a full decision history,
         /// so only those are parity-checked against the checkpoint.
-        cache: Option<String>,
+        cache: Option<Cow<'a, str>>,
     },
     /// A well-formed event of no interest to the alerter.
     Ignored,
 }
 
-fn str_of(v: Option<&JsonValue>) -> Option<String> {
-    v.and_then(|v| v.as_str()).map(str::to_string)
+/// The first occurrence of every member the wire format reads (later
+/// duplicates are ignored, as `JsonValue::get` does).
+#[derive(Default)]
+struct Fields<'a> {
+    kind: Option<JsonRef<'a>>,
+    cell: Option<JsonRef<'a>>,
+    deployment: Option<JsonRef<'a>>,
+    tau: Option<JsonRef<'a>>,
+    tau_prime: Option<JsonRef<'a>>,
+    seed: Option<JsonRef<'a>>,
+    reporter: Option<JsonRef<'a>>,
+    target: Option<JsonRef<'a>>,
+    source: Option<JsonRef<'a>>,
+    outcome: Option<JsonRef<'a>>,
+    cache: Option<JsonRef<'a>>,
 }
 
-fn u32_of(v: Option<&JsonValue>, field: &str) -> Result<u32, String> {
+impl<'a> Fields<'a> {
+    fn keep_first(&mut self, key: &str, value: JsonRef<'a>) {
+        let field = match key {
+            "kind" => &mut self.kind,
+            "cell" => &mut self.cell,
+            "deployment" => &mut self.deployment,
+            "tau" => &mut self.tau,
+            "tau_prime" => &mut self.tau_prime,
+            "seed" => &mut self.seed,
+            "reporter" => &mut self.reporter,
+            "target" => &mut self.target,
+            "source" => &mut self.source,
+            "outcome" => &mut self.outcome,
+            "cache" => &mut self.cache,
+            _ => return,
+        };
+        if field.is_none() {
+            *field = Some(value);
+        }
+    }
+}
+
+fn str_of(v: Option<JsonRef<'_>>) -> Option<Cow<'_, str>> {
+    match v {
+        Some(JsonRef::String(s)) => Some(s),
+        _ => None,
+    }
+}
+
+fn u32_of(v: Option<&JsonRef<'_>>, field: &str) -> Result<u32, String> {
     let raw = v
-        .and_then(|v| v.as_u64())
+        .and_then(JsonRef::as_u64)
         .ok_or_else(|| format!("missing or non-u64 \"{field}\""))?;
     u32::try_from(raw).map_err(|_| format!("\"{field}\" {raw} exceeds u32"))
 }
 
+fn maybe_u32(v: Option<&JsonRef<'_>>, field: &str) -> Result<Option<u32>, String> {
+    v.map(|v| u32_of(Some(v), field)).transpose()
+}
+
 /// The demultiplexing key: `cell` (sweep convention) wins over
 /// `deployment` (live convention).
-fn deployment_of(obj: &JsonValue) -> Option<String> {
-    str_of(obj.get("cell")).or_else(|| str_of(obj.get("deployment")))
+fn deployment_of<'a>(
+    cell: Option<JsonRef<'a>>,
+    deployment: Option<JsonRef<'a>>,
+) -> Option<Cow<'a, str>> {
+    str_of(cell).or_else(|| str_of(deployment))
 }
 
 /// Parses one input line. `Err` is a malformed line (invalid JSON, no
 /// `kind`, or a recognized kind missing a contract field) with the reason;
 /// the service survives these, counts them, and surfaces them through the
 /// malformed-input health detector.
-pub fn parse_line(line: &str) -> Result<WireEvent, String> {
-    let obj = JsonValue::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    if obj.as_object().is_none() {
+pub fn parse_line(line: &str) -> Result<WireEvent<'_>, String> {
+    let mut f = Fields::default();
+    let is_object = visit_object(line, |key, value| f.keep_first(&key, value))
+        .map_err(|e| format!("invalid JSON: {e}"))?;
+    if !is_object {
         return Err("line is not a JSON object".to_string());
     }
-    let kind = obj
-        .get("kind")
-        .and_then(|k| k.as_str())
+    let kind = f
+        .kind
+        .as_ref()
+        .and_then(JsonRef::as_str)
         .ok_or_else(|| "missing or non-string \"kind\"".to_string())?;
     match kind {
-        "cell.start" | "deploy.start" => {
-            let deployment = deployment_of(&obj)
-                .ok_or_else(|| format!("{kind} missing \"cell\"/\"deployment\""))?;
-            let maybe_u32 = |field: &str| -> Result<Option<u32>, String> {
-                match obj.get(field) {
-                    None => Ok(None),
-                    some => u32_of(some, field).map(Some),
-                }
-            };
-            Ok(WireEvent::DeployStart {
-                deployment,
-                tau: maybe_u32("tau")?,
-                tau_prime: maybe_u32("tau_prime")?,
-                seed: obj.get("seed").and_then(|v| v.as_u64()),
-            })
-        }
+        "cell.start" | "deploy.start" => Ok(WireEvent::DeployStart {
+            deployment: deployment_of(f.cell, f.deployment)
+                .ok_or_else(|| format!("{kind} missing \"cell\"/\"deployment\""))?,
+            tau: maybe_u32(f.tau.as_ref(), "tau")?,
+            tau_prime: maybe_u32(f.tau_prime.as_ref(), "tau_prime")?,
+            seed: f.seed.as_ref().and_then(JsonRef::as_u64),
+        }),
         "bs.alert" | "alert" => Ok(WireEvent::Accusation {
-            deployment: deployment_of(&obj),
-            reporter: u32_of(obj.get("reporter"), "reporter")?,
-            target: u32_of(obj.get("target"), "target")?,
-            source: str_of(obj.get("source")),
-            recorded_outcome: str_of(obj.get("outcome")),
+            deployment: deployment_of(f.cell, f.deployment),
+            reporter: u32_of(f.reporter.as_ref(), "reporter")?,
+            target: u32_of(f.target.as_ref(), "target")?,
+            source: str_of(f.source),
+            recorded_outcome: str_of(f.outcome),
         }),
         "revocation" => Ok(WireEvent::RecordedRevocation {
-            deployment: deployment_of(&obj),
-            target: u32_of(obj.get("target"), "target")?,
+            deployment: deployment_of(f.cell, f.deployment),
+            target: u32_of(f.target.as_ref(), "target")?,
         }),
         "cell.complete" | "deploy.end" => Ok(WireEvent::DeployEnd {
-            deployment: deployment_of(&obj),
-            cache: str_of(obj.get("cache")),
+            deployment: deployment_of(f.cell, f.deployment),
+            cache: str_of(f.cache),
         }),
         _ => Ok(WireEvent::Ignored),
     }
@@ -148,7 +197,7 @@ mod tests {
         assert_eq!(
             ev,
             WireEvent::DeployStart {
-                deployment: "00000000c0ffee00".to_string(),
+                deployment: "00000000c0ffee00".into(),
                 tau: Some(2),
                 tau_prime: Some(2),
                 seed: Some(7),
@@ -165,11 +214,11 @@ mod tests {
         assert_eq!(
             ev,
             WireEvent::Accusation {
-                deployment: Some("00000000c0ffee00".to_string()),
+                deployment: Some("00000000c0ffee00".into()),
                 reporter: 4,
                 target: 17,
-                source: Some("detection".to_string()),
-                recorded_outcome: Some("accepted".to_string()),
+                source: Some("detection".into()),
+                recorded_outcome: Some("accepted".into()),
             }
         );
     }
@@ -181,7 +230,7 @@ mod tests {
         assert_eq!(
             ev,
             WireEvent::Accusation {
-                deployment: Some("field-7".to_string()),
+                deployment: Some("field-7".into()),
                 reporter: 1,
                 target: 2,
                 source: None,

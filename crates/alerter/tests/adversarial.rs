@@ -1,10 +1,11 @@
 //! Adversarial-input tests: the service must keep exact protocol
-//! semantics under malformed lines, duplicate and out-of-order
-//! accusations, mid-stream deployment churn, and heavy interleaving —
-//! and N concurrent deployments must never cross-contaminate.
+//! semantics under malformed lines (invalid UTF-8 included), duplicate
+//! and out-of-order accusations, mid-stream deployment churn, and heavy
+//! interleaving — and N concurrent deployments must never
+//! cross-contaminate.
 
 use proptest::prelude::*;
-use secloc_alerter::{Alerter, AlerterConfig};
+use secloc_alerter::{replay_stream, Alerter, AlerterConfig};
 use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::{MemorySink, Obs, Value};
@@ -53,6 +54,59 @@ fn garbage_between_valid_lines_changes_nothing() {
         "malformed lines must not perturb protocol state"
     );
     assert!(dirty.stats().malformed > 0, "they are counted, though");
+}
+
+#[test]
+fn non_utf8_line_between_valid_lines_is_one_malformed_line() {
+    let valid: Vec<String> = (1..=3u32).map(|r| alert("d", r, 9)).collect();
+    let clean_stream = valid.join("\n") + "\n";
+    let mut dirty_stream = Vec::new();
+    for (i, line) in valid.iter().enumerate() {
+        dirty_stream.extend_from_slice(line.as_bytes());
+        dirty_stream.extend_from_slice(if i == 0 { b"\r\n" } else { b"\n" });
+        if i == 0 {
+            dirty_stream.extend_from_slice(b"{\"kind\":\"alert\",\"deployment\":\"d\xff\xfe\"}\n");
+        }
+    }
+    let sink = Arc::new(MemorySink::new());
+    let mut clean = fresh();
+    let mut dirty = Alerter::new(AlerterConfig::default(), Obs::with_sink(sink.clone()));
+    clean
+        .ingest_reader(clean_stream.as_bytes())
+        .expect("clean stream");
+    dirty
+        .ingest_reader(&dirty_stream[..])
+        .expect("a non-UTF-8 line does not end the stream");
+
+    assert!(dirty.is_revoked("d", 9), "lines after it still count");
+    assert_eq!(
+        clean.machine("d").unwrap().state(),
+        dirty.machine("d").unwrap().state()
+    );
+    let (c, d) = (clean.stats(), dirty.stats());
+    assert_eq!(d.malformed, c.malformed + 1);
+    assert_eq!(d.lines, c.lines + 1, "the bad line is still a line");
+    assert_eq!(
+        (d.decisions, d.revocations, d.ignored, d.implicit_deploys),
+        (c.decisions, c.revocations, c.ignored, c.implicit_deploys)
+    );
+    let malformed: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "alerter.malformed")
+        .collect();
+    assert_eq!(malformed.len(), 1);
+    assert!(
+        matches!(malformed[0].field("error"), Some(Value::Str(e)) if e.starts_with("invalid UTF-8")),
+        "{:?}",
+        malformed[0]
+    );
+
+    // Replay survives it the same way instead of aborting.
+    let (replayed, _) = replay_stream(&dirty_stream[..], AlerterConfig::default(), Obs::disabled())
+        .expect("replay survives a non-UTF-8 line");
+    assert_eq!(replayed.stats().malformed, 1);
+    assert_eq!(replayed.stats().decisions, c.decisions);
 }
 
 #[test]

@@ -1,0 +1,152 @@
+//! The decode path's allocation budget, counted by a global allocator.
+//!
+//! - `parse_line` on an escape-free recorded line allocates nothing: the
+//!   event borrows its strings from the line.
+//! - `ingest_line` of a `bs.alert` into a live deployment with
+//!   [`Obs::disabled`] allocates at most once: the action list
+//!   `RevocationMachine::apply` returns.
+//!
+//! Counts are per thread, so tests running in parallel do not disturb
+//! each other.
+
+mod common;
+
+use secloc_alerter::{parse_line, Alerter, AlerterConfig};
+use secloc_core::{RevocationConfig, RevocationMachine};
+use secloc_crypto::NodeId;
+use secloc_obs::Obs;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The system allocator, counting every allocation and reallocation made
+/// on the current thread.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. Counting touches only a
+// const-initialized thread-local `Cell`, which never allocates and has no
+// destructor, so it cannot re-enter the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn counter_sees_allocations() {
+    let (v, n) = allocations(|| vec![1u8; 64]);
+    assert_eq!((v.len(), n), (64, 1));
+}
+
+#[test]
+fn parse_line_allocates_nothing_on_recorded_lines() {
+    let lines = common::recorded_lines();
+    let kinds = [
+        "cell.start",
+        "bs.alert",
+        "revocation",
+        "cell.complete",
+        "phase",
+    ];
+    for line in common::first_of_each(&lines, &kinds) {
+        assert!(!line.contains('\\'), "escape-free by construction: {line}");
+        let (event, n) = allocations(|| parse_line(line));
+        assert!(event.is_ok(), "{line}");
+        assert_eq!(n, 0, "parse_line allocated {n} times on {line}");
+    }
+}
+
+/// A `bs.alert` line in the recorded format (trace coordinates, source,
+/// recorded verdict, then the cell scope).
+fn bs_alert(cell: &str, reporter: u32, target: u32, outcome: &str) -> String {
+    format!(
+        r#"{{"kind":"bs.alert","seq":19,"trace":"{cell}","span":"{cell}","reporter":{reporter},"target":{target},"source":"collusion","outcome":"{outcome}","cell":"{cell}","seed":1}}"#
+    )
+}
+
+#[test]
+fn ingest_line_of_an_alert_into_a_live_deployment_allocates_at_most_once() {
+    let cell = "ca458327acc9d37e";
+    let mut alerter = Alerter::new(
+        AlerterConfig {
+            verify_recorded: true,
+            ..AlerterConfig::default()
+        },
+        Obs::disabled(),
+    );
+    // The batch verdicts, from a machine fed the same accusations.
+    let mut shadow = RevocationMachine::new(RevocationConfig::paper_default());
+    let mut line = |reporter: u32, target: u32| {
+        let outcome = shadow.decide(NodeId(reporter), NodeId(target));
+        bs_alert(cell, reporter, target, outcome.wire_label())
+    };
+
+    alerter.ingest_line(&format!(
+        r#"{{"kind":"cell.start","seq":1,"trace":"{cell}","span":"{cell}","tau":2,"tau_prime":2,"cell":"{cell}","seed":1}}"#
+    ));
+    // Warm-up: every reporter and target below is already in the
+    // machine's tables, so only the action list is left to allocate.
+    for reporter in 1..=4 {
+        alerter.ingest_line(&line(reporter, 40 + reporter));
+    }
+    // Three distinct accusers revoke node 9 (τ′ = 2); then a revoked
+    // target, a duplicate, and reporter 1's last report within τ = 2 and
+    // one past it.
+    let measured = [(1, 9), (2, 9), (3, 9), (4, 9), (1, 41), (1, 12), (1, 13)];
+    let mut outcomes = Vec::new();
+    for (reporter, target) in measured {
+        let text = line(reporter, target);
+        outcomes.push(common::str_field(&text, "outcome").to_string());
+        let ((), n) = allocations(|| alerter.ingest_line(&text));
+        assert!(n <= 1, "ingest_line allocated {n} times on {text}");
+    }
+    assert_eq!(
+        outcomes,
+        [
+            "accepted",
+            "accepted",
+            "accepted_and_revoked",
+            "ignored_target_revoked",
+            "ignored_duplicate",
+            "accepted",
+            "ignored_reporter_budget"
+        ]
+    );
+    assert!(alerter.is_revoked(cell, 9));
+    let stats = alerter.stats();
+    assert_eq!((stats.malformed, stats.parity_mismatches), (0, 0));
+    assert_eq!(stats.implicit_deploys, 0, "the deployment was live");
+}

@@ -282,8 +282,14 @@ fn collect_metrics(
         }
         if let Some(v) = number_at(perf, &["alerter", "ns_per_event"]) {
             // Streaming apply cost per event across ≥1000 concurrent
-            // deployment machines: machine-dependent, trend-only.
-            out.push(("perf.alerter.ns_per_event".to_string(), v, Limit::None));
+            // deployment machines. The ceiling is the cost before wire
+            // decoding went borrowed (961 ns): a rise past it means the
+            // decoder allocates per line again.
+            out.push((
+                "perf.alerter.ns_per_event".to_string(),
+                v,
+                Limit::Ceiling(961.0),
+            ));
         }
     }
     if let Some(obs) = obs {

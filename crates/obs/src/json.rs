@@ -10,7 +10,15 @@
 //! writers produce without external dependencies; it accepts exactly RFC
 //! 8259 JSON and preserves number text verbatim, so `u64` values above
 //! 2^53 survive a round trip.
+//!
+//! One grammar serves two front ends. [`JsonValue::parse`] builds an
+//! owned tree; [`visit_object`] walks a document's top-level members
+//! without building anything, handing over keys and scalar values
+//! borrowed from the input (copied only when they contain escapes) and
+//! validating nested values in a skip mode. Both accept exactly the same
+//! documents and fail with the same [`JsonError`].
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a quoted JSON string, escaping control
@@ -114,17 +122,7 @@ impl JsonValue {
     /// Parses one complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after JSON value"));
-        }
-        Ok(value)
+        Parser::document(text, Parser::value)
     }
 
     /// The member named `key`, for objects (first occurrence).
@@ -189,12 +187,125 @@ impl JsonValue {
     }
 }
 
+/// One value as [`visit_object`] hands it over: scalars decoded without
+/// copying (a string is copied only when it contains escapes), arrays and
+/// objects validated and skipped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonRef<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's source text (see [`JsonNumber`]).
+    Number(&'a str),
+    /// A string, unescaped.
+    String(Cow<'a, str>),
+    /// An array, validated but not decoded.
+    Array,
+    /// An object, validated but not decoded.
+    Object,
+}
+
+impl JsonRef<'_> {
+    /// The string payload, for strings.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonRef::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as exact `u64`, for integral numbers (the same
+    /// rule as [`JsonNumber::as_u64`]).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonRef::Number(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Validates one complete JSON document and, when it is an object, hands
+/// each top-level member to `visit` in document order (duplicates
+/// included). Returns `Ok(true)` for an object, `Ok(false)` for any other
+/// valid document (no member visited).
+///
+/// Accepts exactly what [`JsonValue::parse`] accepts and fails with the
+/// same [`JsonError`]: both run the same parser. Members are visited as
+/// they are parsed, so on `Err` the visitor may already have seen some of
+/// them; discard whatever it collected.
+pub fn visit_object<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(Cow<'a, str>, JsonRef<'a>),
+) -> Result<bool, JsonError> {
+    Parser::document(text, |p| {
+        if p.peek() != Some(b'{') {
+            return p.skip_value().map(|_| false);
+        }
+        p.object(|p, key| {
+            let value = p.skip_value()?;
+            visit(key, value);
+            Ok(())
+        })?;
+        Ok(true)
+    })
+}
+
+/// The length of the run of plain string bytes at the front of `bytes`:
+/// everything before the first `"`, `\\` or control byte.
+///
+/// Eight bytes at a time: in `(x - 0x01..01·n) & !x & 0x80..80` the lowest
+/// flagged byte is the first byte of `x` below `n` (borrows only
+/// propagate upward, so any false flags sit above a true one). Bytes of
+/// multi-byte UTF-8 sequences have their high bit set and never match.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & HIGHS;
+    let mut i = 0;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let hits = below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1)
+            | below(w, 0x20);
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    i + bytes[i..]
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(bytes.len() - i)
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// Parses one complete document with `body` (trailing whitespace
+    /// allowed, trailing garbage rejected).
+    fn document<T>(
+        text: &'a str,
+        body: impl FnOnce(&mut Self) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let out = body(&mut p)?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(p.error("trailing characters after JSON value"));
+        }
+        Ok(out)
+    }
+
     fn error(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -221,7 +332,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    fn literal(&mut self, word: &str, value: JsonRef<'a>) -> Result<JsonRef<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -230,27 +341,72 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    /// The first step of every value: a scalar is consumed and decoded; an
+    /// array or object is reported at its opening bracket, not consumed.
+    fn token(&mut self) -> Result<JsonRef<'a>, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{') => Ok(JsonRef::Object),
+            Some(b'[') => Ok(JsonRef::Array),
+            Some(b'"') => self.string().map(JsonRef::String),
+            Some(b't') => self.literal("true", JsonRef::Bool(true)),
+            Some(b'f') => self.literal("false", JsonRef::Bool(false)),
+            Some(b'n') => self.literal("null", JsonRef::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(JsonRef::Number),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    /// Parses one value into an owned tree.
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.token()? {
+            JsonRef::Null => JsonValue::Null,
+            JsonRef::Bool(b) => JsonValue::Bool(b),
+            JsonRef::Number(text) => JsonValue::Number(JsonNumber(text.to_string())),
+            JsonRef::String(s) => JsonValue::String(s.into_owned()),
+            JsonRef::Array => {
+                let mut items = Vec::new();
+                self.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            JsonRef::Object => {
+                let mut members = Vec::new();
+                self.object(|p, key| {
+                    members.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                JsonValue::Object(members)
+            }
+        })
+    }
+
+    /// The skip mode: validates one value without building anything.
+    /// Scalars come back decoded; arrays and objects are walked and
+    /// dropped.
+    fn skip_value(&mut self) -> Result<JsonRef<'a>, JsonError> {
+        let token = self.token()?;
+        match token {
+            JsonRef::Array => self.array(|p| p.skip_value().map(drop))?,
+            JsonRef::Object => self.object(|p, _| p.skip_value().map(drop))?,
+            _ => {}
+        }
+        Ok(token)
+    }
+
+    /// Walks an object, handing each key to `member`, which must consume
+    /// the member's value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'{')?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -258,66 +414,69 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    /// Walks an array, calling `item` to consume each element.
+    fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input unless it contains escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            // A run of plain bytes. It breaks only at ASCII bytes (or the
+            // end of input), so its ends are char boundaries of the input.
             let start = self.pos;
-            // Fast path: a run of plain bytes copied as one str slice.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                // The input is valid UTF-8 (it is a &str) and the run
-                // breaks only at ASCII bytes, so the slice is valid too.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-            }
+            self.pos += plain_run(&self.bytes[start..]);
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     let esc = self
                         .peek()
@@ -370,20 +529,29 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits (no sign, unlike `u32::from_str_radix`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("non-ASCII in \\u escape"))?;
-        let value =
-            u32::from_str_radix(hex, 16).map_err(|_| self.error("non-hex in \\u escape"))?;
+        let hex = &self.bytes[self.pos..end];
+        if !hex.is_ascii() {
+            return Err(self.error("non-ASCII in \\u escape"));
+        }
+        let mut value = 0;
+        for &b in hex {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.error("non-hex in \\u escape"))?;
+            value = value * 16 + digit;
+        }
         self.pos = end;
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// A number's source text.
+    fn number(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -422,8 +590,7 @@ impl<'a> Parser<'a> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Ok(JsonValue::Number(JsonNumber(text.to_string())))
+        Ok(&self.text[start..self.pos])
     }
 }
 
@@ -532,9 +699,69 @@ mod tests {
             "nullx",
             "\"\u{01}\"",
             r#""\ud83d""#,
+            r#""\u+041""#,
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn plain_run_matches_a_bytewise_scan() {
+        let naive = |bytes: &[u8]| {
+            bytes
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(bytes.len())
+        };
+        // Every stop byte, and the near misses around each, at every
+        // offset of buffers that cover the 8-byte chunk edges.
+        let probes = [
+            b'"', b'\\', 0x00, 0x1f, 0x20, 0x21, 0x23, 0x5b, 0x5d, 0x7f, 0x80, 0xc3, 0xff,
+        ];
+        for len in 0..20 {
+            for at in 0..len {
+                for &b in &probes {
+                    for fill in [b'a', 0xa9] {
+                        let mut bytes = vec![fill; len];
+                        bytes[at] = b;
+                        assert_eq!(plain_run(&bytes), naive(&bytes), "{bytes:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    type Members<'a> = Vec<(Cow<'a, str>, JsonRef<'a>)>;
+
+    fn visited(text: &str) -> (Result<bool, JsonError>, Members<'_>) {
+        let mut members = Vec::new();
+        let result = visit_object(text, |k, v| members.push((k, v)));
+        (result, members)
+    }
+
+    #[test]
+    fn visit_object_borrows_plain_members_and_skips_nested() {
+        let (result, members) =
+            visited(r#" {"a":"x","n":-1.5e3,"l":[1,{"b":[]}],"o":{},"t":true,"z":null} "#);
+        assert_eq!(result, Ok(true));
+        let keys: Vec<&str> = members.iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["a", "n", "l", "o", "t", "z"]);
+        assert!(members.iter().all(|(k, _)| matches!(k, Cow::Borrowed(_))));
+        assert!(matches!(members[0].1, JsonRef::String(Cow::Borrowed("x"))));
+        assert_eq!(members[1].1, JsonRef::Number("-1.5e3"));
+        assert_eq!(members[2].1, JsonRef::Array);
+        assert_eq!(members[3].1, JsonRef::Object);
+        assert_eq!(members[4].1, JsonRef::Bool(true));
+        assert_eq!(members[5].1, JsonRef::Null);
+    }
+
+    #[test]
+    fn visit_object_copies_only_escaped_strings() {
+        let (result, members) = visited(r#"{"c\u0065ll":"a\"b","plain":"p"}"#);
+        assert_eq!(result, Ok(true));
+        assert!(matches!(&members[0].0, Cow::Owned(k) if k == "cell"));
+        assert!(matches!(&members[0].1, JsonRef::String(Cow::Owned(v)) if v == "a\"b"));
+        assert!(matches!(members[1].1, JsonRef::String(Cow::Borrowed("p"))));
     }
 
     #[test]

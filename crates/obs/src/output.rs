@@ -119,8 +119,11 @@ pub fn write_text(dir: impl AsRef<Path>, name: &str, text: &str) -> std::io::Res
 mod tests {
     use super::*;
 
-    fn temp_dir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("secloc-obs-output-{}", std::process::id()));
+    /// A scratch directory of this test's own: tests run in parallel, so
+    /// none may remove a directory another one writes into.
+    fn temp_dir(test: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("secloc-obs-output-{}-{test}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -153,7 +156,7 @@ mod tests {
 
     #[test]
     fn writers_create_directories_and_files() {
-        let dir = temp_dir().join("nested");
+        let dir = temp_dir("writers").join("nested");
         let csv = write_csv(&dir, "t.csv", &["x"], &[vec!["1".to_string()]]).unwrap();
         assert_eq!(fs::read_to_string(&csv).unwrap(), "x\n1\n");
 
@@ -169,7 +172,7 @@ mod tests {
     #[test]
     fn write_events_round_trips_kinds() {
         use crate::Value;
-        let dir = temp_dir().join("events");
+        let dir = temp_dir("events").join("events");
         let events = vec![
             Event::new("phase", &[("name", Value::Str("probe".into()))]),
             Event::new("alert", &[("node", Value::U64(3))]),

@@ -4,9 +4,14 @@
 //! backslashes, control characters and non-BMP code points; floats are
 //! drawn from raw bit patterns so NaN, infinities and subnormals are all
 //! exercised.
+//!
+//! The same lines, truncated and with single bytes overwritten, also
+//! check that the two front ends of the parser — the tree-building
+//! `JsonValue::parse` and the borrowing `visit_object` — accept the same
+//! documents, see the same members, and fail with the same `JsonError`.
 
 use proptest::prelude::*;
-use secloc_obs::json::JsonValue;
+use secloc_obs::json::{visit_object, JsonRef, JsonValue};
 use secloc_obs::{Event, SpanContext, Value};
 
 /// Characters that historically break hand-rolled JSON escapers.
@@ -85,8 +90,134 @@ fn assert_value_matches(parsed: &JsonValue, value: &Value) {
     }
 }
 
+/// Asserts that `visit_object` and `JsonValue::parse` agree on `doc`.
+fn assert_same_grammar(doc: &str) {
+    let mut visited = Vec::new();
+    let result = visit_object(doc, |key, value| visited.push((key, value)));
+    match (result, JsonValue::parse(doc)) {
+        (Ok(is_object), Ok(tree)) => {
+            let members = tree.as_object().unwrap_or(&[]);
+            assert_eq!(is_object, tree.as_object().is_some(), "{doc:?}");
+            assert_eq!(visited.len(), members.len(), "{doc:?}");
+            for ((key, value), (tree_key, tree_value)) in visited.iter().zip(members) {
+                assert_eq!(key, tree_key, "{doc:?}");
+                let same = match (value, tree_value) {
+                    (JsonRef::Null, JsonValue::Null) => true,
+                    (JsonRef::Bool(a), JsonValue::Bool(b)) => a == b,
+                    (JsonRef::Number(a), JsonValue::Number(b)) => *a == b.raw(),
+                    (JsonRef::String(a), JsonValue::String(b)) => a == b,
+                    (JsonRef::Array, JsonValue::Array(_)) => true,
+                    (JsonRef::Object, JsonValue::Object(_)) => true,
+                    _ => false,
+                };
+                assert!(
+                    same,
+                    "member {key:?}: {value:?} vs {tree_value:?} in {doc:?}"
+                );
+            }
+        }
+        (Err(visit), Err(parse)) => assert_eq!(visit, parse, "{doc:?}"),
+        (visit, parse) => panic!("front ends disagree on {doc:?}: {visit:?} vs {parse:?}"),
+    }
+}
+
+#[test]
+fn front_ends_agree_on_a_grammar_corpus() {
+    for doc in [
+        "",
+        " ",
+        "{",
+        "}",
+        "{}",
+        " {} ",
+        "[]",
+        "[",
+        "[1,]",
+        "[1 2]",
+        "{\"a\"}",
+        "{\"a\":}",
+        "{\"a\":1,}",
+        "{\"a\":1 \"b\":2}",
+        "{a:1}",
+        "{\"a\":1}}",
+        "{\"a\":1} x",
+        "{\"a\":[1,{\"b\":[true,false,null]}],\"c\":{}}",
+        "{\"a\":{\"b\":{\"c\":[[]]}}}",
+        "{\"a\":[1,{\"b\":]}",
+        "{\"a\":\"\\u00e9\\n\"}",
+        "{\"\\ud83d\\ude80\":1}",
+        "{\"a\":\"\\ud83d\"}",
+        "{\"a\":\"\\udc00\"}",
+        "{\"a\":\"\\u+041\"}",
+        "{\"a\":\"\\q\"}",
+        "{\"a\":\"\u{1}\"}",
+        "{\"a\":01}",
+        "{\"a\":-}",
+        "{\"a\":1.}",
+        "{\"a\":1e+}",
+        "{\"a\":-0.5E-3}",
+        "{\"a\":tru}",
+        "{\"a\":nul}",
+        "{\"a\":1,\"a\":2}",
+        "\t{\r\n\"a\" : [ 1 , 2 ] }\n",
+        "42",
+        "\"s\"",
+        "null",
+        " true ",
+        "[{}]",
+        "[{]",
+        "{\"a\":[1,]}",
+    ] {
+        assert_same_grammar(doc);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn front_ends_agree_on_damaged_event_lines(
+        kind_raws in proptest::collection::vec(any::<u32>(), 0..6),
+        fields in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u32>(), 0..6),
+                any::<u8>(),
+                any::<u64>(),
+                proptest::collection::vec(any::<u32>(), 0..8),
+            ),
+            0..6,
+        ),
+        cut in any::<u64>(),
+        flip_at in any::<u64>(),
+        flip_to in 0u8..0x80,
+    ) {
+        let built: Vec<(String, Value)> = fields
+            .iter()
+            .map(|(key_raws, sel, payload, str_raws)| {
+                (string_from(key_raws), build_value(*sel, *payload, str_raws))
+            })
+            .collect();
+        let borrowed: Vec<(&str, Value)> = built
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        let line = Event::new(&string_from(&kind_raws), &borrowed).to_json();
+        assert_same_grammar(&line);
+        // Truncated at a char boundary.
+        let mut end = (cut % (line.len() as u64 + 1)) as usize;
+        while !line.is_char_boundary(end) {
+            end -= 1;
+        }
+        assert_same_grammar(&line[..end]);
+        // One byte overwritten with an ASCII byte (skipped when that
+        // breaks UTF-8).
+        let mut bytes = line.clone().into_bytes();
+        let at = (flip_at % bytes.len() as u64) as usize;
+        bytes[at] = flip_to;
+        if let Ok(flipped) = String::from_utf8(bytes) {
+            assert_same_grammar(&flipped);
+        }
+    }
 
     #[test]
     fn every_event_line_round_trips(
