@@ -22,7 +22,7 @@ use crate::wire::{parse_line, WireEvent};
 use secloc_core::{
     AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine,
 };
-use secloc_obs::{Obs, SpanContext, Value};
+use secloc_obs::{fnv1a, Obs, SpanContext, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::BufRead;
@@ -30,19 +30,10 @@ use std::io::BufRead;
 /// The key of accusations that name no deployment.
 const DEFAULT_KEY: &str = "default";
 
-/// FNV-1a, the workspace's standard content hash; deployment keys become
-/// trace ids with it, except keys that already *are* 16-hex trace ids
-/// (sweep cell keys), which are adopted verbatim so replayed decisions
-/// land on the same trace as the batch recording.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
+/// Deployment keys become trace ids by FNV-1a, the workspace's content
+/// hash, except keys that already *are* 16-hex trace ids (sweep cell
+/// keys), which are adopted verbatim so replayed decisions land on the
+/// same trace as the batch recording.
 fn trace_id_of(key: &str) -> u64 {
     if key.len() == 16 && key.bytes().all(|b| b.is_ascii_hexdigit()) {
         u64::from_str_radix(key, 16).expect("16 hex digits")

@@ -385,7 +385,8 @@ fn bench_sweep_sharing(cfg: &SimConfig, quick: bool) -> SweepSharing {
 /// min(4, cores) workers, then warm-started over a binary cache before and
 /// after flooding it with dead entries (cells outside the grid). A warm
 /// start that probes the index is O(hits): the dead-cell volume must not
-/// move its latency, which is what `warm_ratio`'s ceiling gates.
+/// move its latency, which is what `warm_ratio`'s ceiling gates. Its cost
+/// per cell (`warm_ns_per_cell`) is gated too: it is mostly keying.
 struct SweepScale {
     cells: usize,
     units: usize,
@@ -406,6 +407,12 @@ struct SweepScale {
 impl SweepScale {
     fn cells_per_sec(&self, i: usize) -> f64 {
         self.cells as f64 / (self.cold_ns[i] as f64 / 1e9)
+    }
+
+    /// Warm-start cost per cell over the live cache: keying, one index
+    /// probe and one record read per cell, no checkpoint.
+    fn warm_ns_per_cell(&self) -> f64 {
+        self.warm_hits_ns as f64 / self.cells as f64
     }
 }
 
@@ -782,6 +789,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
+        "    \"warm_ns_per_cell\": {:.0},",
+        scale.warm_ns_per_cell()
+    );
+    let _ = writeln!(
+        json,
         "    \"warm_ratio\": {:.4}, \"warm_ratio_target\": {:.1}",
         scale.warm_ratio, scale.warm_ratio_target
     );
@@ -859,8 +871,10 @@ fn main() {
         scale.efficiency_target
     );
     println!(
-        "  warm start: {:.1} ms over live cache vs {:.1} ms with {} dead cells — ratio {:.2} (ceiling {:.1})",
+        "  warm start: {:.1} ms over live cache ({:.0} ns/cell) vs {:.1} ms with {} dead cells — \
+         ratio {:.2} (ceiling {:.1})",
         scale.warm_hits_ns as f64 / 1e6,
+        scale.warm_ns_per_cell(),
         scale.warm_dead_ns as f64 / 1e6,
         scale.dead_cells,
         scale.warm_ratio,

@@ -273,6 +273,16 @@ fn collect_metrics(
                 Limit::Ceiling(ceiling),
             ));
         }
+        if let Some(v) = number_at(perf, &["sweep_scale", "warm_ns_per_cell"]) {
+            // A warm start over a live cache, per cell. The ceiling is the
+            // cost while every cell formatted its config's `Debug` text
+            // (4,135 ns): a rise past it means keying went per cell again.
+            out.push((
+                "perf.sweep_scale.warm_ns_per_cell".to_string(),
+                v,
+                Limit::Ceiling(4135.0),
+            ));
+        }
         if let Some(v) = number_at(perf, &["sweep_scale", "ns_per_cell_best"]) {
             // Trend-only cost per cell (lower is better, which is what
             // `Limit::None`'s baseline check assumes): machine-dependent,

@@ -9,6 +9,7 @@
 //! ring of recent events for post-mortem dumps, and [`FanoutSink`]
 //! broadcasts to several sinks at once.
 
+use crate::hash::{Fnv1a, FNV1A_OFFSET};
 use crate::json::{push_json_f64, push_json_string};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -76,14 +77,11 @@ impl SpanContext {
     /// this context's span id and `name` by FNV-1a, and this context's span
     /// becomes the parent.
     pub fn child(&self, name: &str) -> Self {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ self.span_id;
-        for byte in name.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut hash = Fnv1a::with_state(FNV1A_OFFSET ^ self.span_id);
+        hash.update(name.as_bytes());
         SpanContext {
             trace_id: self.trace_id,
-            span_id: hash,
+            span_id: hash.finish(),
             parent_id: Some(self.span_id),
         }
     }
@@ -502,6 +500,12 @@ mod tests {
         let aa = a.child("inner");
         assert_eq!(aa.parent_id, Some(a.span_id));
         assert_ne!(aa.span_id, root.child("inner").span_id);
+        // Pinned: FNV-1a of the name from `offset basis ^ parent span`, so
+        // recorded streams keep joining against fresh runs.
+        assert_eq!(
+            SpanContext::root(0xabcd).child("phase").span_id,
+            0x6108_ac10_7a7a_25df
+        );
     }
 
     #[test]

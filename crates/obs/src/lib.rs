@@ -69,6 +69,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 pub mod health;
 pub mod json;
 mod metrics;
@@ -78,6 +79,7 @@ mod span;
 pub use event::{
     Event, EventSink, FanoutSink, FlightRecorder, JsonlSink, MemorySink, SpanContext, Value,
 };
+pub use hash::{fnv1a, Fnv1a};
 pub use health::{HealthAlert, HealthDetector, HealthMonitor};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot};
 pub use span::{Span, Stopwatch};

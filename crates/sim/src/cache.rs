@@ -59,8 +59,9 @@
 //! produce byte-identical shard *and* index files — enforced by the
 //! proptest in `crates/sim/tests/cache_bin.rs`.
 
-use crate::orchestrator::{fnv1a, CacheInsert, CellKey};
+use crate::orchestrator::{CacheInsert, CellKey};
 use crate::SimOutcome;
+use secloc_obs::fnv1a;
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};

@@ -7,23 +7,25 @@
 //! that grid. This module turns "fan seeds over threads" into a real
 //! experiment engine:
 //!
-//! - **Deterministic sharding** — cells are split into contiguous chunks
-//!   over at most `min(workers, pending cells)` OS threads; results come
-//!   back in cell order and are bit-identical to a serial loop, because
-//!   each cell is a pure function of `(config, seed)`.
+//! - **Work-stealing scheduling** — pending cells fold into scheduling
+//!   units (one per shared probe stage), sorted largest first into a
+//!   queue that at most `min(workers, units)` OS threads claim batches
+//!   from. Workers send `(cell index, outcome)` back, and results are
+//!   merged in cell order, bit-identical to a serial loop, because each
+//!   cell is a pure function of `(config, seed)`.
 //! - **Content-addressed caching** — every cell is keyed by a stable
 //!   64-bit FNV-1a hash of its canonical `(config, seed, options, code
-//!   version)` encoding ([`cell_key`]). A [`ResultCache`] maps keys to
-//!   outcomes, optionally persisted as JSONL, so repeated or overlapping
-//!   sweeps skip completed cells entirely.
+//!   version)` encoding ([`cell_key`]). A [`BinaryCache`] (or the JSONL
+//!   [`ResultCache`]) maps keys to outcomes, so repeated or overlapping
+//!   sweeps skip completed cells entirely. A run formats each config's
+//!   `Debug` text once and hashes only the seed suffix per cell.
 //! - **Checkpoint / resume** — with a checkpoint path configured, the
-//!   orchestrator streams one JSONL line per cell *in cell order* as the
-//!   completion frontier advances (via [`secloc_obs::output`] writers'
-//!   conventions). [`Orchestrator::run`] on an existing (possibly
-//!   truncated mid-line) checkpoint replays the recorded prefix and
-//!   re-runs only the remainder; the resulting outcomes **and** the
-//!   rewritten checkpoint file are byte-identical to an uninterrupted
-//!   run. See `DESIGN.md` §11 for the invariants.
+//!   orchestrator writes the checkpoint lines *in cell order*, one write
+//!   per advance of the completion frontier. [`Orchestrator::run`] on an
+//!   existing (possibly truncated mid-line) checkpoint replays the
+//!   recorded prefix and re-runs only the remainder; the resulting
+//!   outcomes **and** the rewritten checkpoint file are byte-identical to
+//!   an uninterrupted run. See `DESIGN.md` §11 for the invariants.
 //!
 //! ```no_run
 //! use secloc_sim::orchestrator::{Orchestrator, SweepSpec};
@@ -41,11 +43,12 @@
 
 use crate::cache::BinaryCache;
 use crate::{ImpactMemo, RunOptions, Runner, SimConfig, SimOutcome};
-use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Obs, SpanContext, Value};
+use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,10 +87,9 @@ pub fn outcome_revision() -> u32 {
 /// [`cell_key`], minus the seed. Benchmark and robustness reports carry it
 /// so a reader can tell which config (and code revision) produced them.
 pub fn config_fingerprint(config: &SimConfig) -> String {
-    CellKey(fnv1a(
-        format!("{config:?};tag={}", code_version_tag()).as_bytes(),
-    ))
-    .to_string()
+    let mut h = Fnv1a::new();
+    let _ = write!(h, "{config:?};tag={}", code_version_tag());
+    CellKey(h.finish()).to_string()
 }
 
 /// A stable 64-bit content address for one sweep cell.
@@ -101,51 +103,67 @@ impl fmt::Display for CellKey {
 }
 
 impl CellKey {
-    /// Parses the 16-hex-digit form produced by `Display`.
+    /// Parses the 16-hex-digit form produced by `Display`. Anything but
+    /// exactly 16 ASCII hex digits (a sign, say) is rejected.
     pub fn parse(s: &str) -> Option<CellKey> {
-        (s.len() == 16)
+        (s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
             .then(|| u64::from_str_radix(s, 16).ok())
             .flatten()
             .map(CellKey)
     }
 }
 
-/// 64-bit FNV-1a over `bytes` — stable across platforms and releases,
-/// unlike `std::hash`'s unspecified `SipHash` keys.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// The FNV-1a state after a config's key prefix `"{config:?};seed="`.
+///
+/// A cell key hashes the canonical encoding
+/// `"{config:?};seed={seed};options=plain;tag={tag}"`. `SimConfig` is
+/// plain data whose derived `Debug` output is deterministic; the options
+/// tag records how the cell is run (always the plain optimized path —
+/// traces and telemetry provably do not change outcomes, see
+/// `tests/equivalence.rs` and `tests/obs_events.rs`). The `Debug` text is
+/// the costly part, and FNV-1a folds byte by byte, so a sweep hashes the
+/// prefix once per config and continues a copy of it for each seed.
+fn key_prefix(config: &SimConfig) -> Fnv1a {
+    let mut h = Fnv1a::new();
+    let _ = write!(h, "{config:?};seed=");
     h
 }
 
-/// The canonical encoding hashed into a cell key. `SimConfig` is plain
-/// data whose derived `Debug` output is deterministic; the options tag
-/// records how the cell is run (always the plain optimized path — traces
-/// and telemetry provably do not change outcomes, see
-/// `tests/equivalence.rs` and `tests/obs_events.rs`).
-fn canonical_cell(config: &SimConfig, seed: u64, tag: &str) -> String {
-    format!("{config:?};seed={seed};options=plain;tag={tag}")
+/// Finishes a cell key from its config's [`key_prefix`].
+fn key_from_prefix(mut prefix: Fnv1a, seed: u64, tag: &str) -> CellKey {
+    let _ = write!(prefix, "{seed};options=plain;tag={tag}");
+    CellKey(prefix.finish())
 }
 
 /// Stable content address of one `(config, seed)` cell under code-version
 /// `tag` (normally [`code_version_tag`]).
 pub fn cell_key(config: &SimConfig, seed: u64, tag: &str) -> CellKey {
-    CellKey(fnv1a(canonical_cell(config, seed, tag).as_bytes()))
+    key_from_prefix(key_prefix(config), seed, tag)
 }
 
-/// The grouping key for probe-stage sharing: two cells with equal strings
-/// replay identical detection + location phases (phases 1–2), so one
-/// [`Runner::probe_stage`] serves both. It is the topology key and seed
-/// (which fix the deployment and every placement RNG stream) plus the
-/// policy knobs that reach the probe/localization phases — everything
-/// *outside* this string (τ, τ′, collusion, alert loss/retransmissions) is
-/// consumed only by the revocation and impact phases re-run per cell.
-fn probe_fingerprint(config: &SimConfig, seed: u64) -> String {
+/// A stable identity for a whole grid: FNV-1a over `"{key};"` for every
+/// cell key in order. Checkpoints carry it so a resume against a different
+/// grid (or code version) is rejected instead of silently splicing
+/// unrelated results.
+fn grid_key(keys: &[CellKey]) -> CellKey {
+    let mut h = Fnv1a::new();
+    for key in keys {
+        let _ = write!(h, "{key};");
+    }
+    CellKey(h.finish())
+}
+
+/// The grouping key for probe-stage sharing, less the seed: two cells
+/// with equal strings *and* equal seeds replay identical detection +
+/// location phases (phases 1–2), so one [`Runner::probe_stage`] serves
+/// both. It is the topology key (which with the seed fixes the deployment
+/// and every placement RNG stream) plus the policy knobs that reach the
+/// probe/localization phases — everything *outside* this string (τ, τ′,
+/// collusion, alert loss/retransmissions) is consumed only by the
+/// revocation and impact phases re-run per cell.
+fn probe_fingerprint(config: &SimConfig) -> String {
     format!(
-        "{:?};seed={seed};max_ranging_error_ft={:?};detecting_ids={:?};\
+        "{:?};max_ranging_error_ft={:?};detecting_ids={:?};\
          wormhole_detection_rate={:?};attacker_p={:?};lie_offset_ft={:?}",
         config.topology_key(),
         config.max_ranging_error_ft,
@@ -291,25 +309,24 @@ pub struct SweepCell {
 #[derive(Debug, Clone, Default)]
 pub struct SweepSpec {
     cells: Vec<SweepCell>,
+    /// Lengths of the config runs, in order: stretches of consecutive
+    /// cells whose configs are clones of one config. The constructors
+    /// record them; they are never found by comparing configs, because
+    /// `-0.0 == 0.0` while the two print different `Debug` text (and so
+    /// different keys). They sum to `cells.len()`.
+    runs: Vec<usize>,
 }
 
 impl SweepSpec {
     /// A spec over explicit cells.
     pub fn new(cells: Vec<SweepCell>) -> Self {
-        SweepSpec { cells }
+        let runs = vec![1; cells.len()];
+        SweepSpec { cells, runs }
     }
 
     /// One config fanned over seeds (the classic `run_seeds` shape).
     pub fn single(config: &SimConfig, seeds: &[u64]) -> Self {
-        SweepSpec {
-            cells: seeds
-                .iter()
-                .map(|&seed| SweepCell {
-                    config: config.clone(),
-                    seed,
-                })
-                .collect(),
-        }
+        SweepSpec::product(std::slice::from_ref(config), seeds)
     }
 
     /// The full product grid, config-major: all seeds of `configs[0]`,
@@ -324,7 +341,12 @@ impl SweepSpec {
                 });
             }
         }
-        SweepSpec { cells }
+        let runs = if seeds.is_empty() {
+            Vec::new()
+        } else {
+            vec![seeds.len(); configs.len()]
+        };
+        SweepSpec { cells, runs }
     }
 
     /// The cells, in sweep order.
@@ -342,17 +364,59 @@ impl SweepSpec {
         self.cells.is_empty()
     }
 
-    /// A stable identity for the whole grid under `tag`: the hash of all
-    /// cell keys in order. Checkpoints carry it so a resume against a
-    /// different grid (or code version) is rejected instead of silently
-    /// splicing unrelated results.
-    pub(crate) fn grid_key(&self, tag: &str) -> CellKey {
-        let mut joined = String::with_capacity(self.cells.len() * 17);
-        for cell in &self.cells {
-            use std::fmt::Write as _;
-            let _ = write!(joined, "{};", cell_key(&cell.config, cell.seed, tag));
+    /// The cell ranges of the config runs, in order.
+    fn config_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        debug_assert_eq!(self.runs.iter().sum::<usize>(), self.cells.len());
+        self.runs.iter().scan(0, |start, &len| {
+            let run = *start..*start + len;
+            *start = run.end;
+            Some(run)
+        })
+    }
+
+    /// Every cell's key under `tag`, in order: one `Debug` format per
+    /// config run, one seed suffix per cell.
+    fn keys(&self, tag: &str) -> Vec<CellKey> {
+        let mut keys = Vec::with_capacity(self.cells.len());
+        for run in self.config_runs() {
+            let prefix = key_prefix(&self.cells[run.start].config);
+            keys.extend(
+                self.cells[run]
+                    .iter()
+                    .map(|cell| key_from_prefix(prefix, cell.seed, tag)),
+            );
         }
-        CellKey(fnv1a(joined.as_bytes()))
+        keys
+    }
+
+    /// Folds the `pending` cells (ascending indices) into probe-sharing
+    /// units: cells with equal [`probe_fingerprint`]s and equal seeds,
+    /// in first-appearance order. Fingerprints are formatted once per
+    /// config run that has a pending cell and interned to ids.
+    fn probe_units(&self, pending: &[usize]) -> Vec<Vec<usize>> {
+        let mut fingerprint_ids: HashMap<String, usize> = HashMap::new();
+        let mut unit_of: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut rest = pending;
+        for run in self.config_runs() {
+            let in_run = rest.partition_point(|&i| i < run.end);
+            if in_run == 0 {
+                continue;
+            }
+            let next_id = fingerprint_ids.len();
+            let id = *fingerprint_ids
+                .entry(probe_fingerprint(&self.cells[run.start].config))
+                .or_insert(next_id);
+            for &i in &rest[..in_run] {
+                let unit = *unit_of.entry((id, self.cells[i].seed)).or_insert_with(|| {
+                    units.push(Vec::new());
+                    units.len() - 1
+                });
+                units[unit].push(i);
+            }
+            rest = &rest[in_run..];
+        }
+        units
     }
 }
 
@@ -362,7 +426,6 @@ impl SweepSpec {
 // ---------------------------------------------------------------------------
 
 fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if v.is_finite() {
         // Rust's float Display prints the shortest string that parses back
         // to the same bits, so encode → decode is lossless.
@@ -379,33 +442,30 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
     }
 }
 
-/// Fixed-field-order JSON object for one [`SimOutcome`]; the byte-identity
-/// guarantees of the checkpoint stream rest on this order never varying at
-/// runtime.
-fn encode_outcome(o: &SimOutcome) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::with_capacity(256);
+/// Appends the fixed-field-order JSON object for one [`SimOutcome`] to
+/// `s`; the byte-identity guarantees of the checkpoint stream rest on this
+/// order never varying at runtime.
+fn encode_outcome(o: &SimOutcome, s: &mut String) {
     let _ = write!(
         s,
         "{{\"malicious_total\":{},\"benign_total\":{},\"revoked_malicious\":{},\
          \"revoked_benign\":{},\"affected_before\":",
         o.malicious_total, o.benign_total, o.revoked_malicious, o.revoked_benign
     );
-    push_f64(&mut s, o.affected_before);
+    push_f64(s, o.affected_before);
     s.push_str(",\"affected_after\":");
-    push_f64(&mut s, o.affected_after);
+    push_f64(s, o.affected_after);
     let _ = write!(
         s,
         ",\"benign_alerts\":{},\"collusion_alerts\":{},\"mean_requesters_per_beacon\":",
         o.benign_alerts, o.collusion_alerts
     );
-    push_f64(&mut s, o.mean_requesters_per_beacon);
+    push_f64(s, o.mean_requesters_per_beacon);
     s.push_str(",\"mean_loc_error_before_ft\":");
-    push_opt_f64(&mut s, o.mean_loc_error_before_ft);
+    push_opt_f64(s, o.mean_loc_error_before_ft);
     s.push_str(",\"mean_loc_error_after_ft\":");
-    push_opt_f64(&mut s, o.mean_loc_error_after_ft);
+    push_opt_f64(s, o.mean_loc_error_after_ft);
     s.push('}');
-    s
 }
 
 /// Extracts the raw text of field `name` from a *flat* JSON object (no
@@ -558,11 +618,10 @@ impl ResultCache {
             });
         }
         if let Some(file) = &mut self.file {
-            writeln!(
-                file,
-                "{{\"key\":\"{key}\",\"outcome\":{}}}",
-                encode_outcome(&outcome)
-            )?;
+            let mut line = format!("{{\"key\":\"{key}\",\"outcome\":");
+            encode_outcome(&outcome, &mut line);
+            line.push_str("}\n");
+            file.write_all(line.as_bytes())?;
         }
         self.entries.insert(key.0, outcome);
         Ok(CacheInsert::Inserted)
@@ -679,19 +738,20 @@ impl CacheBackend {
 
 const CHECKPOINT_VERSION: u32 = 1;
 
-fn header_line(spec: &SweepSpec, tag: &str) -> String {
+fn header_line(cells: usize, grid: CellKey, tag: &str) -> String {
     format!(
-        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{},\"grid\":\"{}\",\"tag\":\"{tag}\"}}",
-        spec.len(),
-        spec.grid_key(tag)
+        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{cells},\"grid\":\"{grid}\",\"tag\":\"{tag}\"}}\n"
     )
 }
 
-fn cell_line(index: usize, key: CellKey, seed: u64, outcome: &SimOutcome) -> String {
-    format!(
-        "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":{}}}",
-        encode_outcome(outcome)
-    )
+/// Appends one cell's checkpoint line, newline included, to `out`.
+fn push_cell_line(out: &mut String, index: usize, key: CellKey, seed: u64, outcome: &SimOutcome) {
+    let _ = write!(
+        out,
+        "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":"
+    );
+    encode_outcome(outcome, out);
+    out.push_str("}\n");
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -700,13 +760,13 @@ fn bad_data(msg: String) -> io::Error {
 
 /// Parses an existing checkpoint into the completed prefix of outcomes.
 /// Returns `Ok(vec![])` for an empty/absent file. Fails when the header
-/// does not match this sweep (different grid, cell count or code tag) or a
-/// recorded key contradicts the expected cell — a resume must never splice
-/// foreign results.
+/// does not match this sweep (different `grid` key over `keys`, cell count
+/// or code tag) or a recorded key contradicts the expected cell — a resume
+/// must never splice foreign results.
 fn load_checkpoint_prefix(
     path: &Path,
-    spec: &SweepSpec,
     keys: &[CellKey],
+    grid: CellKey,
     tag: &str,
 ) -> io::Result<Vec<SimOutcome>> {
     if !path.exists() {
@@ -728,9 +788,9 @@ fn load_checkpoint_prefix(
         )));
     }
     let cells: Option<usize> = num_field(header, "cells");
-    let grid = str_field(header, "grid").and_then(CellKey::parse);
     let header_tag = str_field(header, "tag");
-    if cells != Some(spec.len()) || grid != Some(spec.grid_key(tag)) || header_tag != Some(tag) {
+    let header_grid = str_field(header, "grid").and_then(CellKey::parse);
+    if cells != Some(keys.len()) || header_grid != Some(grid) || header_tag != Some(tag) {
         return Err(bad_data(format!(
             "checkpoint {} does not match this sweep (grid/tag/cell-count \
              differ); delete it or point the sweep elsewhere",
@@ -997,11 +1057,13 @@ impl Orchestrator {
     /// Panics if a worker thread panics (a cell's simulation panicked).
     pub fn run(&self, spec: &SweepSpec) -> io::Result<SweepReport> {
         let tag = self.effective_tag();
-        let keys: Vec<CellKey> = spec
-            .cells()
-            .iter()
-            .map(|c| cell_key(&c.config, c.seed, &tag))
-            .collect();
+        // Every key is derived once per run, and only a checkpointed run
+        // needs the grid key over them.
+        let keys = spec.keys(&tag);
+        let checkpoint = self
+            .checkpoint_path
+            .as_deref()
+            .map(|path| (path, grid_key(&keys)));
         // With a flight recorder configured, fan it into the event stream
         // next to the caller's sink so its ring always holds the tail of
         // exactly what was emitted.
@@ -1027,8 +1089,8 @@ impl Orchestrator {
         );
 
         // 1. Replay the checkpoint prefix, if any.
-        let prefix = match &self.checkpoint_path {
-            Some(path) => load_checkpoint_prefix(path, spec, &keys, &tag)?,
+        let prefix = match checkpoint {
+            Some((path, grid)) => load_checkpoint_prefix(path, &keys, grid, &tag)?,
             None => Vec::new(),
         };
         let resumed = prefix.len();
@@ -1080,24 +1142,13 @@ impl Orchestrator {
         obs.add("sweep.cells_executed", pending.len() as u64);
 
         // 3. Fold the pending cells into scheduling units. With sharing
-        //    on, cells with the same probe fingerprint form one unit that
-        //    deploys + probes once (first-appearance order, so a pure
-        //    policy sweep stays in sweep order); with sharing off every
-        //    cell is its own unit. Units go into a shared work-stealing
-        //    queue, never more workers than units.
+        //    on, cells with the same probe fingerprint and seed form one
+        //    unit that deploys + probes once (first-appearance order, so a
+        //    pure policy sweep stays in sweep order); with sharing off
+        //    every cell is its own unit. Units go into a shared
+        //    work-stealing queue, never more workers than units.
         let units: Vec<Vec<usize>> = if self.sharing {
-            let mut by_fp: HashMap<String, usize> = HashMap::new();
-            let mut grouped: Vec<Vec<usize>> = Vec::new();
-            for &i in &pending {
-                let cell = &spec.cells()[i];
-                let fp = probe_fingerprint(&cell.config, cell.seed);
-                let slot = *by_fp.entry(fp).or_insert_with(|| {
-                    grouped.push(Vec::new());
-                    grouped.len() - 1
-                });
-                grouped[slot].push(i);
-            }
-            grouped
+            spec.probe_units(&pending)
         } else {
             pending.iter().map(|&i| vec![i]).collect()
         };
@@ -1127,23 +1178,25 @@ impl Orchestrator {
         order.sort_by_key(|&u| std::cmp::Reverse(units[u].len()));
 
         // 4. Stream results: workers push (cell index, outcome); the main
-        //    thread advances the completion frontier in cell order,
-        //    writing the checkpoint as a growing prefix so the file is a
-        //    valid resume point at every instant.
-        let mut checkpoint_file = match &self.checkpoint_path {
-            Some(path) => {
+        //    thread advances the completion frontier in cell order. Each
+        //    advance's checkpoint lines go out in one write, before that
+        //    advance's cache appends, so the file is "header + exact
+        //    prefix" (at worst with a torn last line) at every instant.
+        let mut checkpoint_file = match checkpoint {
+            Some((path, grid)) => {
                 if let Some(parent) = path.parent() {
                     if !parent.as_os_str().is_empty() {
                         fs::create_dir_all(parent)?;
                     }
                 }
                 let mut file = fs::File::create(path)?;
-                writeln!(file, "{}", header_line(spec, &tag))?;
+                file.write_all(header_line(spec.len(), grid, &tag).as_bytes())?;
                 Some(file)
             }
             None => None,
         };
         let mut frontier = 0usize; // next cell whose line is unwritten
+        let mut lines = String::new(); // one advance's checkpoint lines
         let flight = self.flight.as_ref();
         let in_cache = &in_cache;
         let mut flush_frontier = |results: &[Option<SimOutcome>],
@@ -1151,50 +1204,52 @@ impl Orchestrator {
                                   cache: &mut Option<CacheBackend>,
                                   obs: &Obs|
          -> io::Result<()> {
-            let advanced_from = *frontier;
-            let mut last_shard: Option<u32> = None;
-            while *frontier < results.len() {
-                let Some(outcome) = &results[*frontier] else {
-                    break;
-                };
-                let key = keys[*frontier];
-                if let Some(file) = &mut checkpoint_file {
-                    writeln!(
-                        file,
-                        "{}",
-                        cell_line(*frontier, key, spec.cells()[*frontier].seed, outcome)
-                    )?;
-                    file.flush()?;
+            let start = *frontier;
+            let resolved = results[start..].iter().take_while(|r| r.is_some()).count();
+            if resolved == 0 {
+                return Ok(());
+            }
+            let advanced = start..start + resolved;
+            let outcome = |i: usize| results[i].as_ref().expect("inside the frontier");
+            if let Some(file) = &mut checkpoint_file {
+                lines.clear();
+                for i in advanced.clone() {
+                    push_cell_line(&mut lines, i, keys[i], spec.cells()[i].seed, outcome(i));
                 }
+                file.write_all(lines.as_bytes())?;
+            }
+            let mut last_shard: Option<u32> = None;
+            for i in advanced.clone() {
                 // Cells that came *from* the cache are by definition
                 // already present — skip the read-back probe.
-                if let Some(cache) = cache.as_mut().filter(|_| !in_cache[*frontier]) {
-                    last_shard = cache.shard_of(key);
-                    if cache.insert_checked(key, outcome.clone())? == CacheInsert::Conflict {
-                        // The purity contract broke: same key, different
-                        // outcome. Keep going (the fresh result stands in
-                        // the checkpoint) but surface it as a health event
-                        // and preserve the cell's trace for the
-                        // post-mortem.
-                        cell_scope(obs, key, spec.cells()[*frontier].seed).emit(
-                            "health.cache_conflict",
-                            &[(
-                                "message",
-                                Value::Str(format!(
-                                    "cell {key} produced an outcome different from its cache entry"
-                                )),
-                            )],
-                        );
-                        if let Some((recorder, dir)) = flight {
-                            let _ = recorder
-                                .dump_trace(dir.join(format!("flightrec_{key}.jsonl")), key.0);
-                        }
+                let Some(cache) = cache.as_mut().filter(|_| !in_cache[i]) else {
+                    continue;
+                };
+                let key = keys[i];
+                last_shard = cache.shard_of(key);
+                if cache.insert_checked(key, outcome(i).clone())? == CacheInsert::Conflict {
+                    // The purity contract broke: same key, different
+                    // outcome. Keep going (the fresh result stands in the
+                    // checkpoint) but surface it as a health event and
+                    // preserve the cell's trace for the post-mortem.
+                    cell_scope(obs, key, spec.cells()[i].seed).emit(
+                        "health.cache_conflict",
+                        &[(
+                            "message",
+                            Value::Str(format!(
+                                "cell {key} produced an outcome different from its cache entry"
+                            )),
+                        )],
+                    );
+                    if let Some((recorder, dir)) = flight {
+                        let _ =
+                            recorder.dump_trace(dir.join(format!("flightrec_{key}.jsonl")), key.0);
                     }
                 }
-                obs.incr("sweep.cells_done");
-                *frontier += 1;
             }
-            if checkpoint_file.is_some() && *frontier > advanced_from {
+            obs.add("sweep.cells_done", advanced.len() as u64);
+            *frontier = advanced.end;
+            if checkpoint_file.is_some() {
                 // The `shard` field names the binary-cache shard the last
                 // flushed record appended to, so a stream reader can
                 // follow per-shard append progress.
@@ -1362,6 +1417,138 @@ mod tests {
         }
     }
 
+    /// The canonical cell string as earlier builds formatted it, whole.
+    /// Keys derived per config run must hash exactly these bytes.
+    fn canonical_cell(config: &SimConfig, seed: u64, tag: &str) -> String {
+        format!("{config:?};seed={seed};options=plain;tag={tag}")
+    }
+
+    /// The grid key as earlier builds computed it: every key recomputed
+    /// from its canonical string, joined as `"{key};"`.
+    fn oracle_grid_key(spec: &SweepSpec, tag: &str) -> CellKey {
+        let joined: String = spec
+            .cells()
+            .iter()
+            .map(|c| {
+                let key = CellKey(secloc_obs::fnv1a(
+                    canonical_cell(&c.config, c.seed, tag).as_bytes(),
+                ));
+                format!("{key};")
+            })
+            .collect();
+        CellKey(secloc_obs::fnv1a(joined.as_bytes()))
+    }
+
+    /// The probe fingerprint as earlier builds formatted it, seed inline.
+    fn oracle_probe_fingerprint(config: &SimConfig, seed: u64) -> String {
+        format!(
+            "{:?};seed={seed};max_ranging_error_ft={:?};detecting_ids={:?};\
+             wormhole_detection_rate={:?};attacker_p={:?};lie_offset_ft={:?}",
+            config.topology_key(),
+            config.max_ranging_error_ft,
+            config.detecting_ids,
+            config.wormhole_detection_rate,
+            config.attacker_p,
+            config.lie_offset_ft,
+        )
+    }
+
+    fn assert_keys_match_oracle(spec: &SweepSpec, tag: &str) {
+        let keys = spec.keys(tag);
+        assert_eq!(keys.len(), spec.len());
+        for (cell, key) in spec.cells().iter().zip(&keys) {
+            let want = CellKey(secloc_obs::fnv1a(
+                canonical_cell(&cell.config, cell.seed, tag).as_bytes(),
+            ));
+            assert_eq!(*key, want, "seed {}", cell.seed);
+            assert_eq!(cell_key(&cell.config, cell.seed, tag), want);
+        }
+        assert_eq!(grid_key(&keys), oracle_grid_key(spec, tag));
+    }
+
+    #[test]
+    fn run_derived_keys_equal_the_canonical_string_hash() {
+        let faulted = SimConfig {
+            faults: crate::FaultPlan::default()
+                .with_clock_drift(40)
+                .with_noise_region(secloc_faults::NoiseRegion::whole_field(1000.0, 3.0)),
+            ..tiny()
+        };
+        // `-0.0 == 0.0`, but the two print (and so key) differently.
+        let neg_zero = SimConfig {
+            lie_offset_ft: -0.0,
+            ..tiny()
+        };
+        let pos_zero = SimConfig {
+            lie_offset_ft: 0.0,
+            ..tiny()
+        };
+        assert_eq!(neg_zero, pos_zero);
+        let configs = [tiny(), faulted, neg_zero.clone(), pos_zero.clone()];
+        let seeds = [0, 1, 7, u64::MAX];
+        for tag in ["t", code_version_tag().as_str()] {
+            assert_keys_match_oracle(&SweepSpec::product(&configs, &seeds), tag);
+            assert_keys_match_oracle(&SweepSpec::single(&configs[1], &seeds), tag);
+            assert_keys_match_oracle(&SweepSpec::product(&configs, &[]), tag);
+            let explicit: Vec<SweepCell> = [(&neg_zero, 0), (&pos_zero, 0), (&pos_zero, u64::MAX)]
+                .into_iter()
+                .map(|(config, seed)| SweepCell {
+                    config: config.clone(),
+                    seed,
+                })
+                .collect();
+            assert_keys_match_oracle(&SweepSpec::new(explicit), tag);
+            assert_keys_match_oracle(&SweepSpec::default(), tag);
+        }
+        let keys = SweepSpec::product(&[neg_zero, pos_zero], &[3]).keys("t");
+        assert_ne!(keys[0], keys[1], "-0.0 and 0.0 configs must key apart");
+    }
+
+    #[test]
+    fn probe_units_match_old_fingerprint_grouping() {
+        // Two topologies, policies shared between them, and a repeated
+        // seed: units must be exactly the distinct old-style fingerprints
+        // (seed inline), in first-appearance order.
+        let mut other_topo = tiny();
+        other_topo.beacons = 14;
+        let mut configs = Vec::new();
+        for base in [tiny(), other_topo] {
+            for (tau, attacker_p) in [(1, 0.5), (2, 0.5), (1, 0.9)] {
+                configs.push(SimConfig {
+                    tau,
+                    attacker_p,
+                    ..base.clone()
+                });
+            }
+        }
+        let spec = SweepSpec::product(&configs, &[4, 5, 4]);
+        let mut explicit = spec.cells().to_vec();
+        explicit.extend(spec.cells()[..4].iter().cloned());
+        for spec in [spec, SweepSpec::new(explicit)] {
+            let pending: Vec<usize> = (0..spec.len()).filter(|i| i % 5 != 2).collect();
+            let mut want: Vec<(String, Vec<usize>)> = Vec::new();
+            for &i in &pending {
+                let cell = &spec.cells()[i];
+                let fp = oracle_probe_fingerprint(&cell.config, cell.seed);
+                match want.iter_mut().find(|(f, _)| *f == fp) {
+                    Some((_, unit)) => unit.push(i),
+                    None => want.push((fp, vec![i])),
+                }
+            }
+            let want: Vec<Vec<usize>> = want.into_iter().map(|(_, unit)| unit).collect();
+            assert_eq!(spec.probe_units(&pending), want);
+
+            let report = Orchestrator::new().workers(2).run(&spec).unwrap();
+            let all_fps: std::collections::HashSet<String> = spec
+                .cells()
+                .iter()
+                .map(|c| oracle_probe_fingerprint(&c.config, c.seed))
+                .collect();
+            let units: u64 = report.worker_stats.iter().map(|w| w.units).sum();
+            assert_eq!(units as usize, all_fps.len());
+        }
+    }
+
     #[test]
     fn cell_keys_are_stable_and_sensitive() {
         let a = cell_key(&tiny(), 1, "t");
@@ -1371,15 +1558,28 @@ mod tests {
         let mut other = tiny();
         other.attacker_p = 0.6;
         assert_ne!(a, cell_key(&other, 1, "t"), "config changes the key");
-        // Round-trips through the display form.
+        // Round-trips through the display form, and only that form: a
+        // sign would parse to a key that prints as a different string.
         assert_eq!(CellKey::parse(&a.to_string()), Some(a));
+        assert_eq!(
+            CellKey::parse("0123456789abcdef"),
+            Some(CellKey(0x0123_4567_89ab_cdef))
+        );
         assert_eq!(CellKey::parse("xyz"), None);
+        assert_eq!(CellKey::parse("+123456789abcdef"), None);
+        assert_eq!(CellKey::parse("-123456789abcdef"), None);
+        assert_eq!(CellKey::parse("0123456789abcdeg"), None);
     }
 
     #[test]
     fn outcome_encoding_round_trips_bit_identically() {
         let outcome = Runner::new(tiny(), 3).run(RunOptions::new()).outcome;
-        let decoded = decode_outcome(&encode_outcome(&outcome)).expect("decodes");
+        let encode = |o: &SimOutcome| {
+            let mut s = String::new();
+            encode_outcome(o, &mut s);
+            s
+        };
+        let decoded = decode_outcome(&encode(&outcome)).expect("decodes");
         assert_eq!(decoded, outcome);
         // And an awkward hand-built one, exercising null/fractional paths.
         let awkward = SimOutcome {
@@ -1395,21 +1595,15 @@ mod tests {
             mean_loc_error_before_ft: None,
             mean_loc_error_after_ft: Some(1e-300),
         };
-        assert_eq!(decode_outcome(&encode_outcome(&awkward)), Some(awkward));
+        assert_eq!(decode_outcome(&encode(&awkward)), Some(awkward));
     }
 
     #[test]
     fn grid_key_depends_on_order_and_content() {
         let seeds = [1u64, 2, 3];
-        let spec = SweepSpec::single(&tiny(), &seeds);
-        assert_eq!(
-            spec.grid_key("t"),
-            SweepSpec::single(&tiny(), &seeds).grid_key("t")
-        );
-        assert_ne!(
-            spec.grid_key("t"),
-            SweepSpec::single(&tiny(), &[3, 2, 1]).grid_key("t")
-        );
+        let grid = |seeds: &[u64]| grid_key(&SweepSpec::single(&tiny(), seeds).keys("t"));
+        assert_eq!(grid(&seeds), grid(&seeds));
+        assert_ne!(grid(&seeds), grid(&[3, 2, 1]));
     }
 
     #[test]

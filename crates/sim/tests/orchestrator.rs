@@ -2,11 +2,11 @@
 //! resumed from its checkpoint is bit-identical to an uninterrupted one,
 //! and a warm cache replays a sweep without executing a single cell.
 
-use secloc_obs::{Event, EventSink, FlightRecorder, Obs};
-use secloc_sim::orchestrator::cell_key;
-use secloc_sim::{Orchestrator, SimConfig, SweepSpec};
+use secloc_obs::{fnv1a, Event, EventSink, FlightRecorder, Fnv1a, Obs};
+use secloc_sim::orchestrator::{cell_key, code_version_tag};
+use secloc_sim::{CacheFormat, Orchestrator, SimConfig, SweepSpec};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,6 +34,82 @@ fn scratch(label: &str) -> PathBuf {
     ));
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// FNV-1a over a directory's files: each name, then its bytes, by name.
+fn dir_digest(dir: &Path) -> u64 {
+    let mut names: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    names.sort();
+    let mut h = Fnv1a::new();
+    for name in names {
+        h.update(name.to_str().unwrap().as_bytes());
+        h.update(&fs::read(dir.join(&name)).unwrap());
+    }
+    h.finish()
+}
+
+#[test]
+fn keys_and_bytes_match_the_pinned_golden() {
+    // Pinned literals from a build that formatted each cell's canonical
+    // string whole: caches and checkpoints written by it must still hit
+    // and resume. Bumping `OUTCOME_REVISION` changes the tag, and with it
+    // every value here.
+    assert_eq!(code_version_tag(), "secloc-sim-0.1.0+r2");
+    let spec = grid();
+    let tag = code_version_tag();
+    let keys: Vec<String> = spec
+        .cells()
+        .iter()
+        .map(|c| cell_key(&c.config, c.seed, &tag).to_string())
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "9d302262b216682e",
+            "fc1c42790a41236b",
+            "f4898bf61a456a20",
+            "f71b32a16749d5fa",
+            "05dc2d4e30f651c7",
+            "1913ba124f459c6c",
+        ]
+    );
+
+    let dir = scratch("golden");
+    Orchestrator::new()
+        .workers(2)
+        .cache(dir.join("cache.jsonl"))
+        .checkpoint(dir.join("ckpt.jsonl"))
+        .run(&spec)
+        .unwrap();
+    Orchestrator::new()
+        .workers(2)
+        .cache(dir.join("cache.bin"))
+        .cache_format(CacheFormat::Binary)
+        .run(&spec)
+        .unwrap();
+    let ckpt = fs::read(dir.join("ckpt.jsonl")).unwrap();
+    let header = std::str::from_utf8(&ckpt).unwrap().lines().next().unwrap();
+    assert_eq!(
+        header,
+        "{\"kind\":\"sweep\",\"version\":1,\"cells\":6,\"grid\":\"ea2491edb86c3d7b\",\
+         \"tag\":\"secloc-sim-0.1.0+r2\"}"
+    );
+    assert_eq!(fnv1a(&ckpt), 0x1075_cd03_33b5_6e23, "checkpoint bytes");
+    assert_eq!(
+        fnv1a(&fs::read(dir.join("cache.jsonl")).unwrap()),
+        0x3330_f23b_bd92_a6ba,
+        "JSONL cache bytes"
+    );
+    assert_eq!(
+        dir_digest(&dir.join("cache.bin")),
+        0x7a38_037b_8800_9b6f,
+        "binary cache bytes"
+    );
+
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
