@@ -384,9 +384,10 @@ fn bench_sweep_sharing(cfg: &SimConfig, quick: bool) -> SweepSharing {
 /// policy grid over per-seed topology units, swept cache-cold at 1, 2 and
 /// min(4, cores) workers, then warm-started over a binary cache before and
 /// after flooding it with dead entries (cells outside the grid). A warm
-/// start that probes the index is O(hits): the dead-cell volume must not
-/// move its latency, which is what `warm_ratio`'s ceiling gates. Its cost
-/// per cell (`warm_ns_per_cell`) is gated too: it is mostly keying.
+/// start probes an in-memory index per cell, so dead cells cost lookups
+/// nothing; open reads their slots once, and `warm_ratio`'s ceiling bounds
+/// that. Its cost per cell (`warm_ns_per_cell`) is gated too: keying plus
+/// windowed record reads.
 struct SweepScale {
     cells: usize,
     units: usize,

@@ -152,7 +152,12 @@ fn report_key(perf: Option<&JsonValue>, robustness: Option<&JsonValue>) -> Repor
         code_version: pick("code_version").unwrap_or_else(|| "unknown".to_string()),
         outcome_revision: revision.unwrap_or(0),
         config_fingerprint: pick("config_fingerprint").unwrap_or_else(|| "unknown".to_string()),
-        mode: if quick.unwrap_or(false) { "quick" } else { "full" }.to_string(),
+        mode: if quick.unwrap_or(false) {
+            "quick"
+        } else {
+            "full"
+        }
+        .to_string(),
     }
 }
 
@@ -181,8 +186,7 @@ fn baselines(
         // Entries written before the mode field existed never match: they
         // mixed quick- and full-mode numbers, so re-seeding the baseline
         // is exactly what we want.
-        let same_mode =
-            entry.get("mode").and_then(|v| v.as_str()) == Some(key.mode.as_str());
+        let same_mode = entry.get("mode").and_then(|v| v.as_str()) == Some(key.mode.as_str());
         if same_rev && same_fp && same_mode {
             matching.push(entry);
         }
@@ -247,8 +251,7 @@ fn collect_metrics(
         if let Some(v) = number_at(perf, &["location_parallel", "efficiency"]) {
             // Per-worker scaling of the intra-run localization pool: the
             // serial phase time divided by (parallel time × workers).
-            let floor =
-                number_at(perf, &["location_parallel", "efficiency_target"]).unwrap_or(0.6);
+            let floor = number_at(perf, &["location_parallel", "efficiency_target"]).unwrap_or(0.6);
             out.push((
                 "perf.location_parallel.efficiency".to_string(),
                 v,
@@ -264,8 +267,9 @@ fn collect_metrics(
             ));
         }
         if let Some(v) = number_at(perf, &["sweep_scale", "warm_ratio"]) {
-            // A warm start that probes the index is O(hits): flooding the
-            // cache with dead cells must not move its latency.
+            // A warm start's lookups cost the same however many dead cells
+            // the cache holds; open reads their slots once, and flooding
+            // the cache must not double the warm start's latency.
             let ceiling = number_at(perf, &["sweep_scale", "warm_ratio_target"]).unwrap_or(2.0);
             out.push((
                 "perf.sweep_scale.warm_ratio".to_string(),
@@ -274,13 +278,15 @@ fn collect_metrics(
             ));
         }
         if let Some(v) = number_at(perf, &["sweep_scale", "warm_ns_per_cell"]) {
-            // A warm start over a live cache, per cell. The ceiling is the
-            // cost while every cell formatted its config's `Debug` text
-            // (4,135 ns): a rise past it means keying went per cell again.
+            // A warm start over a live cache, per cell. The ceiling sits
+            // below the cost while every lookup read the index and the
+            // record from disk with seek + read pairs (1,415–1,975 ns on a
+            // 2-vCPU VM, where resident lookups read 355–581 ns): a rise
+            // past it means lookups went back to the file.
             out.push((
                 "perf.sweep_scale.warm_ns_per_cell".to_string(),
                 v,
-                Limit::Ceiling(4135.0),
+                Limit::Ceiling(1200.0),
             ));
         }
         if let Some(v) = number_at(perf, &["sweep_scale", "ns_per_cell_best"]) {

@@ -151,7 +151,7 @@ impl MmseScratch {
 /// [`MmseEstimator`] — same float operations in the
 /// same order — but free of per-call allocation and able to solve filtered
 /// subsets without materializing them. The inner accumulations run through
-/// the lane kernels of [`crate::simd`]; with `fast_math` off (the default)
+/// the crate's lane kernels (`simd.rs`); with `fast_math` off (the default)
 /// their exact reduction order keeps the bit-identity contract.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchedMmse {
@@ -212,9 +212,7 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
             &s.ay[..m],
             &s.d[..m],
             crate::simd::Dense(m),
-            s.ax[last],
-            s.ay[last],
-            s.d[last],
+            (s.ax[last], s.ay[last], s.d[last]),
             fast,
         )
     } else {
@@ -223,9 +221,7 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
             &s.ay,
             &s.d,
             &s.idx[..s.idx.len() - 1],
-            s.ax[last],
-            s.ay[last],
-            s.d[last],
+            (s.ax[last], s.ay[last], s.d[last]),
             fast,
         )
     };

@@ -109,18 +109,17 @@ pub(crate) struct GnAcc {
 
 /// Linear-seed accumulation over the active rows `rows` (all but the last
 /// active row), differencing against the last active row's circle
-/// equation at `(axl, ayl)` with distance `adl`.
+/// equation: `last` is its anchor `(x, y)` and measured distance.
 #[inline]
 pub(crate) fn seed_accumulate<R: RowIx>(
     ax: &[f64],
     ay: &[f64],
     d: &[f64],
     rows: R,
-    axl: f64,
-    ayl: f64,
-    adl: f64,
+    last: (f64, f64, f64),
     fast: bool,
 ) -> SeedAcc {
+    let (axl, ayl, adl) = last;
     // Row-independent part of the right-hand side, hoisted exactly as the
     // scalar loop leaves it: the scalar expression is
     //   adl² − dᵢ² + axᵢ² + ayᵢ² − axl² − ayl²
@@ -178,16 +177,16 @@ pub(crate) fn seed_accumulate<R: RowIx>(
         }
         base += LANES;
     }
-    for j in 0..(n - base) {
+    for (j, p) in partial.iter_mut().enumerate().take(n - base) {
         let i = rows.row(base + j);
         let row_x = 2.0 * (ax[i] - axl);
         let row_y = 2.0 * (ay[i] - ayl);
         let rhs = adl2 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i] - axl * axl - ayl * ayl;
-        partial[j].m00 += row_x * row_x;
-        partial[j].m01 += row_x * row_y;
-        partial[j].m11 += row_y * row_y;
-        partial[j].vx += row_x * rhs;
-        partial[j].vy += row_y * rhs;
+        p.m00 += row_x * row_x;
+        p.m01 += row_x * row_y;
+        p.m11 += row_y * row_y;
+        p.vx += row_x * rhs;
+        p.vy += row_y * rhs;
     }
     SeedAcc {
         m00: (partial[0].m00 + partial[1].m00) + (partial[2].m00 + partial[3].m00),
@@ -272,7 +271,7 @@ pub(crate) fn gn_accumulate<R: RowIx>(
         }
         base += LANES;
     }
-    for j in 0..(n - base) {
+    for (j, p) in partial.iter_mut().enumerate().take(n - base) {
         let i = rows.row(base + j);
         let dx = px - ax[i];
         let dy = py - ay[i];
@@ -282,11 +281,11 @@ pub(crate) fn gn_accumulate<R: RowIx>(
         }
         let (gx, gy) = (dx / dist, dy / dist);
         let res = dist - d[i];
-        partial[j].jtj00 += gx * gx;
-        partial[j].jtj01 += gx * gy;
-        partial[j].jtj11 += gy * gy;
-        partial[j].jtrx += gx * res;
-        partial[j].jtry += gy * res;
+        p.jtj00 += gx * gx;
+        p.jtj01 += gx * gy;
+        p.jtj11 += gy * gy;
+        p.jtrx += gx * res;
+        p.jtry += gy * res;
     }
     GnAcc {
         jtj00: (partial[0].jtj00 + partial[1].jtj00) + (partial[2].jtj00 + partial[3].jtj00),
@@ -334,21 +333,21 @@ pub(crate) fn worst_abs_residual<R: RowIx>(
     };
     let mut base = 0usize;
     while base + LANES <= n {
-        for j in 0..LANES {
+        for (j, rj) in r.iter_mut().enumerate() {
             let i = rows.row(base + j);
             let dx = px - ax[i];
             let dy = py - ay[i];
-            r[j] = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
+            *rj = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
         }
         scan(&r, base);
         base += LANES;
     }
     let rem = n - base;
-    for j in 0..rem {
+    for (j, rj) in r[..rem].iter_mut().enumerate() {
         let i = rows.row(base + j);
         let dx = px - ax[i];
         let dy = py - ay[i];
-        r[j] = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
+        *rj = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
     }
     scan(&r[..rem], base);
     (best_pos, best)
@@ -403,7 +402,13 @@ mod tests {
     }
 
     /// The scalar reference loops, verbatim from `mmse.rs` shapes.
-    fn seed_scalar(ax: &[f64], ay: &[f64], d: &[f64], rows: &[usize], l: (f64, f64, f64)) -> SeedAcc {
+    fn seed_scalar(
+        ax: &[f64],
+        ay: &[f64],
+        d: &[f64],
+        rows: &[usize],
+        l: (f64, f64, f64),
+    ) -> SeedAcc {
         let (axl, ayl, adl) = l;
         let (mut m00, mut m01, mut m11, mut vx, mut vy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
         for &i in rows {
@@ -417,7 +422,13 @@ mod tests {
             vx += row_x * rhs;
             vy += row_y * rhs;
         }
-        SeedAcc { m00, m01, m11, vx, vy }
+        SeedAcc {
+            m00,
+            m01,
+            m11,
+            vx,
+            vy,
+        }
     }
 
     fn gn_scalar(px: f64, py: f64, ax: &[f64], ay: &[f64], d: &[f64], rows: &[usize]) -> GnAcc {
@@ -437,7 +448,13 @@ mod tests {
             jtrx += gx * res;
             jtry += gy * res;
         }
-        GnAcc { jtj00, jtj01, jtj11, jtrx, jtry }
+        GnAcc {
+            jtj00,
+            jtj01,
+            jtj11,
+            jtrx,
+            jtry,
+        }
     }
 
     fn assert_bits(a: f64, b: f64) {
@@ -452,8 +469,8 @@ mod tests {
             let rows: Vec<usize> = (0..n).collect();
             let l = (ax[n], ay[n], d[n]);
             let s = seed_scalar(&ax, &ay, &d, &rows, l);
-            let k = seed_accumulate(&ax, &ay, &d, &rows[..], l.0, l.1, l.2, false);
-            let dense = seed_accumulate(&ax, &ay, &d, Dense(n), l.0, l.1, l.2, false);
+            let k = seed_accumulate(&ax, &ay, &d, &rows[..], l, false);
+            let dense = seed_accumulate(&ax, &ay, &d, Dense(n), l, false);
             assert_eq!(k, dense, "dense addressing diverged at n={n}");
             assert_bits(s.m00, k.m00);
             assert_bits(s.m01, k.m01);
@@ -563,8 +580,8 @@ mod tests {
             let (ax, ay, d) = rows_data(&mut rng, n + 1);
             let rows: Vec<usize> = (0..n).collect();
             let l = (ax[n], ay[n], d[n]);
-            let e = seed_accumulate(&ax, &ay, &d, &rows[..], l.0, l.1, l.2, false);
-            let f = seed_accumulate(&ax, &ay, &d, &rows[..], l.0, l.1, l.2, true);
+            let e = seed_accumulate(&ax, &ay, &d, &rows[..], l, false);
+            let f = seed_accumulate(&ax, &ay, &d, &rows[..], l, true);
             assert!((e.m00 - f.m00).abs() <= 1e-9 * e.m00.abs().max(1.0));
             assert!((e.vx - f.vx).abs() <= 1e-9 * e.vx.abs().max(1.0));
             let (px, py) = (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));

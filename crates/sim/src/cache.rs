@@ -3,12 +3,14 @@
 //! The JSONL [`ResultCache`](crate::orchestrator::ResultCache) loads (and
 //! therefore parses) its entire file on open, so a warm start over a
 //! 10^6-cell cache pays O(file) before the first cell is served. This
-//! module replaces that with an on-disk structure whose warm-start cost is
-//! O(probed cells): a directory of fixed-width record shards plus a
-//! persistent open-addressing hash index mapping FNV cell keys to
-//! `(shard, offset)`. Nothing is replayed on open — lookups probe the
-//! index file directly, so latency is independent of how many dead cells
-//! (entries outside the current grid) the cache has accumulated.
+//! module replaces that with a directory of fixed-width record shards plus
+//! a persistent open-addressing hash index mapping FNV cell keys to
+//! `(shard, offset)`. Open reads the index's slot array into memory in one
+//! sequential read (16 bytes per slot, nothing parsed) and no records;
+//! lookups probe that resident table and read the record through a 4 KiB
+//! window per shard. So a lookup costs the same however many dead cells
+//! (entries outside the current grid) the cache has accumulated, and a
+//! sweep that walks a shard in append order pays one read per ~34 hits.
 //!
 //! # On-disk layout
 //!
@@ -42,8 +44,10 @@
 //!
 //! An insert (1) appends the record to its shard — `shard = key mod
 //! shard_count` — then (2) writes the slot and (3) bumps the header's
-//! entry count and the shard's indexed length. A crash at any point
-//! leaves a recoverable file:
+//! entry count and the shard's indexed length: three positioned writes
+//! and no reads. The resident slot table takes a slot only after its
+//! write succeeded, so it never runs ahead of `index.bin`. A crash at any
+//! point leaves a recoverable file:
 //!
 //! - cut inside (1): the shard's tail record fails its length/checksum
 //!   validation on open and is truncated away (the index never knew it);
@@ -62,8 +66,11 @@
 use crate::orchestrator::{CacheInsert, CellKey};
 use crate::SimOutcome;
 use secloc_obs::fnv1a;
+use std::cell::RefCell;
+use std::fmt;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 /// Fixed record width, including the length prefix and checksum.
@@ -86,8 +93,8 @@ pub(crate) const MAX_SHARDS: u32 = 256;
 /// Slots are kept under 70% full; beyond that the index grows by rebuild.
 const MAX_LOAD_NUM: u64 = 7;
 const MAX_LOAD_DEN: u64 = 10;
-/// Slots read per probe I/O (one 128-byte read covers a typical cluster).
-const PROBE_BATCH: usize = 8;
+/// Bytes one record read pulls into its shard's window (~34 records).
+const WINDOW_LEN: u64 = 4096;
 
 /// Picks the shard count for a cache created to hold `expected_cells`:
 /// one shard per ~8k cells, a power of two, clamped to `[1, MAX_SHARDS]`.
@@ -108,24 +115,34 @@ fn home_slot(key: u64, capacity: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) & (capacity - 1)
 }
 
+/// A slot's location word; 0 is reserved for "empty".
+fn pack_loc(shard: u32, offset: u64) -> u64 {
+    (u64::from(shard) << 48) | (offset + 1)
+}
+
+fn unpack_loc(loc: u64) -> (u32, u64) {
+    ((loc >> 48) as u32, (loc & 0xFFFF_FFFF_FFFF).wrapping_sub(1))
+}
+
+fn encode_slot(key: u64, loc: u64) -> [u8; SLOT_LEN as usize] {
+    let mut buf = [0u8; SLOT_LEN as usize];
+    put_u64(&mut buf, 0, key);
+    put_u64(&mut buf, 8, loc);
+    buf
+}
+
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-// `&File` implements `Seek`/`Read`/`Write`, so positioned I/O needs no
-// `&mut` — but it *does* move the file's shared cursor, so a cache handle
-// must not be probed from two threads at once (the orchestrator only ever
-// touches it from the merge thread).
-fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
-}
-
-fn write_all_at(file: &fs::File, buf: &[u8], offset: u64) -> io::Result<()> {
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.write_all(buf)
+/// Creates (or truncates) a read-write file.
+fn create_rw(path: &Path) -> io::Result<fs::File> {
+    fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)
 }
 
 fn put_u64(buf: &mut [u8], at: usize, v: u64) {
@@ -206,6 +223,83 @@ fn decode_record(buf: &[u8]) -> Option<(CellKey, SimOutcome)> {
     Some((CellKey(get_u64(buf, 8)), outcome))
 }
 
+/// The index's slot array, resident in memory: byte for byte the part of
+/// `index.bin` after the header.
+struct Slots(Vec<u8>);
+
+impl Slots {
+    fn zeroed(capacity: u64) -> Self {
+        Slots(vec![0; (capacity * SLOT_LEN) as usize])
+    }
+
+    fn capacity(&self) -> u64 {
+        self.0.len() as u64 / SLOT_LEN
+    }
+
+    /// `(key, loc)` of one slot.
+    fn get(&self, slot: u64) -> (u64, u64) {
+        let at = (slot * SLOT_LEN) as usize;
+        (get_u64(&self.0, at), get_u64(&self.0, at + 8))
+    }
+
+    fn set(&mut self, slot: u64, bytes: &[u8; SLOT_LEN as usize]) {
+        let at = (slot * SLOT_LEN) as usize;
+        self.0[at..at + SLOT_LEN as usize].copy_from_slice(bytes);
+    }
+
+    /// Linear probe from `key`'s home slot: `Ok(slot)` for the slot
+    /// holding `key`, else `Err(slot)` for the first empty one. The table
+    /// always has an empty slot (open rejects a full one and `reserve`
+    /// keeps the load under 0.7), so the probe ends.
+    fn find(&self, key: u64) -> Result<u64, u64> {
+        let mask = self.capacity() - 1;
+        let mut slot = home_slot(key, self.capacity());
+        loop {
+            match self.get(slot) {
+                (_, 0) => return Err(slot),
+                (k, _) if k == key => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// `(key, loc)` of every occupied slot, in slot order.
+    fn occupied(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..self.capacity())
+            .map(|slot| self.get(slot))
+            .filter(|&(_, loc)| loc != 0)
+    }
+}
+
+/// The bytes `[start, start + bytes.len())` of one shard, as last read.
+/// A window never reaches past the shard's indexed length at the time it
+/// was read, and bytes below that length never change (inserts append
+/// past it), so a window never holds stale bytes.
+#[derive(Default)]
+struct Window {
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+impl Window {
+    /// The record at `offset`, which must end at or before `shard_len`;
+    /// on a miss the window is refilled from `offset` on.
+    fn record(&mut self, file: &fs::File, offset: u64, shard_len: u64) -> io::Result<&[u8]> {
+        let end = offset + RECORD_LEN as u64;
+        if offset < self.start || end > self.start + self.bytes.len() as u64 {
+            self.start = offset;
+            self.bytes
+                .resize((shard_len - offset).min(WINDOW_LEN) as usize, 0);
+            if let Err(e) = file.read_exact_at(&mut self.bytes, offset) {
+                self.bytes.clear();
+                return Err(e);
+            }
+        }
+        let at = (offset - self.start) as usize;
+        Ok(&self.bytes[at..at + RECORD_LEN])
+    }
+}
+
 /// What [`BinaryCache::open`] had to repair, for telemetry and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheRecovery {
@@ -227,21 +321,35 @@ impl CacheRecovery {
 }
 
 /// The sharded, indexed binary result cache. See the module docs for the
-/// on-disk format and crash discipline. All I/O is positioned reads and
-/// writes against the live files — `get` never loads the cache into
-/// memory, so open and lookup costs are independent of cache size.
-#[derive(Debug)]
+/// on-disk format and crash discipline. Open reads the index's slot array
+/// into memory (16 bytes per slot) and no records; `get` probes that
+/// table and reads records through a 4 KiB window per shard, and every
+/// write goes through to the files with one positioned write.
 pub struct BinaryCache {
     dir: PathBuf,
     index: fs::File,
+    /// The slot array of `index.bin`, kept in step on every write.
+    slots: Slots,
     shards: Vec<fs::File>,
+    /// One read window per shard; a `RefCell` because `get` takes `&self`.
+    windows: RefCell<Vec<Window>>,
     /// Current byte length of each shard file (all records are valid up
     /// to here once open-time recovery finishes).
     shard_lens: Vec<u64>,
-    capacity: u64,
     len: u64,
-    shard_count: u32,
     recovery: CacheRecovery,
+}
+
+impl fmt::Debug for BinaryCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BinaryCache")
+            .field("dir", &self.dir)
+            .field("shard_count", &self.shard_count())
+            .field("capacity", &self.slots.capacity())
+            .field("len", &self.len)
+            .field("recovery", &self.recovery)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BinaryCache {
@@ -277,78 +385,16 @@ impl BinaryCache {
         Ok(cache)
     }
 
-    fn create(dir: &Path, expected_cells: usize) -> io::Result<Self> {
-        let shard_count = shard_count_for(expected_cells);
-        let capacity = slot_capacity_for(expected_cells as u64);
-        let index = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join("index.bin"))?;
-        index.set_len(HEADER_LEN + capacity * SLOT_LEN)?;
-        let mut cache = BinaryCache {
-            dir: dir.to_path_buf(),
-            index,
-            shards: Vec::new(),
-            shard_lens: vec![0; shard_count as usize],
-            capacity,
-            len: 0,
-            shard_count,
-            recovery: CacheRecovery::default(),
-        };
-        cache.open_shards()?;
-        cache.write_header()?;
-        Ok(cache)
-    }
-
-    /// Opens an existing index; `Ok(None)` means the header is unusable
-    /// and the caller should rebuild from the shards.
-    fn open_existing(dir: &Path) -> io::Result<Option<Self>> {
-        let index = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(dir.join("index.bin"))?;
-        let mut header = [0u8; HEADER_LEN as usize];
-        if read_exact_at(&index, &mut header, 0).is_err() {
-            return Ok(None); // shorter than a header: rebuild
-        }
-        let magic = get_u64(&header, 0);
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let shard_count = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        let capacity = get_u64(&header, 16);
-        let len = get_u64(&header, 24);
-        let usable = magic == INDEX_MAGIC
-            && version == INDEX_VERSION
-            && (1..=MAX_SHARDS).contains(&shard_count)
-            && capacity.is_power_of_two()
-            && index.metadata()?.len() == HEADER_LEN + capacity * SLOT_LEN;
-        if !usable {
-            return Ok(None);
-        }
-        let shard_lens: Vec<u64> = (0..shard_count as usize)
-            .map(|s| get_u64(&header, 40 + s * 8))
-            .collect();
-        let mut cache = BinaryCache {
-            dir: dir.to_path_buf(),
-            index,
-            shards: Vec::new(),
-            shard_lens,
-            capacity,
-            len,
-            shard_count,
-            recovery: CacheRecovery::default(),
-        };
-        cache.open_shards()?;
-        Ok(Some(cache))
-    }
-
-    fn shard_path(dir: &Path, shard: u32) -> PathBuf {
-        dir.join(format!("shard-{shard:03}.bin"))
-    }
-
-    fn open_shards(&mut self) -> io::Result<()> {
-        self.shards = (0..self.shard_count)
+    /// A handle over an index file and its slot table, with one shard
+    /// (opened, or created empty) per entry of `shard_lens`.
+    fn assemble(
+        dir: &Path,
+        index: fs::File,
+        slots: Slots,
+        shard_lens: Vec<u64>,
+        len: u64,
+    ) -> io::Result<Self> {
+        let shards = (0..shard_lens.len() as u32)
             .map(|s| {
                 fs::OpenOptions::new()
                     .read(true)
@@ -356,10 +402,74 @@ impl BinaryCache {
                     .create(true)
                     // Re-opening an existing shard must keep its records.
                     .truncate(false)
-                    .open(Self::shard_path(&self.dir, s))
+                    .open(Self::shard_path(dir, s))
             })
-            .collect::<io::Result<_>>()?;
-        Ok(())
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok(BinaryCache {
+            dir: dir.to_path_buf(),
+            index,
+            slots,
+            windows: RefCell::new(shards.iter().map(|_| Window::default()).collect()),
+            shards,
+            shard_lens,
+            len,
+            recovery: CacheRecovery::default(),
+        })
+    }
+
+    fn create(dir: &Path, expected_cells: usize) -> io::Result<Self> {
+        let slots = Slots::zeroed(slot_capacity_for(expected_cells as u64));
+        let index = create_rw(&dir.join("index.bin"))?;
+        index.set_len(HEADER_LEN + slots.0.len() as u64)?;
+        let shard_lens = vec![0; shard_count_for(expected_cells) as usize];
+        let mut cache = Self::assemble(dir, index, slots, shard_lens, 0)?;
+        cache.write_header()?;
+        Ok(cache)
+    }
+
+    /// Opens an existing index and reads its slot array; `Ok(None)` means
+    /// the index is unusable and the caller should rebuild from the
+    /// shards.
+    fn open_existing(dir: &Path) -> io::Result<Option<Self>> {
+        let index = fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join("index.bin"))?;
+        let mut header = [0u8; HEADER_LEN as usize];
+        if index.read_exact_at(&mut header, 0).is_err() {
+            return Ok(None); // shorter than a header: rebuild
+        }
+        let magic = get_u64(&header, 0);
+        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        let shard_count = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+        let capacity = get_u64(&header, 16);
+        let file_len = capacity
+            .checked_mul(SLOT_LEN)
+            .and_then(|slots| slots.checked_add(HEADER_LEN));
+        let usable = magic == INDEX_MAGIC
+            && version == INDEX_VERSION
+            && (1..=MAX_SHARDS).contains(&shard_count)
+            && capacity.is_power_of_two()
+            && file_len == Some(index.metadata()?.len());
+        if !usable {
+            return Ok(None);
+        }
+        let mut slots = Slots::zeroed(capacity);
+        index.read_exact_at(&mut slots.0, HEADER_LEN)?;
+        // The entry count is the table's, not the header's. A full table
+        // has no empty slot to end a probe: unusable.
+        let len = slots.occupied().count() as u64;
+        if len == capacity {
+            return Ok(None);
+        }
+        let shard_lens = (0..shard_count as usize)
+            .map(|s| get_u64(&header, 40 + s * 8))
+            .collect();
+        Self::assemble(dir, index, slots, shard_lens, len).map(Some)
+    }
+
+    fn shard_path(dir: &Path, shard: u32) -> PathBuf {
+        dir.join(format!("shard-{shard:03}.bin"))
     }
 
     fn write_header(&mut self) -> io::Result<()> {
@@ -370,13 +480,23 @@ impl BinaryCache {
         let mut header = vec![0u8; used];
         put_u64(&mut header, 0, INDEX_MAGIC);
         header[8..12].copy_from_slice(&INDEX_VERSION.to_le_bytes());
-        header[12..16].copy_from_slice(&self.shard_count.to_le_bytes());
-        put_u64(&mut header, 16, self.capacity);
+        header[12..16].copy_from_slice(&self.shard_count().to_le_bytes());
+        put_u64(&mut header, 16, self.slots.capacity());
         put_u64(&mut header, 24, self.len);
         for (s, &len) in self.shard_lens.iter().enumerate() {
             put_u64(&mut header, 40 + s * 8, len);
         }
-        write_all_at(&self.index, &header, 0)
+        self.index.write_all_at(&header, 0)
+    }
+
+    /// Writes the slot table and header into `self.index` — a fresh
+    /// `index.rebuild` — and renames it over `index.bin`, so a crash
+    /// mid-write leaves the previous index in place.
+    fn install_index(&mut self) -> io::Result<()> {
+        self.index.write_all_at(&self.slots.0, HEADER_LEN)?;
+        self.write_header()?;
+        self.index.sync_all()?;
+        fs::rename(self.dir.join("index.rebuild"), self.dir.join("index.bin"))
     }
 
     /// Validates every shard against its indexed length: re-indexes valid
@@ -384,7 +504,7 @@ impl BinaryCache {
     /// back to a full rebuild when the index is *ahead* of a shard (the
     /// shard lost bytes behind the index's back).
     fn recover_tails(&mut self) -> io::Result<()> {
-        for s in 0..self.shard_count as usize {
+        for s in 0..self.shards.len() {
             let actual = self.shards[s].metadata()?.len();
             if actual < self.shard_lens[s] {
                 let rebuilt = Self::rebuild_from_shards(&self.dir, 0)?;
@@ -395,18 +515,18 @@ impl BinaryCache {
                 return self.recover_tails();
             }
         }
-        for s in 0..self.shard_count as usize {
+        for s in 0..self.shards.len() {
             let actual = self.shards[s].metadata()?.len();
             let mut offset = self.shard_lens[s];
             while offset < actual {
                 let mut buf = [0u8; RECORD_LEN];
                 let intact = actual - offset >= RECORD_LEN as u64
-                    && read_exact_at(&self.shards[s], &mut buf, offset).is_ok();
+                    && self.shards[s].read_exact_at(&mut buf, offset).is_ok();
                 match intact.then(|| decode_record(&buf)).flatten() {
                     Some((key, _outcome)) => {
                         // A crash landed between the record append and the
                         // index update; finish the insert idempotently.
-                        if self.probe(key)?.is_none() {
+                        if self.probe(key).is_none() {
                             self.index_entry(key, s as u32, offset)?;
                         }
                         self.recovery.reindexed += 1;
@@ -437,6 +557,7 @@ impl BinaryCache {
             }
         }
         let shard_count = shard_count.max(shard_count_for(expected_cells));
+        let mut shard_lens = vec![0u64; shard_count as usize];
         let mut entries: Vec<(CellKey, u32, u64)> = Vec::new();
         let mut truncated = 0u64;
         for s in 0..shard_count {
@@ -462,163 +583,73 @@ impl BinaryCache {
                     .open(&path)?
                     .set_len(offset as u64)?;
             }
+            shard_lens[s as usize] = offset as u64;
         }
-        let capacity = slot_capacity_for(entries.len() as u64 + expected_cells as u64);
-        let tmp_path = dir.join("index.rebuild");
-        {
-            let tmp = fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            tmp.set_len(HEADER_LEN + capacity * SLOT_LEN)?;
-            let mut slots = vec![0u8; (capacity * SLOT_LEN) as usize];
-            let mut len = 0u64;
-            for &(key, shard, offset) in &entries {
-                let mut slot = home_slot(key.0, capacity);
-                loop {
-                    let at = (slot * SLOT_LEN) as usize;
-                    let loc = get_u64(&slots, at + 8);
-                    if loc == 0 {
-                        put_u64(&mut slots, at, key.0);
-                        put_u64(&mut slots, at + 8, (u64::from(shard) << 48) | (offset + 1));
-                        len += 1;
-                        break;
-                    }
-                    if get_u64(&slots, at) == key.0 {
-                        break; // duplicate record (re-appended after a crash)
-                    }
-                    slot = (slot + 1) & (capacity - 1);
-                }
+        let mut slots = Slots::zeroed(slot_capacity_for(
+            entries.len() as u64 + expected_cells as u64,
+        ));
+        let mut len = 0u64;
+        for (key, shard, offset) in entries {
+            // A duplicate record (re-appended after a crash) keeps its
+            // first copy.
+            if let Err(slot) = slots.find(key.0) {
+                slots.set(slot, &encode_slot(key.0, pack_loc(shard, offset)));
+                len += 1;
             }
-            let mut header = [0u8; HEADER_LEN as usize];
-            put_u64(&mut header, 0, INDEX_MAGIC);
-            header[8..12].copy_from_slice(&INDEX_VERSION.to_le_bytes());
-            header[12..16].copy_from_slice(&shard_count.to_le_bytes());
-            put_u64(&mut header, 16, capacity);
-            put_u64(&mut header, 24, len);
-            write_all_at(&tmp, &header, 0)?;
-            write_all_at(&tmp, &slots, HEADER_LEN)?;
-            tmp.sync_all()?;
         }
-        fs::rename(&tmp_path, dir.join("index.bin"))?;
-        let mut cache =
-            Self::open_existing(dir)?.ok_or_else(|| bad_data("rebuilt index unusable".into()))?;
-        // The rebuild scanned the full shards, so the index is consistent
-        // with their current lengths.
-        for s in 0..cache.shard_count as usize {
-            cache.shard_lens[s] = cache.shards[s].metadata()?.len();
-        }
+        let index = create_rw(&dir.join("index.rebuild"))?;
+        let mut cache = Self::assemble(dir, index, slots, shard_lens, len)?;
         cache.recovery = CacheRecovery {
             reindexed: 0,
             truncated_bytes: truncated,
             rebuilt_index: true,
         };
-        cache.write_header()?;
+        cache.install_index()?;
         Ok(cache)
     }
 
     /// Grows the index when `additional` more entries would push the load
-    /// factor past the limit. Growth rebuilds the slot array from the
-    /// *index* (not the shards): O(capacity), amortized over inserts.
+    /// factor past the limit. Growth rehashes the resident table (not the
+    /// shards): O(capacity), amortized over inserts.
     fn reserve(&mut self, additional: u64) -> io::Result<()> {
         let needed = slot_capacity_for(self.len + additional);
-        if needed <= self.capacity {
+        if needed <= self.slots.capacity() {
             return Ok(());
         }
-        let old_capacity = self.capacity;
-        let mut old_slots = vec![0u8; (old_capacity * SLOT_LEN) as usize];
-        read_exact_at(&self.index, &mut old_slots, HEADER_LEN)?;
-        let mut new_slots = vec![0u8; (needed * SLOT_LEN) as usize];
-        for i in 0..old_capacity {
-            let at = (i * SLOT_LEN) as usize;
-            let loc = get_u64(&old_slots, at + 8);
-            if loc == 0 {
-                continue;
-            }
-            let key = get_u64(&old_slots, at);
-            let mut slot = home_slot(key, needed);
-            loop {
-                let new_at = (slot * SLOT_LEN) as usize;
-                if get_u64(&new_slots, new_at + 8) == 0 {
-                    put_u64(&mut new_slots, new_at, key);
-                    put_u64(&mut new_slots, new_at + 8, loc);
-                    break;
-                }
-                slot = (slot + 1) & (needed - 1);
-            }
+        let mut grown = Slots::zeroed(needed);
+        for (key, loc) in self.slots.occupied() {
+            let (Ok(slot) | Err(slot)) = grown.find(key);
+            grown.set(slot, &encode_slot(key, loc));
         }
-        self.capacity = needed;
-        let tmp_path = self.dir.join("index.rebuild");
-        {
-            let tmp = fs::OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp_path)?;
-            tmp.set_len(HEADER_LEN + needed * SLOT_LEN)?;
-            write_all_at(&tmp, &new_slots, HEADER_LEN)?;
-            self.index = tmp;
-            self.write_header()?;
-            self.index.sync_all()?;
-        }
-        fs::rename(&tmp_path, self.dir.join("index.bin"))?;
-        Ok(())
+        self.index = create_rw(&self.dir.join("index.rebuild"))?;
+        self.slots = grown;
+        self.install_index()
     }
 
-    /// Probes the index for `key`: `Some((shard, offset))` when present.
-    fn probe(&self, key: CellKey) -> io::Result<Option<(u32, u64)>> {
-        let mut slot = home_slot(key.0, self.capacity);
-        let mut buf = [0u8; PROBE_BATCH * SLOT_LEN as usize];
-        let mut probed = 0u64;
-        while probed < self.capacity {
-            // One read covers PROBE_BATCH consecutive slots (clamped at
-            // the table's end; probing wraps around).
-            let batch = PROBE_BATCH.min((self.capacity - slot) as usize);
-            read_exact_at(
-                &self.index,
-                &mut buf[..batch * SLOT_LEN as usize],
-                HEADER_LEN + slot * SLOT_LEN,
-            )?;
-            for i in 0..batch {
-                let at = i * SLOT_LEN as usize;
-                let loc = get_u64(&buf, at + 8);
-                if loc == 0 {
-                    return Ok(None);
-                }
-                if get_u64(&buf, at) == key.0 {
-                    let shard = (loc >> 48) as u32;
-                    let offset = (loc & 0xFFFF_FFFF_FFFF) - 1;
-                    return Ok(Some((shard, offset)));
-                }
-            }
-            probed += batch as u64;
-            slot = (slot + batch as u64) & (self.capacity - 1);
-        }
-        Ok(None)
+    /// The `(shard, offset)` the index holds for `key`, if any.
+    fn probe(&self, key: CellKey) -> Option<(u32, u64)> {
+        let slot = self.slots.find(key.0).ok()?;
+        Some(unpack_loc(self.slots.get(slot).1))
     }
 
-    /// Writes one slot + header update for an entry already appended to
-    /// its shard at `offset`.
+    /// Indexes an entry already appended to its shard at `offset`: one
+    /// write for the slot, one for the header.
     fn index_entry(&mut self, key: CellKey, shard: u32, offset: u64) -> io::Result<()> {
         self.reserve(1)?;
-        let mut slot = home_slot(key.0, self.capacity);
-        let mut buf = [0u8; SLOT_LEN as usize];
-        loop {
-            read_exact_at(&self.index, &mut buf, HEADER_LEN + slot * SLOT_LEN)?;
-            if get_u64(&buf, 8) == 0 || get_u64(&buf, 0) == key.0 {
-                break;
-            }
-            slot = (slot + 1) & (self.capacity - 1);
+        // The key's own slot when re-indexing a record that failed
+        // validation; otherwise a free slot, the only case that adds an
+        // entry.
+        let found = self.slots.find(key.0);
+        let (Ok(slot) | Err(slot)) = found;
+        let bytes = encode_slot(key.0, pack_loc(shard, offset));
+        self.index
+            .write_all_at(&bytes, HEADER_LEN + slot * SLOT_LEN)?;
+        self.slots.set(slot, &bytes);
+        if found.is_err() {
+            self.len += 1;
         }
-        put_u64(&mut buf, 0, key.0);
-        put_u64(&mut buf, 8, (u64::from(shard) << 48) | (offset + 1));
-        write_all_at(&self.index, &buf, HEADER_LEN + slot * SLOT_LEN)?;
-        self.len += 1;
-        self.shard_lens[shard as usize] =
-            self.shard_lens[shard as usize].max(offset + RECORD_LEN as u64);
+        let s = shard as usize;
+        self.shard_lens[s] = self.shard_lens[s].max(offset + RECORD_LEN as u64);
         self.write_header()
     }
 
@@ -634,13 +665,13 @@ impl BinaryCache {
 
     /// Number of record shards.
     pub fn shard_count(&self) -> u32 {
-        self.shard_count
+        self.shards.len() as u32
     }
 
     /// Slot capacity of the index (a power of two).
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> u64 {
-        self.capacity
+        self.slots.capacity()
     }
 
     /// What open had to repair, if anything.
@@ -653,20 +684,27 @@ impl BinaryCache {
         &self.dir
     }
 
-    /// Looks up `key`: one index probe plus one record read — O(1)
-    /// whatever the cache size. A record that fails validation (torn by
-    /// an unclean shutdown the index survived) reads as a miss.
+    /// Looks up `key`: a probe of the resident index plus a record read
+    /// through the shard's window, which costs no I/O when the window
+    /// already holds the record — O(1) whatever the cache size. A record
+    /// that fails validation (torn by an unclean shutdown the index
+    /// survived) reads as a miss.
     pub fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
-        let Some((shard, offset)) = self.probe(key)? else {
+        let Some((shard, offset)) = self.probe(key) else {
             return Ok(None);
         };
-        if shard >= self.shard_count || offset + RECORD_LEN as u64 > self.shard_lens[shard as usize]
-        {
-            return Ok(None); // index ahead of the shard; treat as a miss
+        // An index entry past its shard's end (or naming no shard) is a
+        // miss.
+        let s = shard as usize;
+        let Some(&shard_len) = self.shard_lens.get(s) else {
+            return Ok(None);
+        };
+        if shard_len.saturating_sub(offset) < RECORD_LEN as u64 {
+            return Ok(None);
         }
-        let mut buf = [0u8; RECORD_LEN];
-        read_exact_at(&self.shards[shard as usize], &mut buf, offset)?;
-        match decode_record(&buf) {
+        let mut windows = self.windows.borrow_mut();
+        let record = windows[s].record(&self.shards[s], offset, shard_len)?;
+        match decode_record(record) {
             Some((recorded_key, outcome)) if recorded_key == key => Ok(Some(outcome)),
             _ => Ok(None),
         }
@@ -685,24 +723,23 @@ impl BinaryCache {
                 CacheInsert::Conflict
             });
         }
-        let shard = (key.0 % u64::from(self.shard_count)) as u32;
+        let shard = self.shard_of(key);
         let offset = self.shard_lens[shard as usize];
-        let record = encode_record(key, &outcome);
-        write_all_at(&self.shards[shard as usize], &record, offset)?;
+        self.shards[shard as usize].write_all_at(&encode_record(key, &outcome), offset)?;
         self.index_entry(key, shard, offset)
             .map(|()| CacheInsert::Inserted)
     }
 
     /// The shard a key's record lands in (for telemetry).
     pub(crate) fn shard_of(&self, key: CellKey) -> u32 {
-        (key.0 % u64::from(self.shard_count)) as u32
+        (key.0 % self.shards.len() as u64) as u32
     }
 
     /// Every entry, by sequential shard scan in `(shard, offset)` order —
     /// the O(file) path, used only by export/migration tooling.
     pub fn entries(&self) -> io::Result<Vec<(CellKey, SimOutcome)>> {
         let mut out = Vec::with_capacity(self.len as usize);
-        for s in 0..self.shard_count as usize {
+        for s in 0..self.shards.len() {
             let bytes = fs::read(Self::shard_path(&self.dir, s as u32))?;
             let mut offset = 0usize;
             while offset + RECORD_LEN <= bytes.len() {

@@ -651,9 +651,10 @@ pub enum CacheFormat {
     /// Append-only JSONL file — human-greppable, but warm start replays
     /// (parses) the whole file: O(file).
     Jsonl,
-    /// Sharded fixed-width records plus a persistent key index — warm
-    /// start probes per cell: O(hits), independent of cache size. See
-    /// [`crate::cache`].
+    /// Sharded fixed-width records plus a persistent key index — open
+    /// reads the index's slot array into memory and warm start probes it
+    /// per cell, so a lookup costs the same however large the cache is.
+    /// See [`crate::cache`].
     Binary,
 }
 
@@ -978,8 +979,9 @@ impl Orchestrator {
     /// Persists the result cache at `path`. The on-disk format follows
     /// [`Orchestrator::cache_format`] — by default a `.jsonl` path keeps
     /// the PR 4-era [`ResultCache`] line format and anything else is a
-    /// sharded, indexed [`BinaryCache`] directory whose warm-start cost
-    /// is O(probed cells) rather than O(file).
+    /// sharded, indexed [`BinaryCache`] directory whose warm start reads
+    /// the key index once and then only the probed cells' records, rather
+    /// than parsing the whole file.
     pub fn cache(mut self, path: impl Into<PathBuf>) -> Self {
         self.cache_path = Some(path.into());
         self
@@ -1097,9 +1099,10 @@ impl Orchestrator {
         obs.add("sweep.cells_resumed", resumed as u64);
 
         // 2. Consult the cache for everything past the prefix. A binary
-        //    cache probes its index per key — O(grid), never O(cache) —
-        //    so warm-start latency is independent of how many dead cells
-        //    the cache file has accumulated.
+        //    cache probes its in-memory index per key and reads records
+        //    through a per-shard window, so a lookup's cost is independent
+        //    of how many dead cells the cache has accumulated (open reads
+        //    their slots once).
         let mut cache = match &self.cache_path {
             Some(path) => Some(CacheBackend::open(path, self.cache_format, spec.len())?),
             None => None,
@@ -1164,11 +1167,7 @@ impl Orchestrator {
         // Split the localization budget across the sweep pool so the two
         // levels of parallelism multiply to at most the requested budget;
         // a share of 0 or 1 means every unit runs its chain in-line.
-        let unit_location_workers = if workers == 0 {
-            0
-        } else {
-            self.location_workers / workers
-        };
+        let unit_location_workers = self.location_workers.checked_div(workers).unwrap_or(0);
         obs.set_gauge("sweep.location_workers", unit_location_workers as i64);
         // Queue order: largest units first (unit size is the one cost
         // signal known up front), stable within equal sizes so a uniform

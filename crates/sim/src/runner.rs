@@ -105,7 +105,11 @@ impl ScheduledPairs {
 /// shrinking-batch shape as the sweep scheduler's work-stealing loop, so
 /// workers take big bites while the range is full and finish together as
 /// it drains.
-fn claim_batch(cursor: &AtomicUsize, total: usize, workers: usize) -> Option<std::ops::Range<usize>> {
+fn claim_batch(
+    cursor: &AtomicUsize,
+    total: usize,
+    workers: usize,
+) -> Option<std::ops::Range<usize>> {
     loop {
         let start = cursor.load(Ordering::SeqCst);
         if start >= total {
@@ -195,9 +199,10 @@ pub struct ProbeStage {
     impact: ImpactPrecompute,
 }
 
-/// Cross-cell cache for [`Runner::finish_from_stage_memo`]: each sensor's
-/// post-revocation error contribution, keyed by *which* of its kept
-/// references revocation dropped (a bitmask over the kept list in order).
+/// Cross-cell cache for [`Runner::finish_from_stage_observed`]: each
+/// sensor's post-revocation error contribution, keyed by *which* of its
+/// kept references revocation dropped (a bitmask over the kept list in
+/// order).
 ///
 /// The contribution is a pure function of (topology, kept list, dropped
 /// subset), and every cell sharing one [`ProbeStage`] shares the first two
@@ -399,8 +404,12 @@ impl Runner {
             .faults
             .as_ref()
             .unwrap_or(&self.deployment.config().faults);
-        let (outcome, trace) =
-            self.run_impl(telemetry, !options.reference, plan, options.location_workers);
+        let (outcome, trace) = self.run_impl(
+            telemetry,
+            !options.reference,
+            plan,
+            options.location_workers,
+        );
         RunOutput {
             outcome,
             trace: options.traced.then_some(trace),
@@ -454,22 +463,17 @@ impl Runner {
         self.finish_from_stage_inner(stage, None, &Obs::disabled())
     }
 
-    /// [`Runner::finish_from_stage`] with a cross-cell [`ImpactMemo`]:
-    /// bit-identical outcomes (the memo caches pure-function results), but
-    /// sensors whose dropped-reference subset repeats across the cells of
-    /// one shared stage are re-estimated only once. The memo must be fresh
-    /// for each distinct [`ProbeStage`].
-    pub fn finish_from_stage_memo(&self, stage: &ProbeStage, memo: &mut ImpactMemo) -> SimOutcome {
-        self.finish_from_stage_inner(stage, Some(memo), &Obs::disabled())
-    }
-
-    /// [`Runner::finish_from_stage_memo`] with telemetry: the revocation
-    /// and impact phases report on `telemetry` (spans, counters, `bs.alert`
-    /// / `revocation` / `alerts.summary` events) exactly as a full observed
-    /// run would. Instrumentation consumes no randomness, so the outcome is
-    /// still bit-identical to the plain staged finish — this is how the
-    /// sweep orchestrator attributes per-cell revocation decisions to their
-    /// cell's trace.
+    /// [`Runner::finish_from_stage`] with a cross-cell [`ImpactMemo`] and
+    /// telemetry. The memo caches pure-function results, so outcomes stay
+    /// bit-identical, but sensors whose dropped-reference subset repeats
+    /// across the cells of one shared stage are re-estimated only once;
+    /// the memo must be fresh for each distinct [`ProbeStage`]. The
+    /// revocation and impact phases report on `telemetry` (spans,
+    /// counters, `bs.alert` / `revocation` / `alerts.summary` events)
+    /// exactly as a full observed run would. Instrumentation consumes no
+    /// randomness, so the outcome is still bit-identical to the plain
+    /// staged finish — this is how the sweep orchestrator attributes
+    /// per-cell revocation decisions to their cell's trace.
     pub fn finish_from_stage_observed(
         &self,
         stage: &ProbeStage,
@@ -999,7 +1003,11 @@ impl Runner {
         let revoked: Vec<bool> = (0..cfg.beacons)
             .map(|b| station.is_revoked(NodeId(b)))
             .collect();
-        let workers_used = if optimized { location_workers.max(1) } else { 1 };
+        let workers_used = if optimized {
+            location_workers.max(1)
+        } else {
+            1
+        };
         telemetry.set_gauge("run.location_workers", location_workers as i64);
         telemetry.set_gauge("impact.workers", workers_used as i64);
         let mean_error = |filter_revoked: bool| -> Option<f64> {

@@ -7,11 +7,16 @@
 //!   repaired on open and costs at most the damaged entries;
 //! - scheduling is invisible in the bytes: serial, multi-worker and
 //!   kill-anywhere-resume sweeps produce byte-identical checkpoints *and*
-//!   byte-identical cache directories (index + every shard).
+//!   byte-identical cache directories (index + every shard);
+//! - the in-memory slot table and the per-shard read windows never serve
+//!   what the files would not: a live handle, a reopened one and one
+//!   rebuilt from the shards answer every lookup alike.
 
 use proptest::prelude::*;
+use secloc_obs::fnv1a;
 use secloc_sim::cache::RECORD_LEN;
-use secloc_sim::{BinaryCache, CacheFormat, Orchestrator, SimConfig, SweepSpec};
+use secloc_sim::orchestrator::{CacheInsert, CellKey};
+use secloc_sim::{BinaryCache, CacheFormat, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -224,6 +229,145 @@ fn index_behind_the_shards_reindexes_just_the_tail() {
     assert_eq!(warm.cache_hits, full.len());
     assert_eq!(warm.executed, 0);
     fs::remove_dir_all(&dir).ok();
+    fs::remove_dir_all(cache.parent().unwrap()).ok();
+}
+
+/// A distinct outcome per tag, so a record served from the wrong place
+/// never compares equal.
+fn outcome(tag: u64) -> SimOutcome {
+    SimOutcome {
+        malicious_total: 10,
+        benign_total: 90,
+        revoked_malicious: (tag % 11) as u32,
+        revoked_benign: 0,
+        affected_before: 3.5 + tag as f64,
+        affected_after: 0.25,
+        benign_alerts: tag as usize,
+        collusion_alerts: 7,
+        mean_requesters_per_beacon: 1.0 / 3.0,
+        mean_loc_error_before_ft: tag.is_multiple_of(2).then_some(5.25),
+        mean_loc_error_after_ft: None,
+    }
+}
+
+fn key(tag: u64) -> CellKey {
+    CellKey(fnv1a(&tag.to_le_bytes()))
+}
+
+/// The entry count `index.bin`'s header persists.
+fn header_entry_count(cache: &Path) -> u64 {
+    let index = fs::read(cache.join("index.bin")).unwrap();
+    u64::from_le_bytes(index[24..32].try_into().unwrap())
+}
+
+#[test]
+fn reinserting_a_key_whose_record_failed_validation_counts_it_once() {
+    let cache = scratch("reindex").join("cache.bin");
+    let mut live = BinaryCache::open(&cache, 4).unwrap();
+    assert_eq!(
+        live.insert_checked(key(0), outcome(0)).unwrap(),
+        CacheInsert::Inserted
+    );
+    drop(live);
+
+    // Bit-rot inside the record: the shard keeps its length, so open
+    // repairs nothing and the lookup reads as a miss.
+    let mut shard = fs::read(shard_path(&cache)).unwrap();
+    shard[60] ^= 0x40;
+    fs::write(shard_path(&cache), &shard).unwrap();
+    let mut reopened = BinaryCache::open(&cache, 0).unwrap();
+    assert!(reopened.recovery().clean());
+    assert_eq!(reopened.get(key(0)).unwrap(), None);
+
+    // Re-inserting re-points the key's own slot: still one entry.
+    assert_eq!(
+        reopened.insert_checked(key(0), outcome(0)).unwrap(),
+        CacheInsert::Inserted
+    );
+    assert_eq!(reopened.len(), 1);
+    assert_eq!(reopened.get(key(0)).unwrap(), Some(outcome(0)));
+    drop(reopened);
+    assert_eq!(header_entry_count(&cache), 1, "persisted count");
+    let again = BinaryCache::open(&cache, 0).unwrap();
+    assert_eq!(again.len(), 1);
+    assert_eq!(again.get(key(0)).unwrap(), Some(outcome(0)));
+    fs::remove_dir_all(cache.parent().unwrap()).ok();
+}
+
+#[test]
+fn a_record_appended_inside_the_read_window_span_is_served_fresh() {
+    let cache = scratch("window").join("cache.bin");
+    let mut live = BinaryCache::open(&cache, 0).unwrap();
+    assert_eq!(live.shard_count(), 1);
+    live.insert_checked(key(0), outcome(0)).unwrap();
+    // Each round reads the first record, which fills the shard's window
+    // from offset 0 to the shard's end, then appends right behind that
+    // window and reads the new record back. 40 records span more than
+    // one 4 KiB window.
+    for tag in 1..40u64 {
+        assert_eq!(live.get(key(0)).unwrap(), Some(outcome(0)));
+        assert_eq!(
+            live.insert_checked(key(tag), outcome(tag)).unwrap(),
+            CacheInsert::Inserted
+        );
+        assert_eq!(live.get(key(tag)).unwrap(), Some(outcome(tag)), "{tag}");
+    }
+    // The same across a reopen, whose window starts empty.
+    drop(live);
+    let mut reopened = BinaryCache::open(&cache, 0).unwrap();
+    assert_eq!(reopened.get(key(0)).unwrap(), Some(outcome(0)));
+    reopened.insert_checked(key(40), outcome(40)).unwrap();
+    assert_eq!(reopened.get(key(40)).unwrap(), Some(outcome(40)));
+    for tag in 0..=40u64 {
+        assert_eq!(reopened.get(key(tag)).unwrap(), Some(outcome(tag)));
+    }
+    fs::remove_dir_all(cache.parent().unwrap()).ok();
+}
+
+#[test]
+fn reopened_and_rebuilt_caches_answer_like_the_live_handle() {
+    let cache = scratch("resident").join("cache.bin");
+    // Two shards and 16,384 slots; 12,000 entries push the load past 0.7,
+    // so the index grows while the handle is live.
+    let mut live = BinaryCache::open(&cache, 8193).unwrap();
+    assert_eq!(live.shard_count(), 2);
+    let created_len = fs::metadata(cache.join("index.bin")).unwrap().len();
+    let n = 12_000u64;
+    for tag in 0..n {
+        assert_eq!(
+            live.insert_checked(key(tag), outcome(tag)).unwrap(),
+            CacheInsert::Inserted
+        );
+    }
+    assert!(
+        fs::metadata(cache.join("index.bin")).unwrap().len() > created_len,
+        "the index grew"
+    );
+    assert_eq!(live.len(), n as usize);
+    // Keys 0..n hit, n..n + 100 miss; lookups interleave the two shards.
+    let lookups = |cache: &BinaryCache| -> Vec<Option<SimOutcome>> {
+        (0..n + 100)
+            .map(|tag| cache.get(key(tag)).unwrap())
+            .collect()
+    };
+    let served = lookups(&live);
+    for (tag, got) in served.iter().enumerate() {
+        let want = (tag < n as usize).then(|| outcome(tag as u64));
+        assert_eq!(got, &want, "live handle, key {tag}");
+    }
+    drop(live);
+
+    let reopened = BinaryCache::open(&cache, 0).unwrap();
+    assert!(reopened.recovery().clean());
+    assert_eq!(reopened.len(), n as usize);
+    assert!(lookups(&reopened) == served, "reopened cache diverged");
+    drop(reopened);
+
+    fs::remove_file(cache.join("index.bin")).unwrap();
+    let rebuilt = BinaryCache::open(&cache, 0).unwrap();
+    assert!(rebuilt.recovery().rebuilt_index);
+    assert_eq!(rebuilt.len(), n as usize);
+    assert!(lookups(&rebuilt) == served, "rebuilt cache diverged");
     fs::remove_dir_all(cache.parent().unwrap()).ok();
 }
 

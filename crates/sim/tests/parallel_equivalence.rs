@@ -94,13 +94,12 @@ fn parallel_run_matches_serial_under_faults() {
         let runner = Runner::new(cfg.clone(), seed);
         let serial = runner.run(RunOptions::new().faults(plan.clone())).outcome;
         let parallel = runner
-            .run(
-                RunOptions::new()
-                    .faults(plan.clone())
-                    .location_workers(4),
-            )
+            .run(RunOptions::new().faults(plan.clone()).location_workers(4))
             .outcome;
-        assert_eq!(serial, parallel, "faulted parallel run diverged, seed {seed}");
+        assert_eq!(
+            serial, parallel,
+            "faulted parallel run diverged, seed {seed}"
+        );
     }
 }
 
@@ -121,7 +120,10 @@ fn parallel_probe_stage_matches_serial_staged_finish() {
         policy.tau = tau;
         policy.tau_prime = tau_prime;
         let cell = Runner::from_deployment(
-            runner.deployment().with_policy(policy.clone()).expect("policy"),
+            runner
+                .deployment()
+                .with_policy(policy.clone())
+                .expect("policy"),
         );
         assert_eq!(
             cell.finish_from_stage(&serial_stage),
