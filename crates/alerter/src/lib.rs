@@ -39,5 +39,5 @@ pub mod service;
 pub mod wire;
 
 pub use replay::{diff_checkpoint, replay_stream, CheckpointDiff, ReplayReport};
-pub use service::{Alerter, AlerterConfig, AlerterStats, DeploymentSummary};
+pub use service::{Alerter, AlerterConfig, AlerterStats, DeploymentSummary, MAX_LINE_BYTES};
 pub use wire::{parse_line, WireEvent};

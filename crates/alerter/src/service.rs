@@ -25,10 +25,18 @@ use secloc_core::{
 use secloc_obs::{fnv1a, Obs, SpanContext, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{BufRead, Read as _};
 
 /// The key of accusations that name no deployment.
 const DEFAULT_KEY: &str = "default";
+
+/// The most bytes of one input line, its newline included, that
+/// [`Alerter::ingest_reader`] holds in memory: 1 MiB, several thousand
+/// times the mean wire line (about 180 bytes). A line whose newline does
+/// not arrive within them is consumed up to that newline without being
+/// buffered and counts as one malformed line, so a hostile stream cannot
+/// grow the line buffer past twice this cap.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Deployment keys become trace ids by FNV-1a, the workspace's content
 /// hash, except keys that already *are* 16-hex trace ids (sweep cell
@@ -188,13 +196,24 @@ impl Alerter {
     /// buffer. Lines are split at `\n` with a trailing `\r` stripped, as
     /// [`BufRead::lines`] does, but each is decoded as UTF-8 on its own: a
     /// line that is not valid UTF-8 is a malformed line (counted, reported,
-    /// survived), not the end of the stream. Only I/O errors are returned.
+    /// survived), not the end of the stream. So is a line longer than
+    /// [`MAX_LINE_BYTES`], which is skipped without being held in memory.
+    /// Only I/O errors are returned.
     pub fn ingest_reader<R: BufRead>(&mut self, mut reader: R) -> std::io::Result<()> {
         let mut buf = Vec::new();
         loop {
             buf.clear();
-            if reader.read_until(b'\n', &mut buf)? == 0 {
+            let read = (&mut reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut buf)?;
+            if read == 0 {
                 return Ok(());
+            }
+            if read == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+                reader.skip_until(b'\n')?;
+                self.stats.lines += 1;
+                self.malformed(format!("line longer than the {MAX_LINE_BYTES}-byte cap"));
+                continue;
             }
             let mut line = &buf[..];
             if let Some(rest) = line.strip_suffix(b"\n") {

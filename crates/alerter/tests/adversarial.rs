@@ -4,12 +4,20 @@
 //! interleaving — and N concurrent deployments must never
 //! cross-contaminate.
 
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::peak_live_bytes;
 use proptest::prelude::*;
-use secloc_alerter::{replay_stream, Alerter, AlerterConfig};
+use secloc_alerter::{replay_stream, Alerter, AlerterConfig, MAX_LINE_BYTES};
 use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::{MemorySink, Obs, Value};
+use std::io::{self, BufReader, Read as _};
 use std::sync::Arc;
+
+#[global_allocator]
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 fn alert(dep: &str, reporter: u32, target: u32) -> String {
     format!(r#"{{"kind":"alert","deployment":"{dep}","reporter":{reporter},"target":{target}}}"#)
@@ -107,6 +115,71 @@ fn non_utf8_line_between_valid_lines_is_one_malformed_line() {
         .expect("replay survives a non-UTF-8 line");
     assert_eq!(replayed.stats().malformed, 1);
     assert_eq!(replayed.stats().decisions, c.decisions);
+}
+
+#[test]
+fn an_oversized_line_is_skipped_in_bounded_memory() {
+    let (block, peak) = peak_live_bytes(|| vec![0u8; 4 << 20]);
+    assert!(peak >= 4 << 20, "the live-byte counter sees allocations");
+    drop(block);
+
+    // A valid line, 16 MiB of one line generated on the fly (so the input
+    // itself is never in memory), then another valid line.
+    let huge = 16u64 << 20;
+    let stream = io::Cursor::new(alert("d", 1, 9) + "\n")
+        .chain(io::repeat(b'x').take(huge))
+        .chain(io::Cursor::new(format!("\n{}\n", alert("d", 2, 9))));
+    let reader = BufReader::new(stream);
+    let sink = Arc::new(MemorySink::new());
+    let mut alerter = Alerter::new(AlerterConfig::default(), Obs::with_sink(sink.clone()));
+    let (result, peak) = peak_live_bytes(|| alerter.ingest_reader(reader));
+    result.expect("an oversized line does not end the stream");
+
+    let stats = alerter.stats();
+    assert_eq!((stats.lines, stats.malformed), (3, 1));
+    assert_eq!(stats.decisions, 2, "both valid lines were ingested");
+    assert!(
+        peak < 2 << 20,
+        "ingesting a 16 MiB line held {peak} bytes live at once"
+    );
+    let errors: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "alerter.malformed")
+        .filter_map(|e| match e.field("error") {
+            Some(Value::Str(error)) => Some(error.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors.len(), 1);
+    assert!(
+        errors[0].contains(&MAX_LINE_BYTES.to_string()),
+        "the reason names the cap: {}",
+        errors[0]
+    );
+}
+
+#[test]
+fn a_line_just_under_the_cap_is_read_whole() {
+    // Padding in a string value keeps the line valid JSON at any length.
+    let line = |pad: usize| {
+        format!(
+            r#"{{"kind":"alert","deployment":"d","reporter":1,"target":9,"pad":"{}"}}"#,
+            "x".repeat(pad)
+        )
+    };
+    let long = line(MAX_LINE_BYTES - 1 - line(0).len());
+    assert_eq!(
+        long.len() + 1,
+        MAX_LINE_BYTES,
+        "newline included, exactly the cap"
+    );
+    let mut alerter = fresh();
+    alerter
+        .ingest_reader(format!("{long}\n{}\n", line(MAX_LINE_BYTES)).as_bytes())
+        .expect("stream");
+    let stats = alerter.stats();
+    assert_eq!((stats.lines, stats.malformed, stats.decisions), (2, 1, 1));
 }
 
 #[test]

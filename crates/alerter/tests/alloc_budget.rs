@@ -6,64 +6,21 @@
 //!   [`Obs::disabled`] allocates at most once: the action list
 //!   `RevocationMachine::apply` returns.
 //!
-//! Counts are per thread, so tests running in parallel do not disturb
-//! each other.
+//! Counts are per thread (see `common/counting_alloc.rs`), so tests
+//! running in parallel do not disturb each other.
 
 mod common;
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use secloc_alerter::{parse_line, Alerter, AlerterConfig};
 use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::Obs;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// The system allocator, counting every allocation and reallocation made
-/// on the current thread.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract. Counting touches only a
-// const-initialized thread-local `Cell`, which never allocates and has no
-// destructor, so it cannot re-enter the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Runs `f` and returns its result with the allocations it made.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 #[test]
 fn counter_sees_allocations() {

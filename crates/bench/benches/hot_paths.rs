@@ -387,7 +387,9 @@ fn bench_sweep_sharing(cfg: &SimConfig, quick: bool) -> SweepSharing {
 /// start probes an in-memory index per cell, so dead cells cost lookups
 /// nothing; open reads their slots once, and `warm_ratio`'s ceiling bounds
 /// that. Its cost per cell (`warm_ns_per_cell`) is gated too: keying plus
-/// windowed record reads.
+/// windowed record reads. A second warm pass writes a checkpoint
+/// (`warm_ckpt_ns_per_cell`, gated): every cell adds one encoded line, so
+/// it moves with the number encoders.
 struct SweepScale {
     cells: usize,
     units: usize,
@@ -399,6 +401,7 @@ struct SweepScale {
     efficiency_target: f64,
     cache_shards: u32,
     warm_hits_ns: u64,
+    warm_ckpt_ns: u64,
     warm_dead_ns: u64,
     dead_cells: usize,
     warm_ratio: f64,
@@ -414,6 +417,12 @@ impl SweepScale {
     /// probe and one record read per cell, no checkpoint.
     fn warm_ns_per_cell(&self) -> f64 {
         self.warm_hits_ns as f64 / self.cells as f64
+    }
+
+    /// The same warm start writing a fresh checkpoint: one encoded line
+    /// per cell on top of the lookups.
+    fn warm_ckpt_ns_per_cell(&self) -> f64 {
+        self.warm_ckpt_ns as f64 / self.cells as f64
     }
 }
 
@@ -503,6 +512,22 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
     let _ = warm();
     let best_of_3 = |measure: &dyn Fn() -> u64| (0..3).map(|_| measure()).min().expect("3 runs");
     let warm_hits_ns = best_of_3(&warm);
+    // An existing checkpoint would be resumed, so each pass starts without
+    // one (removed outside the timed region).
+    let checkpoint = dir.join("checkpoint.jsonl");
+    let warm_ckpt = || {
+        let _ = std::fs::remove_file(&checkpoint);
+        time(|| {
+            let report = Orchestrator::new()
+                .cache(&cache)
+                .cache_format(CacheFormat::Binary)
+                .checkpoint(&checkpoint)
+                .run(&spec)
+                .expect("warm checkpointed sweep");
+            assert_eq!(report.executed, 0, "warm start must be all hits");
+        })
+    };
+    let warm_ckpt_ns = best_of_3(&warm_ckpt);
     let mut bc = BinaryCache::open(&cache, dead_cells).expect("open cache for flooding");
     let donor = bc.entries().expect("scan cache")[0].1.clone();
     for i in 0..dead_cells as u64 {
@@ -525,6 +550,7 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
         efficiency_target: 0.7,
         cache_shards,
         warm_hits_ns,
+        warm_ckpt_ns,
         warm_dead_ns,
         dead_cells,
         warm_ratio: warm_dead_ns as f64 / warm_hits_ns as f64,
@@ -795,6 +821,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
+        "    \"warm_ckpt_ns\": {}, \"warm_ckpt_ns_per_cell\": {:.0},",
+        scale.warm_ckpt_ns,
+        scale.warm_ckpt_ns_per_cell()
+    );
+    let _ = writeln!(
+        json,
         "    \"warm_ratio\": {:.4}, \"warm_ratio_target\": {:.1}",
         scale.warm_ratio, scale.warm_ratio_target
     );
@@ -872,10 +904,11 @@ fn main() {
         scale.efficiency_target
     );
     println!(
-        "  warm start: {:.1} ms over live cache ({:.0} ns/cell) vs {:.1} ms with {} dead cells — \
-         ratio {:.2} (ceiling {:.1})",
+        "  warm start: {:.1} ms over live cache ({:.0} ns/cell; {:.0} ns/cell writing a checkpoint) \
+         vs {:.1} ms with {} dead cells — ratio {:.2} (ceiling {:.1})",
         scale.warm_hits_ns as f64 / 1e6,
         scale.warm_ns_per_cell(),
+        scale.warm_ckpt_ns_per_cell(),
         scale.warm_dead_ns as f64 / 1e6,
         scale.dead_cells,
         scale.warm_ratio,

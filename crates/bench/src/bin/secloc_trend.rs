@@ -12,6 +12,10 @@
 //! - `fail` — a hard limit is broken (the old CI inline-python check);
 //! - `warn` — within limits but regressed noticeably against the
 //!   history baseline (median of the matching window);
+//! - `unmeasured` — a worker-scaling efficiency the bench host could not
+//!   measure (fewer than two workers, or more workers than cores): it is
+//!   printed and written to the report but left out of the overall
+//!   verdict and of the history;
 //! - `pass` — everything else.
 //!
 //! Exit status is non-zero iff any metric fails (warnings are reported
@@ -48,6 +52,8 @@ enum Verdict {
     Pass,
     Warn,
     Fail,
+    /// The report could not measure the value; it never gates.
+    Unmeasured,
 }
 
 impl Verdict {
@@ -56,6 +62,7 @@ impl Verdict {
             Verdict::Pass => "pass",
             Verdict::Warn => "warn",
             Verdict::Fail => "fail",
+            Verdict::Unmeasured => "unmeasured",
         }
     }
 }
@@ -65,9 +72,69 @@ struct Metric {
     name: String,
     value: f64,
     limit: Limit,
+    /// For a worker-scaling efficiency: the bench host's core count.
+    cores: Option<u64>,
     baseline: Option<f64>,
     delta_pct: Option<f64>,
     verdict: Verdict,
+}
+
+/// Worker-scaling efficiencies (`perf.<section>.efficiency`) are ratios of
+/// a serial time to a parallel one, meaningful only when the parallel run
+/// had at least two workers, each on its own core.
+fn scaling_section(name: &str) -> Option<&str> {
+    name.strip_prefix("perf.")?.strip_suffix(".efficiency")
+}
+
+/// For a scaling efficiency: the host's cores and whether the report
+/// measured the ratio at all. `None` for every other metric, and for
+/// reports that predate the `cores` / `efficiency_workers` fields.
+fn scaling_host(perf: Option<&JsonValue>, name: &str) -> Option<(u64, bool)> {
+    let section = scaling_section(name)?;
+    let report = perf?.get(section)?;
+    let cores = report.get("cores")?.as_u64()?;
+    let workers = report.get("efficiency_workers")?.as_u64()?;
+    Some((cores, workers >= 2 && cores >= workers))
+}
+
+/// Judges every collected value against its limit and baseline.
+fn evaluate(
+    perf: Option<&JsonValue>,
+    raw: Vec<(String, f64, Limit)>,
+    series: &[(String, Vec<f64>)],
+) -> Vec<Metric> {
+    raw.into_iter()
+        .map(|(name, value, limit)| {
+            let baseline = series
+                .iter()
+                .find(|(n, _)| *n == name)
+                .and_then(|(_, values)| median(values));
+            let host = scaling_host(perf, &name);
+            let (verdict, delta_pct) = match host {
+                Some((_, false)) => (Verdict::Unmeasured, None),
+                _ => judge(value, limit, baseline),
+            };
+            Metric {
+                name,
+                value,
+                limit,
+                cores: host.map(|(cores, _)| cores),
+                baseline,
+                delta_pct,
+                verdict,
+            }
+        })
+        .collect()
+}
+
+/// The worst verdict among the measured metrics.
+fn overall_verdict(metrics: &[Metric]) -> Verdict {
+    metrics
+        .iter()
+        .map(|m| m.verdict)
+        .filter(|&v| v != Verdict::Unmeasured)
+        .max()
+        .unwrap_or(Verdict::Pass)
 }
 
 /// Relative + absolute slack before a baseline drift becomes a warning:
@@ -165,7 +232,9 @@ fn report_key(perf: Option<&JsonValue>, robustness: Option<&JsonValue>) -> Repor
 /// `window` history entries whose key matches (same outcome revision,
 /// config fingerprint, and bench mode — the code version is recorded for
 /// the audit trail but does not partition the history, or a routine
-/// version bump would silently reset every baseline).
+/// version bump would silently reset every baseline). A scaling
+/// efficiency counts only from entries that record its host's `cores`:
+/// older entries wrote 1.0 for ratios a one-core host never measured.
 fn baselines(
     history_path: &Path,
     key: &ReportKey,
@@ -198,8 +267,12 @@ fn baselines(
         let Some(metrics) = entry.get("metrics").and_then(|m| m.as_object()) else {
             continue;
         };
+        let cores = entry.get("cores");
         for (name, value) in metrics {
             let Some(v) = value.as_f64() else { continue };
+            if scaling_section(name).is_some() && cores.and_then(|c| c.get(name)).is_none() {
+                continue;
+            }
             match series.iter_mut().find(|(n, _)| n == name) {
                 Some((_, values)) => values.push(v),
                 None => series.push((name.clone(), vec![v])),
@@ -289,6 +362,26 @@ fn collect_metrics(
                 Limit::Ceiling(1200.0),
             ));
         }
+        if let Some(v) = number_at(perf, &["sweep_scale", "warm_ckpt_ns_per_cell"]) {
+            // The same warm start writing its checkpoint, per cell: lookups
+            // plus one encoded line. In full mode the ceiling sits between
+            // the `secloc_obs::num` encoders (695–931 ns on a 2-vCPU VM,
+            // × 1.5 = 1,397) and `core::fmt` (1,410–1,995 ns): a rise past
+            // it means encoding went back to `fmt`. Quick mode's 1,000-cell
+            // pass is too short to tell them apart (1,055–1,070 ns against
+            // 1,061–1,755 ns), so there the value is trend-only.
+            let quick = perf.get("quick").and_then(JsonValue::as_bool) == Some(true);
+            let limit = if quick {
+                Limit::None
+            } else {
+                Limit::Ceiling(1400.0)
+            };
+            out.push((
+                "perf.sweep_scale.warm_ckpt_ns_per_cell".to_string(),
+                v,
+                limit,
+            ));
+        }
         if let Some(v) = number_at(perf, &["sweep_scale", "ns_per_cell_best"]) {
             // Trend-only cost per cell (lower is better, which is what
             // `Limit::None`'s baseline check assumes): machine-dependent,
@@ -364,6 +457,9 @@ fn write_trend_report(
             Some(v) => push_json_f64(&mut s, v),
             None => s.push_str("null"),
         }
+        if let Some(cores) = m.cores {
+            let _ = write!(s, ", \"cores\": {cores}");
+        }
         s.push_str(", \"baseline\": ");
         match m.baseline {
             Some(v) => push_json_f64(&mut s, v),
@@ -403,13 +499,28 @@ fn append_history(path: &Path, key: &ReportKey, metrics: &[Metric]) -> std::io::
     line.push_str(",\"mode\":");
     push_json_string(&mut line, &key.mode);
     let _ = write!(line, ",\"recorded_unix\":{recorded},\"metrics\":{{");
-    for (i, m) in metrics.iter().enumerate() {
+    // Unmeasured values never enter the history; each scaling efficiency
+    // records its host's cores next to it.
+    let measured: Vec<&Metric> = metrics
+        .iter()
+        .filter(|m| m.verdict != Verdict::Unmeasured)
+        .collect();
+    for (i, m) in measured.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
         push_json_string(&mut line, &m.name);
         line.push(':');
         push_json_f64(&mut line, m.value);
+    }
+    line.push_str("},\"cores\":{");
+    let with_cores = measured.iter().filter_map(|m| Some((&m.name, m.cores?)));
+    for (i, (name, cores)) in with_cores.enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_json_string(&mut line, name);
+        let _ = write!(line, ":{cores}");
     }
     line.push_str("}}\n");
     use std::io::Write as _;
@@ -629,29 +740,8 @@ fn main() -> ExitCode {
     }
 
     let (history_entries, series) = baselines(&history_path, &key, args.baseline_window);
-    let metrics: Vec<Metric> = raw
-        .into_iter()
-        .map(|(name, value, limit)| {
-            let baseline = series
-                .iter()
-                .find(|(n, _)| *n == name)
-                .and_then(|(_, values)| median(values));
-            let (verdict, delta_pct) = judge(value, limit, baseline);
-            Metric {
-                name,
-                value,
-                limit,
-                baseline,
-                delta_pct,
-                verdict,
-            }
-        })
-        .collect();
-    let overall = metrics
-        .iter()
-        .map(|m| m.verdict)
-        .max()
-        .unwrap_or(Verdict::Pass);
+    let metrics = evaluate(perf.as_ref(), raw, &series);
+    let overall = overall_verdict(&metrics);
 
     for m in &metrics {
         let limit = match m.limit {
@@ -659,8 +749,11 @@ fn main() -> ExitCode {
             Limit::Ceiling(v) => format!(" (ceiling {v})"),
             Limit::None => String::new(),
         };
-        let baseline = match (m.baseline, m.delta_pct) {
-            (Some(b), Some(d)) => format!(" baseline {b:.4} ({d:+.1}%)"),
+        let baseline = match (m.verdict, m.cores, m.baseline, m.delta_pct) {
+            (Verdict::Unmeasured, Some(cores), _, _) => {
+                format!(" — not measured on this host ({cores} core(s))")
+            }
+            (_, _, Some(b), Some(d)) => format!(" baseline {b:.4} ({d:+.1}%)"),
             _ => String::new(),
         };
         println!(
@@ -697,5 +790,137 @@ fn main() -> ExitCode {
     } else {
         println!("verdict: {}", overall.label());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A full-mode perf report from a one-core host: the localization pool
+    /// ran one worker, so its efficiency is the trivial 1.0; the sweep's
+    /// cold pass ran two workers on that one core.
+    const ONE_CORE_PERF: &str = r#"{
+        "code_version": "v", "outcome_revision": 2, "config_fingerprint": "f", "quick": false,
+        "location_parallel": {"cores": 1, "efficiency": 1.0, "efficiency_workers": 1,
+                              "efficiency_target": 0.6},
+        "sweep_scale": {"cores": 1, "efficiency": 0.4, "efficiency_workers": 2,
+                        "efficiency_target": 0.7, "warm_ns_per_cell": 300,
+                        "warm_ckpt_ns_per_cell": 1500}
+    }"#;
+
+    fn history_file(name: &str, lines: &[&str]) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("secloc_trend_{name}_{}.jsonl", std::process::id()));
+        fs::write(&path, lines.concat()).expect("write history");
+        path
+    }
+
+    #[test]
+    fn efficiencies_a_one_core_host_cannot_measure_are_unmeasured() {
+        let perf = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
+        let raw = collect_metrics(Some(&perf), None, None);
+        let metrics = evaluate(Some(&perf), raw, &[]);
+        let verdict = |name: &str| {
+            metrics
+                .iter()
+                .find(|m| m.name == name)
+                .map(|m| (m.verdict, m.cores))
+                .expect("metric collected")
+        };
+        // 1 worker: no parallel run at all.
+        assert_eq!(
+            verdict("perf.location_parallel.efficiency"),
+            (Verdict::Unmeasured, Some(1))
+        );
+        // 2 workers on 1 core: below its 0.7 floor, but not a failure.
+        assert_eq!(
+            verdict("perf.sweep_scale.efficiency"),
+            (Verdict::Unmeasured, Some(1))
+        );
+        assert_eq!(
+            verdict("perf.sweep_scale.warm_ns_per_cell"),
+            (Verdict::Pass, None)
+        );
+        // 1,500 ns/cell is what `core::fmt` encoding costs: gated in full
+        // mode only.
+        let limit = |m: &[Metric]| {
+            m.iter()
+                .find(|m| m.name == "perf.sweep_scale.warm_ckpt_ns_per_cell")
+                .map(|m| (m.limit, m.verdict))
+        };
+        assert_eq!(
+            limit(&metrics),
+            Some((Limit::Ceiling(1400.0), Verdict::Fail))
+        );
+        assert_eq!(
+            overall_verdict(&metrics),
+            Verdict::Fail,
+            "the checkpoint pass"
+        );
+        let quick = ONE_CORE_PERF.replace("\"quick\": false", "\"quick\": true");
+        let perf = JsonValue::parse(&quick).expect("report parses");
+        let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
+        assert_eq!(limit(&metrics), Some((Limit::None, Verdict::Pass)));
+
+        // The same report from a two-core host is measured, and gated.
+        let two_cores = ONE_CORE_PERF.replace("\"cores\": 1", "\"cores\": 2");
+        let perf = JsonValue::parse(&two_cores).expect("report parses");
+        let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
+        assert_eq!(overall_verdict(&metrics), Verdict::Fail);
+    }
+
+    #[test]
+    fn history_keeps_cores_and_drops_unmeasured_values() {
+        let perf = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
+        let key = report_key(Some(&perf), None);
+        let mut metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
+        // Make one efficiency measured, as on a two-core host.
+        let sweep = metrics
+            .iter_mut()
+            .find(|m| m.name == "perf.sweep_scale.efficiency")
+            .expect("collected");
+        sweep.verdict = Verdict::Pass;
+        sweep.cores = Some(2);
+        // An entry from before `cores` was recorded: its efficiencies are
+        // ignored, its other metrics still count.
+        let old = "{\"outcome_revision\":2,\"config_fingerprint\":\"f\",\"mode\":\"full\",\
+                   \"metrics\":{\"perf.sweep_scale.efficiency\":1,\
+                   \"perf.sweep_scale.warm_ns_per_cell\":500}}\n";
+        let path = history_file("cores", &[old]);
+        append_history(&path, &key, &metrics).expect("append");
+        let text = fs::read_to_string(&path).expect("read history");
+        let written = JsonValue::parse(text.lines().last().expect("appended")).expect("json");
+        let recorded = written.get("metrics").expect("metrics");
+        assert!(recorded.get("perf.location_parallel.efficiency").is_none());
+        assert_eq!(
+            recorded
+                .get("perf.sweep_scale.efficiency")
+                .and_then(JsonValue::as_f64),
+            Some(0.4)
+        );
+        assert_eq!(
+            written
+                .pointer(&["cores", "perf.sweep_scale.efficiency"])
+                .and_then(JsonValue::as_u64),
+            Some(2)
+        );
+
+        let (entries, series) = baselines(&path, &key, 5);
+        let _ = fs::remove_file(&path);
+        assert_eq!(entries, 2);
+        let values = |name: &str| {
+            series
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_default()
+        };
+        assert_eq!(values("perf.sweep_scale.efficiency"), vec![0.4]);
+        assert_eq!(
+            values("perf.sweep_scale.warm_ns_per_cell"),
+            vec![500.0, 300.0]
+        );
+        assert!(values("perf.location_parallel.efficiency").is_empty());
     }
 }

@@ -151,27 +151,19 @@ impl MmseScratch {
 /// [`MmseEstimator`] — same float operations in the
 /// same order — but free of per-call allocation and able to solve filtered
 /// subsets without materializing them. The inner accumulations run through
-/// the crate's lane kernels (`simd.rs`); with `fast_math` off (the default)
-/// their exact reduction order keeps the bit-identity contract.
+/// the crate's lane kernels (`simd.rs`), whose sequential reduction order
+/// keeps the bit-identity contract.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchedMmse {
     /// The scalar solver whose parameters (iterations, tolerance) govern
     /// the batched chain.
     pub inner: MmseEstimator,
-    /// Opt into the reassociated lane reduction (`(p0+p1)+(p2+p3)` over
-    /// four partial accumulators). Faster, but results are only
-    /// tolerance-equal to the scalar chain — leave off anywhere outcomes
-    /// must stay bit-identical.
-    pub fast_math: bool,
 }
 
 impl BatchedMmse {
-    /// The bit-identical solver around `inner` (FastMath off).
+    /// The bit-identical solver around `inner`.
     pub fn exact(inner: MmseEstimator) -> Self {
-        BatchedMmse {
-            inner,
-            fast_math: false,
-        }
+        BatchedMmse { inner }
     }
 
     /// Solves over the scratch's active rows.
@@ -187,8 +179,8 @@ impl BatchedMmse {
                 need: self.inner.min_references(),
             });
         }
-        let seed = linear_seed_rows(s, self.fast_math)?;
-        let refined = gauss_newton_rows(&self.inner, seed, s, self.fast_math)?;
+        let seed = linear_seed_rows(s)?;
+        let refined = gauss_newton_rows(&self.inner, seed, s)?;
         Ok(s.estimate_at(refined))
     }
 }
@@ -196,7 +188,7 @@ impl BatchedMmse {
 /// Mirror of `mmse::linear_seed` over the active rows, with the row
 /// accumulation delegated to the [`crate::simd`] lane kernel. Keep the
 /// surrounding solve in lockstep with the scalar version.
-fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError> {
+fn linear_seed_rows(s: &MmseScratch) -> Result<Point2, EstimateError> {
     let &last = s.idx.last().expect("caller checked len >= 3");
     // The active set is the identity exactly when nothing was filtered
     // (`idx` only ever shrinks from `0..len`); route that common case
@@ -213,7 +205,6 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
             &s.d[..m],
             crate::simd::Dense(m),
             (s.ax[last], s.ay[last], s.d[last]),
-            fast,
         )
     } else {
         crate::simd::seed_accumulate(
@@ -222,7 +213,6 @@ fn linear_seed_rows(s: &MmseScratch, fast: bool) -> Result<Point2, EstimateError
             &s.d,
             &s.idx[..s.idx.len() - 1],
             (s.ax[last], s.ay[last], s.d[last]),
-            fast,
         )
     };
     let (m00, m01, m11) = (acc.m00, acc.m01, acc.m11);
@@ -245,7 +235,6 @@ fn gauss_newton_rows(
     est: &MmseEstimator,
     mut p: Point2,
     s: &MmseScratch,
-    fast: bool,
 ) -> Result<Point2, EstimateError> {
     let dense = s.idx.len() == s.ax.len();
     let n = s.idx.len();
@@ -259,10 +248,9 @@ fn gauss_newton_rows(
                 &s.ay[..n],
                 &s.d[..n],
                 crate::simd::Dense(n),
-                fast,
             )
         } else {
-            crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d, s.idx.as_slice(), fast)
+            crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d, s.idx.as_slice())
         };
         let (jtj00, jtj01, jtj11) = (acc.jtj00, acc.jtj01, acc.jtj11);
         let jtr = Vector2::new(acc.jtrx, acc.jtry);

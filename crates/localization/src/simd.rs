@@ -10,38 +10,23 @@
 //!
 //! # Lane-reduction convention
 //!
-//! Each accumulation kernel has two reduction modes:
+//! The two accumulation kernels reduce exactly: a fused sequential loop —
+//! terms computed and folded row by row in ascending active order,
+//! exactly the operations (and operation order) of the scalar
+//! `BatchedMmse`/`MmseEstimator` chain, so the result is bit-identical
+//! (enforced by `to_bits` tests and the proptest sweep). The strict
+//! left-fold is a serial dependency chain, which caps how much the
+//! compiler may vectorize; on the small per-sensor reference sets the
+//! simulator solves (≤ a dozen rows), the fused loop measured *faster*
+//! than staging terms through lane arrays, so the kernels do not stage.
+//! Rows skipped by the scalar loop (the `dist < 1e-9` Gauss–Newton guard)
+//! are skipped under the identical predicate — they are *not* folded as
+//! `+0.0`, which would flip a `-0.0` accumulator to `+0.0`.
 //!
-//! - **Exact** (the default): a fused sequential loop — terms computed
-//!   and folded row by row in ascending active order, exactly the
-//!   operations (and operation order) of the scalar
-//!   `BatchedMmse`/`MmseEstimator` chain, so the result is bit-identical
-//!   (enforced by `to_bits` tests and the proptest sweep). The strict
-//!   left-fold is a serial dependency chain, which caps how much the
-//!   compiler may vectorize; on the small per-sensor reference sets the
-//!   simulator solves (≤ a dozen rows), the fused loop measured *faster*
-//!   than staging terms through lane arrays, so exact mode does not
-//!   stage. Rows skipped by the scalar loop (the `dist < 1e-9`
-//!   Gauss–Newton guard) are skipped under the identical predicate —
-//!   they are *not* folded as `+0.0`, which would flip a `-0.0`
-//!   accumulator to `+0.0`.
-//! - **FastMath** (opt-in via [`BatchedMmse::fast_math`]
-//!   (crate::BatchedMmse::fast_math)): per chunk of four rows, the
-//!   expensive per-row *terms* (squares, square roots, quotients) are
-//!   computed element-wise into `[f64; 4]` lane arrays — that part
-//!   vectorizes — and fold into four independent partial accumulators,
-//!   one per lane position; full chunks fold row `4k + j` into partial
-//!   `j`, tail rows fold into partials `0..rem` in order, and the
-//!   partials combine pairwise as `(p0 + p1) + (p2 + p3)`. This
-//!   reassociates the sum — results are only tolerance-equal to scalar
-//!   (see `fast_math_stays_within_tolerance`) — but breaks the serial
-//!   dependency chain so the whole accumulation stays in vector
-//!   registers.
-//!
-//! The worst-residual scan has no FastMath variant: its lane phase
-//! computes distances (pure, order-free) and its reduction is a scan that
-//! must preserve the scalar `max_by(total_cmp)` tie-break (last maximal
-//! element wins), which is order-sensitive by definition.
+//! The lane arrays serve the order-free passes: the worst-residual scan
+//! computes distances four rows at a time (pure, order-free) and then
+//! scans them in row order, preserving the scalar `max_by(total_cmp)`
+//! tie-break (last maximal element wins); the inlier count is a count.
 
 const LANES: usize = 4;
 
@@ -117,7 +102,6 @@ pub(crate) fn seed_accumulate<R: RowIx>(
     d: &[f64],
     rows: R,
     last: (f64, f64, f64),
-    fast: bool,
 ) -> SeedAcc {
     let (axl, ayl, adl) = last;
     // Row-independent part of the right-hand side, hoisted exactly as the
@@ -133,68 +117,19 @@ pub(crate) fn seed_accumulate<R: RowIx>(
         vx: 0.0,
         vy: 0.0,
     };
-    let n = rows.count();
-    if !fast {
-        // Exact mode: fused sequential left-fold, the scalar loop verbatim.
-        for k in 0..n {
-            let i = rows.row(k);
-            let row_x = 2.0 * (ax[i] - axl);
-            let row_y = 2.0 * (ay[i] - ayl);
-            let rhs = adl2 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i] - axl * axl - ayl * ayl;
-            acc.m00 += row_x * row_x;
-            acc.m01 += row_x * row_y;
-            acc.m11 += row_y * row_y;
-            acc.vx += row_x * rhs;
-            acc.vy += row_y * rhs;
-        }
-        return acc;
-    }
-    let mut t00 = [0.0f64; LANES];
-    let mut t01 = [0.0f64; LANES];
-    let mut t11 = [0.0f64; LANES];
-    let mut tvx = [0.0f64; LANES];
-    let mut tvy = [0.0f64; LANES];
-    let mut partial = [acc; LANES];
-    let mut base = 0usize;
-    while base + LANES <= n {
-        for j in 0..LANES {
-            let i = rows.row(base + j);
-            let row_x = 2.0 * (ax[i] - axl);
-            let row_y = 2.0 * (ay[i] - ayl);
-            let rhs = adl2 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i] - axl * axl - ayl * ayl;
-            t00[j] = row_x * row_x;
-            t01[j] = row_x * row_y;
-            t11[j] = row_y * row_y;
-            tvx[j] = row_x * rhs;
-            tvy[j] = row_y * rhs;
-        }
-        for j in 0..LANES {
-            partial[j].m00 += t00[j];
-            partial[j].m01 += t01[j];
-            partial[j].m11 += t11[j];
-            partial[j].vx += tvx[j];
-            partial[j].vy += tvy[j];
-        }
-        base += LANES;
-    }
-    for (j, p) in partial.iter_mut().enumerate().take(n - base) {
-        let i = rows.row(base + j);
+    // Fused sequential left-fold, the scalar loop verbatim.
+    for k in 0..rows.count() {
+        let i = rows.row(k);
         let row_x = 2.0 * (ax[i] - axl);
         let row_y = 2.0 * (ay[i] - ayl);
         let rhs = adl2 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i] - axl * axl - ayl * ayl;
-        p.m00 += row_x * row_x;
-        p.m01 += row_x * row_y;
-        p.m11 += row_y * row_y;
-        p.vx += row_x * rhs;
-        p.vy += row_y * rhs;
+        acc.m00 += row_x * row_x;
+        acc.m01 += row_x * row_y;
+        acc.m11 += row_y * row_y;
+        acc.vx += row_x * rhs;
+        acc.vy += row_y * rhs;
     }
-    SeedAcc {
-        m00: (partial[0].m00 + partial[1].m00) + (partial[2].m00 + partial[3].m00),
-        m01: (partial[0].m01 + partial[1].m01) + (partial[2].m01 + partial[3].m01),
-        m11: (partial[0].m11 + partial[1].m11) + (partial[2].m11 + partial[3].m11),
-        vx: (partial[0].vx + partial[1].vx) + (partial[2].vx + partial[3].vx),
-        vy: (partial[0].vy + partial[1].vy) + (partial[2].vy + partial[3].vy),
-    }
+    acc
 }
 
 /// Gauss–Newton design-matrix/residual accumulation over the active rows
@@ -211,7 +146,6 @@ pub(crate) fn gn_accumulate<R: RowIx>(
     ay: &[f64],
     d: &[f64],
     rows: R,
-    fast: bool,
 ) -> GnAcc {
     let mut acc = GnAcc {
         jtj00: 0.0,
@@ -220,59 +154,9 @@ pub(crate) fn gn_accumulate<R: RowIx>(
         jtrx: 0.0,
         jtry: 0.0,
     };
-    let n = rows.count();
-    if !fast {
-        // Exact mode: fused sequential left-fold, the scalar loop verbatim.
-        for k in 0..n {
-            let i = rows.row(k);
-            let dx = px - ax[i];
-            let dy = py - ay[i];
-            let dist = (dx * dx + dy * dy).sqrt();
-            if dist < 1e-9 {
-                continue;
-            }
-            let (gx, gy) = (dx / dist, dy / dist);
-            let res = dist - d[i];
-            acc.jtj00 += gx * gx;
-            acc.jtj01 += gx * gy;
-            acc.jtj11 += gy * gy;
-            acc.jtrx += gx * res;
-            acc.jtry += gy * res;
-        }
-        return acc;
-    }
-    let mut dist = [0.0f64; LANES];
-    let mut gx = [0.0f64; LANES];
-    let mut gy = [0.0f64; LANES];
-    let mut res = [0.0f64; LANES];
-    let mut partial = [acc; LANES];
-    let mut base = 0usize;
-    while base + LANES <= n {
-        for j in 0..LANES {
-            let i = rows.row(base + j);
-            let dx = px - ax[i];
-            let dy = py - ay[i];
-            dist[j] = (dx * dx + dy * dy).sqrt();
-            // A zero distance yields NaN lanes here; they are discarded by
-            // the fold guard below, never added.
-            gx[j] = dx / dist[j];
-            gy[j] = dy / dist[j];
-            res[j] = dist[j] - d[i];
-        }
-        for j in 0..LANES {
-            if dist[j] < 1e-9 {
-                continue;
-            }
-            partial[j].jtj00 += gx[j] * gx[j];
-            partial[j].jtj01 += gx[j] * gy[j];
-            partial[j].jtj11 += gy[j] * gy[j];
-            partial[j].jtrx += gx[j] * res[j];
-            partial[j].jtry += gy[j] * res[j];
-        }
-        base += LANES;
-    }
-    for (j, p) in partial.iter_mut().enumerate().take(n - base) {
-        let i = rows.row(base + j);
+    // Fused sequential left-fold, the scalar loop verbatim.
+    for k in 0..rows.count() {
+        let i = rows.row(k);
         let dx = px - ax[i];
         let dy = py - ay[i];
         let dist = (dx * dx + dy * dy).sqrt();
@@ -281,19 +165,13 @@ pub(crate) fn gn_accumulate<R: RowIx>(
         }
         let (gx, gy) = (dx / dist, dy / dist);
         let res = dist - d[i];
-        p.jtj00 += gx * gx;
-        p.jtj01 += gx * gy;
-        p.jtj11 += gy * gy;
-        p.jtrx += gx * res;
-        p.jtry += gy * res;
+        acc.jtj00 += gx * gx;
+        acc.jtj01 += gx * gy;
+        acc.jtj11 += gy * gy;
+        acc.jtrx += gx * res;
+        acc.jtry += gy * res;
     }
-    GnAcc {
-        jtj00: (partial[0].jtj00 + partial[1].jtj00) + (partial[2].jtj00 + partial[3].jtj00),
-        jtj01: (partial[0].jtj01 + partial[1].jtj01) + (partial[2].jtj01 + partial[3].jtj01),
-        jtj11: (partial[0].jtj11 + partial[1].jtj11) + (partial[2].jtj11 + partial[3].jtj11),
-        jtrx: (partial[0].jtrx + partial[1].jtrx) + (partial[2].jtrx + partial[3].jtrx),
-        jtry: (partial[0].jtry + partial[1].jtry) + (partial[2].jtry + partial[3].jtry),
-    }
+    acc
 }
 
 /// The residual-filter distance pass: position of the worst absolute
@@ -469,8 +347,8 @@ mod tests {
             let rows: Vec<usize> = (0..n).collect();
             let l = (ax[n], ay[n], d[n]);
             let s = seed_scalar(&ax, &ay, &d, &rows, l);
-            let k = seed_accumulate(&ax, &ay, &d, &rows[..], l, false);
-            let dense = seed_accumulate(&ax, &ay, &d, Dense(n), l, false);
+            let k = seed_accumulate(&ax, &ay, &d, &rows[..], l);
+            let dense = seed_accumulate(&ax, &ay, &d, Dense(n), l);
             assert_eq!(k, dense, "dense addressing diverged at n={n}");
             assert_bits(s.m00, k.m00);
             assert_bits(s.m01, k.m01);
@@ -493,8 +371,8 @@ mod tests {
             }
             let rows: Vec<usize> = (0..n).collect();
             let s = gn_scalar(px, py, &ax, &ay, &d, &rows);
-            let k = gn_accumulate(px, py, &ax, &ay, &d, &rows[..], false);
-            let dense = gn_accumulate(px, py, &ax, &ay, &d, Dense(n), false);
+            let k = gn_accumulate(px, py, &ax, &ay, &d, &rows[..]);
+            let dense = gn_accumulate(px, py, &ax, &ay, &d, Dense(n));
             assert_eq!(k, dense, "dense addressing diverged at n={n}");
             assert_bits(s.jtj00, k.jtj00);
             assert_bits(s.jtj01, k.jtj01);
@@ -514,7 +392,7 @@ mod tests {
         let ay = [5.0, 5.0];
         let d = [1.0, 1.0];
         let rows = [0usize, 1];
-        let k = gn_accumulate(5.0, 5.0, &ax, &ay, &d, &rows[..], false);
+        let k = gn_accumulate(5.0, 5.0, &ax, &ay, &d, &rows[..]);
         let s = gn_scalar(5.0, 5.0, &ax, &ay, &d, &rows);
         assert_bits(s.jtj00, k.jtj00);
         assert_bits(s.jtrx, k.jtrx);
@@ -570,25 +448,6 @@ mod tests {
                 })
                 .count();
             assert_eq!(expect, count_within(px, py, &ax, &ay, &d, n, 20.0));
-        }
-    }
-
-    #[test]
-    fn fast_mode_close_to_exact() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for n in 4..24 {
-            let (ax, ay, d) = rows_data(&mut rng, n + 1);
-            let rows: Vec<usize> = (0..n).collect();
-            let l = (ax[n], ay[n], d[n]);
-            let e = seed_accumulate(&ax, &ay, &d, &rows[..], l, false);
-            let f = seed_accumulate(&ax, &ay, &d, &rows[..], l, true);
-            assert!((e.m00 - f.m00).abs() <= 1e-9 * e.m00.abs().max(1.0));
-            assert!((e.vx - f.vx).abs() <= 1e-9 * e.vx.abs().max(1.0));
-            let (px, py) = (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-            let eg = gn_accumulate(px, py, &ax, &ay, &d, &rows[..], false);
-            let fg = gn_accumulate(px, py, &ax, &ay, &d, &rows[..], true);
-            assert!((eg.jtj00 - fg.jtj00).abs() <= 1e-12 * eg.jtj00.abs().max(1.0));
-            assert!((eg.jtrx - fg.jtrx).abs() <= 1e-9 * eg.jtrx.abs().max(1.0));
         }
     }
 }

@@ -11,8 +11,8 @@
 
 use crate::hash::{Fnv1a, FNV1A_OFFSET};
 use crate::json::{push_json_f64, push_json_string};
+use crate::num::{push_hex16, push_i64, push_u64};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -37,8 +37,8 @@ pub enum Value {
 impl Value {
     fn push_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::I64(v) => out.push_str(&v.to_string()),
+            Value::U64(v) => push_u64(out, *v),
+            Value::I64(v) => push_i64(out, *v),
             Value::F64(v) => push_json_f64(out, *v),
             Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
             Value::Str(v) => push_json_string(out, v),
@@ -140,12 +140,20 @@ impl Event {
         out.push_str("{\"kind\":");
         push_json_string(&mut out, &self.kind);
         out.push_str(",\"seq\":");
-        out.push_str(&self.seq.to_string());
+        push_u64(&mut out, self.seq);
         if let Some(ctx) = &self.ctx {
-            let _ = write!(out, ",\"trace\":\"{:016x}\"", ctx.trace_id);
-            let _ = write!(out, ",\"span\":\"{:016x}\"", ctx.span_id);
-            if let Some(parent) = ctx.parent_id {
-                let _ = write!(out, ",\"parent\":\"{parent:016x}\"");
+            let ids = [
+                ("trace", Some(ctx.trace_id)),
+                ("span", Some(ctx.span_id)),
+                ("parent", ctx.parent_id),
+            ];
+            for (name, id) in ids {
+                let Some(id) = id else { continue };
+                out.push_str(",\"");
+                out.push_str(name);
+                out.push_str("\":\"");
+                push_hex16(&mut out, id);
+                out.push('"');
             }
         }
         for (key, value) in &self.fields {
@@ -438,6 +446,79 @@ impl EventSink for FanoutSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::fmt::Write as _;
+
+    /// The `format!`-based encoder `to_json` replaced, kept as its oracle.
+    fn to_json_fmt(event: &Event) -> String {
+        let mut out = String::new();
+        out.push_str("{\"kind\":");
+        push_json_string(&mut out, &event.kind);
+        out.push_str(",\"seq\":");
+        out.push_str(&event.seq.to_string());
+        if let Some(ctx) = &event.ctx {
+            let _ = write!(out, ",\"trace\":\"{:016x}\"", ctx.trace_id);
+            let _ = write!(out, ",\"span\":\"{:016x}\"", ctx.span_id);
+            if let Some(parent) = ctx.parent_id {
+                let _ = write!(out, ",\"parent\":\"{parent:016x}\"");
+            }
+        }
+        for (key, value) in &event.fields {
+            out.push(',');
+            push_json_string(&mut out, key);
+            out.push(':');
+            match value {
+                Value::U64(v) => out.push_str(&v.to_string()),
+                Value::I64(v) => out.push_str(&v.to_string()),
+                Value::F64(v) if v.is_finite() => {
+                    let _ = write!(out, "{v}");
+                }
+                Value::F64(_) => out.push_str("null"),
+                Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+                Value::Str(v) => push_json_string(&mut out, v),
+            }
+        }
+        out.push('}');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn to_json_matches_the_fmt_oracle(
+            seq in any::<u64>(),
+            ids in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()),
+            raw in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..8),
+        ) {
+            let (trace_id, span_id, parent, shape) = ids;
+            let fields = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(selector, payload))| {
+                    let value = match selector % 5 {
+                        0 => Value::U64(payload >> (selector / 5 % 64)),
+                        1 => Value::I64((payload as i64) >> (selector / 5 % 64)),
+                        2 => Value::F64(f64::from_bits(payload)),
+                        3 => Value::Bool(payload % 2 == 1),
+                        _ => Value::Str(format!("s{payload}")),
+                    };
+                    (format!("f{i}"), value)
+                })
+                .collect();
+            let event = Event {
+                kind: "prop".to_string(),
+                seq,
+                ctx: match shape % 3 {
+                    0 => None,
+                    1 => Some(SpanContext { trace_id, span_id, parent_id: None }),
+                    _ => Some(SpanContext { trace_id, span_id, parent_id: Some(parent) }),
+                },
+                fields,
+            };
+            prop_assert_eq!(event.to_json(), to_json_fmt(&event));
+        }
+    }
 
     #[test]
     fn event_serializes_all_value_types() {

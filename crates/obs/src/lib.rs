@@ -73,6 +73,7 @@ mod hash;
 pub mod health;
 pub mod json;
 mod metrics;
+pub mod num;
 pub mod output;
 mod span;
 

@@ -20,8 +20,9 @@
 //!   sweeps skip completed cells entirely. A run formats each config's
 //!   `Debug` text once and hashes only the seed suffix per cell.
 //! - **Checkpoint / resume** — with a checkpoint path configured, the
-//!   orchestrator writes the checkpoint lines *in cell order*, one write
-//!   per advance of the completion frontier. [`Orchestrator::run`] on an
+//!   orchestrator writes the checkpoint lines *in cell order* as the
+//!   completion frontier advances, in writes of at most about 64 KiB that
+//!   end at line boundaries. [`Orchestrator::run`] on an
 //!   existing (possibly truncated mid-line) checkpoint replays the
 //!   recorded prefix and re-runs only the remainder; the resulting
 //!   outcomes **and** the rewritten checkpoint file are byte-identical to
@@ -43,6 +44,8 @@
 
 use crate::cache::BinaryCache;
 use crate::{ImpactMemo, RunOptions, Runner, SimConfig, SimOutcome};
+use secloc_obs::json::push_json_f64;
+use secloc_obs::num::{hex16, push_hex16, push_u64, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -129,9 +132,12 @@ fn key_prefix(config: &SimConfig) -> Fnv1a {
     h
 }
 
-/// Finishes a cell key from its config's [`key_prefix`].
+/// Finishes a cell key from its config's [`key_prefix`]: the suffix
+/// `"{seed};options=plain;tag={tag}"`, fed to the hash piece by piece.
 fn key_from_prefix(mut prefix: Fnv1a, seed: u64, tag: &str) -> CellKey {
-    let _ = write!(prefix, "{seed};options=plain;tag={tag}");
+    prefix.update(u64_digits(seed, &mut [0; 20]));
+    prefix.update(b";options=plain;tag=");
+    prefix.update(tag.as_bytes());
     CellKey(prefix.finish())
 }
 
@@ -148,7 +154,8 @@ pub fn cell_key(config: &SimConfig, seed: u64, tag: &str) -> CellKey {
 fn grid_key(keys: &[CellKey]) -> CellKey {
     let mut h = Fnv1a::new();
     for key in keys {
-        let _ = write!(h, "{key};");
+        h.update(&hex16(key.0));
+        h.update(b";");
     }
     CellKey(h.finish())
 }
@@ -179,12 +186,11 @@ fn probe_fingerprint(config: &SimConfig) -> String {
 /// JSONL stream or flight-recorder dump can be filtered to one cell's
 /// complete decision history.
 fn cell_scope(obs: &Obs, key: CellKey, seed: u64) -> Obs {
+    let mut cell = String::with_capacity(16);
+    push_hex16(&mut cell, key.0);
     obs.scoped(
         SpanContext::root(key.0),
-        &[
-            ("cell", Value::Str(key.to_string())),
-            ("seed", Value::U64(seed)),
-        ],
+        &[("cell", Value::Str(cell)), ("seed", Value::U64(seed))],
     )
 }
 
@@ -425,46 +431,36 @@ impl SweepSpec {
 // build environment is offline, so no serde).
 // ---------------------------------------------------------------------------
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's float Display prints the shortest string that parses back
-        // to the same bits, so encode → decode is lossless.
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_opt_f64(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
-    }
-}
-
 /// Appends the fixed-field-order JSON object for one [`SimOutcome`] to
 /// `s`; the byte-identity guarantees of the checkpoint stream rest on this
-/// order never varying at runtime.
+/// order never varying at runtime. Numbers go through `secloc_obs::num`,
+/// byte-identical to `Display`; an absent error, like a non-finite float,
+/// is `null`.
 fn encode_outcome(o: &SimOutcome, s: &mut String) {
-    let _ = write!(
-        s,
-        "{{\"malicious_total\":{},\"benign_total\":{},\"revoked_malicious\":{},\
-         \"revoked_benign\":{},\"affected_before\":",
-        o.malicious_total, o.benign_total, o.revoked_malicious, o.revoked_benign
-    );
-    push_f64(s, o.affected_before);
+    let counts = [
+        ("{\"malicious_total\":", o.malicious_total),
+        (",\"benign_total\":", o.benign_total),
+        (",\"revoked_malicious\":", o.revoked_malicious),
+        (",\"revoked_benign\":", o.revoked_benign),
+    ];
+    for (name, count) in counts {
+        s.push_str(name);
+        push_u64(s, u64::from(count));
+    }
+    s.push_str(",\"affected_before\":");
+    push_json_f64(s, o.affected_before);
     s.push_str(",\"affected_after\":");
-    push_f64(s, o.affected_after);
-    let _ = write!(
-        s,
-        ",\"benign_alerts\":{},\"collusion_alerts\":{},\"mean_requesters_per_beacon\":",
-        o.benign_alerts, o.collusion_alerts
-    );
-    push_f64(s, o.mean_requesters_per_beacon);
+    push_json_f64(s, o.affected_after);
+    s.push_str(",\"benign_alerts\":");
+    push_u64(s, o.benign_alerts as u64);
+    s.push_str(",\"collusion_alerts\":");
+    push_u64(s, o.collusion_alerts as u64);
+    s.push_str(",\"mean_requesters_per_beacon\":");
+    push_json_f64(s, o.mean_requesters_per_beacon);
     s.push_str(",\"mean_loc_error_before_ft\":");
-    push_opt_f64(s, o.mean_loc_error_before_ft);
+    push_json_f64(s, o.mean_loc_error_before_ft.unwrap_or(f64::NAN));
     s.push_str(",\"mean_loc_error_after_ft\":");
-    push_opt_f64(s, o.mean_loc_error_after_ft);
+    push_json_f64(s, o.mean_loc_error_after_ft.unwrap_or(f64::NAN));
     s.push('}');
 }
 
@@ -618,14 +614,22 @@ impl ResultCache {
             });
         }
         if let Some(file) = &mut self.file {
-            let mut line = format!("{{\"key\":\"{key}\",\"outcome\":");
-            encode_outcome(&outcome, &mut line);
-            line.push_str("}\n");
+            let mut line = String::with_capacity(384);
+            push_cache_line(&mut line, key, &outcome);
             file.write_all(line.as_bytes())?;
         }
         self.entries.insert(key.0, outcome);
         Ok(CacheInsert::Inserted)
     }
+}
+
+/// Appends one JSONL cache line, newline included, to `out`.
+fn push_cache_line(out: &mut String, key: CellKey, outcome: &SimOutcome) {
+    out.push_str("{\"key\":\"");
+    push_hex16(out, key.0);
+    out.push_str("\",\"outcome\":");
+    encode_outcome(outcome, out);
+    out.push_str("}\n");
 }
 
 /// What [`ResultCache::insert_checked`] did with the entry.
@@ -739,6 +743,11 @@ impl CacheBackend {
 
 const CHECKPOINT_VERSION: u32 = 1;
 
+/// Checkpoint lines are written out once this many bytes are staged (and
+/// at the end of every frontier advance), so a sweep resolving thousands
+/// of cells at once — a warm start — never holds its whole body.
+const CHECKPOINT_CHUNK: usize = 64 * 1024;
+
 fn header_line(cells: usize, grid: CellKey, tag: &str) -> String {
     format!(
         "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{cells},\"grid\":\"{grid}\",\"tag\":\"{tag}\"}}\n"
@@ -747,10 +756,13 @@ fn header_line(cells: usize, grid: CellKey, tag: &str) -> String {
 
 /// Appends one cell's checkpoint line, newline included, to `out`.
 fn push_cell_line(out: &mut String, index: usize, key: CellKey, seed: u64, outcome: &SimOutcome) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":"
-    );
+    out.push_str("{\"kind\":\"cell\",\"index\":");
+    push_u64(out, index as u64);
+    out.push_str(",\"key\":\"");
+    push_hex16(out, key.0);
+    out.push_str("\",\"seed\":");
+    push_u64(out, seed);
+    out.push_str(",\"outcome\":");
     encode_outcome(outcome, out);
     out.push_str("}\n");
 }
@@ -1178,9 +1190,10 @@ impl Orchestrator {
 
         // 4. Stream results: workers push (cell index, outcome); the main
         //    thread advances the completion frontier in cell order. Each
-        //    advance's checkpoint lines go out in one write, before that
-        //    advance's cache appends, so the file is "header + exact
-        //    prefix" (at worst with a torn last line) at every instant.
+        //    advance's checkpoint lines go out in writes of about
+        //    `CHECKPOINT_CHUNK` bytes that end at line boundaries, all
+        //    before that advance's cache appends, so the file is "header +
+        //    exact prefix" (at worst with a torn last line) at every instant.
         let mut checkpoint_file = match checkpoint {
             Some((path, grid)) => {
                 if let Some(parent) = path.parent() {
@@ -1194,8 +1207,10 @@ impl Orchestrator {
             }
             None => None,
         };
+        // Staged checkpoint lines: one reused buffer, bounded by the chunk
+        // size plus a line, however far one advance reaches.
+        let mut lines = String::new();
         let mut frontier = 0usize; // next cell whose line is unwritten
-        let mut lines = String::new(); // one advance's checkpoint lines
         let flight = self.flight.as_ref();
         let in_cache = &in_cache;
         let mut flush_frontier = |results: &[Option<SimOutcome>],
@@ -1211,11 +1226,13 @@ impl Orchestrator {
             let advanced = start..start + resolved;
             let outcome = |i: usize| results[i].as_ref().expect("inside the frontier");
             if let Some(file) = &mut checkpoint_file {
-                lines.clear();
                 for i in advanced.clone() {
                     push_cell_line(&mut lines, i, keys[i], spec.cells()[i].seed, outcome(i));
+                    if lines.len() >= CHECKPOINT_CHUNK || i + 1 == advanced.end {
+                        file.write_all(lines.as_bytes())?;
+                        lines.clear();
+                    }
                 }
-                file.write_all(lines.as_bytes())?;
             }
             let mut last_shard: Option<u32> = None;
             for i in advanced.clone() {
@@ -1405,6 +1422,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::any;
 
     fn tiny() -> SimConfig {
         SimConfig {
@@ -1595,6 +1613,100 @@ mod tests {
             mean_loc_error_after_ft: Some(1e-300),
         };
         assert_eq!(decode_outcome(&encode(&awkward)), Some(awkward));
+    }
+
+    /// The `format!`-based outcome encoder `encode_outcome` replaced,
+    /// kept as its oracle.
+    fn encode_outcome_fmt(o: &SimOutcome, s: &mut String) {
+        let f64_text = |v: f64| {
+            if v.is_finite() {
+                format!("{v}")
+            } else {
+                "null".to_string()
+            }
+        };
+        let opt_text = |v: Option<f64>| v.map_or_else(|| "null".to_string(), f64_text);
+        let _ = write!(
+            s,
+            "{{\"malicious_total\":{},\"benign_total\":{},\"revoked_malicious\":{},\
+             \"revoked_benign\":{},\"affected_before\":{},\"affected_after\":{},\
+             \"benign_alerts\":{},\"collusion_alerts\":{},\"mean_requesters_per_beacon\":{},\
+             \"mean_loc_error_before_ft\":{},\"mean_loc_error_after_ft\":{}}}",
+            o.malicious_total,
+            o.benign_total,
+            o.revoked_malicious,
+            o.revoked_benign,
+            f64_text(o.affected_before),
+            f64_text(o.affected_after),
+            o.benign_alerts,
+            o.collusion_alerts,
+            f64_text(o.mean_requesters_per_beacon),
+            opt_text(o.mean_loc_error_before_ft),
+            opt_text(o.mean_loc_error_after_ft),
+        );
+    }
+
+    /// The `format!`-based checkpoint line writer, kept as an oracle.
+    fn push_cell_line_fmt(out: &mut String, index: usize, key: CellKey, seed: u64, o: &SimOutcome) {
+        let _ = write!(
+            out,
+            "{{\"kind\":\"cell\",\"index\":{index},\"key\":\"{key}\",\"seed\":{seed},\"outcome\":"
+        );
+        encode_outcome_fmt(o, out);
+        out.push_str("}\n");
+    }
+
+    /// Floats from raw bits (NaN, ±inf, ±0, subnormals, every magnitude)
+    /// or from the ranges real outcomes take.
+    fn outcome_float(selector: u8, raw: u64) -> f64 {
+        match selector % 3 {
+            0 => f64::from_bits(raw),
+            1 => (raw >> 11) as f64 / (1u64 << 53) as f64 * 200.0,
+            _ => (raw % 1000) as f64 / 7.0,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn encoders_match_their_fmt_oracles(
+            counts in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            alerts in (any::<usize>(), any::<usize>()),
+            floats in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            shape in (any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()),
+        ) {
+            let (selector, options, index, seed) = shape;
+            let pick = |k: u8, raw: u64| outcome_float(selector.wrapping_add(k), raw);
+            let o = SimOutcome {
+                malicious_total: counts.0,
+                benign_total: counts.1,
+                revoked_malicious: counts.2,
+                revoked_benign: counts.3,
+                affected_before: pick(0, floats.0),
+                affected_after: pick(1, floats.1),
+                benign_alerts: alerts.0,
+                collusion_alerts: alerts.1,
+                mean_requesters_per_beacon: pick(2, floats.2),
+                mean_loc_error_before_ft: (options & 1 == 1).then(|| pick(3, floats.3)),
+                mean_loc_error_after_ft: (options & 2 == 2).then(|| pick(4, floats.4)),
+            };
+            let (mut new, mut old) = (String::new(), String::new());
+            encode_outcome(&o, &mut new);
+            encode_outcome_fmt(&o, &mut old);
+            proptest::prop_assert_eq!(&new, &old);
+            let key = CellKey(floats.0 ^ seed);
+            let (mut new, mut old) = (String::new(), String::new());
+            push_cell_line(&mut new, index as usize, key, seed, &o);
+            push_cell_line_fmt(&mut old, index as usize, key, seed, &o);
+            proptest::prop_assert_eq!(&new, &old);
+            let mut line = String::new();
+            push_cache_line(&mut line, key, &o);
+            let mut want = format!("{{\"key\":\"{key}\",\"outcome\":");
+            encode_outcome_fmt(&o, &mut want);
+            want.push_str("}\n");
+            proptest::prop_assert_eq!(line, want);
+        }
     }
 
     #[test]
