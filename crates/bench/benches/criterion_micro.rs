@@ -11,6 +11,7 @@ use secloc_core::{DetectionPipeline, Observation};
 use secloc_crypto::{Key, Mac};
 use secloc_geometry::Point2;
 use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
+use secloc_oracle::mmse;
 use secloc_radio::timing::RttModel;
 use secloc_radio::Cycles;
 use secloc_sim::{Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
@@ -49,10 +50,11 @@ fn bench_localization(c: &mut Criterion) {
     });
 }
 
-/// Scalar estimator vs the SoA-scratch batched solver on the impact
-/// phase's workload shape: solve the full set, then a filtered subset —
-/// the scalar side re-materializes the subset `Vec` per solve (what the
-/// impact phase used to do), the batched side selects rows by index.
+/// The oracle's scalar MMSE vs the SoA-scratch batched solver on the
+/// impact phase's workload shape: solve the full set, then a filtered
+/// subset — the scalar side re-materializes the subset `Vec` per solve
+/// (what the impact phase used to do), the batched side selects rows by
+/// index.
 fn bench_mmse_batched_vs_scalar(c: &mut Criterion) {
     let truth = Point2::new(420.0, 310.0);
     let refs: Vec<LocationReference> = (0..8)
@@ -68,14 +70,14 @@ fn bench_mmse_batched_vs_scalar(c: &mut Criterion) {
     let scalar = MmseEstimator::default();
     c.bench_function("mmse_batched_vs_scalar/scalar", |b| {
         b.iter(|| {
-            let full = scalar.estimate(black_box(&refs)).unwrap();
+            let full = mmse::estimate(&scalar, black_box(&refs)).unwrap();
             let subset: Vec<LocationReference> = refs
                 .iter()
                 .zip(&drop_mask)
                 .filter(|(_, &dropped)| !dropped)
                 .map(|(r, _)| *r)
                 .collect();
-            let filtered = scalar.estimate(&subset).unwrap();
+            let filtered = mmse::estimate(&scalar, &subset).unwrap();
             (full, filtered)
         })
     });
@@ -139,10 +141,11 @@ fn bench_simulation(c: &mut Criterion) {
     });
 }
 
-/// A small policy-axis sweep through the orchestrator, with topology
-/// sharing on vs off. Sharing builds the deployment + probe stage once
-/// per `(topology_key, seed)` group and finishes each policy cell from
-/// the shared state; fresh mode rebuilds everything per cell.
+/// A small policy-axis sweep through the orchestrator vs one fresh
+/// `Runner::run` per cell. The orchestrator builds the deployment + probe
+/// stage once per `(topology_key, seed)` group and finishes each policy
+/// cell from the shared state; the fresh loop rebuilds everything per
+/// cell.
 fn bench_sweep_shared_vs_fresh(c: &mut Criterion) {
     let base = SimConfig {
         nodes: 200,
@@ -163,7 +166,6 @@ fn bench_sweep_shared_vs_fresh(c: &mut Criterion) {
         b.iter(|| {
             Orchestrator::new()
                 .workers(1)
-                .sharing(true)
                 .run(black_box(&spec))
                 .unwrap()
                 .outcomes
@@ -171,12 +173,15 @@ fn bench_sweep_shared_vs_fresh(c: &mut Criterion) {
     });
     c.bench_function("sweep_shared_vs_fresh/fresh", |b| {
         b.iter(|| {
-            Orchestrator::new()
-                .workers(1)
-                .sharing(false)
-                .run(black_box(&spec))
-                .unwrap()
-                .outcomes
+            black_box(&spec)
+                .cells()
+                .iter()
+                .map(|cell| {
+                    Runner::new(cell.config.clone(), cell.seed)
+                        .run(RunOptions::new())
+                        .outcome
+                })
+                .collect::<Vec<_>>()
         })
     });
 }

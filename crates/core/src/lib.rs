@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod alert;
-mod aoa;
 mod detector;
 pub mod machine;
 mod pipeline;
@@ -56,7 +55,6 @@ mod wormhole_detector;
 mod wormhole_filter;
 
 pub use alert::{Alert, SignedAlert};
-pub use aoa::{bearing, AoaDetector, CombinedDetector};
 pub use detector::{SignalDetector, SignalVerdict};
 pub use machine::{MachineState, ProtocolAction, ProtocolEvent, RevocationMachine, StateWireError};
 pub use pipeline::{DetectionOutcome, DetectionPipeline, Observation};

@@ -20,7 +20,9 @@ use crate::{Field, Point2};
 /// let field = Field::square(100.0);
 /// let pts = vec![Point2::new(10.0, 10.0), Point2::new(90.0, 90.0)];
 /// let idx = GridIndex::build(&field, 20.0, pts.iter().copied());
-/// assert_eq!(idx.within(Point2::new(12.0, 12.0), 20.0), vec![0]);
+/// let mut hits = Vec::new();
+/// idx.within_into(Point2::new(12.0, 12.0), 20.0, &mut hits);
+/// assert_eq!(hits, vec![0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
@@ -91,20 +93,8 @@ impl GridIndex {
         &self.positions
     }
 
-    /// Indices of all positions within `radius` of `center` (inclusive),
-    /// sorted ascending.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths issuing many queries
-    /// should reuse a scratch buffer via [`GridIndex::within_into`].
-    pub fn within(&self, center: Point2, radius: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.within_into(center, radius, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`GridIndex::within`]: clears `out` and
-    /// fills it with the indices of all positions within `radius` of
-    /// `center` (inclusive), sorted ascending.
+    /// Clears `out` and fills it with the indices of all positions within
+    /// `radius` of `center` (inclusive), sorted ascending.
     ///
     /// Reusing one scratch buffer across queries keeps steady-state queries
     /// allocation-free (the buffer grows to the largest result ever seen
@@ -118,7 +108,8 @@ impl GridIndex {
     /// Lazily yields the indices of all positions within `radius` of
     /// `center` (inclusive), in **bucket order** (unsorted). Use this when
     /// the caller only folds over the result (counting, summing) and does
-    /// not need the ascending order that [`GridIndex::within`] guarantees.
+    /// not need the ascending order that [`GridIndex::within_into`]
+    /// guarantees.
     pub fn within_iter(&self, center: Point2, radius: f64) -> impl Iterator<Item = usize> + '_ {
         let r2 = radius * radius;
         let empty = center.x + radius < 0.0
@@ -144,29 +135,6 @@ impl GridIndex {
         self.within_iter(center, radius).count()
     }
 
-    /// Like [`GridIndex::within`] but excluding index `me` — the usual
-    /// "neighbours of node `me`" query.
-    ///
-    /// Allocates per call; prefer [`GridIndex::neighbors_into`] on hot
-    /// paths.
-    pub fn neighbors_of(&self, me: usize, radius: f64) -> Vec<usize> {
-        let mut v = Vec::new();
-        self.neighbors_into(me, radius, &mut v);
-        v
-    }
-
-    /// Allocation-free variant of [`GridIndex::neighbors_of`]: clears `out`
-    /// and fills it with the neighbours of `me` within `radius`, sorted
-    /// ascending, excluding `me` itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is out of bounds.
-    pub fn neighbors_into(&self, me: usize, radius: f64, out: &mut Vec<usize>) {
-        self.within_into(self.positions[me], radius, out);
-        out.retain(|&i| i != me);
-    }
-
     fn bucket_of(&self, p: Point2) -> usize {
         let cx = ((p.x / self.cell) as usize).min(self.cols - 1);
         let cy = ((p.y / self.cell) as usize).min(self.rows - 1);
@@ -178,6 +146,13 @@ impl GridIndex {
 mod tests {
     use super::*;
     use crate::deploy;
+
+    /// One query into a fresh buffer.
+    fn within(idx: &GridIndex, c: Point2, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        idx.within_into(c, r, &mut out);
+        out
+    }
 
     fn brute_force(pts: &[Point2], c: Point2, r: f64) -> Vec<usize> {
         pts.iter()
@@ -195,7 +170,7 @@ mod tests {
         for (i, &q) in pts.iter().enumerate().step_by(13) {
             for r in [1.0, 25.0, 60.0, 130.0] {
                 assert_eq!(
-                    idx.within(q, r),
+                    within(&idx, q, r),
                     brute_force(&pts, q, r),
                     "query {i} radius {r}"
                 );
@@ -208,17 +183,8 @@ mod tests {
         let field = Field::square(100.0);
         let pts = [Point2::new(0.0, 0.0), Point2::new(10.0, 0.0)];
         let idx = GridIndex::build(&field, 10.0, pts.iter().copied());
-        assert_eq!(idx.within(Point2::new(0.0, 0.0), 10.0), vec![0, 1]);
-        assert_eq!(idx.within(Point2::new(0.0, 0.0), 9.999), vec![0]);
-    }
-
-    #[test]
-    fn neighbors_excludes_self() {
-        let field = Field::square(10.0);
-        let pts = [Point2::new(5.0, 5.0), Point2::new(5.5, 5.0)];
-        let idx = GridIndex::build(&field, 2.0, pts.iter().copied());
-        assert_eq!(idx.neighbors_of(0, 1.0), vec![1]);
-        assert_eq!(idx.neighbors_of(1, 0.1), Vec::<usize>::new());
+        assert_eq!(within(&idx, Point2::new(0.0, 0.0), 10.0), vec![0, 1]);
+        assert_eq!(within(&idx, Point2::new(0.0, 0.0), 9.999), vec![0]);
     }
 
     #[test]
@@ -227,15 +193,15 @@ mod tests {
         let pts = [Point2::new(1.0, 1.0)];
         let idx = GridIndex::build(&field, 10.0, pts.iter().copied());
         assert_eq!(
-            idx.within(Point2::new(-100.0, -100.0), 5.0),
+            within(&idx, Point2::new(-100.0, -100.0), 5.0),
             Vec::<usize>::new()
         );
         assert_eq!(
-            idx.within(Point2::new(200.0, 200.0), 5.0),
+            within(&idx, Point2::new(200.0, 200.0), 5.0),
             Vec::<usize>::new()
         );
         // A query centred outside but reaching inside still works.
-        assert_eq!(idx.within(Point2::new(-1.0, 1.0), 3.0), vec![0]);
+        assert_eq!(within(&idx, Point2::new(-1.0, 1.0), 3.0), vec![0]);
     }
 
     #[test]
@@ -244,7 +210,7 @@ mod tests {
         let idx = GridIndex::build(&field, 5.0, std::iter::empty());
         assert!(idx.is_empty());
         assert_eq!(
-            idx.within(Point2::new(5.0, 5.0), 100.0),
+            within(&idx, Point2::new(5.0, 5.0), 100.0),
             Vec::<usize>::new()
         );
     }
@@ -265,7 +231,7 @@ mod tests {
         for (i, &q) in pts.iter().enumerate().step_by(17) {
             for r in [1.0, 25.0, 60.0, 130.0] {
                 idx.within_into(q, r, &mut scratch);
-                assert_eq!(scratch, idx.within(q, r), "query {i} radius {r}");
+                assert_eq!(scratch, brute_force(&pts, q, r), "query {i} radius {r}");
             }
         }
         // The scratch buffer is cleared per query, not appended to.
@@ -276,19 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_into_matches_neighbors_of() {
-        let field = Field::new(500.0, 300.0);
-        let pts = deploy::uniform(&field, 200, 29);
-        let idx = GridIndex::build(&field, 60.0, pts.iter().copied());
-        let mut scratch = Vec::new();
-        for me in (0..pts.len()).step_by(11) {
-            idx.neighbors_into(me, 60.0, &mut scratch);
-            assert_eq!(scratch, idx.neighbors_of(me, 60.0));
-            assert!(!scratch.contains(&me));
-        }
-    }
-
-    #[test]
     fn within_iter_is_unsorted_within() {
         let field = Field::new(500.0, 300.0);
         let pts = deploy::uniform(&field, 300, 31);
@@ -296,7 +249,7 @@ mod tests {
         for &q in pts.iter().step_by(19) {
             let mut collected: Vec<usize> = idx.within_iter(q, 75.0).collect();
             collected.sort_unstable();
-            assert_eq!(collected, idx.within(q, 75.0));
+            assert_eq!(collected, within(&idx, q, 75.0));
         }
     }
 
@@ -307,7 +260,7 @@ mod tests {
         let idx = GridIndex::build(&field, 60.0, pts.iter().copied());
         for &q in pts.iter().step_by(13) {
             for r in [1.0, 60.0, 200.0] {
-                assert_eq!(idx.count_within(q, r), idx.within(q, r).len());
+                assert_eq!(idx.count_within(q, r), within(&idx, q, r).len());
             }
         }
         // Queries fully outside the field count zero.

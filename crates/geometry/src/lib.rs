@@ -17,7 +17,8 @@
 //! let field = Field::new(1000.0, 1000.0);
 //! let positions = secloc_geometry::deploy::uniform(&field, 100, 42);
 //! let index = GridIndex::build(&field, 150.0, positions.iter().copied());
-//! let near_origin = index.within(Point2::new(0.0, 0.0), 150.0);
+//! let mut near_origin = Vec::new();
+//! index.within_into(Point2::new(0.0, 0.0), 150.0, &mut near_origin);
 //! assert!(near_origin.len() <= 100);
 //! ```
 

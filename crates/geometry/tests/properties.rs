@@ -82,7 +82,9 @@ proptest! {
             .filter(|(_, p)| p.distance(q) <= r)
             .map(|(i, _)| i)
             .collect();
-        prop_assert_eq!(idx.within(q, r), expected);
+        let mut hits = Vec::new();
+        idx.within_into(q, r, &mut hits);
+        prop_assert_eq!(hits, expected);
     }
 
     #[test]

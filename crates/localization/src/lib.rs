@@ -13,9 +13,7 @@
 //!   constraints with minimum estimation error";
 //! - [`MinMaxEstimator`] — the bounding-box method of Savvides et al.;
 //! - [`CentroidEstimator`] — the coarse-grained centroid scheme of Bulusu,
-//!   Heidemann & Estrin (its ref \[2\]);
-//! - [`iterative`] — iterative multilateration in which localized nodes are
-//!   promoted to beacons (§2.3's accumulating-error discussion).
+//!   Heidemann & Estrin (its ref \[2\]).
 //!
 //! # Examples
 //!
@@ -44,7 +42,6 @@ mod centroid;
 pub mod dvhop;
 mod estimator;
 pub mod gdop;
-pub mod iterative;
 mod minmax;
 mod mmse;
 mod reference;

@@ -1,36 +1,27 @@
-//! Hand-unrolled f64x4 lane kernels for the MMSE hot loops.
+//! Row kernels for the MMSE hot loops.
 //!
-//! The three inner loops that dominate batched solving — the linear-seed
-//! normal-equation accumulation, the Gauss–Newton JᵀJ/Jᵀr accumulation,
-//! and the residual-filter distance pass — are rewritten here over
-//! [`MmseScratch`](crate::MmseScratch)'s structure-of-arrays rows in a
-//! shape the autovectorizer keeps in SIMD registers: plain `[f64; 4]`
-//! lane arrays and unrolled element-wise arithmetic, no `std::simd`
-//! nightly features and no new dependencies.
+//! The two inner loops that dominate batched solving — the linear-seed
+//! normal-equation accumulation and the Gauss–Newton JᵀJ/Jᵀr
+//! accumulation — run here over [`MmseScratch`](crate::MmseScratch)'s
+//! structure-of-arrays rows, with no `std::simd` nightly features and no
+//! new dependencies.
 //!
-//! # Lane-reduction convention
+//! # Reduction convention
 //!
-//! The two accumulation kernels reduce exactly: a fused sequential loop —
-//! terms computed and folded row by row in ascending active order,
-//! exactly the operations (and operation order) of the scalar
-//! `BatchedMmse`/`MmseEstimator` chain, so the result is bit-identical
-//! (enforced by `to_bits` tests and the proptest sweep). The strict
-//! left-fold is a serial dependency chain, which caps how much the
-//! compiler may vectorize; on the small per-sensor reference sets the
-//! simulator solves (≤ a dozen rows), the fused loop measured *faster*
-//! than staging terms through lane arrays, so the kernels do not stage.
+//! Both kernels reduce exactly: a fused sequential loop — terms computed
+//! and folded row by row in ascending active order, exactly the operations
+//! (and operation order) of the scalar solve kept in `secloc-oracle`, so
+//! the result is bit-identical (enforced by `to_bits` tests and the
+//! proptest sweep). The strict left-fold is a serial dependency chain,
+//! which caps how much the compiler may vectorize; on the small
+//! per-sensor reference sets the simulator solves (≤ a dozen rows), the
+//! fused loop measured *faster* than staging terms through lane arrays,
+//! so the kernels do not stage.
 //! Rows skipped by the scalar loop (the `dist < 1e-9` Gauss–Newton guard)
 //! are skipped under the identical predicate — they are *not* folded as
 //! `+0.0`, which would flip a `-0.0` accumulator to `+0.0`.
-//!
-//! The lane arrays serve the order-free passes: the worst-residual scan
-//! computes distances four rows at a time (pure, order-free) and then
-//! scans them in row order, preserving the scalar `max_by(total_cmp)`
-//! tie-break (last maximal element wins); the inlier count is a count.
 
-const LANES: usize = 4;
-
-/// Row addressing for the lane kernels.
+/// Row addressing for the row kernels.
 ///
 /// The kernels are generic over *how* active rows map to SoA indices so
 /// the unfiltered case — `MmseScratch` right after `load`, where the
@@ -174,98 +165,6 @@ pub(crate) fn gn_accumulate<R: RowIx>(
     acc
 }
 
-/// The residual-filter distance pass: position of the worst absolute
-/// residual among the active rows, and its value.
-///
-/// Returns `(k, |r_k|)` where `k` indexes into `rows`, replicating
-/// `Iterator::max_by(total_cmp)` exactly — on ties the **last** maximal
-/// element wins — so the filter drops the same reference the Vec-backed
-/// scan would. The distance computation is lane-unrolled; the selection
-/// scan runs in ascending row order.
-#[inline]
-pub(crate) fn worst_abs_residual<R: RowIx>(
-    px: f64,
-    py: f64,
-    ax: &[f64],
-    ay: &[f64],
-    d: &[f64],
-    rows: R,
-) -> (usize, f64) {
-    let n = rows.count();
-    debug_assert!(n > 0, "non-empty reference set");
-    let mut r = [0.0f64; LANES];
-    let mut best = f64::NEG_INFINITY;
-    let mut best_pos = 0usize;
-    let mut scan = |vals: &[f64], base: usize| {
-        for (j, &v) in vals.iter().enumerate() {
-            // `total_cmp != Less` keeps the last maximal element, matching
-            // `max_by`; NEG_INFINITY seeds below every total-order value
-            // except itself, and a first-row -inf residual is impossible
-            // (residuals are absolute values or NaN, both ≥ -inf, and the
-            // `!= Less` rule still replaces on the tie).
-            if v.total_cmp(&best) != std::cmp::Ordering::Less {
-                best = v;
-                best_pos = base + j;
-            }
-        }
-    };
-    let mut base = 0usize;
-    while base + LANES <= n {
-        for (j, rj) in r.iter_mut().enumerate() {
-            let i = rows.row(base + j);
-            let dx = px - ax[i];
-            let dy = py - ay[i];
-            *rj = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
-        }
-        scan(&r, base);
-        base += LANES;
-    }
-    let rem = n - base;
-    for (j, rj) in r[..rem].iter_mut().enumerate() {
-        let i = rows.row(base + j);
-        let dx = px - ax[i];
-        let dy = py - ay[i];
-        *rj = ((dx * dx + dy * dy).sqrt() - d[i]).abs();
-    }
-    scan(&r[..rem], base);
-    (best_pos, best)
-}
-
-/// Lane-unrolled inlier count over **all** loaded rows `0..n`: how many
-/// references sit within `threshold` of the candidate position. A count
-/// is order-free, so the lane version is exact by construction.
-pub(crate) fn count_within(
-    px: f64,
-    py: f64,
-    ax: &[f64],
-    ay: &[f64],
-    d: &[f64],
-    n: usize,
-    threshold: f64,
-) -> usize {
-    let mut count = 0usize;
-    let mut lane = [false; LANES];
-    let mut i = 0;
-    while i + LANES <= n {
-        for j in 0..LANES {
-            let dx = px - ax[i + j];
-            let dy = py - ay[i + j];
-            lane[j] = ((dx * dx + dy * dy).sqrt() - d[i + j]).abs() <= threshold;
-        }
-        count += lane.iter().filter(|&&b| b).count();
-        i += LANES;
-    }
-    while i < n {
-        let dx = px - ax[i];
-        let dy = py - ay[i];
-        if ((dx * dx + dy * dy).sqrt() - d[i]).abs() <= threshold {
-            count += 1;
-        }
-        i += 1;
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,58 +295,5 @@ mod tests {
         let s = gn_scalar(5.0, 5.0, &ax, &ay, &d, &rows);
         assert_bits(s.jtj00, k.jtj00);
         assert_bits(s.jtrx, k.jtrx);
-    }
-
-    #[test]
-    fn worst_residual_matches_max_by_scan() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for n in 1..24 {
-            let (ax, ay, d) = rows_data(&mut rng, n);
-            let (px, py) = (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-            let rows: Vec<usize> = (0..n).collect();
-            let expect = rows
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    let dx = px - ax[i];
-                    let dy = py - ay[i];
-                    (k, ((dx * dx + dy * dy).sqrt() - d[i]).abs())
-                })
-                .max_by(|a, b| a.1.total_cmp(&b.1))
-                .unwrap();
-            let got = worst_abs_residual(px, py, &ax, &ay, &d, &rows[..]);
-            assert_eq!(got, worst_abs_residual(px, py, &ax, &ay, &d, Dense(n)));
-            assert_eq!(expect.0, got.0);
-            assert_bits(expect.1, got.1);
-        }
-    }
-
-    #[test]
-    fn worst_residual_tie_break_keeps_last() {
-        // Two identical anchors and distances: equal residuals; max_by
-        // keeps the later element.
-        let ax = [10.0, 10.0];
-        let ay = [0.0, 0.0];
-        let d = [3.0, 3.0];
-        let rows = [0usize, 1];
-        let (pos, _) = worst_abs_residual(0.0, 0.0, &ax, &ay, &d, &rows[..]);
-        assert_eq!(pos, 1);
-    }
-
-    #[test]
-    fn count_within_matches_scalar_filter() {
-        let mut rng = StdRng::seed_from_u64(10);
-        for n in 0..24 {
-            let (ax, ay, d) = rows_data(&mut rng, n);
-            let (px, py) = (rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-            let expect = (0..n)
-                .filter(|&i| {
-                    let dx = px - ax[i];
-                    let dy = py - ay[i];
-                    ((dx * dx + dy * dy).sqrt() - d[i]).abs() <= 20.0
-                })
-                .count();
-            assert_eq!(expect, count_within(px, py, &ax, &ay, &d, n, 20.0));
-        }
     }
 }

@@ -3,16 +3,16 @@
 //! The generated reference sets deliberately include the degenerate
 //! shapes the scalar chain special-cases — collinear anchors, duplicate
 //! beacon positions, fewer than three active rows, and huge lie offsets —
-//! and assert that the lane-kernel `BatchedMmse` (and the scratch-backed
-//! robust estimators built on it) return *bit-for-bit* the scalar
-//! results, errors included.
+//! and assert that the lane-kernel `BatchedMmse` returns *bit-for-bit*
+//! the results of the scalar solve kept in `secloc-oracle`, errors
+//! included.
 
 use proptest::prelude::*;
 use secloc_geometry::Point2;
 use secloc_localization::{
-    BatchedMmse, ConsensusEstimator, Estimate, EstimateError, Estimator, LocationReference,
-    MmseEstimator, MmseScratch, ResidualFilterEstimator,
+    BatchedMmse, Estimate, EstimateError, LocationReference, MmseEstimator, MmseScratch,
 };
+use secloc_oracle::mmse;
 
 /// One reference whose shape is drawn from the degenerate zoo: a free
 /// anchor, an anchor snapped onto a shared line (collinear pressure), a
@@ -62,7 +62,7 @@ proptest! {
         let mut s = MmseScratch::with_capacity(refs.len());
         s.load(&refs);
         assert_bits(
-            &MmseEstimator::default().estimate(&refs),
+            &mmse::estimate(&MmseEstimator::default(), &refs),
             &BatchedMmse::default().estimate(&s),
         );
     }
@@ -85,25 +85,8 @@ proptest! {
         s.load(&refs);
         s.retain(|i| mask[i]);
         assert_bits(
-            &MmseEstimator::default().estimate(&subset),
+            &mmse::estimate(&MmseEstimator::default(), &subset),
             &BatchedMmse::default().estimate(&s),
-        );
-    }
-
-    /// The robust chains (residual filter, consensus) on top of the lane
-    /// kernels still match their Vec-backed counterparts exactly.
-    #[test]
-    fn robust_chains_match_vec_paths(
-        shapes in proptest::collection::vec(reference(), 3..14),
-    ) {
-        let refs = materialize(&shapes);
-        let mut s = MmseScratch::new();
-        let filter = ResidualFilterEstimator::default();
-        assert_bits(&filter.estimate(&refs), &filter.estimate_with(&refs, &mut s));
-        let consensus = ConsensusEstimator::default();
-        assert_bits(
-            &consensus.estimate(&refs),
-            &consensus.estimate_with(&refs, &mut s),
         );
     }
 }

@@ -13,8 +13,8 @@
 //!   `ε_max`, the paper's distance-measurement assumption;
 //! - [`Frame`] / [`BeaconPayload`] — authenticated packets, with sizes that
 //!   drive transmission-time computations;
-//! - [`EventQueue`] — a deterministic discrete-event scheduler used by the
-//!   network simulation.
+//! - [`medium`] — the shared broadcast medium with attacker taps;
+//! - [`loss`] — per-link loss models and retransmitting reliable delivery.
 //!
 //! # Examples
 //!
@@ -32,10 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod energy;
-mod event;
 mod frame;
 pub mod loss;
-pub mod mac;
 pub mod medium;
 pub mod ranging;
 pub mod telemetry;
@@ -43,7 +41,6 @@ mod time;
 pub mod timing;
 pub mod wire;
 
-pub use event::EventQueue;
 pub use frame::{BeaconPayload, Frame, FrameBody, FrameError, RequestPayload};
 pub use telemetry::RadioMetrics;
 pub use time::{Cycles, CPU_HZ, CYCLES_PER_BIT, SPEED_OF_LIGHT_FT_S};

@@ -4,7 +4,7 @@
 //! propagation), frame transmission times, per-link loss, and attacker
 //! *taps* that re-inject captured frames elsewhere (the physical mechanism
 //! behind wormholes and local replayers). Deliveries come back as timed
-//! events suitable for an [`crate::EventQueue`].
+//! events, sorted by arrival time.
 
 use crate::loss::{BernoulliLoss, LossModel};
 use crate::telemetry::RadioMetrics;
@@ -251,12 +251,13 @@ impl Medium {
     /// Allocation-free variant of [`Medium::transmit`]: clears `out` and
     /// fills it with the deliveries, sorted by arrival time.
     ///
-    /// Consumes the RNG stream exactly like [`Medium::transmit`] and
-    /// [`Medium::transmit_reference`] — one loss draw per in-range
-    /// candidate, in ascending receiver order, direct listeners first and
-    /// then each capturing tap in installation order — so the three entry
-    /// points are interchangeable mid-stream without perturbing seeded
-    /// simulations.
+    /// Consumes the RNG stream exactly like [`Medium::transmit`] — one
+    /// loss draw per in-range candidate, in ascending receiver order,
+    /// direct listeners first and then each capturing tap in installation
+    /// order — so the two entry points are interchangeable mid-stream
+    /// without perturbing seeded simulations. The linear-scan reference
+    /// medium in `secloc-oracle` draws the same way, which the radio
+    /// crate's integration tests check bit for bit.
     ///
     /// # Panics
     ///
@@ -341,109 +342,6 @@ impl Medium {
                 .add(out.iter().filter(|d| d.via_tap).count() as u64);
         }
         out.sort_by_key(|d| (d.at, d.receiver));
-    }
-
-    /// The pre-optimization transmit path: full linear scans over every
-    /// node per call, no caching. Kept verbatim so the perf regression
-    /// harness (`benches/hot_paths.rs`) can measure an honest before/after
-    /// ratio on the same binary, and so tests can prove the cached path is
-    /// bit-identical (same deliveries, same RNG stream, same metrics).
-    ///
-    /// Not for production use — call [`Medium::transmit_into`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sender` is out of bounds.
-    pub fn transmit_reference(
-        &mut self,
-        sender: usize,
-        frame: &Frame,
-        at: Cycles,
-    ) -> Vec<Delivery> {
-        let src = self.positions[sender];
-        let airtime = frame.transmission_time();
-        let mut out = Vec::new();
-        if let Some(m) = &self.metrics {
-            m.frames_sent.incr();
-            if matches!(frame.peek_body(), FrameBody::Request(_)) {
-                m.ranging_requests.incr();
-            }
-        }
-
-        // Direct deliveries.
-        for (i, &pos) in self.positions.iter().enumerate() {
-            if i == sender {
-                continue;
-            }
-            let d = src.distance(pos);
-            // The range check must stay ahead of the loss draw so that
-            // attaching metrics never changes the RNG stream.
-            if d > self.range_ft {
-                if let Some(m) = &self.metrics {
-                    m.frames_dropped_range.incr();
-                }
-                continue;
-            }
-            if self.loss.is_lost(&mut self.rng) {
-                if let Some(m) = &self.metrics {
-                    m.frames_dropped_loss.incr();
-                }
-                continue;
-            }
-            let prop = Cycles::new(Cycles::propagation_fractional(d).round() as u64);
-            out.push(Delivery {
-                receiver: i,
-                frame: *frame,
-                at: at + airtime + prop,
-                via_tap: false,
-            });
-        }
-
-        // Tap re-injections: a tap that hears the frame re-transmits it
-        // after fully receiving it (store-and-forward) plus its tunnel
-        // latency.
-        let taps: Vec<Tap> = self
-            .taps
-            .iter()
-            .copied()
-            .filter(|t| src.distance(t.capture_at) <= t.capture_range)
-            .collect();
-        for tap in taps {
-            let replay_start = at + airtime + tap.extra_delay;
-            for (i, &pos) in self.positions.iter().enumerate() {
-                if i == sender {
-                    continue;
-                }
-                let d = tap.replay_from.distance(pos);
-                if d > self.range_ft {
-                    if let Some(m) = &self.metrics {
-                        m.frames_dropped_range.incr();
-                    }
-                    continue;
-                }
-                if self.loss.is_lost(&mut self.rng) {
-                    if let Some(m) = &self.metrics {
-                        m.frames_dropped_loss.incr();
-                    }
-                    continue;
-                }
-                let prop = Cycles::new(Cycles::propagation_fractional(d).round() as u64);
-                out.push(Delivery {
-                    receiver: i,
-                    frame: *frame,
-                    at: replay_start + airtime + prop,
-                    via_tap: true,
-                });
-            }
-        }
-
-        if let Some(m) = &self.metrics {
-            m.frames_delivered.add(out.len() as u64);
-            m.frames_tap_replayed
-                .add(out.iter().filter(|d| d.via_tap).count() as u64);
-        }
-        out.sort_by_key(|d| (d.at, d.receiver));
-        out
     }
 
     /// Builds the per-tap replay lists (and the spatial index underneath)
@@ -736,7 +634,7 @@ mod tests {
         assert_eq!(s.counter("radio.frames.dropped_loss"), Some(0));
     }
 
-    /// A bigger medium with taps, for cached-vs-reference equivalence.
+    /// A bigger medium with taps, for fork-vs-fresh equivalence.
     fn tapped_grid_medium(loss: f64, seed: u64) -> Medium {
         let mut positions = Vec::new();
         for i in 0..12 {
@@ -758,64 +656,6 @@ mod tests {
             extra_delay: Cycles::new(2_000),
         });
         m
-    }
-
-    #[test]
-    fn transmit_into_matches_reference_bit_for_bit() {
-        // Two same-seeded media, one driven through the cached path and one
-        // through the preserved reference path. Every delivery list and the
-        // RNG stream position must agree transmit after transmit — with
-        // loss enabled so a single extra/missing/misordered draw anywhere
-        // desynchronizes everything after it.
-        for loss in [0.0, 0.3] {
-            let mut cached = tapped_grid_medium(loss, 42);
-            let mut reference = tapped_grid_medium(loss, 42);
-            let mut out = Vec::new();
-            for round in 0..3u32 {
-                for sender in 0..cached.len() {
-                    let f = request_frame(sender as u32, 0);
-                    let at = Cycles::new(u64::from(round) * 1_000_000);
-                    cached.transmit_into(sender, &f, at, &mut out);
-                    let expected = reference.transmit_reference(sender, &f, at);
-                    assert_eq!(out, expected, "loss={loss} round={round} sender={sender}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transmit_metrics_match_reference_totals() {
-        use secloc_obs::MetricsRegistry;
-        let drive = |reference: bool| {
-            let registry = MetricsRegistry::new();
-            let mut m = tapped_grid_medium(0.25, 7);
-            m.attach_metrics(RadioMetrics::new(&registry));
-            for sender in 0..m.len() {
-                let f = request_frame(sender as u32, 0);
-                if reference {
-                    m.transmit_reference(sender, &f, Cycles::ZERO);
-                } else {
-                    m.transmit(sender, &f, Cycles::ZERO);
-                }
-            }
-            registry.snapshot()
-        };
-        let cached = drive(false);
-        let reference = drive(true);
-        for counter in [
-            "radio.frames.sent",
-            "radio.frames.delivered",
-            "radio.frames.dropped_range",
-            "radio.frames.dropped_loss",
-            "radio.frames.tap_replayed",
-            "radio.ranging.requests",
-        ] {
-            assert_eq!(
-                cached.counter(counter),
-                reference.counter(counter),
-                "{counter}"
-            );
-        }
     }
 
     #[test]
@@ -894,28 +734,6 @@ mod tests {
         assert_eq!(out.len(), 1); // …and a reused buffer holds only fresh results
         m.transmit_into(3, &f, Cycles::ZERO, &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn negative_coordinates_fall_back_to_linear_scan() {
-        // Positions a Field can't host: the grid is skipped but the caches
-        // still work and agree with the reference scan.
-        let positions = vec![
-            Point2::new(-100.0, -50.0),
-            Point2::new(-20.0, -50.0),
-            Point2::new(300.0, 40.0),
-        ];
-        let mut cached = Medium::new(positions.clone(), 150.0, 0.2, 5);
-        let mut reference = Medium::new(positions, 150.0, 0.2, 5);
-        let f = request_frame(0, 1);
-        for sender in 0..3 {
-            for _ in 0..10 {
-                assert_eq!(
-                    cached.transmit(sender, &f, Cycles::ZERO),
-                    reference.transmit_reference(sender, &f, Cycles::ZERO),
-                );
-            }
-        }
     }
 
     #[test]

@@ -17,12 +17,18 @@ use secloc_obs::{Counter, MetricsRegistry};
 ///   request body.
 #[derive(Debug, Clone)]
 pub struct RadioMetrics {
-    pub(crate) frames_sent: Counter,
-    pub(crate) frames_delivered: Counter,
-    pub(crate) frames_dropped_range: Counter,
-    pub(crate) frames_dropped_loss: Counter,
-    pub(crate) frames_tap_replayed: Counter,
-    pub(crate) ranging_requests: Counter,
+    /// `radio.frames.sent`.
+    pub frames_sent: Counter,
+    /// `radio.frames.delivered`.
+    pub frames_delivered: Counter,
+    /// `radio.frames.dropped_range`.
+    pub frames_dropped_range: Counter,
+    /// `radio.frames.dropped_loss`.
+    pub frames_dropped_loss: Counter,
+    /// `radio.frames.tap_replayed`.
+    pub frames_tap_replayed: Counter,
+    /// `radio.ranging.requests`.
+    pub ranging_requests: Counter,
 }
 
 impl RadioMetrics {

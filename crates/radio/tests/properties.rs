@@ -7,7 +7,7 @@ use secloc_crypto::{Key, NodeId};
 use secloc_geometry::Point2;
 use secloc_radio::ranging::{BoundedRanging, Ranging, RssiRanging};
 use secloc_radio::timing::{DelayComponent, RttModel};
-use secloc_radio::{BeaconPayload, Cycles, EventQueue, Frame, FrameBody, RequestPayload};
+use secloc_radio::{BeaconPayload, Cycles, Frame, FrameBody, RequestPayload};
 
 proptest! {
     #[test]
@@ -119,21 +119,5 @@ proptest! {
         // The strict parser must reject or parse — never panic — on
         // arbitrary input.
         let _ = secloc_radio::wire::decode(&bytes);
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Cycles::new(t), i);
-        }
-        let mut last = Cycles::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 }

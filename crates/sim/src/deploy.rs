@@ -386,7 +386,7 @@ impl Deployment {
 }
 
 /// Derives an independent RNG stream seed from a master seed and a label.
-pub(crate) fn subseed(master: u64, label: &[u8]) -> u64 {
+pub fn subseed(master: u64, label: &[u8]) -> u64 {
     prf::prf64((master, 0x5ec1_0c5e_ed5e_ed00), label)
 }
 
@@ -456,16 +456,18 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_into_matches_index_neighbors_of() {
+    fn neighbors_into_matches_index_query() {
         let d = Deployment::generate(small_config(), 3);
         let mut scratch = vec![u32::MAX; 7]; // stale garbage must be cleared
+        let mut hits = Vec::new();
         for i in (0..300).step_by(19) {
-            let expected: Vec<u32> = d
-                .topology
+            d.topology
                 .index
-                .neighbors_of(i as usize, d.config.range_ft)
-                .into_iter()
-                .map(|x| x as u32)
+                .within_into(d.position(i), d.config.range_ft, &mut hits);
+            let expected: Vec<u32> = hits
+                .iter()
+                .filter(|&&x| x != i as usize)
+                .map(|&x| x as u32)
                 .collect();
             d.neighbors_into(i, &mut scratch);
             assert_eq!(scratch, expected, "node {i}");

@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use cache::{BinaryCache, CacheRecovery};
 pub use config::{ConfigError, SimConfig, SimConfigBuilder};
-pub use deploy::{Deployment, NodeKind};
+pub use deploy::{subseed, Deployment, NodeKind};
 pub use metrics::{average_outcomes, AggregateOutcome, SimOutcome};
 pub use orchestrator::{CacheFormat, Orchestrator, SweepCell, SweepReport, SweepSpec, WorkerStats};
 pub use probe::{ProbeContext, ProbeFaults, ProbeResult};

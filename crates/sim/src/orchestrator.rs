@@ -121,8 +121,8 @@ impl CellKey {
 /// A cell key hashes the canonical encoding
 /// `"{config:?};seed={seed};options=plain;tag={tag}"`. `SimConfig` is
 /// plain data whose derived `Debug` output is deterministic; the options
-/// tag records how the cell is run (always the plain optimized path —
-/// traces and telemetry provably do not change outcomes, see
+/// tag records how the cell is run (always the plain run — traces and
+/// telemetry provably do not change outcomes, see
 /// `tests/equivalence.rs` and `tests/obs_events.rs`). The `Debug` text is
 /// the costly part, and FNV-1a folds byte by byte, so a sweep hashes the
 /// prefix once per config and continues a copy of it for each seed.
@@ -929,7 +929,6 @@ pub struct Orchestrator {
     checkpoint_path: Option<PathBuf>,
     obs: Obs,
     tag: Option<String>,
-    sharing: bool,
     flight: Option<(Arc<FlightRecorder>, PathBuf)>,
 }
 
@@ -943,15 +942,14 @@ impl Default for Orchestrator {
             checkpoint_path: None,
             obs: Obs::default(),
             tag: None,
-            sharing: true,
             flight: None,
         }
     }
 }
 
 impl Orchestrator {
-    /// An orchestrator with automatic parallelism, probe-stage sharing on,
-    /// no cache and no checkpoint.
+    /// An orchestrator with automatic parallelism, no cache and no
+    /// checkpoint.
     pub fn new() -> Self {
         Orchestrator::default()
     }
@@ -1043,17 +1041,6 @@ impl Orchestrator {
         dump_dir: impl Into<PathBuf>,
     ) -> Self {
         self.flight = Some((recorder, dump_dir.into()));
-        self
-    }
-
-    /// Enables or disables topology/probe-stage sharing (on by default).
-    /// Cells that agree on everything except revocation-policy knobs
-    /// deploy and probe once, then replay only the revocation/impact
-    /// phases per cell. Outcomes, cache entries and checkpoint bytes are
-    /// bit-identical either way — `sharing(false)` is the per-cell oracle
-    /// the benchmarks and equivalence tests compare against.
-    pub fn sharing(mut self, on: bool) -> Self {
-        self.sharing = on;
         self
     }
 
@@ -1156,17 +1143,12 @@ impl Orchestrator {
         obs.add("sweep.cells_cached", cache_hits as u64);
         obs.add("sweep.cells_executed", pending.len() as u64);
 
-        // 3. Fold the pending cells into scheduling units. With sharing
-        //    on, cells with the same probe fingerprint and seed form one
-        //    unit that deploys + probes once (first-appearance order, so a
-        //    pure policy sweep stays in sweep order); with sharing off
-        //    every cell is its own unit. Units go into a shared
-        //    work-stealing queue, never more workers than units.
-        let units: Vec<Vec<usize>> = if self.sharing {
-            spec.probe_units(&pending)
-        } else {
-            pending.iter().map(|&i| vec![i]).collect()
-        };
+        // 3. Fold the pending cells into scheduling units: cells with the
+        //    same probe fingerprint and seed form one unit that deploys +
+        //    probes once (first-appearance order, so a pure policy sweep
+        //    stays in sweep order). Units go into a shared work-stealing
+        //    queue, never more workers than units.
+        let units: Vec<Vec<usize>> = spec.probe_units(&pending);
         let requested = if self.workers == 0 {
             thread::available_parallelism()
                 .map(|n| n.get())
@@ -1730,6 +1712,18 @@ mod tests {
         }
     }
 
+    /// Every cell of `spec` run on its own, from a fresh deployment.
+    fn fresh_outcomes(spec: &SweepSpec) -> Vec<SimOutcome> {
+        spec.cells()
+            .iter()
+            .map(|c| {
+                Runner::new(c.config.clone(), c.seed)
+                    .run(RunOptions::new())
+                    .outcome
+            })
+            .collect()
+    }
+
     #[test]
     fn sharing_matches_fresh_runs_on_a_policy_grid() {
         // A τ/τ′ revocation-policy grid over two seeds: 12 cells, but only
@@ -1745,20 +1739,15 @@ mod tests {
         }
         let spec = SweepSpec::product(&configs, &[5, 6]);
         let shared = Orchestrator::new().workers(4).run(&spec).unwrap();
-        let fresh = Orchestrator::new()
-            .workers(4)
-            .sharing(false)
-            .run(&spec)
-            .unwrap();
         assert_eq!(
-            shared.outcomes, fresh.outcomes,
+            shared.outcomes,
+            fresh_outcomes(&spec),
             "probe-stage sharing must be invisible in the results"
         );
         assert_eq!(
             shared.workers_spawned, 2,
             "one scheduling unit per probe fingerprint"
         );
-        assert_eq!(fresh.workers_spawned, 4, "per-cell sharding when off");
     }
 
     #[test]
@@ -1771,12 +1760,7 @@ mod tests {
         policy_variant.alert_loss_rate = 0.35;
         let spec = SweepSpec::product(&[tiny(), other_topo, policy_variant], &[9]);
         let shared = Orchestrator::new().workers(2).run(&spec).unwrap();
-        let fresh = Orchestrator::new()
-            .workers(2)
-            .sharing(false)
-            .run(&spec)
-            .unwrap();
-        assert_eq!(shared.outcomes, fresh.outcomes);
+        assert_eq!(shared.outcomes, fresh_outcomes(&spec));
         assert_eq!(shared.workers_spawned, 2, "two probe fingerprints");
     }
 

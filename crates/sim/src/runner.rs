@@ -1,11 +1,11 @@
 //! The unified experiment entry point: [`Runner`] + [`RunOptions`].
 //!
-//! One `run` method replaces the old `run` / `run_traced` /
-//! `run_observed` / `run_reference` quartet: callers compose what they
-//! need with the [`RunOptions`] builder and get back a [`RunOutput`].
-//! The same entry point threads an optional [`FaultPlan`] through every
-//! phase; an empty plan is guaranteed bit-identical to a fault-free run
-//! (`tests/equivalence.rs` enforces it).
+//! One `run` method serves every caller: they compose what they need with
+//! the [`RunOptions`] builder and get back a [`RunOutput`]. The same entry
+//! point threads an optional [`FaultPlan`] through every phase; an empty
+//! plan is guaranteed bit-identical to a fault-free run, and every run is
+//! bit-identical to the straight-line reference run of the dev-only
+//! `secloc-oracle` crate (`tests/equivalence.rs` enforces both).
 
 use crate::deploy::subseed;
 use crate::probe::ProbeFaults;
@@ -18,10 +18,10 @@ use secloc_attack::{Action, CollusionPolicy};
 use secloc_core::{Alert, AlertMetrics, BaseStation, RevocationConfig};
 use secloc_crypto::NodeId;
 use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
-use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
+use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
-use secloc_radio::{Cycles, EventQueue};
+use secloc_radio::Cycles;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A reference a sensor kept for localization, tagged with its source.
@@ -31,18 +31,18 @@ struct KeptReference {
     reference: LocationReference,
 }
 
-/// Flat probe-pair schedule for the optimized path.
+/// Flat probe-pair schedule, drained in `(dispatch time, insertion
+/// sequence)` order — the pop order of a discrete-event heap (the
+/// reference run's `EventQueue` in `secloc-oracle`).
 ///
-/// The [`EventQueue`]'s `(dispatch time, insertion sequence)` priority is
-/// packed into a single `u64` sort key — dispatch times are drawn from
-/// `0..1_000_000` (well under 2³²) and the sequence number is the push
-/// index — so one stable sort over a flat vec reproduces the heap's drain
-/// order exactly while skipping both the per-push sift-up and the
-/// drain-time comparison sort of three-field entries. The sort itself is
-/// a three-pass LSD counting radix over the 24 time bits: each pass is
-/// stable, so entries with equal dispatch times keep insertion order,
-/// which is precisely the sequence tie-break. The reference path keeps
-/// the real [`EventQueue`] so the before/after perf ratio stays honest.
+/// The priority is packed into a single `u64` sort key — dispatch times
+/// are drawn from `0..1_000_000` (well under 2³²) and the sequence number
+/// is the push index — so one stable sort over a flat vec reproduces the
+/// heap's drain order exactly while skipping both the per-push sift-up and
+/// the per-pop heap maintenance. The sort itself is a three-pass LSD
+/// counting radix over the 24 time bits: each pass is stable, so entries
+/// with equal dispatch times keep insertion order, which is precisely the
+/// sequence tie-break.
 struct ScheduledPairs {
     entries: Vec<(u64, u32, u32)>,
 }
@@ -61,8 +61,7 @@ impl ScheduledPairs {
         self.entries.push((key, u, v));
     }
 
-    /// Consumes the schedule in `(time, sequence)` order — the exact
-    /// order [`EventQueue::drain_ordered`] yields.
+    /// Consumes the schedule in `(time, sequence)` order.
     ///
     /// LSD radix sort over the dispatch-time bits (`key >> 32`, which is
     /// `< 1_000_000 < 2²⁴`): three stable 8-bit counting passes. Stability
@@ -190,7 +189,7 @@ struct ImpactPrecompute {
 }
 
 /// A snapshot of the probe stage (detection + location discovery) of a
-/// plain optimized run, reusable by every sweep cell that shares the
+/// plain run, reusable by every sweep cell that shares the
 /// deployment and the probe-relevant policy fields. Produced by
 /// [`Runner::probe_stage`], consumed by [`Runner::finish_from_stage`].
 #[derive(Debug)]
@@ -225,8 +224,8 @@ impl ImpactMemo {
     }
 }
 
-/// How to run one experiment: tracing, telemetry, the reference (pre-
-/// optimization) path, and fault injection, all opt-in.
+/// How to run one experiment: tracing, telemetry, fault injection and
+/// intra-run localization workers, all opt-in.
 ///
 /// ```
 /// use secloc_sim::{RunOptions, Runner, SimConfig};
@@ -247,14 +246,13 @@ impl ImpactMemo {
 pub struct RunOptions<'a> {
     traced: bool,
     observed: Option<&'a Obs>,
-    reference: bool,
     faults: Option<FaultPlan>,
     location_workers: usize,
 }
 
 impl<'a> RunOptions<'a> {
-    /// The plain run: optimized path, no trace, no telemetry, faults
-    /// taken from the configuration's [`SimConfig::faults`] plan.
+    /// The plain run: no trace, no telemetry, faults taken from the
+    /// configuration's [`SimConfig::faults`] plan.
     pub fn new() -> Self {
         RunOptions::default()
     }
@@ -273,17 +271,6 @@ impl<'a> RunOptions<'a> {
     /// outcomes.
     pub fn observed(mut self, obs: &'a Obs) -> Self {
         self.observed = Some(obs);
-        self
-    }
-
-    /// Use the pre-optimization path: allocating neighbour queries,
-    /// per-pop heap maintenance and a two-pass impact computation. Kept so
-    /// the perf regression harness (`benches/hot_paths.rs`) can measure an
-    /// honest before/after ratio, and so `tests/equivalence.rs` can prove
-    /// the optimized path produces bit-identical outcomes. Both paths draw
-    /// from the same seeded RNG streams in the same order.
-    pub fn reference(mut self) -> Self {
-        self.reference = true;
         self
     }
 
@@ -321,7 +308,7 @@ pub struct RunOutput {
 
 /// One end-to-end simulation run on a fixed deployment.
 ///
-/// Phases (each driven from the deterministic [`EventQueue`]):
+/// Phases (probes drain in seeded dispatch-time order):
 ///
 /// 1. **Detection** — every benign beacon probes, under each of its `m`
 ///    detecting IDs, every beacon it can hear (directly or through the
@@ -404,20 +391,15 @@ impl Runner {
             .faults
             .as_ref()
             .unwrap_or(&self.deployment.config().faults);
-        let (outcome, trace) = self.run_impl(
-            telemetry,
-            !options.reference,
-            plan,
-            options.location_workers,
-        );
+        let (outcome, trace) = self.run_impl(telemetry, plan, options.location_workers);
         RunOutput {
             outcome,
             trace: options.traced.then_some(trace),
         }
     }
 
-    /// Runs phases 1–2 (detection + location discovery) of a plain
-    /// optimized run — config fault plan, no trace, no telemetry — and
+    /// Runs phases 1–2 (detection + location discovery) of a plain run —
+    /// config fault plan, no trace, no telemetry — and
     /// snapshots everything the remaining phases need, including the
     /// τ-independent impact precompute.
     ///
@@ -438,7 +420,7 @@ impl Runner {
     pub fn probe_stage_with(&self, workers: usize) -> ProbeStage {
         let disabled = Obs::disabled();
         let plan = self.deployment.config().faults.clone();
-        let core = self.stage_phases(&disabled, true, &plan);
+        let core = self.stage_phases(&disabled, &plan);
         let impact = self.impact_precompute(&core, workers);
         ProbeStage { core, impact }
     }
@@ -454,7 +436,7 @@ impl Runner {
         self.impact_precompute(&stage.core, workers).n_b
     }
 
-    /// Completes a plain optimized run from a shared probe-stage snapshot:
+    /// Completes a plain run from a shared probe-stage snapshot:
     /// bit-identical to `self.run(RunOptions::new()).outcome` when `stage`
     /// came from a runner agreeing with `self` on the seed, the topology,
     /// and every probe-relevant policy field (the equivalence suite is the
@@ -492,7 +474,6 @@ impl Runner {
         let plan = self.deployment.config().faults.clone();
         let (outcome, _) = self.finish_phases(
             telemetry,
-            true,
             &plan,
             &stage.core,
             stage.core.benign_alerts.clone(),
@@ -507,16 +488,14 @@ impl Runner {
     fn run_impl(
         &self,
         telemetry: &Obs,
-        optimized: bool,
         plan: &FaultPlan,
         location_workers: usize,
     ) -> (SimOutcome, Trace) {
-        let mut core = self.stage_phases(telemetry, optimized, plan);
+        let mut core = self.stage_phases(telemetry, plan);
         let benign_alerts = std::mem::take(&mut core.benign_alerts);
         let order_rng = core.order_rng.clone();
         self.finish_phases(
             telemetry,
-            optimized,
             plan,
             &core,
             benign_alerts,
@@ -527,7 +506,7 @@ impl Runner {
         )
     }
 
-    fn stage_phases(&self, telemetry: &Obs, optimized: bool, plan: &FaultPlan) -> StageCore {
+    fn stage_phases(&self, telemetry: &Obs, plan: &FaultPlan) -> StageCore {
         let d = &self.deployment;
         let cfg = d.config();
         let ctx = ProbeContext::with_obs(d, telemetry);
@@ -583,64 +562,41 @@ impl Runner {
         telemetry.emit("phase", &[("name", Value::Str("detection".to_string()))]);
         let detection_span = telemetry.span("phase.detection");
         let detectors = d.beacons_of_kind(NodeKind::BenignBeacon);
-        // Scratch for the reference-path audible queries; the optimized
-        // path reads the topology's precomputed CSR cache instead of
-        // querying at all — and schedules into a flat key-packed vec (see
+        // Audible beacons come from the topology's precomputed CSR cache,
+        // and probes schedule into a flat key-packed vec (see
         // `ScheduledPairs`) instead of paying per-push heap maintenance.
-        let mut audible: Vec<u32>;
-        let mut pairs = ScheduledPairs::with_capacity(if optimized {
-            detectors.iter().map(|&u| d.audible_beacons(u).len()).sum()
-        } else {
-            0
-        });
-        let mut queue: EventQueue<(u32, u32)> = EventQueue::new();
+        let mut pairs = ScheduledPairs::with_capacity(
+            detectors.iter().map(|&u| d.audible_beacons(u).len()).sum(),
+        );
         for &u in &detectors {
-            if optimized {
-                for &v in d.audible_beacons(u) {
-                    pairs.schedule(order_rng.gen_range(0..1_000_000), u, v);
-                }
-            } else {
-                audible = self.audible_beacons(u);
-                for &v in &audible {
-                    queue.schedule(Cycles::new(order_rng.gen_range(0..1_000_000)), (u, v));
-                }
+            for &v in d.audible_beacons(u) {
+                pairs.schedule(order_rng.gen_range(0..1_000_000), u, v);
             }
         }
         let mut benign_alerts: Vec<Alert> = Vec::new();
-        {
-            let mut handle = |t: Cycles, u: u32, v: u32| {
-                if let Some(c) = &churn {
-                    let frac = t.as_u64() as f64 / 1_000_000.0;
-                    if !c.is_alive(u, frac) || !c.is_alive(v, frac) {
-                        churn_suppressed += 1;
-                        return;
-                    }
+        for (t, u, v) in pairs.drain_ordered() {
+            if let Some(c) = &churn {
+                let frac = t.as_u64() as f64 / 1_000_000.0;
+                if !c.is_alive(u, frac) || !c.is_alive(v, frac) {
+                    churn_suppressed += 1;
+                    continue;
                 }
-                let fx = fx_of(u);
-                if fx.noise_figure != 1.0 {
-                    noise_perturbed += 1;
-                }
-                if fx.skew != Cycles::ZERO {
-                    drift_skewed += 1;
-                }
-                for k in 0..cfg.detecting_ids {
-                    let wire = d.ids().detecting_id(u, k);
-                    let Some(result) = ctx.probe_with(u, wire, v, fx, &mut probe_rng) else {
-                        break;
-                    };
-                    if result.outcome.raises_alert() {
-                        benign_alerts.push(Alert::new(NodeId(u), NodeId(v)));
-                        break; // one alert per (detector, target)
-                    }
-                }
-            };
-            if optimized {
-                for (t, u, v) in pairs.drain_ordered() {
-                    handle(t, u, v);
-                }
-            } else {
-                while let Some((t, (u, v))) = queue.pop() {
-                    handle(t, u, v);
+            }
+            let fx = fx_of(u);
+            if fx.noise_figure != 1.0 {
+                noise_perturbed += 1;
+            }
+            if fx.skew != Cycles::ZERO {
+                drift_skewed += 1;
+            }
+            for k in 0..cfg.detecting_ids {
+                let wire = d.ids().detecting_id(u, k);
+                let Some(result) = ctx.probe_with(u, wire, v, fx, &mut probe_rng) else {
+                    break;
+                };
+                if result.outcome.raises_alert() {
+                    benign_alerts.push(Alert::new(NodeId(u), NodeId(v)));
+                    break; // one alert per (detector, target)
                 }
             }
         }
@@ -650,85 +606,57 @@ impl Runner {
         // ---- Phase 2: location discovery by sensors. ------------------
         telemetry.emit("phase", &[("name", Value::Str("location".to_string()))]);
         let location_span = telemetry.span("phase.location");
-        let mut pairs = ScheduledPairs::with_capacity(if optimized {
-            d.audible_pair_count(cfg.beacons, cfg.nodes)
-        } else {
-            0
-        });
-        let mut queue: EventQueue<(u32, u32)> = EventQueue::new();
+        let mut pairs = ScheduledPairs::with_capacity(d.audible_pair_count(cfg.beacons, cfg.nodes));
         for w in d.sensors() {
-            if optimized {
-                for &v in d.audible_beacons(w) {
-                    pairs.schedule(order_rng.gen_range(0..1_000_000), w, v);
-                }
-            } else {
-                audible = self.audible_beacons(w);
-                for &v in &audible {
-                    queue.schedule(Cycles::new(order_rng.gen_range(0..1_000_000)), (w, v));
-                }
+            for &v in d.audible_beacons(w) {
+                pairs.schedule(order_rng.gen_range(0..1_000_000), w, v);
             }
         }
         // Pre-size each sensor's kept list to its audible-beacon count —
         // the exact upper bound, since a sensor keeps at most one
         // reference per audible beacon — so the probe loop below never
-        // reallocates mid-phase. Capacity is invisible to outcomes; the
-        // reference path keeps growth-on-push as the honest before.
-        let mut kept: Vec<Vec<KeptReference>> = if optimized {
-            (0..cfg.nodes)
-                .map(|u| {
-                    Vec::with_capacity(if u >= cfg.beacons {
-                        d.audible_beacons(u).len()
-                    } else {
-                        0
-                    })
+        // reallocates mid-phase. Capacity is invisible to outcomes.
+        let mut kept: Vec<Vec<KeptReference>> = (0..cfg.nodes)
+            .map(|u| {
+                Vec::with_capacity(if u >= cfg.beacons {
+                    d.audible_beacons(u).len()
+                } else {
+                    0
                 })
-                .collect()
-        } else {
-            vec![Vec::new(); cfg.nodes as usize]
-        };
+            })
+            .collect();
         // poisoned[v] = sensors that accepted a malicious signal from v.
         let mut poisoned: Vec<Vec<u32>> = vec![Vec::new(); cfg.beacons as usize];
-        {
-            let mut handle = |t: Cycles, w: u32, v: u32| {
-                if let Some(c) = &churn {
-                    let frac = t.as_u64() as f64 / 1_000_000.0;
-                    if !c.is_alive(v, frac) {
-                        churn_suppressed += 1;
-                        return;
-                    }
+        for (t, w, v) in pairs.drain_ordered() {
+            if let Some(c) = &churn {
+                let frac = t.as_u64() as f64 / 1_000_000.0;
+                if !c.is_alive(v, frac) {
+                    churn_suppressed += 1;
+                    continue;
                 }
-                let fx = fx_of(w);
-                if fx.noise_figure != 1.0 {
-                    noise_perturbed += 1;
-                }
-                if fx.skew != Cycles::ZERO {
-                    drift_skewed += 1;
-                }
-                let Some(result) = ctx.probe_with(w, NodeId(w), v, fx, &mut probe_rng) else {
-                    return;
-                };
-                if !result.accepted_for_localization {
-                    return;
-                }
-                kept[w as usize].push(KeptReference {
-                    beacon: v,
-                    reference: LocationReference::new(
-                        result.observation.declared_position,
-                        result.observation.measured_distance_ft,
-                    ),
-                });
-                if result.action == Some(Action::MaliciousSignal) {
-                    poisoned[v as usize].push(w);
-                }
+            }
+            let fx = fx_of(w);
+            if fx.noise_figure != 1.0 {
+                noise_perturbed += 1;
+            }
+            if fx.skew != Cycles::ZERO {
+                drift_skewed += 1;
+            }
+            let Some(result) = ctx.probe_with(w, NodeId(w), v, fx, &mut probe_rng) else {
+                continue;
             };
-            if optimized {
-                for (t, w, v) in pairs.drain_ordered() {
-                    handle(t, w, v);
-                }
-            } else {
-                while let Some((t, (w, v))) = queue.pop() {
-                    handle(t, w, v);
-                }
+            if !result.accepted_for_localization {
+                continue;
+            }
+            kept[w as usize].push(KeptReference {
+                beacon: v,
+                reference: LocationReference::new(
+                    result.observation.declared_position,
+                    result.observation.measured_distance_ft,
+                ),
+            });
+            if result.action == Some(Action::MaliciousSignal) {
+                poisoned[v as usize].push(w);
             }
         }
         telemetry.add(
@@ -768,48 +696,65 @@ impl Runner {
     /// solves fan out over scoped threads and are merged back in sensor
     /// order before the fold, which cannot change the sums.
     fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
-        let d = &self.deployment;
-        let cfg = d.config();
-        let batched = BatchedMmse::default();
-        let field = secloc_geometry::Field::square(cfg.field_side_ft);
-        let cap = d.max_audible_len();
-        let solve_one = |w: u32, scratch: &mut MmseScratch| -> Option<f64> {
-            let ks = &core.kept[w as usize];
-            debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
-            scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            batched
-                .estimate(scratch)
-                .ok()
-                .map(|est| field.clamp(est.position).distance(d.position(w)))
-        };
-        let sensor0 = cfg.beacons;
-        let total = (cfg.nodes - cfg.beacons) as usize;
-        let per_sensor: Vec<Option<f64>> = if workers >= 2 {
-            parallel_index_map(
-                total,
-                workers,
-                || MmseScratch::with_capacity(cap),
-                |i, scratch| solve_one(sensor0 + i as u32, scratch),
-            )
-        } else {
-            let mut scratch = MmseScratch::with_capacity(cap);
-            let cap0 = scratch.capacity();
-            let out = (0..total)
-                .map(|i| solve_one(sensor0 + i as u32, &mut scratch))
-                .collect();
-            debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-            out
-        };
+        let cfg = self.deployment.config();
+        let per_sensor = self.map_sensors(workers, |w, scratch| {
+            scratch.load_from_iter(core.kept[w as usize].iter().map(|k| k.reference));
+            self.clamped_error(w, scratch)
+        });
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
         for (i, c) in per_sensor.into_iter().enumerate() {
             if let Some(c) = c {
-                before[sensor0 as usize + i] = Some(c);
+                before[cfg.beacons as usize + i] = Some(c);
                 sum_b += c;
                 n_b += 1;
             }
         }
         ImpactPrecompute { before, sum_b, n_b }
+    }
+
+    /// Maps `solve` over the sensors in sensor order, handing each call a
+    /// scratch pre-sized to the topology's largest audible set. With
+    /// `workers` ≥ 2 the calls fan out over scoped threads, each with its
+    /// own scratch; the results still come back in sensor order.
+    fn map_sensors<T: Send>(
+        &self,
+        workers: usize,
+        solve: impl Fn(u32, &mut MmseScratch) -> T + Sync,
+    ) -> Vec<T> {
+        let d = &self.deployment;
+        let cap = d.max_audible_len();
+        let sensor0 = d.config().beacons;
+        let total = (d.config().nodes - sensor0) as usize;
+        if workers >= 2 {
+            return parallel_index_map(
+                total,
+                workers,
+                || MmseScratch::with_capacity(cap),
+                |i, scratch| solve(sensor0 + i as u32, scratch),
+            );
+        }
+        let mut scratch = MmseScratch::with_capacity(cap);
+        let cap0 = scratch.capacity();
+        let out = (0..total)
+            .map(|i| solve(sensor0 + i as u32, &mut scratch))
+            .collect();
+        debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
+        out
+    }
+
+    /// Sensor `w`'s localization error from the scratch's active rows, or
+    /// `None` when they do not solve. A deployed node knows the field
+    /// bounds, and poisoned constraints can push the least-squares
+    /// solution outside them, so the estimate is clamped like a real stack
+    /// would clamp it.
+    fn clamped_error(&self, w: u32, scratch: &MmseScratch) -> Option<f64> {
+        let d = &self.deployment;
+        let field = secloc_geometry::Field::square(d.config().field_side_ft);
+        BatchedMmse::default()
+            .estimate(scratch)
+            .ok()
+            .map(|est| field.clamp(est.position).distance(d.position(w)))
     }
 
     /// Phases 3a–4. `core` supplies the probe-stage snapshot;
@@ -821,7 +766,6 @@ impl Runner {
     fn finish_phases(
         &self,
         telemetry: &Obs,
-        optimized: bool,
         plan: &FaultPlan,
         core: &StageCore,
         benign_alerts: Vec<Alert>,
@@ -995,120 +939,22 @@ impl Runner {
             )
         };
 
-        let estimator = MmseEstimator::default();
-        let field = secloc_geometry::Field::square(cfg.field_side_ft);
-        // Revocation state materialized once as a bitmap so the optimized
-        // inner loops avoid per-reference hash lookups; the reference-path
-        // closure below keeps querying the station directly.
+        // Revocation state materialized once as a bitmap so the inner
+        // loops avoid per-reference hash lookups.
         let revoked: Vec<bool> = (0..cfg.beacons)
             .map(|b| station.is_revoked(NodeId(b)))
             .collect();
-        let workers_used = if optimized {
-            location_workers.max(1)
-        } else {
-            1
-        };
         telemetry.set_gauge("run.location_workers", location_workers as i64);
-        telemetry.set_gauge("impact.workers", workers_used as i64);
-        let mean_error = |filter_revoked: bool| -> Option<f64> {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for w in d.sensors() {
-                let refs: Vec<LocationReference> = kept[w as usize]
-                    .iter()
-                    .filter(|k| !filter_revoked || !station.is_revoked(NodeId(k.beacon)))
-                    .map(|k| k.reference)
-                    .collect();
-                if refs.len() < estimator.min_references() {
-                    continue;
-                }
-                if let Ok(est) = estimator.estimate(&refs) {
-                    // A deployed node knows the field bounds; wildly
-                    // inconsistent (poisoned) constraints can push the
-                    // least-squares solution outside them, so clamp like a
-                    // real stack would.
-                    let clamped = field.clamp(est.position);
-                    sum += clamped.distance(d.position(w));
-                    n += 1;
-                }
-            }
-            (n > 0).then(|| sum / n as f64)
-        };
+        telemetry.set_gauge("impact.workers", location_workers.max(1) as i64);
 
-        // Single pass over the sensors on the lane-kernel solver with a
-        // reused pre-sized scratch; when revocation removed none of a
-        // sensor's references the second (filtered) estimate is the same
-        // pure function of the same inputs, so the first result is reused
-        // instead of recomputed. Per-sensor contributions are folded in
-        // sensor order whether solved in-line or on worker threads, and
-        // the per-accumulator addition order matches the two-pass
-        // reference, so the means are bit-identical either way.
-        let batched = BatchedMmse::default();
-        let cap = d.max_audible_len();
-        let sensor0 = cfg.beacons;
-        let sensor_total = (cfg.nodes - cfg.beacons) as usize;
-        let solve_pair = |w: u32, scratch: &mut MmseScratch| -> (Option<f64>, Option<f64>) {
-            let ks = &kept[w as usize];
-            debug_assert!(ks.len() <= cap, "kept set exceeds pre-sized scratch");
-            scratch.load_from_iter(ks.iter().map(|k| k.reference));
-            let before = batched
-                .estimate(scratch)
-                .ok()
-                .map(|est| field.clamp(est.position).distance(d.position(w)));
-            let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
-                before // nothing filtered: identical inputs
-            } else {
-                scratch.retain(|i| !revoked[ks[i].beacon as usize]);
-                batched
-                    .estimate(scratch)
-                    .ok()
-                    .map(|est| field.clamp(est.position).distance(d.position(w)))
-            };
-            (before, after)
-        };
-        let mean_errors_single_pass = |workers: usize| -> (Option<f64>, Option<f64>) {
-            let pairs: Vec<(Option<f64>, Option<f64>)> = if workers >= 2 {
-                parallel_index_map(
-                    sensor_total,
-                    workers,
-                    || MmseScratch::with_capacity(cap),
-                    |i, scratch| solve_pair(sensor0 + i as u32, scratch),
-                )
-            } else {
-                let mut scratch = MmseScratch::with_capacity(cap);
-                let cap0 = scratch.capacity();
-                let out = (0..sensor_total)
-                    .map(|i| solve_pair(sensor0 + i as u32, &mut scratch))
-                    .collect();
-                debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-                out
-            };
-            let (mut sum_b, mut n_b) = (0.0f64, 0usize);
-            let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-            for (b, a) in pairs {
-                if let Some(c) = b {
-                    sum_b += c;
-                    n_b += 1;
-                }
-                if let Some(c) = a {
-                    sum_a += c;
-                    n_a += 1;
-                }
-            }
-            (
-                (n_b > 0).then(|| sum_b / n_b as f64),
-                (n_a > 0).then(|| sum_a / n_a as f64),
-            )
-        };
         let (err_before, err_after) = match shared {
             // Shared-stage path: the pre-revocation contributions were
             // accumulated once per probe stage in the same sensor order;
             // only sensors that actually lost a reference to revocation
-            // are re-estimated here. Revocation state is materialized as a
-            // bitmap so the inner loops avoid per-reference hash lookups.
+            // are re-estimated here.
             Some(pre) => {
                 let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-                let mut scratch = MmseScratch::with_capacity(cap);
+                let mut scratch = MmseScratch::with_capacity(d.max_audible_len());
                 let cap0 = scratch.capacity();
                 let mut memo = memo;
                 if let Some(m) = memo.as_deref_mut() {
@@ -1140,10 +986,7 @@ impl Runner {
                                 .filter(|k| !revoked[k.beacon as usize])
                                 .map(|k| k.reference),
                         );
-                        batched
-                            .estimate(scratch)
-                            .ok()
-                            .map(|est| field.clamp(est.position).distance(d.position(w)))
+                        self.clamped_error(w, scratch)
                     };
                     let contribution = match (dropped, memo.as_deref_mut()) {
                         // Nothing dropped: identical inputs, reuse the
@@ -1173,8 +1016,45 @@ impl Runner {
                     (n_a > 0).then(|| sum_a / n_a as f64),
                 )
             }
-            None if optimized => mean_errors_single_pass(workers_used),
-            None => (mean_error(false), mean_error(true)),
+            // Single pass over the sensors on the lane-kernel solver with a
+            // reused pre-sized scratch; when revocation removed none of a
+            // sensor's references the second (filtered) estimate is the same
+            // pure function of the same inputs, so the first result is reused
+            // instead of recomputed. Per-sensor contributions are folded in
+            // sensor order whether solved in-line or on worker threads, and
+            // the per-accumulator addition order matches the two-pass impact
+            // phase of the reference run (`secloc-oracle`), so the means are
+            // bit-identical to it.
+            None => {
+                let pairs = self.map_sensors(location_workers, |w, scratch| {
+                    let ks = &kept[w as usize];
+                    scratch.load_from_iter(ks.iter().map(|k| k.reference));
+                    let before = self.clamped_error(w, scratch);
+                    let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
+                        before // nothing filtered: identical inputs
+                    } else {
+                        scratch.retain(|i| !revoked[ks[i].beacon as usize]);
+                        self.clamped_error(w, scratch)
+                    };
+                    (before, after)
+                });
+                let (mut sum_b, mut n_b) = (0.0f64, 0usize);
+                let (mut sum_a, mut n_a) = (0.0f64, 0usize);
+                for (b, a) in pairs {
+                    if let Some(c) = b {
+                        sum_b += c;
+                        n_b += 1;
+                    }
+                    if let Some(c) = a {
+                        sum_a += c;
+                        n_a += 1;
+                    }
+                }
+                (
+                    (n_b > 0).then(|| sum_b / n_b as f64),
+                    (n_a > 0).then(|| sum_a / n_a as f64),
+                )
+            }
         };
 
         let outcome = SimOutcome {
@@ -1219,42 +1099,12 @@ impl Runner {
         telemetry.flush();
         (outcome, trace)
     }
-
-    /// Beacons a node can hear: direct neighbours plus benign beacons
-    /// reachable through the wormhole.
-    ///
-    /// Pre-optimization version: allocates the result and scans every
-    /// beacon for wormhole reachability. Used only by the reference path;
-    /// the optimized run reads the precomputed per-topology cache via
-    /// [`Deployment::audible_beacons`].
-    fn audible_beacons(&self, node: u32) -> Vec<u32> {
-        let d = &self.deployment;
-        let cfg = d.config();
-        let mut targets: Vec<u32> = d
-            .neighbors(node)
-            .into_iter()
-            .filter(|&v| v < cfg.beacons)
-            .collect();
-        if let Some(w) = d.wormhole() {
-            let my_pos = d.position(node);
-            for v in 0..cfg.beacons {
-                if v == node || d.kind(v) != NodeKind::BenignBeacon {
-                    continue;
-                }
-                let vp = d.position(v);
-                if my_pos.distance(vp) > cfg.range_ft && w.tunnels(vp, my_pos, cfg.range_ft) {
-                    targets.push(v);
-                }
-            }
-        }
-        targets
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secloc_faults::{BurstLossSpec, ChurnSpec, NoiseRegion, Outage};
+    use secloc_faults::{ChurnSpec, Outage};
 
     fn small_cfg(p: f64) -> SimConfig {
         SimConfig {
@@ -1278,8 +1128,6 @@ mod tests {
             t.records().len(),
             plain.outcome.benign_alerts + plain.outcome.collusion_alerts
         );
-        let reference = r.run(RunOptions::new().reference());
-        assert_eq!(reference.outcome, plain.outcome);
     }
 
     #[test]
@@ -1309,25 +1157,6 @@ mod tests {
             drifted.outcome, drifted_again.outcome,
             "still deterministic"
         );
-    }
-
-    #[test]
-    fn faulted_runs_are_deterministic_and_match_reference() {
-        let plan = FaultPlan::default()
-            .with_burst_loss(BurstLossSpec::mild())
-            .with_noise_region(NoiseRegion::disc(
-                secloc_geometry::Point2::new(500.0, 500.0),
-                250.0,
-                2.5,
-            ))
-            .with_clock_drift(800)
-            .with_churn(ChurnSpec::random(0.2, 0.5));
-        let r = Runner::new(small_cfg(0.6), 21);
-        let a = r.run(RunOptions::new().faults(plan.clone()));
-        let b = r.run(RunOptions::new().faults(plan.clone()));
-        assert_eq!(a.outcome, b.outcome);
-        let reference = r.run(RunOptions::new().reference().faults(plan));
-        assert_eq!(reference.outcome, a.outcome);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! event drains, cached radio geometry, single-pass impact metrics) claim
 //! to be *bit-identical* to the code they replaced: same seeded RNG draw
 //! order, same floating-point operations, same `SimOutcome`. This test
-//! holds that claim against the preserved pre-optimization path across
-//! seeds and across the attack-surface corners a run can exercise.
+//! holds that claim against the straight-line reference run of
+//! `secloc-oracle` across seeds and across the attack-surface corners a
+//! run can exercise.
 //!
 //! The fault-injection subsystem makes a second bit-identity claim: a run
 //! under an **empty** `FaultPlan` is indistinguishable — same draws, same
@@ -14,7 +15,19 @@
 use proptest::prelude::*;
 use secloc_faults::{BurstLossSpec, ChurnSpec, NoiseRegion, Outage};
 use secloc_geometry::Point2;
-use secloc_sim::{FaultPlan, Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
+use secloc_sim::{
+    Deployment, FaultPlan, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome, SweepSpec,
+};
+
+/// The reference run of `runner`'s deployment under `plan`.
+fn reference(runner: &Runner, plan: &FaultPlan) -> SimOutcome {
+    secloc_oracle::run(runner.deployment(), plan)
+}
+
+/// The reference run under the configuration's own fault plan.
+fn reference_plain(runner: &Runner) -> SimOutcome {
+    reference(runner, &runner.deployment().config().faults)
+}
 
 fn base() -> SimConfig {
     SimConfig {
@@ -83,7 +96,7 @@ fn optimized_run_matches_reference_across_seeds_and_configs() {
             let runner = Runner::new(cfg.clone(), seed);
             assert_eq!(
                 runner.run(RunOptions::new()).outcome,
-                runner.run(RunOptions::new().reference()).outcome,
+                reference_plain(&runner),
                 "optimized and reference runs diverged: {name}, seed {seed}"
             );
         }
@@ -106,9 +119,7 @@ fn empty_fault_plan_is_bit_identical_to_fault_free_run() {
                 plain, explicit_empty,
                 "explicit empty plan diverged: {name}, seed {seed}"
             );
-            let reference_empty = runner
-                .run(RunOptions::new().reference().faults(FaultPlan::none()))
-                .outcome;
+            let reference_empty = reference(&runner, &FaultPlan::none());
             assert_eq!(
                 plain, reference_empty,
                 "reference path under empty plan diverged: {name}, seed {seed}"
@@ -162,9 +173,7 @@ fn faulted_runs_match_reference_across_fault_categories() {
             let runner = Runner::new(cfg.clone(), seed);
             assert_eq!(
                 runner.run(RunOptions::new().faults(plan.clone())).outcome,
-                runner
-                    .run(RunOptions::new().reference().faults(plan.clone()))
-                    .outcome,
+                reference(&runner, &plan),
                 "faulted paths diverged: {name}, seed {seed}"
             );
         }
@@ -246,15 +255,17 @@ proptest! {
         let spec = SweepSpec::product(&configs, &[seed, seed + 1]);
         let shared = Orchestrator::new()
             .workers(2)
-            .sharing(true)
             .run(&spec)
             .expect("shared sweep");
-        let fresh = Orchestrator::new()
-            .workers(2)
-            .sharing(false)
-            .run(&spec)
-            .expect("fresh sweep");
-        prop_assert_eq!(shared.outcomes, fresh.outcomes);
+        let fresh: Vec<_> = spec
+            .cells()
+            .iter()
+            .map(|c| {
+                let d = Deployment::generate(c.config.clone(), c.seed);
+                secloc_oracle::run(&d, &c.config.faults)
+            })
+            .collect();
+        prop_assert_eq!(shared.outcomes, fresh);
     }
 }
 
@@ -328,7 +339,7 @@ fn paper_scale_run_matches_reference() {
     // at.
     let runner = Runner::new(SimConfig::paper_default(), 42);
     let plain = runner.run(RunOptions::new()).outcome;
-    assert_eq!(plain, runner.run(RunOptions::new().reference()).outcome);
+    assert_eq!(plain, reference_plain(&runner));
     // The empty-plan guarantee holds at paper scale too.
     assert_eq!(
         plain,
@@ -336,4 +347,43 @@ fn paper_scale_run_matches_reference() {
             .run(RunOptions::new().faults(FaultPlan::default()))
             .outcome
     );
+}
+
+#[test]
+fn reference_run_matches_plain_run() {
+    let r = Runner::new(
+        SimConfig {
+            nodes: 400,
+            beacons: 40,
+            malicious: 4,
+            attacker_p: 0.5,
+            ..SimConfig::paper_default()
+        },
+        3,
+    );
+    let plain = r.run(RunOptions::new());
+    assert_eq!(reference_plain(&r), plain.outcome);
+}
+
+#[test]
+fn faulted_runs_are_deterministic_and_match_reference() {
+    let plan = FaultPlan::default()
+        .with_burst_loss(BurstLossSpec::mild())
+        .with_noise_region(NoiseRegion::disc(Point2::new(500.0, 500.0), 250.0, 2.5))
+        .with_clock_drift(800)
+        .with_churn(ChurnSpec::random(0.2, 0.5));
+    let r = Runner::new(
+        SimConfig {
+            nodes: 400,
+            beacons: 40,
+            malicious: 4,
+            attacker_p: 0.6,
+            ..SimConfig::paper_default()
+        },
+        21,
+    );
+    let a = r.run(RunOptions::new().faults(plan.clone()));
+    let b = r.run(RunOptions::new().faults(plan.clone()));
+    assert_eq!(a.outcome, b.outcome);
+    assert_eq!(reference(&r, &plan), a.outcome);
 }
