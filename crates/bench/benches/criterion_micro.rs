@@ -87,7 +87,12 @@ fn bench_mmse_batched_vs_scalar(c: &mut Criterion) {
         b.iter(|| {
             scratch.load(black_box(&refs));
             let full = batched.estimate(&scratch).unwrap();
-            scratch.retain(|i| !drop_mask[i]);
+            scratch.load_from_iter(
+                refs.iter()
+                    .zip(&drop_mask)
+                    .filter(|(_, &dropped)| !dropped)
+                    .map(|(r, _)| *r),
+            );
             let filtered = batched.estimate(&scratch).unwrap();
             (full, filtered)
         })

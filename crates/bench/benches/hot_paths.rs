@@ -189,7 +189,7 @@ fn bench_full_run(cfg: &SimConfig, runs: u64, registry: &Arc<MetricsRegistry>) -
     let telemetry = Obs::with_metrics(registry.clone());
     let after_ns = time(|| {
         for r in &runners {
-            black_box(r.run(RunOptions::new().traced().observed(&telemetry)));
+            black_box(r.run(RunOptions::new().observed(&telemetry)));
         }
     });
     Section {

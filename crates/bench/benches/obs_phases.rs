@@ -37,7 +37,7 @@ fn main() {
     let time_run = |seed: u64, telemetry: &Obs| -> u64 {
         let start = Instant::now();
         let _ = Runner::new_observed(config(), seed, telemetry)
-            .run(RunOptions::new().traced().observed(telemetry));
+            .run(RunOptions::new().observed(telemetry));
         start.elapsed().as_nanos() as u64
     };
 

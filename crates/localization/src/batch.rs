@@ -5,11 +5,11 @@
 //! filtering. This module is the crate's one MMSE arithmetic, allocation
 //! free once its buffers have grown ([`MmseEstimator`] delegates here):
 //!
-//! - [`MmseScratch`] holds the reference set once as structure-of-arrays
-//!   (`ax`/`ay`/`d`) plus an *active row* index list, so subsets are
-//!   selected by index without copying references;
+//! - [`MmseScratch`] holds one reference set as structure-of-arrays
+//!   (`ax`/`ay`/`d`); a subset is solved by loading just that subset;
 //! - [`BatchedMmse`] runs the exact linear-seed → Gauss–Newton → residual
-//!   chain over the active rows.
+//!   chain over the loaded rows, which the kernels read as contiguous
+//!   slices.
 //!
 //! **Bit-identity contract:** every routine here performs the same float
 //! operations in the same order as its scalar counterpart: the scalar
@@ -22,16 +22,14 @@ use secloc_geometry::{Point2, Vector2};
 
 /// Reusable structure-of-arrays geometry for one reference set.
 ///
-/// `load` fills the arrays from a reference slice and marks every row
-/// active; `retain` narrows the active set by original row index. Once the
-/// buffers have grown to their high-water mark, reuse is allocation-free.
+/// `load` fills the arrays from a reference slice, replacing the previous
+/// set. Once the buffers have grown to their high-water mark, reuse is
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct MmseScratch {
-    pub(crate) ax: Vec<f64>,
-    pub(crate) ay: Vec<f64>,
-    pub(crate) d: Vec<f64>,
-    /// Active rows, as indices into the SoA arrays, in solve order.
-    pub(crate) idx: Vec<usize>,
+    ax: Vec<f64>,
+    ay: Vec<f64>,
+    d: Vec<f64>,
 }
 
 impl MmseScratch {
@@ -50,7 +48,6 @@ impl MmseScratch {
             ax: Vec::with_capacity(rows),
             ay: Vec::with_capacity(rows),
             d: Vec::with_capacity(rows),
-            idx: Vec::with_capacity(rows),
         }
     }
 
@@ -63,11 +60,9 @@ impl MmseScratch {
             .capacity()
             .min(self.ay.capacity())
             .min(self.d.capacity())
-            .min(self.idx.capacity())
     }
 
-    /// Loads `refs` into the SoA arrays, replacing any previous contents,
-    /// and marks every row active.
+    /// Loads `refs` into the SoA arrays, replacing any previous contents.
     pub fn load(&mut self, refs: &[LocationReference]) {
         self.load_from_iter(refs.iter().copied());
     }
@@ -84,19 +79,6 @@ impl MmseScratch {
             self.ay.push(r.anchor().y);
             self.d.push(r.distance());
         }
-        self.reset();
-    }
-
-    /// Restores every loaded row to the active set, in load order.
-    pub fn reset(&mut self) {
-        self.idx.clear();
-        self.idx.extend(0..self.ax.len());
-    }
-
-    /// Narrows the active set to rows whose *original* index satisfies
-    /// `keep`, preserving order.
-    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        self.idx.retain(|&i| keep(i));
     }
 
     /// Number of loaded rows.
@@ -109,27 +91,20 @@ impl MmseScratch {
         self.ax.is_empty()
     }
 
-    /// Number of active rows.
-    pub fn active_len(&self) -> usize {
-        self.idx.len()
-    }
-
-    pub(crate) fn anchor(&self, i: usize) -> Point2 {
+    fn anchor(&self, i: usize) -> Point2 {
         Point2::new(self.ax[i], self.ay[i])
     }
 
-    /// The scratch counterpart of [`Estimate::at`] over the active rows:
-    /// same residual formula, same accumulation order.
+    /// The scratch counterpart of [`Estimate::at`]: same residual formula,
+    /// same accumulation order.
     pub fn estimate_at(&self, position: Point2) -> Estimate {
-        let rms = if self.idx.is_empty() {
+        let rms = if self.is_empty() {
             0.0
         } else {
-            (self
-                .idx
-                .iter()
-                .map(|&i| (position.distance(self.anchor(i)) - self.d[i]).powi(2))
+            ((0..self.len())
+                .map(|i| (position.distance(self.anchor(i)) - self.d[i]).powi(2))
                 .sum::<f64>()
-                / self.idx.len() as f64)
+                / self.len() as f64)
                 .sqrt()
         };
         Estimate {
@@ -137,16 +112,9 @@ impl MmseScratch {
             residual_rms: rms,
         }
     }
-
-    /// The scratch counterpart of [`crate::gdop::hdop_of_references`] over
-    /// the active rows.
-    pub fn hdop_at(&self, position: Point2) -> Option<f64> {
-        crate::gdop::hdop_rows(position, self.idx.iter().map(|&i| self.anchor(i)))
-    }
 }
 
-/// MMSE over [`MmseScratch`]: free of per-call allocation and able to
-/// solve filtered subsets without materializing them. The inner
+/// MMSE over [`MmseScratch`]: free of per-call allocation. The inner
 /// accumulations run through the crate's lane kernels (`simd.rs`), whose
 /// sequential reduction order keeps the scalar solve's float operations
 /// and their order.
@@ -162,16 +130,16 @@ impl BatchedMmse {
         BatchedMmse { inner }
     }
 
-    /// Solves over the scratch's active rows.
+    /// Solves over the scratch's rows.
     ///
     /// # Errors
     ///
-    /// Too few active rows, degenerate geometry in the linear seed, or a
+    /// Too few rows, degenerate geometry in the linear seed, or a
     /// non-finite Gauss–Newton iterate.
     pub fn estimate(&self, s: &MmseScratch) -> Result<Estimate, EstimateError> {
-        if s.idx.len() < self.inner.min_references() {
+        if s.len() < self.inner.min_references() {
             return Err(EstimateError::TooFewReferences {
-                got: s.idx.len(),
+                got: s.len(),
                 need: self.inner.min_references(),
             });
         }
@@ -181,36 +149,17 @@ impl BatchedMmse {
     }
 }
 
-/// Closed-form linearised seed over the active rows: subtract the last
-/// active row's circle equation from each of the others. The row
-/// accumulation runs on the [`crate::simd`] lane kernel.
+/// Closed-form linearised seed: subtract the last row's circle equation
+/// from each of the others. The row accumulation runs on the
+/// [`crate::simd`] lane kernel.
 fn linear_seed_rows(s: &MmseScratch) -> Result<Point2, EstimateError> {
-    let &last = s.idx.last().expect("caller checked len >= 3");
-    // The active set is the identity exactly when nothing was filtered
-    // (`idx` only ever shrinks from `0..len`); route that common case
-    // through the contiguous kernel instantiation — same operations in the
-    // same order, but addressable without the index gather.
-    let acc = if s.idx.len() == s.ax.len() {
-        // Slices trimmed to exactly the row count so the bounds checks
-        // inside the kernel fold away (the loop bound and the slice length
-        // become the same value).
-        let m = s.idx.len() - 1;
-        crate::simd::seed_accumulate(
-            &s.ax[..m],
-            &s.ay[..m],
-            &s.d[..m],
-            crate::simd::Dense(m),
-            (s.ax[last], s.ay[last], s.d[last]),
-        )
-    } else {
-        crate::simd::seed_accumulate(
-            &s.ax,
-            &s.ay,
-            &s.d,
-            &s.idx[..s.idx.len() - 1],
-            (s.ax[last], s.ay[last], s.d[last]),
-        )
-    };
+    let last = s.len() - 1; // the caller checked len >= 3
+    let acc = crate::simd::seed_accumulate(
+        &s.ax[..last],
+        &s.ay[..last],
+        &s.d[..last],
+        (s.ax[last], s.ay[last], s.d[last]),
+    );
     let (m00, m01, m11) = (acc.m00, acc.m01, acc.m11);
     let v = Vector2::new(acc.vx, acc.vy);
     let det = m00 * m11 - m01 * m01;
@@ -224,7 +173,7 @@ fn linear_seed_rows(s: &MmseScratch) -> Result<Point2, EstimateError> {
     ))
 }
 
-/// Gauss–Newton refinement over the active rows, with the per-iteration
+/// Gauss–Newton refinement over the rows, with the per-iteration
 /// accumulation on the [`crate::simd`] lane kernel. Returns the seed when
 /// the normal matrix is singular, and the last iterate when the budget
 /// runs out (noisy references routinely stop short of the tolerance
@@ -234,22 +183,8 @@ fn gauss_newton_rows(
     mut p: Point2,
     s: &MmseScratch,
 ) -> Result<Point2, EstimateError> {
-    let dense = s.idx.len() == s.ax.len();
-    let n = s.idx.len();
     for _ in 0..est.max_iterations {
-        let acc = if dense {
-            // Trimmed slices: loop bound == slice length, bounds checks fold.
-            crate::simd::gn_accumulate(
-                p.x,
-                p.y,
-                &s.ax[..n],
-                &s.ay[..n],
-                &s.d[..n],
-                crate::simd::Dense(n),
-            )
-        } else {
-            crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d, s.idx.as_slice())
-        };
+        let acc = crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d);
         let (jtj00, jtj01, jtj11) = (acc.jtj00, acc.jtj01, acc.jtj11);
         let jtr = Vector2::new(acc.jtrx, acc.jtry);
         let det = jtj00 * jtj11 - jtj01 * jtj01;
@@ -297,18 +232,6 @@ mod tests {
             let scalar = Estimate::at(p, &refs);
             let soa = s.estimate_at(p);
             assert_eq!(scalar.residual_rms.to_bits(), soa.residual_rms.to_bits());
-        }
-    }
-
-    #[test]
-    fn scratch_hdop_matches_gdop_module() {
-        let mut rng = StdRng::seed_from_u64(45);
-        let mut s = MmseScratch::new();
-        for n in 0..8 {
-            let refs = random_refs(&mut rng, n);
-            let p = Point2::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
-            s.load(&refs);
-            assert_eq!(crate::gdop::hdop_of_references(p, &refs), s.hdop_at(p));
         }
     }
 

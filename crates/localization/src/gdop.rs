@@ -30,7 +30,7 @@ pub fn hdop_of_references(position: Point2, refs: &[LocationReference]) -> Optio
 /// The shared accumulation behind [`hdop`] and [`hdop_of_references`]:
 /// whichever container holds the anchors, the float operations (and hence
 /// the bits) are the same.
-pub(crate) fn hdop_rows(position: Point2, anchors: impl Iterator<Item = Point2>) -> Option<f64> {
+fn hdop_rows(position: Point2, anchors: impl Iterator<Item = Point2>) -> Option<f64> {
     let (mut a, mut b, mut c) = (0.0f64, 0.0f64, 0.0f64); // JtJ = [a b; b c]
     let mut used = 0usize;
     for anchor in anchors {

@@ -4,12 +4,14 @@
 //! normal-equation accumulation and the Gauss–Newton JᵀJ/Jᵀr
 //! accumulation — run here over [`MmseScratch`](crate::MmseScratch)'s
 //! structure-of-arrays rows, with no `std::simd` nightly features and no
-//! new dependencies.
+//! new dependencies. The rows are contiguous slices trimmed to one length,
+//! so the loop bound and the slice lengths are the same value and the
+//! bounds checks fold away.
 //!
 //! # Reduction convention
 //!
 //! Both kernels reduce exactly: a fused sequential loop — terms computed
-//! and folded row by row in ascending active order, exactly the operations
+//! and folded row by row in ascending order, exactly the operations
 //! (and operation order) of the scalar solve kept in `secloc-oracle`, so
 //! the result is bit-identical (enforced by `to_bits` tests and the
 //! proptest sweep). The strict left-fold is a serial dependency chain,
@@ -20,47 +22,6 @@
 //! Rows skipped by the scalar loop (the `dist < 1e-9` Gauss–Newton guard)
 //! are skipped under the identical predicate — they are *not* folded as
 //! `+0.0`, which would flip a `-0.0` accumulator to `+0.0`.
-
-/// Row addressing for the row kernels.
-///
-/// The kernels are generic over *how* active rows map to SoA indices so
-/// the unfiltered case — `MmseScratch` right after `load`, where the
-/// active set is the identity — monomorphizes to contiguous slice loads
-/// the autovectorizer turns into packed `sqrtpd`/`divpd`, while filtered
-/// sets keep the indexed gather. Both instantiations perform the same
-/// float operations in the same order; only addressing differs, so
-/// bit-identity is preserved by construction (and checked in the tests
-/// below).
-pub(crate) trait RowIx: Copy {
-    fn count(self) -> usize;
-    fn row(self, k: usize) -> usize;
-}
-
-/// The identity mapping over rows `0..n`: contiguous SoA access.
-#[derive(Clone, Copy)]
-pub(crate) struct Dense(pub usize);
-
-impl RowIx for Dense {
-    #[inline(always)]
-    fn count(self) -> usize {
-        self.0
-    }
-    #[inline(always)]
-    fn row(self, k: usize) -> usize {
-        k
-    }
-}
-
-impl RowIx for &[usize] {
-    #[inline(always)]
-    fn count(self) -> usize {
-        self.len()
-    }
-    #[inline(always)]
-    fn row(self, k: usize) -> usize {
-        self[k]
-    }
-}
 
 /// Accumulated linear-seed normal equations: `m` is the 2×2 Gram matrix,
 /// `v` the right-hand side.
@@ -83,17 +44,13 @@ pub(crate) struct GnAcc {
     pub jtry: f64,
 }
 
-/// Linear-seed accumulation over the active rows `rows` (all but the last
-/// active row), differencing against the last active row's circle
-/// equation: `last` is its anchor `(x, y)` and measured distance.
+/// Linear-seed accumulation over the rows `ax`/`ay`/`d` (all but the last
+/// row of the set), differencing against the last row's circle equation:
+/// `last` is its anchor `(x, y)` and measured distance.
 #[inline]
-pub(crate) fn seed_accumulate<R: RowIx>(
-    ax: &[f64],
-    ay: &[f64],
-    d: &[f64],
-    rows: R,
-    last: (f64, f64, f64),
-) -> SeedAcc {
+pub(crate) fn seed_accumulate(ax: &[f64], ay: &[f64], d: &[f64], last: (f64, f64, f64)) -> SeedAcc {
+    let n = ax.len();
+    let (ay, d) = (&ay[..n], &d[..n]);
     let (axl, ayl, adl) = last;
     // Row-independent part of the right-hand side, hoisted exactly as the
     // scalar loop leaves it: the scalar expression is
@@ -109,8 +66,7 @@ pub(crate) fn seed_accumulate<R: RowIx>(
         vy: 0.0,
     };
     // Fused sequential left-fold, the scalar loop verbatim.
-    for k in 0..rows.count() {
-        let i = rows.row(k);
+    for i in 0..n {
         let row_x = 2.0 * (ax[i] - axl);
         let row_y = 2.0 * (ay[i] - ayl);
         let rhs = adl2 - d[i] * d[i] + ax[i] * ax[i] + ay[i] * ay[i] - axl * axl - ayl * ayl;
@@ -123,21 +79,16 @@ pub(crate) fn seed_accumulate<R: RowIx>(
     acc
 }
 
-/// Gauss–Newton design-matrix/residual accumulation over the active rows
-/// at the current iterate `(px, py)`.
+/// Gauss–Newton design-matrix/residual accumulation over the rows
+/// `ax`/`ay`/`d` at the current iterate `(px, py)`.
 ///
 /// The scalar guard — rows whose anchor coincides with the iterate
 /// (`dist < 1e-9`) contribute nothing — is reproduced as a conditional
 /// fold under the identical predicate.
 #[inline]
-pub(crate) fn gn_accumulate<R: RowIx>(
-    px: f64,
-    py: f64,
-    ax: &[f64],
-    ay: &[f64],
-    d: &[f64],
-    rows: R,
-) -> GnAcc {
+pub(crate) fn gn_accumulate(px: f64, py: f64, ax: &[f64], ay: &[f64], d: &[f64]) -> GnAcc {
+    let n = ax.len();
+    let (ay, d) = (&ay[..n], &d[..n]);
     let mut acc = GnAcc {
         jtj00: 0.0,
         jtj01: 0.0,
@@ -146,8 +97,7 @@ pub(crate) fn gn_accumulate<R: RowIx>(
         jtry: 0.0,
     };
     // Fused sequential left-fold, the scalar loop verbatim.
-    for k in 0..rows.count() {
-        let i = rows.row(k);
+    for i in 0..n {
         let dx = px - ax[i];
         let dy = py - ay[i];
         let dist = (dx * dx + dy * dy).sqrt();
@@ -179,16 +129,10 @@ mod tests {
     }
 
     /// The scalar reference loops, verbatim from `mmse.rs` shapes.
-    fn seed_scalar(
-        ax: &[f64],
-        ay: &[f64],
-        d: &[f64],
-        rows: &[usize],
-        l: (f64, f64, f64),
-    ) -> SeedAcc {
+    fn seed_scalar(ax: &[f64], ay: &[f64], d: &[f64], l: (f64, f64, f64)) -> SeedAcc {
         let (axl, ayl, adl) = l;
         let (mut m00, mut m01, mut m11, mut vx, mut vy) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-        for &i in rows {
+        for i in 0..ax.len() {
             let row_x = 2.0 * (ax[i] - axl);
             let row_y = 2.0 * (ay[i] - ayl);
             let rhs =
@@ -208,9 +152,9 @@ mod tests {
         }
     }
 
-    fn gn_scalar(px: f64, py: f64, ax: &[f64], ay: &[f64], d: &[f64], rows: &[usize]) -> GnAcc {
+    fn gn_scalar(px: f64, py: f64, ax: &[f64], ay: &[f64], d: &[f64]) -> GnAcc {
         let (mut jtj00, mut jtj01, mut jtj11, mut jtrx, mut jtry) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-        for &i in rows {
+        for i in 0..ax.len() {
             let dx = px - ax[i];
             let dy = py - ay[i];
             let dist = (dx * dx + dy * dy).sqrt();
@@ -243,12 +187,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for n in 1..24 {
             let (ax, ay, d) = rows_data(&mut rng, n + 1);
-            let rows: Vec<usize> = (0..n).collect();
             let l = (ax[n], ay[n], d[n]);
-            let s = seed_scalar(&ax, &ay, &d, &rows, l);
-            let k = seed_accumulate(&ax, &ay, &d, &rows[..], l);
-            let dense = seed_accumulate(&ax, &ay, &d, Dense(n), l);
-            assert_eq!(k, dense, "dense addressing diverged at n={n}");
+            let s = seed_scalar(&ax[..n], &ay[..n], &d[..n], l);
+            let k = seed_accumulate(&ax[..n], &ay[..n], &d[..n], l);
             assert_bits(s.m00, k.m00);
             assert_bits(s.m01, k.m01);
             assert_bits(s.m11, k.m11);
@@ -268,11 +209,8 @@ mod tests {
                 ax[n / 2] = px;
                 ay[n / 2] = py;
             }
-            let rows: Vec<usize> = (0..n).collect();
-            let s = gn_scalar(px, py, &ax, &ay, &d, &rows);
-            let k = gn_accumulate(px, py, &ax, &ay, &d, &rows[..]);
-            let dense = gn_accumulate(px, py, &ax, &ay, &d, Dense(n));
-            assert_eq!(k, dense, "dense addressing diverged at n={n}");
+            let s = gn_scalar(px, py, &ax, &ay, &d);
+            let k = gn_accumulate(px, py, &ax, &ay, &d);
             assert_bits(s.jtj00, k.jtj00);
             assert_bits(s.jtj01, k.jtj01);
             assert_bits(s.jtj11, k.jtj11);
@@ -290,9 +228,8 @@ mod tests {
         let ax = [5.0, 5.0];
         let ay = [5.0, 5.0];
         let d = [1.0, 1.0];
-        let rows = [0usize, 1];
-        let k = gn_accumulate(5.0, 5.0, &ax, &ay, &d, &rows[..]);
-        let s = gn_scalar(5.0, 5.0, &ax, &ay, &d, &rows);
+        let k = gn_accumulate(5.0, 5.0, &ax, &ay, &d);
+        let s = gn_scalar(5.0, 5.0, &ax, &ay, &d);
         assert_bits(s.jtj00, k.jtj00);
         assert_bits(s.jtrx, k.jtrx);
     }

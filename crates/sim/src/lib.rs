@@ -48,7 +48,6 @@ mod probe;
 pub mod report;
 mod runner;
 pub mod sweep;
-pub mod trace;
 
 pub use cache::{BinaryCache, CacheRecovery};
 pub use config::{ConfigError, SimConfig, SimConfigBuilder};
@@ -57,7 +56,7 @@ pub use metrics::{average_outcomes, AggregateOutcome, SimOutcome};
 pub use orchestrator::{CacheFormat, Orchestrator, SweepCell, SweepReport, SweepSpec, WorkerStats};
 pub use probe::{ProbeContext, ProbeFaults, ProbeResult};
 pub use report::RunReport;
-pub use runner::{ImpactMemo, ProbeStage, RunOptions, RunOutput, Runner};
+pub use runner::{ProbeStage, RunOptions, RunOutput, Runner};
 // Re-exported so sim callers can build fault plans without naming the
 // faults crate in their own manifest.
 pub use secloc_faults::FaultPlan;

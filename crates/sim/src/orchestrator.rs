@@ -43,7 +43,7 @@
 //! ```
 
 use crate::cache::BinaryCache;
-use crate::{ImpactMemo, RunOptions, Runner, SimConfig, SimOutcome};
+use crate::{RunOptions, Runner, SimConfig, SimOutcome};
 use secloc_obs::json::push_json_f64;
 use secloc_obs::num::{hex16, push_hex16, push_u64, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
@@ -267,21 +267,19 @@ fn run_unit(
         return tx.send((first, outcome)).map_err(drop);
     }
     let base = Runner::new(cells[first].config.clone(), cells[first].seed);
+    // The stage carries its own impact memo: cells whose revocation
+    // verdicts drop the same reference subsets share the re-estimation
+    // work.
     let stage = base.probe_stage_with(ctx.location_workers);
-    // One impact memo per shared stage: cells whose revocation verdicts
-    // drop the same reference subsets share the re-estimation work.
-    let mut memo = ImpactMemo::new();
     for &i in unit {
-        let memo = &mut memo;
         let outcome = if i == first {
             ctx.run_cell(i, "miss", |cell_obs| {
-                base.finish_from_stage_observed(&stage, memo, cell_obs)
+                base.finish_from_stage_observed(&stage, cell_obs)
             })
         } else {
             match base.deployment().with_policy(cells[i].config.clone()) {
                 Ok(rekeyed) => ctx.run_cell(i, "memo", |cell_obs| {
-                    Runner::from_deployment(rekeyed)
-                        .finish_from_stage_observed(&stage, memo, cell_obs)
+                    Runner::from_deployment(rekeyed).finish_from_stage_observed(&stage, cell_obs)
                 }),
                 // Unreachable when the fingerprints matched, but a plain
                 // run is always a correct (if slower) answer.

@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn report_without_registry_is_still_renderable() {
         let runner = Runner::new(shrunk(), 3);
-        let outcome = runner.run(RunOptions::new().traced()).outcome;
+        let outcome = runner.run(RunOptions::new()).outcome;
         let report = RunReport::collect(outcome, &Obs::disabled());
         assert!(report.phases.is_empty());
         assert!(report.render_text().contains("detection rate"));

@@ -9,7 +9,6 @@
 
 use crate::deploy::subseed;
 use crate::probe::ProbeFaults;
-use crate::trace::{AlertSource, Trace};
 use crate::{Deployment, NodeKind, ProbeContext, SimConfig, SimOutcome};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -23,6 +22,7 @@ use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A reference a sensor kept for localization, tagged with its source.
 #[derive(Debug, Clone, Copy)]
@@ -125,11 +125,12 @@ fn claim_batch(
     }
 }
 
-/// Maps `f` over `0..total` on `workers` scoped threads — each thread
-/// owns one state value from `make_state` (a pre-sized scratch, in
-/// practice) — and returns the results **in index order** regardless of
-/// which thread computed what. Callers fold the returned vec serially,
-/// so any accumulation stays bit-identical to an in-line loop.
+/// Maps `f` over `0..total` on `workers` threads — the calling thread
+/// plus `workers − 1` scoped ones, each owning one state value from
+/// `make_state` (a pre-sized scratch, in practice) — and returns the
+/// results **in index order** regardless of which thread computed what.
+/// Callers fold the returned vec serially, so any accumulation stays
+/// bit-identical to an in-line loop.
 fn parallel_index_map<S, T, FS, F>(total: usize, workers: usize, make_state: FS, f: F) -> Vec<T>
 where
     S: Send,
@@ -138,24 +139,22 @@ where
     F: Fn(usize, &mut S) -> T + Sync,
 {
     let cursor = AtomicUsize::new(0);
-    let mut chunks: Vec<(usize, Vec<T>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = make_state();
-                    let mut out: Vec<(usize, Vec<T>)> = Vec::new();
-                    while let Some(range) = claim_batch(&cursor, total, workers) {
-                        let start = range.start;
-                        out.push((start, range.map(|i| f(i, &mut state)).collect()));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("location worker panicked"))
-            .collect()
+    let work = || {
+        let mut state = make_state();
+        let mut out: Vec<(usize, Vec<T>)> = Vec::new();
+        while let Some(range) = claim_batch(&cursor, total, workers) {
+            let start = range.start;
+            out.push((start, range.map(|i| f(i, &mut state)).collect()));
+        }
+        out
+    };
+    let mut chunks = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut chunks = work();
+        for h in handles {
+            chunks.extend(h.join().expect("location worker panicked"));
+        }
+        chunks
     });
     chunks.sort_unstable_by_key(|&(start, _)| start);
     chunks.into_iter().flat_map(|(_, batch)| batch).collect()
@@ -196,39 +195,44 @@ struct ImpactPrecompute {
 pub struct ProbeStage {
     core: StageCore,
     impact: ImpactPrecompute,
+    /// Post-revocation solves already made against this stage, shared by
+    /// every finish from it.
+    memo: Mutex<ImpactMemo>,
 }
 
-/// Cross-cell cache for [`Runner::finish_from_stage_observed`]: each
-/// sensor's post-revocation error contribution, keyed by *which* of its
-/// kept references revocation dropped (a bitmask over the kept list in
-/// order).
+/// Cross-cell cache of one [`ProbeStage`]: each sensor's post-revocation
+/// error contribution, keyed by *which* of its kept references
+/// revocation dropped (a bitmask over the kept list in order).
 ///
 /// The contribution is a pure function of (topology, kept list, dropped
-/// subset), and every cell sharing one [`ProbeStage`] shares the first two
+/// subset), and every cell finishing from one stage shares the first two
 /// — so policy cells whose revocation verdicts overlap re-solve each
 /// sensor at most once per distinct dropped subset, and the memo cannot
-/// change any outcome. A memo is only valid for the stage it was grown
-/// against; use a fresh one per shared stage.
-#[derive(Debug, Default)]
-pub struct ImpactMemo {
+/// change any outcome.
+#[derive(Debug)]
+struct ImpactMemo {
     /// Indexed by node; each entry is the (dropped-mask, contribution)
     /// pairs seen so far, few enough per sensor for linear scans to beat
     /// hashing.
     per_sensor: Vec<Vec<(u64, Option<f64>)>>,
 }
 
-impl ImpactMemo {
-    /// An empty memo; grows to the node count on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Where the impact phase takes its τ-independent precompute from.
+enum Precompute<'a> {
+    /// A plain run: solve it inside `phase.impact` on this many workers,
+    /// with no memo.
+    Solve(usize),
+    /// A staged finish: the stage's precompute and memo.
+    Stage(&'a ProbeStage),
 }
 
-/// How to run one experiment: tracing, telemetry, fault injection and
-/// intra-run localization workers, all opt-in.
+/// How to run one experiment: telemetry, fault injection and intra-run
+/// localization workers, all opt-in.
 ///
 /// ```
+/// use secloc_obs::{MemorySink, Obs, Value};
 /// use secloc_sim::{RunOptions, Runner, SimConfig};
+/// use std::sync::Arc;
 ///
 /// let runner = Runner::new(SimConfig {
 ///     nodes: 300,
@@ -236,31 +240,32 @@ impl ImpactMemo {
 ///     malicious: 3,
 ///     ..SimConfig::paper_default()
 /// }, 7);
-/// let plain = runner.run(RunOptions::new());
-/// assert!(plain.trace.is_none());
-/// let traced = runner.run(RunOptions::new().traced());
-/// assert_eq!(traced.outcome, plain.outcome);
-/// assert!(traced.trace.is_some());
+/// let plain = runner.run(RunOptions::new()).outcome;
+/// let sink = Arc::new(MemorySink::new());
+/// let obs = Obs::new(None, Some(sink.clone()));
+/// assert_eq!(runner.run(RunOptions::new().observed(&obs)).outcome, plain);
+/// // Every alert sent is either decided (`bs.alert`) or lost in transit.
+/// let events = sink.events();
+/// let decided = events.iter().filter(|e| e.kind == "bs.alert").count();
+/// let summary = events.iter().find(|e| e.kind == "alerts.summary").unwrap();
+/// let Some(&Value::U64(dropped)) = summary.field("dropped") else { panic!() };
+/// assert_eq!(
+///     decided + dropped as usize,
+///     plain.benign_alerts + plain.collusion_alerts
+/// );
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions<'a> {
-    traced: bool,
     observed: Option<&'a Obs>,
     faults: Option<FaultPlan>,
     location_workers: usize,
 }
 
 impl<'a> RunOptions<'a> {
-    /// The plain run: no trace, no telemetry, faults taken from the
-    /// configuration's [`SimConfig::faults`] plan.
+    /// The plain run: no telemetry, faults taken from the configuration's
+    /// [`SimConfig::faults`] plan.
     pub fn new() -> Self {
         RunOptions::default()
-    }
-
-    /// Also return the ordered audit [`Trace`] of the revocation phase.
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
     }
 
     /// Record telemetry on `obs`: per-phase wall-time spans
@@ -282,13 +287,15 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Solve the per-sensor localization chain of the impact phase on a
-    /// scoped pool of `n` worker threads (`0` — the default — and `1` both
-    /// mean in-line serial). Workers claim sensor batches off an atomic
-    /// cursor, each with its own pre-sized `MmseScratch`, and the per-
-    /// sensor contributions are merged back in sensor order before the
-    /// mean is folded — so outcomes and RNG streams are bit-identical to
-    /// the serial run (`tests/parallel_equivalence.rs` is the oracle).
+    /// Solve the per-sensor localization chain of the impact phase — the
+    /// pre-revocation solve of every sensor, then the re-solve of every
+    /// sensor that lost a reference to revocation — on a scoped pool of
+    /// `n` worker threads (`0` — the default — and `1` both mean in-line
+    /// serial). Workers claim sensor batches off an atomic cursor, each
+    /// with its own pre-sized `MmseScratch`, and the per-sensor
+    /// contributions are merged back in sensor order before each mean is
+    /// folded — so outcomes and RNG streams are bit-identical to the
+    /// serial run (`tests/parallel_equivalence.rs` is the oracle).
     /// Lives on the options, not `SimConfig`, so it can never perturb
     /// sweep cell keys or config fingerprints.
     pub fn location_workers(mut self, n: usize) -> Self {
@@ -302,8 +309,6 @@ impl<'a> RunOptions<'a> {
 pub struct RunOutput {
     /// The paper's measurements.
     pub outcome: SimOutcome,
-    /// The revocation audit trail, present iff [`RunOptions::traced`].
-    pub trace: Option<Trace>,
 }
 
 /// One end-to-end simulation run on a fixed deployment.
@@ -382,8 +387,9 @@ impl Runner {
         &self.deployment
     }
 
-    /// Runs all phases per `options` and returns the measurements (plus
-    /// the audit trace when requested).
+    /// Runs all phases per `options` and returns the measurements. The
+    /// run finishes through the staged finish's code: the τ-independent
+    /// precompute is solved inside `phase.impact`, with no memo.
     pub fn run(&self, options: RunOptions<'_>) -> RunOutput {
         let disabled = Obs::disabled();
         let telemetry = options.observed.unwrap_or(&disabled);
@@ -391,15 +397,15 @@ impl Runner {
             .faults
             .as_ref()
             .unwrap_or(&self.deployment.config().faults);
-        let (outcome, trace) = self.run_impl(telemetry, plan, options.location_workers);
+        let core = self.stage_phases(telemetry, plan);
+        let precompute = Precompute::Solve(options.location_workers);
         RunOutput {
-            outcome,
-            trace: options.traced.then_some(trace),
+            outcome: self.finish_phases(telemetry, plan, &core, precompute),
         }
     }
 
     /// Runs phases 1–2 (detection + location discovery) of a plain run —
-    /// config fault plan, no trace, no telemetry — and
+    /// config fault plan, no telemetry — and
     /// snapshots everything the remaining phases need, including the
     /// τ-independent impact precompute.
     ///
@@ -418,11 +424,15 @@ impl Runner {
     /// way — the per-sensor solves are pure and the accumulation is merged
     /// in sensor order.
     pub fn probe_stage_with(&self, workers: usize) -> ProbeStage {
-        let disabled = Obs::disabled();
-        let plan = self.deployment.config().faults.clone();
-        let core = self.stage_phases(&disabled, &plan);
+        let cfg = self.deployment.config();
+        let core = self.stage_phases(&Obs::disabled(), &cfg.faults);
         let impact = self.impact_precompute(&core, workers);
-        ProbeStage { core, impact }
+        let per_sensor = vec![Vec::new(); cfg.nodes as usize];
+        ProbeStage {
+            core,
+            impact,
+            memo: Mutex::new(ImpactMemo { per_sensor }),
+        }
     }
 
     /// Re-solves the τ-independent per-sensor localization chain of
@@ -441,69 +451,27 @@ impl Runner {
     /// came from a runner agreeing with `self` on the seed, the topology,
     /// and every probe-relevant policy field (the equivalence suite is the
     /// oracle). Only the revocation and impact phases execute.
+    ///
+    /// Every finish from one stage shares the stage's impact memo: a
+    /// sensor whose dropped-reference subset repeats across the cells of
+    /// the stage is re-estimated only once. The memo caches pure-function
+    /// results, so outcomes stay bit-identical. A finish that finds the
+    /// memo held by a concurrent finish of the same stage solves without
+    /// it rather than wait.
     pub fn finish_from_stage(&self, stage: &ProbeStage) -> SimOutcome {
-        self.finish_from_stage_inner(stage, None, &Obs::disabled())
+        self.finish_from_stage_observed(stage, &Obs::disabled())
     }
 
-    /// [`Runner::finish_from_stage`] with a cross-cell [`ImpactMemo`] and
-    /// telemetry. The memo caches pure-function results, so outcomes stay
-    /// bit-identical, but sensors whose dropped-reference subset repeats
-    /// across the cells of one shared stage are re-estimated only once;
-    /// the memo must be fresh for each distinct [`ProbeStage`]. The
-    /// revocation and impact phases report on `telemetry` (spans,
-    /// counters, `bs.alert` / `revocation` / `alerts.summary` events)
-    /// exactly as a full observed run would. Instrumentation consumes no
-    /// randomness, so the outcome is still bit-identical to the plain
-    /// staged finish — this is how the sweep orchestrator attributes
-    /// per-cell revocation decisions to their cell's trace.
-    pub fn finish_from_stage_observed(
-        &self,
-        stage: &ProbeStage,
-        memo: &mut ImpactMemo,
-        telemetry: &Obs,
-    ) -> SimOutcome {
-        self.finish_from_stage_inner(stage, Some(memo), telemetry)
-    }
-
-    fn finish_from_stage_inner(
-        &self,
-        stage: &ProbeStage,
-        memo: Option<&mut ImpactMemo>,
-        telemetry: &Obs,
-    ) -> SimOutcome {
-        let plan = self.deployment.config().faults.clone();
-        let (outcome, _) = self.finish_phases(
-            telemetry,
-            &plan,
-            &stage.core,
-            stage.core.benign_alerts.clone(),
-            stage.core.order_rng.clone(),
-            Some(&stage.impact),
-            memo,
-            0,
-        );
-        outcome
-    }
-
-    fn run_impl(
-        &self,
-        telemetry: &Obs,
-        plan: &FaultPlan,
-        location_workers: usize,
-    ) -> (SimOutcome, Trace) {
-        let mut core = self.stage_phases(telemetry, plan);
-        let benign_alerts = std::mem::take(&mut core.benign_alerts);
-        let order_rng = core.order_rng.clone();
-        self.finish_phases(
-            telemetry,
-            plan,
-            &core,
-            benign_alerts,
-            order_rng,
-            None,
-            None,
-            location_workers,
-        )
+    /// [`Runner::finish_from_stage`] reporting on `telemetry`: the
+    /// revocation and impact phases emit spans, counters and `bs.alert` /
+    /// `revocation` / `alerts.summary` events exactly as a full observed
+    /// run would. Instrumentation consumes no randomness, so the outcome
+    /// is still bit-identical to the plain staged finish — this is how
+    /// the sweep orchestrator attributes per-cell revocation decisions to
+    /// their cell's trace.
+    pub fn finish_from_stage_observed(&self, stage: &ProbeStage, telemetry: &Obs) -> SimOutcome {
+        let plan = &self.deployment.config().faults;
+        self.finish_phases(telemetry, plan, &stage.core, Precompute::Stage(stage))
     }
 
     fn stage_phases(&self, telemetry: &Obs, plan: &FaultPlan) -> StageCore {
@@ -689,12 +657,12 @@ impl Runner {
     }
 
     /// The τ-independent slice of the impact phase, accumulated in sensor
-    /// order with exactly the float operations of the in-run single-pass
-    /// computation (so a shared-stage mean is bit-identical to a fresh
-    /// run's). Solves run on the lane-kernel [`BatchedMmse`] over a
-    /// pre-sized [`MmseScratch`]; with `workers` ≥ 2 the per-sensor
-    /// solves fan out over scoped threads and are merged back in sensor
-    /// order before the fold, which cannot change the sums.
+    /// order with exactly the float operations of the reference run's
+    /// pre-revocation pass (`secloc-oracle`). Solves run on the
+    /// lane-kernel [`BatchedMmse`] over a pre-sized [`MmseScratch`]; with
+    /// `workers` ≥ 2 the per-sensor solves fan out over scoped threads and
+    /// are merged back in sensor order before the fold, which cannot
+    /// change the sums.
     fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
         let cfg = self.deployment.config();
         let per_sensor = self.map_sensors(workers, |w, scratch| {
@@ -723,28 +691,35 @@ impl Runner {
         solve: impl Fn(u32, &mut MmseScratch) -> T + Sync,
     ) -> Vec<T> {
         let d = &self.deployment;
-        let cap = d.max_audible_len();
         let sensor0 = d.config().beacons;
         let total = (d.config().nodes - sensor0) as usize;
-        if workers >= 2 {
-            return parallel_index_map(
-                total,
-                workers,
-                || MmseScratch::with_capacity(cap),
-                |i, scratch| solve(sensor0 + i as u32, scratch),
-            );
+        if workers < 2 {
+            let mut out = Vec::with_capacity(total);
+            self.for_each_sensor(|w, scratch| out.push(solve(w, scratch)));
+            return out;
         }
-        let mut scratch = MmseScratch::with_capacity(cap);
-        let cap0 = scratch.capacity();
-        let out = (0..total)
-            .map(|i| solve(sensor0 + i as u32, &mut scratch))
-            .collect();
-        debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-        out
+        let cap = d.max_audible_len();
+        parallel_index_map(
+            total,
+            workers,
+            || MmseScratch::with_capacity(cap),
+            |i, scratch| solve(sensor0 + i as u32, scratch),
+        )
     }
 
-    /// Sensor `w`'s localization error from the scratch's active rows, or
-    /// `None` when they do not solve. A deployed node knows the field
+    /// Calls `f` on every sensor in sensor order on the calling thread,
+    /// with one scratch pre-sized like [`Runner::map_sensors`]'s.
+    fn for_each_sensor(&self, mut f: impl FnMut(u32, &mut MmseScratch)) {
+        let mut scratch = MmseScratch::with_capacity(self.deployment.max_audible_len());
+        let cap0 = scratch.capacity();
+        for w in self.deployment.sensors() {
+            f(w, &mut scratch);
+        }
+        debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
+    }
+
+    /// Sensor `w`'s localization error from the scratch's rows, or `None`
+    /// when they do not solve. A deployed node knows the field
     /// bounds, and poisoned constraints can push the least-squares
     /// solution outside them, so the estimate is clamped like a real stack
     /// would clamp it.
@@ -757,31 +732,27 @@ impl Runner {
             .map(|est| field.clamp(est.position).distance(d.position(w)))
     }
 
-    /// Phases 3a–4. `core` supplies the probe-stage snapshot;
-    /// `benign_alerts` and `order_rng` are owned copies because phase 3a
-    /// shuffles the former and advances the latter. With `shared` set, the
-    /// impact phase reuses the τ-independent precompute and re-estimates
-    /// only sensors that lost a reference to revocation.
-    #[allow(clippy::too_many_arguments)]
+    /// Phases 3a–4 on the probe-stage snapshot `core`. The impact phase
+    /// re-estimates only the sensors that lost a reference to revocation;
+    /// every other sensor keeps its pre-revocation contribution from the
+    /// `precompute`.
     fn finish_phases(
         &self,
         telemetry: &Obs,
         plan: &FaultPlan,
         core: &StageCore,
-        benign_alerts: Vec<Alert>,
-        mut order_rng: StdRng,
-        shared: Option<&ImpactPrecompute>,
-        memo: Option<&mut ImpactMemo>,
-        location_workers: usize,
-    ) -> (SimOutcome, Trace) {
-        let mut trace = Trace::new();
+        precompute: Precompute<'_>,
+    ) -> SimOutcome {
         let d = &self.deployment;
         let cfg = d.config();
         let churn = &core.churn;
         let detectors = &core.detectors;
         let kept = &core.kept;
         let poisoned = &core.poisoned;
-        let mut benign_alerts = benign_alerts;
+        // Phase 3a shuffles the alerts and advances the order stream, so
+        // both are owned copies of the snapshot's.
+        let mut benign_alerts = core.benign_alerts.clone();
+        let mut order_rng = core.order_rng.clone();
 
         // ---- Phase 3a: alert delivery over the lossy report channel. ---
         // Alerts cross a lossy multi-hop path; the paper assumes
@@ -799,12 +770,18 @@ impl Runner {
         let mut alert_loss = AlertChannel::from_plan(plan, cfg.alert_loss_rate);
         let mut loss_rng = StdRng::seed_from_u64(subseed(self.seed, b"alert-loss"));
         let mut lost_transmissions = 0u64;
-        let mut delivered = |rng: &mut StdRng, loss: &mut AlertChannel| {
-            let sent = send_reliable(loss, cfg.alert_retransmissions, rng);
+        // Delivered alerts with their source label, in submission order.
+        let mut delivered: Vec<(Alert, &str)> = Vec::new();
+        let mut dropped_in_transit = 0usize;
+        let mut submit = |alert: Alert, source: &'static str| {
+            let sent = send_reliable(&mut alert_loss, cfg.alert_retransmissions, &mut loss_rng);
             lost_transmissions += (sent.transmissions - u32::from(sent.delivered)) as u64;
-            sent.delivered
+            if sent.delivered {
+                delivered.push((alert, source));
+            } else {
+                dropped_in_transit += 1;
+            }
         };
-        let mut submissions: Vec<(Alert, AlertSource, bool)> = Vec::new();
         let mut collusion_alerts = 0usize;
         if cfg.collusion && cfg.malicious > 0 {
             let colluders: Vec<NodeId> = d
@@ -819,18 +796,15 @@ impl Runner {
             victims.shuffle(&mut order_rng);
             let policy = CollusionPolicy::new(cfg.tau, cfg.tau_prime);
             for (reporter, target) in policy.alerts(&colluders, &victims) {
-                let ok = delivered(&mut loss_rng, &mut alert_loss);
-                submissions.push((Alert::new(reporter, target), AlertSource::Collusion, ok));
+                submit(Alert::new(reporter, target), "collusion");
                 collusion_alerts += 1;
             }
         }
         benign_alerts.shuffle(&mut order_rng);
         let benign_alert_count = benign_alerts.len();
         for alert in benign_alerts {
-            let ok = delivered(&mut loss_rng, &mut alert_loss);
-            submissions.push((alert, AlertSource::Detection, ok));
+            submit(alert, "detection");
         }
-        let dropped_in_transit = submissions.iter().filter(|(_, _, ok)| !ok).count();
         telemetry.add("alerts.sent.collusion", collusion_alerts as u64);
         telemetry.add("alerts.sent.detection", benign_alert_count as u64);
         telemetry.add("alerts.dropped_in_transit", dropped_in_transit as u64);
@@ -855,43 +829,32 @@ impl Runner {
         // metrics-only telemetry (the BENCH_obs overhead configuration)
         // skips the string formatting entirely.
         let decisions_attended = telemetry.sink_attached();
-        for (alert, source, ok) in submissions {
-            let outcome = if ok {
-                station.process(alert)
-            } else {
-                secloc_core::AlertOutcome::Accepted // hypothetical; not counted
-            };
-            if ok {
-                if let Some(m) = &alert_metrics {
-                    m.record(outcome);
-                }
-                let source_label = match source {
-                    AlertSource::Detection => "detection",
-                    AlertSource::Collusion => "collusion",
-                };
-                if decisions_attended {
-                    telemetry.emit(
-                        "bs.alert",
-                        &[
-                            ("reporter", Value::U64(alert.reporter.0 as u64)),
-                            ("target", Value::U64(alert.target.0 as u64)),
-                            ("source", Value::Str(source_label.to_string())),
-                            ("outcome", Value::Str(outcome.wire_label().to_string())),
-                        ],
-                    );
-                }
-                if outcome == secloc_core::AlertOutcome::AcceptedAndRevoked {
-                    telemetry.emit(
-                        "revocation",
-                        &[
-                            ("target", Value::U64(alert.target.0 as u64)),
-                            ("reporter", Value::U64(alert.reporter.0 as u64)),
-                            ("source", Value::Str(source_label.to_string())),
-                        ],
-                    );
-                }
+        for (alert, source) in delivered {
+            let outcome = station.process(alert);
+            if let Some(m) = &alert_metrics {
+                m.record(outcome);
             }
-            trace.record(alert.reporter, alert.target, source, outcome, ok);
+            if decisions_attended {
+                telemetry.emit(
+                    "bs.alert",
+                    &[
+                        ("reporter", Value::U64(alert.reporter.0 as u64)),
+                        ("target", Value::U64(alert.target.0 as u64)),
+                        ("source", Value::Str(source.to_string())),
+                        ("outcome", Value::Str(outcome.wire_label().to_string())),
+                    ],
+                );
+            }
+            if outcome == secloc_core::AlertOutcome::AcceptedAndRevoked {
+                telemetry.emit(
+                    "revocation",
+                    &[
+                        ("target", Value::U64(alert.target.0 as u64)),
+                        ("reporter", Value::U64(alert.reporter.0 as u64)),
+                        ("source", Value::Str(source.to_string())),
+                    ],
+                );
+            }
         }
         // Emitted after the last decision so any stream consumer (the
         // counter-anomaly health detector in particular) can reconcile the
@@ -944,118 +907,87 @@ impl Runner {
         let revoked: Vec<bool> = (0..cfg.beacons)
             .map(|b| station.is_revoked(NodeId(b)))
             .collect();
-        telemetry.set_gauge("run.location_workers", location_workers as i64);
-        telemetry.set_gauge("impact.workers", location_workers.max(1) as i64);
-
-        let (err_before, err_after) = match shared {
-            // Shared-stage path: the pre-revocation contributions were
-            // accumulated once per probe stage in the same sensor order;
-            // only sensors that actually lost a reference to revocation
-            // are re-estimated here.
-            Some(pre) => {
-                let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-                let mut scratch = MmseScratch::with_capacity(d.max_audible_len());
-                let cap0 = scratch.capacity();
-                let mut memo = memo;
-                if let Some(m) = memo.as_deref_mut() {
-                    if m.per_sensor.len() < cfg.nodes as usize {
-                        m.per_sensor.resize(cfg.nodes as usize, Vec::new());
-                    }
-                }
-                for w in d.sensors() {
-                    let ks = &kept[w as usize];
-                    // Which kept references revocation dropped, as a mask
-                    // over the list (None when it doesn't fit in 64 bits
-                    // and at least one reference was dropped).
-                    let dropped: Option<u64> = if ks.len() <= 64 {
-                        let mut m = 0u64;
-                        for (j, k) in ks.iter().enumerate() {
-                            if revoked[k.beacon as usize] {
-                                m |= 1 << j;
-                            }
-                        }
-                        Some(m)
-                    } else if ks.iter().all(|k| !revoked[k.beacon as usize]) {
-                        Some(0)
-                    } else {
-                        None
-                    };
-                    let solve = |scratch: &mut MmseScratch| {
-                        scratch.load_from_iter(
-                            ks.iter()
-                                .filter(|k| !revoked[k.beacon as usize])
-                                .map(|k| k.reference),
-                        );
-                        self.clamped_error(w, scratch)
-                    };
-                    let contribution = match (dropped, memo.as_deref_mut()) {
-                        // Nothing dropped: identical inputs, reuse the
-                        // shared pre-revocation estimate.
-                        (Some(0), _) => pre.before[w as usize],
-                        (Some(mask), Some(m)) => {
-                            let entries = &mut m.per_sensor[w as usize];
-                            match entries.iter().find(|&&(key, _)| key == mask) {
-                                Some(&(_, c)) => c,
-                                None => {
-                                    let c = solve(&mut scratch);
-                                    entries.push((mask, c));
-                                    c
-                                }
-                            }
-                        }
-                        _ => solve(&mut scratch),
-                    };
-                    if let Some(c) = contribution {
-                        sum_a += c;
-                        n_a += 1;
-                    }
-                }
-                debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
-                (
-                    (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64),
-                    (n_a > 0).then(|| sum_a / n_a as f64),
-                )
+        let solved;
+        let (pre, mut memo, workers) = match precompute {
+            Precompute::Solve(workers) => {
+                solved = self.impact_precompute(core, workers);
+                (&solved, None, workers)
             }
-            // Single pass over the sensors on the lane-kernel solver with a
-            // reused pre-sized scratch; when revocation removed none of a
-            // sensor's references the second (filtered) estimate is the same
-            // pure function of the same inputs, so the first result is reused
-            // instead of recomputed. Per-sensor contributions are folded in
-            // sensor order whether solved in-line or on worker threads, and
-            // the per-accumulator addition order matches the two-pass impact
-            // phase of the reference run (`secloc-oracle`), so the means are
-            // bit-identical to it.
-            None => {
-                let pairs = self.map_sensors(location_workers, |w, scratch| {
-                    let ks = &kept[w as usize];
-                    scratch.load_from_iter(ks.iter().map(|k| k.reference));
-                    let before = self.clamped_error(w, scratch);
-                    let after = if ks.iter().all(|k| !revoked[k.beacon as usize]) {
-                        before // nothing filtered: identical inputs
-                    } else {
-                        scratch.retain(|i| !revoked[ks[i].beacon as usize]);
-                        self.clamped_error(w, scratch)
-                    };
-                    (before, after)
-                });
-                let (mut sum_b, mut n_b) = (0.0f64, 0usize);
-                let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-                for (b, a) in pairs {
-                    if let Some(c) = b {
-                        sum_b += c;
-                        n_b += 1;
+            // A memo held by a concurrent finish of the same stage, or
+            // poisoned by a panicking one, is skipped: it only saves work,
+            // and every entry in it is complete.
+            Precompute::Stage(stage) => (&stage.impact, stage.memo.try_lock().ok(), 0),
+        };
+        telemetry.set_gauge("run.location_workers", workers as i64);
+        telemetry.set_gauge("impact.workers", workers.max(1) as i64);
+
+        // Sensor `w`'s post-revocation contribution. Revocation can only
+        // drop references, so a sensor that lost none keeps its
+        // pre-revocation contribution; the others are re-solved over the
+        // references that survive, through `seen` (the sensor's memo
+        // entries) when there is one.
+        let contribution_after =
+            |w: u32, scratch: &mut MmseScratch, seen: Option<&mut Vec<(u64, Option<f64>)>>| {
+                let ks = &kept[w as usize];
+                // Which kept references revocation dropped, as a mask over
+                // the list (None when it doesn't fit in 64 bits and at
+                // least one reference was dropped).
+                let dropped: Option<u64> = if ks.len() <= 64 {
+                    let mut m = 0u64;
+                    for (j, k) in ks.iter().enumerate() {
+                        if revoked[k.beacon as usize] {
+                            m |= 1 << j;
+                        }
                     }
-                    if let Some(c) = a {
-                        sum_a += c;
-                        n_a += 1;
-                    }
+                    Some(m)
+                } else if ks.iter().all(|k| !revoked[k.beacon as usize]) {
+                    Some(0)
+                } else {
+                    None
+                };
+                let mut solve = || {
+                    scratch.load_from_iter(
+                        ks.iter()
+                            .filter(|k| !revoked[k.beacon as usize])
+                            .map(|k| k.reference),
+                    );
+                    self.clamped_error(w, scratch)
+                };
+                match (dropped, seen) {
+                    (Some(0), _) => pre.before[w as usize],
+                    (Some(mask), Some(seen)) => match seen.iter().find(|&&(key, _)| key == mask) {
+                        Some(&(_, c)) => c,
+                        None => {
+                            let c = solve();
+                            seen.push((mask, c));
+                            c
+                        }
+                    },
+                    _ => solve(),
                 }
-                (
-                    (n_b > 0).then(|| sum_b / n_b as f64),
-                    (n_a > 0).then(|| sum_a / n_a as f64),
-                )
+            };
+        // With a memo the re-solves run in-line; without one (a plain
+        // run) they fan out over the run's location workers like the
+        // precompute. Either way they are folded in sensor order.
+        let (mut sum_a, mut n_a) = (0.0f64, 0usize);
+        let mut add = |c: Option<f64>| {
+            if let Some(c) = c {
+                sum_a += c;
+                n_a += 1;
             }
         };
+        match memo.as_deref_mut() {
+            Some(memo) => self.for_each_sensor(|w, scratch| {
+                let seen = &mut memo.per_sensor[w as usize];
+                add(contribution_after(w, scratch, Some(seen)))
+            }),
+            None => self
+                .map_sensors(workers, |w, scratch| contribution_after(w, scratch, None))
+                .into_iter()
+                .for_each(add),
+        }
+        let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
+        let err_after = (n_a > 0).then(|| sum_a / n_a as f64);
 
         let outcome = SimOutcome {
             malicious_total: malicious.len() as u32,
@@ -1097,7 +1029,7 @@ impl Runner {
         );
         telemetry.emit("run.end", &[("seed", Value::U64(self.seed))]);
         telemetry.flush();
-        (outcome, trace)
+        outcome
     }
 }
 
@@ -1117,17 +1049,33 @@ mod tests {
     }
 
     #[test]
-    fn options_compose_and_trace_is_opt_in() {
+    fn options_compose_and_events_are_opt_in() {
         let r = Runner::new(small_cfg(0.5), 3);
-        let plain = r.run(RunOptions::new());
-        assert!(plain.trace.is_none());
-        let traced = r.run(RunOptions::new().traced());
-        assert_eq!(traced.outcome, plain.outcome);
-        let t = traced.trace.expect("requested");
+        let plain = r.run(RunOptions::new()).outcome;
+        let sink = std::sync::Arc::new(secloc_obs::MemorySink::new());
+        let obs = Obs::new(None, Some(sink.clone()));
+        let observed = r.run(RunOptions::new().observed(&obs).location_workers(2));
+        assert_eq!(observed.outcome, plain);
+        // Every alert sent is either decided at the base station or lost.
+        let events = sink.events();
+        let decided = events.iter().filter(|e| e.kind == "bs.alert").count();
+        let summary = events
+            .iter()
+            .find(|e| e.kind == "alerts.summary")
+            .expect("one summary per run");
+        let Some(&Value::U64(dropped)) = summary.field("dropped") else {
+            panic!("alerts.summary without a dropped count");
+        };
         assert_eq!(
-            t.records().len(),
-            plain.outcome.benign_alerts + plain.outcome.collusion_alerts
+            decided + dropped as usize,
+            plain.benign_alerts + plain.collusion_alerts
         );
+    }
+
+    #[test]
+    fn probe_stage_is_shareable_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<ProbeStage>();
     }
 
     #[test]

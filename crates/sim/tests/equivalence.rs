@@ -1,7 +1,8 @@
 //! Optimized-vs-reference seeded equivalence.
 //!
 //! The allocation-free hot paths (scratch-buffer neighbour queries, batch
-//! event drains, cached radio geometry, single-pass impact metrics) claim
+//! event drains, cached radio geometry, impact metrics that re-solve only
+//! the sensors revocation touched) claim
 //! to be *bit-identical* to the code they replaced: same seeded RNG draw
 //! order, same floating-point operations, same `SimOutcome`. This test
 //! holds that claim against the straight-line reference run of
@@ -386,4 +387,41 @@ fn faulted_runs_are_deterministic_and_match_reference() {
     let b = r.run(RunOptions::new().faults(plan.clone()));
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(reference(&r, &plan), a.outcome);
+}
+
+#[test]
+fn dense_run_past_the_dropped_mask_width_matches_reference() {
+    // 250 beacons in a 400 ft field: sensors hear 100+ beacons, more than
+    // the staged finish's 64-bit dropped-reference mask covers, so every
+    // sensor that loses a reference to revocation takes the direct
+    // re-solve fallback.
+    let cfg = SimConfig {
+        nodes: 500,
+        beacons: 250,
+        malicious: 40,
+        field_side_ft: 400.0,
+        range_ft: 150.0,
+        attacker_p: 0.6,
+        wormhole: None,
+        ..SimConfig::paper_default()
+    };
+    for seed in 0..3u64 {
+        let runner = Runner::new(cfg.clone(), seed);
+        assert!(runner.deployment().max_audible_len() > 64, "seed {seed}");
+        let plain = runner.run(RunOptions::new()).outcome;
+        assert!(
+            plain.revoked_malicious + plain.revoked_benign > 0,
+            "seed {seed} revokes nothing"
+        );
+        assert_eq!(
+            runner.finish_from_stage(&runner.probe_stage()),
+            plain,
+            "staged finish diverged: seed {seed}"
+        );
+        assert_eq!(
+            plain,
+            reference_plain(&runner),
+            "reference run diverged: seed {seed}"
+        );
+    }
 }

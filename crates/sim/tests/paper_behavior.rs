@@ -6,8 +6,9 @@
 //! completed in PR 8), so the behavioral assertions now live against the
 //! API callers actually use.
 
-use secloc_sim::trace::AlertSource;
+use secloc_obs::{MemorySink, Obs, Value};
 use secloc_sim::{average_outcomes, RunOptions, Runner, SimConfig, SimOutcome};
+use std::sync::Arc;
 
 fn small(p: f64, seed: u64) -> SimOutcome {
     Runner::new(
@@ -176,7 +177,7 @@ fn retransmission_discharges_the_reliability_assumption() {
 }
 
 #[test]
-fn trace_agrees_with_outcome() {
+fn event_stream_agrees_with_outcome() {
     let runner = Runner::new(
         SimConfig {
             nodes: 500,
@@ -187,24 +188,47 @@ fn trace_agrees_with_outcome() {
         },
         13,
     );
-    let out = runner.run(RunOptions::new().traced());
-    let (outcome, trace) = (out.outcome, out.trace.expect("traced"));
-    // Every revocation in the trace corresponds to a revoked beacon.
+    let sink = Arc::new(MemorySink::new());
+    let obs = Obs::new(None, Some(sink.clone()));
+    let outcome = runner.run(RunOptions::new().observed(&obs)).outcome;
+    let events = sink.events();
+    let decisions: Vec<_> = events.iter().filter(|e| e.kind == "bs.alert").collect();
+    // Every revocation event corresponds to a revoked beacon.
     assert_eq!(
-        trace.revocations().len() as u32,
+        events.iter().filter(|e| e.kind == "revocation").count() as u32,
         outcome.revoked_malicious + outcome.revoked_benign
     );
-    // Alert volume matches the outcome counters.
+    // Alert volume matches the outcome counters: every alert sent is
+    // either decided at the base station or dropped in transit.
+    let summary = events
+        .iter()
+        .find(|e| e.kind == "alerts.summary")
+        .expect("one summary per run");
+    let Some(&Value::U64(dropped)) = summary.field("dropped") else {
+        panic!("alerts.summary without a dropped count");
+    };
     assert_eq!(
-        trace.records().len(),
+        decisions.len() + dropped as usize,
         outcome.benign_alerts + outcome.collusion_alerts
     );
-    // The traced run returns the same outcome as the untraced one.
+    // The observed run returns the same outcome as the plain one.
     assert_eq!(runner.run(RunOptions::new()).outcome, outcome);
-    // Colluders fire first in the worst-case ordering.
-    if outcome.collusion_alerts > 0 {
-        assert_eq!(trace.records()[0].source, AlertSource::Collusion);
-    }
+    // Colluders fire first in the worst-case ordering: no collusion alert
+    // is decided after the first detection alert.
+    let source = |e: &&secloc_obs::Event| match e.field("source") {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("bs.alert without a source: {other:?}"),
+    };
+    let sources: Vec<String> = decisions.iter().map(source).collect();
+    let first_detection = sources
+        .iter()
+        .position(|s| s == "detection")
+        .unwrap_or(sources.len());
+    assert!(first_detection > 0, "this run delivers collusion alerts");
+    assert!(
+        sources[first_detection..].iter().all(|s| s != "collusion"),
+        "a collusion alert arrived after detection alerts: {sources:?}"
+    );
 }
 
 #[test]

@@ -38,9 +38,7 @@ fn main() {
     let mut rounds: Vec<(u64, SimOutcome)> = Vec::new();
     for &seed in &seeds {
         let runner = Runner::new_observed(config.clone(), seed, &telemetry);
-        let outcome = runner
-            .run(RunOptions::new().traced().observed(&telemetry))
-            .outcome;
+        let outcome = runner.run(RunOptions::new().observed(&telemetry)).outcome;
         println!(
             "seed {seed}: detection {:.2}, false positives {:.2}, N' = {:.2}",
             outcome.detection_rate(),
