@@ -20,11 +20,11 @@ const SEEDS: u64 = 4;
 
 /// All 42 ROC cells (36 sweep + 2 ablation configs x 4 seeds each) are
 /// pure functions of their config, so the bench keeps a persistent result
-/// cache: a re-run replays from `results/fig14_cache.jsonl` instead of
-/// simulating.
+/// cache: a re-run replays from the `results/fig14_cache.bin` directory
+/// instead of simulating.
 fn run_cached(cfg: &SimConfig, seeds: &[u64]) -> Vec<SimOutcome> {
     Orchestrator::new()
-        .cache(results_dir().join("fig14_cache.jsonl"))
+        .cache(results_dir().join("fig14_cache.bin"))
         .run(&SweepSpec::single(cfg, seeds))
         .expect("fig14 sweep cache I/O")
         .outcomes

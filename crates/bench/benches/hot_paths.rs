@@ -33,8 +33,7 @@ use secloc_radio::{Cycles, Frame, FrameBody, RequestPayload};
 use secloc_sim::orchestrator::{code_version_tag, config_fingerprint, outcome_revision, CellKey};
 use secloc_sim::report::PHASE_NAMES;
 use secloc_sim::{
-    BinaryCache, CacheFormat, Deployment, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome,
-    SweepSpec,
+    BinaryCache, Deployment, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome, SweepSpec,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -523,7 +522,6 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
     let populate = Orchestrator::new()
         .workers(wmax)
         .cache(&cache)
-        .cache_format(CacheFormat::Binary)
         .run(&spec)
         .expect("cold populate");
     let cache_shards = populate.cache_shards;
@@ -531,7 +529,6 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
         time(|| {
             let report = Orchestrator::new()
                 .cache(&cache)
-                .cache_format(CacheFormat::Binary)
                 .run(&spec)
                 .expect("warm sweep");
             assert_eq!(report.executed, 0, "warm start must be all hits");
@@ -551,7 +548,6 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
         time(|| {
             let report = Orchestrator::new()
                 .cache(&cache)
-                .cache_format(CacheFormat::Binary)
                 .checkpoint(&checkpoint)
                 .run(&spec)
                 .expect("warm checkpointed sweep");

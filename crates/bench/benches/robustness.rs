@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cumulative cache accounting across all measured points, for the JSON
-/// artifact: a re-run against a warm `BENCH_robustness_cache.jsonl` should
+/// artifact: a re-run against a warm `BENCH_robustness_cache.bin` should
 /// show `cells_executed = 0`.
 static CACHE_HITS: AtomicUsize = AtomicUsize::new(0);
 static CELLS_EXECUTED: AtomicUsize = AtomicUsize::new(0);
@@ -51,7 +51,7 @@ fn base_config() -> SimConfig {
 /// simulates only what the cache has not seen.
 fn measure(config: &SimConfig, severity: f64, seeds: &[u64]) -> EmpiricalPoint {
     let report = Orchestrator::new()
-        .cache(results_dir().join("BENCH_robustness_cache.jsonl"))
+        .cache(results_dir().join("BENCH_robustness_cache.bin"))
         .run(&SweepSpec::single(config, seeds))
         .expect("robustness sweep cache I/O");
     CACHE_HITS.fetch_add(report.cache_hits, Ordering::Relaxed);

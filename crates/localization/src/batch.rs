@@ -13,9 +13,9 @@
 //!
 //! **Bit-identity contract:** every routine here performs the same float
 //! operations in the same order as its scalar counterpart: the scalar
-//! solve kept in the dev-only `secloc-oracle` crate, [`Estimate::at`] and
-//! `gdop.rs`. The tests at the bottom and in `tests/batch_oracle.rs`
-//! enforce this with `to_bits` equality over randomized inputs.
+//! solve kept in the dev-only `secloc-oracle` crate and [`Estimate::at`].
+//! The tests at the bottom and in `tests/batch_oracle.rs` enforce this
+//! with `to_bits` equality over randomized inputs.
 
 use crate::{Estimate, EstimateError, Estimator, LocationReference, MmseEstimator};
 use secloc_geometry::{Point2, Vector2};

@@ -41,7 +41,6 @@ pub mod batch;
 mod centroid;
 pub mod dvhop;
 mod estimator;
-pub mod gdop;
 mod minmax;
 mod mmse;
 mod reference;

@@ -1,16 +1,18 @@
-//! Sharded, indexed, binary result cache for million-cell sweeps.
+//! Sharded, indexed, binary result cache for million-cell sweeps: the
+//! sweep engine's one persistent cache format.
 //!
-//! The JSONL [`ResultCache`](crate::orchestrator::ResultCache) loads (and
-//! therefore parses) its entire file on open, so a warm start over a
-//! 10^6-cell cache pays O(file) before the first cell is served. This
-//! module replaces that with a directory of fixed-width record shards plus
-//! a persistent open-addressing hash index mapping FNV cell keys to
-//! `(shard, offset)`. Open reads the index's slot array into memory in one
-//! sequential read (16 bytes per slot, nothing parsed) and no records;
-//! lookups probe that resident table and read the record through a 4 KiB
-//! window per shard. So a lookup costs the same however many dead cells
-//! (entries outside the current grid) the cache has accumulated, and a
-//! sweep that walks a shard in append order pays one read per ~34 hits.
+//! A cache that loads (and therefore parses) its entire file on open makes
+//! a warm start over a 10^6-cell cache pay O(file) before the first cell
+//! is served. This module avoids that with a directory of fixed-width
+//! record shards plus a persistent open-addressing hash index mapping FNV
+//! cell keys to `(shard, offset)`. Open reads the index's slot array into
+//! memory in one sequential read (16 bytes per slot, nothing parsed) and
+//! no records; lookups probe that resident table and read the record
+//! through a 4 KiB window per shard. So a lookup costs the same however
+//! many dead cells (entries outside the current grid) the cache has
+//! accumulated, and a sweep that walks a shard in append order pays one
+//! read per ~34 hits. `orchestrator::export_jsonl` writes a cache out as
+//! JSONL text; nothing reads that text back.
 //!
 //! # On-disk layout
 //!
@@ -361,8 +363,8 @@ impl BinaryCache {
         let dir = dir.as_ref().to_path_buf();
         if dir.is_file() {
             return Err(bad_data(format!(
-                "{} is a file; a binary cache is a directory (use the JSONL \
-                 format for .jsonl files)",
+                "{} is a file; the result cache is a directory, and JSONL \
+                 caches are no longer read (point the cache at a new path)",
                 dir.display()
             )));
         }
@@ -710,11 +712,13 @@ impl BinaryCache {
         }
     }
 
-    /// Records `outcome` under `key`, reporting what happened (the same
-    /// contract as `ResultCache::insert_checked`): appending the record to
-    /// `key mod shard_count`'s shard, then indexing it. Re-inserting an
-    /// identical entry is a no-op; a key that already maps to a different
-    /// outcome is a [`CacheInsert::Conflict`] and the existing entry wins.
+    /// Records `outcome` under `key`, reporting what happened: appending
+    /// the record to `key mod shard_count`'s shard, then indexing it.
+    /// Re-inserting an identical entry is a no-op. A key that already maps
+    /// to a different outcome is a [`CacheInsert::Conflict`] — the purity
+    /// contract broke somewhere (a stale cache surviving a code change,
+    /// file corruption, or nondeterminism in the simulation itself) — and
+    /// the existing entry wins.
     pub fn insert_checked(&mut self, key: CellKey, outcome: SimOutcome) -> io::Result<CacheInsert> {
         if let Some(existing) = self.get(key)? {
             return Ok(if existing == outcome {
@@ -735,16 +739,20 @@ impl BinaryCache {
         (key.0 % self.shards.len() as u64) as u32
     }
 
-    /// Every entry, by sequential shard scan in `(shard, offset)` order —
-    /// the O(file) path, used only by export/migration tooling.
+    /// Every indexed entry, by sequential shard scan in `(shard, offset)`
+    /// order — the O(file) path, used only by export tooling. A record the
+    /// index does not point at (a second copy of an indexed key's record)
+    /// is skipped, so each key appears once, with the outcome `get` serves.
     pub fn entries(&self) -> io::Result<Vec<(CellKey, SimOutcome)>> {
         let mut out = Vec::with_capacity(self.len as usize);
         for s in 0..self.shards.len() {
             let bytes = fs::read(Self::shard_path(&self.dir, s as u32))?;
             let mut offset = 0usize;
             while offset + RECORD_LEN <= bytes.len() {
-                if let Some(entry) = decode_record(&bytes[offset..offset + RECORD_LEN]) {
-                    out.push(entry);
+                if let Some((key, outcome)) = decode_record(&bytes[offset..offset + RECORD_LEN]) {
+                    if self.probe(key) == Some((s as u32, offset as u64)) {
+                        out.push((key, outcome));
+                    }
                 }
                 offset += RECORD_LEN;
             }

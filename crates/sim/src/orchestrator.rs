@@ -15,10 +15,11 @@
 //!   cell is a pure function of `(config, seed)`.
 //! - **Content-addressed caching** — every cell is keyed by a stable
 //!   64-bit FNV-1a hash of its canonical `(config, seed, options, code
-//!   version)` encoding ([`cell_key`]). A [`BinaryCache`] (or the JSONL
-//!   [`ResultCache`]) maps keys to outcomes, so repeated or overlapping
-//!   sweeps skip completed cells entirely. A run formats each config's
-//!   `Debug` text once and hashes only the seed suffix per cell.
+//!   version)` encoding ([`cell_key`]). A [`BinaryCache`] directory maps
+//!   keys to outcomes, so repeated or overlapping sweeps skip completed
+//!   cells entirely; [`export_jsonl`] writes it out as text. A run formats
+//!   each config's `Debug` text once and hashes only the seed suffix per
+//!   cell.
 //! - **Checkpoint / resume** — with a checkpoint path configured, the
 //!   orchestrator writes the checkpoint lines *in cell order* as the
 //!   completion frontier advances, in writes of at most about 64 KiB that
@@ -35,7 +36,7 @@
 //! let spec = SweepSpec::single(&SimConfig::paper_default(), &[1, 2, 3]);
 //! let report = Orchestrator::new()
 //!     .workers(4)
-//!     .cache("results/sweep-cache.jsonl")
+//!     .cache("results/sweep-cache.bin")
 //!     .checkpoint("results/sweep-checkpoint.jsonl")
 //!     .run(&spec)
 //!     .expect("sweep I/O");
@@ -44,7 +45,7 @@
 
 use crate::cache::BinaryCache;
 use crate::{RunOptions, Runner, SimConfig, SimOutcome};
-use secloc_obs::json::push_json_f64;
+use secloc_obs::json::{push_json_f64, push_json_string};
 use secloc_obs::num::{hex16, push_hex16, push_u64, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
@@ -507,7 +508,7 @@ fn decode_outcome(obj: &str) -> Option<SimOutcome> {
     })
 }
 
-/// The `{...}` of the `"outcome"` field inside a checkpoint or cache line.
+/// The `{...}` of the `"outcome"` field inside a checkpoint line.
 /// The outcome object is flat, so its first `}` closes it.
 fn outcome_object(line: &str) -> Option<&str> {
     let start = line.find("\"outcome\":")? + "\"outcome\":".len();
@@ -518,110 +519,10 @@ fn outcome_object(line: &str) -> Option<&str> {
 }
 
 // ---------------------------------------------------------------------------
-// Result cache
+// Result cache export
 // ---------------------------------------------------------------------------
 
-/// A content-addressed map from [`CellKey`] to [`SimOutcome`], optionally
-/// persisted as an append-only JSONL file (one `{"key":…,"outcome":…}`
-/// object per line). A truncated final line — a crash mid-append — is
-/// ignored on load and overwritten by the next append.
-#[derive(Debug, Default)]
-pub struct ResultCache {
-    entries: HashMap<u64, SimOutcome>,
-    file: Option<fs::File>,
-}
-
-impl ResultCache {
-    /// A cache that lives and dies with the process.
-    pub fn in_memory() -> Self {
-        ResultCache::default()
-    }
-
-    /// Opens (or creates) the JSONL cache at `path`, loading every valid
-    /// entry. Parent directories are created as needed.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let mut entries = HashMap::new();
-        if path.exists() {
-            let text = fs::read_to_string(path)?;
-            for line in text.lines() {
-                let (Some(key), Some(outcome)) = (
-                    str_field(line, "key").and_then(CellKey::parse),
-                    outcome_object(line).and_then(decode_outcome),
-                ) else {
-                    continue; // tolerate a crash-truncated tail
-                };
-                entries.insert(key.0, outcome);
-            }
-        }
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(ResultCache {
-            entries,
-            file: Some(file),
-        })
-    }
-
-    /// Entries currently loaded.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The cached outcome under `key`, if any.
-    pub fn get(&self, key: CellKey) -> Option<&SimOutcome> {
-        self.entries.get(&key.0)
-    }
-
-    /// Every entry, in unspecified order (migration tooling sorts by key
-    /// for deterministic output).
-    pub fn entries(&self) -> impl Iterator<Item = (CellKey, &SimOutcome)> {
-        self.entries.iter().map(|(&k, o)| (CellKey(k), o))
-    }
-
-    /// Records `outcome` under `key`; persisted caches append one line.
-    /// Re-inserting an existing key is a no-op (outcomes are pure
-    /// functions of their key).
-    pub fn insert(&mut self, key: CellKey, outcome: SimOutcome) -> io::Result<()> {
-        self.insert_checked(key, outcome).map(drop)
-    }
-
-    /// [`ResultCache::insert`], reporting what happened. A
-    /// [`CacheInsert::Conflict`] — the key already maps to a *different*
-    /// outcome — means the purity contract broke somewhere (a stale cache
-    /// surviving a code change, file corruption, or nondeterminism in the
-    /// simulation itself); the existing entry is kept and the caller
-    /// decides how loudly to escalate.
-    pub fn insert_checked(&mut self, key: CellKey, outcome: SimOutcome) -> io::Result<CacheInsert> {
-        if let Some(existing) = self.entries.get(&key.0) {
-            return Ok(if *existing == outcome {
-                CacheInsert::Duplicate
-            } else {
-                CacheInsert::Conflict
-            });
-        }
-        if let Some(file) = &mut self.file {
-            let mut line = String::with_capacity(384);
-            push_cache_line(&mut line, key, &outcome);
-            file.write_all(line.as_bytes())?;
-        }
-        self.entries.insert(key.0, outcome);
-        Ok(CacheInsert::Inserted)
-    }
-}
-
-/// Appends one JSONL cache line, newline included, to `out`.
+/// Appends one JSONL export line, newline included, to `out`.
 fn push_cache_line(out: &mut String, key: CellKey, outcome: &SimOutcome) {
     out.push_str("{\"key\":\"");
     push_hex16(out, key.0);
@@ -630,10 +531,26 @@ fn push_cache_line(out: &mut String, key: CellKey, outcome: &SimOutcome) {
     out.push_str("}\n");
 }
 
-/// What [`ResultCache::insert_checked`] did with the entry.
+/// Writes every entry of `cache` to `out` as one JSONL line
+/// (`{"key":…,"outcome":…}`), in `(shard, offset)` order: append order,
+/// which in a one-shard cache is cell order. The text is an export for
+/// reading with other tools; nothing reads it back. Returns the number of
+/// lines written.
+pub fn export_jsonl(cache: &BinaryCache, out: &mut impl io::Write) -> io::Result<usize> {
+    let entries = cache.entries()?;
+    let mut line = String::with_capacity(384);
+    for (key, outcome) in &entries {
+        line.clear();
+        push_cache_line(&mut line, *key, outcome);
+        out.write_all(line.as_bytes())?;
+    }
+    Ok(entries.len())
+}
+
+/// What [`BinaryCache::insert_checked`] did with the entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheInsert {
-    /// New entry recorded (and appended, for persisted caches).
+    /// New entry recorded and appended.
     Inserted,
     /// The key was already present with a bit-identical outcome.
     Duplicate,
@@ -642,97 +559,15 @@ pub enum CacheInsert {
     Conflict,
 }
 
-/// On-disk representation of a persisted result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// On-disk representation of a persisted result cache. There is one: a
+/// [`BinaryCache`] directory of fixed-width record shards plus a
+/// persistent key index (see [`crate::cache`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheFormat {
-    /// Decide from the path: a `.jsonl` extension keeps the PR 4-era
-    /// [`ResultCache`] line format, anything else is a [`BinaryCache`]
-    /// directory.
-    #[default]
-    Auto,
-    /// Append-only JSONL file — human-greppable, but warm start replays
-    /// (parses) the whole file: O(file).
-    Jsonl,
     /// Sharded fixed-width records plus a persistent key index — open
     /// reads the index's slot array into memory and warm start probes it
     /// per cell, so a lookup costs the same however large the cache is.
-    /// See [`crate::cache`].
     Binary,
-}
-
-impl CacheFormat {
-    /// Parses the CLI spelling (`auto` / `jsonl` / `binary`).
-    pub fn parse(s: &str) -> Option<CacheFormat> {
-        match s {
-            "auto" => Some(CacheFormat::Auto),
-            "jsonl" => Some(CacheFormat::Jsonl),
-            "binary" | "bin" => Some(CacheFormat::Binary),
-            _ => None,
-        }
-    }
-
-    fn resolve(self, path: &Path) -> CacheFormat {
-        match self {
-            CacheFormat::Auto => {
-                if path.extension().is_some_and(|e| e == "jsonl") {
-                    CacheFormat::Jsonl
-                } else {
-                    CacheFormat::Binary
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-/// The cache the orchestrator talks to — in-memory, JSONL, or sharded
-/// binary — behind one get/insert surface so the run loop is agnostic.
-#[derive(Debug)]
-enum CacheBackend {
-    Jsonl(ResultCache),
-    Binary(BinaryCache),
-}
-
-impl CacheBackend {
-    fn open(path: &Path, format: CacheFormat, expected_cells: usize) -> io::Result<Self> {
-        match format.resolve(path) {
-            CacheFormat::Jsonl => Ok(CacheBackend::Jsonl(ResultCache::open(path)?)),
-            _ => Ok(CacheBackend::Binary(BinaryCache::open(
-                path,
-                expected_cells,
-            )?)),
-        }
-    }
-
-    fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
-        match self {
-            CacheBackend::Jsonl(cache) => Ok(cache.get(key).cloned()),
-            CacheBackend::Binary(cache) => cache.get(key),
-        }
-    }
-
-    fn insert_checked(&mut self, key: CellKey, outcome: SimOutcome) -> io::Result<CacheInsert> {
-        match self {
-            CacheBackend::Jsonl(cache) => cache.insert_checked(key, outcome),
-            CacheBackend::Binary(cache) => cache.insert_checked(key, outcome),
-        }
-    }
-
-    /// Record shards backing the cache (0 = not sharded / not binary).
-    fn shard_count(&self) -> u32 {
-        match self {
-            CacheBackend::Jsonl(_) => 0,
-            CacheBackend::Binary(cache) => cache.shard_count(),
-        }
-    }
-
-    /// The shard `key`'s record lands in, for telemetry.
-    fn shard_of(&self, key: CellKey) -> Option<u32> {
-        match self {
-            CacheBackend::Jsonl(_) => None,
-            CacheBackend::Binary(cache) => Some(cache.shard_of(key)),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -746,9 +581,13 @@ const CHECKPOINT_VERSION: u32 = 1;
 /// of cells at once — a warm start — never holds its whole body.
 const CHECKPOINT_CHUNK: usize = 64 * 1024;
 
+/// The checkpoint's first line. The tag is a JSON string, escaped, so any
+/// tag keeps the line valid JSON.
 fn header_line(cells: usize, grid: CellKey, tag: &str) -> String {
+    let mut tag_json = String::new();
+    push_json_string(&mut tag_json, tag);
     format!(
-        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{cells},\"grid\":\"{grid}\",\"tag\":\"{tag}\"}}\n"
+        "{{\"kind\":\"sweep\",\"version\":{CHECKPOINT_VERSION},\"cells\":{cells},\"grid\":\"{grid}\",\"tag\":{tag_json}}}\n"
     )
 }
 
@@ -771,9 +610,9 @@ fn bad_data(msg: String) -> io::Error {
 
 /// Parses an existing checkpoint into the completed prefix of outcomes.
 /// Returns `Ok(vec![])` for an empty/absent file. Fails when the header
-/// does not match this sweep (different `grid` key over `keys`, cell count
-/// or code tag) or a recorded key contradicts the expected cell — a resume
-/// must never splice foreign results.
+/// is not the one this sweep writes (different `grid` key over `keys`,
+/// cell count or code tag) or a recorded key contradicts the expected
+/// cell — a resume must never splice foreign results.
 fn load_checkpoint_prefix(
     path: &Path,
     keys: &[CellKey],
@@ -798,10 +637,7 @@ fn load_checkpoint_prefix(
             path.display()
         )));
     }
-    let cells: Option<usize> = num_field(header, "cells");
-    let header_tag = str_field(header, "tag");
-    let header_grid = str_field(header, "grid").and_then(CellKey::parse);
-    if cells != Some(keys.len()) || header_grid != Some(grid) || header_tag != Some(tag) {
+    if header_line(keys.len(), grid, tag).strip_suffix('\n') != Some(header) {
         return Err(bad_data(format!(
             "checkpoint {} does not match this sweep (grid/tag/cell-count \
              differ); delete it or point the sweep elsewhere",
@@ -887,7 +723,7 @@ pub struct SweepReport {
     /// when nothing was executed).
     pub cells_per_sec: f64,
     /// Shards of the binary result cache backing this sweep (0 when the
-    /// cache is JSONL or in-memory).
+    /// sweep runs without a cache).
     pub cache_shards: u32,
     /// Per-worker load-balance stats, indexed by worker id.
     pub worker_stats: Vec<WorkerStats>,
@@ -918,31 +754,15 @@ fn claim_batch(cursor: &AtomicUsize, total: usize, workers: usize) -> std::ops::
 
 /// The sweep engine. Configure with the builder methods, then run
 /// ([`Orchestrator::run`]) any number of [`SweepSpec`]s.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Orchestrator {
     workers: usize,
     location_workers: usize,
     cache_path: Option<PathBuf>,
-    cache_format: CacheFormat,
     checkpoint_path: Option<PathBuf>,
     obs: Obs,
     tag: Option<String>,
     flight: Option<(Arc<FlightRecorder>, PathBuf)>,
-}
-
-impl Default for Orchestrator {
-    fn default() -> Self {
-        Orchestrator {
-            workers: 0,
-            location_workers: 0,
-            cache_path: None,
-            cache_format: CacheFormat::Auto,
-            checkpoint_path: None,
-            obs: Obs::default(),
-            tag: None,
-            flight: None,
-        }
-    }
 }
 
 impl Orchestrator {
@@ -984,21 +804,21 @@ impl Orchestrator {
         self
     }
 
-    /// Persists the result cache at `path`. The on-disk format follows
-    /// [`Orchestrator::cache_format`] — by default a `.jsonl` path keeps
-    /// the PR 4-era [`ResultCache`] line format and anything else is a
-    /// sharded, indexed [`BinaryCache`] directory whose warm start reads
-    /// the key index once and then only the probed cells' records, rather
-    /// than parsing the whole file.
+    /// Persists the result cache at `path`: a sharded, indexed
+    /// [`BinaryCache`] directory, created if absent, whose warm start reads
+    /// the key index once and then only the probed cells' records. An
+    /// existing regular file at `path` (a JSONL cache from an older build,
+    /// say) fails the run with [`io::ErrorKind::InvalidData`] and is left
+    /// untouched; [`export_jsonl`] writes a cache out as JSONL.
     pub fn cache(mut self, path: impl Into<PathBuf>) -> Self {
         self.cache_path = Some(path.into());
         self
     }
 
-    /// Overrides the on-disk cache format (default [`CacheFormat::Auto`]:
-    /// decide from the path's extension).
-    pub fn cache_format(mut self, format: CacheFormat) -> Self {
-        self.cache_format = format;
+    /// Does nothing: [`CacheFormat::Binary`] is the only cache format.
+    /// Kept only so the `benchmark/` package's callers build; it goes when
+    /// those do.
+    pub fn cache_format(self, _format: CacheFormat) -> Self {
         self
     }
 
@@ -1101,10 +921,10 @@ impl Orchestrator {
         //    of how many dead cells the cache has accumulated (open reads
         //    their slots once).
         let mut cache = match &self.cache_path {
-            Some(path) => Some(CacheBackend::open(path, self.cache_format, spec.len())?),
+            Some(path) => Some(BinaryCache::open(path, spec.len())?),
             None => None,
         };
-        let cache_shards = cache.as_ref().map_or(0, |c| c.shard_count());
+        let cache_shards = cache.as_ref().map_or(0, BinaryCache::shard_count);
         obs.set_gauge("sweep.cache_shards", i64::from(cache_shards));
         let mut results: Vec<Option<SimOutcome>> = vec![None; spec.len()];
         // Cells already persisted in the cache: their frontier flush must
@@ -1195,7 +1015,7 @@ impl Orchestrator {
         let in_cache = &in_cache;
         let mut flush_frontier = |results: &[Option<SimOutcome>],
                                   frontier: &mut usize,
-                                  cache: &mut Option<CacheBackend>,
+                                  cache: &mut Option<BinaryCache>,
                                   obs: &Obs|
          -> io::Result<()> {
             let start = *frontier;
@@ -1222,7 +1042,7 @@ impl Orchestrator {
                     continue;
                 };
                 let key = keys[i];
-                last_shard = cache.shard_of(key);
+                last_shard = Some(cache.shard_of(key));
                 if cache.insert_checked(key, outcome(i).clone())? == CacheInsert::Conflict {
                     // The purity contract broke: same key, different
                     // outcome. Keep going (the fresh result stands in the

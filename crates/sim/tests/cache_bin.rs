@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use secloc_obs::fnv1a;
 use secloc_sim::cache::RECORD_LEN;
-use secloc_sim::orchestrator::{CacheInsert, CellKey};
-use secloc_sim::{BinaryCache, CacheFormat, Orchestrator, SimConfig, SimOutcome, SweepSpec};
+use secloc_sim::orchestrator::{export_jsonl, CacheInsert, CellKey};
+use secloc_sim::{BinaryCache, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +52,6 @@ fn cold_binary_sweep(dir: &Path, spec: &SweepSpec) -> PathBuf {
     let report = Orchestrator::new()
         .workers(2)
         .cache(&cache)
-        .cache_format(CacheFormat::Binary)
         .run(spec)
         .unwrap();
     assert_eq!(report.executed, spec.len());
@@ -101,11 +100,7 @@ fn garbage_shard_tail_is_truncated_on_open() {
     drop(reopened);
 
     // The repaired cache still serves the whole grid.
-    let warm = Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&spec)
-        .unwrap();
+    let warm = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(warm.cache_hits, spec.len());
     assert_eq!(warm.executed, 0);
     fs::remove_dir_all(&dir).ok();
@@ -135,18 +130,10 @@ fn mid_record_cut_costs_exactly_the_torn_record() {
 
     // Exactly one cell re-executes; everything else is a hit. The re-run
     // restores the cache to full coverage.
-    let warm = Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&spec)
-        .unwrap();
+    let warm = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(warm.cache_hits, spec.len() - 1);
     assert_eq!(warm.executed, 1);
-    let again = Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&spec)
-        .unwrap();
+    let again = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(again.cache_hits, spec.len());
     fs::remove_dir_all(&dir).ok();
 }
@@ -163,11 +150,7 @@ fn missing_index_is_rebuilt_from_shards() {
     assert_eq!(reopened.len(), spec.len());
     drop(reopened);
 
-    let warm = Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&spec)
-        .unwrap();
+    let warm = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(warm.cache_hits, spec.len());
     assert_eq!(warm.executed, 0);
     fs::remove_dir_all(&dir).ok();
@@ -199,17 +182,9 @@ fn index_behind_the_shards_reindexes_just_the_tail() {
     // Sweep the prefix grid, stash its index, then sweep the full grid
     // into the same cache and put the stale index back: exactly the state
     // a crash between a record append and its index update leaves behind.
-    Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&prefix)
-        .unwrap();
+    Orchestrator::new().cache(&cache).run(&prefix).unwrap();
     let stale_index = fs::read(cache.join("index.bin")).unwrap();
-    Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&full)
-        .unwrap();
+    Orchestrator::new().cache(&cache).run(&full).unwrap();
     fs::write(cache.join("index.bin"), &stale_index).unwrap();
 
     let reopened = BinaryCache::open(&cache, 0).unwrap();
@@ -221,11 +196,7 @@ fn index_behind_the_shards_reindexes_just_the_tail() {
     assert_eq!(reopened.len(), full.len());
     drop(reopened);
 
-    let warm = Orchestrator::new()
-        .cache(&cache)
-        .cache_format(CacheFormat::Binary)
-        .run(&full)
-        .unwrap();
+    let warm = Orchestrator::new().cache(&cache).run(&full).unwrap();
     assert_eq!(warm.cache_hits, full.len());
     assert_eq!(warm.executed, 0);
     fs::remove_dir_all(&dir).ok();
@@ -291,6 +262,34 @@ fn reinserting_a_key_whose_record_failed_validation_counts_it_once() {
     let again = BinaryCache::open(&cache, 0).unwrap();
     assert_eq!(again.len(), 1);
     assert_eq!(again.get(key(0)).unwrap(), Some(outcome(0)));
+    fs::remove_dir_all(cache.parent().unwrap()).ok();
+}
+
+#[test]
+fn a_record_the_index_does_not_point_at_exports_once() {
+    let cache = scratch("dup").join("cache.bin");
+    let mut live = BinaryCache::open(&cache, 4).unwrap();
+    for tag in 0..3u64 {
+        live.insert_checked(key(tag), outcome(tag)).unwrap();
+    }
+    drop(live);
+    let mut want = Vec::new();
+    export_jsonl(&BinaryCache::open(&cache, 0).unwrap(), &mut want).unwrap();
+
+    // A second copy of the first record lands past the indexed length.
+    // Open scans it, finds its key already indexed and leaves the index
+    // on the first copy.
+    let mut shard = fs::read(shard_path(&cache)).unwrap();
+    shard.extend_from_within(..RECORD_LEN);
+    fs::write(shard_path(&cache), &shard).unwrap();
+    let reopened = BinaryCache::open(&cache, 0).unwrap();
+    assert_eq!(reopened.len(), 3);
+    let entries = reopened.entries().unwrap();
+    let keys: Vec<CellKey> = entries.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, [key(0), key(1), key(2)], "append order, once each");
+    let mut export = Vec::new();
+    assert_eq!(export_jsonl(&reopened, &mut export).unwrap(), 3);
+    assert_eq!(export, want, "the duplicate leaves the export unchanged");
     fs::remove_dir_all(cache.parent().unwrap()).ok();
 }
 
@@ -397,7 +396,6 @@ proptest! {
                 .workers(workers)
                 .checkpoint(&ckpt)
                 .cache(&cache)
-                .cache_format(CacheFormat::Binary)
                 .run(&spec)
                 .unwrap();
             (fs::read(&ckpt).unwrap(), cache, ckpt)
@@ -428,7 +426,6 @@ proptest! {
             .workers(3)
             .checkpoint(&ckpt)
             .cache(&cache)
-            .cache_format(CacheFormat::Binary)
             .run(&spec)
             .unwrap();
         prop_assert_eq!(

@@ -3,8 +3,8 @@
 
 use secloc_obs::health::{CounterAnomalyDetector, HealthDetector, HealthMonitor};
 use secloc_obs::{Event, MemorySink, MetricsRegistry, Obs, Value};
-use secloc_sim::orchestrator::{cell_key, code_version_tag};
-use secloc_sim::{Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
+use secloc_sim::orchestrator::{cell_key, code_version_tag, CellKey};
+use secloc_sim::{BinaryCache, Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
 use std::sync::Arc;
 
 fn shrunk() -> SimConfig {
@@ -159,20 +159,21 @@ fn sweep_cell_complete_accounting_adds_up() {
     let spec = SweepSpec::product(&variants, &seeds);
     let dir = std::env::temp_dir().join(format!("secloc-obs-acct-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cache = dir.join("cache.jsonl");
+    let cold_cache = dir.join("cold.bin");
+    let cache = dir.join("cache.bin");
     let ckpt = dir.join("ckpt.jsonl");
 
     let cold = Orchestrator::new()
         .workers(2)
-        .cache(&cache)
+        .cache(&cold_cache)
         .checkpoint(&ckpt)
         .run(&spec)
         .unwrap();
     assert_eq!(cold.executed, spec.len());
 
-    // Truncate the checkpoint to header + 1 cell, and drop the cache
-    // entries for cells 3..6 so they must re-execute. Cell order is
-    // config-major, so the pending set {3, 4, 5} spans two probe
+    // Truncate the checkpoint to header + 1 cell, and copy the cache
+    // without the entries for cells 3..6 so they must re-execute. Cell
+    // order is config-major, so the pending set {3, 4, 5} spans two probe
     // fingerprints: {3, 5} share seed 32's stage, {4} is alone on seed 31.
     let kept: String = std::fs::read_to_string(&ckpt)
         .unwrap()
@@ -182,17 +183,21 @@ fn sweep_cell_complete_accounting_adds_up() {
         .collect();
     std::fs::write(&ckpt, kept).unwrap();
     let tag = code_version_tag();
-    let dropped: Vec<String> = spec.cells()[3..]
+    let dropped: Vec<CellKey> = spec.cells()[3..]
         .iter()
-        .map(|c| cell_key(&c.config, c.seed, &tag).to_string())
+        .map(|c| cell_key(&c.config, c.seed, &tag))
         .collect();
-    let filtered: String = std::fs::read_to_string(&cache)
+    let mut filtered = BinaryCache::open(&cache, 0).unwrap();
+    for (key, outcome) in BinaryCache::open(&cold_cache, 0)
         .unwrap()
-        .lines()
-        .filter(|line| !dropped.iter().any(|key| line.contains(key.as_str())))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(&cache, filtered).unwrap();
+        .entries()
+        .unwrap()
+    {
+        if !dropped.contains(&key) {
+            filtered.insert_checked(key, outcome).unwrap();
+        }
+    }
+    drop(filtered);
 
     let sink = Arc::new(MemorySink::new());
     let obs = Obs::new(Some(Arc::new(MetricsRegistry::new())), Some(sink.clone()));

@@ -2,9 +2,10 @@
 //! resumed from its checkpoint is bit-identical to an uninterrupted one,
 //! and a warm cache replays a sweep without executing a single cell.
 
+use secloc_obs::json::JsonValue;
 use secloc_obs::{fnv1a, Event, EventSink, FlightRecorder, Fnv1a, Obs};
-use secloc_sim::orchestrator::{cell_key, code_version_tag};
-use secloc_sim::{CacheFormat, Orchestrator, SimConfig, SweepSpec};
+use secloc_sim::orchestrator::{cell_key, code_version_tag, export_jsonl};
+use secloc_sim::{BinaryCache, Orchestrator, SimConfig, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +57,9 @@ fn keys_and_bytes_match_the_pinned_golden() {
     // Pinned literals from a build that formatted each cell's canonical
     // string whole: caches and checkpoints written by it must still hit
     // and resume. Bumping `OUTCOME_REVISION` changes the tag, and with it
-    // every value here.
+    // every value here. The JSONL digest is over the binary cache's
+    // export, which must stay byte for byte the JSONL cache file earlier
+    // builds appended: the same lines in the same (cell) order.
     assert_eq!(code_version_tag(), "secloc-sim-0.1.0+r2");
     let spec = grid();
     let tag = code_version_tag();
@@ -80,14 +83,8 @@ fn keys_and_bytes_match_the_pinned_golden() {
     let dir = scratch("golden");
     Orchestrator::new()
         .workers(2)
-        .cache(dir.join("cache.jsonl"))
-        .checkpoint(dir.join("ckpt.jsonl"))
-        .run(&spec)
-        .unwrap();
-    Orchestrator::new()
-        .workers(2)
         .cache(dir.join("cache.bin"))
-        .cache_format(CacheFormat::Binary)
+        .checkpoint(dir.join("ckpt.jsonl"))
         .run(&spec)
         .unwrap();
     let ckpt = fs::read(dir.join("ckpt.jsonl")).unwrap();
@@ -99,15 +96,14 @@ fn keys_and_bytes_match_the_pinned_golden() {
     );
     assert_eq!(fnv1a(&ckpt), 0x1075_cd03_33b5_6e23, "checkpoint bytes");
     assert_eq!(
-        fnv1a(&fs::read(dir.join("cache.jsonl")).unwrap()),
-        0x3330_f23b_bd92_a6ba,
-        "JSONL cache bytes"
-    );
-    assert_eq!(
         dir_digest(&dir.join("cache.bin")),
         0x7a38_037b_8800_9b6f,
         "binary cache bytes"
     );
+    let mut export = Vec::new();
+    let cache = BinaryCache::open(dir.join("cache.bin"), 0).unwrap();
+    assert_eq!(export_jsonl(&cache, &mut export).unwrap(), spec.len());
+    assert_eq!(fnv1a(&export), 0x3330_f23b_bd92_a6ba, "JSONL export bytes");
 
     fs::remove_dir_all(&dir).ok();
 }
@@ -179,7 +175,7 @@ fn resume_after_any_interruption_is_bit_identical() {
 fn warm_cache_is_all_hits_and_byte_identical() {
     let spec = grid();
     let dir = scratch("cache");
-    let cache = dir.join("cache.jsonl");
+    let cache = dir.join("cache.bin");
 
     let cold_ckpt = dir.join("cold.jsonl");
     let cold = Orchestrator::new()
@@ -262,7 +258,7 @@ fn stale_checkpoints_are_rejected_not_spliced() {
 fn cache_keys_are_tag_scoped() {
     let spec = SweepSpec::single(&tiny(0.4), &[1, 2]);
     let dir = scratch("tag");
-    let cache = dir.join("cache.jsonl");
+    let cache = dir.join("cache.bin");
 
     let first = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(first.executed, 2);
@@ -279,6 +275,73 @@ fn cache_keys_are_tag_scoped() {
     // While the original tag still hits.
     let again = Orchestrator::new().cache(&cache).run(&spec).unwrap();
     assert_eq!(again.cache_hits, 2);
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_file_at_the_cache_path_is_refused_untouched() {
+    // A JSONL cache left by an older build sits where the cache directory
+    // would go. The run must fail before writing anything, that file
+    // included, and before it creates the checkpoint.
+    let spec = SweepSpec::single(&tiny(0.4), &[1, 2]);
+    let dir = scratch("leftover");
+    let bin = dir.join("cache.bin");
+    Orchestrator::new().cache(&bin).run(&spec).unwrap();
+    let mut jsonl = Vec::new();
+    export_jsonl(&BinaryCache::open(&bin, 0).unwrap(), &mut jsonl).unwrap();
+    let leftover = dir.join("cache.jsonl");
+    fs::write(&leftover, &jsonl).unwrap();
+
+    let ckpt = dir.join("ckpt.jsonl");
+    let err = Orchestrator::new()
+        .cache(&leftover)
+        .checkpoint(&ckpt)
+        .run(&spec)
+        .expect_err("a regular file is not a cache directory");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("no longer read"), "{err}");
+    assert_eq!(fs::read(&leftover).unwrap(), jsonl, "leftover file changed");
+    assert!(!ckpt.exists(), "a refused run writes no checkpoint");
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tags_with_json_metacharacters_resume_their_own_checkpoints() {
+    // The header writes the tag as an escaped JSON string, and resume
+    // accepts exactly the header this sweep writes, so no tag can break
+    // either.
+    let spec = SweepSpec::single(&tiny(0.4), &[1, 2]);
+    let dir = scratch("tags");
+    for (i, tag) in ["rev,2", "a}b", "q\"x", "back\\slash"]
+        .into_iter()
+        .enumerate()
+    {
+        let ckpt = dir.join(format!("ckpt-{i}.jsonl"));
+        let cold = Orchestrator::new()
+            .tag(tag)
+            .checkpoint(&ckpt)
+            .run(&spec)
+            .unwrap();
+        let text = fs::read_to_string(&ckpt).unwrap();
+        let header = JsonValue::parse(text.lines().next().unwrap())
+            .unwrap_or_else(|e| panic!("tag {tag:?}: header is not JSON: {e}"));
+        assert_eq!(header.get("tag").and_then(JsonValue::as_str), Some(tag));
+
+        let again = Orchestrator::new()
+            .tag(tag)
+            .checkpoint(&ckpt)
+            .run(&spec)
+            .unwrap_or_else(|e| panic!("tag {tag:?}: resume failed: {e}"));
+        assert_eq!(
+            (again.resumed, again.executed),
+            (spec.len(), 0),
+            "tag {tag:?}"
+        );
+        assert_eq!(again.outcomes, cold.outcomes);
+        assert_eq!(fs::read_to_string(&ckpt).unwrap(), text, "tag {tag:?}");
+    }
 
     fs::remove_dir_all(&dir).ok();
 }

@@ -6,8 +6,7 @@
 //! cargo run --release --example sweep -- \
 //!     [--p 0.1,0.3,0.5] [--seeds 5] [--workers 0] [--location-workers 0] \
 //!     [--nodes 1000 --beacons 100 --malicious 10] \
-//!     [--cache results/sweep_cache.jsonl] \
-//!     [--cache-format auto|jsonl|binary] \
+//!     [--cache results/sweep_cache.bin] \
 //!     [--checkpoint results/sweep_checkpoint.jsonl] \
 //!     [--events results/sweep_events.jsonl] \
 //!     [--flightrec results] [--watchdog] [--stall-timeout 30]
@@ -17,16 +16,15 @@
 //! replays the finished prefix and only the remainder is simulated. Run it
 //! twice to completion and the second invocation reports 100% cache hits.
 //!
-//! `--cache-format auto` (the default) keeps `.jsonl` paths on the legacy
-//! line-oriented cache and opens everything else as a sharded binary cache
-//! directory. Existing JSONL caches migrate with the `compact` subcommand:
+//! The cache is a sharded binary directory. A JSONL file at the `--cache`
+//! path, left by an older build, is refused untouched: point the sweep at
+//! a new path and its cells recompute. The `export` subcommand writes a
+//! cache out as JSONL, one `{"key":…,"outcome":…}` line per cell in
+//! append order, for reading with text tools:
 //!
 //! ```text
-//! cargo run --release --example sweep -- compact \
-//!     --from results/sweep_cache.jsonl --to results/sweep_cache.bin
-//! # ...and back, for debugging with text tools:
-//! cargo run --release --example sweep -- compact --export-jsonl \
-//!     --from results/sweep_cache.bin --to results/sweep_cache.jsonl
+//! cargo run --release --example sweep -- export \
+//!     --from results/sweep_cache.bin --to /tmp/sweep_cache.jsonl
 //! ```
 //!
 //! With `--watchdog` the event stream is monitored inline by the
@@ -42,9 +40,11 @@ use secloc::obs::health::{
     HealthMonitor, StalledStreamDetector,
 };
 use secloc::obs::{EventSink, FlightRecorder, JsonlSink, MetricsRegistry, Obs};
-use secloc::sim::orchestrator::ResultCache;
-use secloc::sim::{average_outcomes, BinaryCache, CacheFormat, Orchestrator, SimConfig, SweepSpec};
+use secloc::sim::orchestrator::export_jsonl;
+use secloc::sim::{average_outcomes, BinaryCache, Orchestrator, SimConfig, SweepSpec};
+use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -57,7 +57,6 @@ struct Args {
     beacons: u32,
     malicious: u32,
     cache: Option<PathBuf>,
-    cache_format: CacheFormat,
     checkpoint: Option<PathBuf>,
     events: Option<PathBuf>,
     flightrec: Option<PathBuf>,
@@ -74,8 +73,7 @@ fn parse_args() -> Args {
         nodes: 300,
         beacons: 30,
         malicious: 3,
-        cache: Some(PathBuf::from("results/sweep_cache.jsonl")),
-        cache_format: CacheFormat::Auto,
+        cache: Some(PathBuf::from("results/sweep_cache.bin")),
         checkpoint: Some(PathBuf::from("results/sweep_checkpoint.jsonl")),
         events: None,
         flightrec: None,
@@ -121,11 +119,6 @@ fn parse_args() -> Args {
                     .expect("--malicious takes an integer")
             }
             "--cache" => args.cache = Some(PathBuf::from(value("--cache"))),
-            "--cache-format" => {
-                let v = value("--cache-format");
-                args.cache_format = CacheFormat::parse(&v)
-                    .unwrap_or_else(|| panic!("--cache-format takes auto|jsonl|binary, got {v}"));
-            }
             "--checkpoint" => args.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
             "--no-cache" => args.cache = None,
             "--no-checkpoint" => args.checkpoint = None,
@@ -143,14 +136,12 @@ fn parse_args() -> Args {
     args
 }
 
-/// `sweep compact`: migrate a JSONL cache into the sharded binary format,
-/// or (with `--export-jsonl`) dump a binary cache back to JSONL so it can
-/// be inspected with text tools. Entries are copied in ascending key order
-/// so two compactions of the same cache produce identical bytes.
-fn run_compact(rest: Vec<String>) {
+/// `sweep export`: writes the binary cache at `--from` to `--to` as
+/// JSONL, one line per cell in `(shard, offset)` order, so two exports of
+/// the same cache are byte-identical.
+fn run_export(rest: Vec<String>) {
     let mut from: Option<PathBuf> = None;
     let mut to: Option<PathBuf> = None;
-    let mut export_jsonl = false;
     let mut it = rest.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -160,65 +151,22 @@ fn run_compact(rest: Vec<String>) {
         match flag.as_str() {
             "--from" => from = Some(PathBuf::from(value("--from"))),
             "--to" => to = Some(PathBuf::from(value("--to"))),
-            "--export-jsonl" => export_jsonl = true,
-            other => panic!("unknown compact flag {other} (use --from/--to/--export-jsonl)"),
+            other => panic!("unknown export flag {other} (use --from/--to)"),
         }
     }
-    let from = from.expect("compact requires --from <cache>");
-    let to = to.expect("compact requires --to <cache>");
-    let mut entries = if export_jsonl {
-        BinaryCache::open(&from, 0)
-            .expect("open binary cache")
-            .entries()
-            .expect("scan binary cache")
-    } else {
-        ResultCache::open(&from)
-            .expect("open jsonl cache")
-            .entries()
-            .map(|(k, o)| (k, o.clone()))
-            .collect::<Vec<_>>()
-    };
-    entries.sort_by_key(|(k, _)| k.0);
-    let total = entries.len();
-    let (mut inserted, mut duplicates) = (0usize, 0usize);
-    if export_jsonl {
-        let mut out = ResultCache::open(&to).expect("open jsonl target");
-        for (key, outcome) in entries {
-            match out
-                .insert_checked(key, outcome)
-                .expect("write jsonl target")
-            {
-                secloc::sim::orchestrator::CacheInsert::Inserted => inserted += 1,
-                secloc::sim::orchestrator::CacheInsert::Duplicate => duplicates += 1,
-                secloc::sim::orchestrator::CacheInsert::Conflict => {
-                    eprintln!("compact: key {key:?} conflicts with the target cache");
-                    std::process::exit(1);
-                }
-            }
-        }
-    } else {
-        let mut out = BinaryCache::open(&to, total).expect("open binary target");
-        for (key, outcome) in entries {
-            match out
-                .insert_checked(key, outcome)
-                .expect("write binary target")
-            {
-                secloc::sim::orchestrator::CacheInsert::Inserted => inserted += 1,
-                secloc::sim::orchestrator::CacheInsert::Duplicate => duplicates += 1,
-                secloc::sim::orchestrator::CacheInsert::Conflict => {
-                    eprintln!("compact: key {key:?} conflicts with the target cache");
-                    std::process::exit(1);
-                }
-            }
-        }
-        let shards = secloc::sim::cache::shard_count_for(total);
-        println!(
-            "compact: {total} entries -> {} ({shards} shards)",
-            to.display()
-        );
+    let from = from.expect("export requires --from <cache dir>");
+    let to = to.expect("export requires --to <file>");
+    // Opening creates a missing directory; an export must not.
+    if !from.is_dir() {
+        eprintln!("export: {} is not a cache directory", from.display());
+        std::process::exit(1);
     }
+    let cache = BinaryCache::open(&from, 0).expect("open binary cache");
+    let mut out = std::io::BufWriter::new(std::fs::File::create(&to).expect("create export file"));
+    let lines = export_jsonl(&cache, &mut out).expect("write export");
+    out.flush().expect("write export");
     println!(
-        "compact: {inserted} written, {duplicates} already present, {} -> {}",
+        "export: {lines} entries, {} -> {}",
         from.display(),
         to.display()
     );
@@ -226,11 +174,9 @@ fn run_compact(rest: Vec<String>) {
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("compact")
-        || raw.first().map(String::as_str) == Some("--compact")
-    {
+    if raw.first().map(String::as_str) == Some("export") {
         raw.remove(0);
-        run_compact(raw);
+        run_export(raw);
         return;
     }
     let args = parse_args();
@@ -293,7 +239,6 @@ fn main() {
     let mut orch = Orchestrator::new()
         .workers(args.workers)
         .location_workers(args.location_workers)
-        .cache_format(args.cache_format)
         .observed(&obs);
     if let Some(cache) = &args.cache {
         orch = orch.cache(cache);
@@ -314,6 +259,8 @@ fn main() {
     let total = spec.len() as u64;
     let started = Instant::now();
     let tick_monitor = monitor.clone();
+    // Set when `run` returns, so a failed sweep stops the progress loop.
+    let run_over = &AtomicBool::new(false);
     let report = std::thread::scope(|scope| {
         let progress = scope.spawn(move || {
             let mut last = u64::MAX;
@@ -348,7 +295,7 @@ fn main() {
                     );
                     last = done;
                 }
-                if done >= total {
+                if done >= total || run_over.load(Ordering::Relaxed) {
                     eprintln!();
                     return;
                 }
@@ -358,9 +305,14 @@ fn main() {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
         });
-        let report = orch.run(&spec).expect("sweep I/O failed");
+        let report = orch.run(&spec);
+        run_over.store(true, Ordering::Relaxed);
         progress.join().expect("progress thread");
         report
+    });
+    let report = report.unwrap_or_else(|err| {
+        eprintln!("sweep failed: {err}");
+        std::process::exit(1);
     });
 
     println!(
