@@ -9,7 +9,8 @@
 //!   (`ax`/`ay`/`d`); a subset is solved by loading just that subset;
 //! - [`BatchedMmse`] runs the exact linear-seed → Gauss–Newton → residual
 //!   chain over the loaded rows, which the kernels read as contiguous
-//!   slices.
+//!   slices; [`BatchedMmse::positions`] keeps two sets' chains in flight
+//!   over two scratches, for callers with many sets to solve.
 //!
 //! **Bit-identity contract:** every routine here performs the same float
 //! operations in the same order as its scalar counterpart: the scalar
@@ -130,22 +131,100 @@ impl BatchedMmse {
         BatchedMmse { inner }
     }
 
-    /// Solves over the scratch's rows.
+    /// Solves over the scratch's rows: [`BatchedMmse::position`] plus the
+    /// residual at it.
     ///
     /// # Errors
     ///
     /// Too few rows, degenerate geometry in the linear seed, or a
     /// non-finite Gauss–Newton iterate.
     pub fn estimate(&self, s: &MmseScratch) -> Result<Estimate, EstimateError> {
+        self.position(s).map(|p| s.estimate_at(p))
+    }
+
+    /// The position [`BatchedMmse::estimate`] reports, without the
+    /// residual pass.
+    ///
+    /// # Errors
+    ///
+    /// As [`BatchedMmse::estimate`].
+    pub fn position(&self, s: &MmseScratch) -> Result<Point2, EstimateError> {
+        self.start(s)?.finish(&self.inner, s)
+    }
+
+    /// Solves the sets `0..n` two at a time: `load(i, scratch)` fills a
+    /// slot with set `i`, and `emit(i, position)` receives each result in
+    /// completion order. The two slots' Gauss–Newton chains step
+    /// alternately, so one chain's latency overlaps the other's instead of
+    /// bounding the solve. Every result is bit-identical to
+    /// [`BatchedMmse::position`] on the same set: both run the same seed
+    /// and the same step.
+    pub fn positions(
+        &self,
+        slots: &mut [MmseScratch; 2],
+        n: usize,
+        mut load: impl FnMut(usize, &mut MmseScratch),
+        mut emit: impl FnMut(usize, Result<Point2, EstimateError>),
+    ) {
+        let [sa, sb] = slots;
+        let mut next = 0;
+        let mut a = self.fill(sa, &mut next, n, &mut load, &mut emit);
+        let mut b = self.fill(sb, &mut next, n, &mut load, &mut emit);
+        while let (Some((i, ca)), Some((j, cb))) = (&mut a, &mut b) {
+            let (i, j) = (*i, *j);
+            let ra = ca.step(&self.inner, sa);
+            let rb = cb.step(&self.inner, sb);
+            if let Some(r) = ra {
+                emit(i, r);
+                a = self.fill(sa, &mut next, n, &mut load, &mut emit);
+            }
+            if let Some(r) = rb {
+                emit(j, r);
+                b = self.fill(sb, &mut next, n, &mut load, &mut emit);
+            }
+        }
+        // No set is left to load, and at most one chain is in flight.
+        for (slot, s) in [(a, &*sa), (b, &*sb)] {
+            if let Some((i, chain)) = slot {
+                emit(i, chain.finish(&self.inner, s));
+            }
+        }
+    }
+
+    /// Loads sets into `s` until one needs iterating, emitting those that
+    /// fail at the seed on the way.
+    fn fill(
+        &self,
+        s: &mut MmseScratch,
+        next: &mut usize,
+        n: usize,
+        load: &mut impl FnMut(usize, &mut MmseScratch),
+        emit: &mut impl FnMut(usize, Result<Point2, EstimateError>),
+    ) -> Option<(usize, Chain)> {
+        while *next < n {
+            let i = *next;
+            *next += 1;
+            load(i, s);
+            match self.start(s) {
+                Ok(chain) => return Some((i, chain)),
+                Err(e) => emit(i, Err(e)),
+            }
+        }
+        None
+    }
+
+    /// The linear seed of a Gauss–Newton chain over the scratch's rows.
+    fn start(&self, s: &MmseScratch) -> Result<Chain, EstimateError> {
         if s.len() < self.inner.min_references() {
             return Err(EstimateError::TooFewReferences {
                 got: s.len(),
                 need: self.inner.min_references(),
             });
         }
-        let seed = linear_seed_rows(s)?;
-        let refined = gauss_newton_rows(&self.inner, seed, s)?;
-        Ok(s.estimate_at(refined))
+        Ok(Chain {
+            p: linear_seed_rows(s)?,
+            left: self.inner.max_iterations,
+        })
     }
 }
 
@@ -173,37 +252,56 @@ fn linear_seed_rows(s: &MmseScratch) -> Result<Point2, EstimateError> {
     ))
 }
 
-/// Gauss–Newton refinement over the rows, with the per-iteration
-/// accumulation on the [`crate::simd`] lane kernel. Returns the seed when
-/// the normal matrix is singular, and the last iterate when the budget
-/// runs out (noisy references routinely stop short of the tolerance
-/// without being wrong).
-fn gauss_newton_rows(
-    est: &MmseEstimator,
-    mut p: Point2,
-    s: &MmseScratch,
-) -> Result<Point2, EstimateError> {
-    for _ in 0..est.max_iterations {
-        let acc = crate::simd::gn_accumulate(p.x, p.y, &s.ax, &s.ay, &s.d);
+/// One Gauss–Newton refinement in flight: the current iterate and the
+/// iterations it may still take.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    p: Point2,
+    left: usize,
+}
+
+impl Chain {
+    /// One Gauss–Newton iteration over the rows, with the accumulation on
+    /// the [`crate::simd`] lane kernel; `Some` once the chain is done.
+    /// A singular normal matrix ends it at the current iterate, and so does
+    /// a spent budget (noisy references routinely stop short of the
+    /// tolerance without being wrong).
+    #[inline]
+    fn step(
+        &mut self,
+        est: &MmseEstimator,
+        s: &MmseScratch,
+    ) -> Option<Result<Point2, EstimateError>> {
+        if self.left == 0 {
+            return Some(Ok(self.p));
+        }
+        self.left -= 1;
+        let acc = crate::simd::gn_accumulate(self.p.x, self.p.y, &s.ax, &s.ay, &s.d);
         let (jtj00, jtj01, jtj11) = (acc.jtj00, acc.jtj01, acc.jtj11);
         let jtr = Vector2::new(acc.jtrx, acc.jtry);
         let det = jtj00 * jtj11 - jtj01 * jtj01;
         if det.abs() < 1e-12 {
-            return Ok(p);
+            return Some(Ok(self.p));
         }
         let dp = Vector2::new(
             -(jtj11 * jtr.x - jtj01 * jtr.y) / det,
             -(jtj00 * jtr.y - jtj01 * jtr.x) / det,
         );
-        p += dp;
-        if !p.is_finite() {
-            return Err(EstimateError::DidNotConverge);
+        self.p += dp;
+        if !self.p.is_finite() {
+            return Some(Err(EstimateError::DidNotConverge));
         }
-        if dp.norm() < est.tolerance_ft {
-            return Ok(p);
+        (dp.norm() < est.tolerance_ft).then_some(Ok(self.p))
+    }
+
+    /// Steps the chain to its end.
+    fn finish(mut self, est: &MmseEstimator, s: &MmseScratch) -> Result<Point2, EstimateError> {
+        loop {
+            if let Some(done) = self.step(est, s) {
+                return done;
+            }
         }
     }
-    Ok(p)
 }
 
 #[cfg(test)]

@@ -124,6 +124,9 @@ pub struct PolicyKey {
 pub enum ConfigError {
     /// `nodes` is zero.
     EmptyNetwork,
+    /// `beacons` is zero: no node can be located, and the mean requester
+    /// count N_c (requesters per beacon) is undefined.
+    NoBeacons,
     /// The population must satisfy `malicious <= beacons <= nodes`.
     InconsistentCounts {
         /// Configured `malicious`.
@@ -170,6 +173,7 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::EmptyNetwork => write!(f, "empty network"),
+            ConfigError::NoBeacons => write!(f, "a network needs at least one beacon"),
             ConfigError::InconsistentCounts {
                 malicious,
                 beacons,
@@ -305,6 +309,9 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err(ConfigError::EmptyNetwork);
+        }
+        if self.beacons == 0 {
+            return Err(ConfigError::NoBeacons);
         }
         if !(self.malicious <= self.beacons && self.beacons <= self.nodes) {
             return Err(ConfigError::InconsistentCounts {
@@ -548,6 +555,18 @@ mod tests {
         let mut c = SimConfig::paper_default();
         c.alert_retransmissions = 0;
         assert_eq!(c.validate(), Err(ConfigError::NoTransmissionBudget));
+    }
+
+    #[test]
+    fn rejects_a_network_without_beacons() {
+        // N_c would be 0 / 0 = NaN, which checkpoints cannot encode and
+        // which is unequal to itself in the result cache.
+        let mut c = SimConfig::paper_default();
+        c.beacons = 0;
+        c.malicious = 0;
+        assert_eq!(c.validate(), Err(ConfigError::NoBeacons));
+        c.beacons = 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

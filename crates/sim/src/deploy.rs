@@ -8,7 +8,7 @@ use secloc_attack::{BeaconStrategy, CompromisedBeacon, Wormhole};
 use secloc_crypto::{prf, IdSpace, NodeId};
 use secloc_geometry::{deploy, Field, GridIndex, Point2, Vector2};
 use secloc_radio::Cycles;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// What a deployed node is (omniscient view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,17 +40,13 @@ pub struct Deployment {
 }
 
 /// The placement-determined half of a deployment: node positions (inside
-/// the spatial indices), roles, the malicious subset with its lie angles,
-/// and the wormhole geometry. Immutable once built, and shared behind an
-/// `Arc` by every policy variant of the same `(topology_key, seed)` cell.
+/// the spatial index), roles, the malicious subset with its lie angles,
+/// the wormhole geometry and the audible graph. Immutable once built, and
+/// shared behind an `Arc` by every policy variant of the same
+/// `(topology_key, seed)` cell.
 #[derive(Debug)]
 pub(crate) struct Topology {
     pub(crate) index: GridIndex,
-    // A second, much smaller index over beacons only (indices align with
-    // node indices 0..beacons). "Which beacons can this node hear?" is the
-    // hottest query in a run and scans ~10× fewer candidates here than on
-    // the full index.
-    beacon_index: GridIndex,
     // Benign beacons that sit in a wormhole mouth, with the exit each one's
     // signal emerges from — ascending by beacon index. `Wormhole::exit_for`
     // is pure geometry over static positions, so it is computed once.
@@ -64,17 +60,87 @@ pub(crate) struct Topology {
     lie_angles: Vec<f64>,
     wormhole: Option<Wormhole>,
     seed: u64,
-    // Topology-pure derived statistic, computed at most once per topology
-    // no matter how many policy variants share it.
-    mean_requesters: OnceLock<f64>,
-    // CSR cache of each node's audible-beacon list (direct neighbours from
-    // the beacon index, ascending, then wormhole-carried benign beacons
-    // ascending): node `i` hears `audible_targets[audible_offsets[i] ..
-    // audible_offsets[i + 1]]`. Every run queries each node exactly once
-    // per phase, so precomputing here moves the entire query cost out of
-    // the timed phases and shares it across policy variants.
-    audible_offsets: Vec<u32>,
-    audible_targets: Vec<u32>,
+    audible: AudibleGraph,
+}
+
+/// Every node's audible-beacon list in CSR form — direct neighbours
+/// ascending, then wormhole-carried benign beacons ascending: node `i`
+/// hears `targets[offsets[i] .. offsets[i + 1]]`. Every run reads each
+/// node's list once per phase, so building it at generation moves the
+/// whole query cost out of the timed phases and shares it across policy
+/// variants.
+#[derive(Debug)]
+struct AudibleGraph {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// The longest single list.
+    max_len: usize,
+    /// Direct (node, beacon) pairs over beacons: the empirical N_c.
+    mean_requesters: f64,
+}
+
+impl AudibleGraph {
+    /// Builds the graph from the beacon side: one full-index query per
+    /// beacon, in ascending beacon order, records `(node, beacon)` for
+    /// every other node in range. `distance_squared` is symmetric in its
+    /// two points, so these are the pairs a per-node query of the beacons
+    /// finds, and each beacon's count is its `count_within − 1`, so N_c
+    /// falls out of the same pass. Wormhole-carried pairs follow under the
+    /// per-node predicate, and one stable counting pass by node lays every
+    /// list out already ascending.
+    fn build(index: &GridIndex, beacons: u32, range: f64, exits: &[(u32, Point2)]) -> Self {
+        let positions = index.positions();
+        let mut counts = vec![0u32; positions.len()];
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for b in 0..beacons {
+            for n in index.within_iter(positions[b as usize], range) {
+                if n != b as usize {
+                    counts[n] += 1;
+                    pairs.push((n as u32, b));
+                }
+            }
+        }
+        let mean_requesters = pairs.len() as f64 / beacons as f64;
+        // The exact predicate takes two square roots per (node, exit); the
+        // squared-distance prefilter skips only nodes whose exit distance
+        // exceeds the range by far more than rounding, which the predicate
+        // rejects too.
+        let reach = range * (1.0 + 1e-9);
+        let reach2 = reach * reach;
+        for (i, &p) in positions.iter().enumerate() {
+            for &(v, exit) in exits {
+                if v as usize == i || exit.distance_squared(p) > reach2 {
+                    continue;
+                }
+                if p.distance(positions[v as usize]) > range && exit.distance(p) <= range {
+                    counts[i] += 1;
+                    pairs.push((i as u32, v));
+                }
+            }
+        }
+        let mut offsets = Vec::with_capacity(positions.len() + 1);
+        offsets.push(0u32);
+        let mut max_len = 0usize;
+        let mut end = 0u32;
+        for c in &mut counts {
+            max_len = max_len.max(*c as usize);
+            end += *c;
+            offsets.push(end);
+            *c = end - *c; // now the node's write cursor
+        }
+        let mut targets = vec![0u32; pairs.len()];
+        for &(n, b) in &pairs {
+            let at = &mut counts[n as usize];
+            targets[*at as usize] = b;
+            *at += 1;
+        }
+        AudibleGraph {
+            offsets,
+            targets,
+            max_len,
+            mean_requesters,
+        }
+    }
 }
 
 impl Deployment {
@@ -99,11 +165,6 @@ impl Deployment {
         let mut rng = StdRng::seed_from_u64(subseed(seed, b"deploy"));
         let positions = deploy::uniform_with(&field, config.nodes as usize, &mut rng);
         let index = GridIndex::build(&field, config.range_ft, positions.iter().copied());
-        let beacon_index = GridIndex::build(
-            &field,
-            config.range_ft,
-            positions.iter().take(config.beacons as usize).copied(),
-        );
 
         // Pick the compromised subset of beacons.
         let mut beacon_indices: Vec<u32> = (0..config.beacons).collect();
@@ -137,51 +198,23 @@ impl Deployment {
             None => Vec::new(),
         };
 
-        // Precompute every node's audible-beacon list. The contents are a
-        // pure function of the topology (positions, roles, wormhole, radio
-        // range — all TopologyKey fields), so the cache is shared by every
-        // policy re-key and must match what an uncached query would return
-        // (the `audible_cache_matches_direct_queries` test is the oracle).
-        let mut audible_offsets = Vec::with_capacity(config.nodes as usize + 1);
-        let mut audible_targets: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        audible_offsets.push(0u32);
-        for i in 0..config.nodes {
-            let my_pos = positions[i as usize];
-            scratch.clear();
-            scratch.extend(
-                beacon_index
-                    .within_iter(my_pos, config.range_ft)
-                    .map(|v| v as u32),
-            );
-            scratch.sort_unstable();
-            scratch.retain(|&v| v != i);
-            for &(v, exit) in &wormhole_exits {
-                if v == i {
-                    continue;
-                }
-                let vp = positions[v as usize];
-                if my_pos.distance(vp) > config.range_ft && exit.distance(my_pos) <= config.range_ft
-                {
-                    scratch.push(v);
-                }
-            }
-            audible_targets.extend_from_slice(&scratch);
-            audible_offsets.push(audible_targets.len() as u32);
-        }
+        // Every node's audible-beacon list, and N_c from the same pass. The
+        // contents are a pure function of the topology (positions, roles,
+        // wormhole, radio range — all TopologyKey fields), so they are
+        // shared by every policy re-key. `audible_cache_matches_direct_queries`
+        // and the `audible_graph_matches_the_per_node_definition` property
+        // are the oracles.
+        let audible = AudibleGraph::build(&index, config.beacons, config.range_ft, &wormhole_exits);
 
         let topology = Arc::new(Topology {
             index,
-            beacon_index,
             wormhole_exits,
             kinds,
             malicious_set,
             lie_angles,
             wormhole,
             seed,
-            mean_requesters: OnceLock::new(),
-            audible_offsets,
-            audible_targets,
+            audible,
         });
         Ok(Self::from_parts(topology, config))
     }
@@ -297,22 +330,6 @@ impl Deployment {
         out.retain(|&v| v != i);
     }
 
-    /// Fills `out` with the beacons within radio range of node `i`
-    /// (excluding `i` itself), sorted ascending — exactly
-    /// `neighbors(i)` filtered to beacon indices, but scanning only the
-    /// beacon-only index and reusing the caller's buffer.
-    pub fn beacons_in_range_into(&self, i: u32, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            self.topology
-                .beacon_index
-                .within_iter(self.position(i), self.config.range_ft)
-                .map(|v| v as u32),
-        );
-        out.sort_unstable();
-        out.retain(|&v| v != i);
-    }
-
     /// Benign beacons whose signals a wormhole carries, paired with the
     /// tunnel exit each signal emerges from, ascending by beacon index.
     /// Empty when no wormhole is configured.
@@ -325,17 +342,17 @@ impl Deployment {
     /// per-topology cache built at generation time. Shared by every policy
     /// variant of the same deployment.
     pub fn audible_beacons(&self, i: u32) -> &[u32] {
-        let t = &self.topology;
-        let lo = t.audible_offsets[i as usize] as usize;
-        let hi = t.audible_offsets[i as usize + 1] as usize;
-        &t.audible_targets[lo..hi]
+        let g = &self.topology.audible;
+        let lo = g.offsets[i as usize] as usize;
+        let hi = g.offsets[i as usize + 1] as usize;
+        &g.targets[lo..hi]
     }
 
     /// Total audible-beacon pairs over nodes `lo..hi` — the exact event
     /// count a phase scheduling one probe per audible pair will enqueue.
     pub fn audible_pair_count(&self, lo: u32, hi: u32) -> usize {
-        let t = &self.topology;
-        (t.audible_offsets[hi as usize] - t.audible_offsets[lo as usize]) as usize
+        let g = &self.topology.audible;
+        (g.offsets[hi as usize] - g.offsets[lo as usize]) as usize
     }
 
     /// The largest audible-beacon count of any single node — an upper
@@ -343,12 +360,7 @@ impl Deployment {
     /// the right capacity to pre-size a per-run
     /// [`secloc_localization::MmseScratch`] with.
     pub fn max_audible_len(&self) -> usize {
-        let t = &self.topology;
-        t.audible_offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
+        self.topology.audible.max_len
     }
 
     /// All beacon indices of a kind.
@@ -364,24 +376,11 @@ impl Deployment {
     }
 
     /// Mean number of requesting nodes within range of a beacon — the
-    /// empirical `N_c` used to parameterise the theory overlay.
+    /// empirical `N_c` used to parameterise the theory overlay. Computed
+    /// once at generation, with the audible graph, and shared by every
+    /// policy variant.
     pub fn mean_requesters_per_beacon(&self) -> f64 {
-        // Counting (rather than materializing) the neighbour set gives the
-        // same integer total without allocating per beacon; the -1 removes
-        // the beacon itself, which `count_within` includes. The value is a
-        // pure function of the topology (counts, positions, range), so it
-        // is computed once and shared by every policy variant.
-        *self.topology.mean_requesters.get_or_init(|| {
-            let total: usize = (0..self.config.beacons)
-                .map(|b| {
-                    self.topology
-                        .index
-                        .count_within(self.position(b), self.config.range_ft)
-                        - 1
-                })
-                .sum();
-            total as f64 / self.config.beacons as f64
-        })
+        self.topology.audible.mean_requesters
     }
 }
 
@@ -507,17 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn beacons_in_range_into_matches_filtered_neighbors() {
-        let d = Deployment::generate(small_config(), 8);
-        let mut scratch = vec![u32::MAX; 4]; // stale garbage must be cleared
-        for i in (0..300).step_by(23) {
-            let expected: Vec<u32> = d.neighbors(i).into_iter().filter(|&v| v < 30).collect();
-            d.beacons_in_range_into(i, &mut scratch);
-            assert_eq!(scratch, expected, "node {i}");
-        }
-    }
-
-    #[test]
     fn wormhole_exits_match_exit_for() {
         let d = Deployment::generate(small_config(), 12);
         let w = d.wormhole().expect("configured");
@@ -619,7 +607,7 @@ mod tests {
     #[test]
     fn audible_cache_matches_direct_queries() {
         // The CSR cache must reproduce exactly what an uncached query
-        // returns: beacon-index neighbours ascending, then wormhole-carried
+        // returns: beacon neighbours ascending, then wormhole-carried
         // benign beacons ascending. Checked with and without a wormhole.
         for wormhole in [true, false] {
             let mut cfg = small_config();
@@ -627,10 +615,13 @@ mod tests {
                 cfg.wormhole = None;
             }
             let d = Deployment::generate(cfg.clone(), 31);
-            let mut direct: Vec<u32> = Vec::new();
             let mut total = 0usize;
             for i in 0..cfg.nodes {
-                d.beacons_in_range_into(i, &mut direct);
+                let mut direct: Vec<u32> = d
+                    .neighbors(i)
+                    .into_iter()
+                    .filter(|&v| v < cfg.beacons)
+                    .collect();
                 let my_pos = d.position(i);
                 for &(v, exit) in d.wormhole_exits() {
                     if v == i {

@@ -21,6 +21,7 @@ use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -31,72 +32,88 @@ struct KeptReference {
     reference: LocationReference,
 }
 
+/// Dispatch times of a probe phase are drawn from `0..DISPATCH_SPAN`
+/// (order-stream cycles); churn reads a time as the fraction
+/// `t / DISPATCH_SPAN` of the phase.
+const DISPATCH_SPAN: u64 = 1_000_000;
+
 /// Flat probe-pair schedule, drained in `(dispatch time, insertion
 /// sequence)` order — the pop order of a discrete-event heap (the
 /// reference run's `EventQueue` in `secloc-oracle`).
 ///
-/// The priority is packed into a single `u64` sort key — dispatch times
-/// are drawn from `0..1_000_000` (well under 2³²) and the sequence number
-/// is the push index — so one stable sort over a flat vec reproduces the
-/// heap's drain order exactly while skipping both the per-push sift-up and
-/// the per-pop heap maintenance. The sort itself is a three-pass LSD
-/// counting radix over the 24 time bits: each pass is stable, so entries
-/// with equal dispatch times keep insertion order, which is precisely the
-/// sequence tie-break.
+/// Each push packs its priority into one `u64` key, `(time << 32) | seq`,
+/// with the pair itself in a parallel vec at index `seq`. One stable sort
+/// of the 8-byte keys then reproduces the heap's drain order exactly,
+/// skipping both the per-push sift-up and the per-pop heap maintenance:
+/// two stable 10-bit LSD counting passes over the time bits
+/// (`DISPATCH_SPAN` < 2²⁰), so entries with equal times keep push order,
+/// which is precisely the sequence tie-break.
 struct ScheduledPairs {
-    entries: Vec<(u64, u32, u32)>,
+    keys: Vec<u64>,
+    pairs: Vec<(u32, u32)>,
 }
 
 impl ScheduledPairs {
+    const DIGIT: u32 = 10;
+
     fn with_capacity(n: usize) -> Self {
         ScheduledPairs {
-            entries: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+            pairs: Vec::with_capacity(n),
         }
     }
 
     fn schedule(&mut self, at: u64, u: u32, v: u32) {
-        debug_assert!(at < (1 << 32), "dispatch time overflows the packed key");
-        debug_assert!(self.entries.len() < u32::MAX as usize);
-        let key = (at << 32) | self.entries.len() as u64;
-        self.entries.push((key, u, v));
+        debug_assert!(at < DISPATCH_SPAN, "dispatch time {at} out of range");
+        debug_assert!(self.keys.len() < u32::MAX as usize);
+        self.keys.push((at << 32) | self.keys.len() as u64);
+        self.pairs.push((u, v));
     }
 
     /// Consumes the schedule in `(time, sequence)` order.
-    ///
-    /// LSD radix sort over the dispatch-time bits (`key >> 32`, which is
-    /// `< 1_000_000 < 2²⁴`): three stable 8-bit counting passes. Stability
-    /// makes the sequence bits in the low key half redundant for ordering —
-    /// equal times stay in push order — but they remain packed so a debug
-    /// assertion can check full-key monotonicity against the comparison
-    /// sort's contract.
     fn drain_ordered(self) -> impl Iterator<Item = (Cycles, u32, u32)> {
-        let n = self.entries.len();
-        let mut src = self.entries;
-        let mut dst: Vec<(u64, u32, u32)> = vec![(0, 0, 0); n];
-        for shift in [32u32, 40, 48] {
-            let mut starts = [0usize; 256];
-            for &(key, _, _) in &src {
-                starts[((key >> shift) & 0xff) as usize] += 1;
-            }
-            let mut acc = 0usize;
-            for slot in &mut starts {
+        const _: () = assert!(DISPATCH_SPAN <= 1 << (2 * ScheduledPairs::DIGIT));
+        const BUCKETS: usize = 1 << ScheduledPairs::DIGIT;
+        let mask = BUCKETS as u64 - 1;
+        let lo = |key: u64| ((key >> 32) & mask) as usize;
+        let hi = |key: u64| ((key >> (32 + Self::DIGIT)) & mask) as usize;
+        let mut src = self.keys;
+        // Both histograms from one read of the keys, then each turned
+        // into its digit's bucket starts.
+        let mut starts = [[0u32; BUCKETS]; 2];
+        for &key in &src {
+            starts[0][lo(key)] += 1;
+            starts[1][hi(key)] += 1;
+        }
+        for digit in &mut starts {
+            let mut acc = 0u32;
+            for slot in digit.iter_mut() {
                 let count = *slot;
                 *slot = acc;
                 acc += count;
             }
-            for &entry in &src {
-                let bucket = ((entry.0 >> shift) & 0xff) as usize;
-                dst[starts[bucket]] = entry;
-                starts[bucket] += 1;
-            }
-            std::mem::swap(&mut src, &mut dst);
+        }
+        let mut dst = vec![0u64; src.len()];
+        let [lo_starts, hi_starts] = &mut starts;
+        for &key in &src {
+            let at = &mut lo_starts[lo(key)];
+            dst[*at as usize] = key;
+            *at += 1;
+        }
+        for &key in &dst {
+            let at = &mut hi_starts[hi(key)];
+            src[*at as usize] = key;
+            *at += 1;
         }
         debug_assert!(
-            src.windows(2).all(|w| w[0].0 <= w[1].0),
+            src.windows(2).all(|w| w[0] <= w[1]),
             "radix drain order diverged from the packed-key comparison sort"
         );
-        src.into_iter()
-            .map(|(key, u, v)| (Cycles::new(key >> 32), u, v))
+        let pairs = self.pairs;
+        src.into_iter().map(move |key| {
+            let (u, v) = pairs[key as u32 as usize];
+            (Cycles::new(key >> 32), u, v)
+        })
     }
 }
 
@@ -125,26 +142,26 @@ fn claim_batch(
     }
 }
 
-/// Maps `f` over `0..total` on `workers` threads — the calling thread
-/// plus `workers − 1` scoped ones, each owning one state value from
-/// `make_state` (a pre-sized scratch, in practice) — and returns the
-/// results **in index order** regardless of which thread computed what.
-/// Callers fold the returned vec serially, so any accumulation stays
-/// bit-identical to an in-line loop.
-fn parallel_index_map<S, T, FS, F>(total: usize, workers: usize, make_state: FS, f: F) -> Vec<T>
+/// Maps `f` over batches of `0..total` on `workers` threads — the
+/// calling thread plus `workers − 1` scoped ones, each owning one state
+/// value from `make_state` (pre-sized scratches, in practice), made when
+/// the thread claims its first batch — and returns the results **in index
+/// order** regardless of which thread computed what. `f` returns one
+/// result per index of its batch. Callers fold the returned vec serially,
+/// so any accumulation stays bit-identical to an in-line loop.
+fn parallel_batches<S, T, FS, F>(total: usize, workers: usize, make_state: FS, f: F) -> Vec<T>
 where
-    S: Send,
     T: Send,
     FS: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
+    F: Fn(Range<usize>, &mut S) -> Vec<T> + Sync,
 {
     let cursor = AtomicUsize::new(0);
     let work = || {
-        let mut state = make_state();
+        let mut state = None;
         let mut out: Vec<(usize, Vec<T>)> = Vec::new();
         while let Some(range) = claim_batch(&cursor, total, workers) {
-            let start = range.start;
-            out.push((start, range.map(|i| f(i, &mut state)).collect()));
+            let state = state.get_or_insert_with(&make_state);
+            out.push((range.start, f(range, state)));
         }
         out
     };
@@ -215,6 +232,21 @@ struct ImpactMemo {
     /// pairs seen so far, few enough per sensor for linear scans to beat
     /// hashing.
     per_sensor: Vec<Vec<(u64, Option<f64>)>>,
+}
+
+/// What one impact pass solves each sensor over.
+enum ImpactPass<'a> {
+    /// The τ-independent precompute: every sensor over all its kept
+    /// references.
+    Before,
+    /// After revocation: a sensor that lost no reference keeps its
+    /// `before` contribution, and the others re-solve over the references
+    /// that survive — through the memo when there is one.
+    After {
+        revoked: &'a [bool],
+        before: &'a [Option<f64>],
+        memo: Option<&'a mut ImpactMemo>,
+    },
 }
 
 /// Where the impact phase takes its τ-independent precompute from.
@@ -538,13 +570,13 @@ impl Runner {
         );
         for &u in &detectors {
             for &v in d.audible_beacons(u) {
-                pairs.schedule(order_rng.gen_range(0..1_000_000), u, v);
+                pairs.schedule(order_rng.gen_range(0..DISPATCH_SPAN), u, v);
             }
         }
         let mut benign_alerts: Vec<Alert> = Vec::new();
         for (t, u, v) in pairs.drain_ordered() {
             if let Some(c) = &churn {
-                let frac = t.as_u64() as f64 / 1_000_000.0;
+                let frac = t.as_u64() as f64 / DISPATCH_SPAN as f64;
                 if !c.is_alive(u, frac) || !c.is_alive(v, frac) {
                     churn_suppressed += 1;
                     continue;
@@ -577,7 +609,7 @@ impl Runner {
         let mut pairs = ScheduledPairs::with_capacity(d.audible_pair_count(cfg.beacons, cfg.nodes));
         for w in d.sensors() {
             for &v in d.audible_beacons(w) {
-                pairs.schedule(order_rng.gen_range(0..1_000_000), w, v);
+                pairs.schedule(order_rng.gen_range(0..DISPATCH_SPAN), w, v);
             }
         }
         // Pre-size each sensor's kept list to its audible-beacon count —
@@ -597,7 +629,7 @@ impl Runner {
         let mut poisoned: Vec<Vec<u32>> = vec![Vec::new(); cfg.beacons as usize];
         for (t, w, v) in pairs.drain_ordered() {
             if let Some(c) = &churn {
-                let frac = t.as_u64() as f64 / 1_000_000.0;
+                let frac = t.as_u64() as f64 / DISPATCH_SPAN as f64;
                 if !c.is_alive(v, frac) {
                     churn_suppressed += 1;
                     continue;
@@ -658,17 +690,10 @@ impl Runner {
 
     /// The τ-independent slice of the impact phase, accumulated in sensor
     /// order with exactly the float operations of the reference run's
-    /// pre-revocation pass (`secloc-oracle`). Solves run on the
-    /// lane-kernel [`BatchedMmse`] over a pre-sized [`MmseScratch`]; with
-    /// `workers` ≥ 2 the per-sensor solves fan out over scoped threads and
-    /// are merged back in sensor order before the fold, which cannot
-    /// change the sums.
+    /// pre-revocation pass (`secloc-oracle`).
     fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
         let cfg = self.deployment.config();
-        let per_sensor = self.map_sensors(workers, |w, scratch| {
-            scratch.load_from_iter(core.kept[w as usize].iter().map(|k| k.reference));
-            self.clamped_error(w, scratch)
-        });
+        let per_sensor = self.impact_pass(&core.kept, ImpactPass::Before, workers);
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
         for (i, c) in per_sensor.into_iter().enumerate() {
@@ -681,55 +706,130 @@ impl Runner {
         ImpactPrecompute { before, sum_b, n_b }
     }
 
-    /// Maps `solve` over the sensors in sensor order, handing each call a
-    /// scratch pre-sized to the topology's largest audible set. With
-    /// `workers` ≥ 2 the calls fan out over scoped threads, each with its
-    /// own scratch; the results still come back in sensor order.
-    fn map_sensors<T: Send>(
+    /// The impact loop: every sensor's contribution under `pass`, in
+    /// sensor order (indexed from the first sensor), for the caller to
+    /// fold. Sensors whose contribution is already known — untouched by
+    /// revocation, or a memo hit — resolve at once; the rest are solved
+    /// on `workers` threads (see [`Runner::solve_sensors`]) and, under a
+    /// memo, recorded in it.
+    fn impact_pass(
         &self,
+        kept: &[Vec<KeptReference>],
+        pass: ImpactPass<'_>,
         workers: usize,
-        solve: impl Fn(u32, &mut MmseScratch) -> T + Sync,
-    ) -> Vec<T> {
+    ) -> Vec<Option<f64>> {
         let d = &self.deployment;
         let sensor0 = d.config().beacons;
-        let total = (d.config().nodes - sensor0) as usize;
-        if workers < 2 {
-            let mut out = Vec::with_capacity(total);
-            self.for_each_sensor(|w, scratch| out.push(solve(w, scratch)));
-            return out;
-        }
-        let cap = d.max_audible_len();
-        parallel_index_map(
-            total,
+        let mut out: Vec<Option<f64>> = Vec::with_capacity((d.config().nodes - sensor0) as usize);
+        // The sensors left to solve, in sensor order, each with the memo
+        // key its result is stored under.
+        let mut pending: Vec<(u32, Option<u64>)> = Vec::new();
+        let (revoked, mut memo) = match pass {
+            ImpactPass::Before => {
+                pending.extend(d.sensors().map(|w| (w, None)));
+                out.resize(pending.len(), None);
+                (None, None)
+            }
+            ImpactPass::After {
+                revoked,
+                before,
+                memo,
+            } => {
+                for w in d.sensors() {
+                    let dropped = dropped_mask(&kept[w as usize], revoked);
+                    let known = match (dropped, memo.as_deref()) {
+                        (Some(0), _) => Some(before[w as usize]),
+                        (Some(mask), Some(memo)) => memo.per_sensor[w as usize]
+                            .iter()
+                            .find(|&&(key, _)| key == mask)
+                            .map(|&(_, c)| c),
+                        _ => None,
+                    };
+                    if known.is_none() {
+                        pending.push((w, dropped));
+                    }
+                    out.push(known.flatten());
+                }
+                (Some(revoked), memo)
+            }
+        };
+        let solved = self.solve_sensors(
             workers,
-            || MmseScratch::with_capacity(cap),
-            |i, scratch| solve(sensor0 + i as u32, scratch),
-        )
-    }
-
-    /// Calls `f` on every sensor in sensor order on the calling thread,
-    /// with one scratch pre-sized like [`Runner::map_sensors`]'s.
-    fn for_each_sensor(&self, mut f: impl FnMut(u32, &mut MmseScratch)) {
-        let mut scratch = MmseScratch::with_capacity(self.deployment.max_audible_len());
-        let cap0 = scratch.capacity();
-        for w in self.deployment.sensors() {
-            f(w, &mut scratch);
+            pending.len(),
+            |i| pending[i].0,
+            |w, scratch| {
+                let refs = kept[w as usize].iter();
+                match revoked {
+                    None => scratch.load_from_iter(refs.map(|k| k.reference)),
+                    Some(revoked) => scratch.load_from_iter(
+                        refs.filter(|k| !revoked[k.beacon as usize])
+                            .map(|k| k.reference),
+                    ),
+                }
+            },
+        );
+        for (&(w, key), c) in pending.iter().zip(solved) {
+            out[(w - sensor0) as usize] = c;
+            if let (Some(key), Some(memo)) = (key, memo.as_deref_mut()) {
+                memo.per_sensor[w as usize].push((key, c));
+            }
         }
-        debug_assert_eq!(scratch.capacity(), cap0, "MmseScratch grew mid-run");
+        out
     }
 
-    /// Sensor `w`'s localization error from the scratch's rows, or `None`
-    /// when they do not solve. A deployed node knows the field
-    /// bounds, and poisoned constraints can push the least-squares
-    /// solution outside them, so the estimate is clamped like a real stack
-    /// would clamp it.
-    fn clamped_error(&self, w: u32, scratch: &MmseScratch) -> Option<f64> {
+    /// Solves the reference sets of sensors `sensor_of(0..n)` —
+    /// `load(w, scratch)` fills a scratch with sensor `w`'s set — and
+    /// returns each sensor's localization error in index order: `None`
+    /// when its set does not solve. Every solve runs through
+    /// [`BatchedMmse::positions`] over two scratches pre-sized to the
+    /// topology's largest audible set, made only when there is a set to
+    /// solve. With `workers` ≥ 2 the sets fan out over scoped threads that
+    /// claim batches off an atomic cursor, each with its own scratches.
+    ///
+    /// A deployed node knows the field bounds, and poisoned constraints
+    /// can push the least-squares solution outside them, so the estimate
+    /// is clamped like a real stack would clamp it.
+    fn solve_sensors(
+        &self,
+        workers: usize,
+        n: usize,
+        sensor_of: impl Fn(usize) -> u32 + Sync,
+        load: impl Fn(u32, &mut MmseScratch) + Sync,
+    ) -> Vec<Option<f64>> {
+        if n == 0 {
+            return Vec::new();
+        }
         let d = &self.deployment;
         let field = secloc_geometry::Field::square(d.config().field_side_ft);
-        BatchedMmse::default()
-            .estimate(scratch)
-            .ok()
-            .map(|est| field.clamp(est.position).distance(d.position(w)))
+        let cap = d.max_audible_len();
+        let make_slots = || {
+            [
+                MmseScratch::with_capacity(cap),
+                MmseScratch::with_capacity(cap),
+            ]
+        };
+        let solve = |batch: Range<usize>, slots: &mut [MmseScratch; 2]| {
+            let caps = slots.each_ref().map(MmseScratch::capacity);
+            let start = batch.start;
+            let mut out = vec![None; batch.len()];
+            let load = |j: usize, s: &mut MmseScratch| load(sensor_of(start + j), s);
+            BatchedMmse::default().positions(slots, batch.len(), load, |j, position| {
+                let w = sensor_of(start + j);
+                out[j] = position
+                    .ok()
+                    .map(|p| field.clamp(p).distance(d.position(w)));
+            });
+            debug_assert_eq!(
+                slots.each_ref().map(MmseScratch::capacity),
+                caps,
+                "MmseScratch grew mid-run"
+            );
+            out
+        };
+        if workers < 2 {
+            return solve(0..n, &mut make_slots());
+        }
+        parallel_batches(n, workers, make_slots, solve)
     }
 
     /// Phases 3a–4 on the probe-stage snapshot `core`. The impact phase
@@ -921,70 +1021,20 @@ impl Runner {
         telemetry.set_gauge("run.location_workers", workers as i64);
         telemetry.set_gauge("impact.workers", workers.max(1) as i64);
 
-        // Sensor `w`'s post-revocation contribution. Revocation can only
-        // drop references, so a sensor that lost none keeps its
-        // pre-revocation contribution; the others are re-solved over the
-        // references that survive, through `seen` (the sensor's memo
-        // entries) when there is one.
-        let contribution_after =
-            |w: u32, scratch: &mut MmseScratch, seen: Option<&mut Vec<(u64, Option<f64>)>>| {
-                let ks = &kept[w as usize];
-                // Which kept references revocation dropped, as a mask over
-                // the list (None when it doesn't fit in 64 bits and at
-                // least one reference was dropped).
-                let dropped: Option<u64> = if ks.len() <= 64 {
-                    let mut m = 0u64;
-                    for (j, k) in ks.iter().enumerate() {
-                        if revoked[k.beacon as usize] {
-                            m |= 1 << j;
-                        }
-                    }
-                    Some(m)
-                } else if ks.iter().all(|k| !revoked[k.beacon as usize]) {
-                    Some(0)
-                } else {
-                    None
-                };
-                let mut solve = || {
-                    scratch.load_from_iter(
-                        ks.iter()
-                            .filter(|k| !revoked[k.beacon as usize])
-                            .map(|k| k.reference),
-                    );
-                    self.clamped_error(w, scratch)
-                };
-                match (dropped, seen) {
-                    (Some(0), _) => pre.before[w as usize],
-                    (Some(mask), Some(seen)) => match seen.iter().find(|&&(key, _)| key == mask) {
-                        Some(&(_, c)) => c,
-                        None => {
-                            let c = solve();
-                            seen.push((mask, c));
-                            c
-                        }
-                    },
-                    _ => solve(),
-                }
-            };
-        // With a memo the re-solves run in-line; without one (a plain
-        // run) they fan out over the run's location workers like the
-        // precompute. Either way they are folded in sensor order.
-        let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-        let mut add = |c: Option<f64>| {
-            if let Some(c) = c {
-                sum_a += c;
-                n_a += 1;
-            }
+        // Revocation can only drop references, so only sensors that lost
+        // one re-solve; with a memo (a staged finish) the re-solves run
+        // in-line, and without one (a plain run) they fan out over the
+        // run's location workers like the precompute. Either way they are
+        // folded in sensor order.
+        let pass = ImpactPass::After {
+            revoked: &revoked,
+            before: &pre.before,
+            memo: memo.as_deref_mut(),
         };
-        match memo.as_deref_mut() {
-            Some(memo) => self.for_each_sensor(|w, scratch| {
-                let seen = &mut memo.per_sensor[w as usize];
-                add(contribution_after(w, scratch, Some(seen)))
-            }),
-            None => self
-                .map_sensors(workers, |w, scratch| contribution_after(w, scratch, None))
-                .into_iter()
-                .for_each(add),
+        let (mut sum_a, mut n_a) = (0.0f64, 0usize);
+        for c in self.impact_pass(kept, pass, workers).into_iter().flatten() {
+            sum_a += c;
+            n_a += 1;
         }
         let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
         let err_after = (n_a > 0).then(|| sum_a / n_a as f64);
@@ -1033,6 +1083,25 @@ impl Runner {
     }
 }
 
+/// Which of a sensor's kept references revocation dropped, as a mask over
+/// the list in order; `None` when the list is longer than 64 and at least
+/// one reference was dropped.
+fn dropped_mask(kept: &[KeptReference], revoked: &[bool]) -> Option<u64> {
+    if kept.len() <= 64 {
+        let mut m = 0u64;
+        for (j, k) in kept.iter().enumerate() {
+            if revoked[k.beacon as usize] {
+                m |= 1 << j;
+            }
+        }
+        Some(m)
+    } else if kept.iter().all(|k| !revoked[k.beacon as usize]) {
+        Some(0)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1070,6 +1139,33 @@ mod tests {
             decided + dropped as usize,
             plain.benign_alerts + plain.collusion_alerts
         );
+    }
+
+    #[test]
+    fn scheduled_pairs_drain_as_a_stable_sort_by_time() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [0usize, 1, 2, 9, 1_000, 20_000] {
+            let times: Vec<u64> = (0..n)
+                .map(|_| match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 => DISPATCH_SPAN - 1,
+                    // Few distinct times, so many entries tie.
+                    2 => rng.gen_range(0..6) << 10,
+                    3 => rng.gen_range(1_020..1_030),
+                    _ => rng.gen_range(0..DISPATCH_SPAN),
+                })
+                .collect();
+            let mut schedule = ScheduledPairs::with_capacity(n);
+            let mut want = Vec::with_capacity(n);
+            for (k, &t) in times.iter().enumerate() {
+                let (u, v) = (k as u32, (k as u32).wrapping_mul(2_654_435_761));
+                schedule.schedule(t, u, v);
+                want.push((Cycles::new(t), u, v));
+            }
+            want.sort_by_key(|&(t, _, _)| t);
+            let got: Vec<(Cycles, u32, u32)> = schedule.drain_ordered().collect();
+            assert_eq!(got, want, "{n} entries");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests for the simulation layer.
 
 use proptest::prelude::*;
+use secloc_geometry::{Field, GridIndex, Point2};
 use secloc_sim::distributed::{run_distributed, DistributedConfig};
-use secloc_sim::{Deployment, RunOptions, Runner, SimConfig};
+use secloc_sim::{Deployment, NodeKind, RunOptions, Runner, SimConfig};
 
 fn small_config() -> impl Strategy<Value = SimConfig> {
     (
@@ -110,5 +111,97 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&out.neighbourhood_detection_rate));
         prop_assert!((0.0..=1.0).contains(&out.neighbourhood_false_positive_rate));
         prop_assert!(out.affected_after >= 0.0);
+    }
+}
+
+/// Node `i`'s audible beacons by the per-node definition: the beacons
+/// among its radio neighbours, ascending, then the benign beacons whose
+/// signal a wormhole carries into its range, ascending.
+fn audible_by_definition(d: &Deployment, i: u32) -> Vec<u32> {
+    let cfg = d.config();
+    let mut out: Vec<u32> = d
+        .neighbors(i)
+        .into_iter()
+        .filter(|&v| v < cfg.beacons)
+        .collect();
+    if let Some(w) = d.wormhole() {
+        let p = d.position(i);
+        for v in 0..cfg.beacons {
+            let vp = d.position(v);
+            if v != i
+                && d.kind(v) == NodeKind::BenignBeacon
+                && p.distance(vp) > cfg.range_ft
+                && w.tunnels(vp, p, cfg.range_ft)
+            {
+                out.push(v);
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn audible_graph_matches_the_per_node_definition(
+        nodes in 20u32..400,
+        beacon_share in 0.02f64..0.6,
+        side in 300.0f64..1500.0,
+        range_share in 0.03f64..0.45,
+        wormhole in any::<bool>(),
+        exact in any::<bool>(),
+        picks in (any::<u64>(), any::<u64>()),
+        seed in 0u64..10_000,
+    ) {
+        let beacons = ((f64::from(nodes) * beacon_share) as u32).max(1);
+        let mut cfg = SimConfig {
+            nodes,
+            beacons,
+            malicious: beacons / 5,
+            field_side_ft: side,
+            range_ft: side * range_share,
+            lie_offset_ft: 2.0 * side,
+            wormhole: wormhole.then(|| {
+                (Point2::new(0.1 * side, 0.1 * side), Point2::new(0.8 * side, 0.7 * side))
+            }),
+            ..SimConfig::paper_default()
+        };
+        let mut d = Deployment::generate(cfg.clone(), seed);
+        if exact {
+            // Positions do not depend on the range, so redeploying at one
+            // beacon-to-node distance puts that node exactly `range` from
+            // that beacon.
+            let b = (picks.0 % u64::from(beacons)) as u32;
+            let n = (picks.1 % u64::from(nodes)) as u32;
+            let range = d.position(b).distance(d.position(n));
+            prop_assume!(range > 0.0);
+            cfg.range_ft = range;
+            let redeployed = Deployment::generate(cfg.clone(), seed);
+            prop_assert_eq!(redeployed.position(n), d.position(n));
+            d = redeployed;
+        }
+        let mut total = 0usize;
+        for i in 0..nodes {
+            let want = audible_by_definition(&d, i);
+            prop_assert_eq!(d.audible_beacons(i), want.as_slice(), "node {}", i);
+            total += want.len();
+        }
+        prop_assert_eq!(d.audible_pair_count(0, nodes), total);
+        let longest = (0..nodes).map(|i| d.audible_beacons(i).len()).max();
+        prop_assert_eq!(d.max_audible_len(), longest.unwrap_or(0));
+        // N_c by its definition: each beacon's range count less itself.
+        let index = GridIndex::build(
+            &Field::square(side),
+            cfg.range_ft,
+            (0..nodes).map(|i| d.position(i)),
+        );
+        let requesters: usize = (0..beacons)
+            .map(|b| index.count_within(d.position(b), cfg.range_ft) - 1)
+            .sum();
+        prop_assert_eq!(
+            d.mean_requesters_per_beacon().to_bits(),
+            (requesters as f64 / f64::from(beacons)).to_bits()
+        );
     }
 }

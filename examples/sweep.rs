@@ -191,6 +191,14 @@ fn main() {
             ..SimConfig::paper_default()
         })
         .collect();
+    // Refuse an invalid grid before any worker starts: a cell that fails
+    // validation would panic inside the pool instead.
+    for config in &configs {
+        if let Err(err) = config.validate() {
+            eprintln!("sweep: invalid configuration: {err}");
+            std::process::exit(1);
+        }
+    }
     let seeds: Vec<u64> = (1..=args.seeds).collect();
     let spec = SweepSpec::product(&configs, &seeds);
     println!(
