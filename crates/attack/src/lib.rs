@@ -1,11 +1,8 @@
 //! Attacker models against beacon-based location discovery.
 //!
-//! Figure 1 of the reproduced paper names three attack families, all built
-//! here, plus the adaptive evasion and collusion behaviours its analysis
-//! assumes:
+//! The attackers the simulator runs, plus the adaptive evasion and
+//! collusion behaviours the paper's analysis assumes:
 //!
-//! - [`Masquerader`] — an external attacker without keys forging beacon
-//!   packets (defeated by MAC filtering; kept as a baseline);
 //! - [`CompromisedBeacon`] — an insider beacon with valid keys following a
 //!   [`BeaconStrategy`]: it may answer honestly, send a malicious signal, or
 //!   disguise its malice as a wormhole/local replay. Decisions are a
@@ -14,8 +11,6 @@
 //!   is the best strategy for the node to avoid being detected" (§2.3);
 //! - [`Wormhole`] — a low-latency tunnel replaying benign signals between
 //!   two far-apart field locations (§2.2.1);
-//! - [`LocalReplayer`] — a store-and-forward replayer of a neighbour's
-//!   signal, paying at least one whole packet time of delay (§2.2.2);
 //! - [`CollusionPolicy`] — malicious beacons spending their full report
 //!   budget on alerts against benign beacons (§3.2, §4).
 //!
@@ -44,12 +39,8 @@
 
 mod beacon;
 mod collusion;
-mod masquerade;
-mod replayer;
 mod wormhole;
 
 pub use beacon::{Action, BeaconStrategy, CompromisedBeacon};
 pub use collusion::CollusionPolicy;
-pub use masquerade::Masquerader;
-pub use replayer::LocalReplayer;
 pub use wormhole::Wormhole;

@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks for the performance-sensitive kernels:
-//! the PRF/MAC, the localization estimators, the detection pipeline, the
+//! the localization estimators, the detection pipeline, the
 //! binomial analysis, and a full simulation step. These measure *our*
 //! implementation's throughput (the paper reports no performance numbers).
 
@@ -8,25 +8,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secloc_analysis::{revocation_rate_pd, NetworkPopulation};
 use secloc_core::{DetectionPipeline, Observation};
-use secloc_crypto::{Key, Mac};
 use secloc_geometry::Point2;
 use secloc_localization::{BatchedMmse, Estimator, LocationReference, MmseEstimator, MmseScratch};
 use secloc_oracle::mmse;
 use secloc_radio::timing::RttModel;
 use secloc_radio::Cycles;
 use secloc_sim::{Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
-
-fn bench_crypto(c: &mut Criterion) {
-    let key = Key::from_u128(0x1234_5678_9abc_def0);
-    let payload = [0xa5u8; 64];
-    c.bench_function("mac_compute_64B", |b| {
-        b.iter(|| Mac::compute(black_box(&key), black_box(&payload)))
-    });
-    let tag = Mac::compute(&key, &payload);
-    c.bench_function("mac_verify_64B", |b| {
-        b.iter(|| tag.verify(black_box(&key), black_box(&payload)))
-    });
-}
 
 fn bench_localization(c: &mut Criterion) {
     let truth = Point2::new(420.0, 310.0);
@@ -191,49 +178,15 @@ fn bench_sweep_shared_vs_fresh(c: &mut Criterion) {
     });
 }
 
-fn bench_blundo(c: &mut Criterion) {
-    use secloc_crypto::blundo::BlundoSetup;
-    use secloc_crypto::NodeId;
-    let setup = BlundoSetup::generate(16, 7);
-    let share = setup.share_for(NodeId(5));
-    c.bench_function("blundo_pairwise_t16", |b| {
-        b.iter(|| share.pairwise(black_box(NodeId(1234))))
-    });
-}
-
-fn bench_medium(c: &mut Criterion) {
-    use secloc_crypto::NodeId;
-    use secloc_geometry::{deploy, Field};
-    use secloc_radio::medium::Medium;
-    use secloc_radio::{Frame, FrameBody, RequestPayload};
-    let field = Field::square(1000.0);
-    let positions = deploy::uniform(&field, 1000, 5);
-    let mut medium = Medium::new(positions, 150.0, 0.0, 9);
-    let frame = Frame::seal(
-        NodeId(0),
-        NodeId(1),
-        FrameBody::Request(RequestPayload {
-            requester: NodeId(0),
-        }),
-        &Key::from_u128(1),
-    );
-    c.bench_function("medium_broadcast_1000_nodes", |b| {
-        b.iter(|| medium.transmit(black_box(0), black_box(&frame), Cycles::ZERO))
-    });
-}
-
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
-    targets = bench_crypto,
-    bench_localization,
+    targets = bench_localization,
     bench_mmse_batched_vs_scalar,
     bench_detection,
     bench_rtt_model,
     bench_analysis,
     bench_simulation,
-    bench_sweep_shared_vs_fresh,
-    bench_blundo,
-    bench_medium
+    bench_sweep_shared_vs_fresh
 );
 criterion_main!(micro);

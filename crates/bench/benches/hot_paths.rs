@@ -7,15 +7,12 @@
 //!
 //! 1. **grid queries** — a fresh `Vec` per `within_into` query vs one
 //!    reused scratch buffer, over every node position at paper scale;
-//! 2. **radio transmit** — the oracle's linear-scan `ReferenceMedium` vs
-//!    cached `Medium::transmit_into` on a 1000-node medium with wormhole
-//!    taps;
-//! 3. **full run** — `secloc_oracle::run` vs `Runner::run` at
+//! 2. **full run** — `secloc_oracle::run` vs `Runner::run` at
 //!    `SimConfig::paper_default` scale, plus per-phase p50/p90/p99 from
 //!    observed optimized runs;
-//! 4. **location solve** — the oracle's scalar MMSE on a fresh `Vec` per
+//! 3. **location solve** — the oracle's scalar MMSE on a fresh `Vec` per
 //!    sensor vs the lane-kernel `BatchedMmse` on a reused scratch;
-//! 5. **sweep sharing** — a revocation-policy grid as one `Runner::run`
+//! 4. **sweep sharing** — a revocation-policy grid as one `Runner::run`
 //!    per cell vs one orchestrator sweep sharing the probe stage.
 //!
 //! Writes `results/BENCH_perf.json`. The acceptance bars are a full-run
@@ -27,9 +24,7 @@ use secloc_bench::{banner, results_dir, Table};
 use secloc_geometry::GridIndex;
 use secloc_localization::{BatchedMmse, LocationReference, MmseEstimator, MmseScratch};
 use secloc_obs::{MetricsRegistry, Obs};
-use secloc_oracle::{mmse, ReferenceMedium};
-use secloc_radio::medium::{Medium, Tap};
-use secloc_radio::{Cycles, Frame, FrameBody, RequestPayload};
+use secloc_oracle::mmse;
 use secloc_sim::orchestrator::{code_version_tag, config_fingerprint, outcome_revision, CellKey};
 use secloc_sim::report::PHASE_NAMES;
 use secloc_sim::{
@@ -100,72 +95,6 @@ fn bench_grid(deployment: &Deployment, rounds: u32) -> Section {
     Section {
         name: "grid_within",
         iters: u64::from(rounds) * positions.len() as u64,
-        before_ns,
-        after_ns,
-    }
-}
-
-fn bench_transmit(deployment: &Deployment, rounds: u32) -> Section {
-    let cfg = deployment.config();
-    let positions: Vec<_> = (0..cfg.nodes).map(|i| deployment.position(i)).collect();
-    let frame = Frame::seal(
-        secloc_crypto::NodeId(0),
-        secloc_crypto::NodeId(1),
-        FrameBody::Request(RequestPayload {
-            requester: secloc_crypto::NodeId(0),
-        }),
-        &secloc_crypto::Key::from_u128(7),
-    );
-    let taps: Vec<Tap> = cfg
-        .wormhole
-        .iter()
-        .flat_map(|&(a, b)| [(a, b), (b, a)])
-        .map(|(capture, replay)| Tap {
-            capture_at: capture,
-            capture_range: cfg.range_ft,
-            replay_from: replay,
-            extra_delay: Cycles::new(1_000),
-        })
-        .collect();
-    // Every ~20th node transmits each round — a round-robin beacon
-    // schedule. Cache building is inside the timed region, amortized over
-    // the rounds exactly as a multi-round simulation would amortize it.
-    let senders: Vec<usize> = (0..cfg.nodes as usize).step_by(20).collect();
-    let iters = u64::from(rounds) * senders.len() as u64;
-
-    let mut reference = ReferenceMedium::new(positions.clone(), cfg.range_ft, 0.1, 99, None);
-    for &tap in &taps {
-        reference.add_tap(tap);
-    }
-    let before_ns = time(|| {
-        let mut total = 0usize;
-        for round in 0..rounds {
-            let at = Cycles::new(u64::from(round) * 10_000_000);
-            for &s in &senders {
-                total += reference.transmit(s, &frame, at).len();
-            }
-        }
-        total
-    });
-    let mut cached = Medium::new(positions, cfg.range_ft, 0.1, 99);
-    for &tap in &taps {
-        cached.add_tap(tap);
-    }
-    let mut out = Vec::new();
-    let after_ns = time(|| {
-        let mut total = 0usize;
-        for round in 0..rounds {
-            let at = Cycles::new(u64::from(round) * 10_000_000);
-            for &s in &senders {
-                cached.transmit_into(s, &frame, at, &mut out);
-                total += out.len();
-            }
-        }
-        total
-    });
-    Section {
-        name: "medium_transmit",
-        iters,
         before_ns,
         after_ns,
     }
@@ -649,7 +578,7 @@ fn bench_alerter(quick: bool) -> AlerterScale {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (grid_rounds, transmit_rounds, full_runs) = if quick { (2, 2, 3) } else { (10, 10, 20) };
+    let (grid_rounds, full_runs) = if quick { (2, 3) } else { (10, 20) };
     banner(
         "BENCH perf",
         if quick {
@@ -674,7 +603,6 @@ fn main() {
     let registry = Arc::new(MetricsRegistry::new());
     let sections = [
         bench_grid(&deployment, grid_rounds),
-        bench_transmit(&deployment, transmit_rounds),
         bench_full_run(&cfg, full_runs, &registry),
         bench_location_simd(&deployment, grid_rounds),
     ];

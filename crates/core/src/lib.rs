@@ -47,21 +47,16 @@ mod alert;
 mod detector;
 pub mod machine;
 mod pipeline;
-pub mod protocol;
 mod revocation;
 mod rtt;
 mod telemetry;
-mod wormhole_detector;
 mod wormhole_filter;
 
-pub use alert::{Alert, SignedAlert};
+pub use alert::Alert;
 pub use detector::{SignalDetector, SignalVerdict};
 pub use machine::{MachineState, ProtocolAction, ProtocolEvent, RevocationMachine, StateWireError};
 pub use pipeline::{DetectionOutcome, DetectionPipeline, Observation};
 pub use revocation::{AlertOutcome, BaseStation, RevocationConfig};
-pub use rtt::{rtt_from_timestamps, LocalReplayVerdict, RttFilter};
+pub use rtt::{LocalReplayVerdict, RttFilter};
 pub use telemetry::{AlertMetrics, PipelineMetrics};
-pub use wormhole_detector::{
-    FixedRateDetector, GeographicLeash, LeashContext, TemporalLeash, WormholeDetector,
-};
 pub use wormhole_filter::{WormholeFilter, WormholeVerdict};

@@ -13,20 +13,6 @@ pub enum LocalReplayVerdict {
     LocallyReplayed,
 }
 
-/// Computes the paper's MAC-and-processing-free round-trip time from the
-/// four SPDR timestamps of Fig. 3: `RTT = (t4 − t1) − (t3 − t2)`.
-///
-/// # Panics
-///
-/// Panics unless `t1 ≤ t4` and `t2 ≤ t3` (causality).
-pub fn rtt_from_timestamps(t1: Cycles, t2: Cycles, t3: Cycles, t4: Cycles) -> Cycles {
-    let sender_span = t4.checked_sub(t1).expect("t4 must not precede t1");
-    let receiver_turnaround = t3.checked_sub(t2).expect("t3 must not precede t2");
-    sender_span
-        .checked_sub(receiver_turnaround)
-        .expect("receiver turnaround exceeds sender span")
-}
-
 /// The local-replay detector "installed on every beacon and non-beacon
 /// node": compare the observed RTT against the calibrated maximum
 /// attack-free RTT `x_max`.
@@ -97,33 +83,6 @@ mod tests {
     use secloc_radio::CYCLES_PER_BIT;
 
     #[test]
-    fn timestamp_formula_cancels_turnaround() {
-        // Sender transmits at 1000, receiver hears at 1010, dawdles 5000
-        // cycles in its MAC queue, replies at 6010, sender hears at 6020.
-        let rtt = rtt_from_timestamps(
-            Cycles::new(1000),
-            Cycles::new(1010),
-            Cycles::new(6010),
-            Cycles::new(6020),
-        );
-        // (6020-1000) - (6010-1010) = 5020 - 5000 = 20: pure radio delay.
-        assert_eq!(rtt, Cycles::new(20));
-    }
-
-    #[test]
-    fn turnaround_magnitude_is_irrelevant() {
-        for pause in [0u64, 100, 1_000_000, 1_000_000_000] {
-            let rtt = rtt_from_timestamps(
-                Cycles::new(0),
-                Cycles::new(30),
-                Cycles::new(30 + pause),
-                Cycles::new(60 + pause),
-            );
-            assert_eq!(rtt, Cycles::new(60), "pause {pause}");
-        }
-    }
-
-    #[test]
     fn threshold_boundary_inclusive() {
         let f = RttFilter::new(Cycles::new(7656));
         assert_eq!(f.classify(Cycles::new(7656)), LocalReplayVerdict::Fresh);
@@ -191,16 +150,5 @@ mod tests {
         let margin = f.guaranteed_catch_margin(Cycles::new(PAPER_X_MIN));
         let bits = margin.as_u64() as f64 / CYCLES_PER_BIT as f64;
         assert!((bits - 4.5).abs() < 0.1, "margin {bits} bits");
-    }
-
-    #[test]
-    #[should_panic(expected = "t3 must not precede t2")]
-    fn causality_enforced() {
-        rtt_from_timestamps(
-            Cycles::new(0),
-            Cycles::new(10),
-            Cycles::new(5),
-            Cycles::new(20),
-        );
     }
 }

@@ -1,53 +1,32 @@
-//! Cryptographic substrate for secure location discovery.
+//! Identity and keyed-randomness substrate for secure location discovery.
 //!
 //! The reproduced paper assumes that "two communicating nodes share a unique
-//! pairwise key" established by a random key predistribution scheme
-//! (Eschenauer–Gligor and friends, its refs [3, 6, 7]) and that "every beacon
-//! packet is authenticated ... with the pairwise key shared between two
-//! communicating nodes". This crate builds that assumed substrate:
+//! pairwise key" and that "every beacon packet is authenticated ... with the
+//! pairwise key shared between two communicating nodes". The simulator
+//! takes that filtering as given and models what survives it, so this crate
+//! keeps the two pieces every run uses:
 //!
 //! - [`prf`] — a from-scratch 64-bit ARX pseudo-random function
-//!   (SipHash-2-4 construction) used as the workhorse for key derivation
-//!   and message authentication;
-//! - [`Mac`] / [`Key`] — packet authentication tags;
+//!   (SipHash-2-4 construction), keying the per-link wormhole verdicts and
+//!   seed derivation;
 //! - [`NodeId`] / [`IdSpace`] — network identities, including the paper's
-//!   *detecting IDs* that must be indistinguishable from non-beacon IDs;
-//! - [`KeyPool`] / [`KeyRing`] — Eschenauer–Gligor random key
-//!   predistribution with the q-composite variant;
-//! - [`PairwiseKeyStore`] — master-key-derived unique pairwise keys, the
-//!   idealised endpoint the paper assumes, plus per-node base-station keys.
-//!
-//! The primitives are *simulation-grade*: they are real keyed functions with
-//! real verification (forged packets are rejected), but no claim of
-//! production cryptographic strength is made.
+//!   *detecting IDs* that must be indistinguishable from non-beacon IDs.
 //!
 //! # Examples
 //!
 //! ```
-//! use secloc_crypto::{Key, Mac, NodeId, PairwiseKeyStore};
+//! use secloc_crypto::{IdSpace, NodeRole};
 //!
-//! let store = PairwiseKeyStore::new(Key::from_u128(0xfeed_beef));
-//! let (a, b) = (NodeId(4), NodeId(9));
-//! let k = store.pairwise(a, b);
-//! assert_eq!(k, store.pairwise(b, a)); // symmetric
-//!
-//! let tag = Mac::compute(&k, b"beacon packet");
-//! assert!(tag.verify(&k, b"beacon packet"));
-//! assert!(!tag.verify(&k, b"tampered packet"));
+//! let ids = IdSpace::new(100, 900, 8);
+//! let det = ids.detecting_id(5, 3);
+//! assert_eq!(ids.role_of(det), NodeRole::NonBeacon); // the wire view
+//! assert_eq!(ids.owner_of_detecting_id(det), Some(ids.beacon(5)));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blundo;
 mod identity;
-mod mac;
-pub mod mutesla;
-mod pairwise;
-mod pool;
 pub mod prf;
 
 pub use identity::{IdSpace, NodeId, NodeRole};
-pub use mac::{Key, Mac};
-pub use pairwise::PairwiseKeyStore;
-pub use pool::{KeyPool, KeyRing, SharedKey};

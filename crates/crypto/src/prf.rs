@@ -1,8 +1,8 @@
 //! A from-scratch 64-bit keyed pseudo-random function.
 //!
 //! This is the SipHash-2-4 construction (Aumasson & Bernstein), implemented
-//! here directly so the workspace has no external crypto dependency. It is
-//! used for key derivation and MAC tags throughout the `secloc` crates.
+//! here directly so the workspace has no external crypto dependency. It keys
+//! the simulator's per-link wormhole verdicts and seed derivation.
 //!
 //! # Examples
 //!
@@ -84,20 +84,6 @@ pub fn prf64(key: (u64, u64), data: &[u8]) -> u64 {
     state.finish()
 }
 
-/// Derives a fresh 128-bit key from a parent key and a context label.
-///
-/// Used to expand one master secret into pairwise keys, detecting-ID keys and
-/// base-station keys without key reuse across domains.
-pub fn derive_key(parent: (u64, u64), context: &[u8]) -> (u64, u64) {
-    let mut left = Vec::with_capacity(context.len() + 1);
-    left.push(0x4c); // 'L'
-    left.extend_from_slice(context);
-    let mut right = Vec::with_capacity(context.len() + 1);
-    right.push(0x52); // 'R'
-    right.extend_from_slice(context);
-    (prf64(parent, &left), prf64(parent, &right))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,16 +133,6 @@ mod tests {
             (16..=48).contains(&differing),
             "poor diffusion: {differing} bits differ"
         );
-    }
-
-    #[test]
-    fn derive_key_domain_separation() {
-        let parent = (42, 43);
-        let a = derive_key(parent, b"pairwise");
-        let b = derive_key(parent, b"basestation");
-        assert_ne!(a, b);
-        assert_ne!(a.0, a.1, "halves should be independent");
-        assert_eq!(a, derive_key(parent, b"pairwise"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use secloc_crypto::{prf, IdSpace, Key, KeyPool, Mac, NodeId, PairwiseKeyStore};
+use secloc_crypto::{prf, IdSpace, NodeId};
 
 proptest! {
     #[test]
@@ -21,30 +21,6 @@ proptest! {
     }
 
     #[test]
-    fn mac_verifies_genuine_and_rejects_bitflips(
-        key in any::<u128>(),
-        data in proptest::collection::vec(any::<u8>(), 1..64),
-        flip_at in any::<proptest::sample::Index>(),
-    ) {
-        let k = Key::from_u128(key);
-        let tag = Mac::compute(&k, &data);
-        prop_assert!(tag.verify(&k, &data));
-        let mut tampered = data.clone();
-        let i = flip_at.index(tampered.len());
-        tampered[i] ^= 0x01;
-        prop_assert!(!tag.verify(&k, &tampered));
-    }
-
-    #[test]
-    fn pairwise_symmetric_unique(a in 0u32..10_000, b in 0u32..10_000, c in 0u32..10_000) {
-        prop_assume!(a != b && a != c && b != c);
-        let s = PairwiseKeyStore::new(Key::from_u128(77));
-        let kab = s.pairwise(NodeId(a), NodeId(b));
-        prop_assert_eq!(kab, s.pairwise(NodeId(b), NodeId(a)));
-        prop_assert_ne!(kab, s.pairwise(NodeId(a), NodeId(c)));
-    }
-
-    #[test]
     fn id_space_roundtrips(beacons in 1u32..64, sensors in 0u32..256, m in 0u32..16) {
         let ids = IdSpace::new(beacons, sensors, m);
         for i in (0..beacons).step_by(7).chain([beacons - 1]) {
@@ -57,52 +33,5 @@ proptest! {
             }
         }
         prop_assert_eq!(ids.total(), beacons + sensors + beacons * m);
-    }
-
-    #[test]
-    fn mutesla_roundtrip_any_interval(
-        seed in any::<u128>(),
-        interval in 1u64..32,
-        lag in 1u64..5,
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        use secloc_crypto::mutesla::{MuTeslaBroadcaster, MuTeslaReceiver};
-        let bs = MuTeslaBroadcaster::new(Key::from_u128(seed), 32, lag);
-        let mut rx = MuTeslaReceiver::new(bs.commitment(), lag);
-        let msg = bs.broadcast(interval, &payload);
-        rx.accept(&msg, interval).unwrap();
-        rx.disclose(interval, bs.disclose(interval)).unwrap();
-        prop_assert_eq!(rx.drain_verified(), vec![(interval, payload)]);
-    }
-
-    #[test]
-    fn blundo_agreement_any_pair(
-        seed in any::<u64>(),
-        t in 1usize..8,
-        a in 0u32..100_000,
-        b in 0u32..100_000,
-    ) {
-        prop_assume!(a != b);
-        use secloc_crypto::blundo::BlundoSetup;
-        let setup = BlundoSetup::generate(t, seed);
-        let sa = setup.share_for(NodeId(a));
-        let sb = setup.share_for(NodeId(b));
-        prop_assert_eq!(sa.pairwise(NodeId(b)), sb.pairwise(NodeId(a)));
-    }
-
-    #[test]
-    fn ring_overlap_commutes(seed in any::<u64>(), ka in 1u32..40, kb in 1u32..40) {
-        let pool = KeyPool::generate(Key::from_u128(3), 100);
-        let a = pool.assign_ring(NodeId(0), ka, seed);
-        let b = pool.assign_ring(NodeId(1), kb, seed.wrapping_add(1));
-        let ab = a.shared_ids(&b);
-        let ba = b.shared_ids(&a);
-        prop_assert_eq!(&ab, &ba);
-        prop_assert!(ab.len() <= ka.min(kb) as usize);
-        match (pool.establish(&a, &b, 1), ab.is_empty()) {
-            (Some(sk), false) => prop_assert_eq!(sk.overlap, ab.len()),
-            (None, true) => {}
-            (got, _) => prop_assert!(false, "establishment mismatch: {:?} with overlap {}", got, ab.len()),
-        }
     }
 }

@@ -7,12 +7,12 @@
 //! constants so the overhead analysis can speak the native currency of
 //! the field.
 
-use crate::{Cycles, Frame};
+use crate::Cycles;
 
 /// Radio power draw profile, in milliamps at a given supply voltage.
 ///
 /// Defaults are MICA2-class (CC1000 at 3 V): transmit ≈ 27 mA at full
-/// power, receive/listen ≈ 10 mA, sleep ≈ 1 µA.
+/// power, receive ≈ 10 mA.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Supply voltage in volts.
@@ -21,8 +21,6 @@ pub struct EnergyModel {
     pub tx_ma: f64,
     /// Receive current in milliamps.
     pub rx_ma: f64,
-    /// Idle-listen current in milliamps.
-    pub idle_ma: f64,
 }
 
 impl Default for EnergyModel {
@@ -31,7 +29,6 @@ impl Default for EnergyModel {
             supply_v: 3.0,
             tx_ma: 27.0,
             rx_ma: 10.0,
-            idle_ma: 10.0,
         }
     }
 }
@@ -41,32 +38,6 @@ impl EnergyModel {
     /// millijoules: `mJ = mA × V × s`.
     fn energy_mj(&self, current_ma: f64, duration: Cycles) -> f64 {
         current_ma * self.supply_v * duration.as_secs()
-    }
-
-    /// Energy to transmit one frame, in millijoules.
-    pub fn transmit_mj(&self, frame: &Frame) -> f64 {
-        self.energy_mj(self.tx_ma, frame.transmission_time())
-    }
-
-    /// Energy to receive one frame, in millijoules.
-    pub fn receive_mj(&self, frame: &Frame) -> f64 {
-        self.energy_mj(self.rx_ma, frame.transmission_time())
-    }
-
-    /// Energy to idle-listen for `duration`, in millijoules.
-    pub fn idle_mj(&self, duration: Cycles) -> f64 {
-        self.energy_mj(self.idle_ma, duration)
-    }
-
-    /// Energy for one request/beacon/report exchange as seen by the
-    /// requester: transmit the request, receive the beacon signal and the
-    /// timestamp report, idle-listen in between (approximated by one
-    /// round-trip of turnaround).
-    pub fn probe_mj(&self, request: &Frame, beacon: &Frame, report: &Frame) -> f64 {
-        self.transmit_mj(request)
-            + self.receive_mj(beacon)
-            + self.receive_mj(report)
-            + self.idle_mj(Cycles::from_bytes(8)) // turnaround listen
     }
 
     /// Total energy across the network for `messages` transmissions of
@@ -81,57 +52,29 @@ impl EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BeaconPayload, FrameBody, RequestPayload};
-    use secloc_crypto::{Key, NodeId};
-    use secloc_geometry::Point2;
 
-    fn frames() -> (Frame, Frame, Frame) {
-        let k = Key::from_u128(1);
-        let req = Frame::seal(
-            NodeId(0),
-            NodeId(1),
-            FrameBody::Request(RequestPayload {
-                requester: NodeId(0),
-            }),
-            &k,
-        );
-        let bcn = Frame::seal(
-            NodeId(1),
-            NodeId(0),
-            FrameBody::Beacon(BeaconPayload {
-                beacon: NodeId(1),
-                declared: Point2::new(1.0, 2.0),
-            }),
-            &k,
-        );
-        let rpt = Frame::seal(
-            NodeId(1),
-            NodeId(0),
-            FrameBody::TimestampReport {
-                turnaround: Cycles::new(100),
-            },
-            &k,
-        );
-        (req, bcn, rpt)
-    }
+    /// A 29-byte request and a 45-byte beacon frame: payload plus the
+    /// 24-byte link overhead.
+    const REQUEST_BYTES: u64 = 29;
+    const BEACON_BYTES: u64 = 45;
 
     #[test]
     fn transmit_costs_more_than_receive() {
         let e = EnergyModel::default();
-        let (req, ..) = frames();
-        assert!(e.transmit_mj(&req) > e.receive_mj(&req));
-        assert!(e.transmit_mj(&req) > 0.0);
+        let transmit = e.broadcast_round_mj(1.0, REQUEST_BYTES, 0.0);
+        let receive = e.broadcast_round_mj(1.0, REQUEST_BYTES, 1.0) - transmit;
+        assert!(transmit > receive);
+        assert!(transmit > 0.0);
     }
 
     #[test]
     fn energy_scales_with_frame_size() {
         let e = EnergyModel::default();
-        let (req, bcn, _) = frames();
-        // The beacon frame (45 B) is larger than the request (29 B).
-        assert!(bcn.wire_bytes() > req.wire_bytes());
-        assert!(e.transmit_mj(&bcn) > e.transmit_mj(&req));
-        let ratio = e.transmit_mj(&bcn) / e.transmit_mj(&req);
-        let size_ratio = bcn.wire_bytes() as f64 / req.wire_bytes() as f64;
+        let request = e.broadcast_round_mj(1.0, REQUEST_BYTES, 0.0);
+        let beacon = e.broadcast_round_mj(1.0, BEACON_BYTES, 0.0);
+        assert!(beacon > request);
+        let ratio = beacon / request;
+        let size_ratio = BEACON_BYTES as f64 / REQUEST_BYTES as f64;
         assert!((ratio - size_ratio).abs() < 1e-9);
     }
 
@@ -140,22 +83,8 @@ mod tests {
         // A 45-byte frame at 19.2 kbit/s takes ~18.75 ms; at 27 mA, 3 V
         // that is ~1.5 mJ.
         let e = EnergyModel::default();
-        let (_, bcn, _) = frames();
-        let mj = e.transmit_mj(&bcn);
+        let mj = e.broadcast_round_mj(1.0, BEACON_BYTES, 0.0);
         assert!((1.0..2.5).contains(&mj), "got {mj} mJ");
-    }
-
-    #[test]
-    fn probe_cost_dominated_by_radio_activity() {
-        let e = EnergyModel::default();
-        let (req, bcn, rpt) = frames();
-        let probe = e.probe_mj(&req, &bcn, &rpt);
-        let floor = e.transmit_mj(&req) + e.receive_mj(&bcn) + e.receive_mj(&rpt);
-        assert!(probe > floor);
-        assert!(
-            probe < floor * 1.2,
-            "idle share too big: {probe} vs {floor}"
-        );
     }
 
     #[test]
@@ -170,8 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_duration_zero_energy() {
+    fn zero_messages_zero_energy() {
         let e = EnergyModel::default();
-        assert_eq!(e.idle_mj(Cycles::ZERO), 0.0);
+        assert_eq!(e.broadcast_round_mj(0.0, BEACON_BYTES, 10.0), 0.0);
     }
 }

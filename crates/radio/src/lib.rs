@@ -1,4 +1,4 @@
-//! Radio substrate: cycle-accurate timing, ranging and framing.
+//! Radio substrate: cycle-accurate timing, ranging and link loss.
 //!
 //! The reproduced paper measures round-trip times in **CPU clock cycles** on
 //! MICA motes (ATmega128L at 7.3728 MHz driving a CC1000 radio): "the
@@ -11,10 +11,8 @@
 //!   the [`timing::RttModel`] producing RTT samples (Fig. 3 / Fig. 4);
 //! - [`ranging`] — RSSI log-distance ranging with a bounded maximum error
 //!   `ε_max`, the paper's distance-measurement assumption;
-//! - [`Frame`] / [`BeaconPayload`] — authenticated packets, with sizes that
-//!   drive transmission-time computations;
-//! - [`medium`] — the shared broadcast medium with attacker taps;
-//! - [`loss`] — per-link loss models and retransmitting reliable delivery.
+//! - [`loss`] — per-link loss models and retransmitting reliable delivery;
+//! - [`energy`] — MICA2-class energy prices for broadcast rounds.
 //!
 //! # Examples
 //!
@@ -32,15 +30,9 @@
 #![warn(missing_docs)]
 
 pub mod energy;
-mod frame;
 pub mod loss;
-pub mod medium;
 pub mod ranging;
-pub mod telemetry;
 mod time;
 pub mod timing;
-pub mod wire;
 
-pub use frame::{BeaconPayload, Frame, FrameBody, FrameError, RequestPayload};
-pub use telemetry::RadioMetrics;
 pub use time::{Cycles, CPU_HZ, CYCLES_PER_BIT, SPEED_OF_LIGHT_FT_S};

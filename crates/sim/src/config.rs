@@ -119,6 +119,11 @@ pub struct PolicyKey {
     pub alert_retransmissions: u32,
 }
 
+/// The most spatial-index buckets a deployment may need. The index lays
+/// a ⌈field / range⌉² grid of bucket headers (24 bytes each) over the
+/// field, so this bounds them at ~100 MB; the paper's field needs 7².
+const MAX_GRID_BUCKETS: u64 = 1 << 22;
+
 /// Why a [`SimConfig`] was rejected by [`SimConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
@@ -136,8 +141,24 @@ pub enum ConfigError {
         /// Configured `nodes`.
         nodes: u32,
     },
+    /// A length parameter is NaN or infinite.
+    NonFinite {
+        /// Which parameter.
+        name: &'static str,
+        /// The offending value.
+        value: f64,
+    },
     /// Field side and radio range must both be positive.
     NonPositiveGeometry {
+        /// Configured field side, in feet.
+        field_side_ft: f64,
+        /// Configured radio range, in feet.
+        range_ft: f64,
+    },
+    /// The spatial index would need more than 2²² buckets (⌈field /
+    /// range⌉², ~100 MB of bucket headers): the field is too many radio
+    /// ranges across.
+    GridTooFine {
         /// Configured field side, in feet.
         field_side_ft: f64,
         /// Configured radio range, in feet.
@@ -182,12 +203,23 @@ impl fmt::Display for ConfigError {
                 f,
                 "need malicious <= beacons <= nodes, got {malicious}/{beacons}/{nodes}"
             ),
+            ConfigError::NonFinite { name, value } => {
+                write!(f, "{name} must be finite, got {value}")
+            }
             ConfigError::NonPositiveGeometry {
                 field_side_ft,
                 range_ft,
             } => write!(
                 f,
                 "field and range must be positive, got {field_side_ft}/{range_ft}"
+            ),
+            ConfigError::GridTooFine {
+                field_side_ft,
+                range_ft,
+            } => write!(
+                f,
+                "a {field_side_ft} ft field at {range_ft} ft range needs more than \
+                 {MAX_GRID_BUCKETS} index buckets"
             ),
             ConfigError::NegativeRangingError(v) => {
                 write!(f, "ranging error must be >= 0, got {v}")
@@ -320,8 +352,26 @@ impl SimConfig {
                 nodes: self.nodes,
             });
         }
+        for (name, value) in [
+            ("field_side_ft", self.field_side_ft),
+            ("range_ft", self.range_ft),
+            ("max_ranging_error_ft", self.max_ranging_error_ft),
+            ("lie_offset_ft", self.lie_offset_ft),
+        ] {
+            if !value.is_finite() {
+                return Err(ConfigError::NonFinite { name, value });
+            }
+        }
         if !(self.field_side_ft > 0.0 && self.range_ft > 0.0) {
             return Err(ConfigError::NonPositiveGeometry {
+                field_side_ft: self.field_side_ft,
+                range_ft: self.range_ft,
+            });
+        }
+        // The index's own sizing, in floating point so no ratio overflows.
+        let per_side = (self.field_side_ft / self.range_ft).ceil().max(1.0);
+        if per_side * per_side > MAX_GRID_BUCKETS as f64 {
+            return Err(ConfigError::GridTooFine {
                 field_side_ft: self.field_side_ft,
                 range_ft: self.range_ft,
             });
@@ -567,6 +617,60 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::NoBeacons));
         c.beacons = 1;
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn rejects_non_finite_lengths() {
+        // Each of these used to pass validation and then panic inside the
+        // run: in the signal detector (ε), the location reference (lie
+        // offset) or the field constructor (field side).
+        type Set = fn(&mut SimConfig, f64);
+        let fields: [(&str, Set); 4] = [
+            ("field_side_ft", |c, v| c.field_side_ft = v),
+            ("range_ft", |c, v| c.range_ft = v),
+            ("max_ranging_error_ft", |c, v| c.max_ranging_error_ft = v),
+            ("lie_offset_ft", |c, v| c.lie_offset_ft = v),
+        ];
+        for (name, set) in fields {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = SimConfig::paper_default();
+                set(&mut c, value);
+                let err = c.validate().expect_err(name);
+                assert!(
+                    matches!(err, ConfigError::NonFinite { name: n, value: v }
+                        if n == name && v.to_bits() == value.to_bits()),
+                    "{name} = {value}: {err:?}"
+                );
+                assert!(err.to_string().contains("must be finite"));
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_a_grid_past_the_bucket_budget() {
+        // 300 ft at 0.001 ft range asks the index for 9·10¹⁰ bucket
+        // headers (2.16 TB), an allocation that aborts the process. Only
+        // `validate` runs here: no deployment, no grid.
+        let mut c = SimConfig {
+            field_side_ft: 300.0,
+            range_ft: 0.001,
+            lie_offset_ft: 300.0,
+            ..SimConfig::paper_default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::GridTooFine {
+                field_side_ft: 300.0,
+                range_ft: 0.001,
+            })
+        );
+        assert!(c.validate().unwrap_err().to_string().contains("buckets"));
+        // 2048 buckets a side is exactly the budget; one range finer is
+        // past it.
+        c.range_ft = 300.0 / 2048.0;
+        assert_eq!(c.validate(), Ok(()));
+        c.range_ft = 300.0 / 2049.0;
+        assert!(matches!(c.validate(), Err(ConfigError::GridTooFine { .. })));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Optimized-vs-reference seeded equivalence.
 //!
 //! The allocation-free hot paths (scratch-buffer neighbour queries, batch
-//! event drains, cached radio geometry, impact metrics that re-solve only
+//! event drains, the cached audible graph, impact metrics that re-solve only
 //! the sensors revocation touched) claim
 //! to be *bit-identical* to the code they replaced: same seeded RNG draw
 //! order, same floating-point operations, same `SimOutcome`. This test

@@ -1,9 +1,10 @@
 //! Property-based tests for the simulation layer.
 
 use proptest::prelude::*;
+use secloc_faults::{BurstLossSpec, ChurnSpec, NoiseRegion};
 use secloc_geometry::{Field, GridIndex, Point2};
 use secloc_sim::distributed::{run_distributed, DistributedConfig};
-use secloc_sim::{Deployment, NodeKind, RunOptions, Runner, SimConfig};
+use secloc_sim::{Deployment, FaultPlan, NodeKind, RunOptions, Runner, SimConfig};
 
 fn small_config() -> impl Strategy<Value = SimConfig> {
     (
@@ -203,5 +204,144 @@ proptest! {
             d.mean_requesters_per_beacon().to_bits(),
             (requesters as f64 / f64::from(beacons)).to_bits()
         );
+    }
+}
+
+/// A probability that is exactly 0 or exactly 1 a quarter of the time each.
+fn edge_probability() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0..=1.0f64).prop_map(|(edge, inner)| match edge {
+        0 => 0.0,
+        1 => 1.0,
+        _ => inner,
+    })
+}
+
+/// A random fault plan over a unit field (scale its noise regions by the
+/// field side): each channel on or off, noise regions inside or outside
+/// the field.
+fn any_fault_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        (any::<bool>(), edge_probability(), edge_probability()),
+        (edge_probability(), edge_probability()),
+        proptest::collection::vec(
+            (-0.5..1.5f64, -0.5..1.5f64, 0.01..1.0f64, 0.25..4.0f64),
+            0..3,
+        ),
+        (any::<bool>(), 0u64..20_000),
+        (any::<bool>(), edge_probability(), edge_probability()),
+    )
+        .prop_map(
+            |(
+                (burst, good, bad),
+                (to_bad, to_good),
+                regions,
+                (drift, skew),
+                (churn, rate, down),
+            )| {
+                let mut plan = FaultPlan::default();
+                if burst {
+                    plan = plan.with_burst_loss(BurstLossSpec {
+                        good_loss: good,
+                        bad_loss: bad,
+                        p_good_to_bad: to_bad,
+                        p_bad_to_good: to_good,
+                    });
+                }
+                for (x, y, radius, figure) in regions {
+                    plan = plan.with_noise_region(NoiseRegion::disc(
+                        Point2::new(x, y),
+                        radius,
+                        figure,
+                    ));
+                }
+                if drift {
+                    plan = plan.with_clock_drift(skew);
+                }
+                if churn {
+                    plan = plan.with_churn(ChurnSpec::random(rate, down));
+                }
+                plan
+            },
+        )
+}
+
+/// Any configuration `SimConfig::validate` accepts within 300 nodes:
+/// every count from its minimum, m 0–9, τ and τ′ 0–3, probabilities on
+/// their edges, wormholes inside or outside the field and a random fault
+/// plan. Drawn configurations the validator rejects are redrawn.
+fn any_valid_config() -> impl Strategy<Value = SimConfig> {
+    let counts = (1u32..=300, 0.0..=1.0f64, 0.0..=1.0f64);
+    let geometry = (50.0..2000.0f64, 0.03..1.5f64, 0.0..1.0f64, 1.0..4.0f64);
+    let policy = (0u32..=9, 0u32..=3, 0u32..=3, any::<bool>(), 1u32..=4);
+    let probabilities = (edge_probability(), edge_probability(), edge_probability());
+    let wormhole = (
+        any::<bool>(),
+        -0.5..1.5f64,
+        -0.5..1.5f64,
+        -0.5..1.5f64,
+        -0.5..1.5f64,
+    );
+    (
+        counts,
+        geometry,
+        policy,
+        probabilities,
+        wormhole,
+        any_fault_plan(),
+    )
+        .prop_map(
+            |(
+                (nodes, beacon_share, malicious_share),
+                (side, range_share, eps_share, lie_factor),
+                (m, tau, tau_prime, collusion, retransmissions),
+                (p_d, p, loss),
+                (tunnel, ax, ay, bx, by),
+                mut faults,
+            )| {
+                let beacons = ((nodes as f64 * beacon_share) as u32).clamp(1, nodes);
+                let range = side * range_share;
+                for region in &mut faults.noise_regions {
+                    region.center = Point2::new(region.center.x * side, region.center.y * side);
+                    region.radius_ft *= side;
+                }
+                SimConfig {
+                    nodes,
+                    beacons,
+                    malicious: (beacons as f64 * malicious_share) as u32,
+                    field_side_ft: side,
+                    range_ft: range,
+                    max_ranging_error_ft: range * eps_share,
+                    detecting_ids: m,
+                    tau,
+                    tau_prime,
+                    wormhole: tunnel.then(|| {
+                        (
+                            Point2::new(ax * side, ay * side),
+                            Point2::new(bx * side, by * side),
+                        )
+                    }),
+                    wormhole_detection_rate: p_d,
+                    attacker_p: p,
+                    lie_offset_ft: range * lie_factor,
+                    collusion,
+                    alert_loss_rate: loss,
+                    alert_retransmissions: retransmissions,
+                    faults,
+                }
+            },
+        )
+        .prop_filter("valid", |c| c.validate().is_ok())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The config-space property: whatever `validate`
+    /// accepts runs to an outcome equal to itself — no NaN anywhere, so
+    /// checkpoints and the result cache can hold it.
+    #[test]
+    fn every_valid_config_runs_to_a_self_equal_outcome(cfg in any_valid_config(), seed in any::<u64>()) {
+        let outcome = Runner::new(cfg.clone(), seed).run(RunOptions::new()).outcome;
+        prop_assert_eq!(&outcome, &outcome.clone(), "{:?} seed {}", cfg, seed);
     }
 }

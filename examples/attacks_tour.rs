@@ -5,12 +5,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secloc::attack::{LocalReplayer, Masquerader};
 use secloc::core::{LocalReplayVerdict, RttFilter};
 use secloc::localization::{CentroidEstimator, Estimator, LocationReference, MmseEstimator};
 use secloc::prelude::*;
 use secloc::radio::timing::RttModel;
-use secloc::radio::{BeaconPayload, Frame, FrameBody};
+use secloc_oracle::{
+    BeaconPayload, Frame, FrameBody, Key, LocalReplayer, Masquerader, PairwiseKeyStore,
+};
 
 fn main() {
     masquerade_attack();

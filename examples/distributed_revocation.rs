@@ -1,28 +1,16 @@
-//! Beyond the paper: revocation without (and after) the base station.
+//! Beyond the paper: revocation without the base station.
 //!
-//! Two extensions built on the paper's machinery:
-//!
-//! 1. **Distributed revocation** (the paper's §6 future-work item): alerts
-//!    gossip through the beacon overlay and every node keeps a local
-//!    blacklist with the §3 counters — no base station involved.
-//! 2. **μTESLA-authenticated revocation broadcast** (the paper's SPINS
-//!    citation): when a base station *is* used, its revocation messages
-//!    must be broadcast-authenticated or an attacker could forge
-//!    "revoke that honest beacon" messages.
+//! **Distributed revocation** (the paper's §6 future-work item): alerts
+//! gossip through the beacon overlay and every node keeps a local
+//! blacklist with the §3 counters — no base station involved.
 //!
 //! Run with: `cargo run --release --example distributed_revocation`
 
-use secloc::crypto::mutesla::{MuTeslaBroadcaster, MuTeslaReceiver};
 use secloc::prelude::*;
 use secloc::sim::distributed::{run_distributed, DistributedConfig};
 use secloc::sim::Deployment;
 
 fn main() {
-    distributed_scheme();
-    mutesla_broadcast();
-}
-
-fn distributed_scheme() {
     println!("== distributed revocation (no base station) ==");
     let config = SimConfig {
         attacker_p: 0.4,
@@ -60,55 +48,6 @@ fn distributed_scheme() {
     }
     println!(
         "-> one gossip hop already matches the base station's coverage here;\n   \
-         the price is the alert traffic column.\n"
+         the price is the alert traffic column."
     );
-}
-
-fn mutesla_broadcast() {
-    println!("== muTESLA-authenticated revocation broadcast ==");
-    // Offline: the base station builds a key chain; every sensor is
-    // preloaded with the commitment.
-    let base_station = MuTeslaBroadcaster::new(Key::from_u128(0x2005), 64, 2);
-    let mut sensor = MuTeslaReceiver::new(base_station.commitment(), 2);
-
-    // Interval 9: the base station broadcasts a revocation.
-    let revocation = b"REVOKE beacon n7";
-    let msg = base_station.broadcast(9, revocation);
-    sensor.accept(&msg, 9).expect("fresh message accepted");
-    println!("interval 9 : revocation broadcast buffered (unverifiable yet)");
-
-    // An attacker who captured an *old* disclosed key tries to forge one.
-    let old_key = base_station.disclose(5);
-    let forged = secloc::crypto::mutesla::BroadcastMessage {
-        interval: 9,
-        payload: b"REVOKE beacon n3 (forged)".to_vec(),
-        tag: Mac::compute(
-            &old_key.derive(b"mutesla-mac"),
-            b"REVOKE beacon n3 (forged)",
-        ),
-    };
-    sensor
-        .accept(&forged, 9)
-        .expect("buffered too - not yet checkable");
-
-    // Interval 11: the key is disclosed; genuine verifies, forgery dies.
-    sensor
-        .disclose(9, base_station.disclose(9))
-        .expect("chain verifies");
-    let verified = sensor.drain_verified();
-    println!(
-        "interval 11: key disclosed, {} message(s) verified",
-        verified.len()
-    );
-    for (interval, payload) in &verified {
-        println!(
-            "  verified @ {interval}: {}",
-            String::from_utf8_lossy(payload)
-        );
-    }
-    assert_eq!(verified.len(), 1, "only the genuine revocation survives");
-
-    // A replayed revocation arriving after disclosure is rejected outright.
-    let replay_err = sensor.accept(&msg, 12).unwrap_err();
-    println!("interval 12: replayed broadcast rejected ({replay_err})");
 }

@@ -8,8 +8,8 @@
 //! Run with: `cargo run --example revocation_pipeline`
 
 use secloc::attack::CollusionPolicy;
-use secloc::core::SignedAlert;
 use secloc::prelude::*;
+use secloc_oracle::{Key, PairwiseKeyStore, SignedAlert};
 
 fn main() {
     let config = RevocationConfig::paper_default();

@@ -2,11 +2,13 @@
 //!
 //! A production-quality Rust reproduction of **Liu, Ning & Du,
 //! "Detecting Malicious Beacon Nodes for Secure Location Discovery in
-//! Wireless Sensor Networks" (ICDCS 2005)**, including every substrate the
-//! paper assumes: key predistribution, cycle-accurate radio timing, RSSI
-//! ranging, localization estimators, attacker models, the detection and
-//! revocation suite itself, its closed-form analysis, and a seeded
-//! whole-network simulator.
+//! Wireless Sensor Networks" (ICDCS 2005)**, including the substrate the
+//! paper assumes: detecting IDs, cycle-accurate radio timing, RSSI ranging,
+//! localization estimators, attacker models, the detection and revocation
+//! suite itself, its closed-form analysis, and a seeded whole-network
+//! simulator. The frame-level exchange (MAC'd frames, pairwise keys, the
+//! broadcast medium) lives in the dev-only `secloc-oracle` crate, where a
+//! conformance test holds the simulator's one-call exchange to it.
 //!
 //! ## Crate map
 //!
@@ -14,10 +16,10 @@
 //! |---|---|---|
 //! | [`obs`] | `secloc-obs` | metrics registry, spans, event sinks, report writers |
 //! | [`geometry`] | `secloc-geometry` | points, fields, deployments, spatial index |
-//! | [`crypto`] | `secloc-crypto` | PRF, MACs, node IDs, key predistribution |
-//! | [`radio`] | `secloc-radio` | cycle timing, RTT model, ranging, frames, event queue |
+//! | [`crypto`] | `secloc-crypto` | PRF, node IDs and detecting IDs |
+//! | [`radio`] | `secloc-radio` | cycle timing, RTT model, ranging, link loss, energy |
 //! | [`localization`] | `secloc-localization` | MMSE / min-max / centroid estimators |
-//! | [`attack`] | `secloc-attack` | compromised beacons, wormholes, replayers, collusion |
+//! | [`attack`] | `secloc-attack` | compromised beacons, wormholes, collusion |
 //! | [`core`] | `secloc-core` | **the paper's contribution**: detector, replay filters, revocation |
 //! | [`analysis`] | `secloc-analysis` | closed-form `P_r`, `P_d`, `N′`, `N_f`, `P_o`, empirical ROC curves |
 //! | [`sim`] | `secloc-sim` | end-to-end §4 simulation and metrics |
@@ -93,11 +95,11 @@ pub mod prelude {
     };
     pub use secloc_attack::{Action, BeaconStrategy, CompromisedBeacon, Wormhole};
     pub use secloc_core::{
-        Alert, BaseStation, DetectionOutcome, DetectionPipeline, GeographicLeash, Observation,
-        ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine, RttFilter,
-        SignalDetector, TemporalLeash, WormholeDetector, WormholeFilter,
+        Alert, BaseStation, DetectionOutcome, DetectionPipeline, Observation, ProtocolAction,
+        ProtocolEvent, RevocationConfig, RevocationMachine, RttFilter, SignalDetector,
+        WormholeFilter,
     };
-    pub use secloc_crypto::{IdSpace, Key, Mac, NodeId, PairwiseKeyStore};
+    pub use secloc_crypto::{IdSpace, NodeId};
     pub use secloc_faults::{BurstLossSpec, ChurnSpec, FaultPlan, NoiseRegion};
     pub use secloc_geometry::{Field, Point2, Vector2};
     pub use secloc_localization::{Estimator, LocationReference, MmseEstimator};

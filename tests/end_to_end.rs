@@ -1,11 +1,13 @@
 //! Workspace-level integration tests: exercise the whole stack through the
 //! `secloc` facade, the way a downstream user would.
 
-use secloc::attack::{CollusionPolicy, LocalReplayer, Masquerader};
-use secloc::core::{DetectionOutcome, LocalReplayVerdict, SignedAlert};
+use secloc::attack::CollusionPolicy;
+use secloc::core::{DetectionOutcome, LocalReplayVerdict};
 use secloc::localization::{CentroidEstimator, MinMaxEstimator};
 use secloc::prelude::*;
-use secloc::radio::{BeaconPayload, Frame, FrameBody};
+use secloc_oracle::{
+    BeaconPayload, Frame, FrameBody, Key, LocalReplayer, Masquerader, PairwiseKeyStore, SignedAlert,
+};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
