@@ -35,6 +35,8 @@ pub struct Deployment {
     // `with_policy`): everything in here is a pure function of
     // `(config.topology_key(), seed)`.
     topology: Arc<Topology>,
+    // Indexed by beacon: only beacons can be compromised, and every policy
+    // re-key rebuilds this table.
     compromised: Vec<Option<CompromisedBeacon>>,
     seed: u64,
 }
@@ -226,7 +228,7 @@ impl Deployment {
     fn from_parts(topology: Arc<Topology>, config: SimConfig) -> Deployment {
         let seed = topology.seed;
         let strategy = BeaconStrategy::with_acceptance(config.attacker_p);
-        let mut compromised: Vec<Option<CompromisedBeacon>> = vec![None; config.nodes as usize];
+        let mut compromised: Vec<Option<CompromisedBeacon>> = vec![None; config.beacons as usize];
         for (&b, &angle) in topology.malicious_set.iter().zip(&topology.lie_angles) {
             let offset = Vector2::from_angle(angle) * config.lie_offset_ft;
             compromised[b as usize] = Some(CompromisedBeacon::new(
@@ -297,9 +299,10 @@ impl Deployment {
         self.topology.kinds[i as usize]
     }
 
-    /// The compromised-beacon behaviour of node `i`, if it is malicious.
+    /// The compromised-beacon behaviour of node `i`, if it is malicious
+    /// (`None` for every sensor).
     pub fn compromised(&self, i: u32) -> Option<&CompromisedBeacon> {
-        self.compromised[i as usize].as_ref()
+        self.compromised.get(i as usize)?.as_ref()
     }
 
     /// The wormhole, if configured.

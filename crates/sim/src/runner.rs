@@ -23,7 +23,7 @@ use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// A reference a sensor kept for localization, tagged with its source.
 #[derive(Debug, Clone, Copy)]
@@ -187,9 +187,100 @@ struct StageCore {
     detectors: Vec<u32>,
     benign_alerts: Vec<Alert>,
     kept: Vec<Vec<KeptReference>>,
+    /// `kept` indexed by beacon.
+    index: KeptIndex,
     poisoned: Vec<Vec<u32>>,
     order_rng: StdRng,
     churn: Option<ChurnSchedule>,
+}
+
+/// Every kept reference indexed by its beacon, in CSR form: beacon `b`'s
+/// references are `refs[offsets[b] .. offsets[b + 1]]`, each the
+/// `(sensor, slot)` that kept it, `slot` being its position in the
+/// sensor's kept list; sensors ascend within a beacon. Built once per
+/// stage, so a finish finds what revocation dropped by reading only the
+/// revoked beacons' references instead of every kept list.
+#[derive(Debug)]
+struct KeptIndex {
+    offsets: Vec<u32>,
+    refs: Vec<(u32, u32)>,
+}
+
+impl KeptIndex {
+    /// One counting pass by beacon over the kept lists in node order.
+    fn build(kept: &[Vec<KeptReference>], beacons: u32) -> Self {
+        let mut offsets = vec![0u32; beacons as usize + 1];
+        for k in kept.iter().flatten() {
+            offsets[k.beacon as usize + 1] += 1;
+        }
+        for b in 0..beacons as usize {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut cursor = offsets.clone();
+        let mut refs = vec![(0, 0); offsets[beacons as usize] as usize];
+        for (w, list) in kept.iter().enumerate() {
+            for (slot, k) in list.iter().enumerate() {
+                let at = &mut cursor[k.beacon as usize];
+                refs[*at as usize] = (w as u32, slot as u32);
+                *at += 1;
+            }
+        }
+        KeptIndex { offsets, refs }
+    }
+
+    /// Which of each node's kept references revocation dropped, indexed by
+    /// node: a mask over its kept list in order, or `None` when the list is
+    /// longer than 64 and at least one reference was dropped.
+    fn dropped_masks(&self, kept: &[Vec<KeptReference>], revoked: &RevokedSet) -> Vec<Option<u64>> {
+        let mut masks = vec![Some(0u64); kept.len()];
+        for (b, span) in self.offsets.windows(2).enumerate() {
+            if !revoked.contains(b as u32) {
+                continue;
+            }
+            for &(w, slot) in &self.refs[span[0] as usize..span[1] as usize] {
+                let mask = &mut masks[w as usize];
+                if kept[w as usize].len() > 64 {
+                    *mask = None;
+                } else if let Some(m) = mask {
+                    *m |= 1 << slot;
+                }
+            }
+        }
+        masks
+    }
+}
+
+/// The beacons revocation removed, as a bitset over beacon indices: one
+/// word per 64 beacons.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RevokedSet(Vec<u64>);
+
+impl RevokedSet {
+    fn of(station: &BaseStation, beacons: u32) -> Self {
+        let mut words = vec![0u64; beacons.div_ceil(64) as usize];
+        for b in 0..beacons {
+            if station.is_revoked(NodeId(b)) {
+                words[(b / 64) as usize] |= 1 << (b % 64);
+            }
+        }
+        RevokedSet(words)
+    }
+
+    fn contains(&self, b: u32) -> bool {
+        self.0[(b / 64) as usize] >> (b % 64) & 1 == 1
+    }
+}
+
+/// Phase 3a's submission order: the colluders that survive churn and
+/// their victims in spam order (both empty unless colluders spam), then
+/// the benign alerts in sending order. Both shuffles draw from the
+/// stage's order stream, the victims' first and only when colluders spam,
+/// so the order is a pure function of the stage and that one flag.
+#[derive(Debug)]
+struct AlertOrder {
+    colluders: Vec<NodeId>,
+    victims: Vec<NodeId>,
+    benign: Vec<Alert>,
 }
 
 /// The τ-independent slice of the impact phase: each sensor's clamped
@@ -212,25 +303,30 @@ struct ImpactPrecompute {
 pub struct ProbeStage {
     core: StageCore,
     impact: ImpactPrecompute,
-    /// Post-revocation solves already made against this stage, shared by
-    /// every finish from it.
+    /// Post-revocation results already computed against this stage,
+    /// shared by every finish from it.
     memo: Mutex<ImpactMemo>,
+    /// Phase 3a's order, built on first use, indexed by whether colluders
+    /// spam.
+    orders: [OnceLock<AlertOrder>; 2],
 }
 
-/// Cross-cell cache of one [`ProbeStage`]: each sensor's post-revocation
-/// error contribution, keyed by *which* of its kept references
-/// revocation dropped (a bitmask over the kept list in order).
+/// Cross-cell cache of one [`ProbeStage`], in two levels.
 ///
-/// The contribution is a pure function of (topology, kept list, dropped
-/// subset), and every cell finishing from one stage shares the first two
-/// — so policy cells whose revocation verdicts overlap re-solve each
-/// sensor at most once per distinct dropped subset, and the memo cannot
-/// change any outcome.
+/// Every entry is a pure function of the stage and of what revocation
+/// removed, and every cell finishing from one stage shares the stage, so
+/// the memo cannot change any outcome: a finish that lands on a revoked
+/// set already seen skips the impact pass, and one that does not still
+/// re-solves each sensor at most once per distinct dropped subset.
 #[derive(Debug)]
 struct ImpactMemo {
-    /// Indexed by node; each entry is the (dropped-mask, contribution)
-    /// pairs seen so far, few enough per sensor for linear scans to beat
-    /// hashing.
+    /// The after-revocation mean error of every revoked set finished so
+    /// far. A stage sees a few dozen sets, so a linear scan does.
+    by_revoked: Vec<(RevokedSet, Option<f64>)>,
+    /// Indexed by node: each sensor's post-revocation error contribution,
+    /// keyed by *which* of its kept references revocation dropped (a mask
+    /// over the kept list in order). The entries seen so far are few
+    /// enough per sensor for linear scans to beat hashing.
     per_sensor: Vec<Vec<(u64, Option<f64>)>>,
 }
 
@@ -243,13 +339,14 @@ enum ImpactPass<'a> {
     /// `before` contribution, and the others re-solve over the references
     /// that survive — through the memo when there is one.
     After {
-        revoked: &'a [bool],
+        revoked: &'a RevokedSet,
         before: &'a [Option<f64>],
         memo: Option<&'a mut ImpactMemo>,
     },
 }
 
 /// Where the impact phase takes its τ-independent precompute from.
+#[derive(Clone, Copy)]
 enum Precompute<'a> {
     /// A plain run: solve it inside `phase.impact` on this many workers,
     /// with no memo.
@@ -463,7 +560,11 @@ impl Runner {
         ProbeStage {
             core,
             impact,
-            memo: Mutex::new(ImpactMemo { per_sensor }),
+            memo: Mutex::new(ImpactMemo {
+                by_revoked: Vec::new(),
+                per_sensor,
+            }),
+            orders: Default::default(),
         }
     }
 
@@ -484,12 +585,13 @@ impl Runner {
     /// and every probe-relevant policy field (the equivalence suite is the
     /// oracle). Only the revocation and impact phases execute.
     ///
-    /// Every finish from one stage shares the stage's impact memo: a
-    /// sensor whose dropped-reference subset repeats across the cells of
-    /// the stage is re-estimated only once. The memo caches pure-function
-    /// results, so outcomes stay bit-identical. A finish that finds the
-    /// memo held by a concurrent finish of the same stage solves without
-    /// it rather than wait.
+    /// Every finish from one stage shares the stage's impact memo and its
+    /// alert order: a finish whose revoked set repeats across the cells of
+    /// the stage skips the impact pass, and a sensor whose
+    /// dropped-reference subset repeats is re-estimated only once. The memo
+    /// caches pure-function results, so outcomes stay bit-identical. A
+    /// finish that finds the memo held by a concurrent finish of the same
+    /// stage solves without it rather than wait.
     pub fn finish_from_stage(&self, stage: &ProbeStage) -> SimOutcome {
         self.finish_from_stage_observed(stage, &Obs::disabled())
     }
@@ -681,6 +783,7 @@ impl Runner {
         StageCore {
             detectors,
             benign_alerts,
+            index: KeptIndex::build(&kept, cfg.beacons),
             kept,
             poisoned,
             order_rng,
@@ -693,7 +796,7 @@ impl Runner {
     /// pre-revocation pass (`secloc-oracle`).
     fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
         let cfg = self.deployment.config();
-        let per_sensor = self.impact_pass(&core.kept, ImpactPass::Before, workers);
+        let per_sensor = self.impact_pass(core, ImpactPass::Before, workers);
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
         for (i, c) in per_sensor.into_iter().enumerate() {
@@ -714,11 +817,12 @@ impl Runner {
     /// memo, recorded in it.
     fn impact_pass(
         &self,
-        kept: &[Vec<KeptReference>],
+        core: &StageCore,
         pass: ImpactPass<'_>,
         workers: usize,
     ) -> Vec<Option<f64>> {
         let d = &self.deployment;
+        let kept = &core.kept;
         let sensor0 = d.config().beacons;
         let mut out: Vec<Option<f64>> = Vec::with_capacity((d.config().nodes - sensor0) as usize);
         // The sensors left to solve, in sensor order, each with the memo
@@ -735,8 +839,9 @@ impl Runner {
                 before,
                 memo,
             } => {
+                let masks = core.index.dropped_masks(kept, revoked);
                 for w in d.sensors() {
-                    let dropped = dropped_mask(&kept[w as usize], revoked);
+                    let dropped = masks[w as usize];
                     let known = match (dropped, memo.as_deref()) {
                         (Some(0), _) => Some(before[w as usize]),
                         (Some(mask), Some(memo)) => memo.per_sensor[w as usize]
@@ -762,7 +867,7 @@ impl Runner {
                 match revoked {
                     None => scratch.load_from_iter(refs.map(|k| k.reference)),
                     Some(revoked) => scratch.load_from_iter(
-                        refs.filter(|k| !revoked[k.beacon as usize])
+                        refs.filter(|k| !revoked.contains(k.beacon))
                             .map(|k| k.reference),
                     ),
                 }
@@ -832,6 +937,34 @@ impl Runner {
         parallel_batches(n, workers, make_slots, solve)
     }
 
+    /// Phase 3a's submission order on `core` (see [`AlertOrder`]): a
+    /// staged finish takes it from its stage, which builds it once per
+    /// `spam` flag, and a plain run builds it in line.
+    fn alert_order(&self, core: &StageCore, spam: bool) -> AlertOrder {
+        let mut order_rng = core.order_rng.clone();
+        let (mut colluders, mut victims) = (Vec::new(), Vec::new());
+        if spam {
+            colluders = self
+                .deployment
+                .beacons_of_kind(NodeKind::MaliciousBeacon)
+                .into_iter()
+                // A colluder that churn killed for good sends nothing; one
+                // that rebooted rejoins the spam campaign.
+                .filter(|&b| core.churn.as_ref().is_none_or(|c| c.is_alive(b, 1.0)))
+                .map(NodeId)
+                .collect();
+            victims = core.detectors.iter().copied().map(NodeId).collect();
+            victims.shuffle(&mut order_rng);
+        }
+        let mut benign = core.benign_alerts.clone();
+        benign.shuffle(&mut order_rng);
+        AlertOrder {
+            colluders,
+            victims,
+            benign,
+        }
+    }
+
     /// Phases 3a–4 on the probe-stage snapshot `core`. The impact phase
     /// re-estimates only the sensors that lost a reference to revocation;
     /// every other sensor keeps its pre-revocation contribution from the
@@ -845,14 +978,19 @@ impl Runner {
     ) -> SimOutcome {
         let d = &self.deployment;
         let cfg = d.config();
-        let churn = &core.churn;
         let detectors = &core.detectors;
-        let kept = &core.kept;
         let poisoned = &core.poisoned;
-        // Phase 3a shuffles the alerts and advances the order stream, so
-        // both are owned copies of the snapshot's.
-        let mut benign_alerts = core.benign_alerts.clone();
-        let mut order_rng = core.order_rng.clone();
+        let spam = cfg.collusion && cfg.malicious > 0;
+        let in_line;
+        let order = match precompute {
+            Precompute::Solve(_) => {
+                in_line = self.alert_order(core, spam);
+                &in_line
+            }
+            Precompute::Stage(stage) => {
+                stage.orders[usize::from(spam)].get_or_init(|| self.alert_order(core, spam))
+            }
+        };
 
         // ---- Phase 3a: alert delivery over the lossy report channel. ---
         // Alerts cross a lossy multi-hop path; the paper assumes
@@ -883,26 +1021,15 @@ impl Runner {
             }
         };
         let mut collusion_alerts = 0usize;
-        if cfg.collusion && cfg.malicious > 0 {
-            let colluders: Vec<NodeId> = d
-                .beacons_of_kind(NodeKind::MaliciousBeacon)
-                .into_iter()
-                // A colluder that churn killed for good sends nothing; one
-                // that rebooted rejoins the spam campaign.
-                .filter(|&b| churn.as_ref().is_none_or(|c| c.is_alive(b, 1.0)))
-                .map(NodeId)
-                .collect();
-            let mut victims: Vec<NodeId> = detectors.iter().copied().map(NodeId).collect();
-            victims.shuffle(&mut order_rng);
+        if spam {
             let policy = CollusionPolicy::new(cfg.tau, cfg.tau_prime);
-            for (reporter, target) in policy.alerts(&colluders, &victims) {
+            for (reporter, target) in policy.alerts(&order.colluders, &order.victims) {
                 submit(Alert::new(reporter, target), "collusion");
                 collusion_alerts += 1;
             }
         }
-        benign_alerts.shuffle(&mut order_rng);
-        let benign_alert_count = benign_alerts.len();
-        for alert in benign_alerts {
+        let benign_alert_count = order.benign.len();
+        for &alert in &order.benign {
             submit(alert, "detection");
         }
         telemetry.add("alerts.sent.collusion", collusion_alerts as u64);
@@ -1002,11 +1129,10 @@ impl Runner {
             )
         };
 
-        // Revocation state materialized once as a bitmap so the inner
-        // loops avoid per-reference hash lookups.
-        let revoked: Vec<bool> = (0..cfg.beacons)
-            .map(|b| station.is_revoked(NodeId(b)))
-            .collect();
+        // Revocation state materialized once as a bitset: the inner loops
+        // avoid per-reference hash lookups, and it keys the memo's per-set
+        // level.
+        let revoked = RevokedSet::of(&station, cfg.beacons);
         let solved;
         let (pre, mut memo, workers) = match precompute {
             Precompute::Solve(workers) => {
@@ -1021,23 +1147,36 @@ impl Runner {
         telemetry.set_gauge("run.location_workers", workers as i64);
         telemetry.set_gauge("impact.workers", workers.max(1) as i64);
 
-        // Revocation can only drop references, so only sensors that lost
-        // one re-solve; with a memo (a staged finish) the re-solves run
-        // in-line, and without one (a plain run) they fan out over the
-        // run's location workers like the precompute. Either way they are
-        // folded in sensor order.
-        let pass = ImpactPass::After {
-            revoked: &revoked,
-            before: &pre.before,
-            memo: memo.as_deref_mut(),
-        };
-        let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-        for c in self.impact_pass(kept, pass, workers).into_iter().flatten() {
-            sum_a += c;
-            n_a += 1;
-        }
+        // A revoked set the stage has already finished takes its mean
+        // from the memo. Otherwise revocation can only drop references, so
+        // only sensors that lost one re-solve; with a memo (a staged
+        // finish) the re-solves run in-line, and without one (a plain run)
+        // they fan out over the run's location workers like the
+        // precompute. Either way they are folded in sensor order.
         let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
-        let err_after = (n_a > 0).then(|| sum_a / n_a as f64);
+        let seen = memo
+            .as_deref()
+            .and_then(|m| m.by_revoked.iter().find(|(set, _)| *set == revoked));
+        let err_after = match seen {
+            Some(&(_, err)) => err,
+            None => {
+                let pass = ImpactPass::After {
+                    revoked: &revoked,
+                    before: &pre.before,
+                    memo: memo.as_deref_mut(),
+                };
+                let (mut sum_a, mut n_a) = (0.0f64, 0usize);
+                for c in self.impact_pass(core, pass, workers).into_iter().flatten() {
+                    sum_a += c;
+                    n_a += 1;
+                }
+                let err = (n_a > 0).then(|| sum_a / n_a as f64);
+                if let Some(memo) = memo.as_deref_mut() {
+                    memo.by_revoked.push((revoked, err));
+                }
+                err
+            }
+        };
 
         let outcome = SimOutcome {
             malicious_total: malicious.len() as u32,
@@ -1080,25 +1219,6 @@ impl Runner {
         telemetry.emit("run.end", &[("seed", Value::U64(self.seed))]);
         telemetry.flush();
         outcome
-    }
-}
-
-/// Which of a sensor's kept references revocation dropped, as a mask over
-/// the list in order; `None` when the list is longer than 64 and at least
-/// one reference was dropped.
-fn dropped_mask(kept: &[KeptReference], revoked: &[bool]) -> Option<u64> {
-    if kept.len() <= 64 {
-        let mut m = 0u64;
-        for (j, k) in kept.iter().enumerate() {
-            if revoked[k.beacon as usize] {
-                m |= 1 << j;
-            }
-        }
-        Some(m)
-    } else if kept.iter().all(|k| !revoked[k.beacon as usize]) {
-        Some(0)
-    } else {
-        None
     }
 }
 
@@ -1228,6 +1348,161 @@ mod tests {
             let fresh = Runner::new(cfg, 17).run(RunOptions::new()).outcome;
             assert_eq!(staged, fresh, "tau={tau} tau'={tau_prime}");
         }
+    }
+
+    /// The `policy_grid` benchmark's revocation axis on `base`: τ 1..5 ×
+    /// τ′ 1..5 × alert loss {0, 0.1, 0.3}.
+    fn policy_grid(base: &SimConfig) -> Vec<SimConfig> {
+        let mut out = Vec::new();
+        for tau in 1..=5 {
+            for tau_prime in 1..=5 {
+                for alert_loss_rate in [0.0, 0.1, 0.3] {
+                    out.push(SimConfig {
+                        tau,
+                        tau_prime,
+                        alert_loss_rate,
+                        ..base.clone()
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// `base`'s deployment re-keyed under each of `policies`.
+    fn cells(base: &Runner, policies: &[SimConfig]) -> Vec<Runner> {
+        policies
+            .iter()
+            .map(|c| Runner::from_deployment(base.deployment().with_policy(c.clone()).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn policy_grid_finishes_match_plain_runs_in_either_order() {
+        let base = Runner::new(small_cfg(0.6), 23);
+        let cells = cells(&base, &policy_grid(base.deployment().config()));
+        let plain: Vec<SimOutcome> = cells
+            .iter()
+            .map(|c| c.run(RunOptions::new()).outcome)
+            .collect();
+        let forward = base.probe_stage();
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(
+                cell.finish_from_stage(&forward),
+                plain[i],
+                "forward, cell {i}"
+            );
+        }
+        let backward = base.probe_stage();
+        for (i, cell) in cells.iter().enumerate().rev() {
+            assert_eq!(
+                cell.finish_from_stage(&backward),
+                plain[i],
+                "reverse, cell {i}"
+            );
+        }
+        for stage in [&forward, &backward] {
+            let sets = stage.memo.lock().unwrap().by_revoked.len();
+            assert!((2..cells.len()).contains(&sets), "{sets} revoked sets");
+        }
+    }
+
+    #[test]
+    fn dense_stage_finishes_match_plain_runs_across_policies() {
+        // Sensors hear 60+ beacons in a 400 ft field, so some keep more
+        // references than a 64-bit dropped mask covers.
+        let cfg = SimConfig {
+            nodes: 320,
+            beacons: 200,
+            malicious: 30,
+            field_side_ft: 400.0,
+            attacker_p: 0.6,
+            wormhole: None,
+            ..SimConfig::paper_default()
+        };
+        let base = Runner::new(cfg.clone(), 4);
+        let stage = base.probe_stage();
+        let kept = &stage.core.kept;
+        assert!(kept.iter().any(|k| k.len() > 64), "no dense sensor");
+        // Each τ/τ′ pair without colluder spam, then with it: the first
+        // finish builds the stage's spam-free alert order, which the
+        // second must not reuse.
+        let policies: Vec<SimConfig> = [(1, 1), (2, 2), (3, 1), (1, 4), (4, 4), (2, 5), (5, 2)]
+            .into_iter()
+            .flat_map(|(tau, tau_prime)| {
+                [false, true].map(|collusion| SimConfig {
+                    tau,
+                    tau_prime,
+                    collusion,
+                    ..cfg.clone()
+                })
+            })
+            .collect();
+        // Dense sensors that lost a reference, over all policies.
+        let mut past_mask_width = 0;
+        for (i, cell) in cells(&base, &policies).iter().enumerate() {
+            let sink = std::sync::Arc::new(secloc_obs::MemorySink::new());
+            let obs = Obs::new(None, Some(sink.clone()));
+            let plain = cell.run(RunOptions::new().observed(&obs)).outcome;
+            assert_eq!(cell.finish_from_stage(&stage), plain, "policy {i}");
+            let mut revoked = RevokedSet(vec![0; cfg.beacons.div_ceil(64) as usize]);
+            for event in sink.events().iter().filter(|e| e.kind == "revocation") {
+                let Some(&Value::U64(b)) = event.field("target") else {
+                    panic!("revocation without a target");
+                };
+                revoked.0[b as usize / 64] |= 1 << (b % 64);
+            }
+            // The index's masks against their definition, a scan of every
+            // kept list.
+            let scanned: Vec<Option<u64>> = kept
+                .iter()
+                .map(|k| {
+                    let mut dropped = (0..k.len()).filter(|&j| revoked.contains(k[j].beacon));
+                    if k.len() <= 64 {
+                        Some(dropped.fold(0, |m, j| m | 1 << j))
+                    } else {
+                        dropped.next().is_none().then_some(0)
+                    }
+                })
+                .collect();
+            let masks = stage.core.index.dropped_masks(kept, &revoked);
+            assert_eq!(masks, scanned, "policy {i}");
+            past_mask_width += masks.iter().filter(|m| m.is_none()).count();
+        }
+        assert!(past_mask_width > 0, "no dense sensor lost a reference");
+    }
+
+    #[test]
+    fn concurrent_finishes_of_one_stage_match_serial_ones() {
+        let base = Runner::new(small_cfg(0.6), 29);
+        let cells = cells(&base, &policy_grid(base.deployment().config()));
+        let serial_stage = base.probe_stage();
+        let serial: Vec<SimOutcome> = cells
+            .iter()
+            .map(|c| c.finish_from_stage(&serial_stage))
+            .collect();
+        let shared = base.probe_stage();
+        // A finish that finds the memo held solves without it.
+        {
+            let _held = shared.memo.lock().unwrap();
+            for (i, cell) in cells.iter().enumerate() {
+                assert_eq!(cell.finish_from_stage(&shared), serial[i], "cell {i}");
+            }
+        }
+        assert!(shared.memo.lock().unwrap().by_revoked.is_empty());
+        // Two threads released together contend for the memo on every cell.
+        let start = std::sync::Barrier::new(2);
+        let finish_all = || -> Vec<SimOutcome> {
+            start.wait();
+            cells.iter().map(|c| c.finish_from_stage(&shared)).collect()
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(finish_all);
+            let mine = finish_all();
+            (mine, other.join().expect("finishing thread panicked"))
+        });
+        assert_eq!(a, serial);
+        assert_eq!(b, serial);
     }
 
     #[test]

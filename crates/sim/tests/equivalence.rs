@@ -425,3 +425,45 @@ fn dense_run_past_the_dropped_mask_width_matches_reference() {
         );
     }
 }
+
+#[test]
+#[ignore = "paper scale: run in release with `-- --ignored`"]
+fn paper_scale_policy_grid_sweep_matches_plain_runs() {
+    // The revocation axis of Figs. 6, 10 and 14 as the policy_grid
+    // benchmark sweeps it: τ 1..5 × τ′ 1..5 × alert loss {0, 0.1, 0.3} on
+    // the paper's configuration. Each seed is one scheduling unit, so all
+    // of its cells but the first finish from one shared stage and its
+    // memo, in the sweep's own order, on one worker and on two.
+    let mut configs = Vec::new();
+    for tau in 1..=5 {
+        for tau_prime in 1..=5 {
+            for alert_loss_rate in [0.0, 0.1, 0.3] {
+                configs.push(SimConfig {
+                    tau,
+                    tau_prime,
+                    alert_loss_rate,
+                    ..SimConfig::paper_default()
+                });
+            }
+        }
+    }
+    let seeds = [41, 42, 43];
+    let spec = SweepSpec::product(&configs, &seeds);
+    let serial = Orchestrator::new()
+        .workers(1)
+        .run(&spec)
+        .expect("one-worker sweep");
+    let parallel = Orchestrator::new()
+        .workers(2)
+        .run(&spec)
+        .expect("two-worker sweep");
+    for (i, cell) in spec.cells().iter().enumerate() {
+        let runner = Runner::new(cell.config.clone(), cell.seed);
+        let plain = runner.run(RunOptions::new()).outcome;
+        assert_eq!(serial.outcomes[i], plain, "workers(1), cell {i}");
+        assert_eq!(parallel.outcomes[i], plain, "workers(2), cell {i}");
+        if cell.seed == seeds[0] {
+            assert_eq!(plain, reference_plain(&runner), "oracle, cell {i}");
+        }
+    }
+}
