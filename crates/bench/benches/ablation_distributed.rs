@@ -9,7 +9,7 @@
 
 use secloc_bench::{banner, f2, f3, Table};
 use secloc_sim::distributed::{run_distributed, DistributedConfig};
-use secloc_sim::{average_outcomes, Deployment, SimConfig, SimOutcome};
+use secloc_sim::{average_outcomes, Deployment, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 
 const SEEDS: u64 = 4;
 
@@ -28,8 +28,11 @@ fn main() {
         };
 
         // Centralised baseline.
-        let outcomes: Vec<SimOutcome> =
-            secloc_sim::sweep::run_seeds_auto(&cfg, &(0..SEEDS).collect::<Vec<u64>>());
+        let seeds: Vec<u64> = (0..SEEDS).collect();
+        let outcomes: Vec<SimOutcome> = Orchestrator::new()
+            .run(&SweepSpec::single(&cfg, &seeds))
+            .expect("in-memory sweep")
+            .outcomes;
         let agg = average_outcomes(&outcomes);
         let mean_alerts = outcomes
             .iter()

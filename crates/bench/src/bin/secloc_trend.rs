@@ -321,16 +321,6 @@ fn collect_metrics(
                 Limit::Floor(floor),
             ));
         }
-        if let Some(v) = number_at(perf, &["location_parallel", "efficiency"]) {
-            // Per-worker scaling of the intra-run localization pool: the
-            // serial phase time divided by (parallel time × workers).
-            let floor = number_at(perf, &["location_parallel", "efficiency_target"]).unwrap_or(0.6);
-            out.push((
-                "perf.location_parallel.efficiency".to_string(),
-                v,
-                Limit::Floor(floor),
-            ));
-        }
         if let Some(v) = number_at(perf, &["sweep_scale", "efficiency"]) {
             let floor = number_at(perf, &["sweep_scale", "efficiency_target"]).unwrap_or(0.7);
             out.push((
@@ -797,17 +787,20 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A full-mode perf report from a one-core host: the localization pool
-    /// ran one worker, so its efficiency is the trivial 1.0; the sweep's
-    /// cold pass ran two workers on that one core.
+    /// A full-mode perf report from a one-core host: the sweep's cold
+    /// pass ran two workers on that one core.
     const ONE_CORE_PERF: &str = r#"{
         "code_version": "v", "outcome_revision": 2, "config_fingerprint": "f", "quick": false,
-        "location_parallel": {"cores": 1, "efficiency": 1.0, "efficiency_workers": 1,
-                              "efficiency_target": 0.6},
         "sweep_scale": {"cores": 1, "efficiency": 0.4, "efficiency_workers": 2,
                         "efficiency_target": 0.7, "warm_ns_per_cell": 300,
                         "warm_ckpt_ns_per_cell": 1500}
     }"#;
+
+    /// [`ONE_CORE_PERF`] from a two-core host, where the sweep efficiency
+    /// is measured.
+    fn two_core_perf() -> String {
+        ONE_CORE_PERF.replace("\"cores\": 1", "\"cores\": 2")
+    }
 
     fn history_file(name: &str, lines: &[&str]) -> PathBuf {
         let path =
@@ -818,32 +811,42 @@ mod tests {
 
     #[test]
     fn efficiencies_a_one_core_host_cannot_measure_are_unmeasured() {
-        let perf = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
-        let raw = collect_metrics(Some(&perf), None, None);
-        let metrics = evaluate(Some(&perf), raw, &[]);
-        let verdict = |name: &str| {
+        let verdict = |report: &str, name: &str| {
+            let perf = JsonValue::parse(report).expect("report parses");
+            let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
             metrics
                 .iter()
                 .find(|m| m.name == name)
                 .map(|m| (m.verdict, m.cores))
                 .expect("metric collected")
         };
-        // 1 worker: no parallel run at all.
-        assert_eq!(
-            verdict("perf.location_parallel.efficiency"),
-            (Verdict::Unmeasured, Some(1))
-        );
+        let efficiency = "perf.sweep_scale.efficiency";
         // 2 workers on 1 core: below its 0.7 floor, but not a failure.
         assert_eq!(
-            verdict("perf.sweep_scale.efficiency"),
+            verdict(ONE_CORE_PERF, efficiency),
             (Verdict::Unmeasured, Some(1))
         );
+        // 1 worker: no parallel run at all, whatever the cores.
+        let one_worker =
+            two_core_perf().replace("\"efficiency_workers\": 2", "\"efficiency_workers\": 1");
         assert_eq!(
-            verdict("perf.sweep_scale.warm_ns_per_cell"),
+            verdict(&one_worker, efficiency),
+            (Verdict::Unmeasured, Some(2))
+        );
+        // The same report from a two-core host is measured, and gated.
+        assert_eq!(
+            verdict(&two_core_perf(), efficiency),
+            (Verdict::Fail, Some(2))
+        );
+        assert_eq!(
+            verdict(ONE_CORE_PERF, "perf.sweep_scale.warm_ns_per_cell"),
             (Verdict::Pass, None)
         );
+
         // 1,500 ns/cell is what `core::fmt` encoding costs: gated in full
         // mode only.
+        let perf = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
+        let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
         let limit = |m: &[Metric]| {
             m.iter()
                 .find(|m| m.name == "perf.sweep_scale.warm_ckpt_ns_per_cell")
@@ -862,53 +865,48 @@ mod tests {
         let perf = JsonValue::parse(&quick).expect("report parses");
         let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
         assert_eq!(limit(&metrics), Some((Limit::None, Verdict::Pass)));
-
-        // The same report from a two-core host is measured, and gated.
-        let two_cores = ONE_CORE_PERF.replace("\"cores\": 1", "\"cores\": 2");
-        let perf = JsonValue::parse(&two_cores).expect("report parses");
-        let metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
-        assert_eq!(overall_verdict(&metrics), Verdict::Fail);
+        assert_eq!(
+            overall_verdict(&metrics),
+            Verdict::Pass,
+            "the unmeasured efficiency does not gate"
+        );
     }
 
     #[test]
     fn history_keeps_cores_and_drops_unmeasured_values() {
-        let perf = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
-        let key = report_key(Some(&perf), None);
-        let mut metrics = evaluate(Some(&perf), collect_metrics(Some(&perf), None, None), &[]);
-        // Make one efficiency measured, as on a two-core host.
-        let sweep = metrics
-            .iter_mut()
-            .find(|m| m.name == "perf.sweep_scale.efficiency")
-            .expect("collected");
-        sweep.verdict = Verdict::Pass;
-        sweep.cores = Some(2);
+        let one_core = JsonValue::parse(ONE_CORE_PERF).expect("report parses");
+        let two_cores = JsonValue::parse(&two_core_perf()).expect("report parses");
+        let key = report_key(Some(&one_core), None);
         // An entry from before `cores` was recorded: its efficiencies are
         // ignored, its other metrics still count.
         let old = "{\"outcome_revision\":2,\"config_fingerprint\":\"f\",\"mode\":\"full\",\
                    \"metrics\":{\"perf.sweep_scale.efficiency\":1,\
                    \"perf.sweep_scale.warm_ns_per_cell\":500}}\n";
         let path = history_file("cores", &[old]);
-        append_history(&path, &key, &metrics).expect("append");
+        // The sweep efficiency is unmeasured on one core, measured on two.
+        for perf in [&one_core, &two_cores] {
+            let metrics = evaluate(Some(perf), collect_metrics(Some(perf), None, None), &[]);
+            append_history(&path, &key, &metrics).expect("append");
+        }
         let text = fs::read_to_string(&path).expect("read history");
-        let written = JsonValue::parse(text.lines().last().expect("appended")).expect("json");
-        let recorded = written.get("metrics").expect("metrics");
-        assert!(recorded.get("perf.location_parallel.efficiency").is_none());
-        assert_eq!(
-            recorded
-                .get("perf.sweep_scale.efficiency")
-                .and_then(JsonValue::as_f64),
-            Some(0.4)
-        );
-        assert_eq!(
-            written
-                .pointer(&["cores", "perf.sweep_scale.efficiency"])
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
+        let written: Vec<JsonValue> = text
+            .lines()
+            .skip(1)
+            .map(|line| JsonValue::parse(line).expect("json"))
+            .collect();
+        let recorded = |entry: &JsonValue, section: &str| {
+            entry
+                .pointer(&[section, "perf.sweep_scale.efficiency"])
+                .and_then(JsonValue::as_f64)
+        };
+        assert_eq!(recorded(&written[0], "metrics"), None, "unmeasured");
+        assert_eq!(recorded(&written[0], "cores"), None);
+        assert_eq!(recorded(&written[1], "metrics"), Some(0.4), "measured");
+        assert_eq!(recorded(&written[1], "cores"), Some(2.0));
 
         let (entries, series) = baselines(&path, &key, 5);
         let _ = fs::remove_file(&path);
-        assert_eq!(entries, 2);
+        assert_eq!(entries, 3);
         let values = |name: &str| {
             series
                 .iter()
@@ -919,8 +917,7 @@ mod tests {
         assert_eq!(values("perf.sweep_scale.efficiency"), vec![0.4]);
         assert_eq!(
             values("perf.sweep_scale.warm_ns_per_cell"),
-            vec![500.0, 300.0]
+            vec![500.0, 300.0, 300.0]
         );
-        assert!(values("perf.location_parallel.efficiency").is_empty());
     }
 }

@@ -8,9 +8,9 @@ use std::fmt;
 ///
 /// Defaults come from [`SimConfig::paper_default`]; every figure-bench
 /// overrides just the swept parameter. The struct is plain data (public
-/// fields) because experiments are configuration in the C-struct spirit;
-/// sweep code that builds configs field by field can use
-/// [`SimConfig::builder`] for validation at the end.
+/// fields) because experiments are configuration in the C-struct spirit:
+/// callers override fields with struct-update syntax and call
+/// [`SimConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total sensor nodes `N` (beacons included).
@@ -286,15 +286,6 @@ impl SimConfig {
         }
     }
 
-    /// A builder starting from [`SimConfig::paper_default`], validating at
-    /// [`SimConfigBuilder::build`] — the ergonomic entry point for sweep
-    /// code that assembles configurations field by field.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::paper_default(),
-        }
-    }
-
     /// The placement-determining half of this configuration; see
     /// `TopologyKey`.
     pub fn topology_key(&self) -> TopologyKey {
@@ -408,133 +399,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Field-by-field construction of a [`SimConfig`], validated at the end.
-///
-/// ```
-/// let config = secloc_sim::SimConfig::builder()
-///     .nodes(500)
-///     .beacons(50)
-///     .malicious(5)
-///     .attacker_p(0.3)
-///     .build()
-///     .expect("consistent configuration");
-/// assert_eq!(config.nodes, 500);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets total node count `N`.
-    pub fn nodes(mut self, nodes: u32) -> Self {
-        self.config.nodes = nodes;
-        self
-    }
-
-    /// Sets beacon count `N_b`.
-    pub fn beacons(mut self, beacons: u32) -> Self {
-        self.config.beacons = beacons;
-        self
-    }
-
-    /// Sets compromised beacon count `N_a`.
-    pub fn malicious(mut self, malicious: u32) -> Self {
-        self.config.malicious = malicious;
-        self
-    }
-
-    /// Sets the field side, in feet.
-    pub fn field_side_ft(mut self, ft: f64) -> Self {
-        self.config.field_side_ft = ft;
-        self
-    }
-
-    /// Sets the radio range, in feet.
-    pub fn range_ft(mut self, ft: f64) -> Self {
-        self.config.range_ft = ft;
-        self
-    }
-
-    /// Sets the maximum ranging error ε, in feet.
-    pub fn max_ranging_error_ft(mut self, ft: f64) -> Self {
-        self.config.max_ranging_error_ft = ft;
-        self
-    }
-
-    /// Sets detecting IDs per beacon (`m`).
-    pub fn detecting_ids(mut self, m: u32) -> Self {
-        self.config.detecting_ids = m;
-        self
-    }
-
-    /// Sets the report cap τ.
-    pub fn tau(mut self, tau: u32) -> Self {
-        self.config.tau = tau;
-        self
-    }
-
-    /// Sets the revocation threshold τ′.
-    pub fn tau_prime(mut self, tau_prime: u32) -> Self {
-        self.config.tau_prime = tau_prime;
-        self
-    }
-
-    /// Sets (or disables) the wormhole tap points.
-    pub fn wormhole(mut self, wormhole: Option<(Point2, Point2)>) -> Self {
-        self.config.wormhole = wormhole;
-        self
-    }
-
-    /// Sets the wormhole-detector rate `p_d`.
-    pub fn wormhole_detection_rate(mut self, p_d: f64) -> Self {
-        self.config.wormhole_detection_rate = p_d;
-        self
-    }
-
-    /// Sets the attacker's acceptance probability `P`.
-    pub fn attacker_p(mut self, p: f64) -> Self {
-        self.config.attacker_p = p;
-        self
-    }
-
-    /// Sets the magnitude of malicious location lies, in feet.
-    pub fn lie_offset_ft(mut self, ft: f64) -> Self {
-        self.config.lie_offset_ft = ft;
-        self
-    }
-
-    /// Enables or disables collusion spam.
-    pub fn collusion(mut self, collusion: bool) -> Self {
-        self.config.collusion = collusion;
-        self
-    }
-
-    /// Sets the alert-path per-transmission loss rate.
-    pub fn alert_loss_rate(mut self, rate: f64) -> Self {
-        self.config.alert_loss_rate = rate;
-        self
-    }
-
-    /// Sets the retransmission budget per alert.
-    pub fn alert_retransmissions(mut self, budget: u32) -> Self {
-        self.config.alert_retransmissions = budget;
-        self
-    }
-
-    /// Sets the fault-injection plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.config.faults = plan;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,6 +431,22 @@ mod tests {
             Err(ConfigError::InconsistentCounts {
                 malicious: 101,
                 beacons: 100,
+                nodes: 1000
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_more_beacons_than_nodes() {
+        let c = SimConfig {
+            beacons: 2000,
+            ..SimConfig::paper_default()
+        };
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::InconsistentCounts {
+                malicious: 10,
+                beacons: 2000,
                 nodes: 1000
             })
         );
@@ -736,29 +616,6 @@ mod tests {
         let mut moved = base.clone();
         moved.range_ft = 200.0;
         assert_ne!(base.topology_key(), moved.topology_key());
-    }
-
-    #[test]
-    fn builder_builds_and_validates() {
-        let c = SimConfig::builder()
-            .nodes(400)
-            .beacons(40)
-            .malicious(4)
-            .attacker_p(0.5)
-            .collusion(false)
-            .wormhole(None)
-            .build()
-            .expect("valid");
-        assert_eq!(c.nodes, 400);
-        assert_eq!(c.beacons, 40);
-        assert!(!c.collusion);
-        assert!(c.wormhole.is_none());
-        // Unset fields keep the paper defaults.
-        assert_eq!(c.range_ft, 150.0);
-
-        let err = SimConfig::builder().beacons(2000).build().unwrap_err();
-        assert!(matches!(err, ConfigError::InconsistentCounts { .. }));
-        assert!(err.to_string().contains("malicious <= beacons"));
     }
 
     #[test]

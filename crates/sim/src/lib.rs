@@ -47,10 +47,9 @@ pub mod orchestrator;
 mod probe;
 pub mod report;
 mod runner;
-pub mod sweep;
 
 pub use cache::{BinaryCache, CacheRecovery};
-pub use config::{ConfigError, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, SimConfig};
 pub use deploy::{subseed, Deployment, NodeKind};
 pub use metrics::{average_outcomes, AggregateOutcome, SimOutcome};
 pub use orchestrator::{CacheFormat, Orchestrator, SweepCell, SweepReport, SweepSpec, WorkerStats};

@@ -203,9 +203,6 @@ struct WorkerCtx<'a> {
     keys: &'a [CellKey],
     obs: &'a Obs,
     flight: Option<&'a (Arc<FlightRecorder>, PathBuf)>,
-    /// Per-unit localization thread budget (0/1 = serial); already divided
-    /// by the sweep pool size so the machine is never oversubscribed.
-    location_workers: usize,
 }
 
 impl WorkerCtx<'_> {
@@ -258,11 +255,7 @@ fn run_unit(
     if unit.len() == 1 {
         let outcome = ctx.run_cell(first, "miss", |cell_obs| {
             Runner::new(cells[first].config.clone(), cells[first].seed)
-                .run(
-                    RunOptions::new()
-                        .observed(cell_obs)
-                        .location_workers(ctx.location_workers),
-                )
+                .run(RunOptions::new().observed(cell_obs))
                 .outcome
         });
         return tx.send((first, outcome)).map_err(drop);
@@ -271,29 +264,23 @@ fn run_unit(
     // The stage carries its own impact memo: cells whose revocation
     // verdicts drop the same reference subsets share the re-estimation
     // work.
-    let stage = base.probe_stage_with(ctx.location_workers);
+    let stage = base.probe_stage();
     for &i in unit {
         let outcome = if i == first {
             ctx.run_cell(i, "miss", |cell_obs| {
                 base.finish_from_stage_observed(&stage, cell_obs)
             })
         } else {
-            match base.deployment().with_policy(cells[i].config.clone()) {
-                Ok(rekeyed) => ctx.run_cell(i, "memo", |cell_obs| {
-                    Runner::from_deployment(rekeyed).finish_from_stage_observed(&stage, cell_obs)
-                }),
-                // Unreachable when the fingerprints matched, but a plain
-                // run is always a correct (if slower) answer.
-                Err(_) => ctx.run_cell(i, "miss", |cell_obs| {
-                    Runner::new(cells[i].config.clone(), cells[i].seed)
-                        .run(
-                            RunOptions::new()
-                                .observed(cell_obs)
-                                .location_workers(ctx.location_workers),
-                        )
-                        .outcome
-                }),
-            }
+            ctx.run_cell(i, "memo", |cell_obs| {
+                // The unit's cells share a topology key, so only an
+                // invalid config fails the re-key, and it panics here as a
+                // plain run would.
+                let rekeyed = base
+                    .deployment()
+                    .with_policy(cells[i].config.clone())
+                    .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
+                Runner::from_deployment(rekeyed).finish_from_stage_observed(&stage, cell_obs)
+            })
         };
         tx.send((i, outcome)).map_err(drop)?;
     }
@@ -757,7 +744,6 @@ fn claim_batch(cursor: &AtomicUsize, total: usize, workers: usize) -> std::ops::
 #[derive(Debug, Default)]
 pub struct Orchestrator {
     workers: usize,
-    location_workers: usize,
     cache_path: Option<PathBuf>,
     checkpoint_path: Option<PathBuf>,
     obs: Obs,
@@ -787,20 +773,6 @@ impl Orchestrator {
     /// are identical for every worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Grants each simulation a budget of `n` intra-run localization
-    /// worker threads (see [`RunOptions::location_workers`]). To avoid
-    /// oversubscribing the machine the budget is *divided across the
-    /// sweep pool*: with `w` sweep workers each unit solves its
-    /// localization chain on `n / w` threads, and a share of 0 or 1
-    /// degrades to the in-line serial path. The default of 0 keeps every
-    /// unit serial. Outcomes, cache bytes and checkpoint bytes are
-    /// bit-identical for every budget — the per-sensor solves merge in
-    /// sensor order.
-    pub fn location_workers(mut self, n: usize) -> Self {
-        self.location_workers = n;
         self
     }
 
@@ -976,11 +948,6 @@ impl Orchestrator {
         };
         let workers = requested.min(units.len());
         obs.set_gauge("sweep.workers", workers as i64);
-        // Split the localization budget across the sweep pool so the two
-        // levels of parallelism multiply to at most the requested budget;
-        // a share of 0 or 1 means every unit runs its chain in-line.
-        let unit_location_workers = self.location_workers.checked_div(workers).unwrap_or(0);
-        obs.set_gauge("sweep.location_workers", unit_location_workers as i64);
         // Queue order: largest units first (unit size is the one cost
         // signal known up front), stable within equal sizes so a uniform
         // grid still drains in sweep order. Scheduling order is invisible
@@ -1108,7 +1075,6 @@ impl Orchestrator {
                         keys: &keys,
                         obs: &obs,
                         flight,
-                        location_workers: unit_location_workers,
                     };
                     handles.push(scope.spawn(move || {
                         let alive = Instant::now();

@@ -21,8 +21,6 @@ use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// A reference a sensor kept for localization, tagged with its source.
@@ -115,83 +113,6 @@ impl ScheduledPairs {
             (Cycles::new(key >> 32), u, v)
         })
     }
-}
-
-/// Claims the next batch of indices off the shared cursor — the same
-/// shrinking-batch shape as the sweep scheduler's work-stealing loop, so
-/// workers take big bites while the range is full and finish together as
-/// it drains.
-fn claim_batch(
-    cursor: &AtomicUsize,
-    total: usize,
-    workers: usize,
-) -> Option<std::ops::Range<usize>> {
-    loop {
-        let start = cursor.load(Ordering::SeqCst);
-        if start >= total {
-            return None;
-        }
-        let remaining = total - start;
-        let take = (remaining / (workers * 4)).clamp(1, remaining);
-        if cursor
-            .compare_exchange(start, start + take, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            return Some(start..start + take);
-        }
-    }
-}
-
-/// Maps `f` over batches of `0..total` on `workers` threads — the
-/// calling thread plus `workers − 1` scoped ones, each owning one state
-/// value from `make_state` (pre-sized scratches, in practice), made when
-/// the thread claims its first batch — and returns the results **in index
-/// order** regardless of which thread computed what. `f` returns one
-/// result per index of its batch. Callers fold the returned vec serially,
-/// so any accumulation stays bit-identical to an in-line loop.
-fn parallel_batches<S, T, FS, F>(total: usize, workers: usize, make_state: FS, f: F) -> Vec<T>
-where
-    T: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(Range<usize>, &mut S) -> Vec<T> + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let work = || {
-        let mut state = None;
-        let mut out: Vec<(usize, Vec<T>)> = Vec::new();
-        while let Some(range) = claim_batch(&cursor, total, workers) {
-            let state = state.get_or_insert_with(&make_state);
-            out.push((range.start, f(range, state)));
-        }
-        out
-    };
-    let mut chunks = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut chunks = work();
-        for h in handles {
-            chunks.extend(h.join().expect("location worker panicked"));
-        }
-        chunks
-    });
-    chunks.sort_unstable_by_key(|&(start, _)| start);
-    chunks.into_iter().flat_map(|(_, batch)| batch).collect()
-}
-
-/// Everything phases 1–2 produce that the revocation/impact phases
-/// consume, plus the `order_rng` state at phase-3 entry. A `StageCore` is
-/// a pure function of the deployment, the seed, and the probe-relevant
-/// config fields — the revocation knobs (τ, τ′, collusion, alert-channel
-/// parameters) have not been read yet when it is captured.
-#[derive(Debug)]
-struct StageCore {
-    detectors: Vec<u32>,
-    benign_alerts: Vec<Alert>,
-    kept: Vec<Vec<KeptReference>>,
-    /// `kept` indexed by beacon.
-    index: KeptIndex,
-    poisoned: Vec<Vec<u32>>,
-    order_rng: StdRng,
-    churn: Option<ChurnSchedule>,
 }
 
 /// Every kept reference indexed by its beacon, in CSR form: beacon `b`'s
@@ -295,14 +216,29 @@ struct ImpactPrecompute {
     n_b: usize,
 }
 
-/// A snapshot of the probe stage (detection + location discovery) of a
-/// plain run, reusable by every sweep cell that shares the
-/// deployment and the probe-relevant policy fields. Produced by
-/// [`Runner::probe_stage`], consumed by [`Runner::finish_from_stage`].
+/// A snapshot of a run's probe stage (detection + location discovery):
+/// everything phases 1–2 produce that the revocation and impact phases
+/// consume, plus the `order_rng` state at phase-3 entry. It is a pure
+/// function of the deployment, the seed, the fault plan and the
+/// probe-relevant config fields — the revocation knobs (τ, τ′, collusion,
+/// alert-channel parameters) have not been read yet when it is captured —
+/// so one stage serves every sweep cell that shares those. Every
+/// [`Runner::run`] builds one and finishes from it; [`Runner::probe_stage`]
+/// builds one for [`Runner::finish_from_stage`].
 #[derive(Debug)]
 pub struct ProbeStage {
-    core: StageCore,
-    impact: ImpactPrecompute,
+    detectors: Vec<u32>,
+    benign_alerts: Vec<Alert>,
+    kept: Vec<Vec<KeptReference>>,
+    /// `kept` indexed by beacon.
+    index: KeptIndex,
+    poisoned: Vec<Vec<u32>>,
+    order_rng: StdRng,
+    churn: Option<ChurnSchedule>,
+    /// The τ-independent impact precompute: solved by
+    /// [`Runner::probe_stage`], or inside `phase.impact` by the first
+    /// finish that needs it.
+    impact: OnceLock<ImpactPrecompute>,
     /// Post-revocation results already computed against this stage,
     /// shared by every finish from it.
     memo: Mutex<ImpactMemo>,
@@ -345,18 +281,7 @@ enum ImpactPass<'a> {
     },
 }
 
-/// Where the impact phase takes its τ-independent precompute from.
-#[derive(Clone, Copy)]
-enum Precompute<'a> {
-    /// A plain run: solve it inside `phase.impact` on this many workers,
-    /// with no memo.
-    Solve(usize),
-    /// A staged finish: the stage's precompute and memo.
-    Stage(&'a ProbeStage),
-}
-
-/// How to run one experiment: telemetry, fault injection and intra-run
-/// localization workers, all opt-in.
+/// How to run one experiment: telemetry and fault injection, both opt-in.
 ///
 /// ```
 /// use secloc_obs::{MemorySink, Obs, Value};
@@ -387,7 +312,6 @@ enum Precompute<'a> {
 pub struct RunOptions<'a> {
     observed: Option<&'a Obs>,
     faults: Option<FaultPlan>,
-    location_workers: usize,
 }
 
 impl<'a> RunOptions<'a> {
@@ -413,22 +337,6 @@ impl<'a> RunOptions<'a> {
     /// even when the configuration carries a plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Solve the per-sensor localization chain of the impact phase — the
-    /// pre-revocation solve of every sensor, then the re-solve of every
-    /// sensor that lost a reference to revocation — on a scoped pool of
-    /// `n` worker threads (`0` — the default — and `1` both mean in-line
-    /// serial). Workers claim sensor batches off an atomic cursor, each
-    /// with its own pre-sized `MmseScratch`, and the per-sensor
-    /// contributions are merged back in sensor order before each mean is
-    /// folded — so outcomes and RNG streams are bit-identical to the
-    /// serial run (`tests/parallel_equivalence.rs` is the oracle).
-    /// Lives on the options, not `SimConfig`, so it can never perturb
-    /// sweep cell keys or config fingerprints.
-    pub fn location_workers(mut self, n: usize) -> Self {
-        self.location_workers = n;
         self
     }
 }
@@ -516,9 +424,10 @@ impl Runner {
         &self.deployment
     }
 
-    /// Runs all phases per `options` and returns the measurements. The
-    /// run finishes through the staged finish's code: the τ-independent
-    /// precompute is solved inside `phase.impact`, with no memo.
+    /// Runs all phases per `options` and returns the measurements: the
+    /// probe stage of [`Runner::probe_stage`] under the run's telemetry and
+    /// fault plan, then the finish of [`Runner::finish_from_stage`], which
+    /// solves the τ-independent precompute inside `phase.impact`.
     pub fn run(&self, options: RunOptions<'_>) -> RunOutput {
         let disabled = Obs::disabled();
         let telemetry = options.observed.unwrap_or(&disabled);
@@ -526,10 +435,9 @@ impl Runner {
             .faults
             .as_ref()
             .unwrap_or(&self.deployment.config().faults);
-        let core = self.stage_phases(telemetry, plan);
-        let precompute = Precompute::Solve(options.location_workers);
+        let stage = self.stage_phases(telemetry, plan);
         RunOutput {
-            outcome: self.finish_phases(telemetry, plan, &core, precompute),
+            outcome: self.finish_phases(telemetry, plan, &stage),
         }
     }
 
@@ -544,39 +452,19 @@ impl Runner {
     /// loss/retransmissions) are untouched, so one stage serves every cell
     /// of a revocation-axis sweep via [`Runner::finish_from_stage`].
     pub fn probe_stage(&self) -> ProbeStage {
-        self.probe_stage_with(0)
-    }
-
-    /// [`Runner::probe_stage`] with the τ-independent impact precompute
-    /// solved on `workers` threads (`0`/`1` = serial; see
-    /// [`RunOptions::location_workers`]). Bit-identical snapshots either
-    /// way — the per-sensor solves are pure and the accumulation is merged
-    /// in sensor order.
-    pub fn probe_stage_with(&self, workers: usize) -> ProbeStage {
-        let cfg = self.deployment.config();
-        let core = self.stage_phases(&Obs::disabled(), &cfg.faults);
-        let impact = self.impact_precompute(&core, workers);
-        let per_sensor = vec![Vec::new(); cfg.nodes as usize];
-        ProbeStage {
-            core,
-            impact,
-            memo: Mutex::new(ImpactMemo {
-                by_revoked: Vec::new(),
-                per_sensor,
-            }),
-            orders: Default::default(),
-        }
+        let stage = self.stage_phases(&Obs::disabled(), &self.deployment.config().faults);
+        self.precompute(&stage);
+        stage
     }
 
     /// Re-solves the τ-independent per-sensor localization chain of
-    /// `stage`'s probe snapshot on `workers` threads and returns how many
-    /// sensors produced an estimate. The solve result is discarded — this
-    /// exists so the perf harness can time the parallel localization
-    /// pipeline in isolation from the (inherently serial, RNG-ordered)
-    /// probing phases, and so callers can check a worker count changes
-    /// nothing.
-    pub fn solve_impact_chain(&self, stage: &ProbeStage, workers: usize) -> usize {
-        self.impact_precompute(&stage.core, workers).n_b
+    /// `stage`'s probe snapshot and returns how many sensors produced an
+    /// estimate. The solve result is discarded — this exists so the perf
+    /// harness can time the localization pipeline in isolation from the
+    /// (inherently serial, RNG-ordered) probing phases. `workers` is
+    /// ignored: a run is single-threaded.
+    pub fn solve_impact_chain(&self, stage: &ProbeStage, _workers: usize) -> usize {
+        self.impact_precompute(stage).n_b
     }
 
     /// Completes a plain run from a shared probe-stage snapshot:
@@ -604,11 +492,10 @@ impl Runner {
     /// the sweep orchestrator attributes per-cell revocation decisions to
     /// their cell's trace.
     pub fn finish_from_stage_observed(&self, stage: &ProbeStage, telemetry: &Obs) -> SimOutcome {
-        let plan = &self.deployment.config().faults;
-        self.finish_phases(telemetry, plan, &stage.core, Precompute::Stage(stage))
+        self.finish_phases(telemetry, &self.deployment.config().faults, stage)
     }
 
-    fn stage_phases(&self, telemetry: &Obs, plan: &FaultPlan) -> StageCore {
+    fn stage_phases(&self, telemetry: &Obs, plan: &FaultPlan) -> ProbeStage {
         let d = &self.deployment;
         let cfg = d.config();
         let ctx = ProbeContext::with_obs(d, telemetry);
@@ -780,7 +667,7 @@ impl Runner {
         }
         location_span.finish();
 
-        StageCore {
+        ProbeStage {
             detectors,
             benign_alerts,
             index: KeptIndex::build(&kept, cfg.beacons),
@@ -788,15 +675,26 @@ impl Runner {
             poisoned,
             order_rng,
             churn,
+            impact: OnceLock::new(),
+            memo: Mutex::new(ImpactMemo {
+                by_revoked: Vec::new(),
+                per_sensor: vec![Vec::new(); cfg.nodes as usize],
+            }),
+            orders: Default::default(),
         }
+    }
+
+    /// `stage`'s τ-independent precompute, solved on first use.
+    fn precompute<'s>(&self, stage: &'s ProbeStage) -> &'s ImpactPrecompute {
+        stage.impact.get_or_init(|| self.impact_precompute(stage))
     }
 
     /// The τ-independent slice of the impact phase, accumulated in sensor
     /// order with exactly the float operations of the reference run's
     /// pre-revocation pass (`secloc-oracle`).
-    fn impact_precompute(&self, core: &StageCore, workers: usize) -> ImpactPrecompute {
+    fn impact_precompute(&self, stage: &ProbeStage) -> ImpactPrecompute {
         let cfg = self.deployment.config();
-        let per_sensor = self.impact_pass(core, ImpactPass::Before, workers);
+        let per_sensor = self.impact_pass(stage, ImpactPass::Before);
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
         for (i, c) in per_sensor.into_iter().enumerate() {
@@ -813,16 +711,10 @@ impl Runner {
     /// sensor order (indexed from the first sensor), for the caller to
     /// fold. Sensors whose contribution is already known — untouched by
     /// revocation, or a memo hit — resolve at once; the rest are solved
-    /// on `workers` threads (see [`Runner::solve_sensors`]) and, under a
-    /// memo, recorded in it.
-    fn impact_pass(
-        &self,
-        core: &StageCore,
-        pass: ImpactPass<'_>,
-        workers: usize,
-    ) -> Vec<Option<f64>> {
+    /// (see [`Runner::solve_sensors`]) and, under a memo, recorded in it.
+    fn impact_pass(&self, stage: &ProbeStage, pass: ImpactPass<'_>) -> Vec<Option<f64>> {
         let d = &self.deployment;
-        let kept = &core.kept;
+        let kept = &stage.kept;
         let sensor0 = d.config().beacons;
         let mut out: Vec<Option<f64>> = Vec::with_capacity((d.config().nodes - sensor0) as usize);
         // The sensors left to solve, in sensor order, each with the memo
@@ -839,7 +731,7 @@ impl Runner {
                 before,
                 memo,
             } => {
-                let masks = core.index.dropped_masks(kept, revoked);
+                let masks = stage.index.dropped_masks(kept, revoked);
                 for w in d.sensors() {
                     let dropped = masks[w as usize];
                     let known = match (dropped, memo.as_deref()) {
@@ -859,7 +751,6 @@ impl Runner {
             }
         };
         let solved = self.solve_sensors(
-            workers,
             pending.len(),
             |i| pending[i].0,
             |w, scratch| {
@@ -888,18 +779,16 @@ impl Runner {
     /// when its set does not solve. Every solve runs through
     /// [`BatchedMmse::positions`] over two scratches pre-sized to the
     /// topology's largest audible set, made only when there is a set to
-    /// solve. With `workers` ≥ 2 the sets fan out over scoped threads that
-    /// claim batches off an atomic cursor, each with its own scratches.
+    /// solve.
     ///
     /// A deployed node knows the field bounds, and poisoned constraints
     /// can push the least-squares solution outside them, so the estimate
     /// is clamped like a real stack would clamp it.
     fn solve_sensors(
         &self,
-        workers: usize,
         n: usize,
-        sensor_of: impl Fn(usize) -> u32 + Sync,
-        load: impl Fn(u32, &mut MmseScratch) + Sync,
+        sensor_of: impl Fn(usize) -> u32,
+        load: impl Fn(u32, &mut MmseScratch),
     ) -> Vec<Option<f64>> {
         if n == 0 {
             return Vec::new();
@@ -907,41 +796,30 @@ impl Runner {
         let d = &self.deployment;
         let field = secloc_geometry::Field::square(d.config().field_side_ft);
         let cap = d.max_audible_len();
-        let make_slots = || {
-            [
-                MmseScratch::with_capacity(cap),
-                MmseScratch::with_capacity(cap),
-            ]
-        };
-        let solve = |batch: Range<usize>, slots: &mut [MmseScratch; 2]| {
-            let caps = slots.each_ref().map(MmseScratch::capacity);
-            let start = batch.start;
-            let mut out = vec![None; batch.len()];
-            let load = |j: usize, s: &mut MmseScratch| load(sensor_of(start + j), s);
-            BatchedMmse::default().positions(slots, batch.len(), load, |j, position| {
-                let w = sensor_of(start + j);
-                out[j] = position
-                    .ok()
-                    .map(|p| field.clamp(p).distance(d.position(w)));
-            });
-            debug_assert_eq!(
-                slots.each_ref().map(MmseScratch::capacity),
-                caps,
-                "MmseScratch grew mid-run"
-            );
-            out
-        };
-        if workers < 2 {
-            return solve(0..n, &mut make_slots());
-        }
-        parallel_batches(n, workers, make_slots, solve)
+        let mut slots = [
+            MmseScratch::with_capacity(cap),
+            MmseScratch::with_capacity(cap),
+        ];
+        let caps = slots.each_ref().map(MmseScratch::capacity);
+        let mut out = vec![None; n];
+        let load = |j: usize, s: &mut MmseScratch| load(sensor_of(j), s);
+        BatchedMmse::default().positions(&mut slots, n, load, |j, position| {
+            out[j] = position
+                .ok()
+                .map(|p| field.clamp(p).distance(d.position(sensor_of(j))));
+        });
+        debug_assert_eq!(
+            slots.each_ref().map(MmseScratch::capacity),
+            caps,
+            "MmseScratch grew mid-run"
+        );
+        out
     }
 
-    /// Phase 3a's submission order on `core` (see [`AlertOrder`]): a
-    /// staged finish takes it from its stage, which builds it once per
-    /// `spam` flag, and a plain run builds it in line.
-    fn alert_order(&self, core: &StageCore, spam: bool) -> AlertOrder {
-        let mut order_rng = core.order_rng.clone();
+    /// Phase 3a's submission order on `stage` (see [`AlertOrder`]), which
+    /// the stage builds once per `spam` flag.
+    fn alert_order(&self, stage: &ProbeStage, spam: bool) -> AlertOrder {
+        let mut order_rng = stage.order_rng.clone();
         let (mut colluders, mut victims) = (Vec::new(), Vec::new());
         if spam {
             colluders = self
@@ -950,13 +828,13 @@ impl Runner {
                 .into_iter()
                 // A colluder that churn killed for good sends nothing; one
                 // that rebooted rejoins the spam campaign.
-                .filter(|&b| core.churn.as_ref().is_none_or(|c| c.is_alive(b, 1.0)))
+                .filter(|&b| stage.churn.as_ref().is_none_or(|c| c.is_alive(b, 1.0)))
                 .map(NodeId)
                 .collect();
-            victims = core.detectors.iter().copied().map(NodeId).collect();
+            victims = stage.detectors.iter().copied().map(NodeId).collect();
             victims.shuffle(&mut order_rng);
         }
-        let mut benign = core.benign_alerts.clone();
+        let mut benign = stage.benign_alerts.clone();
         benign.shuffle(&mut order_rng);
         AlertOrder {
             colluders,
@@ -965,32 +843,17 @@ impl Runner {
         }
     }
 
-    /// Phases 3a–4 on the probe-stage snapshot `core`. The impact phase
+    /// Phases 3a–4 on the probe-stage snapshot `stage`. The impact phase
     /// re-estimates only the sensors that lost a reference to revocation;
     /// every other sensor keeps its pre-revocation contribution from the
-    /// `precompute`.
-    fn finish_phases(
-        &self,
-        telemetry: &Obs,
-        plan: &FaultPlan,
-        core: &StageCore,
-        precompute: Precompute<'_>,
-    ) -> SimOutcome {
+    /// stage's precompute.
+    fn finish_phases(&self, telemetry: &Obs, plan: &FaultPlan, stage: &ProbeStage) -> SimOutcome {
         let d = &self.deployment;
         let cfg = d.config();
-        let detectors = &core.detectors;
-        let poisoned = &core.poisoned;
+        let detectors = &stage.detectors;
+        let poisoned = &stage.poisoned;
         let spam = cfg.collusion && cfg.malicious > 0;
-        let in_line;
-        let order = match precompute {
-            Precompute::Solve(_) => {
-                in_line = self.alert_order(core, spam);
-                &in_line
-            }
-            Precompute::Stage(stage) => {
-                stage.orders[usize::from(spam)].get_or_init(|| self.alert_order(core, spam))
-            }
-        };
+        let order = stage.orders[usize::from(spam)].get_or_init(|| self.alert_order(stage, spam));
 
         // ---- Phase 3a: alert delivery over the lossy report channel. ---
         // Alerts cross a lossy multi-hop path; the paper assumes
@@ -1133,26 +996,15 @@ impl Runner {
         // avoid per-reference hash lookups, and it keys the memo's per-set
         // level.
         let revoked = RevokedSet::of(&station, cfg.beacons);
-        let solved;
-        let (pre, mut memo, workers) = match precompute {
-            Precompute::Solve(workers) => {
-                solved = self.impact_precompute(core, workers);
-                (&solved, None, workers)
-            }
-            // A memo held by a concurrent finish of the same stage, or
-            // poisoned by a panicking one, is skipped: it only saves work,
-            // and every entry in it is complete.
-            Precompute::Stage(stage) => (&stage.impact, stage.memo.try_lock().ok(), 0),
-        };
-        telemetry.set_gauge("run.location_workers", workers as i64);
-        telemetry.set_gauge("impact.workers", workers.max(1) as i64);
+        let pre = self.precompute(stage);
+        // A memo held by a concurrent finish of the same stage, or poisoned
+        // by a panicking one, is skipped: it only saves work, and every
+        // entry in it is complete.
+        let mut memo = stage.memo.try_lock().ok();
 
         // A revoked set the stage has already finished takes its mean
         // from the memo. Otherwise revocation can only drop references, so
-        // only sensors that lost one re-solve; with a memo (a staged
-        // finish) the re-solves run in-line, and without one (a plain run)
-        // they fan out over the run's location workers like the
-        // precompute. Either way they are folded in sensor order.
+        // only sensors that lost one re-solve, folded in sensor order.
         let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
         let seen = memo
             .as_deref()
@@ -1166,7 +1018,7 @@ impl Runner {
                     memo: memo.as_deref_mut(),
                 };
                 let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-                for c in self.impact_pass(core, pass, workers).into_iter().flatten() {
+                for c in self.impact_pass(stage, pass).into_iter().flatten() {
                     sum_a += c;
                     n_a += 1;
                 }
@@ -1243,7 +1095,7 @@ mod tests {
         let plain = r.run(RunOptions::new()).outcome;
         let sink = std::sync::Arc::new(secloc_obs::MemorySink::new());
         let obs = Obs::new(None, Some(sink.clone()));
-        let observed = r.run(RunOptions::new().observed(&obs).location_workers(2));
+        let observed = r.run(RunOptions::new().observed(&obs));
         assert_eq!(observed.outcome, plain);
         // Every alert sent is either decided at the base station or lost.
         let events = sink.events();
@@ -1422,7 +1274,7 @@ mod tests {
         };
         let base = Runner::new(cfg.clone(), 4);
         let stage = base.probe_stage();
-        let kept = &stage.core.kept;
+        let kept = &stage.kept;
         assert!(kept.iter().any(|k| k.len() > 64), "no dense sensor");
         // Each τ/τ′ pair without colluder spam, then with it: the first
         // finish builds the stage's spam-free alert order, which the
@@ -1465,7 +1317,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let masks = stage.core.index.dropped_masks(kept, &revoked);
+            let masks = stage.index.dropped_masks(kept, &revoked);
             assert_eq!(masks, scanned, "policy {i}");
             past_mask_width += masks.iter().filter(|m| m.is_none()).count();
         }

@@ -4,7 +4,9 @@
 
 use secloc_faults::{BurstLossSpec, ChurnSpec, FaultPlan, NoiseRegion, Outage};
 use secloc_obs::{MetricsRegistry, Obs};
-use secloc_sim::{average_outcomes, NodeKind, RunOptions, Runner, SimConfig, SimOutcome};
+use secloc_sim::{
+    average_outcomes, NodeKind, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome, SweepSpec,
+};
 use std::sync::Arc;
 
 fn cfg(p: f64) -> SimConfig {
@@ -149,7 +151,7 @@ fn burst_loss_hurts_more_than_matched_rate_uniform_loss() {
 #[test]
 fn config_level_plan_applies_without_explicit_options() {
     // A plan carried in SimConfig::faults is in force for plain runs and
-    // for sweep helpers that never mention faults.
+    // for sweeps that never mention faults.
     let mut config = cfg(0.8);
     config.faults = FaultPlan::default().with_clock_drift(20_000);
     let via_config = Runner::new(config.clone(), 2)
@@ -160,6 +162,9 @@ fn config_level_plan_applies_without_explicit_options() {
         .run(RunOptions::new().faults(config.faults.clone()))
         .outcome;
     assert_eq!(via_config, via_options);
-    let swept = secloc_sim::sweep::run_seeds(&config, &[2], 1);
-    assert_eq!(swept[0], via_config);
+    let swept = Orchestrator::new()
+        .workers(1)
+        .run(&SweepSpec::single(&config, &[2]))
+        .unwrap();
+    assert_eq!(swept.outcomes[0], via_config);
 }

@@ -406,17 +406,15 @@ fn panicking_cell_leaves_a_flight_dump_of_its_trace() {
 }
 
 #[test]
-fn orchestrated_sweep_matches_run_seeds() {
-    // The compatibility contract behind the `run_seeds` rewiring: the
-    // orchestrator's outcomes are exactly the classic helper's, in order.
+fn orchestrated_sweep_is_worker_count_invariant() {
+    // One config over seeds at 1, 2 and 3 workers and at `workers(0)`
+    // (one per core): the outcomes are the same, in seed order.
     let config = tiny(0.6);
     let seeds: Vec<u64> = (0..5).collect();
-    let report = Orchestrator::new()
-        .workers(2)
-        .run(&SweepSpec::single(&config, &seeds))
-        .unwrap();
-    assert_eq!(
-        report.outcomes,
-        secloc_sim::sweep::run_seeds(&config, &seeds, 3)
-    );
+    let spec = SweepSpec::single(&config, &seeds);
+    let serial = Orchestrator::new().workers(1).run(&spec).unwrap().outcomes;
+    for workers in [2, 3, 0] {
+        let report = Orchestrator::new().workers(workers).run(&spec).unwrap();
+        assert_eq!(report.outcomes, serial, "{workers} workers");
+    }
 }

@@ -4,7 +4,14 @@ use proptest::prelude::*;
 use secloc_faults::{BurstLossSpec, ChurnSpec, NoiseRegion};
 use secloc_geometry::{Field, GridIndex, Point2};
 use secloc_sim::distributed::{run_distributed, DistributedConfig};
-use secloc_sim::{Deployment, FaultPlan, NodeKind, RunOptions, Runner, SimConfig};
+use secloc_sim::orchestrator::{cell_key, code_version_tag, CacheInsert};
+use secloc_sim::{
+    BinaryCache, Deployment, FaultPlan, NodeKind, Orchestrator, RunOptions, Runner, SimConfig,
+    SimOutcome, SweepSpec,
+};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn small_config() -> impl Strategy<Value = SimConfig> {
     (
@@ -343,5 +350,94 @@ proptest! {
     fn every_valid_config_runs_to_a_self_equal_outcome(cfg in any_valid_config(), seed in any::<u64>()) {
         let outcome = Runner::new(cfg.clone(), seed).run(RunOptions::new()).outcome;
         prop_assert_eq!(&outcome, &outcome.clone(), "{:?} seed {}", cfg, seed);
+    }
+}
+
+/// Every field of `o`, each float as its bits, so equal values mean
+/// identical bytes (`None` errors included).
+fn outcome_bits(o: &SimOutcome) -> ([u32; 4], [usize; 2], [u64; 3], [Option<u64>; 2]) {
+    let SimOutcome {
+        malicious_total,
+        benign_total,
+        revoked_malicious,
+        revoked_benign,
+        affected_before,
+        affected_after,
+        benign_alerts,
+        collusion_alerts,
+        mean_requesters_per_beacon,
+        mean_loc_error_before_ft,
+        mean_loc_error_after_ft,
+    } = *o;
+    (
+        [
+            malicious_total,
+            benign_total,
+            revoked_malicious,
+            revoked_benign,
+        ],
+        [benign_alerts, collusion_alerts],
+        [affected_before, affected_after, mean_requesters_per_beacon].map(f64::to_bits),
+        [mean_loc_error_before_ft, mean_loc_error_after_ft].map(|e| e.map(f64::to_bits)),
+    )
+}
+
+/// A fresh directory per case — the suite runs tests in parallel.
+fn scratch_dir() -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "secloc-properties-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The config-space property through the persistent layers: the
+    /// outcome of whatever `validate` accepts is stored once by the binary
+    /// cache, known again on a second insert and read back after a reopen,
+    /// and a one-cell checkpointed sweep returns it both fresh and resumed
+    /// from its own checkpoint — bit for bit every time.
+    #[test]
+    fn every_valid_outcome_survives_the_cache_and_a_resume(
+        cfg in any_valid_config(),
+        seed in any::<u64>(),
+    ) {
+        let outcome = Runner::new(cfg.clone(), seed).run(RunOptions::new()).outcome;
+        let want = outcome_bits(&outcome);
+        let dir = scratch_dir();
+
+        let key = cell_key(&cfg, seed, &code_version_tag());
+        let cache_dir = dir.join("cache.bin");
+        let mut cache = BinaryCache::open(&cache_dir, 1).expect("open cache");
+        let first = cache.insert_checked(key, outcome.clone()).expect("insert");
+        let second = cache.insert_checked(key, outcome).expect("insert");
+        drop(cache);
+        let cached = BinaryCache::open(&cache_dir, 1)
+            .and_then(|c| c.get(key))
+            .expect("reopen cache");
+
+        let spec = SweepSpec::single(&cfg, &[seed]);
+        let checkpoint = dir.join("checkpoint.jsonl");
+        let sweep = || {
+            Orchestrator::new()
+                .workers(1)
+                .checkpoint(&checkpoint)
+                .run(&spec)
+                .expect("checkpointed sweep")
+        };
+        let fresh = sweep();
+        let resumed = sweep();
+        fs::remove_dir_all(&dir).ok();
+
+        prop_assert_eq!((first, second), (CacheInsert::Inserted, CacheInsert::Duplicate));
+        prop_assert_eq!(cached.as_ref().map(outcome_bits), Some(want));
+        prop_assert_eq!((fresh.executed, resumed.resumed, resumed.executed), (1, 1, 0));
+        prop_assert_eq!(outcome_bits(&fresh.outcomes[0]), want, "{:?} seed {}", cfg, seed);
+        prop_assert_eq!(outcome_bits(&resumed.outcomes[0]), want, "{:?} seed {}", cfg, seed);
     }
 }

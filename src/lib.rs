@@ -105,5 +105,5 @@ pub mod prelude {
     pub use secloc_localization::{Estimator, LocationReference, MmseEstimator};
     pub use secloc_obs::Obs;
     pub use secloc_radio::{timing::RttModel, Cycles};
-    pub use secloc_sim::{RunOptions, RunOutput, Runner, SimConfig, SimConfigBuilder, SimOutcome};
+    pub use secloc_sim::{RunOptions, RunOutput, Runner, SimConfig, SimOutcome};
 }
