@@ -712,7 +712,10 @@ fn main() {
     );
     json.push_str("},\n");
 
-    let full = &sections[2];
+    let full = sections
+        .iter()
+        .find(|s| s.name == "full_run")
+        .expect("the full_run section");
     let _ = writeln!(json, "  \"full_run_ratio_target\": 3.5,");
     let _ = writeln!(json, "  \"full_run_ratio\": {:.4}", full.ratio());
     json.push_str("}\n");

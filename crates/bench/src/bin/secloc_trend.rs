@@ -22,7 +22,8 @@
 //! but do not gate), so CI can run `secloc-trend` directly instead of an
 //! embedded script. With `--validate-events FILE` the tool additionally
 //! schema-checks an event JSONL stream (a sweep `--events` capture or a
-//! flight-recorder dump) line by line.
+//! flight-recorder dump) line by line; such a run prints its verdicts but
+//! writes the trend report only to an explicit `--out`.
 //!
 //! ```text
 //! secloc-trend [--results DIR] [--history FILE] [--out FILE]
@@ -683,10 +684,13 @@ fn main() -> ExitCode {
         .history
         .clone()
         .unwrap_or_else(|| args.results.join("bench_history.jsonl"));
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| args.results.join("BENCH_trend.json"));
+    // A run that validates event streams is a schema check: it prints the
+    // verdicts but writes a trend report only where `--out` says.
+    let out_path = match (&args.out, args.validate.is_empty()) {
+        (Some(out), _) => Some(out.clone()),
+        (None, true) => Some(args.results.join("BENCH_trend.json")),
+        (None, false) => None,
+    };
 
     let mut failed = false;
     for file in &args.validate {
@@ -755,11 +759,13 @@ fn main() -> ExitCode {
     }
 
     if !metrics.is_empty() {
-        if let Err(e) = write_trend_report(&out_path, &key, &metrics, history_entries, overall) {
-            eprintln!("error: write {}: {e}", out_path.display());
-            return ExitCode::FAILURE;
+        if let Some(out_path) = &out_path {
+            if let Err(e) = write_trend_report(out_path, &key, &metrics, history_entries, overall) {
+                eprintln!("error: write {}: {e}", out_path.display());
+                return ExitCode::FAILURE;
+            }
+            println!("trend report: {}", out_path.display());
         }
-        println!("trend report: {}", out_path.display());
         if args.record && overall != Verdict::Fail {
             // Failed runs stay out of the history so a regression does not
             // become its own baseline.

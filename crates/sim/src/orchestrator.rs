@@ -10,9 +10,10 @@
 //! - **Work-stealing scheduling** — pending cells fold into scheduling
 //!   units (one per shared probe stage), sorted largest first into a
 //!   queue that at most `min(workers, units)` OS threads claim batches
-//!   from. Workers send `(cell index, outcome)` back, and results are
-//!   merged in cell order, bit-identical to a serial loop, because each
-//!   cell is a pure function of `(config, seed)`.
+//!   from. Workers send each unit's `(cell index, outcome)` pairs back in
+//!   one message, and results are merged in cell order, bit-identical to
+//!   a serial loop, because each cell is a pure function of
+//!   `(config, seed)`.
 //! - **Content-addressed caching** — every cell is keyed by a stable
 //!   64-bit FNV-1a hash of its canonical `(config, seed, options, code
 //!   version)` encoding ([`cell_key`]). A [`BinaryCache`] directory maps
@@ -22,8 +23,9 @@
 //!   cell.
 //! - **Checkpoint / resume** — with a checkpoint path configured, the
 //!   orchestrator writes the checkpoint lines *in cell order* as the
-//!   completion frontier advances, in writes of at most about 64 KiB that
-//!   end at line boundaries. [`Orchestrator::run`] on an
+//!   completion frontier advances (once per unit message), in writes of
+//!   at most about 64 KiB that end at line boundaries, and appends the
+//!   advance's new cache records in one batch. [`Orchestrator::run`] on an
 //!   existing (possibly truncated mid-line) checkpoint replays the
 //!   recorded prefix and re-runs only the remainder; the resulting
 //!   outcomes **and** the rewritten checkpoint file are byte-identical to
@@ -237,28 +239,58 @@ impl WorkerCtx<'_> {
     }
 }
 
+/// One unit's finished `(cell index, outcome)` pairs, in finishing order:
+/// the message a worker sends the merge thread.
+type UnitCells = Vec<(usize, SimOutcome)>;
+
+/// A unit's finished cells on their way to the merge thread. Dropping it
+/// hands over what it holds, so when a cell panics the cells its unit
+/// finished first still reach the checkpoint, as if each had been sent on
+/// its own.
+struct Handover<'a> {
+    tx: &'a mpsc::Sender<UnitCells>,
+    cells: UnitCells,
+}
+
+impl Handover<'_> {
+    /// Sends the finished cells; `Err` means the receiver hung up.
+    fn send(mut self) -> Result<(), ()> {
+        self.tx.send(std::mem::take(&mut self.cells)).map_err(drop)
+    }
+}
+
+impl Drop for Handover<'_> {
+    fn drop(&mut self) {
+        if !self.cells.is_empty() {
+            let _ = self.tx.send(std::mem::take(&mut self.cells));
+        }
+    }
+}
+
 /// Runs one scheduling unit — a maximal run of pending cells sharing a
-/// probe fingerprint — and streams `(cell index, outcome)` over `tx`.
+/// probe fingerprint — and sends its `(cell index, outcome)` pairs over
+/// `tx` in one message when it ends.
 /// Multi-cell units deploy once, snapshot the probe stage once, and replay
 /// only the revocation/impact phases per cell; the outcomes are
 /// bit-identical to fresh per-cell runs (see `Runner`'s staging tests and
 /// `tests/equivalence.rs`). Telemetry classifies each executed cell as
 /// `cache=miss` (paid the deployment + probe stage) or `cache=memo`
 /// (replayed a shared stage). `Err` means the receiver hung up.
-fn run_unit(
-    ctx: WorkerCtx<'_>,
-    unit: &[usize],
-    tx: &mpsc::Sender<(usize, SimOutcome)>,
-) -> Result<(), ()> {
+fn run_unit(ctx: WorkerCtx<'_>, unit: &[usize], tx: &mpsc::Sender<UnitCells>) -> Result<(), ()> {
     let cells = ctx.cells;
     let first = unit[0];
+    let mut done = Handover {
+        tx,
+        cells: Vec::with_capacity(unit.len()),
+    };
     if unit.len() == 1 {
         let outcome = ctx.run_cell(first, "miss", |cell_obs| {
             Runner::new(cells[first].config.clone(), cells[first].seed)
                 .run(RunOptions::new().observed(cell_obs))
                 .outcome
         });
-        return tx.send((first, outcome)).map_err(drop);
+        done.cells.push((first, outcome));
+        return done.send();
     }
     let base = Runner::new(cells[first].config.clone(), cells[first].seed);
     // The stage carries its own impact memo: cells whose revocation
@@ -282,9 +314,9 @@ fn run_unit(
                 Runner::from_deployment(rekeyed).finish_from_stage_observed(&stage, cell_obs)
             })
         };
-        tx.send((i, outcome)).map_err(drop)?;
+        done.cells.push((i, outcome));
     }
-    Ok(())
+    done.send()
 }
 
 /// One grid cell: a full configuration plus the seed that drives it.
@@ -955,12 +987,14 @@ impl Orchestrator {
         let mut order: Vec<usize> = (0..units.len()).collect();
         order.sort_by_key(|&u| std::cmp::Reverse(units[u].len()));
 
-        // 4. Stream results: workers push (cell index, outcome); the main
-        //    thread advances the completion frontier in cell order. Each
+        // 4. Stream results: each worker sends a unit's (cell index,
+        //    outcome) pairs in one message, and the main thread advances the
+        //    completion frontier in cell order once per message. Each
         //    advance's checkpoint lines go out in writes of about
         //    `CHECKPOINT_CHUNK` bytes that end at line boundaries, all
-        //    before that advance's cache appends, so the file is "header +
-        //    exact prefix" (at worst with a torn last line) at every instant.
+        //    before that advance's one batched cache append, so the file is
+        //    "header + exact prefix" (at worst with a torn last line) at
+        //    every instant.
         let mut checkpoint_file = match checkpoint {
             Some((path, grid)) => {
                 if let Some(parent) = path.parent() {
@@ -978,12 +1012,22 @@ impl Orchestrator {
         // size plus a line, however far one advance reaches.
         let mut lines = String::new();
         let mut frontier = 0usize; // next cell whose line is unwritten
+
+        // A checkpointed run reports one `checkpoint.advance` per cell
+        // whose arrival moved the frontier, as if cells arrived one by
+        // one. With a sink attached, `stops` gathers the frontier each
+        // such cell left; the batch positions of conflicting appends go to
+        // `conflicts`. Both buffers are reused from advance to advance.
+        let report_stops = checkpoint_file.is_some() && obs.sink_attached();
+        let mut stops: Vec<usize> = Vec::new();
+        let mut conflicts: Vec<usize> = Vec::new();
         let flight = self.flight.as_ref();
         let in_cache = &in_cache;
         let mut flush_frontier = |results: &[Option<SimOutcome>],
                                   frontier: &mut usize,
                                   cache: &mut Option<BinaryCache>,
-                                  obs: &Obs|
+                                  obs: &Obs,
+                                  stops: &[usize]|
          -> io::Result<()> {
             let start = *frontier;
             let resolved = results[start..].iter().take_while(|r| r.is_some()).count();
@@ -1001,64 +1045,87 @@ impl Orchestrator {
                     }
                 }
             }
-            let mut last_shard: Option<u32> = None;
-            for i in advanced.clone() {
-                // Cells that came *from* the cache are by definition
-                // already present — skip the read-back probe.
-                let Some(cache) = cache.as_mut().filter(|_| !in_cache[i]) else {
-                    continue;
-                };
-                let key = keys[i];
-                last_shard = Some(cache.shard_of(key));
-                if cache.insert_checked(key, outcome(i).clone())? == CacheInsert::Conflict {
-                    // The purity contract broke: same key, different
-                    // outcome. Keep going (the fresh result stands in the
-                    // checkpoint) but surface it as a health event and
-                    // preserve the cell's trace for the post-mortem.
-                    cell_scope(obs, key, spec.cells()[i].seed).emit(
-                        "health.cache_conflict",
-                        &[(
-                            "message",
-                            Value::Str(format!(
-                                "cell {key} produced an outcome different from its cache entry"
-                            )),
-                        )],
-                    );
-                    if let Some((recorder, dir)) = flight {
-                        let _ =
-                            recorder.dump_trace(dir.join(format!("flightrec_{key}.jsonl")), key.0);
-                    }
-                }
+            // Cells that came *from* the cache are by definition already
+            // present — skip the read-back probe.
+            conflicts.clear();
+            if let Some(cache) = cache.as_mut() {
+                cache.append(
+                    advanced
+                        .clone()
+                        .filter(|&i| !in_cache[i])
+                        .map(|i| (keys[i], outcome(i))),
+                    |position, verdict| {
+                        if verdict == CacheInsert::Conflict {
+                            conflicts.push(position);
+                        }
+                    },
+                )?;
             }
             obs.add("sweep.cells_done", advanced.len() as u64);
             *frontier = advanced.end;
-            if checkpoint_file.is_some() {
-                // The `shard` field names the binary-cache shard the last
-                // flushed record appended to, so a stream reader can
-                // follow per-shard append progress.
-                match last_shard {
-                    Some(shard) => obs.emit(
-                        "checkpoint.advance",
-                        &[
-                            ("frontier", Value::U64(*frontier as u64)),
-                            ("shard", Value::U64(u64::from(shard))),
-                        ],
-                    ),
-                    None => obs.emit(
-                        "checkpoint.advance",
-                        &[("frontier", Value::U64(*frontier as u64))],
-                    ),
+            if conflicts.is_empty() && !report_stops {
+                return Ok(());
+            }
+            // The events in the order cell-by-cell arrival emits them: each
+            // conflict, then the advance it belongs to. The up-front flush
+            // gathers no stops and is one advance.
+            let end = advanced.end;
+            let stops = match stops {
+                [] => std::slice::from_ref(&end),
+                stops => stops,
+            };
+            let (mut position, mut conflict, mut stop) = (0, 0, 0);
+            let mut last_shard: Option<u32> = None;
+            for i in advanced {
+                if let Some(cache) = cache.as_ref().filter(|_| !in_cache[i]) {
+                    let key = keys[i];
+                    last_shard = Some(cache.shard_of(key));
+                    if conflicts.get(conflict) == Some(&position) {
+                        conflict += 1;
+                        // The purity contract broke: same key, different
+                        // outcome. Keep going (the fresh result stands in
+                        // the checkpoint) but surface it as a health event
+                        // and preserve the cell's trace for the post-mortem.
+                        cell_scope(obs, key, spec.cells()[i].seed).emit(
+                            "health.cache_conflict",
+                            &[(
+                                "message",
+                                Value::Str(format!(
+                                    "cell {key} produced an outcome different from its cache entry"
+                                )),
+                            )],
+                        );
+                        if let Some((recorder, dir)) = flight {
+                            let _ = recorder
+                                .dump_trace(dir.join(format!("flightrec_{key}.jsonl")), key.0);
+                        }
+                    }
+                    position += 1;
+                }
+                if report_stops && stops.get(stop) == Some(&(i + 1)) {
+                    stop += 1;
+                    // The `shard` field names the binary-cache shard the
+                    // last record of this advance appended to, so a stream
+                    // reader can follow per-shard append progress.
+                    let frontier = ("frontier", Value::U64(i as u64 + 1));
+                    match last_shard.take() {
+                        Some(shard) => obs.emit(
+                            "checkpoint.advance",
+                            &[frontier, ("shard", Value::U64(u64::from(shard)))],
+                        ),
+                        None => obs.emit("checkpoint.advance", &[frontier]),
+                    }
                 }
             }
             Ok(())
         };
         // Everything known up front (resumed + cached) checkpoints first.
-        flush_frontier(&results, &mut frontier, &mut cache, &obs)?;
+        flush_frontier(&results, &mut frontier, &mut cache, &obs, &[])?;
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let exec_started = Instant::now();
         if !pending.is_empty() {
-            let (tx, rx) = mpsc::channel::<(usize, SimOutcome)>();
+            let (tx, rx) = mpsc::channel::<UnitCells>();
             let expected = pending.len();
             let mut io_result: io::Result<()> = Ok(());
             let cursor = AtomicUsize::new(0);
@@ -1107,12 +1174,23 @@ impl Orchestrator {
                     }));
                 }
                 drop(tx);
-                for _ in 0..expected {
-                    let Ok((i, outcome)) = rx.recv() else {
+                let mut received = 0;
+                while received < expected {
+                    let Ok(unit_cells) = rx.recv() else {
                         break; // a worker panicked; the joins re-raise it
                     };
-                    results[i] = Some(outcome);
-                    io_result = flush_frontier(&results, &mut frontier, &mut cache, &obs);
+                    received += unit_cells.len();
+                    stops.clear();
+                    let mut reach = frontier;
+                    for (i, outcome) in unit_cells {
+                        results[i] = Some(outcome);
+                        if report_stops && i == reach {
+                            reach +=
+                                1 + results[i + 1..].iter().take_while(|r| r.is_some()).count();
+                            stops.push(reach);
+                        }
+                    }
+                    io_result = flush_frontier(&results, &mut frontier, &mut cache, &obs, &stops);
                     if io_result.is_err() {
                         break;
                     }

@@ -10,16 +10,20 @@
 //!   byte-identical cache directories (index + every shard);
 //! - the in-memory slot table and the per-shard read windows never serve
 //!   what the files would not: a live handle, a reopened one and one
-//!   rebuilt from the shards answer every lookup alike.
+//!   rebuilt from the shards answer every lookup alike;
+//! - units of several cells, whose results reach the cache as batched
+//!   appends, leave the bytes cell-by-cell inserts leave, and a crash
+//!   inside a batch costs only the records it tore.
 
 use proptest::prelude::*;
-use secloc_obs::fnv1a;
+use secloc_obs::{fnv1a, MemorySink, Obs, Value};
 use secloc_sim::cache::RECORD_LEN;
-use secloc_sim::orchestrator::{export_jsonl, CacheInsert, CellKey};
+use secloc_sim::orchestrator::{cell_key, code_version_tag, export_jsonl, CacheInsert, CellKey};
 use secloc_sim::{BinaryCache, Orchestrator, SimConfig, SimOutcome, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn tiny(attacker_p: f64) -> SimConfig {
     SimConfig {
@@ -33,6 +37,56 @@ fn tiny(attacker_p: f64) -> SimConfig {
 
 fn grid() -> SweepSpec {
     SweepSpec::product(&[tiny(0.3), tiny(0.7)], &[1, 2, 3])
+}
+
+/// A τ × τ′ policy grid over three seeds: the six policies of a seed
+/// share one probe stage, so each scheduling unit has six cells and the
+/// frontier takes most of them in one advance.
+fn policy_grid() -> SweepSpec {
+    let mut configs = Vec::new();
+    for tau in [1u32, 2, 3] {
+        for tau_prime in [1u32, 2] {
+            configs.push(SimConfig {
+                tau,
+                tau_prime,
+                ..tiny(0.5)
+            });
+        }
+    }
+    SweepSpec::product(&configs, &[1, 2, 3])
+}
+
+/// One checkpointed, cached sweep of `spec` into `dir`; returns the
+/// checkpoint bytes and the cache directory.
+fn checkpointed_sweep(
+    dir: &Path,
+    label: &str,
+    spec: &SweepSpec,
+    workers: usize,
+) -> (Vec<u8>, PathBuf) {
+    let ckpt = dir.join(format!("{label}.ckpt.jsonl"));
+    let cache = dir.join(format!("{label}.cache.bin"));
+    Orchestrator::new()
+        .workers(workers)
+        .checkpoint(&ckpt)
+        .cache(&cache)
+        .run(spec)
+        .unwrap();
+    (fs::read(&ckpt).unwrap(), cache)
+}
+
+/// The cache directory cell-by-cell `insert_checked` calls leave: opened
+/// as a sweep opens it, then every cell's outcome inserted in cell order.
+fn inserted_in_cell_order(dir: &Path, spec: &SweepSpec, outcomes: &[SimOutcome]) -> PathBuf {
+    let cache = dir.join("sequential.cache.bin");
+    let mut sequential = BinaryCache::open(&cache, spec.len()).unwrap();
+    let tag = code_version_tag();
+    for (cell, outcome) in spec.cells().iter().zip(outcomes) {
+        sequential
+            .insert_checked(cell_key(&cell.config, cell.seed, &tag), outcome.clone())
+            .unwrap();
+    }
+    cache
 }
 
 /// A unique temp dir per test — the suite runs tests in parallel.
@@ -441,4 +495,156 @@ proptest! {
         );
         fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn multi_cell_units_leave_the_bytes_of_sequential_inserts() {
+    let dir = scratch("units");
+    let spec = policy_grid();
+    let (serial_ckpt, serial_cache) = checkpointed_sweep(&dir, "serial", &spec, 1);
+    let (parallel_ckpt, parallel_cache) = checkpointed_sweep(&dir, "parallel", &spec, 4);
+    assert_eq!(
+        serial_ckpt, parallel_ckpt,
+        "checkpoint depends on worker count"
+    );
+    assert_eq!(
+        dir_bytes(&serial_cache),
+        dir_bytes(&parallel_cache),
+        "cache bytes depend on worker count"
+    );
+
+    let outcomes = Orchestrator::new().run(&spec).unwrap().outcomes;
+    let sequential = inserted_in_cell_order(&dir, &spec, &outcomes);
+    assert_eq!(
+        dir_bytes(&serial_cache),
+        dir_bytes(&sequential),
+        "batched appends differ from insert_checked in cell order"
+    );
+
+    // Resume from every line boundary with the cache lost: both files
+    // come back byte for byte.
+    let lines: Vec<&str> = std::str::from_utf8(&serial_ckpt).unwrap().lines().collect();
+    for keep in 0..=lines.len() {
+        let label = format!("cut-{keep}");
+        let ckpt = dir.join(format!("{label}.ckpt.jsonl"));
+        let kept: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+        fs::write(&ckpt, kept).unwrap();
+        let (resumed_ckpt, resumed_cache) = checkpointed_sweep(&dir, &label, &spec, 2);
+        assert_eq!(resumed_ckpt, serial_ckpt, "{label}: checkpoint diverged");
+        assert_eq!(
+            dir_bytes(&resumed_cache),
+            dir_bytes(&serial_cache),
+            "{label}: cache bytes diverged"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cell_listed_twice_in_one_unit_is_recorded_once() {
+    // Cell 2 again at the end: both copies fall in seed 1's unit, and a
+    // serial sweep resolves both in the same frontier advance, so they
+    // meet inside one batched append.
+    let dir = scratch("twice");
+    let mut cells = policy_grid().cells().to_vec();
+    cells.push(cells[2].clone());
+    let spec = SweepSpec::new(cells);
+    let (_, cache) = checkpointed_sweep(&dir, "serial", &spec, 1);
+    let outcomes = Orchestrator::new().run(&spec).unwrap().outcomes;
+    let sequential = inserted_in_cell_order(&dir, &spec, &outcomes);
+    assert_eq!(
+        fs::metadata(shard_path(&sequential)).unwrap().len(),
+        (spec.len() as u64 - 1) * RECORD_LEN as u64,
+        "a sequential re-insert appends nothing"
+    );
+    assert_eq!(dir_bytes(&cache), dir_bytes(&sequential));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_cut_inside_a_batched_append_keeps_exactly_the_whole_records() {
+    // A serial sweep of the policy grid runs seed 1's unit, then seed 2's,
+    // then seed 3's. Cells 0 and 1 each reach the frontier alone; seed
+    // 3's unit then resolves cells 2..18 in one advance, whose 16 records
+    // go out in one batched append. The events are still one
+    // `checkpoint.advance` per cell that moved the frontier.
+    let dir = scratch("batchcut");
+    let spec = policy_grid();
+    let sink = Arc::new(MemorySink::new());
+    let full_ckpt = dir.join("full.ckpt.jsonl");
+    let full = dir.join("full.cache.bin");
+    Orchestrator::new()
+        .workers(1)
+        .observed(&Obs::with_sink(sink.clone()))
+        .checkpoint(&full_ckpt)
+        .cache(&full)
+        .run(&spec)
+        .unwrap();
+    let events = sink.events();
+    let advances: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == "checkpoint.advance")
+        .map(|e| (e.field("frontier").cloned(), e.field("shard").cloned()))
+        .collect();
+    let want: Vec<_> = [1u64, 2, 5, 8, 11, 14, 17, 18]
+        .iter()
+        .map(|&f| (Some(Value::U64(f)), Some(Value::U64(0))))
+        .collect();
+    assert_eq!(advances, want);
+
+    // The index before the batch is the index of a sweep over cells 0
+    // and 1 alone: the same capacity, slots and indexed length.
+    let first_two = SweepSpec::new(spec.cells()[..2].to_vec());
+    let (_, before) = checkpointed_sweep(&dir, "before", &first_two, 1);
+    let pre_batch_index = fs::read(before.join("index.bin")).unwrap();
+    let full_shard = fs::read(shard_path(&full)).unwrap();
+    assert_eq!(full_shard.len(), spec.len() * RECORD_LEN);
+    let full_entries = BinaryCache::open(&full, 0).unwrap().entries().unwrap();
+    let outcomes = Orchestrator::new().run(&spec).unwrap().outcomes;
+
+    // Cuts at the batch's start, inside its first record, at record
+    // boundaries inside it, mid-record, and one byte short of its end.
+    let record = RECORD_LEN;
+    for cut in [
+        2 * record,
+        2 * record + 1,
+        3 * record,
+        7 * record + 60,
+        17 * record,
+        18 * record - 1,
+    ] {
+        let cache = dir.join(format!("cut-{cut}.cache.bin"));
+        fs::create_dir_all(&cache).unwrap();
+        fs::write(cache.join("index.bin"), &pre_batch_index).unwrap();
+        fs::write(shard_path(&cache), &full_shard[..cut]).unwrap();
+        let whole = cut / record;
+
+        let reopened = BinaryCache::open(&cache, 0).unwrap();
+        let recovery = reopened.recovery();
+        assert!(
+            !recovery.rebuilt_index,
+            "cut {cut}: a tail scan, not a rebuild"
+        );
+        assert_eq!(
+            recovery.reindexed,
+            whole - 2,
+            "cut {cut}: whole batch records"
+        );
+        assert_eq!(recovery.truncated_bytes, (cut % record) as u64, "cut {cut}");
+        assert_eq!(reopened.len(), whole, "cut {cut}");
+        assert_eq!(
+            reopened.entries().unwrap(),
+            full_entries[..whole],
+            "cut {cut}"
+        );
+        drop(reopened);
+
+        // Warm: the surviving records are hits, the rest re-run, and the
+        // outcomes are the uninterrupted sweep's.
+        let warm = Orchestrator::new().cache(&cache).run(&spec).unwrap();
+        assert_eq!(warm.cache_hits, whole, "cut {cut}");
+        assert_eq!(warm.executed, spec.len() - whole, "cut {cut}");
+        assert_eq!(warm.outcomes, outcomes, "cut {cut}");
+    }
+    fs::remove_dir_all(&dir).ok();
 }

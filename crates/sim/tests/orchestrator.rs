@@ -405,6 +405,74 @@ fn panicking_cell_leaves_a_flight_dump_of_its_trace() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A sink that panics at the third `cell.start` it sees: the third cell
+/// of a one-unit sweep dies before it simulates anything.
+#[derive(Default)]
+struct PanicOnThirdCell(AtomicU64);
+
+impl EventSink for PanicOnThirdCell {
+    fn emit(&self, event: &Event) {
+        if event.kind == "cell.start" {
+            let started = self.0.fetch_add(1, Ordering::SeqCst) + 1;
+            assert_ne!(started, 3, "injected failure in the third cell");
+        }
+    }
+}
+
+#[test]
+fn a_unit_that_dies_still_checkpoints_the_cells_it_finished() {
+    // One seed under six τ × τ′ policies: one scheduling unit of six
+    // cells. Its third cell panics; the two it finished first must reach
+    // the checkpoint exactly as an uninterrupted sweep writes them.
+    let mut configs = Vec::new();
+    for tau in [1u32, 2, 3] {
+        for tau_prime in [1u32, 2] {
+            configs.push(SimConfig {
+                tau,
+                tau_prime,
+                ..tiny(0.5)
+            });
+        }
+    }
+    let spec = SweepSpec::product(&configs, &[5]);
+    let dir = scratch("unitpanic");
+    let full_ckpt = dir.join("full.jsonl");
+    Orchestrator::new()
+        .workers(1)
+        .checkpoint(&full_ckpt)
+        .run(&spec)
+        .unwrap();
+    let full = fs::read_to_string(&full_ckpt).unwrap();
+    let want: String = full.lines().take(3).map(|l| format!("{l}\n")).collect();
+
+    let ckpt = dir.join("died.jsonl");
+    let obs = Obs::new(None, Some(Arc::new(PanicOnThirdCell::default())));
+    let orch = Orchestrator::new()
+        .workers(1)
+        .observed(&obs)
+        .checkpoint(&ckpt);
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // keep the injected panic quiet
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| orch.run(&spec)));
+    std::panic::set_hook(hook);
+    assert!(died.is_err(), "the injected panic must propagate");
+    assert_eq!(
+        fs::read_to_string(&ckpt).unwrap(),
+        want,
+        "header plus the unit's first two cells"
+    );
+
+    // And the resume from there finishes the sweep byte for byte.
+    let resumed = Orchestrator::new()
+        .workers(1)
+        .checkpoint(&ckpt)
+        .run(&spec)
+        .unwrap();
+    assert_eq!((resumed.resumed, resumed.executed), (2, spec.len() - 2));
+    assert_eq!(fs::read_to_string(&ckpt).unwrap(), full);
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn orchestrated_sweep_is_worker_count_invariant() {
     // One config over seeds at 1, 2 and 3 workers and at `workers(0)`
