@@ -50,8 +50,8 @@ const DIGIT_PAIRS: [u8; 200] = {
     table
 };
 
-/// Enough zeros that most runs need one `push_str`.
-const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+/// Enough zeros that most runs need one append.
+const ZEROS: &[u8] = b"0000000000000000000000000000000000000000000000000000000000000000";
 
 /// The writers only ever produce ASCII digits, signs and points.
 fn ascii(bytes: &[u8]) -> &str {
@@ -148,20 +148,54 @@ pub fn push_hex16(out: &mut String, v: u64) {
 /// `Display` prints them (`NaN`, `inf`, `-inf`); JSON writers map them to
 /// `null` first.
 pub fn push_f64(out: &mut String, v: f64) {
+    write_f64(out, v);
+}
+
+/// [`push_f64`] into a byte buffer: the same bytes, appended without the
+/// UTF-8 check a `String` makes, for writers that stage whole lines as
+/// bytes.
+///
+/// ```
+/// let mut out = b"x=".to_vec();
+/// secloc_obs::num::push_f64_bytes(&mut out, 0.1 + 0.2);
+/// assert_eq!(out, b"x=0.30000000000000004");
+/// ```
+pub fn push_f64_bytes(out: &mut Vec<u8>, v: f64) {
+    write_f64(out, v);
+}
+
+/// A buffer the float writer appends ASCII to.
+trait Ascii {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Ascii for String {
+    fn put(&mut self, bytes: &[u8]) {
+        self.push_str(ascii(bytes));
+    }
+}
+
+impl Ascii for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+fn write_f64(out: &mut impl Ascii, v: f64) {
     let bits = v.to_bits();
     let negative = bits >> 63 != 0;
     let ieee_exponent = ((bits >> MANTISSA_BITS) & 0x7ff) as u32;
     let ieee_mantissa = bits & ((1 << MANTISSA_BITS) - 1);
     if ieee_exponent == 0x7ff {
-        out.push_str(match (ieee_mantissa != 0, negative) {
-            (true, _) => "NaN",
-            (false, true) => "-inf",
-            (false, false) => "inf",
+        out.put(match (ieee_mantissa != 0, negative) {
+            (true, _) => b"NaN",
+            (false, true) => b"-inf",
+            (false, false) => b"inf",
         });
         return;
     }
     if ieee_exponent == 0 && ieee_mantissa == 0 {
-        out.push_str(if negative { "-0" } else { "0" });
+        out.put(if negative { b"-0" } else { b"0" });
         return;
     }
     let (mantissa, exponent) = shortest(ieee_mantissa, ieee_exponent);
@@ -177,12 +211,9 @@ pub fn push_f64(out: &mut String, v: f64) {
     let (mut from, trailing_zeros) = if point <= 0 {
         let zeros = point.unsigned_abs() as usize;
         if zeros + 3 > start {
-            if negative {
-                out.push('-');
-            }
-            out.push_str("0.");
+            out.put(if negative { b"-0." } else { b"0." });
             push_zeros(out, zeros);
-            out.push_str(ascii(&buf[start..]));
+            out.put(&buf[start..]);
             return;
         }
         buf[start - zeros..start].fill(b'0');
@@ -201,14 +232,14 @@ pub fn push_f64(out: &mut String, v: f64) {
         from -= 1;
         buf[from] = b'-';
     }
-    out.push_str(ascii(&buf[from..]));
+    out.put(&buf[from..]);
     push_zeros(out, trailing_zeros);
 }
 
-fn push_zeros(out: &mut String, mut n: usize) {
+fn push_zeros(out: &mut impl Ascii, mut n: usize) {
     while n > 0 {
         let run = n.min(ZEROS.len());
-        out.push_str(&ZEROS[..run]);
+        out.put(&ZEROS[..run]);
         n -= run;
     }
 }
@@ -607,6 +638,36 @@ mod tests {
     fn random_bit_patterns_match_display() {
         for bits in bit_patterns(0x5eed).take(300_000) {
             check(f64::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn the_byte_writer_appends_the_string_writers_bytes() {
+        let specials = [
+            0.0,
+            -0.0,
+            0.1,
+            1e21,
+            -1e-7,
+            f64::MAX,
+            f64::NAN,
+            -f64::INFINITY,
+        ];
+        let subnormals = (1..2000).chain(bit_patterns(11).take(2000).map(|b| b >> 12));
+        let patterns = specials
+            .into_iter()
+            .chain(subnormals.map(f64::from_bits))
+            .chain(bit_patterns(0xb17e).take(20_000).map(f64::from_bits));
+        let mut bytes = b"prefix".to_vec();
+        for v in patterns {
+            bytes.truncate(6);
+            push_f64_bytes(&mut bytes, v);
+            assert_eq!(
+                bytes[6..],
+                *shown(v).as_bytes(),
+                "bits {:#018x}",
+                v.to_bits()
+            );
         }
     }
 
