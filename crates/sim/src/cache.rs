@@ -11,8 +11,10 @@
 //! through a 4 KiB window per shard. So a lookup costs the same however
 //! many dead cells (entries outside the current grid) the cache has
 //! accumulated, and a sweep that walks a shard in append order pays one
-//! read per ~34 hits. `orchestrator::export_jsonl` writes a cache out as
-//! JSONL text; nothing reads that text back.
+//! read per ~34 hits. A sweep looks its keys up four at a time and checks
+//! the four records' checksums in one interleaved pass; `get` is a batch
+//! of one. `orchestrator::export_jsonl` writes a cache out as JSONL text;
+//! nothing reads that text back.
 //!
 //! # On-disk layout
 //!
@@ -71,7 +73,7 @@
 
 use crate::orchestrator::{CacheInsert, CellKey};
 use crate::SimOutcome;
-use secloc_obs::fnv1a;
+use secloc_obs::{fnv1a, Fnv1a};
 use std::cell::RefCell;
 use std::fmt;
 use std::fs;
@@ -101,6 +103,8 @@ const MAX_LOAD_NUM: u64 = 7;
 const MAX_LOAD_DEN: u64 = 10;
 /// Bytes one record read pulls into its shard's window (~34 records).
 const WINDOW_LEN: u64 = 4096;
+/// Records one batched read checks together.
+pub(crate) const READ_BATCH: usize = 4;
 /// An append writes its staged records out once this many bytes of them
 /// are staged (and at its end), so however many entries one frontier
 /// advance resolves, its buffers stay small (~546 records).
@@ -204,15 +208,19 @@ fn encode_record(key: CellKey, o: &SimOutcome) -> [u8; RECORD_LEN] {
 /// Decodes and validates one record; `None` means the bytes are not a
 /// complete, intact record (a crash-truncated or torn tail).
 fn decode_record(buf: &[u8]) -> Option<(CellKey, SimOutcome)> {
-    if buf.len() < RECORD_LEN {
-        return None;
-    }
+    let buf: &[u8; RECORD_LEN] = buf.get(..RECORD_LEN)?.try_into().ok()?;
+    decode_checked(buf, fnv1a(&buf[..RECORD_BODY]))
+}
+
+/// Decodes one record whose body hashes to `checksum`; `None` unless its
+/// length prefix, magic and stored checksum all hold.
+fn decode_checked(buf: &[u8; RECORD_LEN], checksum: u64) -> Option<(CellKey, SimOutcome)> {
     let len = u32::from_le_bytes(buf[0..4].try_into().ok()?);
     let magic = u32::from_le_bytes(buf[4..8].try_into().ok()?);
     if len as usize != RECORD_LEN || magic != RECORD_MAGIC {
         return None;
     }
-    if fnv1a(&buf[..RECORD_BODY]) != get_u64(buf, RECORD_BODY) {
+    if checksum != get_u64(buf, RECORD_BODY) {
         return None;
     }
     let flags = get_u64(buf, 16);
@@ -389,8 +397,8 @@ impl Staged {
 
 /// The sharded, indexed binary result cache. See the module docs for the
 /// on-disk format and crash discipline. Open reads the index's slot array
-/// into memory (16 bytes per slot) and no records; `get` probes that
-/// table and reads records through a 4 KiB window per shard, and an
+/// into memory (16 bytes per slot) and no records; a batched read probes
+/// that table and reads records through a 4 KiB window per shard, and an
 /// append writes through to the files with one positioned write per
 /// touched shard and 64 KiB of records, one per slot, and one for the
 /// header per 64 KiB.
@@ -761,26 +769,59 @@ impl BinaryCache {
     /// through the shard's window, which costs no I/O when the window
     /// already holds the record — O(1) whatever the cache size. A record
     /// that fails validation (torn by an unclean shutdown the index
-    /// survived) reads as a miss.
+    /// survived) reads as a miss. It is a batched read of one key.
     pub fn get(&self, key: CellKey) -> io::Result<Option<SimOutcome>> {
-        let Some((shard, offset)) = self.probe(key) else {
-            return Ok(None);
-        };
-        // An index entry past its shard's end (or naming no shard) is a
-        // miss.
-        let s = shard as usize;
-        let Some(&shard_len) = self.shard_lens.get(s) else {
-            return Ok(None);
-        };
-        if shard_len.saturating_sub(offset) < RECORD_LEN as u64 {
-            return Ok(None);
-        }
+        let [hit] = self.get_batch(&[key])?;
+        Ok(hit)
+    }
+
+    /// Where the index puts `key`'s record: its shard, offset and the
+    /// shard's indexed length. `None` when the key is not indexed, or its
+    /// entry lies past its shard's end or names no shard.
+    fn locate(&self, key: CellKey) -> Option<(usize, u64, u64)> {
+        let (shard, offset) = self.probe(key)?;
+        let shard_len = *self.shard_lens.get(shard as usize)?;
+        (shard_len.saturating_sub(offset) >= RECORD_LEN as u64).then_some((
+            shard as usize,
+            offset,
+            shard_len,
+        ))
+    }
+
+    /// Looks up `N` keys (at most [`READ_BATCH`]), answering each as
+    /// [`BinaryCache::get`] would. The records are copied out of their
+    /// shard windows in key order, so the windows read what `N` calls of
+    /// `get` read, and their checksums are folded in one interleaved
+    /// pass: each record's FNV-1a is a chain of dependent multiplies, and
+    /// taking the records a byte at a time in turn keeps `N` chains in
+    /// flight where one record alone waits on every multiply.
+    pub(crate) fn get_batch<const N: usize>(
+        &self,
+        keys: &[CellKey; N],
+    ) -> io::Result<[Option<SimOutcome>; N]> {
+        const { assert!(N <= READ_BATCH) };
+        // A key without a record keeps a zeroed copy, which fails the
+        // length check below.
+        let mut records = [[0u8; RECORD_LEN]; N];
         let mut windows = self.windows.borrow_mut();
-        let record = windows[s].record(&self.shards[s], offset, shard_len)?;
-        match decode_record(record) {
-            Some((recorded_key, outcome)) if recorded_key == key => Ok(Some(outcome)),
-            _ => Ok(None),
+        for (record, &key) in records.iter_mut().zip(keys) {
+            if let Some((s, offset, shard_len)) = self.locate(key) {
+                record.copy_from_slice(windows[s].record(&self.shards[s], offset, shard_len)?);
+            }
         }
+        drop(windows);
+        let mut lanes = [Fnv1a::new(); N];
+        for at in 0..RECORD_BODY {
+            for (lane, record) in lanes.iter_mut().zip(&records) {
+                lane.update(&record[at..=at]);
+            }
+        }
+        Ok(std::array::from_fn(|k| {
+            match decode_checked(&records[k], lanes[k].finish()) {
+                Some((recorded_key, outcome)) if recorded_key == keys[k] => Some(outcome),
+                _ => None,
+            }
+        }))
     }
 
     /// Records `outcome` under `key`, reporting what happened: appending
@@ -1072,6 +1113,119 @@ mod tests {
             fs::remove_dir_all(&one_by_one).ok();
             fs::remove_dir_all(&batched).ok();
         }
+    }
+
+    /// `get` one record at a time, as it read before batches: the index
+    /// probe, the record read straight from its shard file, and the
+    /// sequential checksum.
+    fn get_one_by_one(cache: &BinaryCache, key: CellKey) -> Option<SimOutcome> {
+        let (shard, offset) = cache.probe(key)?;
+        let shard_len = *cache.shard_lens.get(shard as usize)?;
+        if shard_len.saturating_sub(offset) < RECORD_LEN as u64 {
+            return None;
+        }
+        let mut buf = [0u8; RECORD_LEN];
+        cache.shards[shard as usize]
+            .read_exact_at(&mut buf, offset)
+            .ok()?;
+        decode_record(&buf)
+            .filter(|(recorded, _)| *recorded == key)
+            .map(|(_, o)| o)
+    }
+
+    #[test]
+    fn a_batched_read_answers_like_get_key_by_key() {
+        // Two shards of ~100 records each, about three windows per shard.
+        let dir = scratch("batch-read");
+        let key = |i: u64| CellKey(fnv1a(&i.to_le_bytes()));
+        let mut cache = BinaryCache::open(&dir, 8193).unwrap();
+        assert_eq!(cache.shard_count(), 2);
+        let n = 200u64;
+        cache
+            .append(
+                (0..n)
+                    .map(|i| (key(i), outcome(i)))
+                    .collect::<Vec<_>>()
+                    .iter()
+                    .map(|(k, o)| (*k, o)),
+                |_, _| {},
+            )
+            .unwrap();
+        // Flip one byte in the records at positions 40, 5, 10 and 15 of
+        // the key order below, one per lane of a batch of four.
+        for (i, at) in [(40u64, 16usize), (5, 60), (10, 100), (15, RECORD_LEN - 1)] {
+            let (shard, offset) = cache.probe(key(i)).unwrap();
+            let mut byte = [0u8];
+            cache.shards[shard as usize]
+                .read_exact_at(&mut byte, offset + at as u64)
+                .unwrap();
+            byte[0] ^= 0x20;
+            cache.shards[shard as usize]
+                .write_all_at(&byte, offset + at as u64)
+                .unwrap();
+        }
+        drop(cache);
+        let cache = BinaryCache::open(&dir, 0).unwrap();
+        assert!(cache.recovery().clean());
+
+        // Keys in insertion order, then misses mixed in, then a scramble
+        // with repeats, read in batches of one to four.
+        let mut keys: Vec<CellKey> = (0..n).map(key).collect();
+        keys.extend((0..n).map(|i| key(if i % 3 == 0 { n + i } else { i })));
+        let mut state = 0x5eed_u64;
+        keys.extend((0..2 * n).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            key((state >> 33) % (n + 20))
+        }));
+        let want: Vec<Option<SimOutcome>> =
+            keys.iter().map(|&k| get_one_by_one(&cache, k)).collect();
+        for (i, want) in want.iter().enumerate().take(n as usize) {
+            let flipped = [5, 10, 15, 40].contains(&i);
+            assert_eq!(want.is_none(), flipped, "key {i}");
+        }
+        let read = |batch: &[CellKey]| -> Vec<Option<SimOutcome>> {
+            match batch.len() {
+                1 => cache
+                    .get_batch::<1>(batch.try_into().unwrap())
+                    .unwrap()
+                    .to_vec(),
+                2 => cache
+                    .get_batch::<2>(batch.try_into().unwrap())
+                    .unwrap()
+                    .to_vec(),
+                3 => cache
+                    .get_batch::<3>(batch.try_into().unwrap())
+                    .unwrap()
+                    .to_vec(),
+                _ => cache
+                    .get_batch::<4>(batch.try_into().unwrap())
+                    .unwrap()
+                    .to_vec(),
+            }
+        };
+        let mut spans_shards_and_a_refill = false;
+        for size in 1..=READ_BATCH {
+            for (at, batch) in (0..).step_by(size).zip(keys.chunks(size)) {
+                assert_eq!(
+                    read(batch),
+                    want[at..at + batch.len()],
+                    "batch at {at} of {size}"
+                );
+                let located: Vec<(u32, u64)> =
+                    batch.iter().filter_map(|&k| cache.probe(k)).collect();
+                spans_shards_and_a_refill |= located.iter().any(|l| l.0 == 0)
+                    && located.iter().any(|l| l.0 == 1)
+                    && located.iter().any(|l| l.1 == 34 * RECORD_LEN as u64);
+            }
+        }
+        assert!(spans_shards_and_a_refill);
+        for (k, want) in keys.iter().zip(&want) {
+            assert_eq!(&cache.get(*k).unwrap(), want);
+        }
+        assert_eq!(cache.get_batch(&[]).unwrap(), []);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

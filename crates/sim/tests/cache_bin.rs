@@ -13,7 +13,10 @@
 //!   rebuilt from the shards answer every lookup alike;
 //! - units of several cells, whose results reach the cache as batched
 //!   appends, leave the bytes cell-by-cell inserts leave, and a crash
-//!   inside a batch costs only the records it tore.
+//!   inside a batch costs only the records it tore;
+//! - a warm sweep, which checks its records four at a time, reads a
+//!   flipped record as a miss in any position of a batch and re-runs just
+//!   that cell.
 
 use proptest::prelude::*;
 use secloc_obs::{fnv1a, MemorySink, Obs, Value};
@@ -645,6 +648,108 @@ fn a_cut_inside_a_batched_append_keeps_exactly_the_whole_records() {
         assert_eq!(warm.cache_hits, whole, "cut {cut}");
         assert_eq!(warm.executed, spec.len() - whole, "cut {cut}");
         assert_eq!(warm.outcomes, outcomes, "cut {cut}");
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Copies a cache directory's files into a new directory at `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+#[test]
+fn a_flipped_record_in_a_warm_read_reruns_exactly_its_cell() {
+    // 25 policies over 4 seeds: 100 cells. A cache created for more than
+    // 8,192 cells has two shards, and a sweep keeps the shard count it
+    // finds, so each shard holds about 50 records and its 4 KiB window
+    // refills once in a warm pass.
+    let dir = scratch("flip");
+    let mut configs = Vec::new();
+    for tau in 1..=5u32 {
+        for tau_prime in 1..=5u32 {
+            configs.push(SimConfig {
+                tau,
+                tau_prime,
+                ..tiny(0.5)
+            });
+        }
+    }
+    let spec = SweepSpec::product(&configs, &[1, 2, 3, 4]);
+    drop(BinaryCache::open(dir.join("cold.cache.bin"), 8193).unwrap());
+    let (cold_ckpt, cold) = checkpointed_sweep(&dir, "cold", &spec, 1);
+
+    // Each cell's record: its shard and its index there, in the cache's
+    // own (shard, offset) order.
+    let tag = code_version_tag();
+    let keys: Vec<CellKey> = spec
+        .cells()
+        .iter()
+        .map(|c| cell_key(&c.config, c.seed, &tag))
+        .collect();
+    let entries = BinaryCache::open(&cold, 0).unwrap().entries().unwrap();
+    assert_eq!(entries.len(), spec.len());
+    let mut per_shard = [0u64; 2];
+    let mut place = std::collections::HashMap::new();
+    for (key, _) in &entries {
+        let shard = (key.0 % 2) as usize;
+        place.insert(*key, (shard, per_shard[shard]));
+        per_shard[shard] += 1;
+    }
+    assert!(per_shard.iter().all(|&n| n > 35), "{per_shard:?}");
+    let place_of = |cell: usize| place[&keys[cell]];
+
+    // A warm pass reads the keys in batches of four from cell 0: cell `i`
+    // is lane `i % 4`. One record per lane, and the record that refills
+    // its shard's window (index 34: a window holds 34 whole records) in a
+    // batch whose cells span both shards.
+    let refill = (0..spec.len())
+        .filter(|&i| place_of(i).1 == 34)
+        .find(|&i| {
+            let batch = i / 4 * 4..(i / 4 * 4 + 4).min(spec.len());
+            let shards: Vec<usize> = batch.map(|j| place_of(j).0).collect();
+            shards.contains(&0) && shards.contains(&1)
+        })
+        .expect("a batch across both shards that refills a window");
+    for flipped in [40, 41, 42, 43, refill] {
+        let label = format!("flip-{flipped}");
+        let cache = dir.join(format!("{label}.cache.bin"));
+        copy_dir(&cold, &cache);
+        let (shard, index) = place_of(flipped);
+        let shard_file = cache.join(format!("shard-{shard:03}.bin"));
+        let mut bytes = fs::read(&shard_file).unwrap();
+        bytes[index as usize * RECORD_LEN + 60] ^= 0x40;
+        fs::write(&shard_file, &bytes).unwrap();
+
+        for pass in ["first", "second"] {
+            let sink = Arc::new(MemorySink::new());
+            let ckpt = dir.join(format!("{label}-{pass}.ckpt.jsonl"));
+            let warm = Orchestrator::new()
+                .workers(1)
+                .observed(&Obs::with_sink(sink.clone()))
+                .cache(&cache)
+                .checkpoint(&ckpt)
+                .run(&spec)
+                .unwrap();
+            let executed: Vec<Value> = sink
+                .events()
+                .iter()
+                .filter(|e| e.kind == "cell.start")
+                .filter_map(|e| e.field("cell").cloned())
+                .collect();
+            if pass == "first" {
+                assert_eq!(warm.executed, 1, "{label}");
+                assert_eq!(warm.cache_hits, spec.len() - 1, "{label}");
+                assert_eq!(executed, [Value::Str(keys[flipped].to_string())], "{label}");
+            } else {
+                assert_eq!(warm.executed, 0, "{label}: second pass");
+                assert_eq!(warm.cache_hits, spec.len(), "{label}: second pass");
+            }
+            assert_eq!(fs::read(&ckpt).unwrap(), cold_ckpt, "{label}: {pass} pass");
+        }
     }
     fs::remove_dir_all(&dir).ok();
 }
