@@ -1,6 +1,7 @@
 //! Colluding alert-spam against the revocation scheme (§3.2, §4).
 
 use secloc_crypto::NodeId;
+use std::cmp::Reverse;
 
 /// The strategy colluding malicious beacons use against the base station:
 /// each reporter's accepted alerts are capped at `τ + 1` (the report
@@ -61,28 +62,62 @@ impl CollusionPolicy {
     /// increase the probability of a malicious beacon node being
     /// detected", §3.2).
     pub fn alerts(&self, colluders: &[NodeId], victims: &[NodeId]) -> Vec<(NodeId, NodeId)> {
-        let quorum = self.cost_per_revocation() as usize;
         let mut out = Vec::new();
+        self.alerts_into(
+            colluders,
+            victims,
+            &mut out,
+            &mut CollusionScratch::default(),
+        );
+        out
+    }
+
+    /// [`CollusionPolicy::alerts`] written into `out`, which is cleared
+    /// first, with `scratch` as working memory: a caller that generates
+    /// many streams reuses both and allocates nothing once they have grown.
+    pub fn alerts_into(
+        &self,
+        colluders: &[NodeId],
+        victims: &[NodeId],
+        out: &mut Vec<(NodeId, NodeId)>,
+        scratch: &mut CollusionScratch,
+    ) {
+        out.clear();
+        let quorum = self.cost_per_revocation() as usize;
         if colluders.len() < quorum {
-            return out;
+            return;
         }
-        let mut budget = vec![self.budget_per_reporter(); colluders.len()];
+        let CollusionScratch {
+            budget,
+            with_budget,
+        } = scratch;
+        budget.clear();
+        budget.resize(colluders.len(), self.budget_per_reporter());
         for &victim in victims {
-            let mut with_budget: Vec<usize> =
-                (0..colluders.len()).filter(|&i| budget[i] > 0).collect();
+            with_budget.clear();
+            with_budget.extend((0..colluders.len()).filter(|&i| budget[i] > 0));
             if with_budget.len() < quorum {
                 break;
             }
-            // Stable sort: ties resolve in colluder-list order, keeping
-            // the stream fully deterministic.
-            with_budget.sort_by(|&a, &b| budget[b].cmp(&budget[a]));
+            // Most budget first, ties in colluder-list order, keeping the
+            // stream fully deterministic: the key is unique per colluder,
+            // so the unstable sort orders exactly as a stable one would,
+            // and needs no buffer.
+            with_budget.sort_unstable_by_key(|&i| (Reverse(budget[i]), i));
             for &i in with_budget.iter().take(quorum) {
                 out.push((colluders[i], victim));
                 budget[i] -= 1;
             }
         }
-        out
     }
+}
+
+/// The working memory of [`CollusionPolicy::alerts_into`]: each
+/// colluder's remaining budget, and the colluders that still have some.
+#[derive(Debug, Clone, Default)]
+pub struct CollusionScratch {
+    budget: Vec<u32>,
+    with_budget: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -189,6 +224,57 @@ mod tests {
         assert!(p.alerts(&ids(0..2), &ids(100..110)).is_empty());
         assert_eq!(p.expected_revocations(2), 0);
         assert_eq!(p.expected_revocations(3), 3);
+    }
+
+    /// The stream as first written: a fresh standings vector per victim,
+    /// stably sorted by remaining budget.
+    fn reference_alerts(
+        p: CollusionPolicy,
+        colluders: &[NodeId],
+        victims: &[NodeId],
+    ) -> Vec<(NodeId, NodeId)> {
+        let quorum = p.cost_per_revocation() as usize;
+        let mut out = Vec::new();
+        if colluders.len() < quorum {
+            return out;
+        }
+        let mut budget = vec![p.budget_per_reporter(); colluders.len()];
+        for &victim in victims {
+            let mut with_budget: Vec<usize> =
+                (0..colluders.len()).filter(|&i| budget[i] > 0).collect();
+            if with_budget.len() < quorum {
+                break;
+            }
+            with_budget.sort_by(|&a, &b| budget[b].cmp(&budget[a]));
+            for &i in with_budget.iter().take(quorum) {
+                out.push((colluders[i], victim));
+                budget[i] -= 1;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streams_into_a_reused_scratch_match_the_stably_sorted_stream() {
+        // Past 20 colluders the ranking runs past the sort's small-slice
+        // path, with many ties in remaining budget.
+        let mut out = vec![(NodeId(7), NodeId(7))];
+        let mut scratch = CollusionScratch::default();
+        for (tau, tau_prime, n) in [
+            (2, 2, 4),
+            (0, 0, 1),
+            (4, 1, 30),
+            (1, 3, 2),
+            (3, 2, 25),
+            (6, 4, 41),
+        ] {
+            let p = CollusionPolicy::new(tau, tau_prime);
+            let (colluders, victims) = (ids(0..n), ids(100..160));
+            let want = reference_alerts(p, &colluders, &victims);
+            p.alerts_into(&colluders, &victims, &mut out, &mut scratch);
+            assert_eq!(out, want, "tau={tau} tau'={tau_prime} n={n}");
+            assert_eq!(p.alerts(&colluders, &victims), want);
+        }
     }
 
     #[test]

@@ -42,5 +42,5 @@ mod collusion;
 mod wormhole;
 
 pub use beacon::{Action, BeaconStrategy, CompromisedBeacon};
-pub use collusion::CollusionPolicy;
+pub use collusion::{CollusionPolicy, CollusionScratch};
 pub use wormhole::Wormhole;

@@ -20,15 +20,19 @@
 //!
 //! Exit status is non-zero iff any metric fails (warnings are reported
 //! but do not gate), so CI can run `secloc-trend` directly instead of an
-//! embedded script. With `--validate-events FILE` the tool additionally
-//! schema-checks an event JSONL stream (a sweep `--events` capture or a
-//! flight-recorder dump) line by line; such a run prints its verdicts but
-//! writes the trend report only to an explicit `--out`.
+//! embedded script.
+//!
+//! With `--validate-events FILE` the tool instead schema-checks event
+//! JSONL streams (a sweep `--events` capture or a flight-recorder dump)
+//! line by line, and does nothing else: it reads no bench report and
+//! writes nothing, and its exit status is non-zero iff a stream is
+//! invalid. A stream check therefore never fails on a committed report
+//! that a slow host left failing a perf gate.
 //!
 //! ```text
 //! secloc-trend [--results DIR] [--history FILE] [--out FILE]
 //!              [--baseline-window N] [--no-record]
-//!              [--validate-events FILE]...
+//! secloc-trend --validate-events FILE...
 //! ```
 
 use secloc_obs::json::{push_json_f64, push_json_string, JsonValue};
@@ -680,28 +684,17 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    if !args.validate.is_empty() {
+        return validate_streams(&args.validate);
+    }
     let history_path = args
         .history
         .clone()
         .unwrap_or_else(|| args.results.join("bench_history.jsonl"));
-    // A run that validates event streams is a schema check: it prints the
-    // verdicts but writes a trend report only where `--out` says.
-    let out_path = match (&args.out, args.validate.is_empty()) {
-        (Some(out), _) => Some(out.clone()),
-        (None, true) => Some(args.results.join("BENCH_trend.json")),
-        (None, false) => None,
-    };
-
-    let mut failed = false;
-    for file in &args.validate {
-        match validate_events(file) {
-            Ok(n) => println!("events ok: {} ({n} events)", file.display()),
-            Err(e) => {
-                eprintln!("events INVALID: {e}");
-                failed = true;
-            }
-        }
-    }
+    let out_path = args
+        .out
+        .clone()
+        .unwrap_or_else(|| args.results.join("BENCH_trend.json"));
 
     let loaded = |name: &str| match load_report(&args.results.join(name)) {
         Ok(report) => report,
@@ -725,7 +718,7 @@ fn main() -> ExitCode {
 
     let key = report_key(perf.as_ref(), robustness.as_ref());
     let raw = collect_metrics(perf.as_ref(), obs.as_ref(), robustness.as_ref());
-    if raw.is_empty() && args.validate.is_empty() {
+    if raw.is_empty() {
         eprintln!(
             "error: no bench reports found under {} — run the benches first",
             args.results.display()
@@ -759,13 +752,11 @@ fn main() -> ExitCode {
     }
 
     if !metrics.is_empty() {
-        if let Some(out_path) = &out_path {
-            if let Err(e) = write_trend_report(out_path, &key, &metrics, history_entries, overall) {
-                eprintln!("error: write {}: {e}", out_path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("trend report: {}", out_path.display());
+        if let Err(e) = write_trend_report(&out_path, &key, &metrics, history_entries, overall) {
+            eprintln!("error: write {}: {e}", out_path.display());
+            return ExitCode::FAILURE;
         }
+        println!("trend report: {}", out_path.display());
         if args.record && overall != Verdict::Fail {
             // Failed runs stay out of the history so a regression does not
             // become its own baseline.
@@ -780,11 +771,31 @@ fn main() -> ExitCode {
         }
     }
 
-    if failed || overall == Verdict::Fail {
+    if overall == Verdict::Fail {
         eprintln!("verdict: FAIL");
         ExitCode::FAILURE
     } else {
         println!("verdict: {}", overall.label());
+        ExitCode::SUCCESS
+    }
+}
+
+/// Schema-checks each event stream in `files`: a failure iff any of them
+/// is invalid.
+fn validate_streams(files: &[PathBuf]) -> ExitCode {
+    let mut failed = false;
+    for file in files {
+        match validate_events(file) {
+            Ok(n) => println!("events ok: {} ({n} events)", file.display()),
+            Err(e) => {
+                eprintln!("events INVALID: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
         ExitCode::SUCCESS
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! [`RevocationMachine`] is the *single* implementation of the paper's
 //! τ/τ′ accusation-counting semantics in the workspace. Everything that
-//! consumes revocation — the batch [`BaseStation`](crate::BaseStation)
-//! used by `secloc-sim`'s runner, the streaming `secloc-alerter` service,
-//! the distributed voting harness — routes its decisions through this
-//! type, so the spam/quorum regression suite in `revocation.rs` covers
-//! every deployment mode at once.
+//! consumes revocation — `secloc-sim`'s runner, which drives one machine
+//! per probe stage and [`reset`](RevocationMachine::reset)s it per
+//! finish, the batch [`BaseStation`](crate::BaseStation) façade, the
+//! streaming `secloc-alerter` service, the distributed voting harness —
+//! routes its decisions through this type, so the spam/quorum regression
+//! suite in `revocation.rs` covers every deployment mode at once.
 //!
 //! The machine is deliberately austere:
 //!
@@ -231,6 +232,37 @@ impl RevocationMachine {
             config,
             state: MachineState::default(),
         }
+    }
+
+    /// A fresh machine whose tables already cover node IDs `0..nodes`, so
+    /// [`decide`](RevocationMachine::decide) on those IDs never grows a
+    /// table. It equals [`RevocationMachine::new`] under the semantic
+    /// equality and writes the same `rv1`.
+    pub fn with_nodes(config: RevocationConfig, nodes: usize) -> Self {
+        RevocationMachine {
+            config,
+            state: MachineState {
+                report_counters: vec![0; nodes],
+                alert_counters: vec![0; nodes],
+                accused: vec![Vec::new(); nodes],
+                revoked: vec![false; nodes],
+            },
+        }
+    }
+
+    /// Returns the machine to a fresh one under `config`, keeping every
+    /// table and accused list it has grown: afterwards it decides, compares
+    /// and serializes exactly as `RevocationMachine::new(config)` would. A
+    /// caller that arbitrates many alert streams over one ID space (the
+    /// sim's finishes of one probe stage) resets one machine instead of
+    /// building one per stream.
+    pub fn reset(&mut self, config: RevocationConfig) {
+        self.config = config;
+        let state = &mut self.state;
+        state.report_counters.fill(0);
+        state.alert_counters.fill(0);
+        state.accused.iter_mut().for_each(Vec::clear);
+        state.revoked.fill(false);
     }
 
     /// Resumes a machine from explicit state (e.g. a decoded snapshot).

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use secloc_core::{
-    Alert, BaseStation, DetectionOutcome, DetectionPipeline, Observation, RevocationConfig,
-    SignalDetector, SignalVerdict,
+    Alert, AlertOutcome, BaseStation, DetectionOutcome, DetectionPipeline, Observation,
+    RevocationConfig, RevocationMachine, SignalDetector, SignalVerdict,
 };
 use secloc_crypto::NodeId;
 use secloc_geometry::Point2;
@@ -11,6 +11,40 @@ use secloc_radio::Cycles;
 
 fn field_point() -> impl Strategy<Value = Point2> {
     (0.0..1000.0f64, 0.0..1000.0f64).prop_map(|(x, y)| Point2::new(x, y))
+}
+
+/// IDs a machine may see: some inside a `with_nodes` machine's `0..16`
+/// pre-sized tables, some past them.
+const IDS: u32 = 24;
+
+/// An accusation stream over [`IDS`], self-accusations included.
+fn accusations() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    proptest::collection::vec((0..IDS, 0..IDS), 0..150)
+}
+
+fn thresholds() -> impl Strategy<Value = RevocationConfig> {
+    (0u32..5, 0u32..5).prop_map(|(tau, tau_prime)| RevocationConfig { tau, tau_prime })
+}
+
+/// Feeds `stream` to `machine` and returns the verdicts in order.
+fn decide_all(machine: &mut RevocationMachine, stream: &[(u32, u32)]) -> Vec<AlertOutcome> {
+    stream
+        .iter()
+        .map(|&(r, t)| machine.decide(NodeId(r), NodeId(t)))
+        .collect()
+}
+
+/// Asserts that everything a caller can read of two machines agrees.
+fn assert_same_machine(a: &RevocationMachine, b: &RevocationMachine) {
+    assert_eq!(a, b);
+    assert_eq!(a.to_wire(), b.to_wire());
+    assert_eq!(a.config(), b.config());
+    assert_eq!(a.revoked_nodes(), b.revoked_nodes());
+    for id in (0..IDS + 2).map(NodeId) {
+        assert_eq!(a.is_revoked(id), b.is_revoked(id), "{id:?}");
+        assert_eq!(a.suspiciousness(id), b.suspiciousness(id), "{id:?}");
+        assert_eq!(a.reports_spent(id), b.reports_spent(id), "{id:?}");
+    }
 }
 
 proptest! {
@@ -133,5 +167,47 @@ proptest! {
         // The concentrated strategy achieves the bound exactly when enough
         // victims exist.
         prop_assert_eq!(bs.revoked().len(), bound.min(victims.len()));
+    }
+
+    #[test]
+    fn a_reset_machine_is_a_fresh_machine(
+        first_cfg in thresholds(),
+        first in accusations(),
+        cfg in thresholds(),
+        second in accusations(),
+        nodes in 0usize..16,
+    ) {
+        // A machine that already arbitrated one stream, from either
+        // constructor, reset to new thresholds...
+        let mut grown = RevocationMachine::new(first_cfg);
+        let mut sized = RevocationMachine::with_nodes(first_cfg, nodes);
+        decide_all(&mut grown, &first);
+        decide_all(&mut sized, &first);
+        grown.reset(cfg);
+        sized.reset(cfg);
+        // ...decides a second stream as a fresh machine does.
+        let mut fresh = RevocationMachine::new(cfg);
+        assert_same_machine(&grown, &fresh);
+        assert_same_machine(&sized, &fresh);
+        let want = decide_all(&mut fresh, &second);
+        prop_assert_eq!(&decide_all(&mut grown, &second), &want);
+        prop_assert_eq!(&decide_all(&mut sized, &second), &want);
+        assert_same_machine(&grown, &fresh);
+        assert_same_machine(&sized, &fresh);
+    }
+
+    #[test]
+    fn a_machine_with_nodes_is_a_fresh_machine(
+        cfg in thresholds(),
+        stream in accusations(),
+        nodes in 0usize..16,
+    ) {
+        let mut sized = RevocationMachine::with_nodes(cfg, nodes);
+        let mut fresh = RevocationMachine::new(cfg);
+        assert_same_machine(&sized, &fresh);
+        prop_assert_eq!(decide_all(&mut sized, &stream), decide_all(&mut fresh, &stream));
+        assert_same_machine(&sized, &fresh);
+        let resumed = RevocationMachine::from_wire(&sized.to_wire()).expect("rv1 round trip");
+        assert_same_machine(&resumed, &fresh);
     }
 }

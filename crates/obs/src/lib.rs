@@ -256,6 +256,7 @@ impl Obs {
 
     /// Starts a named span: on [`Span::finish`] (or drop) the elapsed time
     /// lands in histogram `span.<name>.ns` and a `span` event is emitted.
+    /// With nothing attached the span allocates nothing and reads no clock.
     pub fn span(&self, name: &str) -> Span<'_> {
         Span::enter(self, name)
     }

@@ -31,44 +31,53 @@ impl Default for Stopwatch {
 
 /// A timing guard tied to an [`Obs`]: created by [`Obs::span`], it records
 /// its elapsed time — into histogram `span.<name>.ns` and as a `span` event —
-/// when finished or dropped.
+/// when finished or dropped. On a facade with neither a registry nor a sink
+/// the guard is inert: it keeps no name and reads no clock.
 #[derive(Debug)]
 pub struct Span<'a> {
     obs: &'a Obs,
-    name: String,
-    watch: Stopwatch,
-    done: bool,
+    /// The name and the clock, kept only while something records them.
+    live: Option<(String, Stopwatch)>,
 }
 
 impl<'a> Span<'a> {
     pub(crate) fn enter(obs: &'a Obs, name: &str) -> Self {
         Span {
             obs,
-            name: name.to_string(),
-            watch: Stopwatch::start(),
-            done: false,
+            live: obs
+                .enabled()
+                .then(|| (name.to_string(), Stopwatch::start())),
         }
     }
 
-    /// Elapsed nanoseconds so far, without ending the span.
+    /// Elapsed nanoseconds so far, without ending the span (0 on an inert
+    /// span).
     pub fn elapsed_ns(&self) -> u64 {
-        self.watch.elapsed_ns()
+        self.live
+            .as_ref()
+            .map_or(0, |(_, watch)| watch.elapsed_ns())
     }
 
-    /// Ends the span, recording its duration, and returns elapsed nanos.
+    /// Ends the span, recording its duration, and returns elapsed nanos (0
+    /// on an inert span).
     pub fn finish(mut self) -> u64 {
-        self.done = true;
-        let nanos = self.watch.elapsed_ns();
-        self.obs.record_span(&self.name, nanos);
+        self.record()
+    }
+
+    /// Records the span once and returns its duration.
+    fn record(&mut self) -> u64 {
+        let Some((name, watch)) = self.live.take() else {
+            return 0;
+        };
+        let nanos = watch.elapsed_ns();
+        self.obs.record_span(&name, nanos);
         nanos
     }
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            self.obs.record_span(&self.name, self.watch.elapsed_ns());
-        }
+        self.record();
     }
 }
 
@@ -93,5 +102,14 @@ mod tests {
         let nanos = span.finish();
         assert!(nanos > 0);
         assert_eq!(sink.len(), 1, "finish must not double-record on drop");
+    }
+
+    #[test]
+    fn a_span_on_a_disabled_facade_is_inert() {
+        let obs = Obs::disabled();
+        let span = obs.span("nothing");
+        assert!(span.live.is_none(), "no name kept, no clock read");
+        assert_eq!(span.elapsed_ns(), 0);
+        assert_eq!(span.finish(), 0);
     }
 }

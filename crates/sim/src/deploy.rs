@@ -35,9 +35,10 @@ pub struct Deployment {
     // `with_policy`): everything in here is a pure function of
     // `(config.topology_key(), seed)`.
     topology: Arc<Topology>,
-    // Indexed by beacon: only beacons can be compromised, and every policy
-    // re-key rebuilds this table.
-    compromised: Vec<Option<CompromisedBeacon>>,
+    // Indexed by beacon: only beacons can be compromised. Besides the
+    // topology it depends on `attacker_p` and `lie_offset_ft` alone, so a
+    // re-key that keeps both (every re-key inside a probe unit) shares it.
+    compromised: Arc<[Option<CompromisedBeacon>]>,
     seed: u64,
 }
 
@@ -56,10 +57,13 @@ pub(crate) struct Topology {
     kinds: Vec<NodeKind>,
     // The compromised beacons in selection order, with the lie *angle*
     // drawn for each during generation. The angle (an RNG draw) is
-    // topology; the lie magnitude it is scaled by is policy, so
-    // `CompromisedBeacon`s are rebuilt per policy re-key from these.
+    // topology; the lie magnitude it is scaled by is policy, so a re-key
+    // that changes an attacker knob rebuilds the `CompromisedBeacon`s
+    // from these.
     malicious_set: Vec<u32>,
     lie_angles: Vec<f64>,
+    // `malicious_set` ascending: what every finish counts revocations over.
+    malicious_ascending: Vec<u32>,
     wormhole: Option<Wormhole>,
     seed: u64,
     audible: AudibleGraph,
@@ -207,6 +211,8 @@ impl Deployment {
         // and the `audible_graph_matches_the_per_node_definition` property
         // are the oracles.
         let audible = AudibleGraph::build(&index, config.beacons, config.range_ft, &wormhole_exits);
+        let mut malicious_ascending = malicious_set.clone();
+        malicious_ascending.sort_unstable();
 
         let topology = Arc::new(Topology {
             index,
@@ -214,38 +220,31 @@ impl Deployment {
             kinds,
             malicious_set,
             lie_angles,
+            malicious_ascending,
             wormhole,
             seed,
             audible,
         });
-        Ok(Self::from_parts(topology, config))
+        let compromised = compromised_table(&topology, &config);
+        Ok(Self::from_parts(topology, compromised, config))
     }
 
     /// Attaches the policy-determined state (compromised-beacon behaviour,
     /// ID space) to a topology. Both `try_generate` and `with_policy` end
-    /// here, so the two construction routes are one code path and cannot
-    /// drift apart.
-    fn from_parts(topology: Arc<Topology>, config: SimConfig) -> Deployment {
-        let seed = topology.seed;
-        let strategy = BeaconStrategy::with_acceptance(config.attacker_p);
-        let mut compromised: Vec<Option<CompromisedBeacon>> = vec![None; config.beacons as usize];
-        for (&b, &angle) in topology.malicious_set.iter().zip(&topology.lie_angles) {
-            let offset = Vector2::from_angle(angle) * config.lie_offset_ft;
-            compromised[b as usize] = Some(CompromisedBeacon::new(
-                NodeId(b),
-                topology.index.position(b as usize),
-                offset,
-                strategy,
-                subseed(seed, &[b"beacon".as_slice(), &b.to_le_bytes()].concat()),
-            ));
-        }
+    /// here, and both take `compromised` from [`compromised_table`], so the
+    /// two construction routes are one code path and cannot drift apart.
+    fn from_parts(
+        topology: Arc<Topology>,
+        compromised: Arc<[Option<CompromisedBeacon>]>,
+        config: SimConfig,
+    ) -> Deployment {
         let ids = IdSpace::new(config.beacons, config.non_beacons(), config.detecting_ids);
         Deployment {
+            seed: topology.seed,
             config,
             ids,
             topology,
             compromised,
-            seed,
         }
     }
 
@@ -253,7 +252,10 @@ impl Deployment {
     /// topology behind the `Arc` instead of regenerating it. The result is
     /// bit-identical to `Deployment::generate(config, self.seed())` — the
     /// equivalence suite holds this as an invariant — but skips placement,
-    /// index construction, and the RNG work entirely.
+    /// index construction, and the RNG work entirely. When `config` keeps
+    /// this deployment's `attacker_p` and `lie_offset_ft` the
+    /// compromised-beacon table is shared too, and the re-key allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -265,7 +267,18 @@ impl Deployment {
         if config.topology_key() != self.config.topology_key() {
             return Err(crate::ConfigError::TopologyMismatch);
         }
-        Ok(Self::from_parts(Arc::clone(&self.topology), config))
+        let same_attack = config.attacker_p.to_bits() == self.config.attacker_p.to_bits()
+            && config.lie_offset_ft.to_bits() == self.config.lie_offset_ft.to_bits();
+        let compromised = if same_attack {
+            Arc::clone(&self.compromised)
+        } else {
+            compromised_table(&self.topology, &config)
+        };
+        Ok(Self::from_parts(
+            Arc::clone(&self.topology),
+            compromised,
+            config,
+        ))
     }
 
     /// Whether `self` and `other` share one topology allocation (as
@@ -366,6 +379,12 @@ impl Deployment {
         self.topology.audible.max_len
     }
 
+    /// The malicious beacons, ascending: `beacons_of_kind(MaliciousBeacon)`
+    /// without the allocation, computed once per topology.
+    pub(crate) fn malicious_beacons(&self) -> &[u32] {
+        &self.topology.malicious_ascending
+    }
+
     /// All beacon indices of a kind.
     pub fn beacons_of_kind(&self, kind: NodeKind) -> Vec<u32> {
         (0..self.config.beacons)
@@ -385,6 +404,27 @@ impl Deployment {
     pub fn mean_requesters_per_beacon(&self) -> f64 {
         self.topology.audible.mean_requesters
     }
+}
+
+/// Each beacon's compromised behaviour under `config`'s attacker knobs
+/// (`None` for a benign beacon), indexed by beacon.
+fn compromised_table(topology: &Topology, config: &SimConfig) -> Arc<[Option<CompromisedBeacon>]> {
+    let strategy = BeaconStrategy::with_acceptance(config.attacker_p);
+    let mut table: Vec<Option<CompromisedBeacon>> = vec![None; config.beacons as usize];
+    // The stream label is `b"beacon"` then the index's little-endian bytes.
+    let mut label = *b"beacon\0\0\0\0";
+    for (&b, &angle) in topology.malicious_set.iter().zip(&topology.lie_angles) {
+        let offset = Vector2::from_angle(angle) * config.lie_offset_ft;
+        label[6..].copy_from_slice(&b.to_le_bytes());
+        table[b as usize] = Some(CompromisedBeacon::new(
+            NodeId(b),
+            topology.index.position(b as usize),
+            offset,
+            strategy,
+            subseed(topology.seed, &label),
+        ));
+    }
+    table.into()
 }
 
 /// Derives an independent RNG stream seed from a master seed and a label.
@@ -573,6 +613,30 @@ mod tests {
             fresh.ids().detecting_ids_per_beacon()
         );
         assert_eq!(rekeyed.config().tau, 4);
+    }
+
+    #[test]
+    fn a_rekey_keeping_the_attacker_knobs_shares_the_compromised_table() {
+        let base = Deployment::generate(small_config(), 24);
+        let mut policy = small_config();
+        policy.tau = 5;
+        policy.collusion = false;
+        let same = base.with_policy(policy.clone()).unwrap();
+        assert!(Arc::ptr_eq(&base.compromised, &same.compromised));
+        // Either attacker knob rebuilds the table, as generation builds it.
+        let (p0, lie0) = (policy.attacker_p, policy.lie_offset_ft);
+        for (p, lie) in [(p0 / 2.0, lie0), (p0, lie0 * 1.5)] {
+            policy.attacker_p = p;
+            policy.lie_offset_ft = lie;
+            let other = base.with_policy(policy.clone()).unwrap();
+            assert!(!Arc::ptr_eq(&base.compromised, &other.compromised));
+            let fresh = Deployment::generate(policy.clone(), 24);
+            assert_eq!(other.compromised, fresh.compromised, "p={p} lie={lie}");
+        }
+        assert_eq!(
+            base.malicious_beacons(),
+            base.beacons_of_kind(NodeKind::MaliciousBeacon)
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::{Deployment, NodeKind, ProbeContext, SimConfig, SimOutcome};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use secloc_attack::{Action, CollusionPolicy};
-use secloc_core::{Alert, AlertMetrics, BaseStation, RevocationConfig};
+use secloc_attack::{Action, CollusionPolicy, CollusionScratch};
+use secloc_core::{Alert, AlertMetrics, AlertOutcome, RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
 use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
@@ -149,11 +149,18 @@ impl KeptIndex {
         KeptIndex { offsets, refs }
     }
 
-    /// Which of each node's kept references revocation dropped, indexed by
-    /// node: a mask over its kept list in order, or `None` when the list is
-    /// longer than 64 and at least one reference was dropped.
-    fn dropped_masks(&self, kept: &[Vec<KeptReference>], revoked: &RevokedSet) -> Vec<Option<u64>> {
-        let mut masks = vec![Some(0u64); kept.len()];
+    /// Which of each node's kept references revocation dropped, written
+    /// into `masks` indexed by node: a mask over its kept list in order, or
+    /// `None` when the list is longer than 64 and at least one reference
+    /// was dropped.
+    fn dropped_masks(
+        &self,
+        kept: &[Vec<KeptReference>],
+        revoked: &RevokedSet,
+        masks: &mut Vec<Option<u64>>,
+    ) {
+        masks.clear();
+        masks.resize(kept.len(), Some(0));
         for (b, span) in self.offsets.windows(2).enumerate() {
             if !revoked.contains(b as u32) {
                 continue;
@@ -167,24 +174,26 @@ impl KeptIndex {
                 }
             }
         }
-        masks
     }
 }
 
 /// The beacons revocation removed, as a bitset over beacon indices: one
 /// word per 64 beacons.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RevokedSet(Vec<u64>);
 
 impl RevokedSet {
-    fn of(station: &BaseStation, beacons: u32) -> Self {
-        let mut words = vec![0u64; beacons.div_ceil(64) as usize];
+    /// Rewrites the set, in place, as `machine`'s verdicts on beacons
+    /// `0..beacons`.
+    fn refill(&mut self, machine: &RevocationMachine, beacons: u32) {
+        let words = &mut self.0;
+        words.clear();
+        words.resize(beacons.div_ceil(64) as usize, 0);
         for b in 0..beacons {
-            if station.is_revoked(NodeId(b)) {
+            if machine.is_revoked(NodeId(b)) {
                 words[(b / 64) as usize] |= 1 << (b % 64);
             }
         }
-        RevokedSet(words)
     }
 
     fn contains(&self, b: u32) -> bool {
@@ -240,14 +249,15 @@ pub struct ProbeStage {
     /// finish that needs it.
     impact: OnceLock<ImpactPrecompute>,
     /// Post-revocation results already computed against this stage,
-    /// shared by every finish from it.
+    /// shared by every finish from it, with the buffers a finish works in.
     memo: Mutex<ImpactMemo>,
     /// Phase 3a's order, built on first use, indexed by whether colluders
     /// spam.
     orders: [OnceLock<AlertOrder>; 2],
 }
 
-/// Cross-cell cache of one [`ProbeStage`], in two levels.
+/// Cross-cell cache of one [`ProbeStage`], in two levels, plus the
+/// buffers its finishes borrow.
 ///
 /// Every entry is a pure function of the stage and of what revocation
 /// removed, and every cell finishing from one stage shares the stage, so
@@ -263,7 +273,57 @@ struct ImpactMemo {
     /// keyed by *which* of its kept references revocation dropped (a mask
     /// over the kept list in order). The entries seen so far are few
     /// enough per sensor for linear scans to beat hashing.
-    per_sensor: Vec<Vec<(u64, Option<f64>)>>,
+    per_sensor: Vec<SensorEntries>,
+    /// The working buffers of the finish that holds the lock.
+    buffers: FinishBuffers,
+}
+
+/// One sensor's level of the memo: `(dropped mask, contribution)` pairs.
+type SensorEntries = Vec<(u64, Option<f64>)>;
+
+/// What a finish works in, kept by its stage from one finish to the next
+/// (under the memo's lock), so that once they have grown a finish
+/// allocates only what it adds to the memo. Nothing in them outlives a
+/// finish: each is cleared or rewritten before it is read.
+#[derive(Debug)]
+struct FinishBuffers {
+    /// The base station: sized for the beacon IDs once, reset per finish.
+    machine: RevocationMachine,
+    /// The colluders' alert stream, and its working memory.
+    collusion: Vec<(NodeId, NodeId)>,
+    collusion_scratch: CollusionScratch,
+    /// Delivered alerts with their source label, in submission order.
+    delivered: Vec<(Alert, &'static str)>,
+    /// What revocation removed; cloned only into a new memo entry.
+    revoked: RevokedSet,
+    impact: ImpactBuffers,
+}
+
+impl FinishBuffers {
+    fn new(cfg: &SimConfig) -> Self {
+        FinishBuffers {
+            machine: RevocationMachine::with_nodes(revocation_config(cfg), cfg.beacons as usize),
+            collusion: Vec::new(),
+            collusion_scratch: CollusionScratch::default(),
+            delivered: Vec::new(),
+            revoked: RevokedSet::default(),
+            impact: ImpactBuffers::default(),
+        }
+    }
+}
+
+/// The working memory of one impact pass (see [`Runner::impact_pass`]).
+#[derive(Debug, Default)]
+struct ImpactBuffers {
+    /// Every sensor's contribution, in sensor order: the pass's result.
+    out: Vec<Option<f64>>,
+    /// The sensors left to solve, in sensor order, each with the memo key
+    /// its result is stored under.
+    pending: Vec<(u32, Option<u64>)>,
+    /// Per node, which of its kept references revocation dropped.
+    masks: Vec<Option<u64>>,
+    /// The solver's two scratches, made on the first solve.
+    slots: Option<[MmseScratch; 2]>,
 }
 
 /// What one impact pass solves each sensor over.
@@ -273,12 +333,29 @@ enum ImpactPass<'a> {
     Before,
     /// After revocation: a sensor that lost no reference keeps its
     /// `before` contribution, and the others re-solve over the references
-    /// that survive — through the memo when there is one.
+    /// that survive — through the memo's per-sensor level when there is
+    /// one.
     After {
         revoked: &'a RevokedSet,
         before: &'a [Option<f64>],
-        memo: Option<&'a mut ImpactMemo>,
+        memo: Option<&'a mut [SensorEntries]>,
     },
+}
+
+/// The (τ, τ′) thresholds of `cfg`.
+fn revocation_config(cfg: &SimConfig) -> RevocationConfig {
+    RevocationConfig {
+        tau: cfg.tau,
+        tau_prime: cfg.tau_prime,
+    }
+}
+
+/// Announces phase `name` on the event sink; without a sink it builds
+/// nothing.
+fn announce_phase(telemetry: &Obs, name: &str) {
+    if telemetry.sink_attached() {
+        telemetry.emit("phase", &[("name", Value::Str(name.to_string()))]);
+    }
 }
 
 /// How to run one experiment: telemetry and fault injection, both opt-in.
@@ -403,7 +480,7 @@ impl Runner {
     /// Like [`Runner::new`], but times deployment generation under the
     /// `phase.deploy` span and announces the phase on the event sink.
     pub fn new_observed(config: SimConfig, seed: u64, telemetry: &Obs) -> Self {
-        telemetry.emit("phase", &[("name", Value::Str("deploy".to_string()))]);
+        announce_phase(telemetry, "deploy");
         let span = telemetry.span("phase.deploy");
         let deployment = Deployment::generate(config, seed);
         span.finish();
@@ -477,9 +554,13 @@ impl Runner {
     /// alert order: a finish whose revoked set repeats across the cells of
     /// the stage skips the impact pass, and a sensor whose
     /// dropped-reference subset repeats is re-estimated only once. The memo
-    /// caches pure-function results, so outcomes stay bit-identical. A
-    /// finish that finds the memo held by a concurrent finish of the same
-    /// stage solves without it rather than wait.
+    /// caches pure-function results, so outcomes stay bit-identical. The
+    /// finishes of one stage also share its working buffers (alert lists,
+    /// the revocation machine, impact scratch), so once those have grown a
+    /// finish allocates only what it adds to the memo, and a finish whose
+    /// revoked set the memo holds allocates nothing. A finish that finds
+    /// the memo held by a concurrent finish of the same stage solves
+    /// without it, on fresh buffers, rather than wait.
     pub fn finish_from_stage(&self, stage: &ProbeStage) -> SimOutcome {
         self.finish_from_stage_observed(stage, &Obs::disabled())
     }
@@ -548,7 +629,7 @@ impl Runner {
         let mut drift_skewed = 0u64;
 
         // ---- Phase 1: detection probes by benign beacons. -------------
-        telemetry.emit("phase", &[("name", Value::Str("detection".to_string()))]);
+        announce_phase(telemetry, "detection");
         let detection_span = telemetry.span("phase.detection");
         let detectors = d.beacons_of_kind(NodeKind::BenignBeacon);
         // Audible beacons come from the topology's precomputed CSR cache,
@@ -593,7 +674,7 @@ impl Runner {
         detection_span.finish();
 
         // ---- Phase 2: location discovery by sensors. ------------------
-        telemetry.emit("phase", &[("name", Value::Str("location".to_string()))]);
+        announce_phase(telemetry, "location");
         let location_span = telemetry.span("phase.location");
         let mut pairs = ScheduledPairs::with_capacity(d.audible_pair_count(cfg.beacons, cfg.nodes));
         for w in d.sensors() {
@@ -679,6 +760,7 @@ impl Runner {
             memo: Mutex::new(ImpactMemo {
                 by_revoked: Vec::new(),
                 per_sensor: vec![Vec::new(); cfg.nodes as usize],
+                buffers: FinishBuffers::new(cfg),
             }),
             orders: Default::default(),
         }
@@ -694,10 +776,11 @@ impl Runner {
     /// pre-revocation pass (`secloc-oracle`).
     fn impact_precompute(&self, stage: &ProbeStage) -> ImpactPrecompute {
         let cfg = self.deployment.config();
-        let per_sensor = self.impact_pass(stage, ImpactPass::Before);
+        let mut pass = ImpactBuffers::default();
+        self.impact_pass(stage, ImpactPass::Before, &mut pass);
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
-        for (i, c) in per_sensor.into_iter().enumerate() {
+        for (i, &c) in pass.out.iter().enumerate() {
             if let Some(c) = c {
                 before[cfg.beacons as usize + i] = Some(c);
                 sum_b += c;
@@ -708,18 +791,23 @@ impl Runner {
     }
 
     /// The impact loop: every sensor's contribution under `pass`, in
-    /// sensor order (indexed from the first sensor), for the caller to
-    /// fold. Sensors whose contribution is already known — untouched by
-    /// revocation, or a memo hit — resolve at once; the rest are solved
-    /// (see [`Runner::solve_sensors`]) and, under a memo, recorded in it.
-    fn impact_pass(&self, stage: &ProbeStage, pass: ImpactPass<'_>) -> Vec<Option<f64>> {
+    /// sensor order (indexed from the first sensor), left in `buffers.out`
+    /// for the caller to fold. Sensors whose contribution is already known
+    /// — untouched by revocation, or a memo hit — resolve at once; the rest
+    /// are solved (see [`Runner::solve_sensors`]) and, under a memo,
+    /// recorded in it.
+    fn impact_pass(&self, stage: &ProbeStage, pass: ImpactPass<'_>, buffers: &mut ImpactBuffers) {
         let d = &self.deployment;
         let kept = &stage.kept;
         let sensor0 = d.config().beacons;
-        let mut out: Vec<Option<f64>> = Vec::with_capacity((d.config().nodes - sensor0) as usize);
-        // The sensors left to solve, in sensor order, each with the memo
-        // key its result is stored under.
-        let mut pending: Vec<(u32, Option<u64>)> = Vec::new();
+        let ImpactBuffers {
+            out,
+            pending,
+            masks,
+            slots,
+        } = buffers;
+        out.clear();
+        pending.clear();
         let (revoked, mut memo) = match pass {
             ImpactPass::Before => {
                 pending.extend(d.sensors().map(|w| (w, None)));
@@ -731,12 +819,12 @@ impl Runner {
                 before,
                 memo,
             } => {
-                let masks = stage.index.dropped_masks(kept, revoked);
+                stage.index.dropped_masks(kept, revoked, masks);
                 for w in d.sensors() {
                     let dropped = masks[w as usize];
                     let known = match (dropped, memo.as_deref()) {
                         (Some(0), _) => Some(before[w as usize]),
-                        (Some(mask), Some(memo)) => memo.per_sensor[w as usize]
+                        (Some(mask), Some(memo)) => memo[w as usize]
                             .iter()
                             .find(|&&(key, _)| key == mask)
                             .map(|&(_, c)| c),
@@ -750,7 +838,9 @@ impl Runner {
                 (Some(revoked), memo)
             }
         };
-        let solved = self.solve_sensors(
+        let pending = &*pending;
+        self.solve_sensors(
+            slots,
             pending.len(),
             |i| pending[i].0,
             |w, scratch| {
@@ -763,57 +853,62 @@ impl Runner {
                     ),
                 }
             },
+            |i, c| {
+                let (w, key) = pending[i];
+                out[(w - sensor0) as usize] = c;
+                if let (Some(key), Some(memo)) = (key, memo.as_deref_mut()) {
+                    memo[w as usize].push((key, c));
+                }
+            },
         );
-        for (&(w, key), c) in pending.iter().zip(solved) {
-            out[(w - sensor0) as usize] = c;
-            if let (Some(key), Some(memo)) = (key, memo.as_deref_mut()) {
-                memo.per_sensor[w as usize].push((key, c));
-            }
-        }
-        out
     }
 
     /// Solves the reference sets of sensors `sensor_of(0..n)` —
-    /// `load(w, scratch)` fills a scratch with sensor `w`'s set — and
-    /// returns each sensor's localization error in index order: `None`
-    /// when its set does not solve. Every solve runs through
-    /// [`BatchedMmse::positions`] over two scratches pre-sized to the
-    /// topology's largest audible set, made only when there is a set to
-    /// solve.
+    /// `load(w, scratch)` fills a scratch with sensor `w`'s set — and hands
+    /// each sensor's localization error to `emit(i, error)` as it
+    /// completes: `None` when its set does not solve. Every solve runs
+    /// through [`BatchedMmse::positions`] over the two scratches in
+    /// `slots`, made pre-sized to the topology's largest audible set when
+    /// the first set is solved.
     ///
     /// A deployed node knows the field bounds, and poisoned constraints
     /// can push the least-squares solution outside them, so the estimate
     /// is clamped like a real stack would clamp it.
     fn solve_sensors(
         &self,
+        slots: &mut Option<[MmseScratch; 2]>,
         n: usize,
         sensor_of: impl Fn(usize) -> u32,
         load: impl Fn(u32, &mut MmseScratch),
-    ) -> Vec<Option<f64>> {
+        mut emit: impl FnMut(usize, Option<f64>),
+    ) {
         if n == 0 {
-            return Vec::new();
+            return;
         }
         let d = &self.deployment;
         let field = secloc_geometry::Field::square(d.config().field_side_ft);
         let cap = d.max_audible_len();
-        let mut slots = [
-            MmseScratch::with_capacity(cap),
-            MmseScratch::with_capacity(cap),
-        ];
+        let slots = slots.get_or_insert_with(|| {
+            [
+                MmseScratch::with_capacity(cap),
+                MmseScratch::with_capacity(cap),
+            ]
+        });
         let caps = slots.each_ref().map(MmseScratch::capacity);
-        let mut out = vec![None; n];
         let load = |j: usize, s: &mut MmseScratch| load(sensor_of(j), s);
-        BatchedMmse::default().positions(&mut slots, n, load, |j, position| {
-            out[j] = position
-                .ok()
-                .map(|p| field.clamp(p).distance(d.position(sensor_of(j))));
+        BatchedMmse::default().positions(slots, n, load, |j, position| {
+            emit(
+                j,
+                position
+                    .ok()
+                    .map(|p| field.clamp(p).distance(d.position(sensor_of(j)))),
+            );
         });
         debug_assert_eq!(
             slots.each_ref().map(MmseScratch::capacity),
             caps,
             "MmseScratch grew mid-run"
         );
-        out
     }
 
     /// Phase 3a's submission order on `stage` (see [`AlertOrder`]), which
@@ -824,8 +919,9 @@ impl Runner {
         if spam {
             colluders = self
                 .deployment
-                .beacons_of_kind(NodeKind::MaliciousBeacon)
-                .into_iter()
+                .malicious_beacons()
+                .iter()
+                .copied()
                 // A colluder that churn killed for good sends nothing; one
                 // that rebooted rejoins the spam campaign.
                 .filter(|&b| stage.churn.as_ref().is_none_or(|c| c.is_alive(b, 1.0)))
@@ -855,6 +951,30 @@ impl Runner {
         let spam = cfg.collusion && cfg.malicious > 0;
         let order = stage.orders[usize::from(spam)].get_or_init(|| self.alert_order(stage, spam));
 
+        // One lock per finish covers the memo and the buffers it works in.
+        // A memo held by a concurrent finish of the same stage, or poisoned
+        // by a panicking one, is skipped, and the finish works in fresh
+        // buffers: the memo only saves work, and every entry in it is
+        // complete.
+        let mut held = stage.memo.try_lock().ok();
+        let mut spare = None;
+        let (buffers, mut memo) = match held.as_deref_mut() {
+            Some(ImpactMemo {
+                by_revoked,
+                per_sensor,
+                buffers,
+            }) => (buffers, Some((by_revoked, per_sensor))),
+            None => (spare.insert(FinishBuffers::new(cfg)), None),
+        };
+        let FinishBuffers {
+            machine,
+            collusion,
+            collusion_scratch,
+            delivered,
+            revoked,
+            impact,
+        } = buffers;
+
         // ---- Phase 3a: alert delivery over the lossy report channel. ---
         // Alerts cross a lossy multi-hop path; the paper assumes
         // retransmission makes delivery effectively reliable, which the
@@ -863,16 +983,12 @@ impl Runner {
         // exactly as before the phase split. A burst-loss plan swaps the
         // Bernoulli process for a Gilbert–Elliott channel; without one the
         // channel wraps the identical Bernoulli process (same draws).
-        telemetry.emit(
-            "phase",
-            &[("name", Value::Str("alert_delivery".to_string()))],
-        );
+        announce_phase(telemetry, "alert_delivery");
         let delivery_span = telemetry.span("phase.alert_delivery");
         let mut alert_loss = AlertChannel::from_plan(plan, cfg.alert_loss_rate);
         let mut loss_rng = StdRng::seed_from_u64(subseed(self.seed, b"alert-loss"));
         let mut lost_transmissions = 0u64;
-        // Delivered alerts with their source label, in submission order.
-        let mut delivered: Vec<(Alert, &str)> = Vec::new();
+        delivered.clear();
         let mut dropped_in_transit = 0usize;
         let mut submit = |alert: Alert, source: &'static str| {
             let sent = send_reliable(&mut alert_loss, cfg.alert_retransmissions, &mut loss_rng);
@@ -886,10 +1002,16 @@ impl Runner {
         let mut collusion_alerts = 0usize;
         if spam {
             let policy = CollusionPolicy::new(cfg.tau, cfg.tau_prime);
-            for (reporter, target) in policy.alerts(&order.colluders, &order.victims) {
+            policy.alerts_into(
+                &order.colluders,
+                &order.victims,
+                collusion,
+                collusion_scratch,
+            );
+            for &(reporter, target) in collusion.iter() {
                 submit(Alert::new(reporter, target), "collusion");
-                collusion_alerts += 1;
             }
+            collusion_alerts = collusion.len();
         }
         let benign_alert_count = order.benign.len();
         for &alert in &order.benign {
@@ -904,23 +1026,20 @@ impl Runner {
         delivery_span.finish();
 
         // ---- Phase 3b: revocation at the base station. -----------------
-        telemetry.emit("phase", &[("name", Value::Str("revocation".to_string()))]);
+        announce_phase(telemetry, "revocation");
         let revocation_span = telemetry.span("phase.revocation");
         let alert_metrics = telemetry.metrics().map(|r| AlertMetrics::new(r));
         // Every delivered alert is arbitrated by the shared
-        // `RevocationMachine` (behind the `BaseStation` façade) — the same
-        // state machine the streaming `secloc-alerter` service runs, so
-        // the batch and stream paths cannot drift apart.
-        let mut station = BaseStation::new(RevocationConfig {
-            tau: cfg.tau,
-            tau_prime: cfg.tau_prime,
-        });
+        // `RevocationMachine` — the same state machine the streaming
+        // `secloc-alerter` service runs (and `BaseStation` wraps), so the
+        // batch and stream paths cannot drift apart.
+        machine.reset(revocation_config(cfg));
         // Per-decision events are only built when a sink is listening:
         // metrics-only telemetry (the BENCH_obs overhead configuration)
         // skips the string formatting entirely.
         let decisions_attended = telemetry.sink_attached();
-        for (alert, source) in delivered {
-            let outcome = station.process(alert);
+        for &(alert, source) in delivered.iter() {
+            let outcome = machine.decide(alert.reporter, alert.target);
             if let Some(m) = &alert_metrics {
                 m.record(outcome);
             }
@@ -934,16 +1053,16 @@ impl Runner {
                         ("outcome", Value::Str(outcome.wire_label().to_string())),
                     ],
                 );
-            }
-            if outcome == secloc_core::AlertOutcome::AcceptedAndRevoked {
-                telemetry.emit(
-                    "revocation",
-                    &[
-                        ("target", Value::U64(alert.target.0 as u64)),
-                        ("reporter", Value::U64(alert.reporter.0 as u64)),
-                        ("source", Value::Str(source.to_string())),
-                    ],
-                );
+                if outcome == AlertOutcome::AcceptedAndRevoked {
+                    telemetry.emit(
+                        "revocation",
+                        &[
+                            ("target", Value::U64(alert.target.0 as u64)),
+                            ("reporter", Value::U64(alert.reporter.0 as u64)),
+                            ("source", Value::Str(source.to_string())),
+                        ],
+                    );
+                }
             }
         }
         // Emitted after the last decision so any stream consumer (the
@@ -964,18 +1083,16 @@ impl Runner {
         revocation_span.finish();
 
         // ---- Phase 4: impact metrics. ----------------------------------
-        telemetry.emit("phase", &[("name", Value::Str("impact".to_string()))]);
+        announce_phase(telemetry, "impact");
         let impact_span = telemetry.span("phase.impact");
-        let malicious = d.beacons_of_kind(NodeKind::MaliciousBeacon);
+        // Revocation state materialized once as a bitset: the counts and
+        // the inner loops read it instead of the machine, and it keys the
+        // memo's per-set level.
+        revoked.refill(machine, cfg.beacons);
+        let malicious = d.malicious_beacons();
         let benign = detectors;
-        let revoked_malicious = malicious
-            .iter()
-            .filter(|&&v| station.is_revoked(NodeId(v)))
-            .count() as u32;
-        let revoked_benign = benign
-            .iter()
-            .filter(|&&v| station.is_revoked(NodeId(v)))
-            .count() as u32;
+        let revoked_malicious = malicious.iter().filter(|&&v| revoked.contains(v)).count() as u32;
+        let revoked_benign = benign.iter().filter(|&&v| revoked.contains(v)).count() as u32;
 
         let (affected_before, affected_after) = if malicious.is_empty() {
             (0.0, 0.0)
@@ -983,7 +1100,7 @@ impl Runner {
             let before: usize = malicious.iter().map(|&v| poisoned[v as usize].len()).sum();
             let after: usize = malicious
                 .iter()
-                .filter(|&&v| !station.is_revoked(NodeId(v)))
+                .filter(|&&v| !revoked.contains(v))
                 .map(|&v| poisoned[v as usize].len())
                 .sum();
             (
@@ -992,39 +1109,33 @@ impl Runner {
             )
         };
 
-        // Revocation state materialized once as a bitset: the inner loops
-        // avoid per-reference hash lookups, and it keys the memo's per-set
-        // level.
-        let revoked = RevokedSet::of(&station, cfg.beacons);
-        let pre = self.precompute(stage);
-        // A memo held by a concurrent finish of the same stage, or poisoned
-        // by a panicking one, is skipped: it only saves work, and every
-        // entry in it is complete.
-        let mut memo = stage.memo.try_lock().ok();
-
         // A revoked set the stage has already finished takes its mean
         // from the memo. Otherwise revocation can only drop references, so
         // only sensors that lost one re-solve, folded in sensor order.
+        let pre = self.precompute(stage);
         let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
         let seen = memo
-            .as_deref()
-            .and_then(|m| m.by_revoked.iter().find(|(set, _)| *set == revoked));
+            .as_ref()
+            .and_then(|(by_revoked, _)| by_revoked.iter().find(|(set, _)| set == revoked));
         let err_after = match seen {
             Some(&(_, err)) => err,
             None => {
                 let pass = ImpactPass::After {
-                    revoked: &revoked,
+                    revoked,
                     before: &pre.before,
-                    memo: memo.as_deref_mut(),
+                    memo: memo
+                        .as_mut()
+                        .map(|(_, per_sensor)| per_sensor.as_mut_slice()),
                 };
+                self.impact_pass(stage, pass, impact);
                 let (mut sum_a, mut n_a) = (0.0f64, 0usize);
-                for c in self.impact_pass(stage, pass).into_iter().flatten() {
+                for &c in impact.out.iter().flatten() {
                     sum_a += c;
                     n_a += 1;
                 }
                 let err = (n_a > 0).then(|| sum_a / n_a as f64);
-                if let Some(memo) = memo.as_deref_mut() {
-                    memo.by_revoked.push((revoked, err));
+                if let Some((by_revoked, _)) = memo.as_mut() {
+                    by_revoked.push((revoked.clone(), err));
                 }
                 err
             }
@@ -1317,7 +1428,8 @@ mod tests {
                     }
                 })
                 .collect();
-            let masks = stage.index.dropped_masks(kept, &revoked);
+            let mut masks = vec![None; 3];
+            stage.index.dropped_masks(kept, &revoked, &mut masks);
             assert_eq!(masks, scanned, "policy {i}");
             past_mask_width += masks.iter().filter(|m| m.is_none()).count();
         }
