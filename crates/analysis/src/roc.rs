@@ -126,14 +126,6 @@ impl RobustnessCurve {
         self.points.push(point);
     }
 
-    /// The worst (lowest) detection rate anywhere on the curve.
-    pub fn worst_detection_rate(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.detection_rate)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Total detection-rate drop from the first point (the baseline
     /// severity) to the last (the harshest) — positive when the
     /// degradation hurts.
@@ -212,7 +204,6 @@ mod tests {
     #[test]
     fn robustness_curve_summaries() {
         let mut c = RobustnessCurve::new("noise_figure");
-        assert!(c.worst_detection_rate().is_none());
         assert!(c.detection_drop().is_none());
         for (severity, det) in [(1.0, 0.9), (2.0, 0.7), (3.0, 0.4)] {
             c.push(EmpiricalPoint {
@@ -223,7 +214,6 @@ mod tests {
             });
         }
         assert_eq!(c.axis, "noise_figure");
-        assert_eq!(c.worst_detection_rate(), Some(0.4));
         assert!((c.detection_drop().unwrap() - 0.5).abs() < 1e-12);
     }
 

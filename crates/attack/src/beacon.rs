@@ -1,4 +1,4 @@
-//! Compromised beacon nodes and their evasion strategies.
+//! Compromised beacon nodes and their attack strategy.
 
 use secloc_crypto::{prf, NodeId};
 use secloc_geometry::{Point2, Vector2};
@@ -8,13 +8,6 @@ use secloc_geometry::{Point2, Vector2};
 pub enum Action {
     /// Send a normal, correct beacon signal (no attack, no evidence).
     Normal,
-    /// Send a malicious signal but manipulate it so the requester's
-    /// wormhole detector believes it came through a wormhole — the
-    /// requester then discards it (no alert, no acceptance).
-    FakeWormhole,
-    /// Send a malicious signal but delay it so the requester's RTT filter
-    /// classifies it as locally replayed — again discarded.
-    FakeLocalReplay,
     /// Send an undisguised malicious signal: accepted by non-beacon
     /// requesters (location poisoned), detected by detecting nodes.
     MaliciousSignal,
@@ -22,88 +15,44 @@ pub enum Action {
 
 /// The per-requester behaviour mix of a compromised beacon (§2.3).
 ///
-/// The paper parameterises the attacker by three fractions:
-/// `p_n` of requesters get a normal signal, `p_w` of the rest are convinced
-/// the signal is a wormhole replay, and `p_l` of what remains are convinced
-/// it is a local replay. The probability a requester both *receives* a
-/// malicious signal and *keeps* it is therefore
-/// `P = (1 − p_n)(1 − p_w)(1 − p_l)` — the x-axis of Figs. 5–9, 12, 13.
+/// The paper parameterises the attacker by three fractions: `p_n` of
+/// requesters get a normal signal, `p_w` of the rest are convinced the
+/// signal is a wormhole replay, and `p_l` of what remains are convinced it
+/// is a local replay. Detectors and sensors alike discard a disguised
+/// signal, so, like a normal one, it neither raises an alert nor poisons a
+/// sensor: the paper's analysis depends only on the probability a
+/// requester both *receives* a malicious signal and *keeps* it,
+/// `P = (1 − p_n)(1 − p_w)(1 − p_l)` — the x-axis of Figs. 5–9, 12, 13. A
+/// strategy is therefore that one probability, and the disguises are not
+/// modelled (`DESIGN.md` §2, Substitutions).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeaconStrategy {
+    /// Fraction of requesters answered honestly, `1 − P`.
     p_normal: f64,
-    p_fake_wormhole: f64,
-    p_fake_local: f64,
 }
 
 impl BeaconStrategy {
-    /// An always-honest strategy (for control experiments).
-    pub fn honest() -> Self {
-        BeaconStrategy {
-            p_normal: 1.0,
-            p_fake_wormhole: 0.0,
-            p_fake_local: 0.0,
-        }
-    }
-
-    /// An always-attacking, never-disguising strategy (`P = 1`).
+    /// An always-attacking strategy (`P = 1`).
     pub fn always_malicious() -> Self {
-        BeaconStrategy {
-            p_normal: 0.0,
-            p_fake_wormhole: 0.0,
-            p_fake_local: 0.0,
-        }
+        BeaconStrategy { p_normal: 0.0 }
     }
 
-    /// The paper's probabilistic attacker with fractions
-    /// `(p_n, p_w, p_l)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless each fraction lies in `[0, 1]`.
-    pub fn probabilistic(p_n: f64, p_w: f64, p_l: f64) -> Self {
-        for (name, v) in [("p_n", p_n), ("p_w", p_w), ("p_l", p_l)] {
-            assert!((0.0..=1.0).contains(&v), "{name} must be in [0,1], got {v}");
-        }
-        BeaconStrategy {
-            p_normal: p_n,
-            p_fake_wormhole: p_w,
-            p_fake_local: p_l,
-        }
-    }
-
-    /// A strategy achieving acceptance probability `p` by splitting the
-    /// evasion evenly: `p_n = 1 − p`, `p_w = p_l = 0`. This is the
-    /// simplest attacker with `P = p`; Figs. 12–14 are insensitive to how
-    /// the evasion mass is split because the analysis only depends on `P`.
+    /// A strategy with acceptance probability `p`: each requester gets an
+    /// undisguised malicious signal with probability `p` and a normal one
+    /// otherwise.
     ///
     /// # Panics
     ///
     /// Panics unless `p` lies in `[0, 1]`.
     pub fn with_acceptance(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "P must be in [0,1], got {p}");
-        BeaconStrategy::probabilistic(1.0 - p, 0.0, 0.0)
+        BeaconStrategy { p_normal: 1.0 - p }
     }
 
-    /// Fraction of requesters answered honestly.
-    pub fn p_normal(&self) -> f64 {
-        self.p_normal
-    }
-
-    /// Fraction of non-normal requesters shown a fake wormhole.
-    pub fn p_fake_wormhole(&self) -> f64 {
-        self.p_fake_wormhole
-    }
-
-    /// Fraction of remaining requesters shown a fake local replay.
-    pub fn p_fake_local(&self) -> f64 {
-        self.p_fake_local
-    }
-
-    /// The acceptance probability `P = (1−p_n)(1−p_w)(1−p_l)` — the chance
-    /// a requester receives a malicious beacon signal that survives the
-    /// replay filters.
+    /// The acceptance probability `P` — the chance a requester receives a
+    /// malicious beacon signal that survives the replay filters.
     pub fn acceptance_probability(&self) -> f64 {
-        (1.0 - self.p_normal) * (1.0 - self.p_fake_wormhole) * (1.0 - self.p_fake_local)
+        1.0 - self.p_normal
     }
 }
 
@@ -161,31 +110,15 @@ impl CompromisedBeacon {
         self.true_position + self.lie_offset
     }
 
-    /// The strategy in force.
-    pub fn strategy(&self) -> BeaconStrategy {
-        self.strategy
-    }
-
     /// The action taken for `requester` — deterministic per requester
     /// (§2.3's best-evasion assumption), uniform across requesters in the
     /// strategy's proportions.
     pub fn decide(&self, requester: NodeId) -> Action {
-        // Two independent uniform draws from a keyed PRF of the pair.
+        // One uniform draw from a keyed PRF of the pair.
         let tag = prf::prf64((self.seed, self.id.0 as u64), &requester.0.to_le_bytes());
-        let u1 = (tag >> 32) as f64 / u32::MAX as f64;
-        let u2 = (tag & 0xffff_ffff) as f64 / u32::MAX as f64;
-        let tag2 = prf::prf64(
-            (self.seed ^ 0x5a5a_5a5a, self.id.0 as u64),
-            &requester.0.to_le_bytes(),
-        );
-        let u3 = (tag2 >> 32) as f64 / u32::MAX as f64;
-
-        if u1 < self.strategy.p_normal() {
+        let u = (tag >> 32) as f64 / u32::MAX as f64;
+        if u < self.strategy.p_normal {
             Action::Normal
-        } else if u2 < self.strategy.p_fake_wormhole() {
-            Action::FakeWormhole
-        } else if u3 < self.strategy.p_fake_local() {
-            Action::FakeLocalReplay
         } else {
             Action::MaliciousSignal
         }
@@ -207,8 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn honest_strategy_always_normal() {
-        let b = beacon(BeaconStrategy::honest());
+    fn zero_acceptance_always_normal() {
+        let b = beacon(BeaconStrategy::with_acceptance(0.0));
         for r in 0..200 {
             assert_eq!(b.decide(NodeId(r)), Action::Normal);
         }
@@ -224,7 +157,7 @@ mod tests {
 
     #[test]
     fn decisions_deterministic_per_requester() {
-        let b = beacon(BeaconStrategy::probabilistic(0.3, 0.3, 0.3));
+        let b = beacon(BeaconStrategy::with_acceptance(0.5));
         for r in 0..100 {
             assert_eq!(b.decide(NodeId(r)), b.decide(NodeId(r)));
         }
@@ -232,7 +165,7 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_maps() {
-        let s = BeaconStrategy::probabilistic(0.5, 0.0, 0.0);
+        let s = BeaconStrategy::with_acceptance(0.5);
         let b1 = CompromisedBeacon::new(NodeId(7), Point2::ORIGIN, Vector2::ZERO, s, 1);
         let b2 = CompromisedBeacon::new(NodeId(7), Point2::ORIGIN, Vector2::ZERO, s, 2);
         let diff = (0..500)
@@ -243,44 +176,23 @@ mod tests {
 
     #[test]
     fn empirical_fractions_match_strategy() {
-        let s = BeaconStrategy::probabilistic(0.4, 0.25, 0.5);
+        let s = BeaconStrategy::with_acceptance(0.35);
         let b = beacon(s);
         let n = 20_000u32;
-        let mut counts = [0usize; 4];
-        for r in 0..n {
-            let i = match b.decide(NodeId(r)) {
-                Action::Normal => 0,
-                Action::FakeWormhole => 1,
-                Action::FakeLocalReplay => 2,
-                Action::MaliciousSignal => 3,
-            };
-            counts[i] += 1;
-        }
-        let f = |c: usize| c as f64 / n as f64;
-        assert!((f(counts[0]) - 0.4).abs() < 0.02, "normal {}", f(counts[0]));
-        assert!(
-            (f(counts[1]) - 0.6 * 0.25).abs() < 0.02,
-            "wormhole {}",
-            f(counts[1])
-        );
-        assert!(
-            (f(counts[2]) - 0.6 * 0.75 * 0.5).abs() < 0.02,
-            "local {}",
-            f(counts[2])
-        );
+        let malicious = (0..n)
+            .filter(|&r| b.decide(NodeId(r)) == Action::MaliciousSignal)
+            .count();
+        let f = malicious as f64 / n as f64;
         let p = s.acceptance_probability();
-        assert!(
-            (f(counts[3]) - p).abs() < 0.02,
-            "malicious {} vs P {p}",
-            f(counts[3])
-        );
+        assert!((f - p).abs() < 0.02, "malicious {f} vs P {p}");
     }
 
     #[test]
     fn acceptance_probability_formula() {
-        let s = BeaconStrategy::probabilistic(0.2, 0.3, 0.4);
-        assert!((s.acceptance_probability() - 0.8 * 0.7 * 0.6).abs() < 1e-12);
-        assert_eq!(BeaconStrategy::honest().acceptance_probability(), 0.0);
+        assert_eq!(
+            BeaconStrategy::with_acceptance(0.0).acceptance_probability(),
+            0.0
+        );
         assert_eq!(
             BeaconStrategy::always_malicious().acceptance_probability(),
             1.0
@@ -300,6 +212,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be in [0,1]")]
     fn invalid_fraction_rejected() {
-        BeaconStrategy::probabilistic(1.5, 0.0, 0.0);
+        BeaconStrategy::with_acceptance(1.5);
     }
 }

@@ -4,11 +4,11 @@
 //! collusion behaviours the paper's analysis assumes:
 //!
 //! - [`CompromisedBeacon`] — an insider beacon with valid keys following a
-//!   [`BeaconStrategy`]: it may answer honestly, send a malicious signal, or
-//!   disguise its malice as a wormhole/local replay. Decisions are a
-//!   deterministic function of the requester ID, because "the malicious
-//!   beacon node behaves in the same way for the same requesting node, which
-//!   is the best strategy for the node to avoid being detected" (§2.3);
+//!   [`BeaconStrategy`]: it either answers honestly or sends a malicious
+//!   signal. Decisions are a deterministic function of the requester ID,
+//!   because "the malicious beacon node behaves in the same way for the
+//!   same requesting node, which is the best strategy for the node to avoid
+//!   being detected" (§2.3);
 //! - [`Wormhole`] — a low-latency tunnel replaying benign signals between
 //!   two far-apart field locations (§2.2.1);
 //! - [`CollusionPolicy`] — malicious beacons spending their full report
@@ -21,7 +21,7 @@
 //! use secloc_crypto::NodeId;
 //! use secloc_geometry::{Point2, Vector2};
 //!
-//! let strategy = BeaconStrategy::probabilistic(0.2, 0.3, 0.3);
+//! let strategy = BeaconStrategy::with_acceptance(0.4);
 //! let beacon = CompromisedBeacon::new(
 //!     NodeId(4),
 //!     Point2::new(100.0, 100.0),

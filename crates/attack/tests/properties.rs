@@ -2,20 +2,82 @@
 
 use proptest::prelude::*;
 use secloc_attack::{Action, BeaconStrategy, CollusionPolicy, CompromisedBeacon, Wormhole};
-use secloc_crypto::NodeId;
+use secloc_crypto::{prf, NodeId};
 use secloc_geometry::{Point2, Vector2};
 use secloc_radio::Cycles;
 
+/// A copy of `CompromisedBeacon::decide` as it stood while the strategy
+/// still carried the disguise fractions: two keyed draws, here for a
+/// `with_acceptance(p)` strategy (`p_n = 1 − p`, `p_w = p_l = 0`). It
+/// returns that version's four-way action.
+fn two_draw_decide(seed: u64, id: NodeId, requester: NodeId, p: f64) -> OldAction {
+    let (p_normal, p_fake_wormhole, p_fake_local) = (1.0 - p, 0.0, 0.0);
+    let tag = prf::prf64((seed, id.0 as u64), &requester.0.to_le_bytes());
+    let u1 = (tag >> 32) as f64 / u32::MAX as f64;
+    let u2 = (tag & 0xffff_ffff) as f64 / u32::MAX as f64;
+    let tag2 = prf::prf64(
+        (seed ^ 0x5a5a_5a5a, id.0 as u64),
+        &requester.0.to_le_bytes(),
+    );
+    let u3 = (tag2 >> 32) as f64 / u32::MAX as f64;
+    if u1 < p_normal {
+        OldAction::Normal
+    } else if u2 < p_fake_wormhole {
+        OldAction::FakeWormhole
+    } else if u3 < p_fake_local {
+        OldAction::FakeLocalReplay
+    } else {
+        OldAction::MaliciousSignal
+    }
+}
+
+/// `Action` as it stood with the disguises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OldAction {
+    Normal,
+    FakeWormhole,
+    FakeLocalReplay,
+    MaliciousSignal,
+}
+
+/// Acceptance probabilities with both ends drawn often.
+fn acceptance() -> impl Strategy<Value = f64> {
+    (0u8..4, 0.0..=1.0f64).prop_map(|(end, p)| match end {
+        0 => 0.0,
+        1 => 1.0,
+        _ => p,
+    })
+}
+
 proptest! {
     #[test]
-    fn acceptance_probability_formula_holds(
-        p_n in 0.0..1.0f64,
-        p_w in 0.0..1.0f64,
-        p_l in 0.0..1.0f64,
+    fn acceptance_probability_is_p(p in acceptance()) {
+        let s = BeaconStrategy::with_acceptance(p);
+        prop_assert!((s.acceptance_probability() - p).abs() < 1e-12);
+    }
+
+    #[test]
+    fn decisions_match_the_two_draw_decide(
+        seed in any::<u64>(),
+        id in any::<u32>(),
+        p in acceptance(),
+        requesters in proptest::collection::vec(any::<u32>(), 1..64),
     ) {
-        let s = BeaconStrategy::probabilistic(p_n, p_w, p_l);
-        let expected = (1.0 - p_n) * (1.0 - p_w) * (1.0 - p_l);
-        prop_assert!((s.acceptance_probability() - expected).abs() < 1e-12);
+        let b = CompromisedBeacon::new(
+            NodeId(id),
+            Point2::ORIGIN,
+            Vector2::new(300.0, 0.0),
+            BeaconStrategy::with_acceptance(p),
+            seed,
+        );
+        for r in requesters {
+            let want = two_draw_decide(seed, NodeId(id), NodeId(r), p);
+            let got = match b.decide(NodeId(r)) {
+                Action::Normal => OldAction::Normal,
+                Action::MaliciousSignal => OldAction::MaliciousSignal,
+            };
+            prop_assert_eq!(got, want, "seed {} id {} requester {} P {}", seed, id, r, p);
+        }
     }
 
     #[test]

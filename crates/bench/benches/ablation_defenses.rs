@@ -6,13 +6,13 @@
 //! same deployments and compares mean localization error and the count of
 //! badly mislocalized sensors. It also demonstrates the library's
 //! composability: the whole comparison is built from public APIs
-//! (`ProbeContext`, `BaseStation`, the `Estimator` implementations).
+//! (`ProbeContext`, `RevocationMachine`, the `Estimator` implementations).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secloc_attack::{Action, CollusionPolicy};
+use secloc_attack::CollusionPolicy;
 use secloc_bench::{banner, f2, Table};
-use secloc_core::{Alert, BaseStation, RevocationConfig};
+use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_geometry::Field;
 use secloc_localization::{
@@ -54,7 +54,7 @@ fn collect(deployment: &Deployment, seed: u64) -> Collected {
     }
 
     // Detection + revocation (the paper's scheme), colluders included.
-    let mut station = BaseStation::new(RevocationConfig {
+    let mut station = RevocationMachine::new(RevocationConfig {
         tau: cfg.tau,
         tau_prime: cfg.tau_prime,
     });
@@ -66,7 +66,7 @@ fn collect(deployment: &Deployment, seed: u64) -> Collected {
         .collect();
     let victims: Vec<NodeId> = detectors.iter().copied().map(NodeId).collect();
     for (r, t) in CollusionPolicy::new(cfg.tau, cfg.tau_prime).alerts(&colluders, &victims) {
-        station.process(Alert::new(r, t));
+        station.decide(r, t);
     }
     for &u in &detectors {
         for v in deployment.neighbors(u) {
@@ -78,12 +78,8 @@ fn collect(deployment: &Deployment, seed: u64) -> Collected {
                 let Some(result) = ctx.probe(u, wire, v, &mut rng) else {
                     break;
                 };
-                if result.action == Some(Action::MaliciousSignal) && result.outcome.raises_alert() {
-                    station.process(Alert::new(NodeId(u), NodeId(v)));
-                    break;
-                }
                 if result.outcome.raises_alert() {
-                    station.process(Alert::new(NodeId(u), NodeId(v)));
+                    station.decide(NodeId(u), NodeId(v));
                     break;
                 }
             }

@@ -169,16 +169,6 @@ fn main() {
         },
     );
 
-    // Equivalence gate: an empty fault plan must leave the run bit-identical
-    // to a fault-free simulation, or the baselines below are meaningless.
-    let gate = Runner::new(base_config(), 7);
-    assert_eq!(
-        gate.run(RunOptions::new()).outcome,
-        gate.run(RunOptions::new().faults(FaultPlan::default()))
-            .outcome,
-        "empty FaultPlan is not bit-identical — robustness baselines invalid"
-    );
-
     let noise = noise_curve(&seeds);
     let (burst, uniform) = burst_curves(&seeds);
     for curve in [&noise, &burst, &uniform] {

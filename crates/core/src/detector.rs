@@ -80,46 +80,6 @@ impl SignalDetector {
             SignalVerdict::Consistent
         }
     }
-
-    /// The smallest location-lie magnitude this detector is guaranteed to
-    /// flag from *every* detector position: `2ε`. A lie of `|offset| ≤ 2ε`
-    /// can hide inside measurement error for some geometries; beyond it,
-    /// the triangle inequality forces a discrepancy `> ε` somewhere.
-    pub fn guaranteed_detectable_offset(&self) -> f64 {
-        2.0 * self.max_error_ft
-    }
-
-    /// The §2.3 promoted-beacon variant: when "a non-beacon node may
-    /// become a beacon node ... once it discovers its own location", its
-    /// declared location carries localization error on top of the ranging
-    /// error. The consistency constraint still holds — "otherwise, it is
-    /// impossible to estimate locations with required accuracy" — but the
-    /// tolerance must widen by the anchor's own position uncertainty.
-    ///
-    /// `anchor_uncertainty_ft` is the promoted beacon's localization
-    /// error bound (e.g. the residual RMS of its own position estimate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `anchor_uncertainty_ft` is negative or not finite.
-    pub fn check_promoted(
-        &self,
-        detector_position: Point2,
-        declared_position: Point2,
-        measured_distance_ft: f64,
-        anchor_uncertainty_ft: f64,
-    ) -> SignalVerdict {
-        assert!(
-            anchor_uncertainty_ft.is_finite() && anchor_uncertainty_ft >= 0.0,
-            "anchor uncertainty must be >= 0, got {anchor_uncertainty_ft}"
-        );
-        let calculated = detector_position.distance(declared_position);
-        if (measured_distance_ft - calculated).abs() > self.max_error_ft + anchor_uncertainty_ft {
-            SignalVerdict::Malicious
-        } else {
-            SignalVerdict::Consistent
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,6 +90,7 @@ mod tests {
     fn boundary_is_exclusive() {
         // "larger than the maximum distance error" — exactly eps passes.
         let det = SignalDetector::new(10.0);
+        assert_eq!(det.max_error(), 10.0);
         let me = Point2::ORIGIN;
         let claim = Point2::new(100.0, 0.0);
         assert_eq!(det.check(me, claim, 110.0), SignalVerdict::Consistent);
@@ -205,70 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn guaranteed_offset_is_twice_epsilon() {
-        assert_eq!(
-            SignalDetector::new(10.0).guaranteed_detectable_offset(),
-            20.0
-        );
-        assert_eq!(SignalDetector::new(10.0).max_error(), 10.0);
-    }
-
-    #[test]
     #[should_panic(expected = ">= 0")]
     fn negative_epsilon_rejected() {
         SignalDetector::new(-1.0);
-    }
-
-    #[test]
-    fn promoted_beacon_honest_error_tolerated() {
-        // A promoted beacon whose own position estimate is off by 8 ft
-        // declares that estimate; the plain check would flag it, the
-        // promoted check must not.
-        let det = SignalDetector::new(10.0);
-        let me = Point2::ORIGIN;
-        // True position (100, 0); honest estimate declared 8 ft off.
-        let declared = Point2::new(108.0, 0.0);
-        let measured = 110.0; // ranging error +10 against true position
-        assert_eq!(det.check(me, declared, measured), SignalVerdict::Consistent); // 2 < 10 here
-        let measured_worst = 90.0; // ranging error -10: |90-108|=18 > 10
-        assert_eq!(
-            det.check(me, declared, measured_worst),
-            SignalVerdict::Malicious
-        );
-        assert_eq!(
-            det.check_promoted(me, declared, measured_worst, 8.0),
-            SignalVerdict::Consistent,
-            "uncertainty-widened bound must absorb the honest anchor error"
-        );
-    }
-
-    #[test]
-    fn promoted_beacon_big_lie_still_caught() {
-        let det = SignalDetector::new(10.0);
-        let me = Point2::ORIGIN;
-        let declared = Point2::new(400.0, 0.0);
-        assert_eq!(
-            det.check_promoted(me, declared, 100.0, 15.0),
-            SignalVerdict::Malicious
-        );
-    }
-
-    #[test]
-    fn promoted_with_zero_uncertainty_matches_plain_check() {
-        let det = SignalDetector::new(10.0);
-        let me = Point2::ORIGIN;
-        let claim = Point2::new(100.0, 0.0);
-        for measured in [85.0, 95.0, 105.0, 115.0] {
-            assert_eq!(
-                det.check(me, claim, measured),
-                det.check_promoted(me, claim, measured, 0.0)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "anchor uncertainty")]
-    fn promoted_rejects_negative_uncertainty() {
-        SignalDetector::new(10.0).check_promoted(Point2::ORIGIN, Point2::ORIGIN, 1.0, -1.0);
     }
 }

@@ -14,10 +14,10 @@
 //!    far away, and a local store-and-forward replay (caught by the
 //!    round-trip-time test). [`DetectionPipeline`] composes all three
 //!    stages exactly as the paper prescribes.
-//! 3. **Revocation** (§3, [`BaseStation`]): detectors report [`Alert`]s;
-//!    the base station counts them per target (threshold τ′) while capping
-//!    each reporter's accepted alerts (threshold τ) so colluding malicious
-//!    beacons cannot freely frame benign ones.
+//! 3. **Revocation** (§3, [`RevocationMachine`]): detectors report
+//!    [`Alert`]s; the base station counts them per target (threshold τ′)
+//!    while capping each reporter's accepted alerts (threshold τ) so
+//!    colluding malicious beacons cannot freely frame benign ones.
 //!
 //! # Examples
 //!
@@ -56,7 +56,7 @@ pub use alert::Alert;
 pub use detector::{SignalDetector, SignalVerdict};
 pub use machine::{MachineState, ProtocolAction, ProtocolEvent, RevocationMachine, StateWireError};
 pub use pipeline::{DetectionOutcome, DetectionPipeline, Observation};
-pub use revocation::{AlertOutcome, BaseStation, RevocationConfig};
+pub use revocation::{AlertOutcome, RevocationConfig};
 pub use rtt::{LocalReplayVerdict, RttFilter};
 pub use telemetry::{AlertMetrics, PipelineMetrics};
 pub use wormhole_filter::{WormholeFilter, WormholeVerdict};

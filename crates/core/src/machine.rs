@@ -1,13 +1,15 @@
 //! The revocation protocol state machine (§3.1), pure and I/O-free.
 //!
 //! [`RevocationMachine`] is the *single* implementation of the paper's
-//! τ/τ′ accusation-counting semantics in the workspace. Everything that
-//! consumes revocation — `secloc-sim`'s runner, which drives one machine
-//! per probe stage and [`reset`](RevocationMachine::reset)s it per
-//! finish, the batch [`BaseStation`](crate::BaseStation) façade, the
-//! streaming `secloc-alerter` service, the distributed voting harness —
-//! routes its decisions through this type, so the spam/quorum regression
-//! suite in `revocation.rs` covers every deployment mode at once.
+//! base-station τ/τ′ accusation counting in the workspace. `secloc-sim`'s
+//! runner drives one machine per probe stage and
+//! [`reset`](RevocationMachine::reset)s it per finish, and the streaming
+//! `secloc-alerter` service keeps one per deployment; both route every
+//! decision through [`decide`](RevocationMachine::decide), so the
+//! spam/quorum regression suite in `revocation.rs` covers both at once.
+//! `secloc-sim`'s `distributed` module, which has no base station, keeps
+//! its own per-node τ/τ′ counters instead: unlike `decide`, it charges an
+//! alert against an already-blacklisted target to the reporter's budget.
 //!
 //! The machine is deliberately austere:
 //!
@@ -214,11 +216,48 @@ impl std::error::Error for StateWireError {}
 
 /// The base-station revocation scheme of §3.1 as a pure state machine.
 ///
-/// See the [module docs](self) for the purity contract and the
-/// [`BaseStation`](crate::BaseStation) docs for the audit of the two
-/// semantic fine points (distinct accusers; revoked reporters still
-/// heard). The check order in [`decide`](RevocationMachine::decide) is the
-/// paper's: report budget → target already revoked → duplicate → accept.
+/// "The base station maintains an alert counter and a report counter for
+/// each beacon node. ... Note that the alert from a revoked detecting node
+/// will still be accepted ... The purpose is to prevent malicious beacon
+/// nodes from reporting a lot of alerts against benign beacon nodes and
+/// having these benign beacon nodes revoked before they can report any
+/// alert."
+///
+/// See the [module docs](self) for the purity contract. The check order in
+/// [`decide`](RevocationMachine::decide) is the paper's: report budget →
+/// target already revoked → duplicate → accept. Two semantic points in the
+/// §3.1 scheme, audited against the paper text:
+///
+/// - **Distinct accusers.** The alert counter tracks *distinct*
+///   `(reporter, target)` accusations; a reporter repeating an accusation
+///   the station already accepted is [`AlertOutcome::IgnoredDuplicate`]
+///   and consumes no budget. §3.2's damage analysis is built on each
+///   colluder contributing at most one unit of evidence per victim
+///   (`N_a (τ+1) / (τ′+1)` victims total): if repeats counted, a single
+///   malicious reporter with budget `τ + 1 ≥ τ′ + 1` (true at the paper's
+///   `(2, 2)` operating point) could revoke any benign beacon alone and
+///   the bound would collapse to revoking `τ + 1` ≈ everything it aims at.
+///   The distributed scheme (`secloc-sim`'s `distributed` module) counts
+///   distinct accusers too.
+/// - **Revoked reporters are still heard.** The budget check comes first
+///   and nothing else filters the reporter, exactly as the paper orders
+///   it: revoking a detector must not silence it, or colluders would spend
+///   a quorum revoking each benign detector *first* and then poison
+///   sensors unaccused. The τ cap already bounds what a revoked (hence
+///   suspect) reporter can do with that freedom.
+///
+/// # Examples
+///
+/// ```
+/// use secloc_core::{AlertOutcome, RevocationConfig, RevocationMachine};
+/// use secloc_crypto::NodeId;
+///
+/// let mut m = RevocationMachine::new(RevocationConfig { tau: 2, tau_prime: 1 });
+/// m.decide(NodeId(1), NodeId(9));
+/// let out = m.decide(NodeId(2), NodeId(9));
+/// assert_eq!(out, AlertOutcome::AcceptedAndRevoked);
+/// assert!(m.is_revoked(NodeId(9)));
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevocationMachine {
     config: RevocationConfig,
@@ -315,7 +354,7 @@ impl RevocationMachine {
     pub fn decide(&mut self, reporter: NodeId, target: NodeId) -> AlertOutcome {
         // Order of checks follows the paper: report budget first, then
         // target-revoked; a revoked *reporter* is still heard (see the
-        // `BaseStation` docs for the audit of both points). Only then is
+        // type docs for the audit of both points). Only then is
         // the duplicate filter consulted, so an over-budget reporter
         // repeating itself reads as budget exhaustion, not as a duplicate.
         self.state.ensure(reporter);

@@ -98,21 +98,6 @@ impl DetectionPipeline {
         }
     }
 
-    /// The signal-consistency stage.
-    pub fn signal_detector(&self) -> &SignalDetector {
-        &self.signal
-    }
-
-    /// The wormhole-replay stage.
-    pub fn wormhole_filter(&self) -> &WormholeFilter {
-        &self.wormhole
-    }
-
-    /// The local-replay stage.
-    pub fn rtt_filter(&self) -> &RttFilter {
-        &self.rtt
-    }
-
     /// Classifies one observation, in the paper's stage order.
     pub fn evaluate(&self, obs: &Observation) -> DetectionOutcome {
         match self.signal.check(
@@ -326,7 +311,7 @@ mod tests {
             Point2::new(600.0, 800.0), // far: malicious-looking
             Point2::new(100.0, 0.0),   // in range, inconsistent distance
         ];
-        let x_max = p.rtt_filter().x_max().as_u64();
+        let x_max = p.rtt.x_max().as_u64();
         for declared in positions {
             for measured in [100.0, 50.0, 1000.0, f64::NAN] {
                 for fired in [false, true] {
@@ -354,10 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_accessors() {
+    fn paper_stages() {
         let p = pipeline();
-        assert_eq!(p.signal_detector().max_error(), 10.0);
-        assert_eq!(p.wormhole_filter().range(), 150.0);
-        assert!(p.rtt_filter().x_max().as_u64() >= 7656);
+        assert_eq!(p.signal.max_error(), 10.0);
+        assert_eq!(p.wormhole.range(), 150.0);
+        assert!(p.rtt.x_max().as_u64() >= 7656);
     }
 }

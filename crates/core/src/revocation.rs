@@ -1,13 +1,7 @@
-//! Base-station revocation of suspicious beacon nodes (§3.1).
-//!
-//! [`BaseStation`] is the batch-facing façade over the workspace's single
-//! τ/τ′ implementation, [`RevocationMachine`](crate::RevocationMachine):
-//! it adds the accepted-alert audit log and the [`Alert`]-typed entry
-//! point, and delegates every counting decision to the machine.
-
-use crate::machine::RevocationMachine;
-use crate::Alert;
-use secloc_crypto::NodeId;
+//! The thresholds and verdicts of the base station's revocation scheme
+//! (§3.1). [`RevocationMachine`](crate::RevocationMachine) is the one
+//! implementation of the scheme; the §3.1 regressions below drive it
+//! directly.
 
 /// The two thresholds of the revocation scheme.
 ///
@@ -79,163 +73,31 @@ impl AlertOutcome {
             AlertOutcome::IgnoredDuplicate => "ignored_duplicate",
         }
     }
-
-    /// Parses a [`wire_label`](AlertOutcome::wire_label) back into the
-    /// outcome (used by the replay path to compare recorded decisions).
-    pub fn from_wire_label(label: &str) -> Option<AlertOutcome> {
-        Some(match label {
-            "accepted" => AlertOutcome::Accepted,
-            "accepted_and_revoked" => AlertOutcome::AcceptedAndRevoked,
-            "ignored_reporter_budget" => AlertOutcome::IgnoredReporterBudget,
-            "ignored_target_revoked" => AlertOutcome::IgnoredTargetRevoked,
-            "ignored_duplicate" => AlertOutcome::IgnoredDuplicate,
-            _ => return None,
-        })
-    }
-}
-
-/// The base station's revocation state machine.
-///
-/// "The base station maintains an alert counter and a report counter for
-/// each beacon node. ... Note that the alert from a revoked detecting node
-/// will still be accepted ... The purpose is to prevent malicious beacon
-/// nodes from reporting a lot of alerts against benign beacon nodes and
-/// having these benign beacon nodes revoked before they can report any
-/// alert."
-///
-/// Two semantic points in the §3.1 scheme, audited against the paper text:
-///
-/// - **Distinct accusers.** The alert counter tracks *distinct*
-///   `(reporter, target)` accusations; a reporter repeating an accusation
-///   the station already accepted is [`AlertOutcome::IgnoredDuplicate`]
-///   and consumes no budget. §3.2's damage analysis is built on each
-///   colluder contributing at most one unit of evidence per victim
-///   (`N_a (τ+1) / (τ′+1)` victims total): if repeats counted, a single
-///   malicious reporter with budget `τ + 1 ≥ τ′ + 1` (true at the paper's
-///   `(2, 2)` operating point) could revoke any benign beacon alone and
-///   the bound would collapse to revoking `τ + 1` ≈ everything it aims at.
-///   The distributed scheme (`secloc-sim`'s `distributed` module) already
-///   counted distinct accusers; the base station now matches it.
-/// - **Revoked reporters are still heard.** The budget check comes first
-///   and nothing else filters the reporter, exactly as the paper orders
-///   it: revoking a detector must not silence it, or colluders would spend
-///   a quorum revoking each benign detector *first* and then poison
-///   sensors unaccused. The τ cap already bounds what a revoked (hence
-///   suspect) reporter can do with that freedom.
-///
-/// # Examples
-///
-/// ```
-/// use secloc_core::{Alert, AlertOutcome, BaseStation, RevocationConfig};
-/// use secloc_crypto::NodeId;
-///
-/// let mut bs = BaseStation::new(RevocationConfig { tau: 2, tau_prime: 1 });
-/// bs.process(Alert::new(NodeId(1), NodeId(9)));
-/// let out = bs.process(Alert::new(NodeId(2), NodeId(9)));
-/// assert_eq!(out, AlertOutcome::AcceptedAndRevoked);
-/// assert!(bs.is_revoked(NodeId(9)));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BaseStation {
-    // The single τ/τ′ implementation. Dense per-node state lives inside
-    // the machine, indexed by `NodeId.0` (the `IdSpace` convention), so
-    // flat tables replace the hashed maps the sweep orchestrator was
-    // spending its per-cell revocation time in.
-    machine: RevocationMachine,
-    accepted_log: Vec<Alert>,
-}
-
-impl BaseStation {
-    /// Creates a base station with the given thresholds.
-    pub fn new(config: RevocationConfig) -> Self {
-        BaseStation {
-            machine: RevocationMachine::new(config),
-            accepted_log: Vec::new(),
-        }
-    }
-
-    /// The thresholds in force.
-    pub fn config(&self) -> RevocationConfig {
-        self.machine.config()
-    }
-
-    /// The protocol state machine this station delegates to, for state
-    /// inspection or snapshotting.
-    pub fn machine(&self) -> &RevocationMachine {
-        &self.machine
-    }
-
-    /// Processes one (already authenticated) alert, exactly per §3.1.
-    ///
-    /// Delegates the verdict to [`RevocationMachine::decide`] — the same
-    /// code path the streaming alerter runs — and keeps the audit log of
-    /// accepted alerts on top.
-    pub fn process(&mut self, alert: Alert) -> AlertOutcome {
-        let outcome = self.machine.decide(alert.reporter, alert.target);
-        if outcome.accepted() {
-            self.accepted_log.push(alert);
-        }
-        outcome
-    }
-
-    /// Processes a batch, returning the outcomes in order.
-    pub fn process_all<I: IntoIterator<Item = Alert>>(&mut self, alerts: I) -> Vec<AlertOutcome> {
-        alerts.into_iter().map(|a| self.process(a)).collect()
-    }
-
-    /// Whether `node` has been revoked.
-    pub fn is_revoked(&self, node: NodeId) -> bool {
-        self.machine.is_revoked(node)
-    }
-
-    /// All revoked nodes, sorted by ID.
-    pub fn revoked(&self) -> Vec<NodeId> {
-        self.machine.revoked_nodes()
-    }
-
-    /// Current alert counter of `node`: how many *distinct* reporters have
-    /// had an accusation against it accepted.
-    pub fn suspiciousness(&self, node: NodeId) -> u32 {
-        self.machine.suspiciousness(node)
-    }
-
-    /// Whether the station has already accepted an accusation by
-    /// `reporter` against `target`.
-    pub fn has_accused(&self, reporter: NodeId, target: NodeId) -> bool {
-        self.machine.has_accused(reporter, target)
-    }
-
-    /// Accepted alerts submitted by `node` so far.
-    pub fn reports_spent(&self, node: NodeId) -> u32 {
-        self.machine.reports_spent(node)
-    }
-
-    /// The accepted alerts, in arrival order (audit log).
-    pub fn accepted_alerts(&self) -> &[Alert] {
-        &self.accepted_log
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Alert, RevocationMachine};
+    use secloc_crypto::NodeId;
 
-    fn alert(r: u32, t: u32) -> Alert {
-        Alert::new(NodeId(r), NodeId(t))
+    /// Submits reporter `r`'s accusation against `t`.
+    fn alert(m: &mut RevocationMachine, r: u32, t: u32) -> AlertOutcome {
+        m.decide(NodeId(r), NodeId(t))
     }
 
     #[test]
     fn revokes_after_tau_prime_plus_one_alerts() {
-        let mut bs = BaseStation::new(RevocationConfig {
+        let mut m = RevocationMachine::new(RevocationConfig {
             tau: 10,
             tau_prime: 2,
         });
-        assert_eq!(bs.process(alert(1, 50)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(2, 50)), AlertOutcome::Accepted);
-        assert!(!bs.is_revoked(NodeId(50)));
-        assert_eq!(bs.process(alert(3, 50)), AlertOutcome::AcceptedAndRevoked);
-        assert!(bs.is_revoked(NodeId(50)));
-        assert_eq!(bs.suspiciousness(NodeId(50)), 3);
+        assert_eq!(alert(&mut m, 1, 50), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 2, 50), AlertOutcome::Accepted);
+        assert!(!m.is_revoked(NodeId(50)));
+        assert_eq!(alert(&mut m, 3, 50), AlertOutcome::AcceptedAndRevoked);
+        assert!(m.is_revoked(NodeId(50)));
+        assert_eq!(m.suspiciousness(NodeId(50)), 3);
     }
 
     #[test]
@@ -244,46 +106,43 @@ mod tests {
             tau: 2,
             tau_prime: 100,
         };
-        let mut bs = BaseStation::new(cfg);
+        let mut m = RevocationMachine::new(cfg);
         // Reporter 1 fires at distinct targets.
-        assert!(bs.process(alert(1, 10)).accepted());
-        assert!(bs.process(alert(1, 11)).accepted());
-        assert!(bs.process(alert(1, 12)).accepted());
+        assert!(alert(&mut m, 1, 10).accepted());
+        assert!(alert(&mut m, 1, 11).accepted());
+        assert!(alert(&mut m, 1, 12).accepted());
         // Counter now 3 > tau=2: further alerts ignored.
-        assert_eq!(
-            bs.process(alert(1, 13)),
-            AlertOutcome::IgnoredReporterBudget
-        );
-        assert_eq!(bs.reports_spent(NodeId(1)), 3);
-        assert_eq!(bs.suspiciousness(NodeId(13)), 0);
+        assert_eq!(alert(&mut m, 1, 13), AlertOutcome::IgnoredReporterBudget);
+        assert_eq!(m.reports_spent(NodeId(1)), 3);
+        assert_eq!(m.suspiciousness(NodeId(13)), 0);
     }
 
     #[test]
     fn alerts_against_revoked_targets_ignored_and_cost_nothing() {
-        let mut bs = BaseStation::new(RevocationConfig {
+        let mut m = RevocationMachine::new(RevocationConfig {
             tau: 5,
             tau_prime: 0,
         });
-        assert_eq!(bs.process(alert(1, 9)), AlertOutcome::AcceptedAndRevoked);
-        let spent_before = bs.reports_spent(NodeId(2));
-        assert_eq!(bs.process(alert(2, 9)), AlertOutcome::IgnoredTargetRevoked);
+        assert_eq!(alert(&mut m, 1, 9), AlertOutcome::AcceptedAndRevoked);
+        let spent_before = m.reports_spent(NodeId(2));
+        assert_eq!(alert(&mut m, 2, 9), AlertOutcome::IgnoredTargetRevoked);
         // The ignored alert does not consume reporter 2's budget.
-        assert_eq!(bs.reports_spent(NodeId(2)), spent_before);
+        assert_eq!(m.reports_spent(NodeId(2)), spent_before);
     }
 
     #[test]
     fn revoked_reporter_still_heard() {
         // §3.1: "the alert from a revoked detecting node will still be
         // accepted ... if its report counter does not exceed τ".
-        let mut bs = BaseStation::new(RevocationConfig {
+        let mut m = RevocationMachine::new(RevocationConfig {
             tau: 5,
             tau_prime: 0,
         });
-        bs.process(alert(1, 2)); // revokes node 2 instantly (tau'=0)
-        assert!(bs.is_revoked(NodeId(2)));
+        alert(&mut m, 1, 2); // revokes node 2 instantly (tau'=0)
+        assert!(m.is_revoked(NodeId(2)));
         // Node 2 (revoked) reports node 3: still accepted.
-        assert_eq!(bs.process(alert(2, 3)), AlertOutcome::AcceptedAndRevoked);
-        assert!(bs.is_revoked(NodeId(3)));
+        assert_eq!(alert(&mut m, 2, 3), AlertOutcome::AcceptedAndRevoked);
+        assert!(m.is_revoked(NodeId(3)));
     }
 
     #[test]
@@ -294,14 +153,14 @@ mod tests {
             tau: 2,
             tau_prime: 2,
         };
-        let mut bs = BaseStation::new(cfg);
+        let mut m = RevocationMachine::new(cfg);
         let colluders: Vec<NodeId> = (0..4).map(NodeId).collect();
         let victims: Vec<NodeId> = (100..200).map(NodeId).collect();
         let policy = secloc_attack_stub::alerts(&colluders, &victims, cfg.tau, cfg.tau_prime);
         for a in policy {
-            bs.process(a);
+            m.decide(a.reporter, a.target);
         }
-        assert_eq!(bs.revoked().len(), 4);
+        assert_eq!(m.revoked_nodes().len(), 4);
     }
 
     /// Minimal local copy of the collusion stream so this crate's tests
@@ -337,90 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn station_and_machine_are_one_implementation() {
-        // The façade must not re-implement anything: the same alert stream
-        // through `BaseStation::process` and through raw
-        // `RevocationMachine::apply` yields identical verdicts and equal
-        // final machine state.
-        use crate::machine::{ProtocolAction, ProtocolEvent, RevocationMachine};
-        let cfg = RevocationConfig::paper_default();
-        let mut station = BaseStation::new(cfg);
-        let mut machine = RevocationMachine::new(cfg);
-        let stream = [
-            (1, 9),
-            (1, 9),
-            (2, 9),
-            (3, 9),
-            (4, 9),
-            (1, 5),
-            (1, 6),
-            (1, 7),
-        ];
-        for (r, t) in stream {
-            let via_station = station.process(alert(r, t));
-            let actions = machine.apply(ProtocolEvent::Accusation {
-                reporter: NodeId(r),
-                target: NodeId(t),
-            });
-            assert_eq!(
-                actions[0],
-                ProtocolAction::Decided {
-                    reporter: NodeId(r),
-                    target: NodeId(t),
-                    outcome: via_station
-                }
-            );
-        }
-        assert_eq!(station.machine(), &machine);
-        assert_eq!(station.revoked(), machine.revoked_nodes());
-    }
-
-    #[test]
-    fn wire_labels_round_trip() {
-        for outcome in [
-            AlertOutcome::Accepted,
-            AlertOutcome::AcceptedAndRevoked,
-            AlertOutcome::IgnoredReporterBudget,
-            AlertOutcome::IgnoredTargetRevoked,
-            AlertOutcome::IgnoredDuplicate,
-        ] {
-            assert_eq!(
-                AlertOutcome::from_wire_label(outcome.wire_label()),
-                Some(outcome)
-            );
-        }
-        assert_eq!(AlertOutcome::from_wire_label("bogus"), None);
-    }
-
-    #[test]
-    fn audit_log_preserves_order() {
-        let mut bs = BaseStation::new(RevocationConfig::paper_default());
-        bs.process(alert(1, 5));
-        bs.process(alert(2, 6));
-        assert_eq!(bs.accepted_alerts(), &[alert(1, 5), alert(2, 6)]);
-    }
-
-    #[test]
     fn paper_default_thresholds() {
         let cfg = RevocationConfig::paper_default();
         assert_eq!((cfg.tau, cfg.tau_prime), (2, 2));
-        assert_eq!(BaseStation::new(cfg).config(), cfg);
-    }
-
-    #[test]
-    fn process_all_returns_outcomes() {
-        let mut bs = BaseStation::new(RevocationConfig {
-            tau: 10,
-            tau_prime: 0,
-        });
-        let outs = bs.process_all([alert(1, 9), alert(2, 9)]);
-        assert_eq!(
-            outs,
-            vec![
-                AlertOutcome::AcceptedAndRevoked,
-                AlertOutcome::IgnoredTargetRevoked
-            ]
-        );
+        assert_eq!(RevocationMachine::new(cfg).config(), cfg);
     }
 
     #[test]
@@ -428,58 +207,55 @@ mod tests {
         // Regression: with the paper's (τ, τ′) = (2, 2) a lone malicious
         // reporter used to revoke any benign beacon by repeating itself
         // three times. Repeats are now IgnoredDuplicate and count nowhere.
-        let mut bs = BaseStation::new(RevocationConfig::paper_default());
-        assert_eq!(bs.process(alert(1, 9)), AlertOutcome::Accepted);
+        let mut m = RevocationMachine::new(RevocationConfig::paper_default());
+        assert_eq!(alert(&mut m, 1, 9), AlertOutcome::Accepted);
         for _ in 0..10 {
-            assert_eq!(bs.process(alert(1, 9)), AlertOutcome::IgnoredDuplicate);
+            assert_eq!(alert(&mut m, 1, 9), AlertOutcome::IgnoredDuplicate);
         }
-        assert!(!bs.is_revoked(NodeId(9)), "one accuser is never a quorum");
-        assert_eq!(bs.suspiciousness(NodeId(9)), 1);
-        assert_eq!(bs.accepted_alerts(), &[alert(1, 9)]);
+        assert!(!m.is_revoked(NodeId(9)), "one accuser is never a quorum");
+        assert_eq!(m.suspiciousness(NodeId(9)), 1);
+        assert_eq!(m.reports_spent(NodeId(1)), 1);
     }
 
     #[test]
     fn tau_prime_plus_one_distinct_reporters_still_revoke() {
         // Regression counterpart: τ′ + 1 = 3 distinct accusers do revoke.
-        let mut bs = BaseStation::new(RevocationConfig::paper_default());
-        assert_eq!(bs.process(alert(1, 9)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(2, 9)), AlertOutcome::Accepted);
-        assert!(!bs.is_revoked(NodeId(9)));
-        assert_eq!(bs.process(alert(3, 9)), AlertOutcome::AcceptedAndRevoked);
-        assert!(bs.is_revoked(NodeId(9)));
+        let mut m = RevocationMachine::new(RevocationConfig::paper_default());
+        assert_eq!(alert(&mut m, 1, 9), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 2, 9), AlertOutcome::Accepted);
+        assert!(!m.is_revoked(NodeId(9)));
+        assert_eq!(alert(&mut m, 3, 9), AlertOutcome::AcceptedAndRevoked);
+        assert!(m.is_revoked(NodeId(9)));
     }
 
     #[test]
     fn duplicates_consume_no_report_budget() {
-        let mut bs = BaseStation::new(RevocationConfig {
+        let mut m = RevocationMachine::new(RevocationConfig {
             tau: 2,
             tau_prime: 100,
         });
-        bs.process(alert(1, 10));
+        alert(&mut m, 1, 10);
         for _ in 0..5 {
-            assert_eq!(bs.process(alert(1, 10)), AlertOutcome::IgnoredDuplicate);
+            assert_eq!(alert(&mut m, 1, 10), AlertOutcome::IgnoredDuplicate);
         }
-        assert_eq!(bs.reports_spent(NodeId(1)), 1);
-        assert!(bs.has_accused(NodeId(1), NodeId(10)));
+        assert_eq!(m.reports_spent(NodeId(1)), 1);
+        assert!(m.has_accused(NodeId(1), NodeId(10)));
         // The saved budget still buys distinct accusations.
-        assert!(bs.process(alert(1, 11)).accepted());
-        assert!(bs.process(alert(1, 12)).accepted());
-        assert_eq!(bs.reports_spent(NodeId(1)), 3);
+        assert!(alert(&mut m, 1, 11).accepted());
+        assert!(alert(&mut m, 1, 12).accepted());
+        assert_eq!(m.reports_spent(NodeId(1)), 3);
     }
 
     #[test]
     fn over_budget_repeat_reads_as_budget_not_duplicate() {
         // Check ordering: the §3.1 budget gate fires before the duplicate
         // filter, so an exhausted reporter's repeat is budget exhaustion.
-        let mut bs = BaseStation::new(RevocationConfig {
+        let mut m = RevocationMachine::new(RevocationConfig {
             tau: 0,
             tau_prime: 100,
         });
-        assert!(bs.process(alert(1, 10)).accepted()); // spends the whole budget
-        assert_eq!(
-            bs.process(alert(1, 10)),
-            AlertOutcome::IgnoredReporterBudget
-        );
+        assert!(alert(&mut m, 1, 10).accepted()); // spends the whole budget
+        assert_eq!(alert(&mut m, 1, 10), AlertOutcome::IgnoredReporterBudget);
     }
 
     #[test]
@@ -488,18 +264,18 @@ mod tests {
         // benign detector FIRST must not thereby silence it — the paper
         // keeps accepting alerts from revoked reporters precisely so this
         // pre-emptive strike buys the attacker nothing.
-        let mut bs = BaseStation::new(RevocationConfig::paper_default());
+        let mut m = RevocationMachine::new(RevocationConfig::paper_default());
         // Colluders 100..103 revoke benign detector 7.
-        assert_eq!(bs.process(alert(100, 7)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(101, 7)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(102, 7)), AlertOutcome::AcceptedAndRevoked);
-        assert!(bs.is_revoked(NodeId(7)));
+        assert_eq!(alert(&mut m, 100, 7), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 101, 7), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 102, 7), AlertOutcome::AcceptedAndRevoked);
+        assert!(m.is_revoked(NodeId(7)));
         // Detector 7's accusation against malicious beacon 50 still counts
         // toward the quorum exactly like anyone else's.
-        assert_eq!(bs.process(alert(7, 50)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(8, 50)), AlertOutcome::Accepted);
-        assert_eq!(bs.process(alert(9, 50)), AlertOutcome::AcceptedAndRevoked);
-        assert!(bs.is_revoked(NodeId(50)));
-        assert_eq!(bs.suspiciousness(NodeId(50)), 3);
+        assert_eq!(alert(&mut m, 7, 50), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 8, 50), AlertOutcome::Accepted);
+        assert_eq!(alert(&mut m, 9, 50), AlertOutcome::AcceptedAndRevoked);
+        assert!(m.is_revoked(NodeId(50)));
+        assert_eq!(m.suspiciousness(NodeId(50)), 3);
     }
 }

@@ -64,14 +64,6 @@ impl RttFilter {
             LocalReplayVerdict::Fresh
         }
     }
-
-    /// The smallest replay-induced delay guaranteed to be caught, given
-    /// the smallest possible attack-free RTT `x_min`: a replay is missed
-    /// only when `delay ≤ x_max − x_min` (≈ 4.5 bit-times), so anything
-    /// above that margin is always detected.
-    pub fn guaranteed_catch_margin(&self, x_min: Cycles) -> Cycles {
-        self.x_max.saturating_sub(x_min)
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +139,8 @@ mod tests {
     #[test]
     fn catch_margin_close_to_four_and_a_half_bits() {
         let f = RttFilter::paper_default();
-        let margin = f.guaranteed_catch_margin(Cycles::new(PAPER_X_MIN));
+        // A replay is missed only when its delay is at most x_max − x_min.
+        let margin = f.x_max.saturating_sub(Cycles::new(PAPER_X_MIN));
         let bits = margin.as_u64() as f64 / CYCLES_PER_BIT as f64;
         assert!((bits - 4.5).abs() < 0.1, "margin {bits} bits");
     }

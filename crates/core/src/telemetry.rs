@@ -1,9 +1,9 @@
 //! Metric handles for the detection pipeline and the base station.
 //!
-//! The domain types ([`DetectionPipeline`], [`BaseStation`]) stay plain —
-//! `Copy`, no hidden state — and callers that want telemetry resolve these
-//! handle bundles once from a [`MetricsRegistry`] and record outcomes at
-//! the call site. Each handle is an `Arc`-backed counter, so recording is
+//! The domain types ([`DetectionPipeline`], [`RevocationMachine`]) hold no
+//! metric handles; callers that want telemetry resolve these handle
+//! bundles once from a [`MetricsRegistry`] and record outcomes at the call
+//! site. Each handle is an `Arc`-backed counter, so recording is
 //! a single atomic add; code without a registry simply holds `None` and
 //! pays one branch.
 
@@ -53,17 +53,11 @@ impl PipelineMetrics {
         }
     }
 
-    /// Records one final verdict, including the implied per-stage decisions
-    /// (the pipeline's stage order makes them derivable: only malicious-
-    /// looking signals reach the wormhole filter, only its survivors reach
-    /// the RTT filter).
-    pub fn record_verdict(&self, outcome: DetectionOutcome) {
-        self.add_verdicts(outcome, 1);
-    }
-
-    /// Records `n` identical final verdicts with one update per counter —
-    /// the bulk form of [`PipelineMetrics::record_verdict`] for callers
-    /// that tally a hot loop locally and flush once.
+    /// Records `n` identical final verdicts with one update per counter,
+    /// including the implied per-stage decisions (the pipeline's stage
+    /// order makes them derivable: only malicious-looking signals reach the
+    /// wormhole filter, only its survivors reach the RTT filter). Callers
+    /// tally a hot loop locally and flush once.
     pub fn add_verdicts(&self, outcome: DetectionOutcome, n: u64) {
         if n == 0 {
             return;
@@ -87,12 +81,8 @@ impl PipelineMetrics {
         }
     }
 
-    /// Records whether a non-beacon requester kept the signal.
-    pub fn record_localization(&self, accepted: bool) {
-        self.add_localizations(accepted, 1);
-    }
-
-    /// Bulk form of [`PipelineMetrics::record_localization`].
+    /// Records `n` non-beacon requesters that kept (`accepted`) or
+    /// dropped the signal.
     pub fn add_localizations(&self, accepted: bool, n: u64) {
         if n == 0 {
             return;
@@ -157,11 +147,11 @@ mod tests {
     fn verdicts_imply_stage_counters() {
         let registry = MetricsRegistry::new();
         let m = PipelineMetrics::new(&registry);
-        m.record_verdict(DetectionOutcome::Benign);
-        m.record_verdict(DetectionOutcome::IgnoredWormholeReplay);
-        m.record_verdict(DetectionOutcome::IgnoredLocalReplay);
-        m.record_verdict(DetectionOutcome::Alert);
-        m.record_verdict(DetectionOutcome::Alert);
+        m.add_verdicts(DetectionOutcome::Benign, 1);
+        m.add_verdicts(DetectionOutcome::IgnoredWormholeReplay, 1);
+        m.add_verdicts(DetectionOutcome::IgnoredLocalReplay, 1);
+        m.add_verdicts(DetectionOutcome::Alert, 1);
+        m.add_verdicts(DetectionOutcome::Alert, 1);
         let s = registry.snapshot();
         assert_eq!(s.counter("pipeline.verdict.benign"), Some(1));
         assert_eq!(s.counter("pipeline.verdict.wormhole_replay"), Some(1));
@@ -179,9 +169,9 @@ mod tests {
     fn localization_split() {
         let registry = MetricsRegistry::new();
         let m = PipelineMetrics::new(&registry);
-        m.record_localization(true);
-        m.record_localization(true);
-        m.record_localization(false);
+        m.add_localizations(true, 1);
+        m.add_localizations(true, 1);
+        m.add_localizations(false, 1);
         let s = registry.snapshot();
         assert_eq!(s.counter("pipeline.localization.accepted"), Some(2));
         assert_eq!(s.counter("pipeline.localization.rejected"), Some(1));

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use secloc_core::{
-    Alert, AlertOutcome, BaseStation, DetectionOutcome, DetectionPipeline, Observation,
-    RevocationConfig, RevocationMachine, SignalDetector, SignalVerdict,
+    AlertOutcome, DetectionOutcome, DetectionPipeline, Observation, RevocationConfig,
+    RevocationMachine, SignalDetector, SignalVerdict,
 };
 use secloc_crypto::NodeId;
 use secloc_geometry::Point2;
@@ -81,7 +81,12 @@ proptest! {
         // Declared location displaced by more than 2*eps along the
         // detector->beacon axis: the consistency check must fire.
         let p = DetectionPipeline::paper_default();
-        let dir = (true_pos - detector).normalized().unwrap_or(secloc_geometry::Vector2::new(1.0, 0.0));
+        let axis = true_pos - detector;
+        let dir = if axis.norm() > f64::EPSILON {
+            axis / axis.norm()
+        } else {
+            secloc_geometry::Vector2::new(1.0, 0.0)
+        };
         let declared = true_pos + dir * lie_dx;
         let obs = Observation {
             detector_position: detector,
@@ -115,10 +120,10 @@ proptest! {
         tau_prime in 0u32..6,
         alerts in proptest::collection::vec((0u32..20, 20u32..40), 0..200),
     ) {
-        let mut bs = BaseStation::new(RevocationConfig { tau, tau_prime });
+        let mut bs = RevocationMachine::new(RevocationConfig { tau, tau_prime });
         let mut accepted = 0usize;
         for (r, t) in alerts {
-            if bs.process(Alert::new(NodeId(r), NodeId(t))).accepted() {
+            if bs.decide(NodeId(r), NodeId(t)).accepted() {
                 accepted += 1;
             }
         }
@@ -139,9 +144,10 @@ proptest! {
         // Conservation: accepted alerts == total suspiciousness.
         let total: u32 = (20..40).map(|t| bs.suspiciousness(NodeId(t))).sum();
         prop_assert_eq!(total as usize, accepted);
-        prop_assert_eq!(accepted, bs.accepted_alerts().len());
+        let spent: u32 = (0..20).map(|r| bs.reports_spent(NodeId(r))).sum();
+        prop_assert_eq!(spent as usize, accepted);
         // Revocations cost tau' + 1 alerts each.
-        prop_assert!(bs.revoked().len() <= accepted / (tau_prime as usize + 1));
+        prop_assert!(bs.revoked_nodes().len() <= accepted / (tau_prime as usize + 1));
     }
 
     #[test]
@@ -155,18 +161,18 @@ proptest! {
         let policy = CollusionPolicy::new(tau, tau_prime);
         let colluders: Vec<NodeId> = (0..n_colluders as u32).map(NodeId).collect();
         let victims: Vec<NodeId> = (100..400).map(NodeId).collect();
-        let mut bs = BaseStation::new(cfg);
+        let mut bs = RevocationMachine::new(cfg);
         for (r, t) in policy.alerts(&colluders, &victims) {
-            bs.process(Alert::new(r, t));
+            bs.decide(r, t);
         }
         let bound = policy.expected_revocations(n_colluders);
         prop_assert!(
-            bs.revoked().len() <= bound,
-            "revoked {} > bound {}", bs.revoked().len(), bound
+            bs.revoked_nodes().len() <= bound,
+            "revoked {} > bound {}", bs.revoked_nodes().len(), bound
         );
         // The concentrated strategy achieves the bound exactly when enough
         // victims exist.
-        prop_assert_eq!(bs.revoked().len(), bound.min(victims.len()));
+        prop_assert_eq!(bs.revoked_nodes().len(), bound.min(victims.len()));
     }
 
     #[test]

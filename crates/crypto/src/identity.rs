@@ -140,13 +140,6 @@ impl IdSpace {
         NodeId(self.beacons + self.sensors + i * self.detecting_per_beacon + k)
     }
 
-    /// All detecting IDs of beacon `i`.
-    pub fn detecting_ids_of(&self, i: u32) -> Vec<NodeId> {
-        (0..self.detecting_per_beacon)
-            .map(|k| self.detecting_id(i, k))
-            .collect()
-    }
-
     /// The role an ID presents on the wire. Detecting IDs present as
     /// non-beacon IDs — that indistinguishability is the security argument
     /// of the paper's §2.1.
@@ -228,16 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn detecting_ids_of_lists_all() {
-        let ids = IdSpace::new(2, 1, 4);
-        let list = ids.detecting_ids_of(1);
-        assert_eq!(list.len(), 4);
-        assert!(list
-            .iter()
-            .all(|d| ids.owner_of_detecting_id(*d) == Some(NodeId(1))));
-    }
-
-    #[test]
     fn contains_boundaries() {
         let ids = IdSpace::new(1, 1, 1);
         assert!(ids.contains(NodeId(2)));
@@ -248,7 +231,7 @@ mod tests {
     fn zero_detecting_ids_allowed() {
         let ids = IdSpace::new(5, 5, 0);
         assert_eq!(ids.total(), 10);
-        assert!(ids.detecting_ids_of(0).is_empty());
+        assert_eq!(ids.detecting_ids_per_beacon(), 0);
     }
 
     #[test]

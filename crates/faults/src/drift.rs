@@ -48,11 +48,6 @@ impl DriftTable {
     pub fn skew(&self, i: u32) -> Cycles {
         Cycles::new(self.skews[i as usize])
     }
-
-    /// The largest skew in the table.
-    pub fn max_skew(&self) -> Cycles {
-        Cycles::new(self.skews.iter().copied().max().unwrap_or(0))
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +65,6 @@ mod tests {
         for i in 0..100 {
             assert!(a.skew(i) <= Cycles::new(500));
         }
-        assert!(a.max_skew() <= Cycles::new(500));
         let c = DriftTable::generate(&spec, 100, 8);
         assert_ne!(a, c, "different seeds must differ");
     }

@@ -77,11 +77,6 @@ impl NoiseField {
         }
     }
 
-    /// True when no region is configured (figure 1.0 everywhere).
-    pub fn is_uniform(&self) -> bool {
-        self.regions.is_empty()
-    }
-
     /// The noise figure in force at `p`.
     pub fn figure_at(&self, p: Point2) -> f64 {
         self.regions
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn empty_field_is_uniform_unity() {
         let f = NoiseField::default();
-        assert!(f.is_uniform());
+        assert!(f.regions.is_empty());
         assert_eq!(f.figure_at(Point2::new(123.0, 456.0)), 1.0);
     }
 

@@ -39,76 +39,6 @@ pub fn uniform_with<R: Rng + ?Sized>(field: &Field, n: usize, rng: &mut R) -> Ve
         .collect()
 }
 
-/// Deployment on a regular grid with small random perturbation.
-///
-/// `jitter` is the maximum per-axis displacement in feet; pass `0.0` for an
-/// exact grid. Produces exactly `n` positions (the grid is truncated).
-pub fn jittered_grid(field: &Field, n: usize, jitter: f64, seed: u64) -> Vec<Point2> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let cols = (n as f64).sqrt().ceil().max(1.0) as usize;
-    let rows = n.div_ceil(cols);
-    let dx = field.width() / cols as f64;
-    let dy = field.height() / rows as f64;
-    let mut out = Vec::with_capacity(n);
-    'outer: for r in 0..rows {
-        for c in 0..cols {
-            if out.len() == n {
-                break 'outer;
-            }
-            let base = Point2::new((c as f64 + 0.5) * dx, (r as f64 + 0.5) * dy);
-            let p = if jitter > 0.0 {
-                Point2::new(
-                    base.x + rng.gen_range(-jitter..=jitter),
-                    base.y + rng.gen_range(-jitter..=jitter),
-                )
-            } else {
-                base
-            };
-            out.push(field.clamp(p));
-        }
-    }
-    out
-}
-
-/// Deployment clustered around `centers` with Gaussian spread `sigma`.
-///
-/// Models drop-from-aircraft deployments where nodes land around intended
-/// drop points. Points are re-sampled (up to a bound) to stay in the field,
-/// falling back to clamping.
-pub fn clustered(
-    field: &Field,
-    n: usize,
-    centers: &[Point2],
-    sigma: f64,
-    seed: u64,
-) -> Vec<Point2> {
-    assert!(
-        !centers.is_empty(),
-        "clustered deployment needs at least one center"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let c = centers[i % centers.len()];
-            for _ in 0..16 {
-                let p =
-                    c + crate::Vector2::new(gaussian(&mut rng) * sigma, gaussian(&mut rng) * sigma);
-                if field.contains(p) {
-                    return p;
-                }
-            }
-            field.clamp(c)
-        })
-        .collect()
-}
-
-/// Standard normal sample via Box–Muller (avoids a distribution dependency).
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,53 +65,5 @@ mod tests {
         let left = pts.iter().filter(|p| p.x < 50.0).count();
         // Binomial(4000, .5): 3-sigma band is about +-95.
         assert!((left as i64 - 2000).abs() < 200, "left half got {left}");
-    }
-
-    #[test]
-    fn grid_exact_count_and_containment() {
-        let f = Field::square(90.0);
-        for n in [1, 2, 9, 10, 17, 100] {
-            let pts = jittered_grid(&f, n, 0.0, 0);
-            assert_eq!(pts.len(), n);
-            assert!(pts.iter().all(|p| f.contains(*p)));
-        }
-    }
-
-    #[test]
-    fn exact_grid_is_evenly_spaced() {
-        let f = Field::square(100.0);
-        let pts = jittered_grid(&f, 4, 0.0, 0);
-        assert_eq!(pts[0], Point2::new(25.0, 25.0));
-        assert_eq!(pts[3], Point2::new(75.0, 75.0));
-    }
-
-    #[test]
-    fn jitter_moves_points_but_keeps_them_inside() {
-        let f = Field::square(100.0);
-        let exact = jittered_grid(&f, 25, 0.0, 3);
-        let moved = jittered_grid(&f, 25, 5.0, 3);
-        assert!(exact.iter().zip(&moved).any(|(a, b)| a != b));
-        assert!(moved.iter().all(|p| f.contains(*p)));
-    }
-
-    #[test]
-    fn clustered_stays_in_field_and_near_centers() {
-        let f = Field::square(1000.0);
-        let centers = [Point2::new(200.0, 200.0), Point2::new(800.0, 800.0)];
-        let pts = clustered(&f, 500, &centers, 30.0, 11);
-        assert_eq!(pts.len(), 500);
-        assert!(pts.iter().all(|p| f.contains(*p)));
-        // Nearly every point should fall within 5 sigma of its own center.
-        let near = pts
-            .iter()
-            .filter(|p| centers.iter().any(|c| c.distance(**p) < 150.0))
-            .count();
-        assert!(near > 490, "only {near}/500 near a center");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one center")]
-    fn clustered_rejects_empty_centers() {
-        clustered(&Field::square(10.0), 5, &[], 1.0, 0);
     }
 }

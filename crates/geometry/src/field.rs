@@ -83,16 +83,6 @@ impl Field {
     pub fn diagonal(&self) -> f64 {
         Point2::ORIGIN.distance(Point2::new(self.width, self.height))
     }
-
-    /// Expected number of neighbours a node has under uniform deployment of
-    /// `n` nodes with radio range `range`, ignoring border effects.
-    ///
-    /// Useful for sizing experiments: the paper's analysis parameterises on
-    /// the number of requesting nodes `N_c` that can hear a beacon.
-    pub fn expected_neighbors(&self, n: usize, range: f64) -> f64 {
-        let coverage = std::f64::consts::PI * range * range / self.area();
-        coverage.min(1.0) * n.saturating_sub(1) as f64
-    }
 }
 
 impl fmt::Display for Field {
@@ -139,16 +129,6 @@ mod tests {
     fn diagonal_bounds_distances() {
         let f = Field::new(30.0, 40.0);
         assert_eq!(f.diagonal(), 50.0);
-    }
-
-    #[test]
-    fn expected_neighbors_scales_with_coverage() {
-        let f = Field::square(1000.0);
-        // pi * 150^2 / 10^6 ~= 7.07% coverage.
-        let e = f.expected_neighbors(1000, 150.0);
-        assert!((e - 0.070685 * 999.0).abs() < 1.0, "got {e}");
-        // A range covering the whole field caps at n-1.
-        assert_eq!(f.expected_neighbors(10, 10_000.0), 9.0);
     }
 
     #[test]

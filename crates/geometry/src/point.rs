@@ -62,22 +62,9 @@ impl Point2 {
         Point2::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
     }
 
-    /// Linear interpolation: returns `self` at `t = 0` and `other` at `t = 1`.
-    pub fn lerp(self, other: Point2, t: f64) -> Point2 {
-        Point2::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
-
     /// Returns `true` when both coordinates are finite.
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite()
-    }
-
-    /// The displacement from `other` to `self`.
-    pub fn vector_from(self, other: Point2) -> Vector2 {
-        self - other
     }
 }
 
@@ -108,16 +95,6 @@ impl Vector2 {
     /// 2-D cross product (z component of the 3-D cross product).
     pub fn cross(self, other: Vector2) -> f64 {
         self.x * other.y - self.y * other.x
-    }
-
-    /// Unit vector in the same direction, or `None` for (near-)zero vectors.
-    pub fn normalized(self) -> Option<Vector2> {
-        let n = self.norm();
-        if n <= f64::EPSILON {
-            None
-        } else {
-            Some(self / n)
-        }
     }
 
     /// A unit vector at `angle` radians from the positive x axis.
@@ -269,28 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn lerp_endpoints_and_middle() {
-        let a = Point2::new(2.0, 2.0);
-        let b = Point2::new(4.0, 8.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), a.midpoint(b));
-    }
-
-    #[test]
     fn vector_algebra_roundtrip() {
         let a = Point2::new(1.0, 1.0);
         let b = Point2::new(5.0, -2.0);
         let v = b - a;
         assert_eq!(a + v, b);
         assert_eq!(b - v, a);
-    }
-
-    #[test]
-    fn normalized_unit_length() {
-        let v = Vector2::new(3.0, 4.0).normalized().unwrap();
-        assert!((v.norm() - 1.0).abs() < 1e-12);
-        assert!(Vector2::ZERO.normalized().is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use secloc_geometry::{deploy, Field, GridIndex, Point2, Vector2};
+use secloc_geometry::{deploy, Field, GridIndex, Point2};
 
 fn finite_coord() -> impl Strategy<Value = f64> {
     -1.0e4..1.0e4
@@ -116,15 +116,5 @@ proptest! {
         let mut unsorted: Vec<usize> = idx.within_iter(q, r).collect();
         unsorted.sort_unstable();
         prop_assert_eq!(unsorted, expected);
-    }
-
-    #[test]
-    fn normalized_has_unit_norm(x in -100.0..100.0f64, y in -100.0..100.0f64) {
-        let v = Vector2::new(x, y);
-        if let Some(u) = v.normalized() {
-            prop_assert!((u.norm() - 1.0).abs() < 1e-9);
-        } else {
-            prop_assert!(v.norm() <= f64::EPSILON);
-        }
     }
 }

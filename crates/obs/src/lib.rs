@@ -177,11 +177,6 @@ impl Obs {
         self.sink.as_ref()
     }
 
-    /// The active span context, if this facade is scoped.
-    pub fn span_context(&self) -> Option<SpanContext> {
-        self.scope.as_ref().map(|s| s.ctx)
-    }
-
     /// A facade that stamps `ctx` and appends `fields` to every event it
     /// emits. Metrics are unaffected (counters stay global across the
     /// sweep). When no sink is attached the scope is not allocated at all —
@@ -313,7 +308,7 @@ mod tests {
         span.finish();
         // Scoping a disabled facade allocates nothing and stays inert.
         let scoped = obs.scoped(SpanContext::root(1), &[("k", Value::U64(1))]);
-        assert!(scoped.span_context().is_none());
+        assert!(scoped.scope.is_none());
         scoped.emit("kind", &[]);
     }
 
@@ -363,7 +358,7 @@ mod tests {
                 ("seed", Value::U64(7)),
             ],
         );
-        assert_eq!(cell.span_context(), Some(ctx));
+        assert_eq!(cell.scope.as_ref().map(|s| s.ctx), Some(ctx));
         cell.emit("cell.start", &[("extra", Value::Bool(true))]);
         cell.span("phase_x").finish();
         let events = sink.events();

@@ -125,22 +125,6 @@ impl Histogram {
         }))
     }
 
-    /// `count` exponential buckets starting at `first`, growing by `factor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `first > 0`, `factor > 1` and `count > 0`.
-    pub fn exponential_bounds(first: f64, factor: f64, count: usize) -> Vec<f64> {
-        assert!(first > 0.0 && factor > 1.0 && count > 0);
-        let mut bounds = Vec::with_capacity(count);
-        let mut bound = first;
-        for _ in 0..count {
-            bounds.push(bound);
-            bound *= factor;
-        }
-        bounds
-    }
-
     /// Records one observation (negative values clamp to zero).
     pub fn observe(&self, value: f64) {
         let value = if value.is_finite() {
@@ -526,12 +510,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.histogram("h").unwrap().count, 2);
         assert_eq!(snap.histogram("h").unwrap().bounds, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn exponential_bounds_grow() {
-        let b = Histogram::exponential_bounds(1.0, 2.0, 5);
-        assert_eq!(b, vec![1.0, 2.0, 4.0, 8.0, 16.0]);
     }
 
     #[test]

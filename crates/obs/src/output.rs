@@ -4,7 +4,7 @@
 //! through these helpers so quoting, escaping and directory creation are
 //! implemented once.
 
-use crate::event::{Event, EventSink, JsonlSink};
+use crate::event::JsonlSink;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -73,39 +73,10 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// Writes pre-serialized JSON lines to `dir/name`, one value per line.
-pub fn write_jsonl_lines(
-    dir: impl AsRef<Path>,
-    name: &str,
-    lines: &[String],
-) -> std::io::Result<PathBuf> {
-    let path = prepare_path(dir, name)?;
-    let mut file = fs::File::create(&path)?;
-    for line in lines {
-        writeln!(file, "{line}")?;
-    }
-    Ok(path)
-}
-
 /// Opens a [`JsonlSink`] at `dir/name`, creating `dir` as needed.
 pub fn jsonl_sink(dir: impl AsRef<Path>, name: &str) -> std::io::Result<JsonlSink> {
     let path = prepare_path(dir, name)?;
     JsonlSink::create(path)
-}
-
-/// Serializes `events` and writes them as a JSONL file at `dir/name`.
-pub fn write_events(
-    dir: impl AsRef<Path>,
-    name: &str,
-    events: &[Event],
-) -> std::io::Result<PathBuf> {
-    let path = prepare_path(dir, name)?;
-    let sink = JsonlSink::create(&path)?;
-    for event in events {
-        sink.emit(event);
-    }
-    sink.flush();
-    Ok(path)
 }
 
 /// Writes plain text (reports, summaries) to `dir/name`.
@@ -163,26 +134,6 @@ mod tests {
         let txt = write_text(&dir, "t.txt", "hello\n").unwrap();
         assert_eq!(fs::read_to_string(&txt).unwrap(), "hello\n");
 
-        let jsonl = write_jsonl_lines(&dir, "t.jsonl", &["{\"a\":1}".to_string()]).unwrap();
-        assert_eq!(fs::read_to_string(&jsonl).unwrap(), "{\"a\":1}\n");
-
-        fs::remove_dir_all(dir.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn write_events_round_trips_kinds() {
-        use crate::Value;
-        let dir = temp_dir("events").join("events");
-        let events = vec![
-            Event::new("phase", &[("name", Value::Str("probe".into()))]),
-            Event::new("alert", &[("node", Value::U64(3))]),
-        ];
-        let path = write_events(&dir, "log.jsonl", &events).unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"kind\":\"phase\""));
-        assert!(lines[1].contains("\"kind\":\"alert\""));
         fs::remove_dir_all(dir.parent().unwrap()).ok();
     }
 }

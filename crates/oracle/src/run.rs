@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use secloc_attack::{Action, CollusionPolicy};
-use secloc_core::{Alert, BaseStation, RevocationConfig};
+use secloc_core::{Alert, RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
 use secloc_localization::{Estimator, LocationReference, MmseEstimator};
@@ -24,8 +24,8 @@ struct KeptReference {
 /// simulator did before its hot paths were optimized.
 ///
 /// It draws from the seeded streams of `secloc_sim::Runner` in the same
-/// order, so for every deployment and plan the outcome equals
-/// `Runner::from_deployment(deployment).run(RunOptions::new().faults(plan))`.
+/// order, so when `plan` is the deployment's own `SimConfig::faults` the
+/// outcome equals `Runner::from_deployment(deployment).run(RunOptions::new())`.
 /// Telemetry and traces are left out: they consume no randomness.
 ///
 /// 1. **Detection** — every live benign beacon probes, under each of its
@@ -169,13 +169,13 @@ pub fn run(deployment: &Deployment, plan: &FaultPlan) -> SimOutcome {
     }
 
     // ---- Phase 4: revocation at the base station. -----------------------
-    let mut station = BaseStation::new(RevocationConfig {
+    let mut station = RevocationMachine::new(RevocationConfig {
         tau: cfg.tau,
         tau_prime: cfg.tau_prime,
     });
     for (alert, delivered) in submissions {
         if delivered {
-            station.process(alert);
+            station.decide(alert.reporter, alert.target);
         }
     }
 

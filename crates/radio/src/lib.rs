@@ -9,7 +9,7 @@
 //! - [`timing`] — the hardware shift-register delays `d1..d4` whose sum is
 //!   the residual RTT after the paper's `(t4−t1)−(t3−t2)` cancellation, and
 //!   the [`timing::RttModel`] producing RTT samples (Fig. 3 / Fig. 4);
-//! - [`ranging`] — RSSI log-distance ranging with a bounded maximum error
+//! - [`ranging`] — distance measurement with a bounded maximum error
 //!   `ε_max`, the paper's distance-measurement assumption;
 //! - [`loss`] — per-link loss models and retransmitting reliable delivery;
 //! - [`energy`] — MICA2-class energy prices for broadcast rounds.

@@ -3,16 +3,9 @@
 //! The paper assumes "location estimation is based on the distances measured
 //! from beacon signals (through, e.g., RSSI)" with a known **maximum
 //! measurement error** ε_max (reconstructed as 10 ft; every API takes it as
-//! a parameter). Two models are provided:
-//!
-//! - [`BoundedRanging`] — error uniform on `[-ε, +ε]`, the exact abstraction
-//!   the paper's detector analysis uses;
-//! - [`RssiRanging`] — a physical log-distance path-loss chain
-//!   (`RSSI → distance`) whose resulting error is *clamped* to ε so the
-//!   detector's premise (a hard error bound) still holds, as it must for
-//!   the consistency check to be sound.
-//!
-//! Both are deterministic given an RNG, and both implement [`Ranging`].
+//! a parameter). [`BoundedRanging`] draws the error uniformly from
+//! `[-ε, +ε]`, the exact abstraction the paper's detector analysis uses;
+//! it is deterministic given an RNG and implements [`Ranging`].
 
 use rand::Rng;
 
@@ -57,9 +50,10 @@ impl BoundedRanging {
         BoundedRanging { max_error_ft }
     }
 
-    /// Scales the error bound by `figure` (the regional noise-figure
-    /// convention shared with [`RssiRanging::with_noise_figure`]). Figure
-    /// 1.0 is the identity.
+    /// Scales the error bound by `figure`, the regional noise figure of
+    /// `secloc-faults`: figures above 1 model interference-degraded regions
+    /// where the calibrated `ε_max` bound no longer holds at its nominal
+    /// value. Figure 1.0 is the identity.
     ///
     /// # Panics
     ///
@@ -87,98 +81,6 @@ impl Ranging for BoundedRanging {
     fn max_error(&self) -> f64 {
         self.max_error_ft
     }
-}
-
-/// Log-distance path-loss RSSI ranging.
-///
-/// Transmit side: `P_rx(dBm) = P0 − 10·n·log10(d/d0) + X`, with `X` a
-/// truncated Gaussian of standard deviation `sigma_db`. Receive side
-/// inverts the curve to estimate `d`, then clamps the estimate into
-/// `[d − ε, d + ε]` (a real deployment achieves the bound by calibration
-/// and outlier rejection; we model the *achieved* bound).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RssiRanging {
-    /// Path-loss exponent (2 = free space, 3–4 = cluttered outdoor).
-    pub exponent: f64,
-    /// Shadowing standard deviation in dB (truncated at ±3σ).
-    pub sigma_db: f64,
-    /// Hard error bound ε enforced after inversion, in feet.
-    pub max_error_ft: f64,
-    /// Reference distance d0 in feet.
-    pub reference_ft: f64,
-    /// Received power at the reference distance, in dBm.
-    pub power_at_reference_dbm: f64,
-}
-
-impl RssiRanging {
-    /// A typical outdoor MICA2 configuration: exponent 3, 2 dB shadowing,
-    /// ε = 10 ft.
-    pub fn mica2_outdoor() -> Self {
-        RssiRanging {
-            exponent: 3.0,
-            sigma_db: 2.0,
-            max_error_ft: 10.0,
-            reference_ft: 3.0,
-            power_at_reference_dbm: -45.0,
-        }
-    }
-
-    /// Scales the noise of this configuration by `figure`: the shadowing
-    /// deviation and the achieved error bound both grow (or shrink) by the
-    /// multiplier. Figure 1.0 returns the configuration unchanged; figures
-    /// above 1 model interference-degraded regions where the calibrated
-    /// `ε_max` bound no longer holds at its nominal value.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `figure` is positive and finite.
-    pub fn with_noise_figure(self, figure: f64) -> Self {
-        assert!(
-            figure.is_finite() && figure > 0.0,
-            "noise figure must be positive, got {figure}"
-        );
-        RssiRanging {
-            sigma_db: self.sigma_db * figure,
-            max_error_ft: self.max_error_ft * figure,
-            ..self
-        }
-    }
-
-    /// The noiseless RSSI at `d` feet, in dBm.
-    pub fn expected_rssi(&self, d: f64) -> f64 {
-        assert!(d > 0.0, "distance must be positive, got {d}");
-        self.power_at_reference_dbm - 10.0 * self.exponent * (d / self.reference_ft).log10()
-    }
-
-    /// Inverts an RSSI reading into a distance estimate, in feet.
-    pub fn invert(&self, rssi_dbm: f64) -> f64 {
-        self.reference_ft
-            * 10f64.powf((self.power_at_reference_dbm - rssi_dbm) / (10.0 * self.exponent))
-    }
-}
-
-impl Ranging for RssiRanging {
-    fn measure<R: Rng + ?Sized>(&self, true_ft: f64, rng: &mut R) -> f64 {
-        assert!(true_ft >= 0.0, "distance must be >= 0, got {true_ft}");
-        let d = true_ft.max(0.1); // below 0.1 ft the log model is meaningless
-        let shadow = gaussian(rng).clamp(-3.0, 3.0) * self.sigma_db;
-        let rssi = self.expected_rssi(d) + shadow;
-        let est = self.invert(rssi);
-        est.clamp(
-            (true_ft - self.max_error_ft).max(0.0),
-            true_ft + self.max_error_ft,
-        )
-    }
-
-    fn max_error(&self) -> f64 {
-        self.max_error_ft
-    }
-}
-
-fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -221,62 +123,19 @@ mod tests {
     }
 
     #[test]
-    fn rssi_monotone_decreasing() {
-        let r = RssiRanging::mica2_outdoor();
-        assert!(r.expected_rssi(10.0) > r.expected_rssi(20.0));
-        assert!(r.expected_rssi(20.0) > r.expected_rssi(100.0));
-    }
-
-    #[test]
-    fn rssi_inversion_is_exact_without_noise() {
-        let r = RssiRanging::mica2_outdoor();
-        for d in [1.0, 3.0, 10.0, 77.0, 150.0] {
-            let est = r.invert(r.expected_rssi(d));
-            assert!((est - d).abs() < 1e-9, "d={d} est={est}");
-        }
-    }
-
-    #[test]
-    fn rssi_measurement_respects_hard_bound() {
-        let r = RssiRanging::mica2_outdoor();
-        let mut rng = StdRng::seed_from_u64(3);
-        for d in [1.0, 25.0, 75.0, 150.0] {
-            for _ in 0..500 {
-                let m = r.measure(d, &mut rng);
-                assert!((m - d).abs() <= r.max_error() + 1e-9, "d={d} m={m}");
-            }
-        }
-    }
-
-    #[test]
-    fn rssi_estimates_are_noisy_but_centered() {
-        let r = RssiRanging::mica2_outdoor();
-        let mut rng = StdRng::seed_from_u64(4);
-        let d = 60.0;
-        let samples: Vec<f64> = (0..2000).map(|_| r.measure(d, &mut rng)).collect();
-        let distinct = samples.iter().filter(|&&m| (m - d).abs() > 0.5).count();
-        assert!(distinct > 1000, "noise collapsed: {distinct}");
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - d).abs() < 2.0, "biased: {mean}");
-    }
-
-    #[test]
-    fn noise_figure_scales_both_models() {
+    fn noise_figure_scales_the_bound() {
         let b = BoundedRanging::new(10.0).with_noise_figure(2.5);
         assert_eq!(b.max_error(), 25.0);
-        let r = RssiRanging::mica2_outdoor().with_noise_figure(3.0);
-        assert_eq!(r.max_error(), 30.0);
-        assert_eq!(r.sigma_db, 6.0);
         // Figure 1.0 is the identity.
         assert_eq!(
-            RssiRanging::mica2_outdoor().with_noise_figure(1.0),
-            RssiRanging::mica2_outdoor()
+            BoundedRanging::new(10.0).with_noise_figure(1.0),
+            BoundedRanging::new(10.0)
         );
         // The scaled bound is actually honoured by measurements.
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..300 {
-            let m = r.measure(60.0, &mut rng);
-            assert!((m - 60.0).abs() <= 30.0 + 1e-9);
+            let m = b.measure(60.0, &mut rng);
+            assert!((m - 60.0).abs() <= 25.0 + 1e-9);
         }
     }
 

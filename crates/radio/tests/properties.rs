@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secloc_radio::ranging::{BoundedRanging, Ranging, RssiRanging};
+use secloc_radio::ranging::{BoundedRanging, Ranging};
 use secloc_radio::timing::{DelayComponent, RttModel};
 use secloc_radio::Cycles;
 
@@ -50,13 +50,5 @@ proptest! {
         let m = r.measure(d, &mut rng);
         prop_assert!((m - d).abs() <= eps + 1e-9);
         prop_assert!(m >= 0.0);
-    }
-
-    #[test]
-    fn rssi_ranging_honours_epsilon(seed in any::<u64>(), d in 0.0..300.0f64) {
-        let r = RssiRanging::mica2_outdoor();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = r.measure(d, &mut rng);
-        prop_assert!((m - d).abs() <= r.max_error() + 1e-9);
     }
 }

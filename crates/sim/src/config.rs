@@ -39,9 +39,8 @@ pub struct SimConfig {
     /// [`secloc_attack::BeaconStrategy::with_acceptance`]).
     pub attacker_p: f64,
     /// Magnitude of the location lie told in malicious signals, in feet.
-    /// Must exceed the radio range for the fake-wormhole evasion to be
-    /// coherent; the paper's attacker lies big (Fig. 1 shows lies across
-    /// the field).
+    /// Must exceed the radio range ([`ConfigError::LieOffsetWithinRange`]);
+    /// the paper's attacker lies big (Fig. 1 shows lies across the field).
     pub lie_offset_ft: f64,
     /// Whether malicious beacons collude to spam alerts against benign
     /// beacons (§4 enables this).
@@ -87,36 +86,6 @@ pub struct TopologyKey {
     /// Injected degradations; the drift/churn schedules they generate
     /// depend only on counts and the seed.
     pub faults: FaultPlan,
-}
-
-/// The detector/revocation-policy projection of a [`SimConfig`] — every
-/// field *not* in `TopologyKey`. Policy knobs parameterize how the
-/// deployed network is probed, judged, and revoked; none of them can
-/// perturb node placement (see [`SimConfig::topology_key`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyKey {
-    /// Maximum distance-measurement error ε, in feet.
-    pub max_ranging_error_ft: f64,
-    /// Detecting IDs per beacon node (`m`).
-    pub detecting_ids: u32,
-    /// Base-station report cap τ.
-    pub tau: u32,
-    /// Base-station revocation threshold τ′.
-    pub tau_prime: u32,
-    /// Wormhole-detector detection rate `p_d`.
-    pub wormhole_detection_rate: f64,
-    /// The attacker's acceptance probability `P`.
-    pub attacker_p: f64,
-    /// Magnitude of the location lie, in feet. Policy, not topology: the
-    /// lie *direction* is drawn during deployment, but the stored angle is
-    /// scaled by this magnitude only when the beacon replies.
-    pub lie_offset_ft: f64,
-    /// Whether malicious beacons collude to spam alerts.
-    pub collusion: bool,
-    /// Per-transmission loss rate on the alert path.
-    pub alert_loss_rate: f64,
-    /// Retransmission budget per alert.
-    pub alert_retransmissions: u32,
 }
 
 /// The most spatial-index buckets a deployment may need. The index lays
@@ -175,8 +144,8 @@ pub enum ConfigError {
     },
     /// `alert_retransmissions` is zero — alerts need at least one try.
     NoTransmissionBudget,
-    /// The lie offset must exceed the radio range for the fake-wormhole
-    /// evasion to be coherent.
+    /// The lie offset must exceed the radio range, so the declared location
+    /// is plausibly wormhole-distant.
     LieOffsetWithinRange {
         /// Configured lie offset, in feet.
         lie_offset_ft: f64,
@@ -297,23 +266,6 @@ impl SimConfig {
             range_ft: self.range_ft,
             wormhole: self.wormhole,
             faults: self.faults.clone(),
-        }
-    }
-
-    /// The detector/revocation-policy half of this configuration; see
-    /// `PolicyKey`.
-    pub fn policy_key(&self) -> PolicyKey {
-        PolicyKey {
-            max_ranging_error_ft: self.max_ranging_error_ft,
-            detecting_ids: self.detecting_ids,
-            tau: self.tau,
-            tau_prime: self.tau_prime,
-            wormhole_detection_rate: self.wormhole_detection_rate,
-            attacker_p: self.attacker_p,
-            lie_offset_ft: self.lie_offset_ft,
-            collusion: self.collusion,
-            alert_loss_rate: self.alert_loss_rate,
-            alert_retransmissions: self.alert_retransmissions,
         }
     }
 
@@ -567,33 +519,41 @@ mod tests {
 
     #[test]
     fn keys_partition_the_config() {
-        // Every SimConfig field must land in exactly one key. The struct
-        // literal below fails to compile when a field is added without
-        // classifying it, and the equality fails if a key stops carrying
-        // a field it claims.
+        // Every SimConfig field is either in the topology key or a policy
+        // knob. The exhaustive pattern below fails to compile when a field
+        // is added without classifying it, and the equality fails if the
+        // key stops carrying a field it claims.
         let c = SimConfig::paper_default();
-        let t = c.topology_key();
-        let p = c.policy_key();
-        let rebuilt = SimConfig {
-            nodes: t.nodes,
-            beacons: t.beacons,
-            malicious: t.malicious,
-            field_side_ft: t.field_side_ft,
-            range_ft: t.range_ft,
-            wormhole: t.wormhole,
-            faults: t.faults.clone(),
-            max_ranging_error_ft: p.max_ranging_error_ft,
-            detecting_ids: p.detecting_ids,
-            tau: p.tau,
-            tau_prime: p.tau_prime,
-            wormhole_detection_rate: p.wormhole_detection_rate,
-            attacker_p: p.attacker_p,
-            lie_offset_ft: p.lie_offset_ft,
-            collusion: p.collusion,
-            alert_loss_rate: p.alert_loss_rate,
-            alert_retransmissions: p.alert_retransmissions,
+        let SimConfig {
+            nodes,
+            beacons,
+            malicious,
+            field_side_ft,
+            range_ft,
+            wormhole,
+            faults,
+            // Policy: every field the topology key leaves out.
+            max_ranging_error_ft: _,
+            detecting_ids: _,
+            tau: _,
+            tau_prime: _,
+            wormhole_detection_rate: _,
+            attacker_p: _,
+            lie_offset_ft: _,
+            collusion: _,
+            alert_loss_rate: _,
+            alert_retransmissions: _,
+        } = c.clone();
+        let topology = TopologyKey {
+            nodes,
+            beacons,
+            malicious,
+            field_side_ft,
+            range_ft,
+            wormhole,
+            faults,
         };
-        assert_eq!(rebuilt, c);
+        assert_eq!(c.topology_key(), topology);
     }
 
     #[test]
@@ -611,7 +571,6 @@ mod tests {
         varied.alert_loss_rate = 0.3;
         varied.alert_retransmissions = 2;
         assert_eq!(base.topology_key(), varied.topology_key());
-        assert_ne!(base.policy_key(), varied.policy_key());
 
         let mut moved = base.clone();
         moved.range_ft = 200.0;

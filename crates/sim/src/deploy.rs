@@ -281,12 +281,6 @@ impl Deployment {
         ))
     }
 
-    /// Whether `self` and `other` share one topology allocation (as
-    /// produced by [`Deployment::with_policy`] or `Clone`).
-    pub fn shares_topology_with(&self, other: &Deployment) -> bool {
-        Arc::ptr_eq(&self.topology, &other.topology)
-    }
-
     /// The configuration this deployment was generated from.
     pub fn config(&self) -> &SimConfig {
         &self.config
@@ -593,8 +587,8 @@ mod tests {
         policy.detecting_ids = 3;
         let rekeyed = base.with_policy(policy.clone()).expect("same topology");
         let fresh = Deployment::generate(policy, 21);
-        assert!(base.shares_topology_with(&rekeyed));
-        assert!(!base.shares_topology_with(&fresh));
+        assert!(Arc::ptr_eq(&base.topology, &rekeyed.topology));
+        assert!(!Arc::ptr_eq(&base.topology, &fresh.topology));
         for i in 0..300u32 {
             assert_eq!(rekeyed.position(i), fresh.position(i), "position {i}");
             assert_eq!(rekeyed.kind(i), fresh.kind(i), "kind {i}");

@@ -31,9 +31,8 @@
 //! assert!(outcome.detection_rate() >= 0.0 && outcome.detection_rate() <= 1.0);
 //! ```
 //!
-//! Degraded conditions are injected by attaching a
-//! [`FaultPlan`] — see `RunOptions::faults` and
-//! the `secloc-faults` crate.
+//! Degraded conditions are injected by setting the configuration's
+//! [`FaultPlan`] (`SimConfig::faults`) — see the `secloc-faults` crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -244,20 +244,19 @@ impl<'a> ProbeContext<'a> {
             NodeKind::MaliciousBeacon if direct => {
                 let beacon = self.deployment.compromised(target).expect("malicious");
                 let action = beacon.decide(requester_wire_id);
-                Some(self.malicious_reply(
-                    rq_pos,
-                    tg_pos,
-                    true_d,
-                    beacon.declared_position(),
-                    action,
-                    fx,
-                    rng,
-                ))
+                // A normal reply is indistinguishable from an honest
+                // beacon's; a malicious one declares the lie, with honest
+                // timing.
+                let declared = match action {
+                    Action::Normal => tg_pos,
+                    Action::MaliciousSignal => beacon.declared_position(),
+                };
+                Some(self.direct_reply(rq_pos, declared, true_d, Some(action), fx, rng))
             }
             NodeKind::MaliciousBeacon => None,
             NodeKind::BenignBeacon => {
                 if direct {
-                    Some(self.benign_direct_reply(rq_pos, tg_pos, true_d, fx, rng))
+                    Some(self.direct_reply(rq_pos, tg_pos, true_d, None, fx, rng))
                 } else {
                     // `Deployment::wormhole_exits` holds `exit_for` for
                     // every benign beacon in a wormhole mouth, ascending by
@@ -314,22 +313,25 @@ impl<'a> ProbeContext<'a> {
         }
     }
 
-    fn benign_direct_reply(
+    /// A reply over the direct link at true distance `d`, declaring
+    /// `declared`: one ranging draw, then one RTT draw.
+    fn direct_reply(
         &self,
         rq: Point2,
-        tg: Point2,
+        declared: Point2,
         d: f64,
+        action: Option<Action>,
         fx: &ProbeFaults,
         rng: &mut StdRng,
     ) -> ProbeResult {
         let obs = Observation {
             detector_position: rq,
-            declared_position: tg,
+            declared_position: declared,
             measured_distance_ft: self.measure(d, fx, rng),
             rtt: self.rtt_model.sample(d, Cycles::ZERO, rng) + fx.skew,
             wormhole_detector_fired: false,
         };
-        self.finish(obs, None, false)
+        self.finish(obs, action, false)
     }
 
     fn benign_wormhole_reply(
@@ -358,64 +360,6 @@ impl<'a> ProbeContext<'a> {
             wormhole_detector_fired: self.wormhole_detector_fires(requester, target),
         };
         self.finish(obs, None, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn malicious_reply(
-        &self,
-        rq: Point2,
-        tg: Point2,
-        true_d: f64,
-        lie: Point2,
-        action: Action,
-        fx: &ProbeFaults,
-        rng: &mut StdRng,
-    ) -> ProbeResult {
-        let cfg = self.deployment.config();
-        let obs = match action {
-            Action::Normal => Observation {
-                // Indistinguishable from an honest beacon.
-                detector_position: rq,
-                declared_position: tg,
-                measured_distance_ft: self.measure(true_d, fx, rng),
-                rtt: self.rtt_model.sample(true_d, Cycles::ZERO, rng) + fx.skew,
-                wormhole_detector_fired: false,
-            },
-            Action::MaliciousSignal => Observation {
-                // The undisguised lie: false location, honest timing.
-                detector_position: rq,
-                declared_position: lie,
-                measured_distance_ft: self.measure(true_d, fx, rng),
-                rtt: self.rtt_model.sample(true_d, Cycles::ZERO, rng) + fx.skew,
-                wormhole_detector_fired: false,
-            },
-            Action::FakeWormhole => {
-                // The attacker crafts the packet so the requester concludes
-                // "wormhole": a declared location beyond radio range plus a
-                // manipulated signal that trips the wormhole detector.
-                let away = (rq - tg)
-                    .normalized()
-                    .unwrap_or(secloc_geometry::Vector2::new(1.0, 0.0));
-                let fake_decl = rq + away * (cfg.range_ft * 3.0);
-                Observation {
-                    detector_position: rq,
-                    declared_position: fake_decl,
-                    measured_distance_ft: self.measure(true_d, fx, rng),
-                    rtt: self.rtt_model.sample(true_d, Cycles::ZERO, rng) + fx.skew,
-                    wormhole_detector_fired: true,
-                }
-            }
-            Action::FakeLocalReplay => Observation {
-                // The attacker delays its own reply past x_max so it looks
-                // locally replayed.
-                detector_position: rq,
-                declared_position: lie,
-                measured_distance_ft: self.measure(true_d, fx, rng),
-                rtt: self.rtt_model.sample(true_d, Cycles::from_bits(100.0), rng) + fx.skew,
-                wormhole_detector_fired: false,
-            },
-        };
-        self.finish(obs, Some(action), false)
     }
 }
 
@@ -483,12 +427,6 @@ mod tests {
                         assert_eq!(r.outcome, DetectionOutcome::Benign);
                         hidden += 1;
                     }
-                    Action::FakeWormhole => {
-                        assert_eq!(r.outcome, DetectionOutcome::IgnoredWormholeReplay)
-                    }
-                    Action::FakeLocalReplay => {
-                        assert_eq!(r.outcome, DetectionOutcome::IgnoredLocalReplay)
-                    }
                 }
             }
         }
@@ -497,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn sensors_accept_malicious_signals_but_not_disguised_ones() {
+    fn sensors_accept_malicious_and_normal_signals() {
         let d = deployment();
         let ctx = ProbeContext::new(&d);
         let mut rng = StdRng::seed_from_u64(3);
@@ -507,14 +445,8 @@ mod tests {
                     continue;
                 }
                 let r = ctx.probe(u, NodeId(u), v, &mut rng).expect("in range");
-                match r.action.unwrap() {
-                    Action::MaliciousSignal | Action::Normal => {
-                        assert!(r.accepted_for_localization)
-                    }
-                    Action::FakeWormhole | Action::FakeLocalReplay => {
-                        assert!(!r.accepted_for_localization)
-                    }
-                }
+                assert!(r.action.is_some());
+                assert!(r.accepted_for_localization);
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The unified experiment entry point: [`Runner`] + [`RunOptions`].
 //!
 //! One `run` method serves every caller: they compose what they need with
-//! the [`RunOptions`] builder and get back a [`RunOutput`]. The same entry
-//! point threads an optional [`FaultPlan`] through every phase; an empty
-//! plan is guaranteed bit-identical to a fault-free run, and every run is
-//! bit-identical to the straight-line reference run of the dev-only
+//! the [`RunOptions`] builder and get back a [`RunOutput`]. Every phase
+//! applies the configuration's fault plan ([`SimConfig::faults`]); an
+//! empty plan is guaranteed bit-identical to a fault-free run, and every
+//! run is bit-identical to the straight-line reference run of the dev-only
 //! `secloc-oracle` crate (`tests/equivalence.rs` enforces both).
 
 use crate::deploy::subseed;
@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use secloc_attack::{Action, CollusionPolicy, CollusionScratch};
 use secloc_core::{Alert, AlertMetrics, AlertOutcome, RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
-use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
+use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, NoiseField};
 use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
@@ -388,7 +388,6 @@ fn announce_phase(telemetry: &Obs, name: &str) {
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions<'a> {
     observed: Option<&'a Obs>,
-    faults: Option<FaultPlan>,
 }
 
 impl<'a> RunOptions<'a> {
@@ -406,14 +405,6 @@ impl<'a> RunOptions<'a> {
     /// outcomes.
     pub fn observed(mut self, obs: &'a Obs) -> Self {
         self.observed = Some(obs);
-        self
-    }
-
-    /// Inject `plan` instead of the configuration's [`SimConfig::faults`]
-    /// plan. Passing `FaultPlan::default()` explicitly disables injection
-    /// even when the configuration carries a plan.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
         self
     }
 }
@@ -442,12 +433,12 @@ pub struct RunOutput {
 /// 4. **Impact measurement** — poisoned references from revoked beacons
 ///    are discarded and the paper's metrics are computed.
 ///
-/// Under a non-empty [`FaultPlan`] the run additionally suffers beacon
-/// churn (dead nodes neither probe nor reply), regional ranging noise and
-/// per-node clock skew (degrading each affected exchange), and bursty
-/// alert-channel loss. Every fault category draws from its own seeded RNG
-/// stream, so enabling one never perturbs the draws of the others — or of
-/// the fault-free machinery.
+/// Under a non-empty fault plan ([`SimConfig::faults`]) the run
+/// additionally suffers beacon churn (dead nodes neither probe nor reply),
+/// regional ranging noise and per-node clock skew (degrading each affected
+/// exchange), and bursty alert-channel loss. Every fault category draws
+/// from its own seeded RNG stream, so enabling one never perturbs the draws
+/// of the others — or of the fault-free machinery.
 #[derive(Debug)]
 pub struct Runner {
     deployment: Deployment,
@@ -460,21 +451,13 @@ impl Runner {
     /// # Panics
     ///
     /// Panics when `config` fails [`SimConfig::validate`]; use
-    /// [`Runner::try_new`] to handle the error instead.
+    /// [`Deployment::try_generate`] with [`Runner::from_deployment`] to
+    /// handle the error instead.
     pub fn new(config: SimConfig, seed: u64) -> Self {
         Runner {
             deployment: Deployment::generate(config, seed),
             seed,
         }
-    }
-
-    /// Fallible [`Runner::new`], reporting an invalid configuration as a
-    /// typed [`crate::ConfigError`].
-    pub fn try_new(config: SimConfig, seed: u64) -> Result<Self, crate::ConfigError> {
-        Ok(Runner {
-            deployment: Deployment::try_generate(config, seed)?,
-            seed,
-        })
     }
 
     /// Like [`Runner::new`], but times deployment generation under the
@@ -502,19 +485,15 @@ impl Runner {
     }
 
     /// Runs all phases per `options` and returns the measurements: the
-    /// probe stage of [`Runner::probe_stage`] under the run's telemetry and
-    /// fault plan, then the finish of [`Runner::finish_from_stage`], which
-    /// solves the τ-independent precompute inside `phase.impact`.
+    /// probe stage of [`Runner::probe_stage`] under the run's telemetry,
+    /// then the finish of [`Runner::finish_from_stage`], which solves the
+    /// τ-independent precompute inside `phase.impact`.
     pub fn run(&self, options: RunOptions<'_>) -> RunOutput {
         let disabled = Obs::disabled();
         let telemetry = options.observed.unwrap_or(&disabled);
-        let plan = options
-            .faults
-            .as_ref()
-            .unwrap_or(&self.deployment.config().faults);
-        let stage = self.stage_phases(telemetry, plan);
+        let stage = self.stage_phases(telemetry);
         RunOutput {
-            outcome: self.finish_phases(telemetry, plan, &stage),
+            outcome: self.finish_phases(telemetry, &stage),
         }
     }
 
@@ -529,7 +508,7 @@ impl Runner {
     /// loss/retransmissions) are untouched, so one stage serves every cell
     /// of a revocation-axis sweep via [`Runner::finish_from_stage`].
     pub fn probe_stage(&self) -> ProbeStage {
-        let stage = self.stage_phases(&Obs::disabled(), &self.deployment.config().faults);
+        let stage = self.stage_phases(&Obs::disabled());
         self.precompute(&stage);
         stage
     }
@@ -573,12 +552,13 @@ impl Runner {
     /// the sweep orchestrator attributes per-cell revocation decisions to
     /// their cell's trace.
     pub fn finish_from_stage_observed(&self, stage: &ProbeStage, telemetry: &Obs) -> SimOutcome {
-        self.finish_phases(telemetry, &self.deployment.config().faults, stage)
+        self.finish_phases(telemetry, stage)
     }
 
-    fn stage_phases(&self, telemetry: &Obs, plan: &FaultPlan) -> ProbeStage {
+    fn stage_phases(&self, telemetry: &Obs) -> ProbeStage {
         let d = &self.deployment;
         let cfg = d.config();
+        let plan = &cfg.faults;
         let ctx = ProbeContext::with_obs(d, telemetry);
         let mut probe_rng = StdRng::seed_from_u64(subseed(self.seed, b"probe"));
         let mut order_rng = StdRng::seed_from_u64(subseed(self.seed, b"order"));
@@ -943,9 +923,10 @@ impl Runner {
     /// re-estimates only the sensors that lost a reference to revocation;
     /// every other sensor keeps its pre-revocation contribution from the
     /// stage's precompute.
-    fn finish_phases(&self, telemetry: &Obs, plan: &FaultPlan, stage: &ProbeStage) -> SimOutcome {
+    fn finish_phases(&self, telemetry: &Obs, stage: &ProbeStage) -> SimOutcome {
         let d = &self.deployment;
         let cfg = d.config();
+        let plan = &cfg.faults;
         let detectors = &stage.detectors;
         let poisoned = &stage.poisoned;
         let spam = cfg.collusion && cfg.malicious > 0;
@@ -1031,8 +1012,8 @@ impl Runner {
         let alert_metrics = telemetry.metrics().map(|r| AlertMetrics::new(r));
         // Every delivered alert is arbitrated by the shared
         // `RevocationMachine` — the same state machine the streaming
-        // `secloc-alerter` service runs (and `BaseStation` wraps), so the
-        // batch and stream paths cannot drift apart.
+        // `secloc-alerter` service runs, so the batch and stream paths
+        // cannot drift apart.
         machine.reset(revocation_config(cfg));
         // Per-decision events are only built when a sink is listening:
         // metrics-only telemetry (the BENCH_obs overhead configuration)
@@ -1188,7 +1169,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use secloc_faults::{ChurnSpec, Outage};
+    use secloc_faults::{ChurnSpec, FaultPlan, Outage};
 
     fn small_cfg(p: f64) -> SimConfig {
         SimConfig {
@@ -1255,35 +1236,6 @@ mod tests {
     fn probe_stage_is_shareable_across_threads() {
         fn send_sync<T: Send + Sync>() {}
         send_sync::<ProbeStage>();
-    }
-
-    #[test]
-    fn try_new_surfaces_config_errors() {
-        let mut bad = small_cfg(0.5);
-        bad.alert_retransmissions = 0;
-        assert!(matches!(
-            Runner::try_new(bad, 1),
-            Err(crate::ConfigError::NoTransmissionBudget)
-        ));
-        assert!(Runner::try_new(small_cfg(0.5), 1).is_ok());
-    }
-
-    #[test]
-    fn explicit_empty_plan_matches_config_plan() {
-        // A config-level plan is overridden by an explicit empty plan.
-        let mut cfg = small_cfg(0.5);
-        cfg.faults = FaultPlan::default().with_clock_drift(5_000);
-        let r = Runner::new(cfg, 9);
-        let clean = Runner::new(small_cfg(0.5), 9).run(RunOptions::new());
-        let overridden = r.run(RunOptions::new().faults(FaultPlan::default()));
-        assert_eq!(overridden.outcome, clean.outcome);
-        // And without the override, the config plan applies.
-        let drifted = r.run(RunOptions::new());
-        let drifted_again = r.run(RunOptions::new());
-        assert_eq!(
-            drifted.outcome, drifted_again.outcome,
-            "still deterministic"
-        );
     }
 
     #[test]
@@ -1491,13 +1443,13 @@ mod tests {
         cfg.collusion = true;
         let r = Runner::new(cfg.clone(), 5);
         let malicious = r.deployment().beacons_of_kind(NodeKind::MaliciousBeacon);
-        let plan = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
+        cfg.faults = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
             malicious
                 .iter()
                 .map(|&b| Outage::dead_from_start(b))
                 .collect(),
         ));
-        let dead = r.run(RunOptions::new().faults(plan)).outcome;
+        let dead = Runner::new(cfg, 5).run(RunOptions::new()).outcome;
         assert_eq!(dead.benign_alerts, 0, "dead beacons emit no signals");
         assert_eq!(dead.collusion_alerts, 0, "dead colluders send no spam");
         assert_eq!(dead.revoked_malicious, 0, "never revoked post-death");

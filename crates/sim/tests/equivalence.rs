@@ -106,20 +106,13 @@ fn optimized_run_matches_reference_across_seeds_and_configs() {
 
 #[test]
 fn empty_fault_plan_is_bit_identical_to_fault_free_run() {
-    // Two ways of saying "no faults" — the config default and an explicit
-    // empty plan — must yield the exact same `SimOutcome`, on both
-    // execution paths.
+    // The config's default plan is empty: the run must yield the exact
+    // same `SimOutcome` as the reference run under an explicitly empty
+    // plan.
     for (name, cfg) in corner_configs() {
         for seed in 0..3u64 {
             let runner = Runner::new(cfg.clone(), seed);
             let plain = runner.run(RunOptions::new()).outcome;
-            let explicit_empty = runner
-                .run(RunOptions::new().faults(FaultPlan::default()))
-                .outcome;
-            assert_eq!(
-                plain, explicit_empty,
-                "explicit empty plan diverged: {name}, seed {seed}"
-            );
             let reference_empty = reference(&runner, &FaultPlan::none());
             assert_eq!(
                 plain, reference_empty,
@@ -169,12 +162,18 @@ fn faulted_runs_match_reference_across_fault_categories() {
         attacker_p: 0.6,
         ..base()
     };
-    for (name, plan) in plans {
+    for (name, faults) in plans {
         for seed in 0..2u64 {
-            let runner = Runner::new(cfg.clone(), seed);
+            let runner = Runner::new(
+                SimConfig {
+                    faults: faults.clone(),
+                    ..cfg.clone()
+                },
+                seed,
+            );
             assert_eq!(
-                runner.run(RunOptions::new().faults(plan.clone())).outcome,
-                reference(&runner, &plan),
+                runner.run(RunOptions::new()).outcome,
+                reference(&runner, &faults),
                 "faulted paths diverged: {name}, seed {seed}"
             );
         }
@@ -341,13 +340,6 @@ fn paper_scale_run_matches_reference() {
     let runner = Runner::new(SimConfig::paper_default(), 42);
     let plain = runner.run(RunOptions::new()).outcome;
     assert_eq!(plain, reference_plain(&runner));
-    // The empty-plan guarantee holds at paper scale too.
-    assert_eq!(
-        plain,
-        runner
-            .run(RunOptions::new().faults(FaultPlan::default()))
-            .outcome
-    );
 }
 
 #[test]
@@ -368,25 +360,25 @@ fn reference_run_matches_plain_run() {
 
 #[test]
 fn faulted_runs_are_deterministic_and_match_reference() {
-    let plan = FaultPlan::default()
-        .with_burst_loss(BurstLossSpec::mild())
-        .with_noise_region(NoiseRegion::disc(Point2::new(500.0, 500.0), 250.0, 2.5))
-        .with_clock_drift(800)
-        .with_churn(ChurnSpec::random(0.2, 0.5));
     let r = Runner::new(
         SimConfig {
             nodes: 400,
             beacons: 40,
             malicious: 4,
             attacker_p: 0.6,
+            faults: FaultPlan::default()
+                .with_burst_loss(BurstLossSpec::mild())
+                .with_noise_region(NoiseRegion::disc(Point2::new(500.0, 500.0), 250.0, 2.5))
+                .with_clock_drift(800)
+                .with_churn(ChurnSpec::random(0.2, 0.5)),
             ..SimConfig::paper_default()
         },
         21,
     );
-    let a = r.run(RunOptions::new().faults(plan.clone()));
-    let b = r.run(RunOptions::new().faults(plan.clone()));
+    let a = r.run(RunOptions::new());
+    let b = r.run(RunOptions::new());
     assert_eq!(a.outcome, b.outcome);
-    assert_eq!(reference(&r, &plan), a.outcome);
+    assert_eq!(reference_plain(&r), a.outcome);
 }
 
 #[test]

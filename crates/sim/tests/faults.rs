@@ -20,10 +20,14 @@ fn cfg(p: f64) -> SimConfig {
 }
 
 fn sweep(config: &SimConfig, plan: &FaultPlan, seeds: std::ops::Range<u64>) -> Vec<SimOutcome> {
+    let config = SimConfig {
+        faults: plan.clone(),
+        ..config.clone()
+    };
     seeds
         .map(|s| {
             Runner::new(config.clone(), s)
-                .run(RunOptions::new().faults(plan.clone()))
+                .run(RunOptions::new())
                 .outcome
         })
         .collect()
@@ -35,21 +39,20 @@ fn churn_killed_beacons_raise_no_alerts_and_are_never_revoked() {
     // signals, so no detector can gather evidence against it, no sensor
     // is poisoned by it, and the base station never revokes it — churn
     // deaths must not be confused with successful detection.
-    let config = cfg(0.9); // aggressive: alive, they would surely be caught
+    let mut config = cfg(0.9); // aggressive: alive, they would surely be caught
     let registry = Arc::new(MetricsRegistry::new());
     let telemetry = Obs::with_metrics(registry.clone());
-    let runner = Runner::new(config.clone(), 31);
-    let malicious = runner
+    let malicious = Runner::new(config.clone(), 31)
         .deployment()
         .beacons_of_kind(NodeKind::MaliciousBeacon);
-    let plan = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
+    config.faults = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
         malicious
             .iter()
             .map(|&b| Outage::dead_from_start(b))
             .collect(),
     ));
-    let dead = runner
-        .run(RunOptions::new().faults(plan).observed(&telemetry))
+    let dead = Runner::new(config, 31)
+        .run(RunOptions::new().observed(&telemetry))
         .outcome;
     assert_eq!(dead.benign_alerts, 0, "no signal, no evidence");
     assert_eq!(dead.revoked_malicious, 0, "never revoked post-death");
@@ -67,7 +70,7 @@ fn churn_killed_beacons_raise_no_alerts_and_are_never_revoked() {
     );
 
     // Baseline sanity: alive, the same attackers do get caught.
-    let alive = runner.run(RunOptions::new()).outcome;
+    let alive = Runner::new(cfg(0.9), 31).run(RunOptions::new()).outcome;
     assert!(alive.revoked_malicious > 0);
     assert!(alive.benign_alerts > 0);
 }
@@ -149,7 +152,7 @@ fn burst_loss_hurts_more_than_matched_rate_uniform_loss() {
 }
 
 #[test]
-fn config_level_plan_applies_without_explicit_options() {
+fn config_level_plan_applies_to_runs_and_sweeps() {
     // A plan carried in SimConfig::faults is in force for plain runs and
     // for sweeps that never mention faults.
     let mut config = cfg(0.8);
@@ -157,11 +160,8 @@ fn config_level_plan_applies_without_explicit_options() {
     let via_config = Runner::new(config.clone(), 2)
         .run(RunOptions::new())
         .outcome;
-    let clean_config = cfg(0.8);
-    let via_options = Runner::new(clean_config, 2)
-        .run(RunOptions::new().faults(config.faults.clone()))
-        .outcome;
-    assert_eq!(via_config, via_options);
+    let clean = Runner::new(cfg(0.8), 2).run(RunOptions::new()).outcome;
+    assert_ne!(via_config, clean);
     let swept = Orchestrator::new()
         .workers(1)
         .run(&SweepSpec::single(&config, &[2]))

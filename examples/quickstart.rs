@@ -20,7 +20,7 @@ fn main() {
     let honest = Observation {
         detector_position,
         declared_position: Point2::new(200.0, 100.0),
-        measured_distance_ft: 104.2, // RSSI ranging, within the 10 ft bound
+        measured_distance_ft: 104.2, // ranging error within the 10 ft bound
         rtt: Cycles::new(6_600),
         wormhole_detector_fired: false,
     };
@@ -55,10 +55,10 @@ fn main() {
     // ---------------------------------------------------------------
     // 2. The §3 revocation scheme.
     // ---------------------------------------------------------------
-    let mut station = BaseStation::new(RevocationConfig::paper_default());
+    let mut station = RevocationMachine::new(RevocationConfig::paper_default());
     println!("\nbase station thresholds: {:?}", station.config());
     for detector in [11, 12, 13] {
-        let outcome = station.process(Alert::new(NodeId(detector), NodeId(7)));
+        let outcome = station.decide(NodeId(detector), NodeId(7));
         println!("alert n{detector} -> n7: {outcome:?}");
     }
     println!("n7 revoked: {}", station.is_revoked(NodeId(7)));
@@ -94,11 +94,14 @@ fn main() {
     // ---------------------------------------------------------------
     // 4. The same network under degraded conditions: a fault plan.
     // ---------------------------------------------------------------
-    let plan = FaultPlan::default()
-        .with_burst_loss(BurstLossSpec::mild())
-        .with_clock_drift(500)
-        .with_churn(ChurnSpec::random(0.1, 0.4));
-    let degraded = runner.run(RunOptions::new().faults(plan)).outcome;
+    let faulted = SimConfig {
+        faults: FaultPlan::default()
+            .with_burst_loss(BurstLossSpec::mild())
+            .with_clock_drift(500)
+            .with_churn(ChurnSpec::random(0.1, 0.4)),
+        ..runner.deployment().config().clone()
+    };
+    let degraded = Runner::new(faulted, 2005).run(RunOptions::new()).outcome;
     println!(
         "\nunder mild faults     : detection {:.2} (clean {:.2})",
         degraded.detection_rate(),

@@ -14,7 +14,8 @@ use secloc_oracle::{Key, PairwiseKeyStore, SignedAlert};
 fn main() {
     let config = RevocationConfig::paper_default();
     let keys = PairwiseKeyStore::new(Key::from_u128(0x5ec10c));
-    let mut station = BaseStation::new(config);
+    let mut station = RevocationMachine::new(config);
+    let mut accepted = 0;
 
     // Population: beacons 0..9 are compromised, 10..99 benign.
     let colluders: Vec<NodeId> = (0..10).map(NodeId).collect();
@@ -35,9 +36,12 @@ fn main() {
         // the station verifies before processing.
         let signed = SignedAlert::sign(Alert::new(reporter, target), &keys.base_station(reporter));
         assert!(signed.verify(&keys.base_station(reporter)));
-        station.process(signed.alert());
+        let alert = signed.alert();
+        if station.decide(alert.reporter, alert.target).accepted() {
+            accepted += 1;
+        }
     }
-    let framed = station.revoked();
+    let framed = station.revoked_nodes();
     println!("benign beacons framed: {:?}", framed);
     assert_eq!(framed.len(), policy.expected_revocations(colluders.len()));
 
@@ -47,7 +51,10 @@ fn main() {
     let mut honest_reports = 0;
     'outer: for &malicious in &colluders {
         for &detector in benign.iter() {
-            let out = station.process(Alert::new(detector, malicious));
+            let out = station.decide(detector, malicious);
+            if out.accepted() {
+                accepted += 1;
+            }
             honest_reports += 1;
             if station.is_revoked(malicious) {
                 println!("{malicious} revoked after {honest_reports} honest alerts ({out:?})");
@@ -61,13 +68,13 @@ fn main() {
     println!(
         "benign revoked    : {} (bound: {})",
         station
-            .revoked()
+            .revoked_nodes()
             .iter()
             .filter(|n| benign.contains(n))
             .count(),
         policy.expected_revocations(colluders.len()),
     );
-    println!("accepted alerts   : {}", station.accepted_alerts().len());
+    println!("accepted alerts   : {accepted}");
 
     // A framed detector can still convict an attacker:
     let framed_detector = framed[0];

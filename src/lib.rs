@@ -3,7 +3,7 @@
 //! A production-quality Rust reproduction of **Liu, Ning & Du,
 //! "Detecting Malicious Beacon Nodes for Secure Location Discovery in
 //! Wireless Sensor Networks" (ICDCS 2005)**, including the substrate the
-//! paper assumes: detecting IDs, cycle-accurate radio timing, RSSI ranging,
+//! paper assumes: detecting IDs, cycle-accurate radio timing, bounded-error ranging,
 //! localization estimators, attacker models, the detection and revocation
 //! suite itself, its closed-form analysis, and a seeded whole-network
 //! simulator. The frame-level exchange (MAC'd frames, pairwise keys, the
@@ -30,7 +30,7 @@
 //! Detect a lying beacon and revoke it:
 //!
 //! ```
-//! use secloc::core::{Alert, BaseStation, DetectionPipeline, Observation, RevocationConfig};
+//! use secloc::core::{DetectionPipeline, Observation, RevocationConfig, RevocationMachine};
 //! use secloc::crypto::NodeId;
 //! use secloc::geometry::Point2;
 //! use secloc::radio::Cycles;
@@ -45,9 +45,9 @@
 //! };
 //! assert!(pipeline.evaluate(&observation).raises_alert());
 //!
-//! let mut station = BaseStation::new(RevocationConfig::paper_default());
+//! let mut station = RevocationMachine::new(RevocationConfig::paper_default());
 //! for detector in [1, 2, 3] {
-//!     station.process(Alert::new(NodeId(detector), NodeId(99)));
+//!     station.decide(NodeId(detector), NodeId(99));
 //! }
 //! assert!(station.is_revoked(NodeId(99)));
 //! ```
@@ -69,9 +69,9 @@
 //! ```
 //!
 //! Degrade the run with a [`faults::FaultPlan`] (burst loss, regional
-//! ranging noise, clock drift, beacon churn) via
-//! `RunOptions::new().faults(plan)` — an empty plan is guaranteed
-//! bit-identical to a fault-free run.
+//! ranging noise, clock drift, beacon churn) in the configuration's
+//! `SimConfig::faults` field — an empty plan is guaranteed bit-identical
+//! to a fault-free run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,9 +95,8 @@ pub mod prelude {
     };
     pub use secloc_attack::{Action, BeaconStrategy, CompromisedBeacon, Wormhole};
     pub use secloc_core::{
-        Alert, BaseStation, DetectionOutcome, DetectionPipeline, Observation, ProtocolAction,
-        ProtocolEvent, RevocationConfig, RevocationMachine, RttFilter, SignalDetector,
-        WormholeFilter,
+        Alert, DetectionOutcome, DetectionPipeline, Observation, ProtocolAction, ProtocolEvent,
+        RevocationConfig, RevocationMachine, RttFilter, SignalDetector, WormholeFilter,
     };
     pub use secloc_crypto::{IdSpace, NodeId};
     pub use secloc_faults::{BurstLossSpec, ChurnSpec, FaultPlan, NoiseRegion};

@@ -28,7 +28,7 @@ fn full_story_detection_to_revocation() {
     );
 
     // Three detecting beacons at different spots each probe it once.
-    let mut station = BaseStation::new(RevocationConfig::paper_default());
+    let mut station = RevocationMachine::new(RevocationConfig::paper_default());
     let keys = PairwiseKeyStore::new(Key::from_u128(0xfeed));
     let mut rng = StdRng::seed_from_u64(2);
     let ranging = secloc::radio::ranging::BoundedRanging::new(10.0);
@@ -57,7 +57,8 @@ fn full_story_detection_to_revocation() {
         let alert = Alert::new(NodeId(i), liar.id());
         let signed = SignedAlert::sign(alert, &keys.base_station(NodeId(i)));
         assert!(signed.verify(&keys.base_station(NodeId(i))));
-        station.process(signed.alert());
+        let alert = signed.alert();
+        station.decide(alert.reporter, alert.target);
     }
 
     assert!(station.is_revoked(liar.id()), "three alerts clear tau' = 2");
@@ -152,15 +153,15 @@ fn collusion_interleaved_with_honest_traffic() {
         tau: 2,
         tau_prime: 2,
     };
-    let mut station = BaseStation::new(cfg);
+    let mut station = RevocationMachine::new(cfg);
     let colluders: Vec<NodeId> = (0..10).map(NodeId).collect();
     let benign: Vec<NodeId> = (10..100).map(NodeId).collect();
 
     // Colluders strike first.
     for (r, t) in CollusionPolicy::new(cfg.tau, cfg.tau_prime).alerts(&colluders, &benign) {
-        station.process(Alert::new(r, t));
+        station.decide(r, t);
     }
-    let framed = station.revoked().len();
+    let framed = station.revoked_nodes().len();
     assert_eq!(framed, 10); // Na(tau+1)/(tau'+1) = 10*3/3
 
     // Honest detectors (including framed ones) still convict every
@@ -169,7 +170,7 @@ fn collusion_interleaved_with_honest_traffic() {
     for (i, &m) in colluders.iter().enumerate() {
         let i = i as u32;
         for r in [NodeId(10 + i), NodeId(25 + i), NodeId(40 + i)] {
-            station.process(Alert::new(r, m));
+            station.decide(r, m);
         }
         assert!(station.is_revoked(m));
     }

@@ -52,13 +52,13 @@ fn detection_and_revocation_protect_dvhop() {
 
     // --- Detection: ranging-capable detecting beacons probe the liar. --
     // The honest anchors double as detecting nodes (the paper's beacons
-    // with detecting IDs). They measure the RSSI distance to the liar's
+    // with detecting IDs). They measure the distance to the liar's
     // true position and compare with its declared location.
     let pipeline = DetectionPipeline::paper_default();
     let ranging = BoundedRanging::new(10.0);
     let rtt = RttModel::paper_default();
     let mut rng = StdRng::seed_from_u64(3);
-    let mut station = BaseStation::new(RevocationConfig::paper_default());
+    let mut station = RevocationMachine::new(RevocationConfig::paper_default());
 
     for (i, &detector_pos) in honest_anchor_positions.iter().enumerate() {
         let true_distance = detector_pos.distance(liar_true);
@@ -73,7 +73,7 @@ fn detection_and_revocation_protect_dvhop() {
             wormhole_detector_fired: false,
         };
         if pipeline.evaluate(&obs).raises_alert() {
-            station.process(Alert::new(NodeId(i as u32), liar_id));
+            station.decide(NodeId(i as u32), liar_id);
         }
     }
     assert!(
