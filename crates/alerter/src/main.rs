@@ -29,7 +29,7 @@ use secloc_obs::health::{
 };
 use secloc_obs::{EventSink, HealthMonitor, JsonlSink, Obs};
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -167,6 +167,23 @@ fn summary_json(alerter: &Alerter, extra: &str, healthy: bool) -> String {
     )
 }
 
+/// Ingests each accepted connection in turn until the first error, or
+/// after the first connection when `once` is set.
+fn accept_loop<S: Read>(
+    alerter: &mut Alerter,
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    once: bool,
+) -> std::io::Result<()> {
+    let mut result = Ok(());
+    for stream in incoming {
+        result = stream.and_then(|stream| alerter.ingest_reader(BufReader::new(stream)));
+        if once || result.is_err() {
+            break;
+        }
+    }
+    result
+}
+
 fn serve(opts: &Options) -> Result<ExitCode, String> {
     let (monitor, obs) = monitored_obs(opts, opts.out.as_ref().or(opts.events.as_ref()), true)?;
     let cfg = AlerterConfig {
@@ -202,18 +219,7 @@ fn serve(opts: &Options) -> Result<ExitCode, String> {
                 "secloc-alerter: listening on unix socket {}",
                 path.display()
             );
-            let mut result = Ok(());
-            for stream in listener.incoming() {
-                match stream {
-                    Ok(stream) => {
-                        result = alerter.ingest_reader(BufReader::new(stream));
-                    }
-                    Err(e) => result = Err(e),
-                }
-                if opts.once || result.is_err() {
-                    break;
-                }
-            }
+            let result = accept_loop(&mut alerter, listener.incoming(), opts.once);
             let _ = std::fs::remove_file(path);
             result
         }
@@ -224,19 +230,7 @@ fn serve(opts: &Options) -> Result<ExitCode, String> {
                 "secloc-alerter: listening on tcp {}",
                 listener.local_addr().map_err(|e| e.to_string())?
             );
-            let mut result = Ok(());
-            for stream in listener.incoming() {
-                match stream {
-                    Ok(stream) => {
-                        result = alerter.ingest_reader(BufReader::new(stream));
-                    }
-                    Err(e) => result = Err(e),
-                }
-                if opts.once || result.is_err() {
-                    break;
-                }
-            }
-            result
+            accept_loop(&mut alerter, listener.incoming(), opts.once)
         }
     };
 

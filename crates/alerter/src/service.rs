@@ -2,8 +2,8 @@
 //! behind a dense-keyed table.
 //!
 //! [`Alerter`] demultiplexes a JSONL event stream into one
-//! [`RevocationMachine`] per deployment, applies each accusation through
-//! [`RevocationMachine::apply`] — the same single implementation of the
+//! [`RevocationMachine`] per deployment, arbitrates each accusation with
+//! [`RevocationMachine::decide`] — the same single implementation of the
 //! τ/τ′ semantics the batch sim runs — and emits its own decisions as
 //! `alerter.*` events through a [`secloc_obs`] sink, scoped with the sweep
 //! engine's `cell`/`seed`/trace conventions so one JSONL stream can carry
@@ -15,13 +15,10 @@
 //! index. Keys are looked up by the `&str` borrowed from the input line
 //! and copied only when a slot is inserted, and event fields are built
 //! only when a sink is attached: an accusation into a live deployment
-//! allocates nothing beyond the action list `RevocationMachine::apply`
-//! returns and the machine's own counter growth.
+//! allocates nothing beyond the machine's own table growth.
 
 use crate::wire::{parse_line, WireEvent};
-use secloc_core::{
-    AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine,
-};
+use secloc_core::{AlertOutcome, RevocationConfig, RevocationMachine};
 use secloc_obs::{fnv1a, Obs, SpanContext, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -422,47 +419,37 @@ impl Alerter {
         let verify = self.cfg.verify_recorded;
         let i = self.slot_of(key);
         let slot = self.slots[i].as_mut().expect("live slot");
-        let actions = slot.machine.apply(ProtocolEvent::Accusation {
-            reporter: secloc_crypto::NodeId(reporter),
-            target: secloc_crypto::NodeId(target),
-        });
+        let target_id = secloc_crypto::NodeId(target);
+        let computed = slot
+            .machine
+            .decide(secloc_crypto::NodeId(reporter), target_id);
         slot.decisions += 1;
         self.stats.decisions += 1;
-        let mut computed: Option<AlertOutcome> = None;
-        for action in &actions {
-            match *action {
-                ProtocolAction::Decided { outcome, .. } => {
-                    computed = Some(outcome);
-                    if slot.obs.sink_attached() {
-                        let mut fields = vec![
-                            ("reporter", Value::U64(reporter as u64)),
-                            ("target", Value::U64(target as u64)),
-                            ("outcome", Value::Str(outcome.wire_label().to_string())),
-                        ];
-                        if let Some(source) = &source {
-                            fields.push(("source", Value::Str(source.to_string())));
-                        }
-                        slot.obs.emit("alerter.decision", &fields);
-                    }
-                }
-                ProtocolAction::Revoke {
-                    target,
-                    distinct_accusers,
-                } => {
-                    slot.revocations += 1;
-                    self.stats.revocations += 1;
-                    slot.obs.emit(
-                        "alerter.revocation",
-                        &[
-                            ("target", Value::U64(target.0 as u64)),
-                            ("distinct_accusers", Value::U64(distinct_accusers as u64)),
-                        ],
-                    );
-                }
+        if slot.obs.sink_attached() {
+            let mut fields = vec![
+                ("reporter", Value::U64(reporter as u64)),
+                ("target", Value::U64(target as u64)),
+                ("outcome", Value::Str(computed.wire_label().to_string())),
+            ];
+            if let Some(source) = &source {
+                fields.push(("source", Value::Str(source.to_string())));
             }
+            slot.obs.emit("alerter.decision", &fields);
+        }
+        if computed == AlertOutcome::AcceptedAndRevoked {
+            slot.revocations += 1;
+            self.stats.revocations += 1;
+            let distinct_accusers = slot.machine.suspiciousness(target_id);
+            slot.obs.emit(
+                "alerter.revocation",
+                &[
+                    ("target", Value::U64(target as u64)),
+                    ("distinct_accusers", Value::U64(distinct_accusers as u64)),
+                ],
+            );
         }
         if verify {
-            if let (Some(recorded), Some(computed)) = (recorded_outcome, computed) {
+            if let Some(recorded) = recorded_outcome {
                 if recorded != computed.wire_label() {
                     self.stats.parity_mismatches += 1;
                     self.mismatches.push(format!(

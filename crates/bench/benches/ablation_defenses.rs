@@ -18,7 +18,8 @@ use secloc_geometry::Field;
 use secloc_localization::{
     ConsensusEstimator, Estimator, LocationReference, MmseEstimator, ResidualFilterEstimator,
 };
-use secloc_sim::{Deployment, NodeKind, ProbeContext, SimConfig};
+use secloc_obs::Obs;
+use secloc_sim::{Deployment, NodeKind, ProbeContext, ProbeFaults, SimConfig};
 
 struct Collected {
     /// Per-sensor accepted references, tagged with source beacon.
@@ -29,7 +30,7 @@ struct Collected {
 
 fn collect(deployment: &Deployment, seed: u64) -> Collected {
     let cfg = deployment.config();
-    let ctx = ProbeContext::new(deployment);
+    let ctx = ProbeContext::new(deployment, &Obs::disabled());
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Location discovery by sensors.
@@ -39,7 +40,7 @@ fn collect(deployment: &Deployment, seed: u64) -> Collected {
             if v >= cfg.beacons {
                 continue;
             }
-            if let Some(result) = ctx.probe(w, NodeId(w), v, &mut rng) {
+            if let Some(result) = ctx.probe(w, NodeId(w), v, &ProbeFaults::NONE, &mut rng) {
                 if result.accepted_for_localization {
                     refs[w as usize].push((
                         v,
@@ -75,7 +76,7 @@ fn collect(deployment: &Deployment, seed: u64) -> Collected {
             }
             for k in 0..cfg.detecting_ids {
                 let wire = deployment.ids().detecting_id(u, k);
-                let Some(result) = ctx.probe(u, wire, v, &mut rng) else {
+                let Some(result) = ctx.probe(u, wire, v, &ProbeFaults::NONE, &mut rng) else {
                     break;
                 };
                 if result.outcome.raises_alert() {

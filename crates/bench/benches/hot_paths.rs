@@ -26,9 +26,9 @@ use secloc_localization::{BatchedMmse, LocationReference, MmseEstimator, MmseScr
 use secloc_obs::{MetricsRegistry, Obs};
 use secloc_oracle::mmse;
 use secloc_sim::orchestrator::{code_version_tag, config_fingerprint, outcome_revision, CellKey};
-use secloc_sim::report::PHASE_NAMES;
 use secloc_sim::{
     BinaryCache, Deployment, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome, SweepSpec,
+    PHASE_NAMES,
 };
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -458,10 +458,10 @@ fn bench_sweep_scale(quick: bool) -> SweepScale {
     }
 }
 
-/// Streaming apply cost for the ISSUE 8 acceptance bar: the alerter must
-/// sustain ≥ 1000 concurrent deployment machines; we measure ns per
-/// ingested event (parse + demux + `RevocationMachine::apply` + emit)
-/// with every machine live the whole time.
+/// Streaming decision cost: the alerter must sustain ≥ 1000 concurrent
+/// deployment machines; we measure ns per ingested event (parse + demux +
+/// `RevocationMachine::decide` + emit) with every machine live the whole
+/// time.
 struct AlerterScale {
     deployments: usize,
     events: u64,

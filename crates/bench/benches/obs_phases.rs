@@ -10,8 +10,7 @@
 
 use secloc_bench::{banner, results_dir};
 use secloc_obs::{MetricsRegistry, Obs};
-use secloc_sim::report::PHASE_NAMES;
-use secloc_sim::{RunOptions, Runner, SimConfig};
+use secloc_sim::{RunOptions, Runner, SimConfig, PHASE_NAMES};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;

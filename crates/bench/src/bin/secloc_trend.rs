@@ -385,7 +385,7 @@ fn collect_metrics(
             out.push(("perf.sweep_scale.ns_per_cell".to_string(), v, Limit::None));
         }
         if let Some(v) = number_at(perf, &["alerter", "ns_per_event"]) {
-            // Streaming apply cost per event across ≥1000 concurrent
+            // Streaming decision cost per event across ≥1000 concurrent
             // deployment machines. The ceiling is the cost before wire
             // decoding went borrowed (961 ns): a rise past it means the
             // decoder allocates per line again.

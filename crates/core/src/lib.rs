@@ -54,7 +54,7 @@ mod wormhole_filter;
 
 pub use alert::Alert;
 pub use detector::{SignalDetector, SignalVerdict};
-pub use machine::{MachineState, ProtocolAction, ProtocolEvent, RevocationMachine, StateWireError};
+pub use machine::{MachineState, RevocationMachine, StateWireError};
 pub use pipeline::{DetectionOutcome, DetectionPipeline, Observation};
 pub use revocation::{AlertOutcome, RevocationConfig};
 pub use rtt::{LocalReplayVerdict, RttFilter};

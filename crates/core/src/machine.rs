@@ -13,10 +13,10 @@
 //!
 //! The machine is deliberately austere:
 //!
-//! - **No clocks, RNGs, or I/O.** `apply` is a pure function of the
-//!   current state and the event; two machines fed the same event
-//!   sequence are equal. That purity is what makes stream/batch replay
-//!   parity provable rather than probable.
+//! - **No clocks, RNGs, or I/O.** `decide` is a pure function of the
+//!   current state and the accusation; two machines fed the same
+//!   accusations in the same order are equal. That purity is what makes
+//!   stream/batch replay parity provable rather than probable.
 //! - **`no_std`-friendly.** Only `core` and `alloc` types appear in the
 //!   API and the implementation (`Vec`, `String`); nothing here needs an
 //!   operating system, so the machine can be lifted onto a mote-class
@@ -27,77 +27,10 @@
 //!   [`RevocationMachine::from_wire`] give a canonical textual snapshot
 //!   so a service can checkpoint thousands of machines and resume them
 //!   byte-identically.
-//!
-//! # Examples
-//!
-//! ```
-//! use secloc_core::{AlertOutcome, ProtocolAction, ProtocolEvent, RevocationConfig, RevocationMachine};
-//! use secloc_crypto::NodeId;
-//!
-//! let mut m = RevocationMachine::new(RevocationConfig { tau: 2, tau_prime: 1 });
-//! m.apply(ProtocolEvent::Accusation { reporter: NodeId(1), target: NodeId(9) });
-//! let actions = m.apply(ProtocolEvent::Accusation { reporter: NodeId(2), target: NodeId(9) });
-//! assert_eq!(
-//!     actions,
-//!     vec![
-//!         ProtocolAction::Decided {
-//!             reporter: NodeId(2),
-//!             target: NodeId(9),
-//!             outcome: AlertOutcome::AcceptedAndRevoked,
-//!         },
-//!         ProtocolAction::Revoke { target: NodeId(9), distinct_accusers: 2 },
-//!     ]
-//! );
-//! assert!(m.is_revoked(NodeId(9)));
-//! ```
 
 use crate::revocation::{AlertOutcome, RevocationConfig};
 use core::fmt;
 use secloc_crypto::NodeId;
-
-/// One input to the protocol state machine.
-///
-/// The protocol currently has a single event shape — an authenticated
-/// accusation — but the enum leaves room for the schemes the related work
-/// adds (e.g. a time-bounded retraction) without changing `apply`'s
-/// signature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolEvent {
-    /// `reporter` (a detecting beacon node) accuses `target` of emitting a
-    /// malicious beacon signal. The alert is assumed authenticated; the
-    /// machine only arbitrates counting.
-    Accusation {
-        /// The detecting node filing the alert.
-        reporter: NodeId,
-        /// The beacon node being accused.
-        target: NodeId,
-    },
-}
-
-/// One output of the protocol state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolAction {
-    /// The verdict on the event that was just applied. Every event
-    /// produces exactly one `Decided` action (always first).
-    Decided {
-        /// The accusing node, echoed from the event.
-        reporter: NodeId,
-        /// The accused node, echoed from the event.
-        target: NodeId,
-        /// What the machine did with the accusation.
-        outcome: AlertOutcome,
-    },
-    /// The accusation pushed `target` past τ′ distinct accusers: broadcast
-    /// a revocation. Follows the `Decided { outcome: AcceptedAndRevoked }`
-    /// action for the same event.
-    Revoke {
-        /// The node being revoked.
-        target: NodeId,
-        /// Distinct accepted accusers at the moment of revocation
-        /// (always `τ′ + 1`).
-        distinct_accusers: u32,
-    },
-}
 
 /// The machine's complete mutable state, as plain data.
 ///
@@ -323,34 +256,9 @@ impl RevocationMachine {
         &self.state
     }
 
-    /// Applies one event and returns the resulting actions: always a
-    /// `Decided` verdict, plus a `Revoke` when the accusation completed a
-    /// quorum.
-    pub fn apply(&mut self, event: ProtocolEvent) -> Vec<ProtocolAction> {
-        match event {
-            ProtocolEvent::Accusation { reporter, target } => {
-                let outcome = self.decide(reporter, target);
-                let mut actions = Vec::with_capacity(2);
-                actions.push(ProtocolAction::Decided {
-                    reporter,
-                    target,
-                    outcome,
-                });
-                if outcome == AlertOutcome::AcceptedAndRevoked {
-                    actions.push(ProtocolAction::Revoke {
-                        target,
-                        distinct_accusers: self.suspiciousness(target),
-                    });
-                }
-                actions
-            }
-        }
-    }
-
-    /// The allocation-free core of [`apply`](RevocationMachine::apply):
-    /// arbitrates one accusation and returns the verdict. Hot paths (the
-    /// sim's revocation phase) call this directly; `apply` wraps it in the
-    /// action vocabulary.
+    /// Arbitrates one accusation by `reporter` against `target` and
+    /// returns the verdict. This is the machine's only input; it allocates
+    /// only to grow a table or a reporter's accused list.
     pub fn decide(&mut self, reporter: NodeId, target: NodeId) -> AlertOutcome {
         // Order of checks follows the paper: report budget first, then
         // target-revoked; a revoked *reporter* is still heard (see the
@@ -409,14 +317,6 @@ impl RevocationMachine {
             .get(node.0 as usize)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Whether an accusation by `reporter` against `target` was accepted.
-    pub fn has_accused(&self, reporter: NodeId, target: NodeId) -> bool {
-        self.state
-            .accused
-            .get(reporter.0 as usize)
-            .is_some_and(|targets| targets.contains(&target))
     }
 
     /// Accepted alerts filed by `node` so far (its spent τ budget).
@@ -515,60 +415,21 @@ impl RevocationMachine {
 mod tests {
     use super::*;
 
-    fn accuse(r: u32, t: u32) -> ProtocolEvent {
-        ProtocolEvent::Accusation {
-            reporter: NodeId(r),
-            target: NodeId(t),
-        }
+    fn accuse(m: &mut RevocationMachine, r: u32, t: u32) -> AlertOutcome {
+        m.decide(NodeId(r), NodeId(t))
     }
 
     #[test]
-    fn every_event_yields_exactly_one_decided_action_first() {
-        let mut m = RevocationMachine::new(RevocationConfig::paper_default());
-        for (r, t) in [(1, 9), (1, 9), (2, 9), (3, 9), (4, 9)] {
-            let actions = m.apply(accuse(r, t));
-            assert!(matches!(actions[0], ProtocolAction::Decided { .. }));
-            assert!(actions.len() <= 2);
-        }
-    }
-
-    #[test]
-    fn revoke_action_carries_the_quorum() {
-        let mut m = RevocationMachine::new(RevocationConfig {
+    fn revocation_carries_the_quorum() {
+        let cfg = RevocationConfig {
             tau: 10,
             tau_prime: 2,
-        });
-        m.apply(accuse(1, 50));
-        m.apply(accuse(2, 50));
-        let actions = m.apply(accuse(3, 50));
-        assert_eq!(
-            actions[1],
-            ProtocolAction::Revoke {
-                target: NodeId(50),
-                distinct_accusers: 3
-            }
-        );
-    }
-
-    #[test]
-    fn apply_and_decide_agree() {
-        let cfg = RevocationConfig::paper_default();
-        let mut via_apply = RevocationMachine::new(cfg);
-        let mut via_decide = RevocationMachine::new(cfg);
-        let stream = [(1, 9), (1, 9), (2, 9), (1, 10), (1, 11), (1, 12), (3, 9)];
-        for (r, t) in stream {
-            let actions = via_apply.apply(accuse(r, t));
-            let outcome = via_decide.decide(NodeId(r), NodeId(t));
-            assert_eq!(
-                actions[0],
-                ProtocolAction::Decided {
-                    reporter: NodeId(r),
-                    target: NodeId(t),
-                    outcome
-                }
-            );
-        }
-        assert_eq!(via_apply, via_decide);
+        };
+        let mut m = RevocationMachine::new(cfg);
+        assert_eq!(accuse(&mut m, 1, 50), AlertOutcome::Accepted);
+        assert_eq!(accuse(&mut m, 2, 50), AlertOutcome::Accepted);
+        assert_eq!(accuse(&mut m, 3, 50), AlertOutcome::AcceptedAndRevoked);
+        assert_eq!(m.suspiciousness(NodeId(50)), cfg.tau_prime + 1);
     }
 
     #[test]
@@ -581,10 +442,10 @@ mod tests {
         let mut a = RevocationMachine::new(cfg);
         let mut b = RevocationMachine::new(cfg);
         for &(r, t) in &stream {
-            a.apply(accuse(r, t));
+            accuse(&mut a, r, t);
         }
         for &(r, t) in &stream {
-            b.apply(accuse(r, t));
+            accuse(&mut b, r, t);
         }
         assert_eq!(a, b);
         assert_eq!(a.to_wire(), b.to_wire());
@@ -597,7 +458,7 @@ mod tests {
             tau_prime: 1,
         });
         for (r, t) in [(1, 9), (2, 9), (3, 9), (1, 4), (7, 8)] {
-            m.apply(accuse(r, t));
+            accuse(&mut m, r, t);
         }
         let wire = m.to_wire();
         let back = RevocationMachine::from_wire(&wire).expect("round trip");
@@ -671,7 +532,7 @@ mod tests {
     #[test]
     fn state_equality_ignores_trailing_defaults() {
         let mut a = RevocationMachine::new(RevocationConfig::paper_default());
-        a.apply(accuse(1, 2));
+        accuse(&mut a, 1, 2);
         let mut grown = a.state().clone();
         grown.report_counters.resize(100, 0);
         grown.alert_counters.resize(100, 0);

@@ -1,8 +1,6 @@
 //! The composed detection pipeline: §2.1 + §2.2 in the paper's order.
 
-use crate::{
-    LocalReplayVerdict, RttFilter, SignalDetector, SignalVerdict, WormholeFilter, WormholeVerdict,
-};
+use crate::{LocalReplayVerdict, RttFilter, SignalDetector, WormholeFilter};
 use secloc_geometry::Point2;
 use secloc_radio::Cycles;
 
@@ -42,7 +40,7 @@ impl DetectionOutcome {
     /// only signals that are fresh — malicious ones they cannot recognise
     /// as such without the detector's vantage, so `Alert` here corresponds
     /// to "accepted and poisoned" at a non-beacon, which is exactly the
-    /// paper's `P` event. See [`DetectionPipeline::accepts_for_localization`].)
+    /// paper's `P` event. See [`DetectionPipeline::evaluate_with_acceptance`].)
     pub fn raises_alert(self) -> bool {
         matches!(self, DetectionOutcome::Alert)
     }
@@ -100,34 +98,22 @@ impl DetectionPipeline {
 
     /// Classifies one observation, in the paper's stage order.
     pub fn evaluate(&self, obs: &Observation) -> DetectionOutcome {
-        match self.signal.check(
-            obs.detector_position,
-            obs.declared_position,
-            obs.measured_distance_ft,
-        ) {
-            SignalVerdict::Consistent => DetectionOutcome::Benign,
-            SignalVerdict::Malicious => match self.wormhole.classify(
-                obs.detector_position,
-                obs.declared_position,
-                obs.wormhole_detector_fired,
-            ) {
-                WormholeVerdict::WormholeReplay => DetectionOutcome::IgnoredWormholeReplay,
-                WormholeVerdict::Proceed => match self.rtt.classify(obs.rtt) {
-                    LocalReplayVerdict::LocallyReplayed => DetectionOutcome::IgnoredLocalReplay,
-                    LocalReplayVerdict::Fresh => DetectionOutcome::Alert,
-                },
-            },
-        }
+        self.evaluate_with_acceptance(obs).0
     }
 
-    /// [`DetectionPipeline::evaluate`] and
-    /// [`DetectionPipeline::accepts_for_localization`] in one pass.
+    /// Classifies one observation and says whether a requesting
+    /// *non-beacon* node would keep the signal for location estimation.
     ///
-    /// Both views hinge on the same detector-to-declared distance; the
-    /// separate methods compute it up to three times per exchange. This
-    /// variant computes it once and derives both answers from the same
-    /// stage verdicts, so it is bit-identical to calling the two methods
-    /// separately (every stage is a pure function of the observation).
+    /// The verdict follows the paper's stage order: a consistent signal is
+    /// benign; a malicious-looking one is ignored as a wormhole replay when
+    /// the declared location is out of range and the wormhole detector
+    /// fired, else as a local replay when its RTT is too slow, else it
+    /// raises an alert. A non-beacon keeps a signal exactly when it is
+    /// neither replay: a malicious-but-fresh signal *is* kept, since a
+    /// non-beacon cannot tell it is being lied to — that asymmetry is why
+    /// the paper's `P` both poisons sensors and exposes the attacker to
+    /// detectors. Every stage is a pure function of the observation, and
+    /// the detector-to-declared distance is computed once for both.
     pub fn evaluate_with_acceptance(&self, obs: &Observation) -> (DetectionOutcome, bool) {
         let calculated = obs.detector_position.distance(obs.declared_position);
         let wormhole_replay = calculated > self.wormhole.range() && obs.wormhole_detector_fired;
@@ -146,24 +132,6 @@ impl DetectionPipeline {
         };
         (outcome, !wormhole_replay && fresh)
     }
-
-    /// The non-beacon (requesting sensor) view of the same filters: keep a
-    /// signal for location estimation only when it is not recognisably
-    /// replayed. A malicious-but-fresh signal *is* kept — a non-beacon node
-    /// cannot tell it is being lied to; that asymmetry is why the paper's
-    /// `P` both poisons sensors and exposes the attacker to detectors.
-    pub fn accepts_for_localization(&self, obs: &Observation) -> bool {
-        // Wormhole pre-check (every node carries the wormhole detector).
-        if self.wormhole.classify(
-            obs.detector_position,
-            obs.declared_position,
-            obs.wormhole_detector_fired,
-        ) == WormholeVerdict::WormholeReplay
-        {
-            return false;
-        }
-        self.rtt.classify(obs.rtt) == LocalReplayVerdict::Fresh
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +140,41 @@ mod tests {
 
     fn pipeline() -> DetectionPipeline {
         DetectionPipeline::paper_default()
+    }
+
+    /// The paper's stages composed one after another: the consistency
+    /// check first, then the wormhole filter on malicious-looking signals,
+    /// then the RTT filter on what survives it. A non-beacon runs the
+    /// wormhole pre-check and the RTT filter on every signal.
+    fn staged(p: &DetectionPipeline, obs: &Observation) -> (DetectionOutcome, bool) {
+        use crate::{SignalVerdict, WormholeVerdict};
+        let wormhole = p.wormhole.classify(
+            obs.detector_position,
+            obs.declared_position,
+            obs.wormhole_detector_fired,
+        );
+        let rtt = p.rtt.classify(obs.rtt);
+        let outcome = match p.signal.check(
+            obs.detector_position,
+            obs.declared_position,
+            obs.measured_distance_ft,
+        ) {
+            SignalVerdict::Consistent => DetectionOutcome::Benign,
+            SignalVerdict::Malicious => match wormhole {
+                WormholeVerdict::WormholeReplay => DetectionOutcome::IgnoredWormholeReplay,
+                WormholeVerdict::Proceed => match rtt {
+                    LocalReplayVerdict::LocallyReplayed => DetectionOutcome::IgnoredLocalReplay,
+                    LocalReplayVerdict::Fresh => DetectionOutcome::Alert,
+                },
+            },
+        };
+        let accepted =
+            wormhole != WormholeVerdict::WormholeReplay && rtt == LocalReplayVerdict::Fresh;
+        (outcome, accepted)
+    }
+
+    fn accepts(p: &DetectionPipeline, obs: &Observation) -> bool {
+        p.evaluate_with_acceptance(obs).1
     }
 
     fn base_obs() -> Observation {
@@ -253,10 +256,7 @@ mod tests {
             ..base_obs()
         };
         assert_eq!(p.evaluate(&obs), DetectionOutcome::IgnoredLocalReplay);
-        assert!(
-            !p.accepts_for_localization(&obs),
-            "sensors must refuse it too"
-        );
+        assert!(!accepts(&p, &obs), "sensors must refuse it too");
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
         assert_eq!(p.evaluate(&poisoned), DetectionOutcome::Alert);
         // ...but a plain sensor accepts and is poisoned (the paper's P event,
         // wait for revocation to stop it).
-        assert!(p.accepts_for_localization(&poisoned));
+        assert!(accepts(&p, &poisoned));
     }
 
     #[test]
@@ -283,13 +283,13 @@ mod tests {
             wormhole_detector_fired: true,
             ..base_obs()
         };
-        assert!(!p.accepts_for_localization(&wormholed));
+        assert!(!accepts(&p, &wormholed));
         let replayed = Observation {
             rtt: Cycles::new(50_000),
             ..base_obs()
         };
-        assert!(!p.accepts_for_localization(&replayed));
-        assert!(p.accepts_for_localization(&base_obs()));
+        assert!(!accepts(&p, &replayed));
+        assert!(accepts(&p, &base_obs()));
     }
 
     #[test]
@@ -303,8 +303,8 @@ mod tests {
     #[test]
     fn combined_evaluation_agrees_with_separate_methods() {
         // Every verdict class, both wormhole-detector states, boundary
-        // RTTs and a non-finite measurement: the fused path must agree
-        // with the two separate methods on all of them.
+        // RTTs and a non-finite measurement: the classifier must agree
+        // with the staged composition on all of them.
         let p = pipeline();
         let positions = [
             Point2::new(60.0, 80.0),   // in range, consistent
@@ -329,7 +329,7 @@ mod tests {
                         };
                         assert_eq!(
                             p.evaluate_with_acceptance(&obs),
-                            (p.evaluate(&obs), p.accepts_for_localization(&obs)),
+                            staged(&p, &obs),
                             "{obs:?}"
                         );
                     }

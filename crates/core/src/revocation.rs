@@ -239,7 +239,7 @@ mod tests {
             assert_eq!(alert(&mut m, 1, 10), AlertOutcome::IgnoredDuplicate);
         }
         assert_eq!(m.reports_spent(NodeId(1)), 1);
-        assert!(m.has_accused(NodeId(1), NodeId(10)));
+        assert!(m.state().accused[1].contains(&NodeId(10)));
         // The saved budget still buys distinct accusations.
         assert!(alert(&mut m, 1, 11).accepted());
         assert!(alert(&mut m, 1, 12).accepted());

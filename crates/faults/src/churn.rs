@@ -17,17 +17,6 @@ pub struct Outage {
     pub until_frac: f64,
 }
 
-impl Outage {
-    /// Kills `node` from the start of the run, forever.
-    pub fn dead_from_start(node: u32) -> Self {
-        Outage {
-            node,
-            from_frac: 0.0,
-            until_frac: f64::INFINITY,
-        }
-    }
-}
-
 /// Churn parameters: explicit scheduled outages plus an optional random
 /// outage process over the remaining beacons.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -51,15 +40,6 @@ impl ChurnSpec {
             outage_rate,
             max_downtime_frac,
             scheduled: Vec::new(),
-        }
-    }
-
-    /// Only the given outages, no random churn.
-    pub fn scheduled_only(scheduled: Vec<Outage>) -> Self {
-        ChurnSpec {
-            outage_rate: 0.0,
-            max_downtime_frac: 0.0,
-            scheduled,
         }
     }
 
@@ -155,14 +135,21 @@ mod tests {
 
     #[test]
     fn scheduled_outage_windows_apply() {
-        let spec = ChurnSpec::scheduled_only(vec![
-            Outage {
-                node: 2,
-                from_frac: 0.25,
-                until_frac: 0.5,
-            },
-            Outage::dead_from_start(5),
-        ]);
+        let spec = ChurnSpec {
+            scheduled: vec![
+                Outage {
+                    node: 2,
+                    from_frac: 0.25,
+                    until_frac: 0.5,
+                },
+                Outage {
+                    node: 5,
+                    from_frac: 0.0,
+                    until_frac: f64::INFINITY,
+                },
+            ],
+            ..ChurnSpec::default()
+        };
         assert!(spec.validate().is_ok());
         let s = ChurnSchedule::generate(&spec, 10, 0);
         assert_eq!(s.outage_count(), 2);
@@ -205,11 +192,14 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_windows() {
-        let spec = ChurnSpec::scheduled_only(vec![Outage {
-            node: 1,
-            from_frac: 0.5,
-            until_frac: 0.5,
-        }]);
+        let spec = ChurnSpec {
+            scheduled: vec![Outage {
+                node: 1,
+                from_frac: 0.5,
+                until_frac: 0.5,
+            }],
+            ..ChurnSpec::default()
+        };
         assert!(matches!(
             spec.validate(),
             Err(FaultError::BadOutageWindow { node: 1, .. })

@@ -87,11 +87,6 @@ impl Vector2 {
         self.x * self.x + self.y * self.y
     }
 
-    /// Dot product with `other`.
-    pub fn dot(self, other: Vector2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
     /// 2-D cross product (z component of the 3-D cross product).
     pub fn cross(self, other: Vector2) -> f64 {
         self.x * other.y - self.y * other.x
@@ -258,7 +253,7 @@ mod tests {
     fn dot_and_cross_orthogonality() {
         let e1 = Vector2::new(1.0, 0.0);
         let e2 = Vector2::new(0.0, 1.0);
-        assert_eq!(e1.dot(e2), 0.0);
+        assert_eq!(e1.x * e2.x + e1.y * e2.y, 0.0);
         assert_eq!(e1.cross(e2), 1.0);
         assert_eq!(e2.cross(e1), -1.0);
     }

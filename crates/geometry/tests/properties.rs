@@ -36,7 +36,8 @@ proptest! {
         let u = b - a;
         let v = a - b;
         let lhs = u.norm_squared() * v.norm_squared();
-        let rhs = u.dot(v).powi(2) + u.cross(v).powi(2);
+        let dot = u.x * v.x + u.y * v.y;
+        let rhs = dot.powi(2) + u.cross(v).powi(2);
         let scale = lhs.abs().max(1.0);
         prop_assert!((lhs - rhs).abs() / scale < 1e-9);
     }

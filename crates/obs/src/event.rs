@@ -118,12 +118,6 @@ impl Event {
         }
     }
 
-    /// Stamps the event with a span context (builder style).
-    pub fn with_ctx(mut self, ctx: SpanContext) -> Self {
-        self.ctx = Some(ctx);
-        self
-    }
-
     /// The value of field `name`, if present.
     pub fn field(&self, name: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
@@ -559,7 +553,10 @@ mod tests {
     #[test]
     fn span_context_serializes_as_hex() {
         let ctx = SpanContext::root(0xabcd).child("phase");
-        let e = Event::new("k", &[]).with_ctx(ctx);
+        let e = Event {
+            ctx: Some(ctx),
+            ..Event::new("k", &[])
+        };
         let json = e.to_json();
         assert!(json.contains("\"trace\":\"000000000000abcd\""));
         assert!(json.contains(&format!("\"span\":\"{:016x}\"", ctx.span_id)));
@@ -646,9 +643,13 @@ mod tests {
         let rec = FlightRecorder::new(16);
         let t1 = SpanContext::root(1);
         let t2 = SpanContext::root(2);
-        rec.emit(&Event::new("a", &[]).with_ctx(t1));
-        rec.emit(&Event::new("b", &[]).with_ctx(t2));
-        rec.emit(&Event::new("c", &[]).with_ctx(t1));
+        let traced = |kind, ctx| Event {
+            ctx: Some(ctx),
+            ..Event::new(kind, &[])
+        };
+        rec.emit(&traced("a", t1));
+        rec.emit(&traced("b", t2));
+        rec.emit(&traced("c", t1));
         rec.emit(&Event::new("d", &[])); // no context
         let only_t1 = rec.snapshot_trace(1);
         assert_eq!(only_t1.len(), 2);
@@ -662,7 +663,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("flightrec-{}.jsonl", std::process::id()));
         let rec = FlightRecorder::new(8);
-        rec.emit(&Event::new("x", &[]).with_ctx(SpanContext::root(9)));
+        rec.emit(&Event {
+            ctx: Some(SpanContext::root(9)),
+            ..Event::new("x", &[])
+        });
         rec.emit(&Event::new("y", &[]));
         assert_eq!(rec.dump(&path).unwrap(), 2);
         let contents = std::fs::read_to_string(&path).unwrap();

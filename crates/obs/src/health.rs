@@ -696,28 +696,28 @@ mod tests {
         let mut alerts = Vec::new();
         let t1 = SpanContext::root(1);
         let t2 = SpanContext::root(2);
+        let revocation = |ctx| Event {
+            ctx: Some(ctx),
+            ..ev("revocation", &[("target", Value::U64(9))])
+        };
         det.on_event(
-            &ev(
-                "bs.alert",
-                &[
-                    ("reporter", Value::U64(5)),
-                    ("target", Value::U64(9)),
-                    ("outcome", Value::Str("accepted_and_revoked".into())),
-                ],
-            )
-            .with_ctx(t1),
+            &Event {
+                ctx: Some(t1),
+                ..ev(
+                    "bs.alert",
+                    &[
+                        ("reporter", Value::U64(5)),
+                        ("target", Value::U64(9)),
+                        ("outcome", Value::Str("accepted_and_revoked".into())),
+                    ],
+                )
+            },
             &mut alerts,
         );
         // Trace 1 has its quorum; trace 2 has nothing for target 9.
-        det.on_event(
-            &ev("revocation", &[("target", Value::U64(9))]).with_ctx(t1),
-            &mut alerts,
-        );
+        det.on_event(&revocation(t1), &mut alerts);
         assert!(alerts.is_empty());
-        det.on_event(
-            &ev("revocation", &[("target", Value::U64(9))]).with_ctx(t2),
-            &mut alerts,
-        );
+        det.on_event(&revocation(t2), &mut alerts);
         assert_eq!(alerts.len(), 1);
     }
 

@@ -77,11 +77,6 @@ impl JsonNumber {
     pub fn as_u64(&self) -> Option<u64> {
         self.0.parse().ok()
     }
-
-    /// The number as `i64`, when it is an exact integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        self.0.parse().ok()
-    }
 }
 
 /// A parsed JSON value. Objects preserve member order (and duplicates, so

@@ -328,11 +328,6 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
-
-    /// Renders every metric as aligned human-readable text.
-    pub fn render_text(&self) -> String {
-        self.snapshot().render_text()
-    }
 }
 
 /// Frozen registry state.
@@ -518,7 +513,7 @@ mod tests {
         r.counter("alerts.accepted").add(7);
         r.gauge("revoked").set(3);
         r.histogram("lat", &[1.0, 10.0]).observe(5.0);
-        let text = r.render_text();
+        let text = r.snapshot().render_text();
         assert!(text.contains("alerts.accepted"));
         assert!(text.contains("revoked"));
         assert!(text.contains("lat"));

@@ -69,7 +69,7 @@ fn assert_value_matches(parsed: &JsonValue, value: &Value) {
     match value {
         Value::U64(v) => assert_eq!(parsed.as_u64(), Some(*v), "u64 must survive exactly"),
         Value::I64(v) => match parsed {
-            JsonValue::Number(n) => assert_eq!(n.as_i64(), Some(*v)),
+            JsonValue::Number(n) => assert_eq!(n.raw().parse::<i64>(), Ok(*v)),
             other => panic!("i64 parsed as {other:?}"),
         },
         Value::F64(v) if v.is_finite() => {

@@ -9,6 +9,7 @@ use secloc_core::{Alert, RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_faults::{AlertChannel, ChurnSchedule, DriftTable, FaultPlan, NoiseField};
 use secloc_localization::{Estimator, LocationReference, MmseEstimator};
+use secloc_obs::Obs;
 use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
 use secloc_sim::{subseed, Deployment, NodeKind, ProbeContext, ProbeFaults, SimOutcome};
@@ -45,7 +46,7 @@ pub fn run(deployment: &Deployment, plan: &FaultPlan) -> SimOutcome {
     let d = deployment;
     let cfg = d.config();
     let seed = d.seed();
-    let ctx = ProbeContext::new(d);
+    let ctx = ProbeContext::new(d, &Obs::disabled());
     let mut probe_rng = StdRng::seed_from_u64(subseed(seed, b"probe"));
     let mut order_rng = StdRng::seed_from_u64(subseed(seed, b"order"));
 
@@ -96,7 +97,7 @@ pub fn run(deployment: &Deployment, plan: &FaultPlan) -> SimOutcome {
         }
         for k in 0..cfg.detecting_ids {
             let wire = d.ids().detecting_id(u, k);
-            let Some(result) = ctx.probe_with(u, wire, v, fx_of(u), &mut probe_rng) else {
+            let Some(result) = ctx.probe(u, wire, v, fx_of(u), &mut probe_rng) else {
                 break;
             };
             if result.outcome.raises_alert() {
@@ -120,7 +121,7 @@ pub fn run(deployment: &Deployment, plan: &FaultPlan) -> SimOutcome {
         if !alive(v, t) {
             continue;
         }
-        let Some(result) = ctx.probe_with(w, NodeId(w), v, fx_of(w), &mut probe_rng) else {
+        let Some(result) = ctx.probe(w, NodeId(w), v, fx_of(w), &mut probe_rng) else {
             continue;
         };
         if !result.accepted_for_localization {

@@ -5,25 +5,16 @@
 //! measurement error** ε_max (reconstructed as 10 ft; every API takes it as
 //! a parameter). [`BoundedRanging`] draws the error uniformly from
 //! `[-ε, +ε]`, the exact abstraction the paper's detector analysis uses;
-//! it is deterministic given an RNG and implements [`Ranging`].
+//! it is deterministic given an RNG.
 
 use rand::Rng;
-
-/// A distance-measurement channel between two nodes.
-pub trait Ranging {
-    /// Produces a measured distance for a true distance of `true_ft` feet.
-    fn measure<R: Rng + ?Sized>(&self, true_ft: f64, rng: &mut R) -> f64;
-
-    /// The guaranteed maximum absolute measurement error, in feet.
-    fn max_error(&self) -> f64;
-}
 
 /// Uniform bounded-error ranging: `measured = true ± U(0, ε)`.
 ///
 /// # Examples
 ///
 /// ```
-/// use secloc_radio::ranging::{BoundedRanging, Ranging};
+/// use secloc_radio::ranging::BoundedRanging;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let r = BoundedRanging::new(10.0);
@@ -65,10 +56,9 @@ impl BoundedRanging {
         );
         BoundedRanging::new(self.max_error_ft * figure)
     }
-}
 
-impl Ranging for BoundedRanging {
-    fn measure<R: Rng + ?Sized>(&self, true_ft: f64, rng: &mut R) -> f64 {
+    /// Produces a measured distance for a true distance of `true_ft` feet.
+    pub fn measure<R: Rng + ?Sized>(&self, true_ft: f64, rng: &mut R) -> f64 {
         assert!(true_ft >= 0.0, "distance must be >= 0, got {true_ft}");
         let err = if self.max_error_ft == 0.0 {
             0.0
@@ -78,7 +68,8 @@ impl Ranging for BoundedRanging {
         (true_ft + err).max(0.0)
     }
 
-    fn max_error(&self) -> f64 {
+    /// The guaranteed maximum absolute measurement error, in feet.
+    pub fn max_error(&self) -> f64 {
         self.max_error_ft
     }
 }

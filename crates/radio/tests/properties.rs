@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secloc_radio::ranging::{BoundedRanging, Ranging};
+use secloc_radio::ranging::BoundedRanging;
 use secloc_radio::timing::{DelayComponent, RttModel};
 use secloc_radio::Cycles;
 

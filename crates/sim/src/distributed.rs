@@ -21,10 +21,11 @@
 //! reach); the `ablation_distributed` bench quantifies both sides.
 
 use crate::deploy::subseed;
-use crate::{Deployment, NodeKind, ProbeContext};
+use crate::{Deployment, NodeKind, ProbeContext, ProbeFaults};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secloc_crypto::NodeId;
+use secloc_obs::Obs;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Parameters of the distributed scheme.
@@ -76,7 +77,7 @@ pub fn run_distributed(
     seed: u64,
 ) -> DistributedOutcome {
     let cfg = deployment.config();
-    let ctx = ProbeContext::new(deployment);
+    let ctx = ProbeContext::new(deployment, &Obs::disabled());
     let mut probe_rng = StdRng::seed_from_u64(subseed(seed, b"dist-probe"));
 
     // ---- Phase 1: detection, exactly as in the centralised scheme. ----
@@ -89,7 +90,7 @@ pub fn run_distributed(
             }
             for k in 0..cfg.detecting_ids {
                 let wire = deployment.ids().detecting_id(u, k);
-                let Some(result) = ctx.probe(u, wire, v, &mut probe_rng) else {
+                let Some(result) = ctx.probe(u, wire, v, &ProbeFaults::NONE, &mut probe_rng) else {
                     break;
                 };
                 if result.outcome.raises_alert() {

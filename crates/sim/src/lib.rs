@@ -44,7 +44,6 @@ pub mod distributed;
 mod metrics;
 pub mod orchestrator;
 mod probe;
-pub mod report;
 mod runner;
 
 pub use cache::{BinaryCache, CacheRecovery};
@@ -53,8 +52,7 @@ pub use deploy::{subseed, Deployment, NodeKind};
 pub use metrics::{average_outcomes, AggregateOutcome, SimOutcome};
 pub use orchestrator::{CacheFormat, Orchestrator, SweepCell, SweepReport, SweepSpec, WorkerStats};
 pub use probe::{ProbeContext, ProbeFaults, ProbeResult};
-pub use report::RunReport;
-pub use runner::{ProbeStage, RunOptions, RunOutput, Runner};
+pub use runner::{ProbeStage, RunOptions, RunOutput, Runner, PHASE_NAMES};
 // Re-exported so sim callers can build fault plans without naming the
 // faults crate in their own manifest.
 pub use secloc_faults::FaultPlan;

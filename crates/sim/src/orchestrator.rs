@@ -47,7 +47,7 @@
 
 use crate::cache::{BinaryCache, READ_BATCH};
 use crate::{RunOptions, Runner, SimConfig, SimOutcome};
-use secloc_obs::json::push_json_string;
+use secloc_obs::json::{push_json_string, JsonValue};
 use secloc_obs::num::{hex16, push_f64_bytes, push_hex16, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
@@ -569,61 +569,6 @@ fn encode_outcome(o: &SimOutcome, s: &mut Vec<u8>, texts: &mut FloatTexts) {
     s.push(b'}');
 }
 
-/// Extracts the raw text of field `name` from a *flat* JSON object (no
-/// nested objects or escaped strings — all we ever write).
-fn raw_field<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn num_field<T: std::str::FromStr>(obj: &str, name: &str) -> Option<T> {
-    raw_field(obj, name)?.parse().ok()
-}
-
-fn opt_f64_field(obj: &str, name: &str) -> Option<Option<f64>> {
-    let raw = raw_field(obj, name)?;
-    if raw == "null" {
-        Some(None)
-    } else {
-        raw.parse().ok().map(Some)
-    }
-}
-
-fn str_field<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
-    raw_field(obj, name)?
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-}
-
-fn decode_outcome(obj: &str) -> Option<SimOutcome> {
-    Some(SimOutcome {
-        malicious_total: num_field(obj, "malicious_total")?,
-        benign_total: num_field(obj, "benign_total")?,
-        revoked_malicious: num_field(obj, "revoked_malicious")?,
-        revoked_benign: num_field(obj, "revoked_benign")?,
-        affected_before: num_field(obj, "affected_before")?,
-        affected_after: num_field(obj, "affected_after")?,
-        benign_alerts: num_field(obj, "benign_alerts")?,
-        collusion_alerts: num_field(obj, "collusion_alerts")?,
-        mean_requesters_per_beacon: num_field(obj, "mean_requesters_per_beacon")?,
-        mean_loc_error_before_ft: opt_f64_field(obj, "mean_loc_error_before_ft")?,
-        mean_loc_error_after_ft: opt_f64_field(obj, "mean_loc_error_after_ft")?,
-    })
-}
-
-/// The `{...}` of the `"outcome"` field inside a checkpoint line.
-/// The outcome object is flat, so its first `}` closes it.
-fn outcome_object(line: &str) -> Option<&str> {
-    let start = line.find("\"outcome\":")? + "\"outcome\":".len();
-    let rest = &line[start..];
-    rest.starts_with('{')
-        .then(|| rest.find('}').map(|end| &rest[..=end]))
-        .flatten()
-}
-
 // ---------------------------------------------------------------------------
 // Result cache export
 // ---------------------------------------------------------------------------
@@ -722,6 +667,33 @@ fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// The outcome of a checkpoint cell line, when every field is present
+/// with the type [`encode_outcome`] writes (a missing localization error
+/// is `null`).
+fn outcome_of(cell: &JsonValue) -> Option<SimOutcome> {
+    let o = cell.get("outcome")?;
+    let count = |name| u32::try_from(o.get(name)?.as_u64()?).ok();
+    let alerts = |name| usize::try_from(o.get(name)?.as_u64()?).ok();
+    let float = |name| o.get(name)?.as_f64();
+    let error = |name| match o.get(name)? {
+        JsonValue::Null => Some(None),
+        v => v.as_f64().map(Some),
+    };
+    Some(SimOutcome {
+        malicious_total: count("malicious_total")?,
+        benign_total: count("benign_total")?,
+        revoked_malicious: count("revoked_malicious")?,
+        revoked_benign: count("revoked_benign")?,
+        affected_before: float("affected_before")?,
+        affected_after: float("affected_after")?,
+        benign_alerts: alerts("benign_alerts")?,
+        collusion_alerts: alerts("collusion_alerts")?,
+        mean_requesters_per_beacon: float("mean_requesters_per_beacon")?,
+        mean_loc_error_before_ft: error("mean_loc_error_before_ft")?,
+        mean_loc_error_after_ft: error("mean_loc_error_after_ft")?,
+    })
+}
+
 /// Parses an existing checkpoint into the completed prefix of outcomes.
 /// Returns `Ok(vec![])` for an empty/absent file. Fails when the header
 /// is not the one this sweep writes (different `grid` key over `keys`,
@@ -742,10 +714,12 @@ fn load_checkpoint_prefix(
         return Ok(Vec::new());
     };
     // A file cut inside the header is treated as no progress at all.
-    if str_field(header, "kind") != Some("sweep") || !text.contains('\n') {
+    let parsed = JsonValue::parse(header).ok();
+    let field = |name| parsed.as_ref().and_then(|h| h.get(name));
+    if field("kind").and_then(JsonValue::as_str) != Some("sweep") || !text.contains('\n') {
         return Ok(Vec::new());
     }
-    if num_field::<u32>(header, "version") != Some(CHECKPOINT_VERSION) {
+    if field("version").and_then(JsonValue::as_u64) != Some(u64::from(CHECKPOINT_VERSION)) {
         return Err(bad_data(format!(
             "checkpoint {} has an unsupported version",
             path.display()
@@ -760,11 +734,19 @@ fn load_checkpoint_prefix(
     }
     let mut prefix: Vec<SimOutcome> = Vec::new();
     for line in lines {
-        let index: Option<usize> = num_field(line, "index");
-        let key = str_field(line, "key").and_then(CellKey::parse);
-        let outcome = outcome_object(line).and_then(decode_outcome);
-        let (Some(index), Some(key), Some(outcome)) = (index, key, outcome) else {
+        let Ok(cell) = JsonValue::parse(line) else {
             break; // crash-truncated tail: everything before it stands
+        };
+        let index = cell
+            .get("index")
+            .and_then(JsonValue::as_u64)
+            .and_then(|i| usize::try_from(i).ok());
+        let key = cell
+            .get("key")
+            .and_then(JsonValue::as_str)
+            .and_then(CellKey::parse);
+        let (Some(index), Some(key), Some(outcome)) = (index, key, outcome_of(&cell)) else {
+            break;
         };
         if index != prefix.len() {
             return Err(bad_data(format!(
@@ -1539,13 +1521,6 @@ mod tests {
     #[test]
     fn outcome_encoding_round_trips_bit_identically() {
         let outcome = Runner::new(tiny(), 3).run(RunOptions::new()).outcome;
-        let encode = |o: &SimOutcome| {
-            let mut s = Vec::new();
-            encode_outcome(o, &mut s, &mut FloatTexts::new());
-            String::from_utf8(s).expect("ASCII")
-        };
-        let decoded = decode_outcome(&encode(&outcome)).expect("decodes");
-        assert_eq!(decoded, outcome);
         // And an awkward hand-built one, exercising null/fractional paths.
         let awkward = SimOutcome {
             malicious_total: 0,
@@ -1560,7 +1535,21 @@ mod tests {
             mean_loc_error_before_ft: None,
             mean_loc_error_after_ft: Some(1e-300),
         };
-        assert_eq!(decode_outcome(&encode(&awkward)), Some(awkward));
+        let outcomes = [outcome, awkward];
+        let (keys, grid) = ([CellKey(1), CellKey(2)], CellKey(3));
+        let mut text = header_line(keys.len(), grid, "t").into_bytes();
+        let mut texts = FloatTexts::new();
+        for (index, (key, o)) in keys.iter().zip(&outcomes).enumerate() {
+            push_cell_line(&mut text, index, *key, 7, o, &mut texts);
+        }
+        let path = std::env::temp_dir().join(format!(
+            "secloc-ckpt-roundtrip-{}.jsonl",
+            std::process::id()
+        ));
+        fs::write(&path, &text).unwrap();
+        let decoded = load_checkpoint_prefix(&path, &keys, grid, "t");
+        fs::remove_file(&path).ok();
+        assert_eq!(decoded.unwrap(), outcomes);
     }
 
     /// The `format!`-based outcome encoder `encode_outcome` replaced,

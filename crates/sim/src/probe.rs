@@ -7,7 +7,7 @@ use secloc_core::{DetectionOutcome, DetectionPipeline, Observation, PipelineMetr
 use secloc_crypto::NodeId;
 use secloc_geometry::Point2;
 use secloc_obs::{Counter, Obs};
-use secloc_radio::ranging::{BoundedRanging, Ranging};
+use secloc_radio::ranging::BoundedRanging;
 use secloc_radio::timing::RttModel;
 use secloc_radio::Cycles;
 use std::cell::Cell;
@@ -117,8 +117,11 @@ pub struct ProbeResult {
 }
 
 impl<'a> ProbeContext<'a> {
-    /// Builds the probe machinery for `deployment`.
-    pub fn new(deployment: &'a Deployment) -> Self {
+    /// Builds the probe machinery for `deployment`, with probe/verdict
+    /// counters resolved from `telemetry` (none when it carries no
+    /// registry). Counter names: `probe.exchanges`, `probe.no_signal`, and
+    /// the [`PipelineMetrics`] family.
+    pub fn new(deployment: &'a Deployment, telemetry: &Obs) -> Self {
         let cfg = deployment.config();
         let pipeline = DetectionPipeline::new(
             secloc_core::SignalDetector::new(cfg.max_ranging_error_ft),
@@ -131,27 +134,17 @@ impl<'a> ProbeContext<'a> {
             ranging: BoundedRanging::new(cfg.max_ranging_error_ft),
             rtt_model: RttModel::paper_default(),
             wormhole_detector_seed: crate::deploy::subseed(deployment.seed(), b"wormhole-detector"),
-            telemetry: None,
+            telemetry: telemetry.metrics().map(|registry| ProbeTelemetry {
+                pipeline: PipelineMetrics::new(registry),
+                exchanges: registry.counter("probe.exchanges"),
+                no_signal: registry.counter("probe.no_signal"),
+                tally_exchanges: Cell::new(0),
+                tally_no_signal: Cell::new(0),
+                tally_verdicts: [const { Cell::new(0) }; 4],
+                tally_loc_accepted: Cell::new(0),
+                tally_loc_rejected: Cell::new(0),
+            }),
         }
-    }
-
-    /// Like [`ProbeContext::new`], but with probe/verdict counters resolved
-    /// from `telemetry` (a no-op when it carries no registry). Counter
-    /// names: `probe.exchanges`, `probe.no_signal`, and the
-    /// [`PipelineMetrics`] family.
-    pub fn with_obs(deployment: &'a Deployment, telemetry: &Obs) -> Self {
-        let mut ctx = Self::new(deployment);
-        ctx.telemetry = telemetry.metrics().map(|registry| ProbeTelemetry {
-            pipeline: PipelineMetrics::new(registry),
-            exchanges: registry.counter("probe.exchanges"),
-            no_signal: registry.counter("probe.no_signal"),
-            tally_exchanges: Cell::new(0),
-            tally_no_signal: Cell::new(0),
-            tally_verdicts: [const { Cell::new(0) }; 4],
-            tally_loc_accepted: Cell::new(0),
-            tally_loc_rejected: Cell::new(0),
-        });
-        ctx
     }
 
     /// The wormhole detector's verdict for the link `requester -> target`.
@@ -178,32 +171,15 @@ impl<'a> ProbeContext<'a> {
 
     /// Runs one exchange: the node at index `requester` (presenting wire
     /// identity `requester_wire_id`) requests a beacon signal from beacon
-    /// index `target`.
+    /// index `target`, with `faults` degrading the requester's
+    /// measurements. [`ProbeFaults::NONE`] draws exactly what a fault-free
+    /// exchange draws.
     ///
     /// Returns `None` when no signal reaches the requester at all (out of
     /// range and not wormhole-connected; or a malicious target contacted
     /// via the wormhole — §4: "a malicious beacon node only contacts the
     /// nodes within its communication range").
     pub fn probe(
-        &self,
-        requester: u32,
-        requester_wire_id: NodeId,
-        target: u32,
-        rng: &mut StdRng,
-    ) -> Option<ProbeResult> {
-        self.probe_with(
-            requester,
-            requester_wire_id,
-            target,
-            &ProbeFaults::NONE,
-            rng,
-        )
-    }
-
-    /// Like [`ProbeContext::probe`], but with `faults` degrading the
-    /// requester's measurements. `ProbeFaults::NONE` makes this identical
-    /// to `probe` — same RNG draws, same bits.
-    pub fn probe_with(
         &self,
         requester: u32,
         requester_wire_id: NodeId,
@@ -369,6 +345,8 @@ mod tests {
     use crate::SimConfig;
     use rand::SeedableRng;
 
+    const CLEAN: &ProbeFaults = &ProbeFaults::NONE;
+
     fn deployment() -> Deployment {
         Deployment::generate(
             SimConfig {
@@ -385,14 +363,14 @@ mod tests {
     #[test]
     fn benign_direct_probes_are_benign() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let mut rng = StdRng::seed_from_u64(1);
         let mut checked = 0;
         for u in d.beacons_of_kind(NodeKind::BenignBeacon) {
             for v in d.neighbors(u) {
                 if d.kind(v) == NodeKind::BenignBeacon {
                     let r = ctx
-                        .probe(u, d.ids().detecting_id(u, 0), v, &mut rng)
+                        .probe(u, d.ids().detecting_id(u, 0), v, CLEAN, &mut rng)
                         .expect("in range");
                     assert_eq!(r.outcome, DetectionOutcome::Benign, "{u}->{v}");
                     assert!(r.accepted_for_localization);
@@ -407,7 +385,7 @@ mod tests {
     #[test]
     fn malicious_signal_probes_alert() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let mut rng = StdRng::seed_from_u64(2);
         let mut alerted = 0;
         let mut hidden = 0;
@@ -417,7 +395,7 @@ mod tests {
                     continue;
                 }
                 let wire = d.ids().detecting_id(u, 0);
-                let r = ctx.probe(u, wire, v, &mut rng).expect("in range");
+                let r = ctx.probe(u, wire, v, CLEAN, &mut rng).expect("in range");
                 match r.action.expect("malicious target") {
                     Action::MaliciousSignal => {
                         assert_eq!(r.outcome, DetectionOutcome::Alert);
@@ -437,14 +415,16 @@ mod tests {
     #[test]
     fn sensors_accept_malicious_and_normal_signals() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let mut rng = StdRng::seed_from_u64(3);
         for v in d.beacons_of_kind(NodeKind::MaliciousBeacon) {
             for u in d.neighbors(v) {
                 if d.kind(u) != NodeKind::Sensor {
                     continue;
                 }
-                let r = ctx.probe(u, NodeId(u), v, &mut rng).expect("in range");
+                let r = ctx
+                    .probe(u, NodeId(u), v, CLEAN, &mut rng)
+                    .expect("in range");
                 assert!(r.action.is_some());
                 assert!(r.accepted_for_localization);
             }
@@ -469,7 +449,7 @@ mod tests {
                 ..SimConfig::paper_default()
             };
             let d = Deployment::generate(cfg, seed);
-            let ctx = ProbeContext::new(&d);
+            let ctx = ProbeContext::new(&d, &Obs::disabled());
             let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);
             let w = *d.wormhole().unwrap();
             for u in d.beacons_of_kind(NodeKind::BenignBeacon) {
@@ -486,7 +466,7 @@ mod tests {
                     let mut outcomes = Vec::new();
                     for k in 0..4 {
                         let r = ctx
-                            .probe(u, d.ids().detecting_id(u, k), v, &mut rng)
+                            .probe(u, d.ids().detecting_id(u, k), v, CLEAN, &mut rng)
                             .expect("wormhole-connected");
                         assert!(r.via_wormhole);
                         outcomes.push(r.outcome);
@@ -515,7 +495,7 @@ mod tests {
     #[test]
     fn out_of_range_probe_returns_none() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let mut rng = StdRng::seed_from_u64(5);
         // Find a pair farther apart than range and not wormhole-connected.
         for u in 0..40u32 {
@@ -529,7 +509,7 @@ mod tests {
                     .map(|w| w.tunnels(d.position(v), d.position(u), 150.0))
                     .unwrap_or(false);
                 if dist > 150.0 && !tunneled {
-                    assert!(ctx.probe(u, NodeId(u), v, &mut rng).is_none());
+                    assert!(ctx.probe(u, NodeId(u), v, CLEAN, &mut rng).is_none());
                     return;
                 }
             }
@@ -538,27 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_with_none_is_bit_identical_to_probe() {
-        let d = deployment();
-        let ctx = ProbeContext::new(&d);
-        let mut rng_a = StdRng::seed_from_u64(7);
-        let mut rng_b = StdRng::seed_from_u64(7);
-        for u in (0..400u32).step_by(13) {
-            for v in 0..40u32 {
-                let plain = ctx.probe(u, NodeId(u), v, &mut rng_a);
-                let faulted = ctx.probe_with(u, NodeId(u), v, &ProbeFaults::NONE, &mut rng_b);
-                assert_eq!(plain, faulted, "{u}->{v}");
-            }
-        }
-        // The RNG streams stayed aligned draw for draw.
-        use rand::Rng;
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
-    }
-
-    #[test]
     fn skew_shifts_rtt_and_noise_widens_error() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let skewed = ProbeFaults {
             noise_figure: 1.0,
             skew: Cycles::new(500),
@@ -571,10 +533,8 @@ mod tests {
                 }
                 let mut rng_a = StdRng::seed_from_u64(8);
                 let mut rng_b = StdRng::seed_from_u64(8);
-                let plain = ctx.probe(u, NodeId(u), v, &mut rng_a).unwrap();
-                let shifted = ctx
-                    .probe_with(u, NodeId(u), v, &skewed, &mut rng_b)
-                    .unwrap();
+                let plain = ctx.probe(u, NodeId(u), v, CLEAN, &mut rng_a).unwrap();
+                let shifted = ctx.probe(u, NodeId(u), v, &skewed, &mut rng_b).unwrap();
                 assert_eq!(
                     shifted.observation.rtt,
                     plain.observation.rtt + Cycles::new(500)
@@ -602,7 +562,7 @@ mod tests {
                 if d.kind(v) != NodeKind::BenignBeacon {
                     continue;
                 }
-                let r = ctx.probe_with(u, NodeId(u), v, &noisy, &mut rng).unwrap();
+                let r = ctx.probe(u, NodeId(u), v, &noisy, &mut rng).unwrap();
                 let true_d = d.position(u).distance(d.position(v));
                 if (r.observation.measured_distance_ft - true_d).abs() > eps {
                     exceeded = true;
@@ -615,9 +575,9 @@ mod tests {
     #[test]
     fn probing_a_sensor_yields_nothing() {
         let d = deployment();
-        let ctx = ProbeContext::new(&d);
+        let ctx = ProbeContext::new(&d, &Obs::disabled());
         let mut rng = StdRng::seed_from_u64(6);
         let sensor = d.sensors().next().unwrap();
-        assert!(ctx.probe(0, NodeId(0), sensor, &mut rng).is_none());
+        assert!(ctx.probe(0, NodeId(0), sensor, CLEAN, &mut rng).is_none());
     }
 }

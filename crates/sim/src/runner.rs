@@ -350,6 +350,17 @@ fn revocation_config(cfg: &SimConfig) -> RevocationConfig {
     }
 }
 
+/// The run's phases in execution order. Each is timed by a
+/// `phase.<name>` span, whose histogram is `span.phase.<name>.ns`.
+pub const PHASE_NAMES: [&str; 6] = [
+    "deploy",
+    "detection",
+    "location",
+    "alert_delivery",
+    "revocation",
+    "impact",
+];
+
 /// Announces phase `name` on the event sink; without a sink it builds
 /// nothing.
 fn announce_phase(telemetry: &Obs, name: &str) {
@@ -559,7 +570,7 @@ impl Runner {
         let d = &self.deployment;
         let cfg = d.config();
         let plan = &cfg.faults;
-        let ctx = ProbeContext::with_obs(d, telemetry);
+        let ctx = ProbeContext::new(d, telemetry);
         let mut probe_rng = StdRng::seed_from_u64(subseed(self.seed, b"probe"));
         let mut order_rng = StdRng::seed_from_u64(subseed(self.seed, b"order"));
         telemetry.emit(
@@ -641,7 +652,7 @@ impl Runner {
             }
             for k in 0..cfg.detecting_ids {
                 let wire = d.ids().detecting_id(u, k);
-                let Some(result) = ctx.probe_with(u, wire, v, fx, &mut probe_rng) else {
+                let Some(result) = ctx.probe(u, wire, v, fx, &mut probe_rng) else {
                     break;
                 };
                 if result.outcome.raises_alert() {
@@ -692,7 +703,7 @@ impl Runner {
             if fx.skew != Cycles::ZERO {
                 drift_skewed += 1;
             }
-            let Some(result) = ctx.probe_with(w, NodeId(w), v, fx, &mut probe_rng) else {
+            let Some(result) = ctx.probe(w, NodeId(w), v, fx, &mut probe_rng) else {
                 continue;
             };
             if !result.accepted_for_localization {
@@ -1443,12 +1454,17 @@ mod tests {
         cfg.collusion = true;
         let r = Runner::new(cfg.clone(), 5);
         let malicious = r.deployment().beacons_of_kind(NodeKind::MaliciousBeacon);
-        cfg.faults = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
-            malicious
+        cfg.faults = FaultPlan::default().with_churn(ChurnSpec {
+            scheduled: malicious
                 .iter()
-                .map(|&b| Outage::dead_from_start(b))
+                .map(|&node| Outage {
+                    node,
+                    from_frac: 0.0,
+                    until_frac: f64::INFINITY,
+                })
                 .collect(),
-        ));
+            ..ChurnSpec::default()
+        });
         let dead = Runner::new(cfg, 5).run(RunOptions::new()).outcome;
         assert_eq!(dead.benign_alerts, 0, "dead beacons emit no signals");
         assert_eq!(dead.collusion_alerts, 0, "dead colluders send no spam");

@@ -146,7 +146,11 @@ fn faulted_runs_match_reference_across_fault_categories() {
             FaultPlan::default().with_churn(ChurnSpec {
                 outage_rate: 0.25,
                 max_downtime_frac: 0.6,
-                scheduled: vec![Outage::dead_from_start(3)],
+                scheduled: vec![Outage {
+                    node: 3,
+                    from_frac: 0.0,
+                    until_frac: f64::INFINITY,
+                }],
             }),
         ),
         (

@@ -1,7 +1,7 @@
 //! Exchange conformance: the simulator's one-call exchange against the
 //! frame-level exchange of Fig. 3.
 //!
-//! `ProbeContext::probe_with` produces a requester's `Observation` in one
+//! `ProbeContext::probe` produces a requester's `Observation` in one
 //! call. `secloc-oracle` holds the same exchange as MAC'd frames between
 //! two typestate machines: the requester sends a Request at `t1`, the
 //! beacon answers with a Beacon frame and a TimestampReport carrying its
@@ -15,6 +15,7 @@ use rand::SeedableRng;
 use secloc_attack::Action;
 use secloc_core::{DetectionOutcome, Observation};
 use secloc_crypto::NodeId;
+use secloc_obs::Obs;
 use secloc_oracle::{BeaconResponder, Key, PairwiseKeyStore, RequesterSession};
 use secloc_radio::Cycles;
 use secloc_sim::{Deployment, NodeKind, ProbeContext, ProbeFaults, ProbeResult, SimConfig};
@@ -116,7 +117,7 @@ fn replay(
 /// replays each signal that arrives through the frame exchange.
 fn conform(d: &Deployment, faults: &ProbeFaults, rng_seed: u64, coverage: &mut Coverage) {
     let cfg = d.config();
-    let ctx = ProbeContext::new(d);
+    let ctx = ProbeContext::new(d, &Obs::disabled());
     let keys = PairwiseKeyStore::new(Key::from_u128(0x5ec1_0c00 ^ u128::from(rng_seed)));
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let detectors = d.beacons_of_kind(NodeKind::BenignBeacon);
@@ -127,7 +128,7 @@ fn conform(d: &Deployment, faults: &ProbeFaults, rng_seed: u64, coverage: &mut C
     for (u, wire_id) in requesters {
         let audible = d.audible_beacons(u);
         for v in (0..cfg.beacons).filter(|&v| v != u) {
-            let probed = ctx.probe_with(u, wire_id, v, faults, &mut rng);
+            let probed = ctx.probe(u, wire_id, v, faults, &mut rng);
             assert_eq!(
                 probed.is_some(),
                 audible.contains(&v),

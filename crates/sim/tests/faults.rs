@@ -45,12 +45,17 @@ fn churn_killed_beacons_raise_no_alerts_and_are_never_revoked() {
     let malicious = Runner::new(config.clone(), 31)
         .deployment()
         .beacons_of_kind(NodeKind::MaliciousBeacon);
-    config.faults = FaultPlan::default().with_churn(ChurnSpec::scheduled_only(
-        malicious
+    config.faults = FaultPlan::default().with_churn(ChurnSpec {
+        scheduled: malicious
             .iter()
-            .map(|&b| Outage::dead_from_start(b))
+            .map(|&node| Outage {
+                node,
+                from_frac: 0.0,
+                until_frac: f64::INFINITY,
+            })
             .collect(),
-    ));
+        ..ChurnSpec::default()
+    });
     let dead = Runner::new(config, 31)
         .run(RunOptions::new().observed(&telemetry))
         .outcome;

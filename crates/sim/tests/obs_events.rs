@@ -4,7 +4,9 @@
 use secloc_obs::health::{CounterAnomalyDetector, HealthDetector, HealthMonitor};
 use secloc_obs::{Event, MemorySink, MetricsRegistry, Obs, Value};
 use secloc_sim::orchestrator::{cell_key, code_version_tag, CellKey};
-use secloc_sim::{BinaryCache, Orchestrator, RunOptions, Runner, SimConfig, SweepSpec};
+use secloc_sim::{
+    BinaryCache, Orchestrator, RunOptions, Runner, SimConfig, SweepSpec, PHASE_NAMES,
+};
 use std::sync::Arc;
 
 fn shrunk() -> SimConfig {
@@ -125,6 +127,14 @@ fn instrumented_counters_agree_with_outcome() {
         + snap.counter("alerts.sent.collusion").unwrap_or(0);
     let dropped = snap.counter("alerts.dropped_in_transit").unwrap_or(0);
     assert_eq!(decisions, sent - dropped);
+    // Every phase is timed exactly once.
+    for name in PHASE_NAMES {
+        let h = snap
+            .histogram(&format!("span.phase.{name}.ns"))
+            .unwrap_or_else(|| panic!("phase {name} untimed"));
+        assert_eq!(h.count, 1, "phase {name}");
+        assert!(h.sum > 0.0, "phase {name}");
+    }
 }
 
 /// Counts `cell.complete` events by their `cache` classification.

@@ -1,20 +1,18 @@
-//! Instrumented simulation run: metrics, events, and a phase-timing report.
+//! Instrumented simulation run: metrics, events, and per-seed headlines.
 //!
 //! Attaches a [`MetricsRegistry`] and a JSONL event sink to a shrunk
 //! experiment, runs it over a handful of seeds, and writes under
 //! `results/`:
 //!
 //! - `obs_events.jsonl` — every emitted event, one JSON object per line;
-//! - `obs_summary.txt` — the human-readable [`RunReport`];
-//! - `obs_metrics.csv` / `obs_phases.csv` — counters, gauges and
-//!   per-phase wall times;
-//! - `obs_rounds.csv` — one row of headline measurements per seed.
+//! - `obs_rounds.csv` — one row of headline measurements per seed;
+//! - `obs_summary.txt` — the registry snapshot: counters, gauges and the
+//!   `span.phase.*` wall-time histograms.
 //!
 //! Run with: `cargo run --example obs_report`
 
 use secloc::obs::{output, MetricsRegistry, Obs};
-use secloc::sim::report::write_rounds_csv;
-use secloc::sim::{RunOptions, RunReport, Runner, SimConfig, SimOutcome};
+use secloc::sim::{RunOptions, Runner, SimConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -34,27 +32,48 @@ fn main() {
     let sink = Arc::new(output::jsonl_sink(&dir, "obs_events.jsonl").expect("create event log"));
     let telemetry = Obs::new(Some(registry.clone()), Some(sink));
 
-    let seeds = [1u64, 2, 3, 4, 5];
-    let mut rounds: Vec<(u64, SimOutcome)> = Vec::new();
-    for &seed in &seeds {
+    let mut rounds: Vec<Vec<String>> = Vec::new();
+    for seed in 1u64..=5 {
         let runner = Runner::new_observed(config.clone(), seed, &telemetry);
-        let outcome = runner.run(RunOptions::new().observed(&telemetry)).outcome;
+        let o = runner.run(RunOptions::new().observed(&telemetry)).outcome;
         println!(
             "seed {seed}: detection {:.2}, false positives {:.2}, N' = {:.2}",
-            outcome.detection_rate(),
-            outcome.false_positive_rate(),
-            outcome.affected_after,
+            o.detection_rate(),
+            o.false_positive_rate(),
+            o.affected_after,
         );
-        rounds.push((seed, outcome));
+        rounds.push(vec![
+            seed.to_string(),
+            format!("{:.4}", o.detection_rate()),
+            format!("{:.4}", o.false_positive_rate()),
+            format!("{:.3}", o.affected_before),
+            format!("{:.3}", o.affected_after),
+            o.benign_alerts.to_string(),
+            o.collusion_alerts.to_string(),
+        ]);
     }
 
-    let (_, last_outcome) = rounds.last().expect("at least one seed").clone();
-    let report = RunReport::collect(last_outcome, &telemetry);
-    println!("\n{}", report.render_text());
-
-    let mut written = report.write(&dir, "obs").expect("write report");
-    written.push(write_rounds_csv(&dir, "obs_rounds.csv", &rounds).expect("write rounds"));
-    written.push(dir.join("obs_events.jsonl"));
+    let summary = registry.snapshot().render_text();
+    println!("\n{summary}");
+    let written = [
+        dir.join("obs_events.jsonl"),
+        output::write_csv(
+            &dir,
+            "obs_rounds.csv",
+            &[
+                "seed",
+                "detection_rate",
+                "false_positive_rate",
+                "affected_before",
+                "affected_after",
+                "benign_alerts",
+                "collusion_alerts",
+            ],
+            &rounds,
+        )
+        .expect("write rounds"),
+        output::write_text(&dir, "obs_summary.txt", &summary).expect("write summary"),
+    ];
     println!("artifacts:");
     for path in written {
         println!("  {}", path.display());

@@ -95,8 +95,8 @@ pub mod prelude {
     };
     pub use secloc_attack::{Action, BeaconStrategy, CompromisedBeacon, Wormhole};
     pub use secloc_core::{
-        Alert, DetectionOutcome, DetectionPipeline, Observation, ProtocolAction, ProtocolEvent,
-        RevocationConfig, RevocationMachine, RttFilter, SignalDetector, WormholeFilter,
+        Alert, DetectionOutcome, DetectionPipeline, Observation, RevocationConfig,
+        RevocationMachine, RttFilter, SignalDetector, WormholeFilter,
     };
     pub use secloc_crypto::{IdSpace, NodeId};
     pub use secloc_faults::{BurstLossSpec, ChurnSpec, FaultPlan, NoiseRegion};

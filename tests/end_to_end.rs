@@ -39,7 +39,6 @@ fn full_story_detection_to_revocation() {
         (12, (380.0, 350.0)),
         (13, (290.0, 420.0)),
     ] {
-        use secloc::radio::ranging::Ranging;
         let detector_pos = Point2::new(spot.0, spot.1);
         let obs = Observation {
             detector_position: detector_pos,

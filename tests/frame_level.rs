@@ -4,7 +4,7 @@
 
 use secloc::core::DetectionOutcome;
 use secloc::prelude::*;
-use secloc::radio::ranging::{BoundedRanging, Ranging};
+use secloc::radio::ranging::BoundedRanging;
 use secloc_oracle::{
     BeaconResponder, FrameBody, GeographicLeash, Key, LeashContext, Medium, PairwiseKeyStore,
     RequesterSession, Tap,

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secloc::localization::dvhop::DvHop;
 use secloc::prelude::*;
-use secloc::radio::ranging::{BoundedRanging, Ranging};
+use secloc::radio::ranging::BoundedRanging;
 
 #[test]
 fn detection_and_revocation_protect_dvhop() {
