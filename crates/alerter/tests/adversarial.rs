@@ -10,7 +10,7 @@ mod counting_alloc;
 use counting_alloc::peak_live_bytes;
 use proptest::prelude::*;
 use secloc_alerter::{replay_stream, Alerter, AlerterConfig, MAX_LINE_BYTES};
-use secloc_core::{RevocationConfig, RevocationMachine};
+use secloc_core::{AlertOutcome, RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::{MemorySink, Obs, Value};
 use std::io::{self, BufReader, Read as _};
@@ -183,6 +183,39 @@ fn a_line_just_under_the_cap_is_read_whole() {
 }
 
 #[test]
+fn a_deeply_nested_line_is_one_malformed_line() {
+    // 100,000 levels of brackets: 200 KB, well under the line cap. A parser
+    // that recursed once per bracket without a bound would overflow the
+    // stack here and abort the whole process.
+    let deep = format!(
+        r#"{{"kind":"phase","x":{}{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let stream = format!("{}\n{deep}\n{}\n", alert("d", 1, 9), alert("d", 2, 9));
+    let sink = Arc::new(MemorySink::new());
+    let mut alerter = Alerter::new(AlerterConfig::default(), Obs::with_sink(sink.clone()));
+    alerter
+        .ingest_reader(stream.as_bytes())
+        .expect("a deeply nested line does not end the stream");
+    let stats = alerter.stats();
+    assert_eq!((stats.lines, stats.malformed, stats.decisions), (3, 1, 2));
+    let errors: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == "alerter.malformed")
+        .filter_map(|e| match e.field("error") {
+            Some(Value::Str(error)) => Some(error.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        errors,
+        ["invalid JSON: nesting deeper than 128 levels at byte 147"]
+    );
+}
+
+#[test]
 fn duplicate_accusations_consume_nothing_streamwise() {
     let mut a = fresh();
     // Reporter 1 spams the same accusation: one acceptance, τ' never
@@ -326,6 +359,37 @@ proptest! {
         }
         prop_assert_eq!(a.stats().decisions, stream.len() as u64);
         prop_assert_eq!(a.stats().malformed, 0u64);
+    }
+
+    #[test]
+    fn retired_and_interleaved_deployments_match_fresh_machines(
+        stream in proptest::collection::vec((0usize..4, 0u32..6, 0u32..7), 1..200),
+    ) {
+        // Target 6 stands for the deployment's end. Slots, and the machines
+        // in them, pass from retired deployments to new ones without
+        // carrying state across.
+        let mut a = fresh();
+        let mut reference: Vec<Option<RevocationMachine>> = vec![None; 4];
+        let (mut revocations, mut retired) = (0u64, 0u64);
+        for &(dep, reporter, target) in &stream {
+            let key = format!("dep-{dep}");
+            if target == 6 {
+                a.ingest_line(&format!(r#"{{"kind":"deploy.end","deployment":"{key}"}}"#));
+                retired += u64::from(reference[dep].take().is_some());
+            } else {
+                a.ingest_line(&alert(&key, reporter, target));
+                let outcome = reference[dep]
+                    .get_or_insert_with(|| RevocationMachine::new(RevocationConfig::paper_default()))
+                    .decide(NodeId(reporter), NodeId(target));
+                revocations += u64::from(outcome == AlertOutcome::AcceptedAndRevoked);
+            }
+        }
+        for (dep, want) in reference.iter().enumerate() {
+            let got = a.machine(&format!("dep-{dep}"));
+            prop_assert_eq!(got.map(|m| m.state()), want.as_ref().map(|m| m.state()));
+        }
+        let stats = a.stats();
+        prop_assert_eq!((stats.revocations, stats.retired), (revocations, retired));
     }
 
     #[test]

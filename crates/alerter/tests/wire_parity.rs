@@ -190,6 +190,48 @@ fn escapes_duplicates_and_nested_values() {
     }
 }
 
+#[test]
+fn keys_one_byte_off_a_read_name_decode_identically() {
+    // A key one byte off a name the decoder reads, at any position, or one
+    // byte longer or shorter, must read as a member it ignores.
+    let names = [
+        "kind",
+        "cell",
+        "deployment",
+        "tau",
+        "tau_prime",
+        "seed",
+        "reporter",
+        "target",
+        "source",
+        "outcome",
+        "cache",
+    ];
+    let live = [
+        r#"{"kind":"deploy.start","deployment":"d","tau":1,"tau_prime":0,"seed":3}"#,
+        r#"{"kind":"deploy.end","deployment":"d","cache":"miss"}"#,
+    ];
+    for line in samples().into_iter().chain(live) {
+        for name in names {
+            let member = format!("\"{name}\":");
+            if !line.contains(&member) {
+                continue;
+            }
+            let mut variants = vec![format!("{name}s"), name[1..].to_string()];
+            for pos in 0..name.len() {
+                for b in [b'a', b'k', b's', b't', b'_'] {
+                    let mut off = name.as_bytes().to_vec();
+                    off[pos] = b;
+                    variants.push(String::from_utf8(off).expect("ASCII"));
+                }
+            }
+            for variant in variants.iter().filter(|v| v.as_str() != name) {
+                assert_parity(&line.replacen(&member, &format!("\"{variant}\":"), 1));
+            }
+        }
+    }
+}
+
 /// A small deterministic generator for the proptest's choices.
 struct Choices(u64);
 

@@ -254,6 +254,7 @@ pub fn visit_object<'a>(
 /// flagged byte is the first byte of `x` below `n` (borrows only
 /// propagate upward, so any false flags sit above a true one). Bytes of
 /// multi-byte UTF-8 sequences have their high bit set and never match.
+#[inline]
 fn plain_run(bytes: &[u8]) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGHS: u64 = 0x8080_8080_8080_8080;
@@ -275,15 +276,31 @@ fn plain_run(bytes: &[u8]) -> usize {
         .unwrap_or(bytes.len() - i)
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// `[` or `{`, so without a bound one hostile line of brackets overflows
+/// the stack and aborts the process. RFC 8259 §9 lets a parser set this
+/// limit; nothing the workspace writes nests deeper than about 4.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// How many arrays and objects enclose `pos`.
+    depth: usize,
 }
 
+// The methods on every document's path are marked for inlining: the front
+// ends are generic, so they are compiled into the crate that calls them
+// (the alerter's `parse_line`), and without LTO only inline-marked methods
+// can follow them there instead of staying cross-crate calls. The four
+// that every member passes through (`skip_value`, `token`, `string` and
+// `number`) are `#[inline(always)]`: under plain `#[inline]` the cost model
+// leaves them out of line, and each member then pays several calls.
 impl<'a> Parser<'a> {
     /// Parses one complete document with `body` (trailing whitespace
     /// allowed, trailing garbage rejected).
+    #[inline]
     fn document<T>(
         text: &'a str,
         body: impl FnOnce(&mut Self) -> Result<T, JsonError>,
@@ -292,6 +309,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let out = body(&mut p)?;
@@ -302,43 +320,51 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn error(&self, message: &str) -> JsonError {
+    /// The error at `pos`. It takes anything printable, so a formatted
+    /// message is only built here, off the path of a valid document.
+    #[cold]
+    fn error(&self, message: impl std::fmt::Display) -> JsonError {
         JsonError {
             message: message.to_string(),
             offset: self.pos,
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.error(&format!("expected '{}'", b as char)))
+            Err(self.error(format_args!("expected '{}'", b as char)))
         }
     }
 
+    #[inline]
     fn literal(&mut self, word: &str, value: JsonRef<'a>) -> Result<JsonRef<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(self.error(&format!("expected '{word}'")))
+            Err(self.error(format_args!("expected '{word}'")))
         }
     }
 
     /// The first step of every value: a scalar is consumed and decoded; an
     /// array or object is reported at its opening bracket, not consumed.
+    #[inline(always)]
     fn token(&mut self) -> Result<JsonRef<'a>, JsonError> {
         match self.peek() {
             Some(b'{') => Ok(JsonRef::Object),
@@ -382,14 +408,42 @@ impl<'a> Parser<'a> {
     /// The skip mode: validates one value without building anything.
     /// Scalars come back decoded; arrays and objects are walked and
     /// dropped.
+    #[inline(always)]
     fn skip_value(&mut self) -> Result<JsonRef<'a>, JsonError> {
         let token = self.token()?;
-        match token {
-            JsonRef::Array => self.array(|p| p.skip_value().map(drop))?,
-            JsonRef::Object => self.object(|p, _| p.skip_value().map(drop))?,
-            _ => {}
+        if matches!(token, JsonRef::Array | JsonRef::Object) {
+            self.skip_nested()?;
         }
         Ok(token)
+    }
+
+    /// Walks the array or object at `pos` in the skip mode.
+    fn skip_nested(&mut self) -> Result<(), JsonError> {
+        if self.peek() == Some(b'[') {
+            self.array(|p| p.skip_value().map(drop))
+        } else {
+            self.object(|p, _| p.skip_value().map(drop))
+        }
+    }
+
+    /// Consumes the opening bracket of an array or object, one level
+    /// deeper. The bracket that would open level `MAX_DEPTH + 1` fails at
+    /// its own offset.
+    #[inline]
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format_args!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consumes the closing bracket at `pos`, one level shallower.
+    #[inline]
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
     }
 
     /// Walks an object, handing each key to `member`, which must consume
@@ -398,10 +452,10 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         loop {
@@ -415,7 +469,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or '}' in object")),
@@ -428,10 +482,10 @@ impl<'a> Parser<'a> {
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(());
         }
         loop {
@@ -441,7 +495,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(());
                 }
                 _ => return Err(self.error("expected ',' or ']' in array")),
@@ -450,12 +504,27 @@ impl<'a> Parser<'a> {
     }
 
     /// A string, borrowed from the input unless it contains escapes.
+    #[inline(always)]
     fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
+        // Most strings are one plain run up to the closing quote. A run
+        // breaks only at ASCII bytes (or the end of input), so its ends are
+        // char boundaries of the input.
+        let start = self.pos;
+        let end = start + plain_run(&self.bytes[start..]);
+        if self.bytes.get(end) == Some(&b'"') {
+            self.pos = end + 1;
+            return Ok(Cow::Borrowed(&self.text[start..end]));
+        }
+        self.escaped_string()
+    }
+
+    /// The rest of a string that is not one plain run, from the byte after
+    /// its opening quote. Its runs end at char boundaries as in `string`.
+    #[inline(never)]
+    fn escaped_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let mut owned: Option<String> = None;
         loop {
-            // A run of plain bytes. It breaks only at ASCII bytes (or the
-            // end of input), so its ends are char boundaries of the input.
             let start = self.pos;
             self.pos += plain_run(&self.bytes[start..]);
             let run = &self.text[start..self.pos];
@@ -547,6 +616,7 @@ impl<'a> Parser<'a> {
     }
 
     /// A number's source text.
+    #[inline(always)]
     fn number(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -699,6 +769,107 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    /// The error contract: one input per reachable error site, with the
+    /// exact `Display` both front ends give. `invalid \u escape` and
+    /// `invalid surrogate pair` have no row: every value they guard is
+    /// already a valid `char` (a BMP scalar outside the surrogates, or a
+    /// combined pair in U+10000..=U+10FFFF), so `char::from_u32` cannot fail
+    /// there.
+    #[test]
+    fn every_reachable_error_site_keeps_its_message_and_offset() {
+        let table = [
+            ("1 x", "trailing characters after JSON value at byte 2"),
+            (r#"{"a" 1}"#, "expected ':' at byte 5"),
+            ("{1:2}", "expected '\"' at byte 1"),
+            ("tru", "expected 'true' at byte 0"),
+            ("[fals]", "expected 'false' at byte 1"),
+            (r#"{"a":nul}"#, "expected 'null' at byte 5"),
+            (r#"{"a":x}"#, "unexpected character at byte 5"),
+            ("", "unexpected end of input at byte 0"),
+            ("[", "unexpected end of input at byte 1"),
+            (r#"{"a":1 x"#, "expected ',' or '}' in object at byte 7"),
+            ("[1 x", "expected ',' or ']' in array at byte 3"),
+            ("\"\\", "unterminated escape at byte 2"),
+            (r#""\ud83d""#, "unpaired surrogate at byte 7"),
+            (r#""\ud83d\n""#, "unpaired surrogate at byte 8"),
+            (r#""\ud83d\u0041""#, "invalid low surrogate at byte 13"),
+            (r#""\udc00""#, "lone low surrogate at byte 7"),
+            (r#""\x""#, "invalid escape character at byte 3"),
+            (
+                "\"a\u{01}\"",
+                "unescaped control character in string at byte 2",
+            ),
+            ("\"abc", "unterminated string at byte 4"),
+            (r#""\u00"#, "truncated \\u escape at byte 3"),
+            ("\"\\u00é0\"", "non-ASCII in \\u escape at byte 3"),
+            (r#""\u00zz""#, "non-hex in \\u escape at byte 3"),
+            ("-a", "expected digits in number at byte 1"),
+            ("01", "leading zero in number at byte 2"),
+            ("[1.]", "expected digits after decimal point at byte 3"),
+            (r#"{"a":1e+}"#, "expected digits in exponent at byte 8"),
+        ];
+        for (input, want) in table {
+            let parsed = JsonValue::parse(input).expect_err(input);
+            assert_eq!(parsed.to_string(), want, "JsonValue::parse({input:?})");
+            let visited = visit_object(input, |_, _| {}).expect_err(input);
+            assert_eq!(visited, parsed, "visit_object({input:?})");
+        }
+    }
+
+    /// `levels` nested arrays.
+    fn nested(levels: usize) -> String {
+        "[".repeat(levels) + &"]".repeat(levels)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let deepest = nested(MAX_DEPTH);
+        let mut v = &JsonValue::parse(&deepest).expect("128 levels parse");
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().expect("an array")[0];
+        }
+        assert_eq!(v, &JsonValue::Array(Vec::new()));
+        assert_eq!(visit_object(&deepest, |_, _| {}), Ok(false));
+        // The top-level object is the first level.
+        let member = format!(r#"{{"a":{}}}"#, nested(MAX_DEPTH - 1));
+        assert!(JsonValue::parse(&member).is_ok());
+        let mut members = 0;
+        assert_eq!(visit_object(&member, |_, _| members += 1), Ok(true));
+        assert_eq!(members, 1);
+    }
+
+    #[test]
+    fn the_bracket_past_the_limit_fails_at_its_offset_in_both_front_ends() {
+        let want = "nesting deeper than 128 levels at byte 128";
+        let too_deep = nested(MAX_DEPTH + 1);
+        let parsed = JsonValue::parse(&too_deep).expect_err("129 levels");
+        assert_eq!(parsed.to_string(), want);
+        assert_eq!(visit_object(&too_deep, |_, _| {}), Err(parsed));
+        let member = format!(r#"{{"a":{}}}"#, nested(MAX_DEPTH));
+        let offset = 5 + MAX_DEPTH - 1;
+        let parsed = JsonValue::parse(&member).expect_err("129 levels");
+        assert_eq!(parsed.offset, offset);
+        assert_eq!(visit_object(&member, |_, _| {}), Err(parsed));
+        // Objects count as levels too.
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        let parsed = JsonValue::parse(&objects).expect_err("129 levels");
+        assert_eq!(
+            (parsed.message.as_str(), parsed.offset),
+            ("nesting deeper than 128 levels", 5 * MAX_DEPTH)
+        );
+    }
+
+    #[test]
+    fn a_hundred_thousand_levels_fail_without_overflowing_the_stack() {
+        let line = format!(r#"{{"kind":"phase","x":{}}}"#, nested(100_000));
+        let want = JsonError {
+            message: "nesting deeper than 128 levels".to_string(),
+            offset: 20 + MAX_DEPTH - 1,
+        };
+        assert_eq!(JsonValue::parse(&line), Err(want.clone()));
+        assert_eq!(visit_object(&line, |_, _| {}), Err(want));
     }
 
     #[test]

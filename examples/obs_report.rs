@@ -4,14 +4,18 @@
 //! experiment, runs it over a handful of seeds, and writes under
 //! `results/`:
 //!
-//! - `obs_events.jsonl` — every emitted event, one JSON object per line;
+//! - `obs_events.jsonl` — every emitted event, one JSON object per line.
+//!   Each seed's run is its own deployment: its events carry a
+//!   `deployment` key (the seed in 16 hex digits) between a `deploy.start`
+//!   announcing τ/τ′ and a `deploy.end`, so `secloc-alerter replay
+//!   --events results/obs_events.jsonl` re-decides every run's alerts;
 //! - `obs_rounds.csv` — one row of headline measurements per seed;
 //! - `obs_summary.txt` — the registry snapshot: counters, gauges and the
 //!   `span.phase.*` wall-time histograms.
 //!
 //! Run with: `cargo run --example obs_report`
 
-use secloc::obs::{output, MetricsRegistry, Obs};
+use secloc::obs::{output, MetricsRegistry, Obs, SpanContext, Value};
 use secloc::sim::{RunOptions, Runner, SimConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -34,8 +38,20 @@ fn main() {
 
     let mut rounds: Vec<Vec<String>> = Vec::new();
     for seed in 1u64..=5 {
-        let runner = Runner::new_observed(config.clone(), seed, &telemetry);
-        let o = runner.run(RunOptions::new().observed(&telemetry)).outcome;
+        let deployment = telemetry.scoped(
+            SpanContext::root(seed),
+            &[("deployment", Value::Str(format!("{seed:016x}")))],
+        );
+        deployment.emit(
+            "deploy.start",
+            &[
+                ("tau", Value::U64(config.tau.into())),
+                ("tau_prime", Value::U64(config.tau_prime.into())),
+            ],
+        );
+        let runner = Runner::new_observed(config.clone(), seed, &deployment);
+        let o = runner.run(RunOptions::new().observed(&deployment)).outcome;
+        deployment.emit("deploy.end", &[]);
         println!(
             "seed {seed}: detection {:.2}, false positives {:.2}, N' = {:.2}",
             o.detection_rate(),
