@@ -147,9 +147,10 @@ impl DvHop {
             .collect()
     }
 
-    /// Convenience: mean localization error over the localized unknowns.
-    pub fn mean_error(&self, anchors: &[Point2], unknowns: &[Point2]) -> Option<f64> {
-        let estimates = self.localize(anchors, unknowns);
+    /// Mean localization error of `estimates` (one per unknown, as
+    /// [`DvHop::localize`] returns them) over the unknowns they localized;
+    /// `None` when they localized none.
+    pub fn mean_error(estimates: &[Option<Estimate>], unknowns: &[Point2]) -> Option<f64> {
         let mut sum = 0.0;
         let mut k = 0usize;
         for (est, truth) in estimates.iter().zip(unknowns) {
@@ -198,7 +199,7 @@ mod tests {
         let estimates = dv.localize(&anchors, &unknowns);
         let localized = estimates.iter().flatten().count();
         assert!(localized > 140, "only {localized}/150 localized");
-        let err = dv.mean_error(&anchors, &unknowns).unwrap();
+        let err = DvHop::mean_error(&estimates, &unknowns).unwrap();
         assert!(err < 120.0, "mean error {err} exceeds one radio range");
     }
 
@@ -268,19 +269,12 @@ mod tests {
             Point2::new(100.0, 180.0),
         ];
         let dv = DvHop::new(200.0);
-        let honest_err = dv.mean_error(&honest_anchors, &unknowns).unwrap();
+        let honest = dv.localize(&honest_anchors, &unknowns);
+        let honest_err = DvHop::mean_error(&honest, &unknowns).unwrap();
         let mut declared = honest_anchors.clone();
         declared[0] = Point2::new(800.0, 800.0); // the lie in the flood packets
         let estimates = dv.localize_with_declared(&honest_anchors, &declared, &unknowns);
-        let mut sum = 0.0;
-        let mut k = 0usize;
-        for (est, truth) in estimates.iter().zip(&unknowns) {
-            if let Some(e) = est {
-                sum += e.position.distance(*truth);
-                k += 1;
-            }
-        }
-        let lying_err = sum / k as f64;
+        let lying_err = DvHop::mean_error(&estimates, &unknowns).unwrap();
         assert!(
             lying_err > honest_err + 50.0,
             "lie had no effect: {honest_err} -> {lying_err}"

@@ -48,20 +48,25 @@
 //!
 //! An append of a batch of entries, 64 KiB of new records at a time,
 //! (1) writes the new records to their shards — `shard = key mod
-//! shard_count` — in one positioned write per shard, then (2) writes one
-//! slot per record and (3) bumps the header's entry count and the shards'
-//! indexed lengths once; a single insert is a batch of one, three
-//! positioned writes. The resident slot table takes a
-//! slot only after its write succeeded, so it never runs ahead of
-//! `index.bin`. A crash at any point leaves a recoverable file:
+//! shard_count` — in one positioned write per shard, then (2) writes the
+//! slots they took in the resident table, one positioned write per run of
+//! that table in which each taken slot lies within a page of the next,
+//! and (3) bumps the header's entry count and the shards' indexed lengths
+//! once; a single insert is a batch of one, three positioned writes. A
+//! run rewrites the untouched slots between its taken ones with the bytes
+//! the file already holds. When a slot write fails, the slots not yet
+//! written get back what they held, and the indexed lengths move only
+//! once the header is written, so after any error the resident table, the
+//! entry count and the indexed lengths are again what `index.bin` holds.
+//! A crash at any point leaves a recoverable file:
 //!
 //! - cut inside (1): the shard's torn tail record fails its
 //!   length/checksum validation on open and is truncated away (the index
 //!   never knew it); the batch's whole records before it are re-indexed
 //!   as below;
-//! - cut between (1) and (3): the shard is longer than its indexed
-//!   length, so open re-scans just that tail and re-indexes it — O(tail),
-//!   not O(file);
+//! - cut inside or after (2), before (3): the shard is longer than its
+//!   indexed length, so open re-scans just that tail and re-indexes it —
+//!   O(tail), not O(file) — skipping the records whose slots made it;
 //! - a missing or corrupt `index.bin` (or one whose indexed lengths
 //!   exceed the shard files, e.g. a shard truncated behind the index's
 //!   back) triggers a full index rebuild from the shards.
@@ -109,6 +114,10 @@ pub(crate) const READ_BATCH: usize = 4;
 /// are staged (and at its end), so however many entries one frontier
 /// advance resolves, its buffers stay small (~546 records).
 const APPEND_CHUNK: usize = 64 * 1024;
+/// Taken slots with at most this many bytes of untouched slots between
+/// them go out in one positioned write: rewriting a page of unchanged
+/// slots costs less than a second write.
+const RUN_GAP: u64 = 4096;
 
 /// Picks the shard count for a cache created to hold `expected_cells`:
 /// one shard per ~8k cells, a power of two, clamped to `[1, MAX_SHARDS]`.
@@ -260,6 +269,11 @@ impl Slots {
         (get_u64(&self.0, at), get_u64(&self.0, at + 8))
     }
 
+    /// The bytes of slots `first..=last`.
+    fn bytes(&self, first: u64, last: u64) -> &[u8] {
+        &self.0[(first * SLOT_LEN) as usize..((last + 1) * SLOT_LEN) as usize]
+    }
+
     fn set(&mut self, slot: u64, bytes: &[u8; SLOT_LEN as usize]) {
         let at = (slot * SLOT_LEN) as usize;
         self.0[at..at + SLOT_LEN as usize].copy_from_slice(bytes);
@@ -399,20 +413,24 @@ impl Staged {
 /// on-disk format and crash discipline. Open reads the index's slot array
 /// into memory (16 bytes per slot) and no records; a batched read probes
 /// that table and reads records through a 4 KiB window per shard, and an
-/// append writes through to the files with one positioned write per
-/// touched shard and 64 KiB of records, one per slot, and one for the
-/// header per 64 KiB.
+/// append writes through to the files per 64 KiB of records with one
+/// positioned write per touched shard, one per run of the slots those
+/// records took (one run when they lie within a page of each other, at
+/// most one per slot), and one for the header.
 pub struct BinaryCache {
     dir: PathBuf,
     index: fs::File,
     /// The slot array of `index.bin`, kept in step on every write.
     slots: Slots,
+    /// Slots the resident table took since its last slot write, each with
+    /// the `(key, loc)` it held before: what a failed write rolls back.
+    unwritten: Vec<(u64, (u64, u64))>,
     shards: Vec<fs::File>,
     /// One read window per shard; a `RefCell` because `get` takes `&self`.
     windows: RefCell<Vec<Window>>,
-    /// Indexed byte length of each shard (all records are valid up to
-    /// here once open-time recovery finishes). An append's records land
-    /// past it, and it moves as their slots are written.
+    /// Indexed byte length of each shard, as the header holds it (all
+    /// records are valid up to here once open-time recovery finishes). An
+    /// append's records land past it, and it moves with the header write.
     shard_lens: Vec<u64>,
     len: u64,
     recovery: CacheRecovery,
@@ -488,6 +506,7 @@ impl BinaryCache {
             dir: dir.to_path_buf(),
             index,
             slots,
+            unwritten: Vec::new(),
             windows: RefCell::new(shards.iter().map(|_| Window::default()).collect()),
             shards,
             shard_lens,
@@ -622,6 +641,7 @@ impl BinaryCache {
             }
             self.shard_lens[s] = self.shards[s].metadata()?.len();
         }
+        self.write_slots()?;
         self.write_header()
     }
 
@@ -691,20 +711,30 @@ impl BinaryCache {
 
     /// Grows the index when `additional` more entries would push the load
     /// factor past the limit. Growth rehashes the resident table (not the
-    /// shards): O(capacity), amortized over inserts.
+    /// shards): O(capacity), amortized over inserts. The slots taken so
+    /// far are written to the old index first, and a failed growth keeps
+    /// the old index and table, so the two still agree after an error.
     fn reserve(&mut self, additional: u64) -> io::Result<()> {
         let needed = slot_capacity_for(self.len + additional);
         if needed <= self.slots.capacity() {
             return Ok(());
         }
+        self.write_slots()?;
         let mut grown = Slots::zeroed(needed);
         for (key, loc) in self.slots.occupied() {
             let (Ok(slot) | Err(slot)) = grown.find(key);
             grown.set(slot, &encode_slot(key, loc));
         }
-        self.index = create_rw(&self.dir.join("index.rebuild"))?;
-        self.slots = grown;
-        self.install_index()
+        let index = create_rw(&self.dir.join("index.rebuild"))?;
+        let previous = (
+            std::mem::replace(&mut self.index, index),
+            std::mem::replace(&mut self.slots, grown),
+        );
+        let installed = self.install_index();
+        if installed.is_err() {
+            (self.index, self.slots) = previous;
+        }
+        installed
     }
 
     /// The `(shard, offset)` the index holds for `key`, if any.
@@ -713,8 +743,11 @@ impl BinaryCache {
         Some(unpack_loc(self.slots.get(slot).1))
     }
 
-    /// Indexes an entry already appended to its shard at `offset`: one
-    /// write for the slot. The caller writes the header.
+    /// Indexes an entry already appended to its shard at `offset` in the
+    /// resident table, growing the index first when one more entry would
+    /// pass the load limit.
+    /// [`BinaryCache::write_slots`] writes the slot; the caller moves the
+    /// shard's indexed length and writes the header.
     fn index_slot(&mut self, key: CellKey, shard: u32, offset: u64) -> io::Result<()> {
         self.reserve(1)?;
         // The key's own slot when re-indexing a record that failed
@@ -722,16 +755,46 @@ impl BinaryCache {
         // entry.
         let found = self.slots.find(key.0);
         let (Ok(slot) | Err(slot)) = found;
-        let bytes = encode_slot(key.0, pack_loc(shard, offset));
-        self.index
-            .write_all_at(&bytes, HEADER_LEN + slot * SLOT_LEN)?;
-        self.slots.set(slot, &bytes);
-        if found.is_err() {
-            self.len += 1;
-        }
-        let s = shard as usize;
-        self.shard_lens[s] = self.shard_lens[s].max(offset + RECORD_LEN as u64);
+        self.unwritten.push((slot, self.slots.get(slot)));
+        self.slots
+            .set(slot, &encode_slot(key.0, pack_loc(shard, offset)));
+        self.len += u64::from(found.is_err());
         Ok(())
+    }
+
+    /// Writes the slots taken since the last slot write to `index.bin`,
+    /// in slot order, one positioned write per run of the table in which
+    /// each taken slot is at most [`RUN_GAP`] bytes past the one before.
+    /// On an error, the slots not yet written get back what they held, so
+    /// the resident table and the entry count again match the file.
+    fn write_slots(&mut self) -> io::Result<()> {
+        self.unwritten.sort_unstable_by_key(|&(slot, _)| slot);
+        let mut written = 0;
+        let mut result = Ok(());
+        while let Some(&(first, _)) = self.unwritten.get(written) {
+            let mut last = first;
+            let mut end = written + 1;
+            while let Some(&(slot, _)) = self.unwritten.get(end) {
+                if (slot - last - 1) * SLOT_LEN > RUN_GAP {
+                    break;
+                }
+                (last, end) = (slot, end + 1);
+            }
+            result = self
+                .index
+                .write_all_at(self.slots.bytes(first, last), HEADER_LEN + first * SLOT_LEN);
+            if result.is_err() {
+                break;
+            }
+            written = end;
+        }
+        for &(slot, (key, loc)) in &self.unwritten[written..] {
+            // A slot that was free added an entry.
+            self.len -= u64::from(loc == 0);
+            self.slots.set(slot, &encode_slot(key, loc));
+        }
+        self.unwritten.clear();
+        result
     }
 
     /// Entries currently indexed.
@@ -794,22 +857,36 @@ impl BinaryCache {
     /// `get` read, and their checksums are folded in one interleaved
     /// pass: each record's FNV-1a is a chain of dependent multiplies, and
     /// taking the records a byte at a time in turn keeps `N` chains in
-    /// flight where one record alone waits on every multiply.
+    /// flight where one record alone waits on every multiply. A key the
+    /// index does not locate is a miss without a record to check: a batch
+    /// of such keys reads nothing, and in a batch that locates only some
+    /// of its keys, each located record is checked on its own.
     pub(crate) fn get_batch<const N: usize>(
         &self,
         keys: &[CellKey; N],
     ) -> io::Result<[Option<SimOutcome>; N]> {
         const { assert!(N <= READ_BATCH) };
-        // A key without a record keeps a zeroed copy, which fails the
-        // length check below.
         let mut records = [[0u8; RECORD_LEN]; N];
+        let mut located = [false; N];
         let mut windows = self.windows.borrow_mut();
-        for (record, &key) in records.iter_mut().zip(keys) {
+        for ((record, found), &key) in records.iter_mut().zip(&mut located).zip(keys) {
             if let Some((s, offset, shard_len)) = self.locate(key) {
                 record.copy_from_slice(windows[s].record(&self.shards[s], offset, shard_len)?);
+                *found = true;
             }
         }
         drop(windows);
+        let hit = |k: usize, decoded: Option<(CellKey, SimOutcome)>| match decoded {
+            Some((recorded_key, outcome)) if recorded_key == keys[k] => Some(outcome),
+            _ => None,
+        };
+        if located.contains(&false) {
+            return Ok(std::array::from_fn(|k| {
+                located[k]
+                    .then(|| hit(k, decode_record(&records[k])))
+                    .flatten()
+            }));
+        }
         let mut lanes = [Fnv1a::new(); N];
         for at in 0..RECORD_BODY {
             for (lane, record) in lanes.iter_mut().zip(&records) {
@@ -817,10 +894,7 @@ impl BinaryCache {
             }
         }
         Ok(std::array::from_fn(|k| {
-            match decode_checked(&records[k], lanes[k].finish()) {
-                Some((recorded_key, outcome)) if recorded_key == keys[k] => Some(outcome),
-                _ => None,
-            }
+            hit(k, decode_checked(&records[k], lanes[k].finish()))
         }))
     }
 
@@ -843,8 +917,10 @@ impl BinaryCache {
     /// repeated in the batch is checked against its first copy, as a later
     /// insert would be against the cache, and appends no record. Each
     /// [`APPEND_CHUNK`] of new records goes out in one positioned write per
-    /// shard, then one write per slot, then the header — the order of a
-    /// single insert, so a crash anywhere leaves a state open repairs.
+    /// shard, then one write per run of the slots they took, then the
+    /// header — the order of a single insert, so a crash anywhere leaves a
+    /// state open repairs. The index grows at the insert where inserting
+    /// one by one grows it, so the slot table's bytes are theirs too.
     pub(crate) fn append<'a>(
         &mut self,
         entries: impl IntoIterator<Item = (CellKey, &'a SimOutcome)>,
@@ -903,6 +979,7 @@ impl BinaryCache {
     }
 
     /// Writes what [`BinaryCache::stage`] staged: records, slots, header.
+    /// The shards' indexed lengths move only once the header holds them.
     fn write_staged(&mut self, staged: &Staged) -> io::Result<()> {
         if staged.slots.is_empty() {
             return Ok(());
@@ -915,7 +992,17 @@ impl BinaryCache {
         for &(key, shard, offset) in &staged.slots {
             self.index_slot(key, shard, offset)?;
         }
-        self.write_header()
+        self.write_slots()?;
+        for (len, records) in self.shard_lens.iter_mut().zip(&staged.records) {
+            *len += records.len() as u64;
+        }
+        let header = self.write_header();
+        if header.is_err() {
+            for (len, records) in self.shard_lens.iter_mut().zip(&staged.records) {
+                *len -= records.len() as u64;
+            }
+        }
+        header
     }
 
     /// The shard a key's record lands in (for telemetry).
@@ -1113,6 +1200,105 @@ mod tests {
             fs::remove_dir_all(&one_by_one).ok();
             fs::remove_dir_all(&batched).ok();
         }
+    }
+
+    /// Write syscalls the calling thread has made so far
+    /// (`/proc/thread-self/io`), so tests running in parallel threads do
+    /// not count each other's writes.
+    fn writes_so_far() -> u64 {
+        let io = fs::read_to_string("/proc/thread-self/io").expect("per-thread I/O counters");
+        let syscw = io.lines().find_map(|l| l.strip_prefix("syscw: "));
+        syscw
+            .expect("a syscw line")
+            .trim()
+            .parse()
+            .expect("a count")
+    }
+
+    #[test]
+    fn an_append_writes_each_chunk_with_three_positioned_writes() {
+        // 2,000 new records into a fresh one-shard cache sized for them
+        // (4,096 slots, 64 KiB of table): four chunks of at most 547
+        // records. Each chunk's 359–547 slots lie within a page of each
+        // other, so it goes out as one write of records, one run of slots
+        // and one header. Writing slot by slot takes 2,008 writes.
+        let dir = scratch("writes");
+        let mut cache = BinaryCache::open(&dir, 2000).unwrap();
+        assert_eq!((cache.shard_count(), cache.capacity()), (1, 4096));
+        let entries: Vec<(CellKey, SimOutcome)> = (0..2000u64)
+            .map(|i| (CellKey(fnv1a(&i.to_le_bytes())), outcome(i)))
+            .collect();
+        let before = writes_so_far();
+        cache
+            .append(entries.iter().map(|(k, o)| (*k, o)), |_, verdict| {
+                assert_eq!(verdict, CacheInsert::Inserted)
+            })
+            .unwrap();
+        assert_eq!(writes_so_far() - before, 12);
+        drop(cache);
+        let reopened = BinaryCache::open(&dir, 0).unwrap();
+        assert!(reopened.recovery().clean());
+        for (key, outcome) in &entries {
+            assert_eq!(reopened.get(*key).unwrap().as_ref(), Some(outcome));
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_slot_write_leaves_the_handle_as_index_bin_holds_it() {
+        // Two shards; 300 entries held, one of them flipped so that the
+        // failing append re-indexes it over its own slot rather than a
+        // free one.
+        let dir = scratch("readonly");
+        let key = |i: u64| CellKey(fnv1a(&i.to_le_bytes()));
+        let mut cache = BinaryCache::open(&dir, 8193).unwrap();
+        let held: Vec<(CellKey, SimOutcome)> = (0..300).map(|i| (key(i), outcome(i))).collect();
+        cache
+            .append(held.iter().map(|(k, o)| (*k, o)), |_, _| {})
+            .unwrap();
+        let (shard, offset) = cache.probe(key(7)).unwrap();
+        let garbage = [0xAB; 4];
+        cache.shards[shard as usize]
+            .write_all_at(&garbage, offset + 30)
+            .unwrap();
+        let answers = |cache: &BinaryCache| -> Vec<Option<SimOutcome>> {
+            held.iter().map(|(k, _)| cache.get(*k).unwrap()).collect()
+        };
+        let before = answers(&cache);
+        assert_eq!(before.iter().filter(|a| a.is_none()).count(), 1);
+        let state =
+            |cache: &BinaryCache| (cache.slots.0.clone(), cache.len, cache.shard_lens.clone());
+        let held_state = state(&cache);
+
+        // Slot writes now fail; record writes still land.
+        cache.index = fs::File::open(dir.join("index.bin")).unwrap();
+        let fresh: Vec<(CellKey, SimOutcome)> = (300..700)
+            .chain([7])
+            .map(|i| (key(i), outcome(i)))
+            .collect();
+        assert!(cache
+            .append(fresh.iter().map(|(k, o)| (*k, o)), |_, _| {})
+            .is_err());
+        let file = fs::read(dir.join("index.bin")).unwrap();
+        let (header, slots) = file.split_at(HEADER_LEN as usize);
+        assert!(
+            cache.slots.0 == slots,
+            "resident slots differ from index.bin"
+        );
+        assert_eq!(cache.len, cache.slots.occupied().count() as u64);
+        let indexed: Vec<u64> = (0..2).map(|s| get_u64(header, 40 + s * 8)).collect();
+        assert_eq!(cache.shard_lens, indexed);
+        assert!(state(&cache) == held_state, "the handle moved");
+        assert_eq!(answers(&cache), before);
+
+        // Reopened, every earlier key answers as before, and the failed
+        // append's records, past the indexed lengths, are re-indexed.
+        drop(cache);
+        let reopened = BinaryCache::open(&dir, 0).unwrap();
+        assert_eq!(answers(&reopened), before);
+        assert_eq!(reopened.recovery().reindexed, fresh.len());
+        assert_eq!(reopened.get(key(500)).unwrap(), Some(outcome(500)));
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// `get` one record at a time, as it read before batches: the index

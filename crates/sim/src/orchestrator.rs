@@ -8,7 +8,8 @@
 //! experiment engine:
 //!
 //! - **Work-stealing scheduling** — pending cells fold into scheduling
-//!   units (one per shared probe stage), sorted largest first into a
+//!   units (one per shared probe stage; the units of one `(topology,
+//!   seed)` share its deployment), sorted largest first into a
 //!   queue that at most `min(workers, units)` OS threads claim batches
 //!   from. Workers send each unit's `(cell index, outcome)` pairs back in
 //!   one message, and results are merged in cell order, bit-identical to
@@ -46,7 +47,7 @@
 //! ```
 
 use crate::cache::{BinaryCache, READ_BATCH};
-use crate::{RunOptions, Runner, SimConfig, SimOutcome};
+use crate::{Deployment, RunOptions, Runner, SimConfig, SimOutcome};
 use secloc_obs::json::{push_json_string, JsonValue};
 use secloc_obs::num::{hex16, push_f64_bytes, push_hex16, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
@@ -58,7 +59,7 @@ use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
@@ -166,16 +167,15 @@ fn grid_key(keys: &[CellKey]) -> CellKey {
 /// The grouping key for probe-stage sharing, less the seed: two cells
 /// with equal strings *and* equal seeds replay identical detection +
 /// location phases (phases 1–2), so one [`Runner::probe_stage`] serves
-/// both. It is the topology key (which with the seed fixes the deployment
-/// and every placement RNG stream) plus the policy knobs that reach the
-/// probe/localization phases — everything *outside* this string (τ, τ′,
-/// collusion, alert loss/retransmissions) is consumed only by the
-/// revocation and impact phases re-run per cell.
-fn probe_fingerprint(config: &SimConfig) -> String {
+/// both. It is the topology key's `Debug` text `topology` (which with the
+/// seed fixes the deployment and every placement RNG stream) plus the
+/// policy knobs that reach the probe/localization phases — everything
+/// *outside* this string (τ, τ′, collusion, alert loss/retransmissions) is
+/// consumed only by the revocation and impact phases re-run per cell.
+fn probe_fingerprint(topology: &str, config: &SimConfig) -> String {
     format!(
-        "{:?};max_ranging_error_ft={:?};detecting_ids={:?};\
+        "{topology};max_ranging_error_ft={:?};detecting_ids={:?};\
          wormhole_detection_rate={:?};attacker_p={:?};lie_offset_ft={:?}",
-        config.topology_key(),
         config.max_ranging_error_ft,
         config.detecting_ids,
         config.wormhole_detection_rate,
@@ -201,6 +201,90 @@ fn cell_scope(obs: &Obs, key: CellKey, seed: u64) -> Obs {
     )
 }
 
+/// Deployments held at once for units of their `(topology, seed)` group
+/// that have yet to run. A cold grid's units run P-major (one P value
+/// over every seed, then the next), so a group's second unit starts after
+/// one unit of every other seed's group: 40 groups in the benchmark's
+/// `scale_cold` op, 20 in its `alerter_replay` recording. A paper-scale
+/// deployment (1000 nodes, ~7,000 audible pairs) holds about 60 KB of
+/// positions, grid buckets and audible lists, so the held set stays near
+/// 4 MB.
+const SHARED_DEPLOYMENTS: usize = 64;
+
+/// One `(topology, seed)` group's deployment, while units of the group
+/// are yet to take it.
+struct GroupSlot {
+    /// Boxed, so that a group that never holds one (every group of one
+    /// unit) costs three words with its lock.
+    held: Option<Box<Deployment>>,
+    /// The group's units that have not taken a deployment yet.
+    left: usize,
+}
+
+/// The deployments the units of one `(topology, seed)` group share — in
+/// a grid, the units along the P axis. The first unit of a group to run
+/// generates the deployment and, while fewer than
+/// [`SHARED_DEPLOYMENTS`] are held, keeps it for the others, which re-key
+/// it; the group's last unit drops it. Past the cap a unit generates its
+/// own. Every route yields the deployment `Deployment::generate` would,
+/// bit for bit (`with_policy`'s invariant), so sharing is invisible in
+/// every output.
+struct SharedDeployments {
+    groups: Vec<Mutex<GroupSlot>>,
+    /// Deployments held over all groups. It publishes nothing (each
+    /// deployment moves under its group's lock), so it is `Relaxed`.
+    held_total: AtomicUsize,
+}
+
+impl SharedDeployments {
+    fn new(group_units: &[usize]) -> Self {
+        SharedDeployments {
+            groups: group_units
+                .iter()
+                .map(|&left| Mutex::new(GroupSlot { held: None, left }))
+                .collect(),
+            held_total: AtomicUsize::new(0),
+        }
+    }
+
+    /// The deployment of `config` at `seed` for one unit of `group`. It
+    /// panics, with `Deployment::generate`'s message, exactly when
+    /// generating it would. The group's first unit generates under the
+    /// group's lock, so a unit of the same group waits for it rather than
+    /// generate twice; a slot poisoned by a panicking generation counts
+    /// as empty.
+    fn take(&self, group: usize, config: &SimConfig, seed: u64) -> Deployment {
+        let generate = || Deployment::generate(config.clone(), seed);
+        let Ok(mut slot) = self.groups[group].lock() else {
+            return generate();
+        };
+        slot.left -= 1;
+        let last = slot.left == 0;
+        if let Some(held) = &slot.held {
+            let rekeyed = held.with_policy(config.clone());
+            if last {
+                slot.held = None;
+                self.held_total.fetch_sub(1, Ordering::Relaxed);
+            }
+            drop(slot);
+            // Only an invalid config fails the re-key; generating it
+            // panics as a plain run would.
+            return rekeyed.unwrap_or_else(|_| generate());
+        }
+        let deployment = generate();
+        let room = |held: usize| (held < SHARED_DEPLOYMENTS).then_some(held + 1);
+        if !last
+            && self
+                .held_total
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, room)
+                .is_ok()
+        {
+            slot.held = Some(Box::new(deployment.clone()));
+        }
+        deployment
+    }
+}
+
 /// Everything a worker thread needs besides its unit list. `Copy` so each
 /// spawned closure takes its own handle.
 #[derive(Clone, Copy)]
@@ -209,6 +293,7 @@ struct WorkerCtx<'a> {
     keys: &'a [CellKey],
     obs: &'a Obs,
     flight: Option<&'a (Arc<FlightRecorder>, PathBuf)>,
+    deployments: &'a SharedDeployments,
 }
 
 impl WorkerCtx<'_> {
@@ -273,32 +358,42 @@ impl Drop for Handover<'_> {
     }
 }
 
-/// Runs one scheduling unit — a maximal run of pending cells sharing a
-/// probe fingerprint — and sends its `(cell index, outcome)` pairs over
-/// `tx` in one message when it ends.
-/// Multi-cell units deploy once, snapshot the probe stage once, and replay
-/// only the revocation/impact phases per cell; the outcomes are
-/// bit-identical to fresh per-cell runs (see `Runner`'s staging tests and
+/// Runs one scheduling unit — the pending cells sharing a probe
+/// fingerprint and a seed — and sends its `(cell index, outcome)` pairs
+/// over `tx` in one message when it ends. The unit takes its deployment
+/// from its `(topology, seed)` group `group` ([`SharedDeployments`]).
+/// Multi-cell units snapshot the probe stage once and replay only the
+/// revocation/impact phases per cell; the outcomes are bit-identical to
+/// fresh per-cell runs (see `Runner`'s staging tests and
 /// `tests/equivalence.rs`). Telemetry classifies each executed cell as
-/// `cache=miss` (paid the deployment + probe stage) or `cache=memo`
-/// (replayed a shared stage). `Err` means the receiver hung up.
-fn run_unit(ctx: WorkerCtx<'_>, unit: &[usize], tx: &mpsc::Sender<UnitCells>) -> Result<(), ()> {
+/// `cache=miss` (paid a probe stage) or `cache=memo` (replayed a shared
+/// stage). `Err` means the receiver hung up.
+fn run_unit(
+    ctx: WorkerCtx<'_>,
+    unit: &[usize],
+    group: usize,
+    tx: &mpsc::Sender<UnitCells>,
+) -> Result<(), ()> {
     let cells = ctx.cells;
     let first = unit[0];
     let mut done = Handover {
         tx,
         cells: Vec::with_capacity(unit.len()),
     };
+    let deploy = || {
+        let deployment = ctx
+            .deployments
+            .take(group, &cells[first].config, cells[first].seed);
+        Runner::from_deployment(deployment)
+    };
     if unit.len() == 1 {
         let outcome = ctx.run_cell(first, "miss", |cell_obs| {
-            Runner::new(cells[first].config.clone(), cells[first].seed)
-                .run(RunOptions::new().observed(cell_obs))
-                .outcome
+            deploy().run(RunOptions::new().observed(cell_obs)).outcome
         });
         done.cells.push((first, outcome));
         return done.send();
     }
-    let base = Runner::new(cells[first].config.clone(), cells[first].seed);
+    let base = deploy();
     // The stage carries its own impact memo: cells whose revocation
     // verdicts drop the same reference subsets share the re-estimation
     // work.
@@ -421,33 +516,59 @@ impl SweepSpec {
 
     /// Folds the `pending` cells (ascending indices) into probe-sharing
     /// units: cells with equal [`probe_fingerprint`]s and equal seeds,
-    /// in first-appearance order. Fingerprints are formatted once per
-    /// config run that has a pending cell and interned to ids.
-    fn probe_units(&self, pending: &[usize]) -> Vec<Vec<usize>> {
+    /// in first-appearance order, each unit in the deployment group of
+    /// its topology key's `Debug` text and seed. Topology texts and
+    /// fingerprints are formatted once per config run that has a pending
+    /// cell and interned to ids.
+    fn probe_units(&self, pending: &[usize]) -> Units {
+        let mut topology_ids: HashMap<String, usize> = HashMap::new();
         let mut fingerprint_ids: HashMap<String, usize> = HashMap::new();
         let mut unit_of: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut units = Units::default();
         let mut rest = pending;
         for run in self.config_runs() {
             let in_run = rest.partition_point(|&i| i < run.end);
             if in_run == 0 {
                 continue;
             }
+            let config = &self.cells[run.start].config;
+            let topology = format!("{:?}", config.topology_key());
             let next_id = fingerprint_ids.len();
             let id = *fingerprint_ids
-                .entry(probe_fingerprint(&self.cells[run.start].config))
+                .entry(probe_fingerprint(&topology, config))
                 .or_insert(next_id);
+            let next_id = topology_ids.len();
+            let topology_id = *topology_ids.entry(topology).or_insert(next_id);
             for &i in &rest[..in_run] {
-                let unit = *unit_of.entry((id, self.cells[i].seed)).or_insert_with(|| {
-                    units.push(Vec::new());
-                    units.len() - 1
+                let seed = self.cells[i].seed;
+                let unit = *unit_of.entry((id, seed)).or_insert_with(|| {
+                    let group = *group_of.entry((topology_id, seed)).or_insert_with(|| {
+                        units.group_units.push(0);
+                        units.group_units.len() - 1
+                    });
+                    units.group_units[group] += 1;
+                    units.group.push(group);
+                    units.cells.push(Vec::new());
+                    units.cells.len() - 1
                 });
-                units[unit].push(i);
+                units.cells[unit].push(i);
             }
             rest = &rest[in_run..];
         }
         units
     }
+}
+
+/// Pending cells folded into scheduling units ([`SweepSpec::probe_units`]).
+#[derive(Debug, Default, PartialEq)]
+struct Units {
+    /// Each unit's cells, ascending.
+    cells: Vec<Vec<usize>>,
+    /// Each unit's deployment group.
+    group: Vec<usize>,
+    /// Each group's number of units.
+    group_units: Vec<usize>,
 }
 
 // ---------------------------------------------------------------------------
@@ -1054,7 +1175,9 @@ impl Orchestrator {
         //    probes once (first-appearance order, so a pure policy sweep
         //    stays in sweep order). Units go into a shared work-stealing
         //    queue, never more workers than units.
-        let units: Vec<Vec<usize>> = spec.probe_units(&pending);
+        //    Units of one (topology, seed) group share its deployment.
+        let units = spec.probe_units(&pending);
+        let deployments = SharedDeployments::new(&units.group_units);
         let requested = if self.workers == 0 {
             thread::available_parallelism()
                 .map(|n| n.get())
@@ -1062,14 +1185,14 @@ impl Orchestrator {
         } else {
             self.workers
         };
-        let workers = requested.min(units.len());
+        let workers = requested.min(units.cells.len());
         obs.set_gauge("sweep.workers", workers as i64);
         // Queue order: largest units first (unit size is the one cost
         // signal known up front), stable within equal sizes so a uniform
         // grid still drains in sweep order. Scheduling order is invisible
         // in every output — results merge at the frontier in cell order.
-        let mut order: Vec<usize> = (0..units.len()).collect();
-        order.sort_by_key(|&u| std::cmp::Reverse(units[u].len()));
+        let mut order: Vec<usize> = (0..units.cells.len()).collect();
+        order.sort_by_key(|&u| std::cmp::Reverse(units.cells[u].len()));
 
         // 4. Stream results: each worker sends a unit's (cell index,
         //    outcome) pairs in one message, and the main thread advances the
@@ -1228,6 +1351,7 @@ impl Orchestrator {
                         keys: &keys,
                         obs: &obs,
                         flight,
+                        deployments: &deployments,
                     };
                     handles.push(scope.spawn(move || {
                         let alive = Instant::now();
@@ -1243,11 +1367,11 @@ impl Orchestrator {
                             stats.batches += 1;
                             stats.steals += u64::from(stats.batches > 1);
                             for &u in &order[batch] {
-                                let unit = &units[u];
+                                let unit = &units.cells[u];
                                 stats.units += 1;
                                 stats.cells += unit.len() as u64;
                                 let busy = Instant::now();
-                                let sent = run_unit(ctx, unit, &tx);
+                                let sent = run_unit(ctx, unit, units.group[u], &tx);
                                 stats.busy_ns += busy.elapsed().as_nanos() as u64;
                                 if sent.is_err() {
                                     break 'steal; // receiver bailed on I/O
@@ -1483,7 +1607,24 @@ mod tests {
                 }
             }
             let want: Vec<Vec<usize>> = want.into_iter().map(|(_, unit)| unit).collect();
-            assert_eq!(spec.probe_units(&pending), want);
+            let units = spec.probe_units(&pending);
+            assert_eq!(units.cells, want);
+            // Each unit's group: its first cell's topology text and seed,
+            // numbered in first-appearance order.
+            let mut groups: Vec<(String, u64)> = Vec::new();
+            let mut want_group = Vec::new();
+            for unit in &want {
+                let cell = &spec.cells()[unit[0]];
+                let id = (format!("{:?}", cell.config.topology_key()), cell.seed);
+                want_group.push(groups.iter().position(|g| *g == id).unwrap_or_else(|| {
+                    groups.push(id);
+                    groups.len() - 1
+                }));
+            }
+            assert_eq!(units.group, want_group);
+            let sizes = (0..groups.len()).map(|g| want_group.iter().filter(|&&u| u == g).count());
+            assert_eq!(units.group_units, sizes.collect::<Vec<_>>());
+            assert!(units.group_units.iter().any(|&n| n > 1));
 
             let report = Orchestrator::new().workers(2).run(&spec).unwrap();
             let all_fps: std::collections::HashSet<String> = spec
@@ -1494,6 +1635,76 @@ mod tests {
             let units: u64 = report.worker_stats.iter().map(|w| w.units).sum();
             assert_eq!(units as usize, all_fps.len());
         }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce() -> Deployment) -> String {
+        let hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        let payload = panic::catch_unwind(AssertUnwindSafe(f)).expect_err("a panic");
+        panic::set_hook(hook);
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted message")
+    }
+
+    #[test]
+    fn a_group_shares_its_deployment_up_to_the_cap() {
+        // Two units in each of cap + 2 groups: the first unit of every
+        // group generates, the first `SHARED_DEPLOYMENTS` groups keep
+        // theirs, and every deployment handed out is the generated one.
+        let groups = SHARED_DEPLOYMENTS + 2;
+        let shared = SharedDeployments::new(&vec![2; groups]);
+        let other_p = SimConfig {
+            attacker_p: 0.9,
+            ..tiny()
+        };
+        let generated = |config: &SimConfig, seed: u64| {
+            format!("{:?}", Deployment::generate(config.clone(), seed))
+        };
+        let held = |shared: &SharedDeployments| -> Vec<bool> {
+            let slots = shared
+                .groups
+                .iter()
+                .map(|g| g.lock().unwrap().held.is_some());
+            slots.collect()
+        };
+        for g in 0..groups {
+            let d = shared.take(g, &tiny(), g as u64);
+            assert_eq!(format!("{d:?}"), generated(&tiny(), g as u64));
+        }
+        assert_eq!(
+            shared.held_total.load(Ordering::Relaxed),
+            SHARED_DEPLOYMENTS
+        );
+        let kept = held(&shared);
+        assert!(
+            kept[..SHARED_DEPLOYMENTS].iter().all(|&k| k)
+                && !kept[SHARED_DEPLOYMENTS..].contains(&true)
+        );
+        for g in 0..groups {
+            let d = shared.take(g, &other_p, g as u64);
+            assert_eq!(format!("{d:?}"), generated(&other_p, g as u64));
+        }
+        assert_eq!(shared.held_total.load(Ordering::Relaxed), 0);
+        assert!(!held(&shared).contains(&true), "the last unit drops it");
+
+        // An invalid config panics as generating it does, whether the
+        // group holds a deployment or not, and the slot the panic
+        // poisoned counts as empty.
+        let invalid = SimConfig {
+            malicious: 20,
+            ..tiny()
+        };
+        let want = panic_message(|| Deployment::generate(invalid.clone(), 1));
+        let shared = SharedDeployments::new(&[3, 3]);
+        shared.take(0, &tiny(), 1);
+        assert_eq!(panic_message(|| shared.take(0, &invalid, 1)), want);
+        assert_eq!(panic_message(|| shared.take(1, &invalid, 1)), want);
+        assert!(shared.groups[1].lock().is_err());
+        let d = shared.take(1, &tiny(), 1);
+        assert_eq!(format!("{d:?}"), generated(&tiny(), 1));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use secloc_obs::{fnv1a, MemorySink, Obs, Value};
 use secloc_sim::cache::RECORD_LEN;
 use secloc_sim::orchestrator::{cell_key, code_version_tag, export_jsonl, CacheInsert, CellKey};
-use secloc_sim::{BinaryCache, Orchestrator, SimConfig, SimOutcome, SweepSpec};
+use secloc_sim::{BinaryCache, Orchestrator, RunOptions, Runner, SimConfig, SimOutcome, SweepSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +53,23 @@ fn policy_grid() -> SweepSpec {
                 tau,
                 tau_prime,
                 ..tiny(0.5)
+            });
+        }
+    }
+    SweepSpec::product(&configs, &[1, 2, 3])
+}
+
+/// τ × p over three seeds: a seed's six cells form two units of three
+/// cells, one per p (one probe fingerprint each), and the two units share
+/// the seed's deployment, the first to run generating it and the other
+/// re-keying it.
+fn tau_p_grid() -> SweepSpec {
+    let mut configs = Vec::new();
+    for tau in [1u32, 2, 3] {
+        for attacker_p in [0.3, 0.7] {
+            configs.push(SimConfig {
+                tau,
+                ..tiny(attacker_p)
             });
         }
     }
@@ -539,6 +556,66 @@ fn multi_cell_units_leave_the_bytes_of_sequential_inserts() {
             dir_bytes(&serial_cache),
             "{label}: cache bytes diverged"
         );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn units_sharing_a_deployment_leave_the_bytes_of_sequential_inserts() {
+    let dir = scratch("tau-p");
+    let spec = tau_p_grid();
+    let fresh: Vec<SimOutcome> = spec
+        .cells()
+        .iter()
+        .map(|c| {
+            Runner::new(c.config.clone(), c.seed)
+                .run(RunOptions::new())
+                .outcome
+        })
+        .collect();
+    let sequential = dir_bytes(&inserted_in_cell_order(&dir, &spec, &fresh));
+    let swept = |label: &str, workers: usize| {
+        let ckpt = dir.join(format!("{label}.ckpt.jsonl"));
+        let cache = dir.join(format!("{label}.cache.bin"));
+        let report = Orchestrator::new()
+            .workers(workers)
+            .checkpoint(&ckpt)
+            .cache(&cache)
+            .run(&spec)
+            .unwrap();
+        assert_eq!(
+            report.outcomes, fresh,
+            "{label}: outcomes differ from fresh runs"
+        );
+        (fs::read(&ckpt).unwrap(), dir_bytes(&cache), report)
+    };
+    let (serial_ckpt, serial_cache, serial) = swept("serial", 1);
+    let units: u64 = serial.worker_stats.iter().map(|w| w.units).sum();
+    assert_eq!((units, serial.executed), (6, spec.len()));
+    assert!(
+        serial_cache == sequential,
+        "shared deployments differ from insert_checked in cell order"
+    );
+    for workers in [2, 4] {
+        let (ckpt, cache, _) = swept(&format!("w{workers}"), workers);
+        assert_eq!(ckpt, serial_ckpt, "checkpoint differs at {workers} workers");
+        assert!(
+            cache == sequential,
+            "cache bytes differ at {workers} workers"
+        );
+    }
+
+    // Kill at every line boundary, losing the cache too: the resume
+    // rewrites both files byte for byte.
+    let lines: Vec<&str> = std::str::from_utf8(&serial_ckpt).unwrap().lines().collect();
+    for keep in 0..=lines.len() {
+        let label = format!("cut-{keep}");
+        let kept: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+        fs::write(dir.join(format!("{label}.ckpt.jsonl")), kept).unwrap();
+        let (ckpt, cache, resumed) = swept(&label, 2);
+        assert_eq!(resumed.resumed, keep.saturating_sub(1), "{label}");
+        assert_eq!(ckpt, serial_ckpt, "{label}: checkpoint diverged");
+        assert!(cache == sequential, "{label}: cache bytes diverged");
     }
     fs::remove_dir_all(&dir).ok();
 }

@@ -40,11 +40,12 @@ fn detection_and_revocation_protect_dvhop() {
     let dv = DvHop::new(170.0);
 
     // --- Baseline vs attacked DV-hop accuracy. -------------------------
-    let honest_err = dv
-        .mean_error(&honest_anchor_positions, &sensors)
-        .expect("dense network localizes");
+    let honest_estimates = dv.localize(&honest_anchor_positions, &sensors);
+    let honest_err =
+        DvHop::mean_error(&honest_estimates, &sensors).expect("dense network localizes");
     let attacked_estimates = dv.localize_with_declared(&anchors_true, &anchors_declared, &sensors);
-    let attacked_err = mean_error(&attacked_estimates, &sensors);
+    let attacked_err =
+        DvHop::mean_error(&attacked_estimates, &sensors).expect("the attacked network localizes");
     assert!(
         attacked_err > honest_err * 2.0,
         "the lie should hurt: {honest_err:.1} -> {attacked_err:.1}"
@@ -82,24 +83,11 @@ fn detection_and_revocation_protect_dvhop() {
     );
 
     // --- Recovery: drop the revoked anchor from the flood set. ---------
-    let recovered_err = dv
-        .mean_error(&honest_anchor_positions, &sensors)
-        .expect("still localizes");
+    let recovered_estimates = dv.localize(&honest_anchor_positions, &sensors);
+    let recovered_err = DvHop::mean_error(&recovered_estimates, &sensors).expect("still localizes");
     assert!(
         recovered_err < attacked_err / 2.0,
         "revocation should restore accuracy: attacked {attacked_err:.1}, recovered {recovered_err:.1}"
     );
     assert!((recovered_err - honest_err).abs() < 1e-9, "full recovery");
-}
-
-fn mean_error(estimates: &[Option<secloc::localization::Estimate>], truths: &[Point2]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (est, truth) in estimates.iter().zip(truths) {
-        if let Some(e) = est {
-            sum += e.position.distance(*truth);
-            n += 1;
-        }
-    }
-    sum / n.max(1) as f64
 }
