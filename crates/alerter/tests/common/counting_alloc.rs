@@ -37,7 +37,7 @@ fn record(grown: i64, counted: bool) {
 
 /// The system allocator, counting every allocation and reallocation made
 /// on the current thread and tracking its live bytes.
-pub struct Counting;
+pub(crate) struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract. Counting touches only const-initialized
@@ -67,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
 
 /// Runs `f` and returns its result with the allocations it made.
 #[allow(dead_code)] // each test binary uses one of the two measures
-pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
@@ -76,7 +76,7 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Runs `f` and returns its result with the most bytes it held live at
 /// once, over what was live when it started.
 #[allow(dead_code)] // each test binary uses one of the two measures
-pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+pub(crate) fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(start));
     let out = f();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 /// The JSONL event stream of a small cold sweep (two seeds, aggressive
 /// attackers, so decisions and revocations are recorded), one line per
 /// event exactly as `sweep --events` writes it.
-pub fn recorded_lines() -> Vec<String> {
+pub(crate) fn recorded_lines() -> Vec<String> {
     let sink = Arc::new(MemorySink::new());
     let config = SimConfig {
         nodes: 250,
@@ -24,7 +24,7 @@ pub fn recorded_lines() -> Vec<String> {
 }
 
 /// The value of the escape-free string member `name` of a line.
-pub fn str_field<'a>(line: &'a str, name: &str) -> &'a str {
+pub(crate) fn str_field<'a>(line: &'a str, name: &str) -> &'a str {
     let key = format!("\"{name}\":\"");
     let start = line
         .find(&key)
@@ -35,7 +35,7 @@ pub fn str_field<'a>(line: &'a str, name: &str) -> &'a str {
 }
 
 /// The first recorded line of each of `kinds`, in that order.
-pub fn first_of_each<'a>(lines: &'a [String], kinds: &[&str]) -> Vec<&'a str> {
+pub(crate) fn first_of_each<'a>(lines: &'a [String], kinds: &[&str]) -> Vec<&'a str> {
     kinds
         .iter()
         .map(|kind| {

@@ -32,7 +32,7 @@ mod oracle {
         str_of(obj.get("cell")).or_else(|| str_of(obj.get("deployment")))
     }
 
-    pub fn parse_line(line: &str) -> Result<WireEvent<'static>, String> {
+    pub(crate) fn parse_line(line: &str) -> Result<WireEvent<'static>, String> {
         let obj = JsonValue::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
         if obj.as_object().is_none() {
             return Err("line is not a JSON object".to_string());

@@ -360,10 +360,11 @@ fn collect_metrics(
         if let Some(v) = number_at(perf, &["sweep_scale", "warm_ckpt_ns_per_cell"]) {
             // The same warm start writing its checkpoint, per cell: lookups
             // plus one encoded line. In full mode the ceiling sits between
-            // the `secloc_obs::num` encoders (695–931 ns on a 2-vCPU VM,
-            // × 1.5 = 1,397) and `core::fmt` (1,410–1,995 ns): a rise past
-            // it means encoding went back to `fmt`. Quick mode's 1,000-cell
-            // pass is too short to tell them apart (1,055–1,070 ns against
+            // the staged encoders (695–931 ns on a 2-vCPU VM, × 1.5 =
+            // 1,397) and formatting every number through `core::fmt`
+            // (1,410–1,995 ns): a rise past it means integers went back to
+            // `fmt` or floats lost their memo. Quick mode's 1,000-cell pass
+            // is too short to tell them apart (1,055–1,070 ns against
             // 1,061–1,755 ns), so there the value is trend-only.
             let quick = perf.get("quick").and_then(JsonValue::as_bool) == Some(true);
             let limit = if quick {

@@ -1,15 +1,14 @@
 //! The revocation protocol state machine (§3.1), pure and I/O-free.
 //!
 //! [`RevocationMachine`] is the *single* implementation of the paper's
-//! base-station τ/τ′ accusation counting in the workspace. `secloc-sim`'s
-//! runner drives one machine per probe stage and
-//! [`reset`](RevocationMachine::reset)s it per finish, and the streaming
-//! `secloc-alerter` service keeps one per deployment; both route every
-//! decision through [`decide`](RevocationMachine::decide), so the
-//! spam/quorum regression suite in `revocation.rs` covers both at once.
-//! `secloc-sim`'s `distributed` module, which has no base station, keeps
-//! its own per-node τ/τ′ counters instead: unlike `decide`, it charges an
-//! alert against an already-blacklisted target to the reporter's budget.
+//! τ/τ′ accusation counting in the workspace. `secloc-sim`'s runner drives
+//! one machine per probe stage and [`reset`](RevocationMachine::reset)s it
+//! per finish, its `distributed` module, which has no base station, runs
+//! one per deployment and resets it per sensor for the local blacklists,
+//! and the streaming `secloc-alerter` service keeps one per deployment;
+//! all three route every decision through
+//! [`decide`](RevocationMachine::decide), so the spam/quorum regression
+//! suite in `revocation.rs` covers them at once.
 //!
 //! The machine is deliberately austere:
 //!
@@ -170,8 +169,8 @@ impl std::error::Error for StateWireError {}
 ///   malicious reporter with budget `τ + 1 ≥ τ′ + 1` (true at the paper's
 ///   `(2, 2)` operating point) could revoke any benign beacon alone and
 ///   the bound would collapse to revoking `τ + 1` ≈ everything it aims at.
-///   The distributed scheme (`secloc-sim`'s `distributed` module) counts
-///   distinct accusers too.
+///   The distributed scheme (`secloc-sim`'s `distributed` module) decides
+///   through this machine too, so its sensors count distinct accusers.
 /// - **Revoked reporters are still heard.** The budget check comes first
 ///   and nothing else filters the reporter, exactly as the paper orders
 ///   it: revoking a detector must not silence it, or colluders would spend

@@ -170,7 +170,7 @@ mod tests {
     /// one unit of its `τ + 1` budget.
     mod secloc_attack_stub {
         use super::*;
-        pub fn alerts(
+        pub(crate) fn alerts(
             colluders: &[NodeId],
             victims: &[NodeId],
             tau: u32,

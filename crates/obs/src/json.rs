@@ -18,7 +18,6 @@
 //! validating nested values in a skip mode. Both accept exactly the same
 //! documents and fail with the same [`JsonError`].
 
-use crate::num::push_f64;
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
@@ -48,9 +47,9 @@ pub fn push_json_string(out: &mut String, s: &str) {
 /// cannot represent, are emitted as `null`.
 pub fn push_json_f64(out: &mut String, value: f64) {
     if value.is_finite() {
-        // The shortest string that parses back to the same bits, byte for
-        // byte what `Display` prints, so encode → decode is lossless.
-        push_f64(out, value);
+        // `Display` prints the shortest string that parses back to the
+        // same bits, so encode → decode is lossless.
+        let _ = write!(out, "{value}");
     } else {
         out.push_str("null");
     }

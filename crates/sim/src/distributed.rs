@@ -9,7 +9,8 @@
 //!    their alerts instead of unicasting them to a base station;
 //! 2. alerts flood through the beacon overlay for a bounded number of
 //!    hops (`gossip_hops`);
-//! 3. every node applies the §3 counters *locally*: at most `τ + 1`
+//! 3. every sensor runs the §3 counters *locally*, through the same
+//!    [`RevocationMachine`] the base station uses: at most `τ + 1`
 //!    accepted alerts per reporter, blacklist a target once its distinct
 //!    accepted alerts exceed `τ′`.
 //!
@@ -24,6 +25,7 @@ use crate::deploy::subseed;
 use crate::{Deployment, NodeKind, ProbeContext, ProbeFaults};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use secloc_core::{RevocationConfig, RevocationMachine};
 use secloc_crypto::NodeId;
 use secloc_obs::Obs;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -166,35 +168,18 @@ pub fn run_distributed(
     }
 
     // ---- Phase 3: local counters at every sensor. ----------------------
-    // blacklist[sensor] = set of beacons it revoked locally.
-    let mut blacklists: HashMap<u32, HashSet<u32>> = HashMap::new();
-    for (&node, node_alerts) in &heard_by {
-        if node < cfg.beacons {
-            continue; // beacons keep lists too, but the metrics are sensor-side
-        }
-        let mut report_counter: HashMap<u32, u32> = HashMap::new();
-        let mut accusers: HashMap<u32, HashSet<u32>> = HashMap::new();
-        // Deterministic processing order keeps runs reproducible.
-        let mut sorted = node_alerts.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for (reporter, target) in sorted {
-            let spent = report_counter.entry(reporter).or_insert(0);
-            if *spent > config.tau {
-                continue;
-            }
-            *spent += 1;
-            accusers.entry(target).or_default().insert(reporter);
-        }
-        let local: HashSet<u32> = accusers
-            .into_iter()
-            .filter(|(_, who)| who.len() as u32 > config.tau_prime)
-            .map(|(t, _)| t)
-            .collect();
-        if !local.is_empty() {
-            blacklists.insert(node, local);
-        }
-    }
+    // blacklist[sensor] = the beacons it revoked locally, sorted. Beacons
+    // keep lists too, but the metrics are sensor-side.
+    let policy = RevocationConfig {
+        tau: config.tau,
+        tau_prime: config.tau_prime,
+    };
+    let mut machine = RevocationMachine::with_nodes(policy, cfg.beacons as usize);
+    let blacklists: HashMap<u32, Vec<NodeId>> = heard_by
+        .into_iter()
+        .filter(|&(node, _)| node >= cfg.beacons)
+        .map(|(node, heard)| (node, local_blacklist(&mut machine, policy, heard)))
+        .collect();
 
     // ---- Phase 4: neighbourhood metrics. --------------------------------
     let sensor_neighbours = |b: u32| -> Vec<u32> {
@@ -207,7 +192,7 @@ pub fn run_distributed(
     let blacklisted = |sensor: u32, beacon: u32| -> bool {
         blacklists
             .get(&sensor)
-            .is_some_and(|set| set.contains(&beacon))
+            .is_some_and(|list| list.binary_search(&NodeId(beacon)).is_ok())
     };
     let neighbourhood_rate = |beacons: &[u32]| -> f64 {
         let mut total = 0.0;
@@ -258,6 +243,24 @@ pub fn run_distributed(
     }
 }
 
+/// Phase 3 at one sensor: feeds the `(reporter, target)` alerts it heard,
+/// sorted and deduplicated so the result is reproducible, through
+/// `machine` reset to `policy`, and returns the beacons it blacklists,
+/// sorted by ID.
+fn local_blacklist(
+    machine: &mut RevocationMachine,
+    policy: RevocationConfig,
+    mut heard: Vec<(u32, u32)>,
+) -> Vec<NodeId> {
+    machine.reset(policy);
+    heard.sort_unstable();
+    heard.dedup();
+    for (reporter, target) in heard {
+        machine.decide(NodeId(reporter), NodeId(target));
+    }
+    machine.revoked_nodes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +275,30 @@ mod tests {
             },
             seed,
         )
+    }
+
+    #[test]
+    fn an_alert_against_a_blacklisted_target_spends_no_budget() {
+        // At τ = τ′ = 0 the first accepted alert revokes its target and
+        // spends its reporter's whole budget. Reporter 2's alert against
+        // the already revoked 5 is ignored at no cost, so its budget is
+        // still there for 9.
+        let policy = RevocationConfig {
+            tau: 0,
+            tau_prime: 0,
+        };
+        let mut machine = RevocationMachine::with_nodes(policy, 10);
+        assert_eq!(
+            local_blacklist(&mut machine, policy, vec![(1, 5), (2, 5), (2, 9)]),
+            [NodeId(5), NodeId(9)]
+        );
+        // The machine is reset per sensor: a second sensor's list owes
+        // nothing to the first's.
+        assert_eq!(
+            local_blacklist(&mut machine, policy, vec![(3, 9)]),
+            [NodeId(9)]
+        );
+        assert!(local_blacklist(&mut machine, policy, Vec::new()).is_empty());
     }
 
     #[test]

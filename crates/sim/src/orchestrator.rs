@@ -49,7 +49,7 @@
 use crate::cache::{BinaryCache, READ_BATCH};
 use crate::{Deployment, RunOptions, Runner, SimConfig, SimOutcome};
 use secloc_obs::json::{push_json_string, JsonValue};
-use secloc_obs::num::{hex16, push_f64_bytes, push_hex16, u64_digits};
+use secloc_obs::num::{hex16, push_hex16, u64_digits};
 use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext, Value};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -642,7 +642,7 @@ impl FloatTexts {
             return;
         }
         let start = out.len();
-        push_f64_bytes(out, v);
+        let _ = write!(out, "{v}");
         let text = &out[start..];
         if text.len() <= FLOAT_TEXT {
             slot.bits = bits;
@@ -659,7 +659,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Appends the fixed-field-order JSON object for one [`SimOutcome`] to
 /// `s`; the byte-identity guarantees of the checkpoint stream rest on this
-/// order never varying at runtime. Numbers go through `secloc_obs::num`,
+/// order never varying at runtime. Integers go through `secloc_obs::num`,
 /// byte-identical to `Display`, and floats through `texts`; an absent
 /// error, like a non-finite float, is `null`.
 fn encode_outcome(o: &SimOutcome, s: &mut Vec<u8>, texts: &mut FloatTexts) {
