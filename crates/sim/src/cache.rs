@@ -177,7 +177,7 @@ fn get_u64(buf: &[u8], at: usize) -> u64 {
 }
 
 /// Encodes one outcome as a fixed-width record.
-fn encode_record(key: CellKey, o: &SimOutcome) -> [u8; RECORD_LEN] {
+pub(crate) fn encode_record(key: CellKey, o: &SimOutcome) -> [u8; RECORD_LEN] {
     let mut buf = [0u8; RECORD_LEN];
     buf[0..4].copy_from_slice(&(RECORD_LEN as u32).to_le_bytes());
     buf[4..8].copy_from_slice(&RECORD_MAGIC.to_le_bytes());
@@ -364,6 +364,10 @@ struct Staged {
     /// table kept at most half full (`UNSEEN` marks a free entry).
     seen: Vec<u32>,
 }
+
+/// One entry of an append: a key, its outcome and, when the caller
+/// encoded it already, its record.
+pub(crate) type Entry<'a> = (CellKey, &'a SimOutcome, Option<&'a [u8; RECORD_LEN]>);
 
 /// A free entry of [`Staged::seen`].
 const UNSEEN: u32 = u32::MAX;
@@ -907,13 +911,15 @@ impl BinaryCache {
     /// the existing entry wins.
     pub fn insert_checked(&mut self, key: CellKey, outcome: SimOutcome) -> io::Result<CacheInsert> {
         let mut inserted = CacheInsert::Inserted;
-        self.append([(key, &outcome)], |_, verdict| inserted = verdict)?;
+        self.append([(key, &outcome, None)], |_, verdict| inserted = verdict)?;
         Ok(inserted)
     }
 
     /// Records a batch of entries as [`BinaryCache::insert_checked`] of
     /// each in turn would, byte for byte, calling `verdict(position,
-    /// verdict)` for each entry in batch order before it is written. A key
+    /// verdict)` for each entry in batch order before it is written. An
+    /// entry may bring its record, `encode_record`'s bytes for its key and
+    /// outcome, encoded earlier; the others are encoded here. A key
     /// repeated in the batch is checked against its first copy, as a later
     /// insert would be against the cache, and appends no record. Each
     /// [`APPEND_CHUNK`] of new records goes out in one positioned write per
@@ -923,7 +929,7 @@ impl BinaryCache {
     /// one by one grows it, so the slot table's bytes are theirs too.
     pub(crate) fn append<'a>(
         &mut self,
-        entries: impl IntoIterator<Item = (CellKey, &'a SimOutcome)>,
+        entries: impl IntoIterator<Item = Entry<'a>>,
         mut verdict: impl FnMut(usize, CacheInsert),
     ) -> io::Result<()> {
         let mut entries = entries.into_iter().enumerate().peekable();
@@ -944,11 +950,11 @@ impl BinaryCache {
     fn stage<'a>(
         &self,
         staged: &mut Staged,
-        entries: &mut impl Iterator<Item = (usize, (CellKey, &'a SimOutcome))>,
+        entries: &mut impl Iterator<Item = (usize, Entry<'a>)>,
         verdict: &mut impl FnMut(usize, CacheInsert),
     ) -> io::Result<()> {
         staged.clear(self.shards.len());
-        for (position, (key, outcome)) in entries {
+        for (position, (key, outcome, record)) in entries {
             let existing = match staged.seen[staged.find(key)] {
                 UNSEEN => self.get(key)?,
                 i => {
@@ -966,7 +972,10 @@ impl BinaryCache {
                         let shard = self.shard_of(key);
                         let staged_len = staged.records[shard as usize].len() as u64;
                         let offset = self.shard_lens[shard as usize] + staged_len;
-                        staged.push(key, shard, offset, &encode_record(key, outcome));
+                        let record = record
+                            .copied()
+                            .unwrap_or_else(|| encode_record(key, outcome));
+                        staged.push(key, shard, offset, &record);
                         CacheInsert::Inserted
                     }
                 },
@@ -1171,9 +1180,10 @@ mod tests {
                 .collect();
             let mut got = Vec::new();
             appended
-                .append(batch.iter().map(|(k, o)| (*k, o)), |position, verdict| {
-                    got.push((position, verdict))
-                })
+                .append(
+                    batch.iter().map(|(k, o)| (*k, o, None)),
+                    |position, verdict| got.push((position, verdict)),
+                )
                 .unwrap();
             let got: Vec<CacheInsert> = got
                 .iter()
@@ -1230,7 +1240,7 @@ mod tests {
             .collect();
         let before = writes_so_far();
         cache
-            .append(entries.iter().map(|(k, o)| (*k, o)), |_, verdict| {
+            .append(entries.iter().map(|(k, o)| (*k, o, None)), |_, verdict| {
                 assert_eq!(verdict, CacheInsert::Inserted)
             })
             .unwrap();
@@ -1254,7 +1264,7 @@ mod tests {
         let mut cache = BinaryCache::open(&dir, 8193).unwrap();
         let held: Vec<(CellKey, SimOutcome)> = (0..300).map(|i| (key(i), outcome(i))).collect();
         cache
-            .append(held.iter().map(|(k, o)| (*k, o)), |_, _| {})
+            .append(held.iter().map(|(k, o)| (*k, o, None)), |_, _| {})
             .unwrap();
         let (shard, offset) = cache.probe(key(7)).unwrap();
         let garbage = [0xAB; 4];
@@ -1277,7 +1287,7 @@ mod tests {
             .map(|i| (key(i), outcome(i)))
             .collect();
         assert!(cache
-            .append(fresh.iter().map(|(k, o)| (*k, o)), |_, _| {})
+            .append(fresh.iter().map(|(k, o)| (*k, o, None)), |_, _| {})
             .is_err());
         let file = fs::read(dir.join("index.bin")).unwrap();
         let (header, slots) = file.split_at(HEADER_LEN as usize);
@@ -1333,7 +1343,7 @@ mod tests {
                     .map(|i| (key(i), outcome(i)))
                     .collect::<Vec<_>>()
                     .iter()
-                    .map(|(k, o)| (*k, o)),
+                    .map(|(k, o)| (*k, o, None)),
                 |_, _| {},
             )
             .unwrap();

@@ -1,5 +1,6 @@
 //! Deployment: positions, roles and adversary placement.
 
+use crate::runner::ProbeSchedules;
 use crate::SimConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -8,7 +9,8 @@ use secloc_attack::{BeaconStrategy, CompromisedBeacon, Wormhole};
 use secloc_crypto::{prf, IdSpace, NodeId};
 use secloc_geometry::{deploy, Field, GridIndex, Point2, Vector2};
 use secloc_radio::Cycles;
-use std::sync::Arc;
+use std::mem::size_of;
+use std::sync::{Arc, OnceLock};
 
 /// What a deployed node is (omniscient view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +46,10 @@ pub struct Deployment {
 
 /// The placement-determined half of a deployment: node positions (inside
 /// the spatial index), roles, the malicious subset with its lie angles,
-/// the wormhole geometry and the audible graph. Immutable once built, and
-/// shared behind an `Arc` by every policy variant of the same
-/// `(topology_key, seed)` cell.
+/// the wormhole geometry, the audible graph and the probe schedules.
+/// Immutable once built, save that its first probe stage draws the
+/// schedules, and shared behind an `Arc` by every policy variant of the
+/// same `(topology_key, seed)` cell.
 #[derive(Debug)]
 pub(crate) struct Topology {
     pub(crate) index: GridIndex,
@@ -67,6 +70,8 @@ pub(crate) struct Topology {
     wormhole: Option<Wormhole>,
     seed: u64,
     audible: AudibleGraph,
+    // Drawn by the first probe stage on any deployment of this topology.
+    schedules: OnceLock<ProbeSchedules>,
 }
 
 /// Every node's audible-beacon list in CSR form — direct neighbours
@@ -224,6 +229,7 @@ impl Deployment {
             wormhole,
             seed,
             audible,
+            schedules: OnceLock::new(),
         });
         let compromised = compromised_table(&topology, &config);
         Ok(Self::from_parts(topology, compromised, config))
@@ -371,6 +377,33 @@ impl Deployment {
     /// [`secloc_localization::MmseScratch`] with.
     pub fn max_audible_len(&self) -> usize {
         self.topology.audible.max_len
+    }
+
+    /// The topology's probe schedules (see [`ProbeSchedules`]), drawn on
+    /// first use and shared by every deployment re-keyed from it.
+    pub(crate) fn probe_schedules(&self) -> &ProbeSchedules {
+        self.topology
+            .schedules
+            .get_or_init(|| ProbeSchedules::draw(self))
+    }
+
+    /// What holding this deployment costs: the heap bytes its topology's
+    /// vectors hold, counted by length, its probe schedules included
+    /// whether drawn yet or not, plus its compromised-beacon table.
+    pub(crate) fn held_bytes(&self) -> usize {
+        let t = &*self.topology;
+        let positions = t.index.len();
+        let g = &t.audible;
+        // The spatial index keeps every position and each node's id in
+        // its bucket; its bucket headers are not counted.
+        positions * (size_of::<Point2>() + size_of::<u32>())
+            + t.wormhole_exits.len() * size_of::<(u32, Point2)>()
+            + t.kinds.len() * size_of::<NodeKind>()
+            + (t.malicious_set.len() + t.malicious_ascending.len()) * size_of::<u32>()
+            + t.lie_angles.len() * size_of::<f64>()
+            + (g.offsets.len() + g.targets.len()) * size_of::<u32>()
+            + ProbeSchedules::heap_bytes(self)
+            + self.compromised.len() * size_of::<Option<CompromisedBeacon>>()
     }
 
     /// The malicious beacons, ascending: `beacons_of_kind(MaliciousBeacon)`

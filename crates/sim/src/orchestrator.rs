@@ -46,7 +46,7 @@
 //! assert_eq!(report.outcomes.len(), 3);
 //! ```
 
-use crate::cache::{BinaryCache, READ_BATCH};
+use crate::cache::{encode_record, BinaryCache, READ_BATCH, RECORD_LEN};
 use crate::{Deployment, RunOptions, Runner, SimConfig, SimOutcome};
 use secloc_obs::json::{push_json_string, JsonValue};
 use secloc_obs::num::{hex16, push_hex16, u64_digits};
@@ -54,6 +54,7 @@ use secloc_obs::{EventSink, FanoutSink, FlightRecorder, Fnv1a, Obs, SpanContext,
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::fs;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{self, Write as _};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -164,25 +165,124 @@ fn grid_key(keys: &[CellKey]) -> CellKey {
     CellKey(h.finish())
 }
 
-/// The grouping key for probe-stage sharing, less the seed: two cells
-/// with equal strings *and* equal seeds replay identical detection +
-/// location phases (phases 1–2), so one [`Runner::probe_stage`] serves
-/// both. It is the topology key's `Debug` text `topology` (which with the
-/// seed fixes the deployment and every placement RNG stream) plus the
-/// policy knobs that reach the probe/localization phases — everything
-/// *outside* this string (τ, τ′, collusion, alert loss/retransmissions) is
-/// consumed only by the revocation and impact phases re-run per cell.
-fn probe_fingerprint(topology: &str, config: &SimConfig) -> String {
-    format!(
-        "{topology};max_ranging_error_ft={:?};detecting_ids={:?};\
-         wormhole_detection_rate={:?};attacker_p={:?};lie_offset_ft={:?}",
-        config.max_ranging_error_ft,
-        config.detecting_ids,
-        config.wormhole_detection_rate,
-        config.attacker_p,
-        config.lie_offset_ft,
-    )
+/// A float's bits as its `Debug` text tells floats apart: the text is
+/// the shortest that round-trips, so distinct bits print differently,
+/// except that every NaN prints `NaN`.
+fn text_bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
 }
+
+/// A config's topology key as its `Debug` text identifies it, without
+/// formatting the text: two keys print the same text exactly when their
+/// ids are equal. Counts compare as numbers and floats by [`text_bits`];
+/// a fault plan that injects something is compared by its text, which is
+/// formatted only then (every empty plan prints the same text).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct TopologyId {
+    counts: [u32; 3],
+    floats: [u64; 2],
+    wormhole: Option<[u64; 4]>,
+    faults: Option<String>,
+}
+
+impl TopologyId {
+    fn of(config: &SimConfig) -> Self {
+        // Exhaustive, so a new topology field cannot be left out.
+        let crate::config::TopologyKey {
+            nodes,
+            beacons,
+            malicious,
+            field_side_ft,
+            range_ft,
+            wormhole,
+            faults,
+        } = config.topology_key();
+        TopologyId {
+            counts: [nodes, beacons, malicious],
+            floats: [text_bits(field_side_ft), text_bits(range_ft)],
+            wormhole: wormhole.map(|(a, b)| [a.x, a.y, b.x, b.y].map(text_bits)),
+            faults: (!faults.is_empty()).then(|| format!("{faults:?}")),
+        }
+    }
+}
+
+/// The grouping key for probe-stage sharing, less the seed: two cells
+/// with equal ids *and* equal seeds replay identical detection + location
+/// phases (phases 1–2), so one [`Runner::probe_stage`] serves both. It is
+/// the config's interned [`TopologyId`] (which with the seed fixes the
+/// deployment and every placement RNG stream) plus the policy knobs that
+/// reach the probe/localization phases, compared as their `Debug` texts
+/// would be — everything else (τ, τ′, collusion, alert
+/// loss/retransmissions) is consumed only by the revocation and impact
+/// phases re-run per cell.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ProbeId {
+    topology: usize,
+    detecting_ids: u32,
+    /// ε_max, p_d, `attacker_p` and `lie_offset_ft`.
+    floats: [u64; 4],
+}
+
+impl ProbeId {
+    fn of(topology: usize, config: &SimConfig) -> Self {
+        ProbeId {
+            topology,
+            detecting_ids: config.detecting_ids,
+            floats: [
+                config.max_ranging_error_ft,
+                config.wormhole_detection_rate,
+                config.attacker_p,
+                config.lie_offset_ft,
+            ]
+            .map(text_bits),
+        }
+    }
+}
+
+/// A multiply-rotate hasher (FxHash's) for the maps `probe_units` probes
+/// once per cell. Their keys come from the sweep spec, so SipHash's
+/// resistance to chosen keys buys nothing, at several times the cost.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map hashed by [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A telemetry facade scoped to one cell: every event carries the cell's
 /// trace id (the cell key) plus the standard `cell` / `seed` fields, so a
@@ -201,15 +301,16 @@ fn cell_scope(obs: &Obs, key: CellKey, seed: u64) -> Obs {
     )
 }
 
-/// Deployments held at once for units of their `(topology, seed)` group
-/// that have yet to run. A cold grid's units run P-major (one P value
-/// over every seed, then the next), so a group's second unit starts after
-/// one unit of every other seed's group: 40 groups in the benchmark's
-/// `scale_cold` op, 20 in its `alerter_replay` recording. A paper-scale
-/// deployment (1000 nodes, ~7,000 audible pairs) holds about 60 KB of
-/// positions, grid buckets and audible lists, so the held set stays near
-/// 4 MB.
-const SHARED_DEPLOYMENTS: usize = 64;
+/// The bytes of deployments held at once, as [`Deployment::held_bytes`]
+/// counts them, for units of their `(topology, seed)` group that have yet
+/// to run. A cold grid's units run P-major (one P value over every seed,
+/// then the next), so every seed's group stays open until its last P
+/// value runs: 40 groups in the benchmark's `scale_cold` op, 20 in its
+/// `alerter_replay` recording. A `scale_cold` deployment (120 nodes)
+/// holds about 6 KB, so a grid of up to about 1,400 such seeds shares
+/// every group; a paper-scale one (1000 nodes, ~7,000 audible pairs, and
+/// the probe schedules over them) about 165 KB, so about 50 are held.
+const SHARED_BYTES: usize = 8 << 20;
 
 /// One `(topology, seed)` group's deployment, while units of the group
 /// are yet to take it.
@@ -223,17 +324,17 @@ struct GroupSlot {
 
 /// The deployments the units of one `(topology, seed)` group share — in
 /// a grid, the units along the P axis. The first unit of a group to run
-/// generates the deployment and, while fewer than
-/// [`SHARED_DEPLOYMENTS`] are held, keeps it for the others, which re-key
-/// it; the group's last unit drops it. Past the cap a unit generates its
-/// own. Every route yields the deployment `Deployment::generate` would,
-/// bit for bit (`with_policy`'s invariant), so sharing is invisible in
-/// every output.
+/// generates the deployment and, while the deployments held stay within
+/// [`SHARED_BYTES`], keeps it for the others, which re-key it; the
+/// group's last unit drops it. Past the budget a unit generates its own.
+/// Every route yields the deployment `Deployment::generate` would, bit
+/// for bit (`with_policy`'s invariant), so sharing is invisible in every
+/// output.
 struct SharedDeployments {
     groups: Vec<Mutex<GroupSlot>>,
-    /// Deployments held over all groups. It publishes nothing (each
-    /// deployment moves under its group's lock), so it is `Relaxed`.
-    held_total: AtomicUsize,
+    /// Bytes held over all groups. It publishes nothing (each deployment
+    /// moves under its group's lock), so it is `Relaxed`.
+    held_bytes: AtomicUsize,
 }
 
 impl SharedDeployments {
@@ -243,7 +344,7 @@ impl SharedDeployments {
                 .iter()
                 .map(|&left| Mutex::new(GroupSlot { held: None, left }))
                 .collect(),
-            held_total: AtomicUsize::new(0),
+            held_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -263,8 +364,9 @@ impl SharedDeployments {
         if let Some(held) = &slot.held {
             let rekeyed = held.with_policy(config.clone());
             if last {
+                self.held_bytes
+                    .fetch_sub(held.held_bytes(), Ordering::Relaxed);
                 slot.held = None;
-                self.held_total.fetch_sub(1, Ordering::Relaxed);
             }
             drop(slot);
             // Only an invalid config fails the re-key; generating it
@@ -272,10 +374,11 @@ impl SharedDeployments {
             return rekeyed.unwrap_or_else(|_| generate());
         }
         let deployment = generate();
-        let room = |held: usize| (held < SHARED_DEPLOYMENTS).then_some(held + 1);
+        let bytes = deployment.held_bytes();
+        let room = |held: usize| (held + bytes <= SHARED_BYTES).then_some(held + bytes);
         if !last
             && self
-                .held_total
+                .held_bytes
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, room)
                 .is_ok()
         {
@@ -363,8 +466,9 @@ impl Drop for Handover<'_> {
 /// over `tx` in one message when it ends. The unit takes its deployment
 /// from its `(topology, seed)` group `group` ([`SharedDeployments`]).
 /// Multi-cell units snapshot the probe stage once and replay only the
-/// revocation/impact phases per cell; the outcomes are bit-identical to
-/// fresh per-cell runs (see `Runner`'s staging tests and
+/// revocation/impact phases per cell, each on the unit's deployment under
+/// the cell's own config; the outcomes are bit-identical to fresh
+/// per-cell runs (see `Runner`'s staging tests and
 /// `tests/equivalence.rs`). Telemetry classifies each executed cell as
 /// `cache=miss` (paid a probe stage) or `cache=memo` (replayed a shared
 /// stage). `Err` means the receiver hung up.
@@ -405,14 +509,14 @@ fn run_unit(
             })
         } else {
             ctx.run_cell(i, "memo", |cell_obs| {
-                // The unit's cells share a topology key, so only an
-                // invalid config fails the re-key, and it panics here as a
-                // plain run would.
-                let rekeyed = base
-                    .deployment()
-                    .with_policy(cells[i].config.clone())
-                    .unwrap_or_else(|e| panic!("invalid SimConfig: {e}"));
-                Runner::from_deployment(rekeyed).finish_from_stage_observed(&stage, cell_obs)
+                // The unit's cells share a topology key, so the cell
+                // finishes on the unit's deployment under its own knobs.
+                // An invalid config panics here as a plain run would.
+                let config = &cells[i].config;
+                if let Err(e) = config.validate() {
+                    panic!("invalid SimConfig: {e}");
+                }
+                base.finish_phases(cell_obs, &stage, config)
             })
         };
         done.cells.push((i, outcome));
@@ -515,16 +619,15 @@ impl SweepSpec {
     }
 
     /// Folds the `pending` cells (ascending indices) into probe-sharing
-    /// units: cells with equal [`probe_fingerprint`]s and equal seeds,
-    /// in first-appearance order, each unit in the deployment group of
-    /// its topology key's `Debug` text and seed. Topology texts and
-    /// fingerprints are formatted once per config run that has a pending
-    /// cell and interned to ids.
+    /// units: cells with equal [`ProbeId`]s and equal seeds, in
+    /// first-appearance order, each unit in the deployment group of its
+    /// [`TopologyId`] and seed. Both ids are built once per config run
+    /// that has a pending cell and interned.
     fn probe_units(&self, pending: &[usize]) -> Units {
-        let mut topology_ids: HashMap<String, usize> = HashMap::new();
-        let mut fingerprint_ids: HashMap<String, usize> = HashMap::new();
-        let mut unit_of: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut topology_ids: IdMap<TopologyId, usize> = IdMap::default();
+        let mut probe_ids: IdMap<ProbeId, usize> = IdMap::default();
+        let mut unit_of: IdMap<(usize, u64), usize> = IdMap::default();
+        let mut group_of: IdMap<(usize, u64), usize> = IdMap::default();
         let mut units = Units::default();
         let mut rest = pending;
         for run in self.config_runs() {
@@ -533,13 +636,14 @@ impl SweepSpec {
                 continue;
             }
             let config = &self.cells[run.start].config;
-            let topology = format!("{:?}", config.topology_key());
-            let next_id = fingerprint_ids.len();
-            let id = *fingerprint_ids
-                .entry(probe_fingerprint(&topology, config))
-                .or_insert(next_id);
             let next_id = topology_ids.len();
-            let topology_id = *topology_ids.entry(topology).or_insert(next_id);
+            let topology_id = *topology_ids
+                .entry(TopologyId::of(config))
+                .or_insert(next_id);
+            let next_id = probe_ids.len();
+            let id = *probe_ids
+                .entry(ProbeId::of(topology_id, config))
+                .or_insert(next_id);
             for &i in &rest[..in_run] {
                 let seed = self.cells[i].seed;
                 let unit = *unit_of.entry((id, seed)).or_insert_with(|| {
@@ -753,6 +857,120 @@ const CHECKPOINT_VERSION: u32 = 1;
 /// at the end of every frontier advance), so a sweep resolving thousands
 /// of cells at once — a warm start — never holds its whole body.
 const CHECKPOINT_CHUNK: usize = 64 * 1024;
+
+/// Consecutive cells whose encodings share a block.
+const AHEAD_SPAN: usize = if cfg!(test) { 4 } else { 128 };
+
+/// A block's capacity: [`AHEAD_SPAN`] cells of 640 bytes, a line of up to
+/// 520 (a `scale_cold` line takes 330–412) and its record. A block holding
+/// longer lines grows. At 80 KiB it stays under glibc's default 128 KiB
+/// mmap threshold: freeing a mapping of several MB would raise the
+/// threshold, and later multi-MB allocations (the next sweep's cell list)
+/// would come from the heap instead, at a cost that depends on what the
+/// heap holds.
+const AHEAD_BLOCK: usize = AHEAD_SPAN * 640;
+
+/// The most bytes of blocks a sweep holds for cells encoded ahead of its
+/// frontier. A P-major cold grid's frontier stalls until its last P
+/// value's units arrive: the 4,801 cells of a `scale_cold` op that land
+/// past it take 39 blocks, 3.1 MB. Tests shrink it to three blocks, so that
+/// their grids run cells on both sides of it.
+const AHEAD_BYTES: usize = if cfg!(test) { 3 * AHEAD_BLOCK } else { 8 << 20 };
+
+/// The checkpoint lines and cache records of cells that arrived ahead of
+/// the frontier, encoded on arrival while the workers still run, so that
+/// the advance reaching them only copies their bytes out. A cell's bytes
+/// are its line (when the sweep checkpoints) then its record (when it
+/// caches). They go into the block of its [`AHEAD_SPAN`] cells, in
+/// arrival order within the block, so an advance reads them block by
+/// block in cell order. A cell whose block cannot be had within
+/// [`AHEAD_BYTES`] is encoded by its advance, as every cell is without
+/// this buffer. A block goes back to the spares once the frontier has
+/// passed all of its cells.
+struct Ahead {
+    /// Whether a cell's bytes end with its cache record.
+    records: bool,
+    /// Block `b` holds cells `b * AHEAD_SPAN ..` that were encoded ahead.
+    blocks: Vec<Option<Vec<u8>>>,
+    /// Emptied blocks, for reuse.
+    spares: Vec<Vec<u8>>,
+    /// Blocks allocated, in use or spare.
+    allocated: usize,
+    /// Each cell's bytes as `(start in its block, line length)`.
+    spans: Vec<Option<(u32, u32)>>,
+    /// Cells encoded ahead over the run.
+    encoded: usize,
+}
+
+impl Ahead {
+    fn new(cells: usize, records: bool) -> Self {
+        Ahead {
+            records,
+            blocks: (0..cells.div_ceil(AHEAD_SPAN)).map(|_| None).collect(),
+            spares: Vec::new(),
+            allocated: 0,
+            spans: vec![None; cells],
+            encoded: 0,
+        }
+    }
+
+    /// Encodes cell `i` into its block — the line `line` writes, then its
+    /// record when the sweep caches — unless the block cannot be had.
+    fn encode(
+        &mut self,
+        i: usize,
+        line: impl FnOnce(&mut Vec<u8>),
+        record: impl FnOnce() -> [u8; RECORD_LEN],
+    ) {
+        let slot = &mut self.blocks[i / AHEAD_SPAN];
+        if slot.is_none() {
+            *slot = self.spares.pop().or_else(|| {
+                (self.allocated < AHEAD_BYTES / AHEAD_BLOCK).then(|| {
+                    self.allocated += 1;
+                    Vec::with_capacity(AHEAD_BLOCK)
+                })
+            });
+        }
+        let Some(block) = slot else {
+            return;
+        };
+        let start = block.len();
+        line(block);
+        let line_len = block.len() - start;
+        if self.records {
+            block.extend_from_slice(&record());
+        }
+        self.spans[i] = Some((start as u32, line_len as u32));
+        self.encoded += 1;
+    }
+
+    /// Cell `i`'s line and record bytes, when it was encoded ahead.
+    fn get(&self, i: usize) -> Option<(&[u8], &[u8])> {
+        let (start, line) = self.spans[i]?;
+        let block = self.blocks[i / AHEAD_SPAN].as_deref()?;
+        let (line, rest) = block[start as usize..].split_at(line as usize);
+        Some((line, &rest[..if self.records { RECORD_LEN } else { 0 }]))
+    }
+
+    /// Cell `i`'s record, when it was encoded ahead.
+    fn record(&self, i: usize) -> Option<&[u8; RECORD_LEN]> {
+        self.get(i)?.1.try_into().ok()
+    }
+
+    /// Forgets the cells of `advanced`, which an advance has read back,
+    /// and returns to the spares the blocks whose cells all lie before its
+    /// end.
+    fn release(&mut self, advanced: Range<usize>) {
+        self.spans[advanced.clone()].fill(None);
+        let passed = advanced.start / AHEAD_SPAN..advanced.end / AHEAD_SPAN;
+        for slot in &mut self.blocks[passed] {
+            if let Some(mut block) = slot.take() {
+                block.clear();
+                self.spares.push(block);
+            }
+        }
+    }
+}
 
 /// The checkpoint's first line. The tag is a JSON string, escaped, so any
 /// tag keeps the line valid JSON.
@@ -1032,7 +1250,10 @@ impl Orchestrator {
     }
 
     /// Reports progress on `obs`: counters `sweep.cells_{total,resumed,
-    /// cached,executed,done}` and `sweep.steal_batches`, gauges
+    /// cached,executed,done}`, `sweep.cells_encoded_ahead` (cells whose
+    /// checkpoint line and cache record were encoded as they arrived, past
+    /// the frontier, rather than by the advance writing them) and
+    /// `sweep.steal_batches`, gauges
     /// `sweep.workers` (pool spawned), `sweep.workers_used` (workers that
     /// ran ≥ 1 unit), `sweep.cache_shards` and `sweep.cells_per_sec`,
     /// plus `sweep.start` / `sweep.worker` / `sweep.end` events.
@@ -1219,6 +1440,10 @@ impl Orchestrator {
         // Staged checkpoint lines: one reused buffer, bounded by the chunk
         // size plus a line, however far one advance reaches.
         let mut lines = Vec::new();
+        // With cells to run and anything to write, cells that arrive past
+        // the frontier are encoded as they arrive.
+        let mut ahead = (!pending.is_empty() && (checkpoint_file.is_some() || cache.is_some()))
+            .then(|| Ahead::new(spec.len(), cache.is_some()));
         let mut frontier = 0usize; // next cell whose line is unwritten
 
         // A checkpointed run reports one `checkpoint.advance` per cell
@@ -1233,7 +1458,9 @@ impl Orchestrator {
         let in_cache = &in_cache;
         let mut flush_frontier = |results: &[Option<SimOutcome>],
                                   frontier: &mut usize,
+                                  checkpoint_file: &mut Option<(fs::File, FloatTexts)>,
                                   cache: &mut Option<BinaryCache>,
+                                  ahead: &mut Option<Ahead>,
                                   obs: &Obs,
                                   stops: &[usize]|
          -> io::Result<()> {
@@ -1244,10 +1471,16 @@ impl Orchestrator {
             }
             let advanced = start..start + resolved;
             let outcome = |i: usize| results[i].as_ref().expect("inside the frontier");
-            if let Some((file, texts)) = &mut checkpoint_file {
+            let encoded = |i: usize| ahead.as_ref().and_then(|a| a.get(i));
+            if let Some((file, texts)) = checkpoint_file {
                 for i in advanced.clone() {
-                    let seed = spec.cells()[i].seed;
-                    push_cell_line(&mut lines, i, keys[i], seed, outcome(i), texts);
+                    match encoded(i) {
+                        Some((line, _)) => lines.extend_from_slice(line),
+                        None => {
+                            let seed = spec.cells()[i].seed;
+                            push_cell_line(&mut lines, i, keys[i], seed, outcome(i), texts);
+                        }
+                    }
                     if lines.len() >= CHECKPOINT_CHUNK || i + 1 == advanced.end {
                         file.write_all(&lines)?;
                         lines.clear();
@@ -1259,16 +1492,19 @@ impl Orchestrator {
             conflicts.clear();
             if let Some(cache) = cache.as_mut() {
                 cache.append(
-                    advanced
-                        .clone()
-                        .filter(|&i| !in_cache[i])
-                        .map(|i| (keys[i], outcome(i))),
+                    advanced.clone().filter(|&i| !in_cache[i]).map(|i| {
+                        let record = ahead.as_ref().and_then(|a| a.record(i));
+                        (keys[i], outcome(i), record)
+                    }),
                     |position, verdict| {
                         if verdict == CacheInsert::Conflict {
                             conflicts.push(position);
                         }
                     },
                 )?;
+            }
+            if let Some(ahead) = ahead {
+                ahead.release(advanced.clone());
             }
             obs.add("sweep.cells_done", advanced.len() as u64);
             *frontier = advanced.end;
@@ -1329,7 +1565,15 @@ impl Orchestrator {
             Ok(())
         };
         // Everything known up front (resumed + cached) checkpoints first.
-        flush_frontier(&results, &mut frontier, &mut cache, &obs, &[])?;
+        flush_frontier(
+            &results,
+            &mut frontier,
+            &mut checkpoint_file,
+            &mut cache,
+            &mut ahead,
+            &obs,
+            &[],
+        )?;
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let exec_started = Instant::now();
@@ -1392,17 +1636,41 @@ impl Orchestrator {
                     received += unit_cells.len();
                     stops.clear();
                     let mut reach = frontier;
-                    for (i, outcome) in unit_cells {
-                        results[i] = Some(outcome);
+                    for (i, outcome) in &unit_cells {
+                        let i = *i;
+                        results[i] = Some(outcome.clone());
                         if report_stops && i == reach {
                             reach +=
                                 1 + results[i + 1..].iter().take_while(|r| r.is_some()).count();
                             stops.push(reach);
                         }
                     }
-                    io_result = flush_frontier(&results, &mut frontier, &mut cache, &obs, &stops);
+                    io_result = flush_frontier(
+                        &results,
+                        &mut frontier,
+                        &mut checkpoint_file,
+                        &mut cache,
+                        &mut ahead,
+                        &obs,
+                        &stops,
+                    );
                     if io_result.is_err() {
                         break;
+                    }
+                    // The cells left past the frontier are encoded now,
+                    // while the workers run, rather than by the advance
+                    // that reaches them.
+                    if let Some(ahead) = &mut ahead {
+                        for (i, outcome) in unit_cells.iter().filter(|(i, _)| *i >= frontier) {
+                            let i = *i;
+                            let line = |out: &mut Vec<u8>| {
+                                if let Some((_, texts)) = &mut checkpoint_file {
+                                    let seed = spec.cells()[i].seed;
+                                    push_cell_line(out, i, keys[i], seed, outcome, texts);
+                                }
+                            };
+                            ahead.encode(i, line, || encode_record(keys[i], outcome));
+                        }
                     }
                 }
                 for handle in handles {
@@ -1415,6 +1683,9 @@ impl Orchestrator {
             io_result?;
         }
 
+        if let Some(ahead) = &ahead {
+            obs.add("sweep.cells_encoded_ahead", ahead.encoded as u64);
+        }
         let workers_used = worker_stats.iter().filter(|s| s.units > 0).count();
         let steal_batches: u64 = worker_stats.iter().map(|s| s.steals).sum();
         let exec_secs = exec_started.elapsed().as_secs_f64();
@@ -1575,11 +1846,44 @@ mod tests {
         assert_ne!(keys[0], keys[1], "-0.0 and 0.0 configs must key apart");
     }
 
+    /// Checks `spec.probe_units(pending)` against grouping by the old
+    /// fingerprint texts: units are exactly the distinct texts (seed
+    /// inline), in first-appearance order, and each unit's group is its
+    /// first cell's topology text and seed, numbered in first-appearance
+    /// order.
+    fn assert_units_match_oracle(spec: &SweepSpec, pending: &[usize]) -> Units {
+        let mut want: Vec<(String, Vec<usize>)> = Vec::new();
+        for &i in pending {
+            let cell = &spec.cells()[i];
+            let fp = oracle_probe_fingerprint(&cell.config, cell.seed);
+            match want.iter_mut().find(|(f, _)| *f == fp) {
+                Some((_, unit)) => unit.push(i),
+                None => want.push((fp, vec![i])),
+            }
+        }
+        let want: Vec<Vec<usize>> = want.into_iter().map(|(_, unit)| unit).collect();
+        let units = spec.probe_units(pending);
+        assert_eq!(units.cells, want);
+        let mut groups: Vec<(String, u64)> = Vec::new();
+        let mut want_group = Vec::new();
+        for unit in &want {
+            let cell = &spec.cells()[unit[0]];
+            let id = (format!("{:?}", cell.config.topology_key()), cell.seed);
+            want_group.push(groups.iter().position(|g| *g == id).unwrap_or_else(|| {
+                groups.push(id);
+                groups.len() - 1
+            }));
+        }
+        assert_eq!(units.group, want_group);
+        let sizes = (0..groups.len()).map(|g| want_group.iter().filter(|&&u| u == g).count());
+        assert_eq!(units.group_units, sizes.collect::<Vec<_>>());
+        units
+    }
+
     #[test]
     fn probe_units_match_old_fingerprint_grouping() {
         // Two topologies, policies shared between them, and a repeated
-        // seed: units must be exactly the distinct old-style fingerprints
-        // (seed inline), in first-appearance order.
+        // seed.
         let mut other_topo = tiny();
         other_topo.beacons = 14;
         let mut configs = Vec::new();
@@ -1597,33 +1901,7 @@ mod tests {
         explicit.extend(spec.cells()[..4].iter().cloned());
         for spec in [spec, SweepSpec::new(explicit)] {
             let pending: Vec<usize> = (0..spec.len()).filter(|i| i % 5 != 2).collect();
-            let mut want: Vec<(String, Vec<usize>)> = Vec::new();
-            for &i in &pending {
-                let cell = &spec.cells()[i];
-                let fp = oracle_probe_fingerprint(&cell.config, cell.seed);
-                match want.iter_mut().find(|(f, _)| *f == fp) {
-                    Some((_, unit)) => unit.push(i),
-                    None => want.push((fp, vec![i])),
-                }
-            }
-            let want: Vec<Vec<usize>> = want.into_iter().map(|(_, unit)| unit).collect();
-            let units = spec.probe_units(&pending);
-            assert_eq!(units.cells, want);
-            // Each unit's group: its first cell's topology text and seed,
-            // numbered in first-appearance order.
-            let mut groups: Vec<(String, u64)> = Vec::new();
-            let mut want_group = Vec::new();
-            for unit in &want {
-                let cell = &spec.cells()[unit[0]];
-                let id = (format!("{:?}", cell.config.topology_key()), cell.seed);
-                want_group.push(groups.iter().position(|g| *g == id).unwrap_or_else(|| {
-                    groups.push(id);
-                    groups.len() - 1
-                }));
-            }
-            assert_eq!(units.group, want_group);
-            let sizes = (0..groups.len()).map(|g| want_group.iter().filter(|&&u| u == g).count());
-            assert_eq!(units.group_units, sizes.collect::<Vec<_>>());
+            let units = assert_units_match_oracle(&spec, &pending);
             assert!(units.group_units.iter().any(|&n| n > 1));
 
             let report = Orchestrator::new().workers(2).run(&spec).unwrap();
@@ -1635,6 +1913,50 @@ mod tests {
             let units: u64 = report.worker_stats.iter().map(|w| w.units).sum();
             assert_eq!(units as usize, all_fps.len());
         }
+    }
+
+    #[test]
+    fn probe_units_tell_floats_apart_as_their_text_does() {
+        // `-0.0 == 0.0` but the two print differently, so they part units
+        // and groups; NaNs with different bits all print `NaN`, so they
+        // share; a fault plan that injects something is compared by its
+        // text.
+        let tap = |x: f64| SimConfig {
+            wormhole: Some((
+                secloc_geometry::Point2::new(x, 100.0),
+                secloc_geometry::Point2::new(800.0, 800.0),
+            )),
+            ..tiny()
+        };
+        let p = |attacker_p: f64| SimConfig {
+            attacker_p,
+            ..tiny()
+        };
+        let drift = |ppm: u64| SimConfig {
+            faults: crate::FaultPlan::default().with_clock_drift(ppm),
+            ..tiny()
+        };
+        let configs = [
+            tap(0.0),
+            tap(-0.0),
+            p(f64::NAN),
+            p(f64::from_bits(f64::NAN.to_bits() | 1)),
+            p(-f64::NAN),
+            p(0.0),
+            p(-0.0),
+            drift(40),
+            drift(40),
+            drift(41),
+            tiny(),
+        ];
+        let spec = SweepSpec::product(&configs, &[3, 9]);
+        let pending: Vec<usize> = (0..spec.len()).collect();
+        let units = assert_units_match_oracle(&spec, &pending);
+        // Per seed: two taps, one NaN unit, two zero units, two drift
+        // plans, and `tiny`, which shares its topology with the `p(_)`
+        // configs.
+        assert_eq!(units.cells.len(), 2 * 8);
+        assert_eq!(units.group_units.len(), 2 * 5);
     }
 
     /// The panic message of `f`, which must panic.
@@ -1649,13 +1971,21 @@ mod tests {
             .expect("a formatted message")
     }
 
+    /// Whether each group of `shared` holds a deployment.
+    fn held(shared: &SharedDeployments) -> Vec<bool> {
+        let slots = shared
+            .groups
+            .iter()
+            .map(|g| g.lock().unwrap().held.is_some());
+        slots.collect()
+    }
+
     #[test]
-    fn a_group_shares_its_deployment_up_to_the_cap() {
-        // Two units in each of cap + 2 groups: the first unit of every
-        // group generates, the first `SHARED_DEPLOYMENTS` groups keep
-        // theirs, and every deployment handed out is the generated one.
-        let groups = SHARED_DEPLOYMENTS + 2;
-        let shared = SharedDeployments::new(&vec![2; groups]);
+    fn a_group_shares_its_deployment_until_its_last_unit() {
+        // Two units in each of three groups: the first unit of every group
+        // generates and keeps it, the second re-keys it and drops it, and
+        // every deployment handed out is the generated one.
+        let shared = SharedDeployments::new(&[2; 3]);
         let other_p = SimConfig {
             attacker_p: 0.9,
             ..tiny()
@@ -1663,32 +1993,20 @@ mod tests {
         let generated = |config: &SimConfig, seed: u64| {
             format!("{:?}", Deployment::generate(config.clone(), seed))
         };
-        let held = |shared: &SharedDeployments| -> Vec<bool> {
-            let slots = shared
-                .groups
-                .iter()
-                .map(|g| g.lock().unwrap().held.is_some());
-            slots.collect()
-        };
-        for g in 0..groups {
+        let mut bytes = 0;
+        for g in 0..3 {
             let d = shared.take(g, &tiny(), g as u64);
             assert_eq!(format!("{d:?}"), generated(&tiny(), g as u64));
+            bytes += d.held_bytes();
         }
-        assert_eq!(
-            shared.held_total.load(Ordering::Relaxed),
-            SHARED_DEPLOYMENTS
-        );
-        let kept = held(&shared);
-        assert!(
-            kept[..SHARED_DEPLOYMENTS].iter().all(|&k| k)
-                && !kept[SHARED_DEPLOYMENTS..].contains(&true)
-        );
-        for g in 0..groups {
+        assert_eq!(held(&shared), [true; 3]);
+        assert_eq!(shared.held_bytes.load(Ordering::Relaxed), bytes);
+        for g in 0..3 {
             let d = shared.take(g, &other_p, g as u64);
             assert_eq!(format!("{d:?}"), generated(&other_p, g as u64));
         }
-        assert_eq!(shared.held_total.load(Ordering::Relaxed), 0);
-        assert!(!held(&shared).contains(&true), "the last unit drops it");
+        assert_eq!(shared.held_bytes.load(Ordering::Relaxed), 0);
+        assert_eq!(held(&shared), [false; 3], "the last unit drops it");
 
         // An invalid config panics as generating it does, whether the
         // group holds a deployment or not, and the slot the panic
@@ -1705,6 +2023,70 @@ mod tests {
         assert!(shared.groups[1].lock().is_err());
         let d = shared.take(1, &tiny(), 1);
         assert_eq!(format!("{d:?}"), generated(&tiny(), 1));
+    }
+
+    #[test]
+    fn paper_scale_groups_share_within_the_byte_budget() {
+        // Two units in each of more paper-scale groups than the budget
+        // holds. Groups keep their deployment while the held bytes fit,
+        // schedules counted before any stage draws them, so the groups
+        // that hold one are a prefix, and the first group past it is the
+        // one that did not fit.
+        let groups = 64;
+        let shared = SharedDeployments::new(&vec![2; groups]);
+        let mut sizes = Vec::new();
+        for g in 0..groups {
+            let d = shared.take(g, &SimConfig::paper_default(), g as u64);
+            let counted = d.held_bytes();
+            d.probe_schedules();
+            assert_eq!(
+                d.held_bytes(),
+                counted,
+                "drawing the schedules is counted ahead"
+            );
+            sizes.push(counted);
+            assert!(shared.held_bytes.load(Ordering::Relaxed) <= SHARED_BYTES);
+        }
+        let kept = held(&shared);
+        let prefix = kept.iter().take_while(|&&k| k).count();
+        assert!(prefix > 20 && prefix < groups, "{prefix} of {groups} held");
+        assert!(!kept[prefix..].contains(&true));
+        let held_bytes: usize = sizes[..prefix].iter().sum();
+        assert_eq!(shared.held_bytes.load(Ordering::Relaxed), held_bytes);
+        assert!(held_bytes + sizes[prefix] > SHARED_BYTES);
+        for g in 0..groups {
+            shared.take(g, &SimConfig::paper_default(), g as u64);
+        }
+        assert_eq!(shared.held_bytes.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_p_major_grid_generates_one_deployment_per_seed() {
+        // The benchmark's P axis over 100 and 200 seeds, its units taken in
+        // queue order as one worker takes them: every seed's group stays
+        // open until its fifth unit, and every group shares. A cap of 64
+        // held deployments generated 244 and 744 times.
+        let configs: Vec<SimConfig> = [0.1, 0.3, 0.5, 0.7, 0.9]
+            .map(|attacker_p| SimConfig {
+                attacker_p,
+                ..tiny()
+            })
+            .to_vec();
+        let mut generations = Vec::new();
+        for seeds in [100u64, 200] {
+            let spec = SweepSpec::product(&configs, &(0..seeds).collect::<Vec<_>>());
+            let pending: Vec<usize> = (0..spec.len()).collect();
+            let units = spec.probe_units(&pending);
+            let shared = SharedDeployments::new(&units.group_units);
+            let mut generated = 0;
+            for (unit, &group) in units.cells.iter().zip(&units.group) {
+                let cell = &spec.cells()[unit[0]];
+                generated += usize::from(!held(&shared)[group]);
+                shared.take(group, &cell.config, cell.seed);
+            }
+            generations.push(generated);
+        }
+        assert_eq!(generations, [100, 200]);
     }
 
     #[test]
@@ -2054,6 +2436,86 @@ mod tests {
         let mut other = tiny();
         other.tau = tiny().tau + 1;
         assert_ne!(fp, config_fingerprint(&other), "config-sensitive");
+    }
+
+    /// Every file of a cache directory, by name.
+    fn cache_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn cells_encoded_on_arrival_write_the_bytes_of_a_serial_per_cell_run() {
+        // A P-major grid: the frontier stalls until the last P value's
+        // units arrive, so most cells land past it. The bound tests run
+        // under holds three blocks of four cells, so some cells are
+        // encoded as they arrive and the rest by the advance reaching
+        // them.
+        let mut configs = Vec::new();
+        for tau in [1, 2, 3] {
+            for attacker_p in [0.3, 0.6, 0.9] {
+                configs.push(SimConfig {
+                    tau,
+                    attacker_p,
+                    ..tiny()
+                });
+            }
+        }
+        let spec = SweepSpec::product(&configs, &[11, 12, 13, 14, 15, 16]);
+        let tag = "arrival";
+        let root = std::env::temp_dir().join(format!("secloc-arrival-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+
+        // The serial per-cell run: each cell run on its own, its line
+        // written and its record inserted in cell order.
+        let keys = spec.keys(tag);
+        let mut want = header_line(spec.len(), grid_key(&keys), tag).into_bytes();
+        let mut texts = FloatTexts::new();
+        let mut cache = BinaryCache::open(root.join("serial.bin"), spec.len()).unwrap();
+        for (i, (cell, outcome)) in spec.cells().iter().zip(fresh_outcomes(&spec)).enumerate() {
+            push_cell_line(&mut want, i, keys[i], cell.seed, &outcome, &mut texts);
+            assert_eq!(
+                cache.insert_checked(keys[i], outcome).unwrap(),
+                CacheInsert::Inserted
+            );
+        }
+        drop(cache);
+        let want_cache = cache_files(&root.join("serial.bin"));
+
+        for workers in [1, 3] {
+            let dir = root.join(format!("w{workers}"));
+            let registry = Arc::new(secloc_obs::MetricsRegistry::new());
+            Orchestrator::new()
+                .workers(workers)
+                .tag(tag)
+                .cache(dir.join("cache.bin"))
+                .checkpoint(dir.join("ck.jsonl"))
+                .observed(&Obs::new(Some(registry.clone()), None))
+                .run(&spec)
+                .unwrap();
+            if workers == 1 {
+                // One worker runs the units P-major: each of the first 17
+                // messages advances the frontier by its first cell only,
+                // and the last one through every cell, so 34 cells arrive
+                // past the frontier. Three blocks of four hold fewer.
+                let ahead = registry.counter("sweep.cells_encoded_ahead").get();
+                assert!(ahead > 0 && ahead < 34, "{ahead} cells encoded ahead");
+            }
+            let got = fs::read(dir.join("ck.jsonl")).unwrap();
+            assert!(got == want, "checkpoint differs at {workers} workers");
+            assert!(
+                cache_files(&dir.join("cache.bin")) == want_cache,
+                "cache differs at {workers} workers"
+            );
+        }
+        fs::remove_dir_all(&root).ok();
     }
 
     #[test]

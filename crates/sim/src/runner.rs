@@ -21,6 +21,7 @@ use secloc_localization::{BatchedMmse, LocationReference, MmseScratch};
 use secloc_obs::{Obs, Value};
 use secloc_radio::loss::send_reliable;
 use secloc_radio::Cycles;
+use std::cell::RefCell;
 use std::sync::{Mutex, OnceLock};
 
 /// A reference a sensor kept for localization, tagged with its source.
@@ -35,7 +36,7 @@ struct KeptReference {
 /// `t / DISPATCH_SPAN` of the phase.
 const DISPATCH_SPAN: u64 = 1_000_000;
 
-/// Flat probe-pair schedule, drained in `(dispatch time, insertion
+/// Flat probe-pair schedule, iterated in `(dispatch time, insertion
 /// sequence)` order — the pop order of a discrete-event heap (the
 /// reference run's `EventQueue` in `secloc-oracle`).
 ///
@@ -46,6 +47,7 @@ const DISPATCH_SPAN: u64 = 1_000_000;
 /// two stable 10-bit LSD counting passes over the time bits
 /// (`DISPATCH_SPAN` < 2²⁰), so entries with equal times keep push order,
 /// which is precisely the sequence tie-break.
+#[derive(Debug)]
 struct ScheduledPairs {
     keys: Vec<u64>,
     pairs: Vec<(u32, u32)>,
@@ -68,18 +70,19 @@ impl ScheduledPairs {
         self.pairs.push((u, v));
     }
 
-    /// Consumes the schedule in `(time, sequence)` order.
-    fn drain_ordered(self) -> impl Iterator<Item = (Cycles, u32, u32)> {
+    /// Sorts the keys into `(time, sequence)` order, which
+    /// [`ScheduledPairs::ordered`] then reads.
+    fn sort(&mut self) {
         const _: () = assert!(DISPATCH_SPAN <= 1 << (2 * ScheduledPairs::DIGIT));
         const BUCKETS: usize = 1 << ScheduledPairs::DIGIT;
         let mask = BUCKETS as u64 - 1;
         let lo = |key: u64| ((key >> 32) & mask) as usize;
         let hi = |key: u64| ((key >> (32 + Self::DIGIT)) & mask) as usize;
-        let mut src = self.keys;
+        let src = &mut self.keys;
         // Both histograms from one read of the keys, then each turned
         // into its digit's bucket starts.
         let mut starts = [[0u32; BUCKETS]; 2];
-        for &key in &src {
+        for &key in src.iter() {
             starts[0][lo(key)] += 1;
             starts[1][hi(key)] += 1;
         }
@@ -93,7 +96,7 @@ impl ScheduledPairs {
         }
         let mut dst = vec![0u64; src.len()];
         let [lo_starts, hi_starts] = &mut starts;
-        for &key in &src {
+        for &key in src.iter() {
             let at = &mut lo_starts[lo(key)];
             dst[*at as usize] = key;
             *at += 1;
@@ -107,11 +110,132 @@ impl ScheduledPairs {
             src.windows(2).all(|w| w[0] <= w[1]),
             "radix drain order diverged from the packed-key comparison sort"
         );
-        let pairs = self.pairs;
-        src.into_iter().map(move |key| {
-            let (u, v) = pairs[key as u32 as usize];
+    }
+
+    /// The schedule in `(time, sequence)` order, once sorted.
+    fn ordered(&self) -> impl Iterator<Item = (Cycles, u32, u32)> + '_ {
+        self.keys.iter().map(|&key| {
+            let (u, v) = self.pairs[key as u32 as usize];
             (Cycles::new(key >> 32), u, v)
         })
+    }
+}
+
+/// Both probe phases' dispatch schedules, sorted, and the order stream as
+/// drawing them leaves it. The draws read the seed, which beacons are
+/// benign and each node's audible list, and nothing else: the schedules
+/// are a pure function of `(topology, seed)`. So a topology draws them
+/// once, in the first probe stage of any deployment built on it, and
+/// keeps them next to its audible graph; every stage on a deployment
+/// re-keyed from it probes from them and clones the stream (DESIGN.md §9).
+#[derive(Debug)]
+pub(crate) struct ProbeSchedules {
+    /// Every benign beacon's audible beacons, under one draw each.
+    detection: ScheduledPairs,
+    /// Every sensor's audible beacons, under one draw each.
+    location: ScheduledPairs,
+    /// The order stream after both schedules' draws: what phase 3a
+    /// shuffles with.
+    order_rng: StdRng,
+}
+
+impl ProbeSchedules {
+    /// Draws `d`'s schedules from its seed's order stream: the detection
+    /// pairs in beacon order, then the location pairs in sensor order,
+    /// each in audible-list order.
+    pub(crate) fn draw(d: &Deployment) -> Self {
+        let cfg = d.config();
+        let mut order_rng = StdRng::seed_from_u64(subseed(d.seed(), b"order"));
+        let mut detection = ScheduledPairs::with_capacity(Self::detection_pairs(d));
+        for u in (0..cfg.beacons).filter(|&b| d.kind(b) == NodeKind::BenignBeacon) {
+            for &v in d.audible_beacons(u) {
+                detection.schedule(order_rng.gen_range(0..DISPATCH_SPAN), u, v);
+            }
+        }
+        let mut location =
+            ScheduledPairs::with_capacity(d.audible_pair_count(cfg.beacons, cfg.nodes));
+        for w in d.sensors() {
+            for &v in d.audible_beacons(w) {
+                location.schedule(order_rng.gen_range(0..DISPATCH_SPAN), w, v);
+            }
+        }
+        detection.sort();
+        location.sort();
+        ProbeSchedules {
+            detection,
+            location,
+            order_rng,
+        }
+    }
+
+    /// The detection schedule's length: the benign beacons' audible pairs.
+    fn detection_pairs(d: &Deployment) -> usize {
+        (0..d.config().beacons)
+            .filter(|&b| d.kind(b) == NodeKind::BenignBeacon)
+            .map(|b| d.audible_beacons(b).len())
+            .sum()
+    }
+
+    /// The heap bytes `d`'s schedules hold once drawn: a key and a pair
+    /// per scheduled probe, each vector allocated at its exact length.
+    pub(crate) fn heap_bytes(d: &Deployment) -> usize {
+        let cfg = d.config();
+        let entries = Self::detection_pairs(d) + d.audible_pair_count(cfg.beacons, cfg.nodes);
+        entries * (std::mem::size_of::<u64>() + std::mem::size_of::<(u32, u32)>())
+    }
+}
+
+/// Every node's kept list in one buffer: node `w`'s references, in the
+/// order it kept them, are `refs[start .. start + len]` with `(start,
+/// len) = spans[w]`. A sensor keeps at most one reference per audible
+/// beacon, so its window is as long as its audible list and the location
+/// phase fills it in place; a beacon's window is empty. A stage holds two
+/// vectors where a list per node took one each.
+#[derive(Debug)]
+struct KeptLists {
+    refs: Vec<KeptReference>,
+    spans: Vec<(u32, u32)>,
+}
+
+impl KeptLists {
+    /// Empty lists, each sensor's window sized to its audible list.
+    fn with_windows(d: &Deployment) -> Self {
+        let cfg = d.config();
+        let mut end = 0u32;
+        let spans: Vec<(u32, u32)> = (0..cfg.nodes)
+            .map(|w| {
+                let start = end;
+                if w >= cfg.beacons {
+                    end += d.audible_beacons(w).len() as u32;
+                }
+                (start, 0)
+            })
+            .collect();
+        let unfilled = KeptReference {
+            beacon: u32::MAX,
+            reference: LocationReference::new(secloc_geometry::Point2::default(), 0.0),
+        };
+        KeptLists {
+            refs: vec![unfilled; end as usize],
+            spans,
+        }
+    }
+
+    fn push(&mut self, w: u32, kept: KeptReference) {
+        let (start, len) = &mut self.spans[w as usize];
+        self.refs[(*start + *len) as usize] = kept;
+        *len += 1;
+    }
+
+    /// Node `w`'s kept references.
+    fn of(&self, w: u32) -> &[KeptReference] {
+        let (start, len) = self.spans[w as usize];
+        &self.refs[start as usize..(start + len) as usize]
+    }
+
+    /// Every node's kept references, in node order.
+    fn iter(&self) -> impl Iterator<Item = &[KeptReference]> + '_ {
+        (0..self.spans.len() as u32).map(|w| self.of(w))
     }
 }
 
@@ -129,7 +253,7 @@ struct KeptIndex {
 
 impl KeptIndex {
     /// One counting pass by beacon over the kept lists in node order.
-    fn build(kept: &[Vec<KeptReference>], beacons: u32) -> Self {
+    fn build(kept: &KeptLists, beacons: u32) -> Self {
         let mut offsets = vec![0u32; beacons as usize + 1];
         for k in kept.iter().flatten() {
             offsets[k.beacon as usize + 1] += 1;
@@ -153,21 +277,16 @@ impl KeptIndex {
     /// into `masks` indexed by node: a mask over its kept list in order, or
     /// `None` when the list is longer than 64 and at least one reference
     /// was dropped.
-    fn dropped_masks(
-        &self,
-        kept: &[Vec<KeptReference>],
-        revoked: &RevokedSet,
-        masks: &mut Vec<Option<u64>>,
-    ) {
+    fn dropped_masks(&self, kept: &KeptLists, revoked: &RevokedSet, masks: &mut Vec<Option<u64>>) {
         masks.clear();
-        masks.resize(kept.len(), Some(0));
+        masks.resize(kept.spans.len(), Some(0));
         for (b, span) in self.offsets.windows(2).enumerate() {
             if !revoked.contains(b as u32) {
                 continue;
             }
             for &(w, slot) in &self.refs[span[0] as usize..span[1] as usize] {
                 let mask = &mut masks[w as usize];
-                if kept[w as usize].len() > 64 {
+                if kept.spans[w as usize].1 > 64 {
                     *mask = None;
                 } else if let Some(m) = mask {
                     *m |= 1 << slot;
@@ -238,10 +357,12 @@ struct ImpactPrecompute {
 pub struct ProbeStage {
     detectors: Vec<u32>,
     benign_alerts: Vec<Alert>,
-    kept: Vec<Vec<KeptReference>>,
+    kept: KeptLists,
     /// `kept` indexed by beacon.
     index: KeptIndex,
-    poisoned: Vec<Vec<u32>>,
+    /// Indexed by beacon: how many sensors kept a malicious reference
+    /// from it.
+    poisoned: Vec<u32>,
     order_rng: StdRng,
     churn: Option<ChurnSchedule>,
     /// The τ-independent impact precompute: solved by
@@ -299,15 +420,64 @@ struct FinishBuffers {
     impact: ImpactBuffers,
 }
 
+/// Sets of finish buffers a thread keeps from the stages it dropped: one
+/// for the next stage it builds, and one more for a stage built while
+/// another is alive (a plain run timed beside a staged unit's stage).
+const SPARE_BUFFER_SETS: usize = 2;
+
+thread_local! {
+    /// The finish buffers of the last stages this thread dropped, for the
+    /// next stages it builds: a sweep worker's units, or a loop of plain
+    /// runs, grow one set of buffers instead of one per stage.
+    static SPARE_BUFFERS: RefCell<Vec<FinishBuffers>> = const { RefCell::new(Vec::new()) };
+}
+
 impl FinishBuffers {
     fn new(cfg: &SimConfig) -> Self {
         FinishBuffers {
             machine: RevocationMachine::with_nodes(revocation_config(cfg), cfg.beacons as usize),
+            ..FinishBuffers::empty()
+        }
+    }
+
+    /// Buffers that hold nothing and allocated nothing.
+    fn empty() -> Self {
+        FinishBuffers {
+            machine: RevocationMachine::new(RevocationConfig {
+                tau: 0,
+                tau_prime: 0,
+            }),
             collusion: Vec::new(),
             collusion_scratch: CollusionScratch::default(),
             delivered: Vec::new(),
             revoked: RevokedSet::default(),
             impact: ImpactBuffers::default(),
+        }
+    }
+
+    /// Buffers for a new stage under `cfg`: the spare ones of this thread
+    /// when it has them. Every finish resets the machine and clears or
+    /// rewrites each buffer before reading it, so which stage grew them
+    /// cannot reach an outcome.
+    fn for_stage(cfg: &SimConfig) -> Self {
+        SPARE_BUFFERS
+            .with(|spares| spares.borrow_mut().pop())
+            .unwrap_or_else(|| FinishBuffers::new(cfg))
+    }
+}
+
+impl Drop for ProbeStage {
+    /// Leaves the stage's finish buffers to the next stage this thread
+    /// builds.
+    fn drop(&mut self) {
+        if let Ok(memo) = self.memo.get_mut() {
+            let buffers = std::mem::replace(&mut memo.buffers, FinishBuffers::empty());
+            let _ = SPARE_BUFFERS.try_with(|spares| {
+                let mut spares = spares.borrow_mut();
+                if spares.len() < SPARE_BUFFER_SETS {
+                    spares.push(buffers);
+                }
+            });
         }
     }
 }
@@ -504,7 +674,7 @@ impl Runner {
         let telemetry = options.observed.unwrap_or(&disabled);
         let stage = self.stage_phases(telemetry);
         RunOutput {
-            outcome: self.finish_phases(telemetry, &stage),
+            outcome: self.finish_phases(telemetry, &stage, self.deployment.config()),
         }
     }
 
@@ -520,7 +690,11 @@ impl Runner {
     /// of a revocation-axis sweep via [`Runner::finish_from_stage`].
     pub fn probe_stage(&self) -> ProbeStage {
         let stage = self.stage_phases(&Obs::disabled());
-        self.precompute(&stage);
+        // In the buffers the stage keeps for its finishes, so that the
+        // first finish finds them grown.
+        let mut memo = stage.memo.lock().expect("a new stage's memo is unpoisoned");
+        self.precompute(&stage, &mut memo.buffers.impact);
+        drop(memo);
         stage
     }
 
@@ -531,7 +705,8 @@ impl Runner {
     /// (inherently serial, RNG-ordered) probing phases. `workers` is
     /// ignored: a run is single-threaded.
     pub fn solve_impact_chain(&self, stage: &ProbeStage, _workers: usize) -> usize {
-        self.impact_precompute(stage).n_b
+        self.impact_precompute(stage, &mut ImpactBuffers::default())
+            .n_b
     }
 
     /// Completes a plain run from a shared probe-stage snapshot:
@@ -563,7 +738,7 @@ impl Runner {
     /// the sweep orchestrator attributes per-cell revocation decisions to
     /// their cell's trace.
     pub fn finish_from_stage_observed(&self, stage: &ProbeStage, telemetry: &Obs) -> SimOutcome {
-        self.finish_phases(telemetry, stage)
+        self.finish_phases(telemetry, stage, self.deployment.config())
     }
 
     fn stage_phases(&self, telemetry: &Obs) -> ProbeStage {
@@ -572,7 +747,6 @@ impl Runner {
         let plan = &cfg.faults;
         let ctx = ProbeContext::new(d, telemetry);
         let mut probe_rng = StdRng::seed_from_u64(subseed(self.seed, b"probe"));
-        let mut order_rng = StdRng::seed_from_u64(subseed(self.seed, b"order"));
         telemetry.emit(
             "run.start",
             &[
@@ -623,19 +797,11 @@ impl Runner {
         announce_phase(telemetry, "detection");
         let detection_span = telemetry.span("phase.detection");
         let detectors = d.beacons_of_kind(NodeKind::BenignBeacon);
-        // Audible beacons come from the topology's precomputed CSR cache,
-        // and probes schedule into a flat key-packed vec (see
-        // `ScheduledPairs`) instead of paying per-push heap maintenance.
-        let mut pairs = ScheduledPairs::with_capacity(
-            detectors.iter().map(|&u| d.audible_beacons(u).len()).sum(),
-        );
-        for &u in &detectors {
-            for &v in d.audible_beacons(u) {
-                pairs.schedule(order_rng.gen_range(0..DISPATCH_SPAN), u, v);
-            }
-        }
+        // Both phases probe in the order of the topology's schedules,
+        // drawn by its first stage (see `ProbeSchedules`).
+        let schedules = d.probe_schedules();
         let mut benign_alerts: Vec<Alert> = Vec::new();
-        for (t, u, v) in pairs.drain_ordered() {
+        for (t, u, v) in schedules.detection.ordered() {
             if let Some(c) = &churn {
                 let frac = t.as_u64() as f64 / DISPATCH_SPAN as f64;
                 if !c.is_alive(u, frac) || !c.is_alive(v, frac) {
@@ -667,28 +833,12 @@ impl Runner {
         // ---- Phase 2: location discovery by sensors. ------------------
         announce_phase(telemetry, "location");
         let location_span = telemetry.span("phase.location");
-        let mut pairs = ScheduledPairs::with_capacity(d.audible_pair_count(cfg.beacons, cfg.nodes));
-        for w in d.sensors() {
-            for &v in d.audible_beacons(w) {
-                pairs.schedule(order_rng.gen_range(0..DISPATCH_SPAN), w, v);
-            }
-        }
-        // Pre-size each sensor's kept list to its audible-beacon count —
-        // the exact upper bound, since a sensor keeps at most one
-        // reference per audible beacon — so the probe loop below never
-        // reallocates mid-phase. Capacity is invisible to outcomes.
-        let mut kept: Vec<Vec<KeptReference>> = (0..cfg.nodes)
-            .map(|u| {
-                Vec::with_capacity(if u >= cfg.beacons {
-                    d.audible_beacons(u).len()
-                } else {
-                    0
-                })
-            })
-            .collect();
-        // poisoned[v] = sensors that accepted a malicious signal from v.
-        let mut poisoned: Vec<Vec<u32>> = vec![Vec::new(); cfg.beacons as usize];
-        for (t, w, v) in pairs.drain_ordered() {
+        // Each sensor's kept list fills a window as long as its audible
+        // list, the exact upper bound (see `KeptLists`).
+        let mut kept = KeptLists::with_windows(d);
+        // poisoned[v] = how many sensors accepted a malicious signal from v.
+        let mut poisoned = vec![0u32; cfg.beacons as usize];
+        for (t, w, v) in schedules.location.ordered() {
             if let Some(c) = &churn {
                 let frac = t.as_u64() as f64 / DISPATCH_SPAN as f64;
                 if !c.is_alive(v, frac) {
@@ -709,24 +859,27 @@ impl Runner {
             if !result.accepted_for_localization {
                 continue;
             }
-            kept[w as usize].push(KeptReference {
-                beacon: v,
-                reference: LocationReference::new(
-                    result.observation.declared_position,
-                    result.observation.measured_distance_ft,
-                ),
-            });
+            kept.push(
+                w,
+                KeptReference {
+                    beacon: v,
+                    reference: LocationReference::new(
+                        result.observation.declared_position,
+                        result.observation.measured_distance_ft,
+                    ),
+                },
+            );
             if result.action == Some(Action::MaliciousSignal) {
-                poisoned[v as usize].push(w);
+                poisoned[v as usize] += 1;
             }
         }
         telemetry.add(
             "location.references_kept",
-            kept.iter().map(|k| k.len() as u64).sum(),
+            kept.spans.iter().map(|&(_, len)| u64::from(len)).sum(),
         );
         telemetry.add(
             "location.sensors_poisoned",
-            poisoned.iter().map(|p| p.len() as u64).sum(),
+            poisoned.iter().map(|&p| u64::from(p)).sum(),
         );
         if churn.is_some() {
             telemetry.add("faults.churn.suppressed", churn_suppressed);
@@ -745,30 +898,36 @@ impl Runner {
             index: KeptIndex::build(&kept, cfg.beacons),
             kept,
             poisoned,
-            order_rng,
+            order_rng: schedules.order_rng.clone(),
             churn,
             impact: OnceLock::new(),
             memo: Mutex::new(ImpactMemo {
                 by_revoked: Vec::new(),
                 per_sensor: vec![Vec::new(); cfg.nodes as usize],
-                buffers: FinishBuffers::new(cfg),
+                buffers: FinishBuffers::for_stage(cfg),
             }),
             orders: Default::default(),
         }
     }
 
-    /// `stage`'s τ-independent precompute, solved on first use.
-    fn precompute<'s>(&self, stage: &'s ProbeStage) -> &'s ImpactPrecompute {
-        stage.impact.get_or_init(|| self.impact_precompute(stage))
+    /// `stage`'s τ-independent precompute, solved in `buffers` on first
+    /// use.
+    fn precompute<'s>(
+        &self,
+        stage: &'s ProbeStage,
+        buffers: &mut ImpactBuffers,
+    ) -> &'s ImpactPrecompute {
+        stage
+            .impact
+            .get_or_init(|| self.impact_precompute(stage, buffers))
     }
 
     /// The τ-independent slice of the impact phase, accumulated in sensor
     /// order with exactly the float operations of the reference run's
     /// pre-revocation pass (`secloc-oracle`).
-    fn impact_precompute(&self, stage: &ProbeStage) -> ImpactPrecompute {
+    fn impact_precompute(&self, stage: &ProbeStage, pass: &mut ImpactBuffers) -> ImpactPrecompute {
         let cfg = self.deployment.config();
-        let mut pass = ImpactBuffers::default();
-        self.impact_pass(stage, ImpactPass::Before, &mut pass);
+        self.impact_pass(stage, ImpactPass::Before, pass);
         let mut before: Vec<Option<f64>> = vec![None; cfg.nodes as usize];
         let (mut sum_b, mut n_b) = (0.0f64, 0usize);
         for (i, &c) in pass.out.iter().enumerate() {
@@ -835,7 +994,7 @@ impl Runner {
             pending.len(),
             |i| pending[i].0,
             |w, scratch| {
-                let refs = kept[w as usize].iter();
+                let refs = kept.of(w).iter();
                 match revoked {
                     None => scratch.load_from_iter(refs.map(|k| k.reference)),
                     Some(revoked) => scratch.load_from_iter(
@@ -860,7 +1019,7 @@ impl Runner {
     /// completes: `None` when its set does not solve. Every solve runs
     /// through [`BatchedMmse::positions`] over the two scratches in
     /// `slots`, made pre-sized to the topology's largest audible set when
-    /// the first set is solved.
+    /// a set is first solved on scratches smaller than that.
     ///
     /// A deployed node knows the field bounds, and poisoned constraints
     /// can push the least-squares solution outside them, so the estimate
@@ -879,6 +1038,14 @@ impl Runner {
         let d = &self.deployment;
         let field = secloc_geometry::Field::square(d.config().field_side_ft);
         let cap = d.max_audible_len();
+        // Scratches that came from a sparser topology's stage (see
+        // `FinishBuffers::for_stage`) are made again at this one's size.
+        if slots
+            .as_ref()
+            .is_some_and(|s| s.iter().any(|s| s.capacity() < cap))
+        {
+            *slots = None;
+        }
         let slots = slots.get_or_insert_with(|| {
             [
                 MmseScratch::with_capacity(cap),
@@ -930,13 +1097,24 @@ impl Runner {
         }
     }
 
-    /// Phases 3a–4 on the probe-stage snapshot `stage`. The impact phase
-    /// re-estimates only the sensors that lost a reference to revocation;
-    /// every other sensor keeps its pre-revocation contribution from the
-    /// stage's precompute.
-    fn finish_phases(&self, telemetry: &Obs, stage: &ProbeStage) -> SimOutcome {
+    /// Phases 3a–4 on the probe-stage snapshot `stage`, under the knobs of
+    /// `cfg`. The impact phase re-estimates only the sensors that lost a
+    /// reference to revocation; every other sensor keeps its
+    /// pre-revocation contribution from the stage's precompute.
+    ///
+    /// `cfg` is this deployment's config, or another valid config with its
+    /// topology key: the sweep engine finishes each cell of a unit on the
+    /// unit's deployment this way instead of re-keying it. A finish reads
+    /// the placement only through the topology, which a re-keyed
+    /// deployment shares, and every knob from `cfg`, so the outcome is the
+    /// one a runner on `deployment().with_policy(cfg)` finishes with.
+    pub(crate) fn finish_phases(
+        &self,
+        telemetry: &Obs,
+        stage: &ProbeStage,
+        cfg: &SimConfig,
+    ) -> SimOutcome {
         let d = &self.deployment;
-        let cfg = d.config();
         let plan = &cfg.faults;
         let detectors = &stage.detectors;
         let poisoned = &stage.poisoned;
@@ -1089,11 +1267,14 @@ impl Runner {
         let (affected_before, affected_after) = if malicious.is_empty() {
             (0.0, 0.0)
         } else {
-            let before: usize = malicious.iter().map(|&v| poisoned[v as usize].len()).sum();
+            let before: usize = malicious
+                .iter()
+                .map(|&v| poisoned[v as usize] as usize)
+                .sum();
             let after: usize = malicious
                 .iter()
                 .filter(|&&v| !revoked.contains(v))
-                .map(|&v| poisoned[v as usize].len())
+                .map(|&v| poisoned[v as usize] as usize)
                 .sum();
             (
                 before as f64 / malicious.len() as f64,
@@ -1104,7 +1285,7 @@ impl Runner {
         // A revoked set the stage has already finished takes its mean
         // from the memo. Otherwise revocation can only drop references, so
         // only sensors that lost one re-solve, folded in sensor order.
-        let pre = self.precompute(stage);
+        let pre = self.precompute(stage, impact);
         let err_before = (pre.n_b > 0).then(|| pre.sum_b / pre.n_b as f64);
         let seen = memo
             .as_ref()
@@ -1238,9 +1419,40 @@ mod tests {
                 want.push((Cycles::new(t), u, v));
             }
             want.sort_by_key(|&(t, _, _)| t);
-            let got: Vec<(Cycles, u32, u32)> = schedule.drain_ordered().collect();
+            schedule.sort();
+            let got: Vec<(Cycles, u32, u32)> = schedule.ordered().collect();
             assert_eq!(got, want, "{n} entries");
         }
+    }
+
+    #[test]
+    fn a_topology_draws_its_schedules_once_and_counts_their_bytes() {
+        let base = Runner::new(small_cfg(0.6), 41);
+        let d = base.deployment();
+        let rekeyed = d.with_policy(small_cfg(0.2)).unwrap();
+        // A stage on the re-keyed deployment draws them; the base shares
+        // them, and its stage starts phase 3 from the same stream state.
+        let stage = Runner::from_deployment(rekeyed.clone()).probe_stage();
+        let schedules = d.probe_schedules();
+        assert!(std::ptr::eq(schedules, rekeyed.probe_schedules()));
+        let drawn = ProbeSchedules::draw(d);
+        let mut fresh_rng = drawn.order_rng.clone();
+        let mut stage_rng = stage.order_rng.clone();
+        assert_eq!(fresh_rng.gen::<u64>(), stage_rng.gen::<u64>());
+        for (a, b) in [
+            (&schedules.detection, &drawn.detection),
+            (&schedules.location, &drawn.location),
+        ] {
+            assert!(a.ordered().eq(b.ordered()));
+        }
+        let held = |s: &ScheduledPairs| {
+            s.keys.capacity() * std::mem::size_of::<u64>()
+                + s.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+        };
+        assert_eq!(
+            ProbeSchedules::heap_bytes(d),
+            held(&schedules.detection) + held(&schedules.location)
+        );
     }
 
     #[test]

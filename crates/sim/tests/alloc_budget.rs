@@ -10,6 +10,10 @@
 //! - a finish on a revoked set the memo has not seen allocates only what
 //!   it adds to the memo, pinned exactly.
 //!
+//! A unit's probe stage and its first finish are pinned exactly too:
+//! the stage on a deployment re-keyed from one whose stage already ran
+//! allocates less, because the topology's probe schedules are drawn once.
+//!
 //! Counts are per thread (see the alerter's `common/counting_alloc.rs`),
 //! so tests running in parallel do not disturb each other.
 
@@ -150,5 +154,46 @@ fn a_paper_scale_unit_rekeys_and_rehits_without_allocating() {
             first_of_set: 162,
             memo_hits: 0,
         }
+    );
+}
+
+#[test]
+fn a_scale_cold_stage_and_its_first_finish_allocate_their_pinned_counts() {
+    // A unit of a fresh deployment, then a unit of its group under another
+    // P value, re-keyed from it as the sweep engine re-keys: its stage
+    // probes from the schedules the first stage drew. A plain run in
+    // between leaves its finish buffers to the second stage, as a worker's
+    // previous unit does.
+    let first = Runner::new(scale_cold(), 1_000_003);
+    let (stage, fresh_stage) = allocations(|| first.probe_stage());
+    let (outcome, fresh_finish) = allocations(|| first.finish_from_stage(&stage));
+    assert_eq!(outcome, first.run(RunOptions::new()).outcome);
+    assert!(
+        outcome.affected_before > 0.0,
+        "no sensor kept a malicious reference"
+    );
+    let other_p = SimConfig {
+        attacker_p: 0.3,
+        ..scale_cold()
+    };
+    let second = Runner::from_deployment(first.deployment().with_policy(other_p.clone()).unwrap());
+    let (stage, rekeyed_stage) = allocations(|| second.probe_stage());
+    let (outcome, rekeyed_finish) = allocations(|| second.finish_from_stage(&stage));
+    assert_eq!(
+        outcome,
+        Runner::new(other_p, 1_000_003)
+            .run(RunOptions::new())
+            .outcome
+    );
+    // The re-keyed stage probes from the schedules the first one drew, and
+    // both stages count poisoning sensors per beacon in one vector, where
+    // drawing the schedules took six vectors and a list of sensors per
+    // poisoning beacon took one allocation per growth. Their kept lists
+    // share one buffer, the precompute grows the buffers the first finish
+    // works in, and the spare buffers come grown.
+    assert_eq!(
+        (fresh_stage, fresh_finish, rekeyed_stage, rekeyed_finish),
+        (30, 47, 12, 32),
+        "(fresh stage, its first finish, re-keyed stage, its first finish)"
     );
 }
